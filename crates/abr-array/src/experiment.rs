@@ -1,14 +1,14 @@
 //! The array experiment harness: the single-disk measured-day protocol
 //! of `abr_core::Experiment`, run against an [`ArrayVolume`].
 //!
-//! The event loop, setup sequence, warm-up, fault installation, and
-//! clock arithmetic mirror the single-disk harness *step for step* —
-//! that is what makes the N=1 byte-identity guarantee hold: a one-disk
-//! striped volume executes exactly the same sequence of driver calls
-//! at exactly the same simulated times as `Experiment`, so its
-//! `DayMetrics` serialize to identical bytes.
+//! Both harnesses are the same `abr_core::DayLoop` under the same
+//! file-system traffic source; this one hands the loop a volume instead
+//! of a bare driver. A one-disk striped volume therefore executes
+//! exactly the same sequence of driver calls at exactly the same
+//! simulated times as `Experiment`, and its `DayMetrics` serialize to
+//! identical bytes — by construction, not by parallel maintenance.
 //!
-//! Each member disk runs its own [`RearrangementDaemon`]: monitors are
+//! Each member disk runs its own `RearrangementDaemon`: monitors are
 //! read per disk every `monitor_period`, hot lists are computed per
 //! disk, and overnight passes run independently — hot blocks migrate
 //! into *each spindle's* reserved region based on the traffic that
@@ -16,18 +16,12 @@
 
 use crate::stripe::{Redundancy, StripePolicy};
 use crate::volume::{ArrayHealth, ArrayVolume};
-use abr_core::analyzer::{BoundedAnalyzer, DecayingAnalyzer, FullAnalyzer, ReferenceAnalyzer};
-use abr_core::arranger::{BlockArranger, RearrangeReport};
-use abr_core::daemon::RearrangementDaemon;
+use abr_core::arranger::RearrangeReport;
 use abr_core::recovery::MaintenanceConfig;
-use abr_core::{run_meter_add, DayMetrics, ExperimentConfig, OVERNIGHT};
-use abr_disk::fault::{FaultInjector, FaultPlan};
-use abr_disk::{Disk, DiskLabel};
-use abr_driver::monitor::PerfSnapshot;
-use abr_driver::{AdaptiveDriver, DriverConfig, Ioctl, IoctlReply};
-use abr_fs::{FileSystem, FsConfig, MountMode};
-use abr_sim::{SimDuration, SimRng, SimTime};
-use abr_workload::WorkloadState;
+use abr_core::{experiment_member, DayMetrics, DayReport, ExperimentConfig, FsLoop};
+use abr_disk::fault::FaultPlan;
+use abr_disk::SeekCurve;
+use abr_sim::SimTime;
 
 /// Array experiment configuration: the single-disk configuration
 /// applied to every member, plus the array shape.
@@ -94,35 +88,25 @@ pub struct ArrayDayMetrics {
 }
 
 /// The assembled simulated file server over an N-disk volume.
+#[derive(Debug)]
 pub struct ArrayExperiment {
     config: ArrayConfig,
-    volume: ArrayVolume,
-    fs: FileSystem,
-    workload: WorkloadState,
-    daemons: Vec<RearrangementDaemon>,
-    clock: SimTime,
-    day_index: u64,
-    /// Blocks currently placed across all reserved areas.
-    placed: u32,
-    /// Overnight per-disk rearrangement passes that failed and were
-    /// skipped (the disk kept its previous placement).
-    rearrange_failures: u64,
-    /// The member format, kept to build hot-spare replacement drives.
-    label: DiskLabel,
-    driver_cfg: DriverConfig,
-    /// Whether disk `i`'s scheduled replacement has been installed.
-    replaced: Vec<bool>,
+    h: FsLoop<ArrayVolume>,
 }
 
-impl std::fmt::Debug for ArrayExperiment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArrayExperiment")
-            .field("disk", &self.config.base.disk.name)
-            .field("profile", &self.config.base.profile.name)
-            .field("n_disks", &self.config.n_disks)
-            .field("day", &self.day_index)
-            .field("placed", &self.placed)
-            .finish_non_exhaustive()
+/// A member that is still re-silvering defers its overnight pass:
+/// rearrangement I/O would compete with the rebuild, and moving blocks
+/// under an incomplete redundancy window is exactly when placement
+/// churn is least affordable.
+fn resilvering(volume: &ArrayVolume, i: usize) -> bool {
+    volume.stale_blocks(i) > 0
+}
+
+/// The volume-level roll-up and per-disk breakdown of one day.
+fn day_metrics(curve: &SeekCurve, report: DayReport) -> ArrayDayMetrics {
+    ArrayDayMetrics {
+        per_disk: report.per_member(curve),
+        volume: report.volume(curve),
     }
 }
 
@@ -134,144 +118,28 @@ impl ArrayExperiment {
         // Setup and warm-up are unmeasured, exactly as in the
         // single-disk harness.
         let _unmeasured = abr_obs::trace_pause();
+        let _wall = abr_obs::time_scope("setup");
         let base = &config.base;
-        let model = base.disk.clone();
-        let spb = 16; // 8 KB blocks
-        let label = if base.reserved_cylinders > 0 {
-            if base.reserved_at_edge {
-                DiskLabel::rearranged_at_edge(model.geometry, base.reserved_cylinders, spb)
-            } else {
-                DiskLabel::rearranged_aligned(model.geometry, base.reserved_cylinders, spb)
-            }
-        } else {
-            DiskLabel::whole_disk(model.geometry)
-        };
-        let driver_cfg = DriverConfig {
-            block_size: 8192,
-            scheduler: base.scheduler,
-            monitor_capacity: 1 << 20,
-            table_max_entries: 8192,
-            ..DriverConfig::default()
-        };
-        let members: Vec<AdaptiveDriver> = (0..config.n_disks)
+        let members = (0..config.n_disks)
             .map(|_| {
-                let mut disk = Disk::new(model.clone());
-                AdaptiveDriver::format(&mut disk, &label, &driver_cfg);
-                let mut d =
-                    AdaptiveDriver::attach(disk, driver_cfg).expect("fresh format attaches");
-                // The volume reads member data via the stores directly;
-                // sub-request completions carry timing only.
-                d.set_deliver_read_data(false);
-                d
+                experiment_member(
+                    &base.disk,
+                    base.reserved_cylinders,
+                    base.reserved_at_edge,
+                    base.scheduler,
+                )
             })
             .collect();
-        let spc = members[0].label().physical.sectors_per_cylinder();
-        let mut volume = ArrayVolume::with_redundancy(
+        let volume = ArrayVolume::with_redundancy(
             members,
             config.stripe,
             config.redundancy,
             config.maintenance,
         );
-
-        let fs_cfg = FsConfig {
-            partition: 0,
-            cache_blocks: base.cache_blocks,
-            mode: MountMode::ReadWrite,
-            write_through: base.profile.nfs_write_through,
-            ..FsConfig::default()
-        };
-        let mut fs = FileSystem::newfs(fs_cfg, volume.vol_sectors(), spc);
-
-        // Build the file population; push its writes through the volume
-        // synchronously (setup, unmeasured).
-        let mut rng = SimRng::new(base.seed);
-        let mut clock = SimTime::ZERO;
-        let (workload, setup_reqs) = WorkloadState::setup(base.profile.clone(), &mut fs, &mut rng)
-            .expect("workload population fits the file system");
-        for req in setup_reqs {
-            volume.submit(req, clock).expect("setup requests are valid");
-            if volume.queue_len() > 64 {
-                if let Some(t) = volume.next_completion() {
-                    clock = t;
-                    volume.complete_next(t);
-                }
-            }
-        }
-        while let Some(t) = volume.next_completion() {
-            clock = t;
-            volume.complete_next(t);
-        }
-
-        if !base.profile.is_mutating() {
-            fs.remount(MountMode::ReadOnly);
-        }
-
-        // One rearrangement daemon per member disk.
-        let daemons: Vec<RearrangementDaemon> = (0..config.n_disks)
-            .map(|_| {
-                let analyzer: Box<dyn ReferenceAnalyzer> =
-                    match (base.analyzer_decay, base.analyzer_capacity) {
-                        (Some(decay), _) => Box::new(DecayingAnalyzer::new(decay)),
-                        (None, Some(cap)) => Box::new(BoundedAnalyzer::new(cap)),
-                        (None, None) => Box::new(FullAnalyzer::new()),
-                    };
-                let arranger = BlockArranger::new(base.policy.make(fs.layout().interleave));
-                let mut daemon = RearrangementDaemon::new(analyzer, arranger, base.monitor_period);
-                daemon.set_incremental(base.incremental_rearrange);
-                daemon
-            })
-            .collect();
-
-        // Zero every member's monitors so day 1 starts clean.
-        for i in 0..config.n_disks {
-            volume
-                .disk_mut(i)
-                .ioctl(Ioctl::ReadStats, clock)
-                .expect("stats read");
-            volume
-                .disk_mut(i)
-                .ioctl(Ioctl::ReadRequestTable, clock)
-                .expect("table read");
-        }
-
-        let n_disks = config.n_disks;
-        let mut e = ArrayExperiment {
-            config,
-            volume,
-            fs,
-            workload,
-            daemons,
-            clock: clock + SimDuration::from_mins(10),
-            day_index: 0,
-            placed: 0,
-            rearrange_failures: 0,
-            label,
-            driver_cfg,
-            replaced: vec![false; n_disks],
-        };
-        for _ in 0..e.config.base.warmup_days {
-            e.run_day();
-            e.rearrange_for_next_day(0);
-        }
-        e.day_index = 0;
-        // Faults start once the population is built and the cache warm.
-        // Disk 0 draws from the same "faults" substream as a single
-        // disk; disk i > 0 gets an independent indexed substream.
-        for i in 0..e.config.n_disks {
-            let plan = e.config.fault_plans.get(i).copied().flatten();
-            if let Some(plan) = plan {
-                let rng = if i == 0 {
-                    SimRng::new(e.config.base.seed).substream("faults")
-                } else {
-                    SimRng::new(e.config.base.seed).substream_idx("faults", i as u64)
-                };
-                e.volume
-                    .disk_mut(i)
-                    .disk_mut()
-                    .set_injector(Some(FaultInjector::new(plan, rng)));
-            }
-        }
-        e
+        let vol_sectors = volume.vol_sectors();
+        let mut h = FsLoop::with_file_system(volume, vol_sectors, base, &config.fault_plans);
+        h.defer_rearrangement = resilvering;
+        ArrayExperiment { config, h }
     }
 
     /// The configuration.
@@ -281,237 +149,46 @@ impl ArrayExperiment {
 
     /// The current simulated clock (start of the next day).
     pub fn clock(&self) -> SimTime {
-        self.clock
+        self.h.clock()
     }
 
     /// Install (or replace) disk `i`'s fault plan after construction —
     /// for scenarios whose fault times are expressed relative to the
     /// post-setup clock (e.g. "dies halfway through day 1"). Uses the
-    /// same per-disk seeded substreams as construction-time plans, and
-    /// registers the plan so the replacement schedule is honored.
+    /// same per-disk seeded substreams as construction-time plans.
     pub fn install_fault_plan(&mut self, i: usize, plan: FaultPlan) {
-        if self.config.fault_plans.len() <= i {
-            self.config.fault_plans.resize(i + 1, None);
-        }
-        self.config.fault_plans[i] = Some(plan);
-        let rng = if i == 0 {
-            SimRng::new(self.config.base.seed).substream("faults")
-        } else {
-            SimRng::new(self.config.base.seed).substream_idx("faults", i as u64)
-        };
-        self.volume
-            .disk_mut(i)
-            .disk_mut()
-            .set_injector(Some(FaultInjector::new(plan, rng)));
+        self.h.install_fault_plan(self.config.base.seed, i, plan);
     }
 
     /// Blocks currently placed across all reserved areas.
     pub fn placed(&self) -> u32 {
-        self.placed
+        self.h.placed()
     }
 
     /// The volume (inspection in tests and benches).
     pub fn volume(&self) -> &ArrayVolume {
-        &self.volume
+        &self.h.device
     }
 
     /// The volume, mutably.
     pub fn volume_mut(&mut self) -> &mut ArrayVolume {
-        &mut self.volume
-    }
-
-    /// A member disk's rearrangement daemon (inspection).
-    pub fn daemon(&self, i: usize) -> &RearrangementDaemon {
-        &self.daemons[i]
+        &mut self.h.device
     }
 
     /// Overnight per-disk rearrangement passes that failed and were
     /// skipped.
     pub fn rearrange_failures(&self) -> u64 {
-        self.rearrange_failures
+        self.h.rearrange_failures()
     }
 
     /// Snapshot array health (and publish the `array.*` gauges).
     pub fn health(&mut self) -> ArrayHealth {
-        self.volume.health()
-    }
-
-    /// Install scheduled hot-spare replacements: once a member's
-    /// spindle has died, its replacement has arrived, and its queue has
-    /// drained, swap in a freshly formatted drive and queue its
-    /// contents for re-silvering.
-    fn install_replacements(&mut self, now: SimTime) {
-        if !self.volume.redundancy().is_redundant() {
-            return;
-        }
-        for i in 0..self.config.n_disks {
-            if self.replaced[i] {
-                continue;
-            }
-            let Some(plan) = self.config.fault_plans.get(i).copied().flatten() else {
-                continue;
-            };
-            let Some(at) = plan.replacement_at() else {
-                continue;
-            };
-            if now < at || !self.volume.disk(i).is_idle() {
-                continue;
-            }
-            let died = self.volume.disk(i).disk().injector().is_some_and(|inj| {
-                inj.is_failed() || inj.plan().disk_death_at.is_some_and(|t| now >= t)
-            });
-            if !died {
-                continue;
-            }
-            let mut disk = Disk::new(self.config.base.disk.clone());
-            AdaptiveDriver::format(&mut disk, &self.label, &self.driver_cfg);
-            let mut fresh =
-                AdaptiveDriver::attach(disk, self.driver_cfg).expect("fresh format attaches");
-            fresh.set_deliver_read_data(false);
-            self.volume.replace_disk(i, fresh);
-            self.replaced[i] = true;
-        }
-    }
-
-    /// Read every member's request table into its daemon.
-    fn collect_all(&mut self, now: SimTime) {
-        for i in 0..self.config.n_disks {
-            self.daemons[i].collect(self.volume.disk_mut(i), now);
-        }
+        self.h.device.health()
     }
 
     /// Run one measured day of workload and return its metrics.
     pub fn run_day(&mut self) -> ArrayDayMetrics {
-        let _t = abr_obs::time_scope("event_loop");
-        let day_start = self.clock;
-        let day_end = day_start + self.config.base.profile.day_length;
-        let mut next_sync = day_start + self.config.base.sync_period;
-        let mut next_monitor = day_start + self.config.base.monitor_period;
-        // Redundant volumes run a maintenance window (replacement
-        // arrival, rebuild, scrub) on its own period; `SimTime::MAX`
-        // keeps the plain-volume event sequence byte-identical.
-        let maint_period = self.config.maintenance.period;
-        let mut next_maint = if self.volume.has_maintenance() {
-            day_start + maint_period
-        } else {
-            SimTime::MAX
-        };
-        let (mut op_at, mut op) = self.workload.next_op(day_start, &self.fs);
-        let mut pending: abr_sim::EventQueue<abr_driver::IoRequest> = abr_sim::EventQueue::new();
-
-        loop {
-            let next_completion = self.volume.next_completion().unwrap_or(SimTime::MAX);
-            let next_pending = pending.peek_time().unwrap_or(SimTime::MAX);
-            let t = op_at
-                .min(next_sync)
-                .min(next_monitor)
-                .min(next_completion)
-                .min(next_pending)
-                .min(next_maint);
-            if t > day_end && pending.is_empty() {
-                break;
-            }
-            if t == next_completion {
-                self.volume.complete_next(t);
-            } else if t == next_maint {
-                self.install_replacements(t);
-                self.volume.maintenance_tick(t);
-                next_maint = t + maint_period;
-            } else if t == next_pending {
-                let (_, r) = pending.pop().expect("non-empty");
-                self.volume.submit(r, t).expect("workload request valid");
-            } else if t == op_at {
-                let reqs = self.workload.apply(op, &mut self.fs);
-                let pace = self.config.base.request_pacing;
-                for (i, r) in reqs.into_iter().enumerate() {
-                    pending.schedule(t + pace * i as u64, r);
-                }
-                let (at, next) = self.workload.next_op(t, &self.fs);
-                op_at = if at > day_end { SimTime::MAX } else { at };
-                op = next;
-            } else if t == next_sync {
-                for r in self.fs.sync() {
-                    self.volume.submit(r, t).expect("sync request valid");
-                }
-                next_sync = t + self.config.base.sync_period;
-            } else {
-                self.collect_all(t);
-                next_monitor = t + self.config.base.monitor_period;
-            }
-        }
-
-        // Day end: drain outstanding requests, flush the cache, collect
-        // the final monitor contents.
-        let mut t = day_end;
-        while let Some(c) = self.volume.next_completion() {
-            t = c;
-            self.volume.complete_next(c);
-        }
-        for r in self.fs.sync() {
-            self.volume.submit(r, t).expect("final sync valid");
-        }
-        while let Some(c) = self.volume.next_completion() {
-            t = c;
-            self.volume.complete_next(c);
-        }
-        self.collect_all(t);
-
-        // Per-disk metrics, then the volume roll-up: performance
-        // windows merge by summation (order-insensitive), block count
-        // distributions concatenate and re-sort descending.
-        let mut per_disk = Vec::with_capacity(self.config.n_disks);
-        let mut merged: Option<PerfSnapshot> = None;
-        let mut all_counts: Vec<u64> = Vec::new();
-        let mut read_counts: Vec<u64> = Vec::new();
-        for i in 0..self.config.n_disks {
-            let snapshot = match self
-                .volume
-                .disk_mut(i)
-                .ioctl(Ioctl::ReadStats, t)
-                .expect("stats read")
-            {
-                IoctlReply::Stats(s) => s,
-                _ => unreachable!(),
-            };
-            let (all_dist, read_dist) = self.daemons[i].distributions();
-            let placed_i = self.volume.disk(i).block_table().len() as u32;
-            per_disk.push(DayMetrics::new(
-                self.day_index,
-                placed_i > 0,
-                placed_i,
-                &snapshot,
-                &self.config.base.disk.seek,
-                all_dist.iter().map(|h| h.count).collect(),
-                read_dist.iter().map(|h| h.count).collect(),
-            ));
-            all_counts.extend(all_dist.iter().map(|h| h.count));
-            read_counts.extend(read_dist.iter().map(|h| h.count));
-            match &mut merged {
-                Some(m) => m.merge(&snapshot),
-                None => merged = Some(*snapshot),
-            }
-        }
-        // Analyzer hot lists are emitted in non-increasing count order,
-        // so at N=1 this sort is the identity and the volume metrics
-        // match the single-disk harness byte for byte.
-        all_counts.sort_by(|a, b| b.cmp(a));
-        read_counts.sort_by(|a, b| b.cmp(a));
-        let volume_metrics = DayMetrics::new(
-            self.day_index,
-            self.placed > 0,
-            self.placed,
-            &merged.expect("at least one disk"),
-            &self.config.base.disk.seek,
-            all_counts,
-            read_counts,
-        );
-
-        self.clock = t.max(day_end);
-        run_meter_add(self.clock - day_start);
-        ArrayDayMetrics {
-            volume: volume_metrics,
-            per_disk,
-        }
+        day_metrics(&self.config.base.disk.seek, self.h.run_day())
     }
 
     /// End the day: each member places its own `n_blocks_per_disk`
@@ -520,72 +197,14 @@ impl ArrayExperiment {
     /// rearrange in parallel overnight, so the gap is driven by the
     /// *slowest* member's movement time.
     pub fn rearrange_for_next_day(&mut self, n_blocks_per_disk: usize) -> RearrangeReport {
-        let mut total = RearrangeReport::default();
-        for i in 0..self.config.n_disks {
-            // A member that is still re-silvering defers its overnight
-            // pass: rearrangement I/O would compete with the rebuild,
-            // and moving blocks under an incomplete redundancy window
-            // is exactly when placement churn is least affordable.
-            if self.volume.stale_blocks(i) > 0 {
-                self.daemons[i].end_day_keep_placement();
-                continue;
-            }
-            let hot = self.daemons[i].hot_list(n_blocks_per_disk);
-            let report = match self.daemons[i].end_day_with(
-                self.volume.disk_mut(i),
-                &hot,
-                n_blocks_per_disk,
-                self.clock,
-            ) {
-                Ok(report) => report,
-                Err(_) => {
-                    // Same policy as the single-disk harness: the pass
-                    // failed outright, the on-disk placement is still
-                    // consistent, skip the day and keep the placement.
-                    self.rearrange_failures += 1;
-                    self.daemons[i].end_day_keep_placement();
-                    RearrangeReport::default()
-                }
-            };
-            total.blocks_placed += report.blocks_placed;
-            total.blocks_failed += report.blocks_failed;
-            total.io_ops += report.io_ops;
-            total.busy = total.busy.max(report.busy);
-            // Overnight power-cycle: a member cut mid-movement is back
-            // for the morning (its media faults persist).
-            if let Some(inj) = self.volume.disk_mut(i).disk_mut().injector_mut() {
-                if inj.is_dead() {
-                    inj.revive();
-                }
-            }
-        }
-        self.placed = (0..self.config.n_disks)
-            .map(|i| self.volume.disk(i).block_table().len() as u32)
-            .sum();
-        self.workload.advance_day();
-        self.day_index += 1;
-        self.clock += OVERNIGHT.max(total.busy + SimDuration::from_mins(1));
-        // The overnight movement polluted every member's stats; clear
-        // them so the next day starts clean.
-        for i in 0..self.config.n_disks {
-            self.volume
-                .disk_mut(i)
-                .ioctl(Ioctl::ReadStats, self.clock)
-                .expect("stats clear"); // abr-lint: allow(P001, ReadStats on a healthy member cannot fail)
-        }
-        total
+        self.h.rearrange_for_next_day(n_blocks_per_disk)
     }
 
     /// Convenience: the paper's alternating protocol — `pairs` pairs of
     /// (off day, on day with `n_blocks_per_disk` placed per member).
     pub fn run_on_off(&mut self, pairs: usize, n_blocks_per_disk: usize) -> Vec<ArrayDayMetrics> {
-        let mut out = Vec::with_capacity(pairs * 2);
-        for _ in 0..pairs {
-            out.push(self.run_day());
-            self.rearrange_for_next_day(n_blocks_per_disk);
-            out.push(self.run_day());
-            self.rearrange_for_next_day(0);
-        }
-        out
+        let curve = &self.config.base.disk.seek;
+        self.h
+            .run_on_off(pairs, n_blocks_per_disk, |day| day_metrics(curve, day))
     }
 }

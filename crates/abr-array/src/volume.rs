@@ -45,7 +45,7 @@ use crate::stripe::{Redundancy, StripeMap, StripePolicy};
 use abr_core::recovery::{IoBudget, MaintenanceConfig};
 use abr_disk::SECTOR_SIZE;
 use abr_driver::request::IoDir;
-use abr_driver::{AdaptiveDriver, DriverError, IoRequest, RequestId};
+use abr_driver::{AdaptiveDriver, BlockDevice, DriverError, IoRequest, RequestId};
 use abr_obs::{with_registry, CounterId, GaugeId, HiresId};
 use abr_sim::SimTime;
 use bytes::Bytes;
@@ -1431,31 +1431,41 @@ impl ArrayVolume {
         self.stale[i] = stale;
     }
 
-    /// Whether the volume runs background maintenance (redundant
-    /// schemes only).
-    pub fn has_maintenance(&self) -> bool {
-        self.maint.is_some()
-    }
-
-    /// The maintenance configuration, if the volume is redundant.
-    pub fn maintenance_config(&self) -> Option<MaintenanceConfig> {
-        self.maint.as_ref().map(|m| m.cfg)
-    }
-
     /// Peak rebuild ops consumed in any single budget window (the
     /// "rebuild stayed within its budget" figure).
     pub fn rebuild_peak_window_ops(&self) -> u32 {
         self.maint.as_ref().map_or(0, |m| m.budget.peak_used())
     }
 
-    /// One background-maintenance window: re-silver stale blocks under
-    /// the I/O budget, then (when the array is idle and fully
-    /// re-silvered) scrub the next few redundancy groups. Pure
-    /// sim-time work — byte-identical across host thread counts.
+    /// Swap in every hot spare that is due: a member whose spindle has
+    /// died, whose replacement (scheduled by its own fault plan) has
+    /// arrived and whose queue has drained is replaced by a blank drive
+    /// formatted like it, and its contents queued for re-silvering.
+    fn install_replacements(&mut self, now: SimTime) {
+        for i in 0..self.disks.len() {
+            let due = self.disks[i].is_idle()
+                && self.disks[i].disk().injector().is_some_and(|inj| {
+                    let plan = inj.plan();
+                    plan.replacement_at().is_some_and(|at| now >= at)
+                        && (inj.is_failed() || plan.disk_death_at.is_some_and(|t| now >= t))
+                });
+            if due {
+                let spare = self.disks[i].blank_twin();
+                self.replace_disk(i, spare);
+            }
+        }
+    }
+
+    /// One background-maintenance window: install due hot spares,
+    /// re-silver stale blocks under the I/O budget, then (when the
+    /// array is idle and fully re-silvered) scrub the next few
+    /// redundancy groups. Pure sim-time work — byte-identical across
+    /// host thread counts.
     pub fn maintenance_tick(&mut self, now: SimTime) {
         if self.maint.is_none() {
             return;
         }
+        self.install_replacements(now);
         self.rebuild_tick(now);
         self.scrub_tick(now);
         if let Some(m) = &self.maint {
@@ -1851,11 +1861,41 @@ impl ArrayVolume {
     }
 }
 
+impl BlockDevice for ArrayVolume {
+    type RequestId = VolRequestId;
+    type Completion = Option<VolCompletion>;
+
+    fn submit(&mut self, req: IoRequest, now: SimTime) -> Result<VolRequestId, DriverError> {
+        ArrayVolume::submit(self, req, now)
+    }
+    fn next_completion(&mut self) -> Option<SimTime> {
+        ArrayVolume::next_completion(self)
+    }
+    fn complete_next(&mut self, now: SimTime) -> Option<VolCompletion> {
+        ArrayVolume::complete_next(self, now)
+    }
+    fn queue_len(&self) -> usize {
+        ArrayVolume::queue_len(self)
+    }
+    fn n_members(&self) -> usize {
+        self.disks.len()
+    }
+    fn member_mut(&mut self, i: usize) -> &mut AdaptiveDriver {
+        &mut self.disks[i]
+    }
+    fn next_maintenance(&self, after: SimTime) -> Option<SimTime> {
+        self.maint.as_ref().map(|m| after + m.cfg.period)
+    }
+    fn maintenance_tick(&mut self, now: SimTime) {
+        ArrayVolume::maintenance_tick(self, now)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use abr_disk::fault::{FaultInjector, FaultPlan};
-    use abr_disk::{models, Disk, DiskLabel};
+    use abr_disk::{models, DiskLabel};
     use abr_driver::{DriverConfig, SchedulerKind};
     use abr_sim::{SimDuration, SimRng};
 
@@ -1869,9 +1909,7 @@ mod tests {
             table_max_entries: 1024,
             ..DriverConfig::default()
         };
-        let mut disk = Disk::new(model);
-        AdaptiveDriver::format(&mut disk, &label, &cfg);
-        AdaptiveDriver::attach(disk, cfg).expect("fresh format attaches")
+        AdaptiveDriver::on_blank_disk(model, &label, cfg)
     }
 
     fn volume(n: usize, policy: StripePolicy) -> ArrayVolume {
@@ -2189,7 +2227,7 @@ mod tests {
     #[test]
     fn plain_volume_has_no_redundancy_metrics_or_maintenance() {
         let mut v = volume(2, StripePolicy::Concat);
-        assert!(!v.has_maintenance());
+        assert!(v.next_maintenance(SimTime::ZERO).is_none());
         assert_eq!(v.rebuild_pending(), 0);
         // Maintenance tick is a no-op.
         v.maintenance_tick(SimTime::from_micros(1));

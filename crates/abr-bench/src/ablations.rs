@@ -470,9 +470,9 @@ fn shuffler() -> Report {
 fn rotation() -> Report {
     use abr_core::arranger::BlockArranger;
     use abr_core::placement::PolicyKind;
-    use abr_disk::{models, Disk, DiskLabel};
+    use abr_disk::{models, DiskLabel};
     use abr_driver::request::IoRequest;
-    use abr_driver::{AdaptiveDriver, DriverConfig, Ioctl, IoctlReply};
+    use abr_driver::{AdaptiveDriver, DriverConfig};
     use abr_sim::SimTime;
 
     let mut r = Report::new(
@@ -492,9 +492,7 @@ fn rotation() -> Report {
         let model = models::toshiba_mk156f();
         let label = DiskLabel::rearranged(model.geometry, 48);
         let cfg = DriverConfig::default();
-        let mut disk = Disk::new(model);
-        AdaptiveDriver::format(&mut disk, &label, &cfg);
-        let driver = AdaptiveDriver::attach(disk, cfg).unwrap();
+        let driver = AdaptiveDriver::on_blank_disk(model, &label, cfg);
         let files: Vec<Vec<u64>> = (0..n_files as u64)
             .map(|f| {
                 (0..blocks_per_file)
@@ -523,9 +521,7 @@ fn rotation() -> Report {
         arranger
             .rearrange(&mut driver, &hot, hot.len(), SimTime::ZERO)
             .unwrap();
-        driver
-            .ioctl(Ioctl::ReadStats, SimTime::from_micros(500_000_000))
-            .unwrap();
+        driver.read_stats();
 
         // Back-to-back sequential reads of every file, several passes.
         let mut now = SimTime::from_micros(600_000_000);
@@ -538,10 +534,7 @@ fn rotation() -> Report {
                 }
             }
         }
-        let snap = match driver.ioctl(Ioctl::ReadStats, now).unwrap() {
-            IoctlReply::Stats(s) => s,
-            _ => unreachable!(),
-        };
+        let snap = driver.read_stats();
         let rot = snap.reads.rotation.mean_ms();
         let svc = snap.reads.service.mean_ms();
         r.line(format!(

@@ -1,10 +1,15 @@
 //! Committed-results regression: the engine hot path (calendar event
 //! queue, SoA tables, lazy seeded payload store) is a pure *throughput*
 //! rework — every result artifact must stay byte-identical. This
-//! regenerates the two gate families in-process and compares against the
+//! regenerates the three gate ids in-process and compares against the
 //! bytes committed under `results/`, so any future "optimization" that
 //! perturbs simulation order or payload semantics fails here instead of
 //! silently shifting the paper's numbers.
+//!
+//! The three ids are the three configurations of the one day loop — a
+//! bare driver (`table2`), a volume (`array-n2`) and the serving front
+//! end (`serve-smoke`) — so each is byte-gated, and each must carry the
+//! loop's wall-clock phase scopes in its bench-record row.
 //!
 //! If a change is *supposed* to alter results (a model fix, a new
 //! metric), regenerate and commit `results/` in the same PR; this test
@@ -22,8 +27,10 @@ fn committed(name: &str) -> String {
 }
 
 #[test]
-fn table2_and_array_n2_match_committed_results() {
-    let batch = RunBatch::new(&["table2", "array-n2"], 1).unwrap().execute();
+fn each_day_loop_configuration_matches_committed_results() {
+    let batch = RunBatch::new(&["table2", "array-n2", "serve-smoke"], 1)
+        .unwrap()
+        .execute();
     for outcome in &batch.outcomes {
         let report = outcome
             .report
@@ -42,5 +49,11 @@ fn table2_and_array_n2_match_committed_results() {
             committed(&format!("{id}.txt")),
             "{id}.txt drifted from the committed bytes"
         );
+        for scope in ["wall.setup.ns", "wall.event_loop.ns", "wall.day_end.ns"] {
+            assert!(
+                outcome.metrics["counters"][scope].as_u64().is_some(),
+                "{id}: bench-record row lacks {scope}"
+            );
+        }
     }
 }

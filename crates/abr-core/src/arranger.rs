@@ -218,7 +218,7 @@ impl BlockArranger {
 mod tests {
     use super::*;
     use crate::placement::PolicyKind;
-    use abr_disk::{models, Disk, DiskLabel};
+    use abr_disk::{models, DiskLabel};
     use abr_driver::request::IoRequest;
     use abr_driver::{DriverConfig, SchedulerKind};
 
@@ -239,9 +239,7 @@ mod tests {
     fn driver() -> AdaptiveDriver {
         let model = models::tiny_test_disk();
         let label = DiskLabel::rearranged_aligned(model.geometry, 10, 8);
-        let mut disk = Disk::new(model);
-        AdaptiveDriver::format(&mut disk, &label, &config());
-        AdaptiveDriver::attach(disk, config()).unwrap()
+        AdaptiveDriver::on_blank_disk(model, &label, config())
     }
 
     fn hot(n: u64) -> Vec<HotBlock> {

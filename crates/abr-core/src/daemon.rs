@@ -227,7 +227,7 @@ mod tests {
     use super::*;
     use crate::analyzer::FullAnalyzer;
     use crate::placement::PolicyKind;
-    use abr_disk::{models, Disk, DiskLabel};
+    use abr_disk::{models, DiskLabel};
     use abr_driver::request::IoRequest;
     use abr_driver::{DriverConfig, SchedulerKind};
 
@@ -238,7 +238,6 @@ mod tests {
     fn driver() -> AdaptiveDriver {
         let model = models::tiny_test_disk();
         let label = DiskLabel::rearranged_aligned(model.geometry, 10, 8);
-        let mut disk = Disk::new(model);
         let cfg = DriverConfig {
             block_size: 4096,
             scheduler: SchedulerKind::Scan,
@@ -246,8 +245,7 @@ mod tests {
             table_max_entries: 64,
             ..DriverConfig::default()
         };
-        AdaptiveDriver::format(&mut disk, &label, &cfg);
-        AdaptiveDriver::attach(disk, cfg).unwrap()
+        AdaptiveDriver::on_blank_disk(model, &label, cfg)
     }
 
     fn daemon() -> RearrangementDaemon {

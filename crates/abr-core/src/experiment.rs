@@ -10,20 +10,25 @@
 //! the next day (0 = an "off" day), exactly like the paper's alternating
 //! on/off protocol.
 
-use crate::analyzer::{BoundedAnalyzer, FullAnalyzer, ReferenceAnalyzer};
+use crate::analyzer::{
+    BoundedAnalyzer, DecayingAnalyzer, FullAnalyzer, HotBlock, ReferenceAnalyzer,
+};
 use crate::arranger::{BlockArranger, RearrangeReport};
 use crate::daemon::RearrangementDaemon;
+use crate::dayloop::{DayLoop, DayReport, Traffic};
 use crate::metrics::DayMetrics;
 use crate::placement::PolicyKind;
-use abr_disk::fault::{FaultInjector, FaultPlan};
-use abr_disk::{Disk, DiskLabel, DiskModel};
-use abr_driver::{AdaptiveDriver, DriverConfig, DriverError, Ioctl, IoctlReply, SchedulerKind};
+use abr_disk::fault::FaultPlan;
+use abr_disk::{DiskLabel, DiskModel};
+use abr_driver::{
+    AdaptiveDriver, BlockDevice, DriverConfig, IoRequest, Ioctl, IoctlReply, SchedulerKind,
+};
 use abr_fs::{FileSystem, FsConfig, MountMode};
-use abr_sim::{SimDuration, SimRng, SimTime};
-use abr_workload::{WorkloadProfile, WorkloadState};
+use abr_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use abr_workload::{Op, TraceEvent, TraceLog, WorkloadProfile, WorkloadState};
 
 /// Simulated progress accumulated on the current thread: how much
-/// simulated time [`Experiment::run_day`] has advanced and how many days
+/// simulated time [`DayLoop::run_day`] has advanced and how many days
 /// completed since the last [`run_meter_reset`].
 ///
 /// The parallel benchmark engine executes each run entirely on one
@@ -59,8 +64,8 @@ pub fn run_meter() -> RunMeter {
 
 /// Credit one completed day of `sim` simulated time to the current
 /// thread's [`RunMeter`] (and the registry's `engine.*` counters).
-/// Called by [`Experiment::run_day`]; exposed so alternative harnesses
-/// (the `abr-array` volume experiment) meter their days identically.
+/// Called by [`DayLoop::run_day`] at the end of every day or epoch;
+/// public so an outside replica of the loop meters identically.
 pub fn run_meter_add(sim: SimDuration) {
     RUN_METER.with(|m| {
         let mut v = m.get();
@@ -133,7 +138,7 @@ pub struct ExperimentConfig {
     /// a steady-state buffer cache rather than a cold one (the paper
     /// measured a long-running production server).
     pub warmup_days: u32,
-    /// Seeded fault injection (extension): install a [`FaultInjector`]
+    /// Seeded fault injection (extension): install a [`abr_disk::fault::FaultInjector`]
     /// with this plan on the disk once setup and warm-up finish, so the
     /// measured days run against a flaky device. `None` (the default)
     /// leaves the fault layer entirely out of the I/O path.
@@ -186,82 +191,146 @@ pub struct OnlineConfig {
 }
 
 /// Overnight gap between measured days (7am–10pm measured, then 9 hours
-/// of quiet during which the arranger runs). Public so the array
-/// harness advances its clock by exactly the same gap.
+/// of quiet during which the arranger runs).
 pub const OVERNIGHT: SimDuration = SimDuration::from_hours(9);
 
-/// The assembled simulated file server.
-pub struct Experiment {
-    config: ExperimentConfig,
-    driver: AdaptiveDriver,
-    fs: FileSystem,
-    workload: WorkloadState,
-    daemon: RearrangementDaemon,
-    clock: SimTime,
-    day_index: u64,
-    /// Blocks currently placed in the reserved area.
-    placed: u32,
-    /// When set, every submitted request is also logged (relative to the
-    /// current day's start) for trace-driven replay.
-    trace: Option<(SimTime, abr_workload::TraceLog)>,
-    /// Online-rearrangement movement cost of the last day.
-    last_online_io: crate::arranger::RearrangeReport,
-    /// Overnight rearrangement passes that failed outright (the day was
-    /// skipped and the previous placement kept).
-    rearrange_failures: u64,
-    /// The error that failed the most recent overnight pass, if any.
-    last_rearrange_error: Option<DriverError>,
+/// Format one experiment member: a blank disk of `disk` with 8 KB
+/// blocks, `reserved_cylinders` set aside for rearrangement in the
+/// middle of the disk (or at its edge; 0 = a plain disk), the
+/// experiment-sized monitor and block table, and completions that carry
+/// timing only.
+pub fn experiment_member(
+    disk: &DiskModel,
+    reserved_cylinders: u32,
+    reserved_at_edge: bool,
+    scheduler: SchedulerKind,
+) -> AdaptiveDriver {
+    const SECTORS_PER_BLOCK: u32 = 16;
+    let label = match (reserved_cylinders, reserved_at_edge) {
+        (0, _) => DiskLabel::whole_disk(disk.geometry),
+        (n, true) => DiskLabel::rearranged_at_edge(disk.geometry, n, SECTORS_PER_BLOCK),
+        (n, false) => DiskLabel::rearranged_aligned(disk.geometry, n, SECTORS_PER_BLOCK),
+    };
+    let driver_cfg = DriverConfig {
+        block_size: 8192,
+        scheduler,
+        monitor_capacity: 1 << 20,
+        table_max_entries: 8192,
+        ..DriverConfig::default()
+    };
+    let mut member = AdaptiveDriver::on_blank_disk(disk.clone(), &label, driver_cfg);
+    // The loop consumes only completion timing.
+    member.set_deliver_read_data(false);
+    member
 }
 
-impl std::fmt::Debug for Experiment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Experiment")
-            .field("disk", &self.config.disk.name)
-            .field("profile", &self.config.profile.name)
-            .field("day", &self.day_index)
-            .field("placed", &self.placed)
-            .finish_non_exhaustive()
+/// The file-system traffic source: a synthetic workload issuing
+/// file-level operations against an FFS-lite file system, whose block
+/// requests reach the device paced like NFS RPC trains, plus the update
+/// daemon's periodic sync.
+pub struct FsTraffic {
+    fs: FileSystem,
+    workload: WorkloadState,
+    sync_period: SimDuration,
+    request_pacing: SimDuration,
+    day_end: SimTime,
+    /// The next file-level operation; `None` once the day has no more.
+    next_op: Option<(SimTime, Op)>,
+    next_sync: SimTime,
+    /// Requests from file-level ops, paced out like NFS read/write RPC
+    /// trains (see `ExperimentConfig::request_pacing`). Trains from
+    /// different operations overlap, so a time-ordered queue merges
+    /// them.
+    pending: EventQueue<IoRequest>,
+    /// When set, every submitted request is also logged (relative to the
+    /// current day's start) for trace-driven replay.
+    trace: Option<(SimTime, TraceLog)>,
+}
+
+impl FsTraffic {
+    /// Submit `req` at `at`, logging it into the active trace, if any.
+    fn submit<D: BlockDevice>(&mut self, dev: &mut D, req: IoRequest, at: SimTime) {
+        if let Some((day_start, log)) = &mut self.trace {
+            log.push(TraceEvent::of(&req, (at - *day_start).as_micros()));
+        }
+        dev.submit(req, at).expect("file-system request valid");
+    }
+
+    /// Flush the dirty buffers to the device.
+    fn sync<D: BlockDevice>(&mut self, dev: &mut D, t: SimTime) {
+        for r in self.fs.sync() {
+            self.submit(dev, r, t);
+        }
     }
 }
 
-impl Experiment {
-    /// Build the whole stack: format the disk (with the reserved region
-    /// if configured), attach the driver, create the file system, build
-    /// the workload's file population (pushing its I/O through the driver
-    /// before measurement starts), and zero all monitors.
-    pub fn new(config: ExperimentConfig) -> Self {
-        // Setup and warm-up are unmeasured: suppress span/event recording
-        // so an active trace holds only measured-day traffic. (Wall-clock
-        // timers keep running; they feed `wall.*` metrics, which never
-        // enter traces.)
-        let _unmeasured = abr_obs::trace_pause();
-        let _wall = abr_obs::time_scope("setup");
-        let model = config.disk.clone();
-        let spb = 16; // 8 KB blocks
-        let label = if config.reserved_cylinders > 0 {
-            if config.reserved_at_edge {
-                DiskLabel::rearranged_at_edge(model.geometry, config.reserved_cylinders, spb)
-            } else {
-                DiskLabel::rearranged_aligned(model.geometry, config.reserved_cylinders, spb)
-            }
-        } else {
-            DiskLabel::whole_disk(model.geometry)
-        };
-        let driver_cfg = DriverConfig {
-            block_size: 8192,
-            scheduler: config.scheduler,
-            monitor_capacity: 1 << 20,
-            table_max_entries: 8192,
-            ..DriverConfig::default()
-        };
-        let mut disk = Disk::new(model);
-        AdaptiveDriver::format(&mut disk, &label, &driver_cfg);
-        let mut driver = AdaptiveDriver::attach(disk, driver_cfg).expect("fresh format attaches");
-        // The experiment loop consumes only completion timing.
-        driver.set_deliver_read_data(false);
+impl<D: BlockDevice> Traffic<D> for FsTraffic {
+    fn begin_day(&mut self, start: SimTime) -> SimTime {
+        self.day_end = start + self.workload.profile().day_length;
+        self.next_sync = start + self.sync_period;
+        self.next_op = Some(self.workload.next_op(start, &self.fs));
+        self.pending = EventQueue::new();
+        self.day_end
+    }
 
-        let part_sectors = driver.label().partitions[0].n_sectors;
-        let spc = driver.label().physical.sectors_per_cylinder();
+    fn next_event(&self) -> SimTime {
+        let op_at = self.next_op.map_or(SimTime::MAX, |(at, _)| at);
+        let next_pending = self.pending.peek_time().unwrap_or(SimTime::MAX);
+        next_pending.min(op_at).min(self.next_sync)
+    }
+
+    fn on_event(&mut self, dev: &mut D, t: SimTime) {
+        if self.pending.peek_time() == Some(t) {
+            if let Some((_, r)) = self.pending.pop() {
+                self.submit(dev, r, t);
+            }
+        } else if let Some((_, op)) = self.next_op.filter(|&(at, _)| at == t) {
+            let reqs = self.workload.apply(op, &mut self.fs);
+            for (i, r) in reqs.into_iter().enumerate() {
+                self.pending.schedule(t + self.request_pacing * i as u64, r);
+            }
+            // New operations stop at the day boundary; only already-
+            // issued request trains drain past it.
+            let next = self.workload.next_op(t, &self.fs);
+            self.next_op = (next.0 <= self.day_end).then_some(next);
+        } else {
+            self.sync(dev, t);
+            self.next_sync = t + self.sync_period;
+        }
+    }
+
+    fn drained(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    fn flush(&mut self, dev: &mut D, t: SimTime) {
+        self.sync(dev, t);
+    }
+
+    fn next_day(&mut self, _clock: SimTime) {
+        self.workload.advance_day();
+    }
+}
+
+/// The paper's measured-day protocol over any device: the day loop fed
+/// by a file system under a synthetic workload.
+pub type FsLoop<D> = DayLoop<D, FsTraffic>;
+
+impl<D: BlockDevice> DayLoop<D, FsTraffic> {
+    /// Build the stack above an already formatted `device` exposing
+    /// `vol_sectors` sectors: create the file system, build the
+    /// workload's file population (pushing its I/O through the device
+    /// before measurement starts), give every member its rearrangement
+    /// daemon, run the warm-up days, and only then install
+    /// `fault_plans` (indexed by member) — the measured days see the
+    /// flaky devices, the setup does not.
+    pub fn with_file_system(
+        mut device: D,
+        vol_sectors: u64,
+        config: &ExperimentConfig,
+        fault_plans: &[Option<FaultPlan>],
+    ) -> Self {
+        let spc = device.member_mut(0).label().physical.sectors_per_cylinder();
         let fs_cfg = FsConfig {
             partition: 0,
             cache_blocks: config.cache_blocks,
@@ -269,9 +338,9 @@ impl Experiment {
             write_through: config.profile.nfs_write_through,
             ..FsConfig::default()
         };
-        let mut fs = FileSystem::newfs(fs_cfg, part_sectors, spc);
+        let mut fs = FileSystem::newfs(fs_cfg, vol_sectors, spc);
 
-        // Build the file population; push its writes through the driver
+        // Build the file population; push its writes through the device
         // synchronously (setup, unmeasured).
         let mut rng = SimRng::new(config.seed);
         let mut clock = SimTime::ZERO;
@@ -279,17 +348,17 @@ impl Experiment {
             WorkloadState::setup(config.profile.clone(), &mut fs, &mut rng)
                 .expect("workload population fits the file system");
         for req in setup_reqs {
-            driver.submit(req, clock).expect("setup requests are valid");
-            if driver.queue_len() > 64 {
-                if let Some(t) = driver.next_completion() {
+            device.submit(req, clock).expect("setup requests are valid");
+            if device.queue_len() > 64 {
+                if let Some(t) = device.next_completion() {
                     clock = t;
-                    driver.complete_next(t);
+                    device.complete_next(t);
                 }
             }
         }
-        while let Some(t) = driver.next_completion() {
+        while let Some(t) = device.next_completion() {
             clock = t;
-            driver.complete_next(t);
+            device.complete_next(t);
         }
 
         // The paper's *system* file system is served read-only.
@@ -297,51 +366,130 @@ impl Experiment {
             fs.remount(MountMode::ReadOnly);
         }
 
-        // The rearrangement machinery.
-        let analyzer: Box<dyn ReferenceAnalyzer> =
-            match (config.analyzer_decay, config.analyzer_capacity) {
-                (Some(decay), _) => Box::new(crate::analyzer::DecayingAnalyzer::new(decay)),
-                (None, Some(cap)) => Box::new(BoundedAnalyzer::new(cap)),
-                (None, None) => Box::new(FullAnalyzer::new()),
-            };
-        let arranger = BlockArranger::new(config.policy.make(fs.layout().interleave));
-        let mut daemon = RearrangementDaemon::new(analyzer, arranger, config.monitor_period);
-        daemon.set_incremental(config.incremental_rearrange);
+        // The rearrangement machinery, one daemon per member.
+        let daemons = (0..device.n_members())
+            .map(|_| {
+                let analyzer: Box<dyn ReferenceAnalyzer> =
+                    match (config.analyzer_decay, config.analyzer_capacity) {
+                        (Some(decay), _) => Box::new(DecayingAnalyzer::new(decay)),
+                        (None, Some(cap)) => Box::new(BoundedAnalyzer::new(cap)),
+                        (None, None) => Box::new(FullAnalyzer::new()),
+                    };
+                let arranger = BlockArranger::new(config.policy.make(fs.layout().interleave));
+                let mut daemon =
+                    RearrangementDaemon::new(analyzer, arranger, config.monitor_period);
+                daemon.set_incremental(config.incremental_rearrange);
+                daemon
+            })
+            .collect();
 
-        // Zero the monitors so day 1 starts clean.
-        driver.ioctl(Ioctl::ReadStats, clock).expect("stats read");
-        driver
-            .ioctl(Ioctl::ReadRequestTable, clock)
-            .expect("table read");
-
-        let mut e = Experiment {
-            config,
-            driver,
+        let traffic = FsTraffic {
             fs,
             workload,
-            daemon,
-            clock: clock + SimDuration::from_mins(10),
-            day_index: 0,
-            placed: 0,
+            sync_period: config.sync_period,
+            request_pacing: config.request_pacing,
+            day_end: SimTime::ZERO,
+            next_op: None,
+            next_sync: SimTime::MAX,
+            pending: EventQueue::new(),
             trace: None,
-            last_online_io: crate::arranger::RearrangeReport::default(),
-            rearrange_failures: 0,
-            last_rearrange_error: None,
         };
-        for _ in 0..e.config.warmup_days {
-            e.run_day();
-            e.rearrange_for_next_day(0);
+        let mut h = DayLoop::new(
+            device,
+            traffic,
+            daemons,
+            config.online,
+            clock + SimDuration::from_mins(10),
+        );
+        for _ in 0..config.warmup_days {
+            h.run_day();
+            h.rearrange_for_next_day(0);
         }
-        e.day_index = 0;
-        // Faults start once the population is built and the cache warm:
-        // the measured days see the flaky device, the setup does not.
-        if let Some(plan) = e.config.fault_plan {
-            let rng = SimRng::new(e.config.seed).substream("faults");
-            e.driver
-                .disk_mut()
-                .set_injector(Some(FaultInjector::new(plan, rng)));
+        h.day_index = 0;
+        h.install_fault_plans(config.seed, fault_plans);
+        h
+    }
+
+    /// End the day: each member places its own `n_blocks` hottest
+    /// blocks for tomorrow (0 = "off" day, reserved area emptied) unless
+    /// deferred, then the workload drifts and the clock jumps the
+    /// overnight gap.
+    pub fn rearrange_for_next_day(&mut self, n_blocks: usize) -> RearrangeReport {
+        let total = self.rearrange_members(n_blocks);
+        self.finish_night(total.busy);
+        total
+    }
+
+    /// After the overnight passes took `busy`: power-cycle the members
+    /// that worked (a device cut mid-movement is back for the morning;
+    /// its media faults and quarantines persist) and advance to the
+    /// next morning, at least [`OVERNIGHT`] later.
+    fn finish_night(&mut self, busy: SimDuration) {
+        for i in 0..self.device.n_members() {
+            if (self.defer_rearrangement)(&self.device, i) {
+                continue;
+            }
+            if let Some(inj) = self.device.member_mut(i).disk_mut().injector_mut() {
+                if inj.is_dead() {
+                    inj.revive();
+                }
+            }
         }
-        e
+        self.end_night(OVERNIGHT.max(busy + SimDuration::from_mins(1)));
+    }
+
+    /// The paper's alternating protocol — `pairs` pairs of (off day, on
+    /// day with `n_blocks` placed per member) — returning every day's
+    /// metrics, as `metrics` reads them off the day's report, in order.
+    pub fn run_on_off<M>(
+        &mut self,
+        pairs: usize,
+        n_blocks: usize,
+        mut metrics: impl FnMut(DayReport) -> M,
+    ) -> Vec<M> {
+        let mut out = Vec::with_capacity(pairs * 2);
+        for _ in 0..pairs {
+            // Off day.
+            out.push(metrics(self.run_day()));
+            self.rearrange_for_next_day(n_blocks);
+            // On day.
+            out.push(metrics(self.run_day()));
+            self.rearrange_for_next_day(0);
+        }
+        out
+    }
+}
+
+/// The assembled simulated file server: the day loop over one
+/// [`AdaptiveDriver`]. Its day metrics are the roll-up of its single
+/// member, so a one-disk volume under the same loop reproduces them by
+/// construction.
+#[derive(Debug)]
+pub struct Experiment {
+    config: ExperimentConfig,
+    h: FsLoop<AdaptiveDriver>,
+}
+
+impl Experiment {
+    /// Build the whole stack: format the disk (with the reserved region
+    /// if configured), attach the driver, create the file system, build
+    /// the workload's file population, and run the warm-up days.
+    pub fn new(config: ExperimentConfig) -> Self {
+        // Setup and warm-up are unmeasured: suppress span/event recording
+        // so an active trace holds only measured-day traffic. (Wall-clock
+        // timers keep running; they feed `wall.*` metrics, which never
+        // enter traces.)
+        let _unmeasured = abr_obs::trace_pause();
+        let _wall = abr_obs::time_scope("setup");
+        let driver = experiment_member(
+            &config.disk,
+            config.reserved_cylinders,
+            config.reserved_at_edge,
+            config.scheduler,
+        );
+        let part_sectors = driver.label().partitions[0].n_sectors;
+        let h = DayLoop::with_file_system(driver, part_sectors, &config, &[config.fault_plan]);
+        Experiment { config, h }
     }
 
     /// The configuration.
@@ -351,31 +499,32 @@ impl Experiment {
 
     /// Blocks currently placed in the reserved area.
     pub fn placed(&self) -> u32 {
-        self.placed
+        self.h.placed()
     }
 
     /// Direct access to the driver (inspection in tests and benches).
     pub fn driver(&self) -> &AdaptiveDriver {
-        &self.driver
+        &self.h.device
     }
 
     /// Direct access to the rearrangement daemon (inspection).
     pub fn daemon(&self) -> &RearrangementDaemon {
-        &self.daemon
+        &self.h.daemons[0]
     }
 
     /// Fraction of today's (all, read) request counts that landed on
     /// currently-rearranged blocks — the coverage that determines how
     /// much of the day benefits. Call before `rearrange_for_next_day`.
     pub fn remap_coverage(&self) -> (f64, f64) {
-        let spb = u64::from(self.driver.sectors_per_block());
-        let cover = |dist: &[crate::analyzer::HotBlock]| {
+        let driver = self.driver();
+        let spb = u64::from(driver.sectors_per_block());
+        let cover = |dist: &[HotBlock]| {
             let mut hit = 0u64;
             let mut total = 0u64;
             for h in dist {
                 total += h.count;
-                let phys = self.driver.label().virtual_to_physical(h.block * spb);
-                if self.driver.block_table().lookup(phys).is_some() {
+                let phys = driver.label().virtual_to_physical(h.block * spb);
+                if driver.block_table().lookup(phys).is_some() {
                     hit += h.count;
                 }
             }
@@ -385,155 +534,29 @@ impl Experiment {
                 hit as f64 / total as f64
             }
         };
-        let (all, reads) = self.daemon.distributions();
+        let (all, reads) = self.daemon().distributions();
         (cover(&all), cover(&reads))
+    }
+
+    /// Run one measured day of workload and return its metrics.
+    pub fn run_day(&mut self) -> DayMetrics {
+        self.h.run_day().volume(&self.config.disk.seek)
     }
 
     /// Run one measured day while recording the block-level request
     /// stream (timestamps relative to the day start), for trace-driven
     /// replay (see the [`mod@crate::replay`] module).
-    pub fn run_day_traced(&mut self) -> (DayMetrics, abr_workload::TraceLog) {
-        self.trace = Some((self.clock, abr_workload::TraceLog::new()));
+    pub fn run_day_traced(&mut self) -> (DayMetrics, TraceLog) {
+        self.h.traffic.trace = Some((self.h.clock, TraceLog::new()));
         let metrics = self.run_day();
-        let (_, log) = self.trace.take().expect("set above");
+        let (_, log) = self.h.traffic.trace.take().expect("set above");
         (metrics, log)
-    }
-
-    /// Log a request into the active trace, if tracing.
-    fn trace_submit(&mut self, req: &abr_driver::IoRequest, at: SimTime) {
-        if let Some((day_start, log)) = &mut self.trace {
-            log.push(abr_workload::TraceEvent::of(
-                req,
-                (at - *day_start).as_micros(),
-            ));
-        }
-    }
-
-    /// Run one measured day of workload and return its metrics.
-    pub fn run_day(&mut self) -> DayMetrics {
-        let _t = abr_obs::time_scope("event_loop");
-        let day_start = self.clock;
-        let day_end = day_start + self.config.profile.day_length;
-        let mut next_sync = day_start + self.config.sync_period;
-        let mut next_monitor = day_start + self.config.monitor_period;
-        let mut next_online = self
-            .config
-            .online
-            .map(|o| day_start + o.period)
-            .unwrap_or(SimTime::MAX);
-        let mut online_io = crate::arranger::RearrangeReport::default();
-        let (mut op_at, mut op) = self.workload.next_op(day_start, &self.fs);
-        // Requests from file-level ops, paced out like NFS read/write RPC
-        // trains (see `ExperimentConfig::request_pacing`). Trains from
-        // different operations overlap, so a time-ordered queue merges
-        // them.
-        let mut pending: abr_sim::EventQueue<abr_driver::IoRequest> = abr_sim::EventQueue::new();
-
-        loop {
-            let next_completion = self.driver.next_completion().unwrap_or(SimTime::MAX);
-            let next_pending = pending.peek_time().unwrap_or(SimTime::MAX);
-            let t = op_at
-                .min(next_sync)
-                .min(next_monitor)
-                .min(next_completion)
-                .min(next_pending)
-                .min(next_online);
-            if t > day_end && pending.is_empty() {
-                break;
-            }
-            if t == next_completion {
-                self.driver.complete_next(t);
-            } else if t == next_online {
-                let online = self.config.online.expect("tick only when configured");
-                // Keep the freshest counts, then re-place if idle.
-                self.daemon.collect(&mut self.driver, t);
-                if self.driver.is_idle() && self.driver.layout().is_some() {
-                    // A failed step (faulty device) just skips this tick;
-                    // the placement on disk stays consistent either way.
-                    if let Ok(report) =
-                        self.daemon
-                            .rearrange_online(&mut self.driver, online.n_blocks, t)
-                    {
-                        online_io.io_ops += report.io_ops;
-                        online_io.busy += report.busy;
-                    }
-                    self.placed = self.driver.block_table().len() as u32;
-                }
-                next_online = t + online.period;
-            } else if t == next_pending {
-                let (_, r) = pending.pop().expect("non-empty");
-                self.trace_submit(&r, t);
-                self.driver.submit(r, t).expect("workload request valid");
-            } else if t == op_at {
-                let reqs = self.workload.apply(op, &mut self.fs);
-                let pace = self.config.request_pacing;
-                for (i, r) in reqs.into_iter().enumerate() {
-                    pending.schedule(t + pace * i as u64, r);
-                }
-                let (at, next) = self.workload.next_op(t, &self.fs);
-                // New operations stop at the day boundary; only already-
-                // issued request trains drain past it.
-                op_at = if at > day_end { SimTime::MAX } else { at };
-                op = next;
-            } else if t == next_sync {
-                for r in self.fs.sync() {
-                    self.trace_submit(&r, t);
-                    self.driver.submit(r, t).expect("sync request valid");
-                }
-                next_sync = t + self.config.sync_period;
-            } else {
-                self.daemon.collect(&mut self.driver, t);
-                next_monitor = t + self.config.monitor_period;
-            }
-        }
-
-        // Day end: drain outstanding requests, flush the cache, collect
-        // the final monitor contents. Timed as its own phase: `_t` ends
-        // the event-loop scope here so `wall.event_loop` and
-        // `wall.day_end` partition the day cleanly.
-        drop(_t);
-        let _wall = abr_obs::time_scope("day_end");
-        let mut t = day_end;
-        while let Some(c) = self.driver.next_completion() {
-            t = c;
-            self.driver.complete_next(c);
-        }
-        for r in self.fs.sync() {
-            self.trace_submit(&r, t);
-            self.driver.submit(r, t).expect("final sync valid");
-        }
-        while let Some(c) = self.driver.next_completion() {
-            t = c;
-            self.driver.complete_next(c);
-        }
-        self.daemon.collect(&mut self.driver, t);
-
-        // Daily metrics: performance stats (read-and-clear) plus the
-        // daily block request distributions.
-        let snapshot = match self.driver.ioctl(Ioctl::ReadStats, t).expect("stats read") {
-            IoctlReply::Stats(s) => s,
-            _ => unreachable!(),
-        };
-        let (all_dist, read_dist) = self.daemon.distributions();
-        let metrics = DayMetrics::new(
-            self.day_index,
-            self.placed > 0,
-            self.placed,
-            &snapshot,
-            &self.config.disk.seek,
-            all_dist.iter().map(|h| h.count).collect(),
-            read_dist.iter().map(|h| h.count).collect(),
-        );
-        self.clock = t.max(day_end);
-        run_meter_add(self.clock - day_start);
-        self.last_online_io = online_io;
-        metrics
     }
 
     /// Movement I/O performed by online rearrangement during the last
     /// day (zero when `config.online` is `None`).
-    pub fn last_online_io(&self) -> crate::arranger::RearrangeReport {
-        self.last_online_io
+    pub fn last_online_io(&self) -> RearrangeReport {
+        self.h.last_online_io()
     }
 
     /// End the day Vongsathorn & Carson-style: aggregate today's counts
@@ -544,9 +567,9 @@ impl Experiment {
     pub fn shuffle_cylinders_for_next_day(&mut self) -> RearrangeReport {
         use abr_driver::cylmap::CylinderMap;
         let _t = abr_obs::time_scope("shuffle");
-        let g = self.driver.label().physical;
-        let spb = u64::from(self.driver.sectors_per_block());
-        let (all, _) = self.daemon.distributions();
+        let g = self.driver().label().physical;
+        let spb = u64::from(self.driver().sectors_per_block());
+        let (all, _) = self.daemon().distributions();
         let mut counts = vec![0u64; g.cylinders as usize];
         for h in &all {
             let cyl = g.cylinder_of((h.block * spb).min(g.total_sectors() - 1));
@@ -554,8 +577,9 @@ impl Experiment {
         }
         let map = CylinderMap::organ_pipe(&counts);
         let reply = self
-            .driver
-            .ioctl(Ioctl::ShuffleCylinders { map }, self.clock)
+            .h
+            .device
+            .ioctl(Ioctl::ShuffleCylinders { map }, self.h.clock)
             .expect("shuffle on idle plain disk");
         let report = match reply {
             IoctlReply::Moved { ops, busy } => RearrangeReport {
@@ -566,13 +590,9 @@ impl Experiment {
             },
             _ => unreachable!(),
         };
-        self.daemon.end_day_keep_placement();
-        self.workload.advance_day();
-        self.day_index += 1;
-        self.clock += OVERNIGHT.max(report.busy + SimDuration::from_mins(1));
-        self.driver
-            .ioctl(Ioctl::ReadStats, self.clock)
-            .expect("stats clear");
+        self.h.daemons[0].end_day_keep_placement();
+        self.h
+            .end_night(OVERNIGHT.max(report.busy + SimDuration::from_mins(1)));
         report
     }
 
@@ -580,87 +600,40 @@ impl Experiment {
     /// online mode carries its placement across days. Drift still
     /// applies and counts reset/decay per the analyzer.
     pub fn advance_day_keep_placement(&mut self) {
-        self.daemon.end_day_keep_placement();
-        self.workload.advance_day();
-        self.day_index += 1;
-        self.clock += OVERNIGHT;
+        self.h.daemons[0].end_day_keep_placement();
+        self.h.end_night(OVERNIGHT);
     }
 
     /// End the day: use today's reference counts to place `n_blocks`
     /// blocks for tomorrow (0 = "off" day, reserved area emptied), apply
     /// workload drift, and advance the clock over the overnight gap.
     pub fn rearrange_for_next_day(&mut self, n_blocks: usize) -> RearrangeReport {
-        let hot = self.daemon.hot_list(n_blocks);
-        self.rearrange_for_next_day_with(&hot, n_blocks)
+        self.h.rearrange_for_next_day(n_blocks)
     }
 
     /// [`Experiment::rearrange_for_next_day`] with an externally supplied
     /// hot list — for selection-strategy ablations.
     pub fn rearrange_for_next_day_with(
         &mut self,
-        hot: &[crate::analyzer::HotBlock],
+        hot: &[HotBlock],
         n_blocks: usize,
     ) -> RearrangeReport {
-        let report = match self
-            .daemon
-            .end_day_with(&mut self.driver, hot, n_blocks, self.clock)
-        {
-            Ok(report) => report,
-            Err(e) => {
-                // The pass failed outright (power cut, degraded device,
-                // table region unwritable after retries). The driver's
-                // copy-then-commit ordering guarantees whatever placement
-                // is on disk is consistent, so skip the day, keep the
-                // placement, and carry on.
-                self.rearrange_failures += 1;
-                self.last_rearrange_error = Some(e);
-                self.daemon.end_day_keep_placement();
-                RearrangeReport::default()
-            }
-        };
-        // Overnight power-cycle: a device cut mid-movement is back for
-        // the morning (its media faults and quarantines persist).
-        if let Some(inj) = self.driver.disk_mut().injector_mut() {
-            if inj.is_dead() {
-                inj.revive();
-            }
-        }
-        self.placed = self.driver.block_table().len() as u32;
-        self.workload.advance_day();
-        self.day_index += 1;
-        self.clock += OVERNIGHT.max(report.busy + SimDuration::from_mins(1));
-        // The overnight block movement polluted the stats; clear them so
-        // the next day starts clean.
-        self.driver
-            .ioctl(Ioctl::ReadStats, self.clock)
-            .expect("stats clear");
+        let report = self.h.rearrange_member(0, hot, n_blocks);
+        self.h.finish_night(report.busy);
         report
     }
 
     /// Overnight rearrangement passes that failed and were skipped.
     pub fn rearrange_failures(&self) -> u64 {
-        self.rearrange_failures
-    }
-
-    /// The error that failed the most recent overnight pass, if any.
-    pub fn last_rearrange_error(&self) -> Option<&DriverError> {
-        self.last_rearrange_error.as_ref()
+        self.h.rearrange_failures()
     }
 
     /// Convenience: run the paper's alternating protocol — `days` pairs
     /// of (off day, on day with `n_blocks` placed) — returning all
     /// metrics in order.
     pub fn run_on_off(&mut self, pairs: usize, n_blocks: usize) -> Vec<DayMetrics> {
-        let mut out = Vec::with_capacity(pairs * 2);
-        for _ in 0..pairs {
-            // Off day.
-            out.push(self.run_day());
-            self.rearrange_for_next_day(n_blocks);
-            // On day.
-            out.push(self.run_day());
-            self.rearrange_for_next_day(0);
-        }
-        out
+        let curve = &self.config.disk.seek;
+        self.h.run_on_off(pairs, n_blocks, |day| day.volume(curve))
     }
 }
 
@@ -952,10 +925,10 @@ mod tests {
     #[test]
     fn clock_advances_across_days() {
         let mut e = tiny_experiment();
-        let c0 = e.clock;
+        let c0 = e.h.clock;
         e.run_day();
         e.rearrange_for_next_day(10);
-        assert!(e.clock > c0 + SimDuration::from_hours(9));
-        assert_eq!(e.day_index, 1);
+        assert!(e.h.clock > c0 + SimDuration::from_hours(9));
+        assert_eq!(e.h.day_index, 1);
     }
 }

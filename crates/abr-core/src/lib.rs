@@ -16,9 +16,13 @@
 //! * [`daemon`] — the rearrangement daemon: periodic request-table reads
 //!   (every 2 minutes in the paper) feeding the analyzer, and the daily
 //!   rearrangement cycle.
+//! * [`dayloop`] — the one measured-day event loop, generic over the
+//!   device (a driver, or a volume of drivers) and the traffic source,
+//!   plus the shared overnight per-member pass.
 //! * [`experiment`] — the measurement harness reproducing the paper's
-//!   experimental method: multi-day on/off runs on a simulated file
-//!   server, with per-day metrics matching the paper's tables.
+//!   experimental method: the day loop under a file system and a
+//!   synthetic workload, running multi-day on/off protocols with
+//!   per-day metrics matching the paper's tables.
 //! * [`metrics`] — per-day and per-run metric types.
 //! * [`mod@replay`] — trace-driven evaluation (the companion ICDE 1993
 //!   paper's methodology): record a day's block-level stream, replay it
@@ -33,6 +37,7 @@
 pub mod analyzer;
 pub mod arranger;
 pub mod daemon;
+pub mod dayloop;
 pub mod experiment;
 pub mod metrics;
 pub mod placement;
@@ -42,8 +47,10 @@ pub mod replay;
 pub use analyzer::{BoundedAnalyzer, DecayingAnalyzer, FullAnalyzer, HotBlock, ReferenceAnalyzer};
 pub use arranger::BlockArranger;
 pub use daemon::RearrangementDaemon;
+pub use dayloop::{DayLoop, DayReport, Traffic};
 pub use experiment::{
-    run_meter, run_meter_add, run_meter_reset, Experiment, ExperimentConfig, RunMeter, OVERNIGHT,
+    experiment_member, run_meter, run_meter_add, run_meter_reset, Experiment, ExperimentConfig,
+    FsLoop, FsTraffic, RunMeter, OVERNIGHT,
 };
 pub use metrics::{DayMetrics, DirMetrics};
 pub use placement::{Interleaved, OrganPipe, PlacementPolicy, PolicyKind, Serial, SlotMap};

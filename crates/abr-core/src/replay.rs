@@ -11,10 +11,11 @@
 
 use crate::analyzer::{FullAnalyzer, HotBlock, ReferenceAnalyzer};
 use crate::arranger::BlockArranger;
+use crate::experiment::experiment_member;
 use crate::metrics::DayMetrics;
 use crate::placement::PolicyKind;
-use abr_disk::{Disk, DiskLabel, DiskModel};
-use abr_driver::{AdaptiveDriver, DriverConfig, Ioctl, IoctlReply, SchedulerKind};
+use abr_disk::DiskModel;
+use abr_driver::SchedulerKind;
 use abr_sim::SimTime;
 use abr_workload::TraceLog;
 
@@ -74,23 +75,15 @@ pub fn trace_hot_list(trace: &TraceLog, sectors_per_block: u32) -> Vec<HotBlock>
 /// disk (a trace recorded on a disk with a different reserved size may
 /// not fit).
 pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> DayMetrics {
-    let label = if config.reserved_cylinders > 0 {
-        DiskLabel::rearranged_aligned(config.disk.geometry, config.reserved_cylinders, 16)
-    } else {
-        DiskLabel::whole_disk(config.disk.geometry)
-    };
-    let driver_cfg = DriverConfig {
-        block_size: 8192,
-        scheduler: config.scheduler,
-        monitor_capacity: 1 << 21,
-        table_max_entries: 8192,
-        ..DriverConfig::default()
-    };
-    let mut disk = Disk::new(config.disk.clone());
-    AdaptiveDriver::format(&mut disk, &label, &driver_cfg);
-    let mut driver = AdaptiveDriver::attach(disk, driver_cfg).expect("fresh format attaches");
-    // Replay consumes only the measured statistics, never read data.
-    driver.set_deliver_read_data(false);
+    // Replay consumes only the measured statistics: no read data, and
+    // the request monitor is never read (it just stops recording when
+    // full).
+    let mut driver = experiment_member(
+        &config.disk,
+        config.reserved_cylinders,
+        false,
+        config.scheduler,
+    );
 
     // Pre-place the trace's hottest blocks, exactly as the arranger
     // would overnight.
@@ -101,15 +94,12 @@ pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> DayMetrics {
             .rearrange(&mut driver, &hot, config.n_blocks, SimTime::ZERO)
             .expect("placement on idle driver");
         // Placement I/O must not pollute the replay's measurements.
-        driver
-            .ioctl(Ioctl::ReadStats, SimTime::ZERO)
-            .expect("stats clear");
+        driver.read_stats();
     }
 
     // The trace starts at t=0; offset everything past the placement
     // phase (a day boundary in spirit).
     let base = 200_000_000_000u64; // 200,000 s: far past any placement I/O
-    let mut last = SimTime::ZERO;
     for e in trace.events() {
         let at = SimTime::from_micros(base + e.at_us);
         // Drain completions due before this arrival.
@@ -122,17 +112,10 @@ pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> DayMetrics {
         driver
             .submit(e.to_request(), at)
             .expect("trace request valid");
-        last = at;
     }
-    while let Some(c) = driver.next_completion() {
-        last = c;
-        driver.complete_next(c);
-    }
+    driver.drain();
 
-    let snapshot = match driver.ioctl(Ioctl::ReadStats, last).expect("stats read") {
-        IoctlReply::Stats(s) => s,
-        _ => unreachable!(),
-    };
+    let snapshot = driver.read_stats();
     // Block distributions from the trace itself.
     let hot = trace_hot_list(trace, driver.sectors_per_block());
     let spb = u64::from(driver.sectors_per_block());

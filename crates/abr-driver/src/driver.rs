@@ -26,7 +26,7 @@ use crate::sched::{Scheduler, SchedulerKind};
 use abr_disk::disk::ServiceBreakdown;
 use abr_disk::fault::{DiskError, DiskFault};
 use abr_disk::label::LabelError;
-use abr_disk::{Disk, DiskLabel, SECTOR_SIZE};
+use abr_disk::{Disk, DiskLabel, DiskModel, SECTOR_SIZE};
 use abr_obs::{record_with, with_registry, CounterId, MoveKind, ObsEvent, RequestSpan};
 use abr_sim::{SimDuration, SimTime};
 use bytes::Bytes;
@@ -509,6 +509,22 @@ impl AdaptiveDriver {
             obs_pending: PendingDriverObs::default(),
             config,
         })
+    }
+
+    /// Format a blank disk of `model` and attach to it: how every
+    /// experiment member and hot spare comes into being.
+    pub fn on_blank_disk(model: DiskModel, label: &DiskLabel, config: DriverConfig) -> Self {
+        let mut disk = Disk::new(model);
+        Self::format(&mut disk, label, &config);
+        Self::attach(disk, config).expect("fresh format attaches") // abr-lint: allow(P001, attach only rejects a label the caller built misaligned)
+    }
+
+    /// A blank drive of the same model, formatted and configured exactly
+    /// like this one — the hot spare that replaces it when it dies.
+    pub fn blank_twin(&self) -> Self {
+        let mut twin = Self::on_blank_disk(self.disk.model().clone(), &self.label, self.config);
+        twin.deliver_read_data = self.deliver_read_data;
+        twin
     }
 
     /// Label this driver with its position in a multi-disk array; the
@@ -1012,6 +1028,13 @@ impl AdaptiveDriver {
         });
     }
 
+    /// Read and clear the performance statistics — the `ReadStats`
+    /// ioctl, typed: it has no error path and needs no clock.
+    pub fn read_stats(&mut self) -> Box<PerfSnapshot> {
+        self.flush_obs();
+        Box::new(self.perf.read_and_clear())
+    }
+
     /// When the in-flight request will complete, if any. If the device is
     /// idle but future-dated requests are queued (batch submission), this
     /// is the time the earliest of them starts and completes — calling
@@ -1158,10 +1181,7 @@ impl AdaptiveDriver {
                 let (records, dropped) = self.req_mon.read_and_clear();
                 Ok(IoctlReply::RequestTable { records, dropped })
             }
-            Ioctl::ReadStats => {
-                self.flush_obs();
-                Ok(IoctlReply::Stats(Box::new(self.perf.read_and_clear())))
-            }
+            Ioctl::ReadStats => Ok(IoctlReply::Stats(self.read_stats())),
             Ioctl::PeekStats => Ok(IoctlReply::Stats(Box::new(self.perf.snapshot()))),
         };
         // Sanitize builds re-verify the redirect map after every block
@@ -1604,17 +1624,13 @@ mod tests {
     fn tiny_rearranged_driver() -> AdaptiveDriver {
         let model = models::tiny_test_disk();
         let label = DiskLabel::rearranged_aligned(model.geometry, 10, 8);
-        let mut disk = Disk::new(model);
-        AdaptiveDriver::format(&mut disk, &label, &tiny_config());
-        AdaptiveDriver::attach(disk, tiny_config()).unwrap()
+        AdaptiveDriver::on_blank_disk(model, &label, tiny_config())
     }
 
     fn tiny_plain_driver() -> AdaptiveDriver {
         let model = models::tiny_test_disk();
         let label = DiskLabel::whole_disk(model.geometry);
-        let mut disk = Disk::new(model);
-        AdaptiveDriver::format(&mut disk, &label, &tiny_config());
-        AdaptiveDriver::attach(disk, tiny_config()).unwrap()
+        AdaptiveDriver::on_blank_disk(model, &label, tiny_config())
     }
 
     #[test]

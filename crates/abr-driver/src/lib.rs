@@ -18,6 +18,9 @@
 //! * [`driver`] — the driver itself: attach, strategy, the dispatch /
 //!   interrupt completion engine, and the ioctl entry points
 //!   (`DKIOCBCOPY`, `DKIOCCLEAN`, monitor reads, §4.1.3).
+//! * [`device`] — the [`BlockDevice`] trait: the narrow interface a
+//!   measured-day loop drives, implemented by the driver and by volumes
+//!   built over several drivers.
 //! * [`physio`] — the raw (character) interface, splitting large requests
 //!   into block-sized subrequests (§4.1.2).
 
@@ -26,6 +29,7 @@
 
 pub mod blocktable;
 pub mod cylmap;
+pub mod device;
 pub mod driver;
 pub mod layout;
 pub mod monitor;
@@ -34,6 +38,7 @@ pub mod request;
 pub mod sched;
 
 pub use blocktable::BlockTable;
+pub use device::BlockDevice;
 pub use driver::{AdaptiveDriver, Completion, DriverConfig, DriverError, Ioctl, IoctlReply};
 pub use layout::ReservedLayout;
 pub use monitor::{PerfMonitor, PerfSnapshot, RequestMonitor, RequestRecord};

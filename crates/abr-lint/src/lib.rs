@@ -548,6 +548,20 @@ pub fn lint_sources(files: &[SourceFile], budget_text: &str, baseline_text: &str
         files.iter().map(|f| &f.lexed).zip(scans.iter()).collect();
     let call_graph = graph::build_graph(&pairs);
 
+    // An entry point that names no function silently shrinks the taint
+    // analysis (a rename leaves it guarding nothing): make that loud.
+    for (ty, name) in taint::ENTRY_POINTS {
+        if call_graph.find(*ty, name).is_empty() {
+            let qualified = ty.map_or(name.to_string(), |t| format!("{t}::{name}"));
+            diags.push(Diagnostic::new(
+                "L001",
+                "crates/abr-lint/src/taint.rs",
+                0,
+                format!("taint entry point `{qualified}` resolves to no function"),
+            ));
+        }
+    }
+
     let taint_input: Vec<(String, &lexer::Lexed)> = files
         .iter()
         .map(|f| (f.rel_path.clone(), &f.lexed))

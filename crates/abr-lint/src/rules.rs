@@ -12,7 +12,7 @@
 //! | D003 | no unseeded randomness anywhere |
 //! | P001 | `unwrap()`/`expect()` in library code stays within the ratcheted budget |
 //! | C001 | no `as` narrowing casts in sector/cylinder arithmetic modules |
-//! | L001 | annotations must be well-formed (known rule, non-empty reason) |
+//! | L001 | the lint's own inputs are well-formed: annotations (known rule, non-empty reason), baseline entries (justified), taint entry points (each resolves to a function) |
 //!
 //! The interprocedural rules (D004/D005, [`crate::taint`]) and the
 //! metric schema cross-check (M001/M002, [`crate::schema`]) live in

@@ -43,8 +43,9 @@ pub const ENTRY_POINTS: &[(Option<&str>, &str)] = &[
     (None, "run_faults"),
     (None, "run_array"),
     (None, "run_serve"),
-    (Some("Server"), "run"),
-    (Some("Server"), "run_epoch"),
+    (Some("ServeExperiment"), "run"),
+    (Some("ServeExperiment"), "run_epoch"),
+    (Some("DayLoop"), "run_day"),
 ];
 
 /// One taint finding: a sink inside a function reachable from the
@@ -424,7 +425,7 @@ mod tests {
 
     #[test]
     fn cross_file_taint_propagates() {
-        let a = "struct Server;\nimpl Server { pub fn run(&self) { util_stamp(); } }\n";
+        let a = "struct ServeExperiment;\nimpl ServeExperiment { pub fn run(&self) { util_stamp(); } }\n";
         let b = "pub fn util_stamp() { let d = read_dir(\".\"); }\n";
         let f = run(&[
             ("crates/abr-serve/src/server.rs", a),
@@ -433,6 +434,6 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].sink, "read_dir");
         assert_eq!(f[0].file, "crates/abr-serve/src/util.rs");
-        assert_eq!(f[0].chain, vec!["Server::run", "util_stamp"]);
+        assert_eq!(f[0].chain, vec!["ServeExperiment::run", "util_stamp"]);
     }
 }

@@ -170,6 +170,29 @@ fn fixture_l001_flags_malformed_annotations() {
     assert_eq!(lint.p001_lines, vec![3]);
 }
 
+#[test]
+fn fixture_unresolved_entry_point_is_a_lint_error() {
+    // The fixture workspace defines `Campaign::run` and nothing else
+    // from the entry-point list: every other entry must be reported,
+    // the one that resolves must not.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixture_ws");
+    let report = lint_workspace(&fixture);
+    let unresolved = |name: &str| {
+        report.diags.iter().any(|d| {
+            d.rule == "L001"
+                && d.message.contains(&format!("`{name}`"))
+                && d.message.contains("resolves to no function")
+        })
+    };
+    assert!(
+        unresolved("ServeExperiment::run_epoch"),
+        "{}",
+        report.render()
+    );
+    assert!(unresolved("run_faults"), "{}", report.render());
+    assert!(!unresolved("Campaign::run"), "{}", report.render());
+}
+
 fn render(lint: &FileLint) -> String {
     lint.diags
         .iter()

@@ -18,14 +18,12 @@
 use crate::admission::TokenBucket;
 use crate::config::{ArrivalKind, ServeConfig};
 use crate::drr::Drr;
-use abr_array::{ArrayHealth, ArrayVolume, VolRequestId};
+use abr_array::{ArrayHealth, ArrayVolume, VolCompletion, VolRequestId};
 use abr_core::analyzer::FullAnalyzer;
 use abr_core::arranger::{BlockArranger, RearrangeReport};
 use abr_core::daemon::RearrangementDaemon;
-use abr_core::{run_meter_add, PolicyKind};
-use abr_disk::fault::{FaultInjector, FaultPlan};
-use abr_disk::{Disk, DiskLabel};
-use abr_driver::{AdaptiveDriver, DriverConfig, IoRequest, Ioctl};
+use abr_core::{experiment_member, DayLoop, PolicyKind, Traffic};
+use abr_driver::IoRequest;
 use abr_obs::registry::{CounterId, GaugeId, HiresId};
 use abr_obs::with_registry;
 use abr_sim::arrival::{OnOff, OnOffParams, Poisson};
@@ -182,19 +180,17 @@ impl ServeSummary {
     }
 }
 
-/// The assembled block server: volume, clients, admission, dispatch.
-pub struct ServeExperiment {
+/// The client traffic source: arrival generators, admission (token
+/// bucket, then the bounded accept queue), the DRR dispatch pump and
+/// the completion bookkeeping.
+struct Clients {
     config: ServeConfig,
-    volume: ArrayVolume,
     clients: Vec<Client>,
     drr: Drr,
     arrivals: EventQueue<usize>,
     /// Total accepted-but-undispatched requests across clients.
     backlog: usize,
     inflight: BTreeMap<VolRequestId, Pending>,
-    daemons: Vec<RearrangementDaemon>,
-    clock: SimTime,
-    epoch_index: u64,
     obs: ServeObs,
     totals: ServeSummary,
     epoch_stats: EpochStats,
@@ -204,23 +200,13 @@ pub struct ServeExperiment {
     /// Rank→block scatter stride, coprime with `total_blocks`.
     stride: u64,
     zipf: Zipf,
-    placed: u32,
-    rearrange_failures: u64,
-    /// Member format, kept to build hot-spare replacement drives.
-    label: DiskLabel,
-    driver_cfg: DriverConfig,
-    replaced: Vec<bool>,
 }
 
-impl std::fmt::Debug for ServeExperiment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeExperiment")
-            .field("disk", &self.config.disk.name)
-            .field("n_disks", &self.config.n_disks)
-            .field("n_clients", &self.config.n_clients)
-            .field("epoch", &self.epoch_index)
-            .finish_non_exhaustive()
-    }
+/// The assembled block server: the day loop over an [`ArrayVolume`],
+/// fed by open-loop clients instead of a file system.
+#[derive(Debug)]
+pub struct ServeExperiment {
+    h: DayLoop<ArrayVolume, Clients>,
 }
 
 impl ServeExperiment {
@@ -232,6 +218,7 @@ impl ServeExperiment {
     /// capacity, a working set larger than the volume).
     pub fn new(config: ServeConfig) -> ServeExperiment {
         let _unmeasured = abr_obs::trace_pause();
+        let _wall = abr_obs::time_scope("setup");
         assert!(config.n_clients > 0, "a server needs clients");
         assert!(config.accept_queue_cap > 0, "accept queue needs capacity");
         assert!(config.max_inflight > 0, "need at least one dispatch slot");
@@ -239,35 +226,17 @@ impl ServeExperiment {
             (0.0..=1.0).contains(&config.read_fraction),
             "read fraction is a probability"
         );
-        let model = config.disk.clone();
-        let label = if config.reserved_cylinders > 0 {
-            DiskLabel::rearranged_aligned(
-                model.geometry,
-                config.reserved_cylinders,
-                SECTORS_PER_BLOCK,
-            )
-        } else {
-            DiskLabel::whole_disk(model.geometry)
-        };
-        let driver_cfg = DriverConfig {
-            block_size: 8192,
-            scheduler: config.scheduler,
-            monitor_capacity: 1 << 20,
-            table_max_entries: 8192,
-            ..DriverConfig::default()
-        };
-        let members: Vec<AdaptiveDriver> = (0..config.n_disks)
+        let members = (0..config.n_disks)
             .map(|_| {
-                let mut disk = Disk::new(model.clone());
-                AdaptiveDriver::format(&mut disk, &label, &driver_cfg);
-                let mut d =
-                    AdaptiveDriver::attach(disk, driver_cfg).expect("fresh format attaches");
-                // The front end tracks timing only; no payload delivery.
-                d.set_deliver_read_data(false);
-                d
+                experiment_member(
+                    &config.disk,
+                    config.reserved_cylinders,
+                    false,
+                    config.scheduler,
+                )
             })
             .collect();
-        let mut volume = ArrayVolume::with_redundancy(
+        let volume = ArrayVolume::with_redundancy(
             members,
             config.stripe,
             config.redundancy,
@@ -307,18 +276,6 @@ impl ServeExperiment {
             Vec::new()
         };
 
-        // Zero every member's monitors so epoch 1 starts clean.
-        for i in 0..config.n_disks {
-            volume
-                .disk_mut(i)
-                .ioctl(Ioctl::ReadStats, SimTime::ZERO)
-                .expect("stats read on a fresh member");
-            volume
-                .disk_mut(i)
-                .ioctl(Ioctl::ReadRequestTable, SimTime::ZERO)
-                .expect("table read on a fresh member");
-        }
-
         // The client population: indexed arrival/shape substreams, so
         // adding clients never perturbs existing ones.
         let root = SimRng::new(config.seed);
@@ -356,111 +313,94 @@ impl ServeExperiment {
         let obs = ServeObs::resolve();
         with_registry(|r| r.set_gauge(obs.clients, config.n_clients as i64));
 
-        let n_disks = config.n_disks;
-        let n_clients = config.n_clients;
-        let drr_quantum = u64::from(config.drr_quantum);
-        let mut e = ServeExperiment {
-            config,
-            volume,
+        let (seed, fault_plans) = (config.seed, config.fault_plans.clone());
+        let mut traffic = Clients {
+            drr: Drr::new(config.n_clients, u64::from(config.drr_quantum)),
             clients,
-            drr: Drr::new(n_clients, drr_quantum),
             arrivals: EventQueue::new(),
             backlog: 0,
             inflight: BTreeMap::new(),
-            daemons,
-            clock: SimTime::ZERO,
-            epoch_index: 0,
             obs,
-            totals: ServeSummary {
-                per_client_completions: vec![0; n_clients],
-                ..ServeSummary::default()
-            },
+            totals: ServeSummary::default(),
             epoch_stats: EpochStats::default(),
             queue_depth_max: 0,
             total_blocks,
             stride,
             zipf,
-            placed: 0,
-            rearrange_failures: 0,
-            label,
-            driver_cfg,
-            replaced: vec![false; n_disks],
+            config,
         };
-        e.prime_arrivals();
-        for i in 0..e.config.n_disks {
-            if let Some(plan) = e.config.fault_plans.get(i).copied().flatten() {
-                e.set_injector(i, plan);
-            }
-        }
-        e
-    }
-
-    /// Install (or replace) disk `i`'s fault plan. Disk 0 draws from
-    /// the same `"faults"` substream as a single disk; disk `i > 0`
-    /// gets an independent indexed substream (the abr-array scheme).
-    pub fn install_fault_plan(&mut self, i: usize, plan: FaultPlan) {
-        if self.config.fault_plans.len() <= i {
-            self.config.fault_plans.resize(i + 1, None);
-        }
-        self.config.fault_plans[i] = Some(plan);
-        self.set_injector(i, plan);
-    }
-
-    fn set_injector(&mut self, i: usize, plan: FaultPlan) {
-        let rng = if i == 0 {
-            SimRng::new(self.config.seed).substream("faults")
-        } else {
-            SimRng::new(self.config.seed).substream_idx("faults", i as u64)
-        };
-        self.volume
-            .disk_mut(i)
-            .disk_mut()
-            .set_injector(Some(FaultInjector::new(plan, rng)));
-    }
-
-    /// Schedule every client's first arrival after the current clock.
-    fn prime_arrivals(&mut self) {
-        self.arrivals = EventQueue::new();
-        let now = self.clock;
-        for c in 0..self.clients.len() {
-            let at = self.clients[c].next_arrival(now);
-            self.arrivals.schedule(at, c);
-        }
+        traffic.prime_arrivals(SimTime::ZERO);
+        let mut h = DayLoop::new(volume, traffic, daemons, None, SimTime::ZERO);
+        h.install_fault_plans(seed, &fault_plans);
+        ServeExperiment { h }
     }
 
     /// The configuration.
     pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// The current simulated clock.
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    /// The volume (inspection in tests and benches).
-    pub fn volume(&self) -> &ArrayVolume {
-        &self.volume
-    }
-
-    /// The volume, mutably.
-    pub fn volume_mut(&mut self) -> &mut ArrayVolume {
-        &mut self.volume
+        &self.h.traffic.config
     }
 
     /// Snapshot array health (and publish the `array.*` gauges).
     pub fn health(&mut self) -> ArrayHealth {
-        self.volume.health()
-    }
-
-    /// Blocks currently placed across all reserved areas.
-    pub fn placed(&self) -> u32 {
-        self.placed
+        self.h.device.health()
     }
 
     /// Overnight rearrangement passes that failed and were skipped.
     pub fn rearrange_failures(&self) -> u64 {
-        self.rearrange_failures
+        self.h.rearrange_failures()
+    }
+
+    /// Serve one epoch, drain, and record a day-series point. Returns
+    /// the epoch's admission/service counters.
+    pub fn run_epoch(&mut self) -> EpochStats {
+        self.h.run_day();
+        self.h.traffic.epoch_stats
+    }
+
+    /// The overnight protocol between epochs (adaptive members only):
+    /// each member places its `place_blocks` hottest blocks, the clock
+    /// jumps the movement gap, and clients re-prime. A no-op without a
+    /// reserved region.
+    pub fn rearrange(&mut self) -> RearrangeReport {
+        if self.config().reserved_cylinders == 0 {
+            return RearrangeReport::default();
+        }
+        let total = self.h.rearrange_members(self.config().place_blocks);
+        self.h.end_night(total.busy + SimDuration::from_mins(1));
+        total
+    }
+
+    /// Serve `config.epochs` epochs with rearrangement between them
+    /// (when a reserved region is configured) and return the totals.
+    pub fn run(&mut self) -> ServeSummary {
+        for e in 0..self.config().epochs {
+            self.run_epoch();
+            if e + 1 < self.config().epochs {
+                self.rearrange();
+            }
+        }
+        self.summary()
+    }
+
+    /// Lifetime totals so far.
+    pub fn summary(&self) -> ServeSummary {
+        let t = &self.h.traffic;
+        let mut s = t.totals.clone();
+        s.stranded = t.inflight.len() as u64;
+        s.queue_depth_max = t.queue_depth_max as u64;
+        s.placed = self.h.placed();
+        s.per_client_completions = t.clients.iter().map(|c| c.completions).collect();
+        s
+    }
+}
+
+impl Clients {
+    /// Schedule every client's first arrival after `now`.
+    fn prime_arrivals(&mut self, now: SimTime) {
+        self.arrivals = EventQueue::new();
+        for (c, client) in self.clients.iter_mut().enumerate() {
+            self.arrivals.schedule(client.next_arrival(now), c);
+        }
     }
 
     /// Map a Zipf rank to the first sector of its scattered block.
@@ -471,18 +411,13 @@ impl ServeExperiment {
 
     /// One client arrival: generate the request shape, then run the
     /// admission path (bucket → bounded queue → accept).
-    fn on_arrival(&mut self, c: usize, now: SimTime) {
+    fn on_arrival(&mut self, volume: &mut ArrayVolume, c: usize, now: SimTime) {
         self.epoch_stats.arrivals += 1;
         with_registry(|r| r.inc(self.obs.arrivals, 1));
-        let rank = {
-            let client = &mut self.clients[c];
-            self.zipf.sample(&mut client.shape_rng)
-        };
+        let client = &mut self.clients[c];
+        let rank = self.zipf.sample(&mut client.shape_rng);
+        let write = !client.shape_rng.chance(self.config.read_fraction);
         let sector = self.rank_to_sector(rank);
-        let write = {
-            let client = &mut self.clients[c];
-            !client.shape_rng.chance(self.config.read_fraction)
-        };
         if !self.clients[c].bucket.try_take(now) {
             self.epoch_stats.throttled += 1;
             with_registry(|r| r.inc(self.obs.throttled, 1));
@@ -506,30 +441,11 @@ impl ServeExperiment {
             r.set_gauge(self.obs.queue_depth_max, self.queue_depth_max as i64);
         });
         self.drr.activate(c);
-        self.pump(now);
-    }
-
-    /// One volume completion at `now`.
-    fn on_completion(&mut self, now: SimTime) {
-        if let Some(done) = self.volume.complete_next(now) {
-            if let Some(p) = self.inflight.remove(&done.id) {
-                let latency = (done.completed - p.arrived).as_micros();
-                with_registry(|r| r.observe_hires(self.obs.request_us, latency));
-                if done.error.is_some() {
-                    self.epoch_stats.errors += 1;
-                    with_registry(|r| r.inc(self.obs.errors, 1));
-                } else {
-                    self.epoch_stats.completed += 1;
-                    self.clients[p.client].completions += 1;
-                    with_registry(|r| r.inc(self.obs.completed, 1));
-                }
-            }
-        }
-        self.pump(now);
+        self.pump(volume, now);
     }
 
     /// Fill free dispatch slots from the accept queues via DRR.
-    fn pump(&mut self, now: SimTime) {
+    fn pump(&mut self, volume: &mut ArrayVolume, now: SimTime) {
         while self.inflight.len() < self.config.max_inflight && self.backlog > 0 {
             let clients = &self.clients;
             let Some(c) = self.drr.next(|c| {
@@ -552,7 +468,7 @@ impl ServeExperiment {
             } else {
                 IoRequest::read(0, q.sector, SECTORS_PER_BLOCK)
             };
-            match self.volume.submit(req, now) {
+            match volume.submit(req, now) {
                 Ok(id) => {
                     self.inflight.insert(
                         id,
@@ -575,193 +491,68 @@ impl ServeExperiment {
             r.set_gauge(self.obs.inflight, self.inflight.len() as i64);
         });
     }
+}
 
-    /// Read every member's request table into its daemon.
-    fn collect_all(&mut self, now: SimTime) {
-        for i in 0..self.daemons.len() {
-            self.daemons[i].collect(self.volume.disk_mut(i), now);
+/// Epochs play the role of days. Arrivals stop dead at the epoch end;
+/// the drain that follows still pumps the backlog through. A member
+/// that strands requests (dead, unredundant) stops producing
+/// completions; whatever it stranded stays in `inflight` — bounded by
+/// `max_inflight` — and is reported.
+impl Traffic<ArrayVolume> for Clients {
+    fn begin_day(&mut self, start: SimTime) -> SimTime {
+        self.epoch_stats = EpochStats::default();
+        start + self.config.epoch
+    }
+
+    fn next_event(&self) -> SimTime {
+        self.arrivals.peek_time().unwrap_or(SimTime::MAX)
+    }
+
+    fn on_event(&mut self, volume: &mut ArrayVolume, t: SimTime) {
+        if let Some((_, c)) = self.arrivals.pop() {
+            self.on_arrival(volume, c, t);
+            let at = self.clients[c].next_arrival(t);
+            self.arrivals.schedule(at, c);
         }
     }
 
-    /// Serve one epoch, drain, and record a day-series point. Returns
-    /// the epoch's admission/service counters.
-    pub fn run_epoch(&mut self) -> EpochStats {
-        let _t = abr_obs::time_scope("event_loop");
-        self.epoch_stats = EpochStats::default();
-        let epoch_start = self.clock;
-        let epoch_end = epoch_start + self.config.epoch;
-        let adaptive = !self.daemons.is_empty();
-        let mut next_monitor = if adaptive {
-            epoch_start + self.config.monitor_period
-        } else {
-            SimTime::MAX
-        };
-        let maint_period = self.config.maintenance.period;
-        let mut next_maint = if self.volume.has_maintenance() {
-            epoch_start + maint_period
-        } else {
-            SimTime::MAX
-        };
-
-        loop {
-            let next_arrival = self.arrivals.peek_time().unwrap_or(SimTime::MAX);
-            let next_completion = self.volume.next_completion().unwrap_or(SimTime::MAX);
-            let t = next_arrival
-                .min(next_completion)
-                .min(next_monitor)
-                .min(next_maint);
-            if t > epoch_end {
-                break;
-            }
-            self.clock = t;
-            if t == next_completion {
-                self.on_completion(t);
-            } else if t == next_maint {
-                self.install_replacements(t);
-                self.volume.maintenance_tick(t);
-                next_maint = t + maint_period;
-            } else if t == next_arrival {
-                let (_, c) = self.arrivals.pop().expect("peeked non-empty");
-                self.on_arrival(c, t);
-                let at = self.clients[c].next_arrival(t);
-                self.arrivals.schedule(at, c);
-            } else {
-                self.collect_all(t);
-                next_monitor = t + self.config.monitor_period;
+    fn on_completion(
+        &mut self,
+        volume: &mut ArrayVolume,
+        done: Option<VolCompletion>,
+        now: SimTime,
+    ) {
+        if let Some(done) = done {
+            if let Some(p) = self.inflight.remove(&done.id) {
+                let latency = (done.completed - p.arrived).as_micros();
+                with_registry(|r| r.observe_hires(self.obs.request_us, latency));
+                if done.error.is_some() {
+                    self.epoch_stats.errors += 1;
+                    with_registry(|r| r.inc(self.obs.errors, 1));
+                } else {
+                    self.epoch_stats.completed += 1;
+                    self.clients[p.client].completions += 1;
+                    with_registry(|r| r.inc(self.obs.completed, 1));
+                }
             }
         }
+        self.pump(volume, now);
+    }
 
-        // Epoch end: stop admitting, drain the backlog and in-flight
-        // work. A member that strands requests (dead, unredundant)
-        // stops producing completions; whatever it stranded stays in
-        // `inflight` — bounded by `max_inflight` — and is reported.
-        let mut t = epoch_end;
-        while let Some(ct) = self.volume.next_completion() {
-            t = ct;
-            self.on_completion(ct);
-        }
-        self.clock = t.max(epoch_end);
-        if adaptive {
-            self.collect_all(self.clock);
-        }
-        // Flush each member's batched driver observations so the day
-        // point below sees `driver.*` histograms up to date.
-        for i in 0..self.config.n_disks {
-            let _ = self.volume.disk_mut(i).ioctl(Ioctl::ReadStats, self.clock);
-        }
-        self.volume.health();
-
+    fn close_day(&mut self, volume: &mut ArrayVolume) {
+        volume.health();
         self.totals.arrivals += self.epoch_stats.arrivals;
         self.totals.accepted += self.epoch_stats.accepted;
         self.totals.shed += self.epoch_stats.shed;
         self.totals.throttled += self.epoch_stats.throttled;
         self.totals.completed += self.epoch_stats.completed;
         self.totals.errors += self.epoch_stats.errors;
-
-        // `run_meter_add` also closes out the day point in the metric
-        // series, so each epoch is one day-series entry.
-        run_meter_add(self.clock - epoch_start);
-        self.epoch_index += 1;
-        self.epoch_stats
     }
 
-    /// The overnight protocol between epochs (adaptive members only):
-    /// each member places its `place_blocks` hottest blocks, the clock
-    /// jumps the movement gap, and clients re-prime. A no-op without a
-    /// reserved region.
-    pub fn rearrange(&mut self) -> RearrangeReport {
-        let mut total = RearrangeReport::default();
-        if self.daemons.is_empty() {
-            return total;
-        }
-        let n = self.config.place_blocks;
-        for i in 0..self.config.n_disks {
-            let hot = self.daemons[i].hot_list(n);
-            match self.daemons[i].end_day_with(self.volume.disk_mut(i), &hot, n, self.clock) {
-                Ok(report) => {
-                    total.blocks_placed += report.blocks_placed;
-                    total.blocks_failed += report.blocks_failed;
-                    total.io_ops += report.io_ops;
-                    total.busy = total.busy.max(report.busy);
-                }
-                Err(_) => {
-                    // The pass failed outright; the on-disk placement
-                    // is still consistent. Skip, keep the placement.
-                    self.rearrange_failures += 1;
-                    self.daemons[i].end_day_keep_placement();
-                }
-            }
-        }
-        self.placed = (0..self.config.n_disks)
-            .map(|i| self.volume.disk(i).block_table().len() as u32)
-            .sum();
-        self.clock += total.busy + SimDuration::from_mins(1);
-        // The movement polluted member stats; clear them so the next
-        // epoch starts clean, then restart the arrival processes from
-        // the new clock (clients pause over the movement window).
-        for i in 0..self.config.n_disks {
-            let _ = self.volume.disk_mut(i).ioctl(Ioctl::ReadStats, self.clock);
-        }
-        self.prime_arrivals();
-        total
-    }
-
-    /// Serve `config.epochs` epochs with rearrangement between them
-    /// (when a reserved region is configured) and return the totals.
-    pub fn run(&mut self) -> ServeSummary {
-        for e in 0..self.config.epochs {
-            self.run_epoch();
-            if e + 1 < self.config.epochs {
-                self.rearrange();
-            }
-        }
-        self.summary()
-    }
-
-    /// Lifetime totals so far.
-    pub fn summary(&self) -> ServeSummary {
-        let mut s = self.totals.clone();
-        s.stranded = self.inflight.len() as u64;
-        s.queue_depth_max = self.queue_depth_max as u64;
-        s.placed = self.placed;
-        s.per_client_completions = self.clients.iter().map(|c| c.completions).collect();
-        s
-    }
-
-    /// Install scheduled hot-spare replacements (redundant volumes):
-    /// once a member has died, its replacement has arrived, and its
-    /// queue has drained, swap in a freshly formatted drive.
-    fn install_replacements(&mut self, now: SimTime) {
-        if !self.volume.redundancy().is_redundant() {
-            return;
-        }
-        for i in 0..self.config.n_disks {
-            if self.replaced[i] {
-                continue;
-            }
-            let Some(plan) = self.config.fault_plans.get(i).copied().flatten() else {
-                continue;
-            };
-            let Some(at) = plan.replacement_at() else {
-                continue;
-            };
-            if now < at || !self.volume.disk(i).is_idle() {
-                continue;
-            }
-            let died = self.volume.disk(i).disk().injector().is_some_and(|inj| {
-                inj.is_failed() || inj.plan().disk_death_at.is_some_and(|t| now >= t)
-            });
-            if !died {
-                continue;
-            }
-            let mut disk = Disk::new(self.config.disk.clone());
-            AdaptiveDriver::format(&mut disk, &self.label, &self.driver_cfg);
-            let mut fresh =
-                AdaptiveDriver::attach(disk, self.driver_cfg).expect("fresh format attaches");
-            fresh.set_deliver_read_data(false);
-            self.volume.replace_disk(i, fresh);
-            self.replaced[i] = true;
-        }
+    /// Clients pause over the movement window and restart their arrival
+    /// processes from the new clock.
+    fn next_day(&mut self, clock: SimTime) {
+        self.prime_arrivals(clock);
     }
 }
 
