@@ -21,8 +21,9 @@ use crate::blocktable::{BlockTable, TableError};
 use crate::cylmap::CylinderMap;
 use crate::layout::ReservedLayout;
 use crate::monitor::{PerfMonitor, PerfSnapshot, RequestMonitor, RequestRecord};
+use crate::queue::RequestQueue;
 use crate::request::{IoDir, IoRequest, Queued, RequestId, Segments};
-use crate::sched::{Scheduler, SchedulerKind};
+use crate::sched::SchedulerKind;
 use abr_disk::disk::ServiceBreakdown;
 use abr_disk::fault::{DiskError, DiskFault};
 use abr_disk::label::LabelError;
@@ -359,15 +360,17 @@ struct PendingDriverObs {
 /// assert_eq!(done.len(), 1);
 /// ```
 pub struct AdaptiveDriver {
-    // NOTE: not Debug because the scheduler is a trait object; see the
-    // manual impl below.
+    // NOTE: not Debug because the queue's policy is a trait object; see
+    // the manual impl below.
     disk: Disk,
     label: DiskLabel,
     layout: Option<ReservedLayout>,
     config: DriverConfig,
     table: BlockTable,
-    queue: Vec<Queued>,
-    scheduler: Box<dyn Scheduler>,
+    /// Submitted requests waiting behind `active`. Every path that
+    /// clears `active` dispatches the next request, so a non-empty queue
+    /// always has a request in service.
+    queue: RequestQueue,
     active: Option<Active>,
     req_mon: RequestMonitor,
     perf: PerfMonitor,
@@ -394,9 +397,6 @@ pub struct AdaptiveDriver {
     /// Retries absorbed while servicing the current foreground request
     /// (zeroed at dispatch; copied into the span at completion).
     retry_scratch: u32,
-    /// Reused index buffer for the arrived-subset scheduler view (cleared
-    /// per dispatch; keeps the hot path allocation-free).
-    eligible_scratch: Vec<usize>,
     /// Whether [`AdaptiveDriver::complete_next`] copies read data out of
     /// the store into the [`Completion`]. Simulation loops that discard
     /// completions turn this off to skip a block-sized allocation and
@@ -488,9 +488,8 @@ impl AdaptiveDriver {
             disk,
             label,
             layout,
-            scheduler: config.scheduler.make(),
             table,
-            queue: Vec::new(),
+            queue: RequestQueue::new(config.scheduler),
             active: None,
             req_mon: RequestMonitor::new(config.monitor_capacity),
             perf: PerfMonitor::with_starvation_age(config.starvation_age),
@@ -502,7 +501,6 @@ impl AdaptiveDriver {
             quarantined: BTreeSet::new(),
             lost: BTreeSet::new(),
             retry_scratch: 0,
-            eligible_scratch: Vec::new(),
             deliver_read_data: true,
             disk_index: 0,
             obs: DriverObs::resolve(),
@@ -708,16 +706,24 @@ impl AdaptiveDriver {
         let segments = self.resolve(vsector, req.n_sectors, req.dir);
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        self.queue.push(Queued {
+        let q = Queued {
             id,
             target_cylinder: self.label.physical.cylinder_of(segments[0].0),
             segments,
             arrived: now,
             req,
-        });
-        if self.active.is_none() {
-            self.dispatch_next(now);
+        };
+        if self.active.is_some() {
+            self.queue.push(q);
+        } else {
+            // An idle drive has nothing queued: start service without
+            // paying for an index insert and remove.
+            let head = self.head_cylinder();
+            self.queue.bypass(q.target_cylinder, now, head);
+            self.start(q, now, head);
         }
+        #[cfg(feature = "sanitize")]
+        self.assert_queue();
         Ok(id)
     }
 
@@ -816,6 +822,13 @@ impl AdaptiveDriver {
         }
     }
 
+    /// The driver's address-based head position: the cylinder of the
+    /// last dispatched target (what a real driver uses for scheduling).
+    fn head_cylinder(&self) -> u32 {
+        self.last_dispatch_cyl
+            .unwrap_or_else(|| self.disk.head_cylinder())
+    }
+
     /// Pick and dispatch the next queued request.
     ///
     /// Only requests that have already arrived (`arrived <= now`) are
@@ -826,42 +839,43 @@ impl AdaptiveDriver {
     /// the disk was idle until then.
     fn dispatch_next(&mut self, now: SimTime) {
         debug_assert!(self.active.is_none());
-        if self.queue.is_empty() {
-            return;
+        let head = self.head_cylinder();
+        if let Some((q, at)) = self.queue.pop(now, head) {
+            self.start(q, at, head);
         }
-        // The driver's address-based head position: the cylinder of the
-        // last dispatched target (what a real driver uses for scheduling).
-        let head = self
-            .last_dispatch_cyl
-            .unwrap_or_else(|| self.disk.head_cylinder());
-        // Reused scratch: no per-dispatch allocation, no request clones —
-        // the scheduler reads the arrived subset through an index view.
-        let mut eligible = std::mem::take(&mut self.eligible_scratch);
-        eligible.clear();
-        eligible.extend(
-            self.queue
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| q.arrived <= now)
-                .map(|(i, _)| i),
-        );
-        let (idx, now) = if eligible.is_empty() {
-            // Idle until the earliest arrival; service starts then.
-            let idx = self
-                .queue
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, q)| (q.arrived, *i))
-                .map(|(i, _)| i)
-                .expect("non-empty queue");
-            let at = self.queue[idx].arrived;
-            (idx, at)
-        } else {
-            (self.scheduler.pick(&self.queue, &eligible, head), now)
-        };
-        self.eligible_scratch = eligible;
-        let q = self.queue.remove(idx);
-        let queue_depth = self.queue.len() as u32;
+        #[cfg(feature = "sanitize")]
+        self.assert_queue();
+    }
+
+    /// Check the request queue's invariants (see `queue.rs`) and that
+    /// nothing waits behind an idle drive. Sanitize builds check after
+    /// every submit and dispatch. Sanitize builds only.
+    #[cfg(feature = "sanitize")]
+    pub fn check_queue(&self) -> Result<(), String> {
+        if self.active.is_none() && !self.queue.is_empty() {
+            return Err(format!("{} queued behind an idle drive", self.queue.len()));
+        }
+        self.queue.check()
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[track_caller]
+    fn assert_queue(&self) {
+        if let Err(e) = self.check_queue() {
+            panic!("request queue invariant violated: {e}");
+        }
+    }
+
+    /// Deliberately break the request queue — a test hook proving the
+    /// sanitizer trips. Sanitize builds only.
+    #[cfg(feature = "sanitize")]
+    pub fn corrupt_queue_for_sanitizer_test(&mut self, how: crate::queue::QueueCorruption) {
+        self.queue.corrupt_for_sanitizer_test(how);
+    }
+
+    /// Start servicing `q` at `now` with the head at cylinder `head`.
+    fn start(&mut self, q: Queued, now: SimTime, head: u32) {
+        let queue_depth = abr_sim::narrow::u32_from_usize(self.queue.len());
 
         // Address-based scheduled seek distance (what the paper's monitor
         // records; it cannot see track-buffer hits).
@@ -1035,21 +1049,10 @@ impl AdaptiveDriver {
         Box::new(self.perf.read_and_clear())
     }
 
-    /// When the in-flight request will complete, if any. If the device is
-    /// idle but future-dated requests are queued (batch submission), this
-    /// is the time the earliest of them starts and completes — calling
-    /// [`AdaptiveDriver::complete_next`] at that time dispatches and
-    /// completes it.
+    /// When the in-flight request will complete, if any. A future-dated
+    /// request (batch submission) left at the head of the queue is
+    /// already in flight, started at its own arrival time.
     pub fn next_completion(&mut self) -> Option<SimTime> {
-        if self.active.is_none() && !self.queue.is_empty() {
-            let at = self
-                .queue
-                .iter()
-                .map(|q| q.arrived)
-                .min()
-                .expect("non-empty");
-            self.dispatch_next(at);
-        }
         self.active.as_ref().map(|a| a.completes)
     }
 

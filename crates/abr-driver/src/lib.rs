@@ -10,7 +10,8 @@
 //!   addresses to their reserved-area copies, with dirty bits and an
 //!   on-disk copy for recovery (§4.1.2).
 //! * [`sched`] — disk queueing policies: FCFS, SCAN (the stock SunOS
-//!   policy), C-SCAN and SSTF.
+//!   policy), C-SCAN and SSTF, each a range probe or two over the
+//!   driver's cylinder-ordered request queue (`queue.rs`).
 //! * [`monitor`] — the request monitor (a bounded in-kernel table of
 //!   recent requests, §4.1.4) and the performance monitor (seek-distance
 //!   distributions in arrival and scheduled order, service and queueing
@@ -34,6 +35,7 @@ pub mod driver;
 pub mod layout;
 pub mod monitor;
 pub mod physio;
+mod queue;
 pub mod request;
 pub mod sched;
 
@@ -42,5 +44,7 @@ pub use device::BlockDevice;
 pub use driver::{AdaptiveDriver, Completion, DriverConfig, DriverError, Ioctl, IoctlReply};
 pub use layout::ReservedLayout;
 pub use monitor::{PerfMonitor, PerfSnapshot, RequestMonitor, RequestRecord};
+#[cfg(feature = "sanitize")]
+pub use queue::QueueCorruption;
 pub use request::{IoRequest, RequestId};
 pub use sched::SchedulerKind;
