@@ -9,7 +9,8 @@
 //! The three ids are the three configurations of the one day loop — a
 //! bare driver (`table2`), a volume (`array-n2`) and the serving front
 //! end (`serve-smoke`) — so each is byte-gated, and each must carry the
-//! loop's wall-clock phase scopes in its bench-record row.
+//! loop's wall-clock phase scopes, and the arranger's policy/move split
+//! of the night, in its bench-record row.
 //!
 //! If a change is *supposed* to alter results (a model fix, a new
 //! metric), regenerate and commit `results/` in the same PR; this test
@@ -49,7 +50,13 @@ fn each_day_loop_configuration_matches_committed_results() {
             committed(&format!("{id}.txt")),
             "{id}.txt drifted from the committed bytes"
         );
-        for scope in ["wall.setup.ns", "wall.event_loop.ns", "wall.day_end.ns"] {
+        for scope in [
+            "wall.setup.ns",
+            "wall.event_loop.ns",
+            "wall.day_end.ns",
+            "wall.placement.policy.ns",
+            "wall.placement.move.ns",
+        ] {
             assert!(
                 outcome.metrics["counters"][scope].as_u64().is_some(),
                 "{id}: bench-record row lacks {scope}"

@@ -13,6 +13,7 @@ use crate::analyzer::HotBlock;
 use crate::placement::{PlacementPolicy, SlotMap};
 use abr_disk::fault::DiskFault;
 use abr_driver::{AdaptiveDriver, DriverError, Ioctl, IoctlReply};
+use abr_obs::time_scope;
 use abr_sim::{SimDuration, SimTime};
 
 /// Outcome of one rearrangement cycle.
@@ -95,11 +96,17 @@ impl BlockArranger {
         n_blocks: usize,
         now: SimTime,
     ) -> Result<RearrangeReport, DriverError> {
+        // Where the blocks go depends on the layout only, not on what
+        // the reserved area holds now, so it is settled (and timed) first.
+        let assignment = {
+            let _t = time_scope("placement.policy");
+            let layout = *driver.layout().ok_or(DriverError::NotRearranged)?;
+            let slots = SlotMap::new(&layout, &driver.label().physical);
+            let take = n_blocks.min(hot.len());
+            self.policy.place(&hot[..take], &slots)
+        };
+        let _t = time_scope("placement.move");
         let mut report = self.clean(driver, now)?;
-        let layout = *driver.layout().ok_or(DriverError::NotRearranged)?;
-        let slots = SlotMap::new(&layout, &driver.label().physical);
-        let take = n_blocks.min(hot.len());
-        let assignment = self.policy.place(&hot[..take], &slots);
         for (block, slot) in assignment {
             let at = now + report.busy;
             match driver.ioctl(Ioctl::BCopy { block, slot }, at) {
@@ -135,6 +142,7 @@ impl BlockArranger {
         n_blocks: usize,
         now: SimTime,
     ) -> Result<RearrangeReport, DriverError> {
+        let policy_timer = time_scope("placement.policy");
         let layout = *driver.layout().ok_or(DriverError::NotRearranged)?;
         let slots = SlotMap::new(&layout, &driver.label().physical);
         let take = n_blocks.min(hot.len()).min(slots.n_slots() as usize);
@@ -142,13 +150,14 @@ impl BlockArranger {
         // Blocks we want resident, in rank order, keyed by original
         // physical sector (the block table's key space).
         let spb = u64::from(driver.sectors_per_block());
-        let label = driver.label().clone();
+        let label = driver.label();
         let wanted: Vec<(u64, u64)> = hot[..take]
             .iter()
             .map(|h| (h.block, label.virtual_to_physical(h.block * spb)))
             .collect();
         let wanted_set: std::collections::BTreeSet<u64> =
             wanted.iter().map(|&(_, orig)| orig).collect();
+        drop(policy_timer);
 
         let mut report = RearrangeReport::default();
         // Evict residents that cooled off. Residents that are still hot
@@ -156,6 +165,9 @@ impl BlockArranger {
         // region is already within a few cylinders of ideal, so we trade
         // a slightly imperfect organ-pipe shape for most of the overnight
         // I/O.
+        // (Picking the free slots between the two loops is a scan of the
+        // slot array; it is timed with the moves around it.)
+        let _t = time_scope("placement.move");
         for (orig, _) in driver.block_table().entries_by_slot() {
             if wanted_set.contains(&orig) {
                 continue;

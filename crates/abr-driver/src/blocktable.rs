@@ -254,18 +254,23 @@ impl BlockTable {
     /// in-order scan — no sort.
     pub fn entries_by_slot(&self) -> Vec<(u64, Entry)> {
         let mut v = Vec::with_capacity(self.len);
-        let slots = self
-            .rev
+        v.extend(self.by_slot());
+        v
+    }
+
+    /// The slot-ordered walk behind [`Self::entries_by_slot`] and the
+    /// on-disk record, without the intermediate vector.
+    fn by_slot(&self) -> impl Iterator<Item = (u64, Entry)> + '_ {
+        self.rev
             .iter()
             .enumerate()
             .filter(|&(_, &orig)| orig != ABSENT)
             .map(|(slot, &orig)| (slot as u32, orig))
-            .chain(self.rev_spill.iter().map(|(&s, &o)| (s, o)));
-        for (slot, orig) in slots {
-            let dirty = self.lookup(orig).map(|e| e.dirty).unwrap_or(false);
-            v.push((orig, Entry { slot, dirty }));
-        }
-        v
+            .chain(self.rev_spill.iter().map(|(&s, &o)| (s, o)))
+            .map(|(slot, orig)| {
+                let dirty = self.fwd_cell(orig).is_some_and(|c| unpack(c).dirty);
+                (orig, Entry { slot, dirty })
+            })
     }
 
     /// Check that the forward (block → slot) and reverse (slot → block)
@@ -308,7 +313,7 @@ impl BlockTable {
         let mut buf = Vec::with_capacity(16 + self.len * 17 + 8);
         buf.extend_from_slice(&TABLE_MAGIC.to_le_bytes());
         buf.extend_from_slice(&(self.len as u64).to_le_bytes());
-        for (orig, e) in self.entries_by_slot() {
+        for (orig, e) in self.by_slot() {
             buf.extend_from_slice(&orig.to_le_bytes());
             buf.extend_from_slice(&e.slot.to_le_bytes());
             buf.extend_from_slice(&[0u8; 4]); // reserved/padding
@@ -319,14 +324,20 @@ impl BlockTable {
         buf
     }
 
+    /// Whether the on-disk record fits the table region of `layout`: the
+    /// capacity check of [`BlockTable::encode`] and
+    /// [`BlockTable::encode_region`], without the encoding.
+    pub(crate) fn fits(&self, layout: &ReservedLayout) -> bool {
+        16 + self.len * 17 + 8 <= layout.table_sectors as usize * abr_disk::SECTOR_SIZE
+    }
+
     /// Serialize to the on-disk form. The result is padded to fill
     /// `layout.table_sectors` sectors exactly.
     ///
     /// Returns [`TableError::TooLarge`] if the entries do not fit.
     pub fn encode(&self, layout: &ReservedLayout) -> Result<Vec<u8>, TableError> {
         let capacity = layout.table_sectors as usize * abr_disk::SECTOR_SIZE;
-        let need = 16 + self.len * 17 + 8;
-        if need > capacity {
+        if !self.fits(layout) {
             return Err(TableError::TooLarge);
         }
         let mut buf = self.encode_record();
@@ -348,10 +359,10 @@ impl BlockTable {
     pub fn encode_region(&self, layout: &ReservedLayout) -> Result<Vec<u8>, TableError> {
         let capacity = layout.table_sectors as usize * abr_disk::SECTOR_SIZE;
         let half = (layout.table_sectors as usize / 2) * abr_disk::SECTOR_SIZE;
-        let record = self.encode_record();
-        if record.len() > capacity {
+        if !self.fits(layout) {
             return Err(TableError::TooLarge);
         }
+        let record = self.encode_record();
         if layout.table_sectors < 2 || record.len() > half {
             let mut buf = record;
             buf.resize(capacity, 0);

@@ -367,6 +367,13 @@ pub struct AdaptiveDriver {
     layout: Option<ReservedLayout>,
     config: DriverConfig,
     table: BlockTable,
+    /// A table write has been serviced whose bytes are not in the store
+    /// yet. Invariant: `table_unwritten` ⇒ `encode_region(self.table)` is
+    /// exactly what a driver that stored the image on every table write
+    /// would hold in the table region — so [`Self::materialize_table`]
+    /// runs before anything can read the region or let the table drift
+    /// from the persisted one (DESIGN §8 lists the places).
+    table_unwritten: bool,
     /// Submitted requests waiting behind `active`. Every path that
     /// clears `active` dispatches the next request, so a non-empty queue
     /// always has a request in service.
@@ -489,6 +496,7 @@ impl AdaptiveDriver {
             label,
             layout,
             table,
+            table_unwritten: false,
             queue: RequestQueue::new(config.scheduler),
             active: None,
             req_mon: RequestMonitor::new(config.monitor_capacity),
@@ -560,8 +568,11 @@ impl AdaptiveDriver {
     }
 
     /// Mutable access to the underlying disk (to install a fault
-    /// injector or revive a powered-off disk).
+    /// injector or revive a powered-off disk). The caller may read or
+    /// overwrite the table region, so a pending table image is produced
+    /// first.
     pub fn disk_mut(&mut self) -> &mut Disk {
+        self.materialize_table();
         &mut self.disk
     }
 
@@ -585,7 +596,11 @@ impl AdaptiveDriver {
         &self.table
     }
 
-    /// Immutable access to the underlying disk.
+    /// Immutable access to the underlying disk. A shared borrow cannot
+    /// produce a pending table image: the table region seen through
+    /// `disk().store()` is as of the last materialisation (every other
+    /// sector, and the written-sector count, are current). Read the
+    /// region through [`Self::disk_mut`] or [`Self::crash`].
     pub fn disk(&self) -> &Disk {
         &self.disk
     }
@@ -622,6 +637,9 @@ impl AdaptiveDriver {
             let spb = u64::from(self.sectors_per_block());
             let orig_phys = self.label.virtual_to_physical(vsector - (vsector % spb));
             if self.layout.is_some() && self.table.lookup(orig_phys).is_some() {
+                // The persisted image carries the dirty bits as of the
+                // last table write, not this one.
+                self.materialize_table();
                 self.table.mark_dirty(orig_phys);
             }
         }
@@ -1288,15 +1306,9 @@ impl AdaptiveDriver {
         self.disk.store_mut().copy(orig_phys, dst, n);
         // Table entry, then 3: force the table to disk. Data before
         // metadata: the entry goes in only after the copy is durable, and
-        // comes back out if the table itself cannot be persisted.
+        // `write_table` takes it back out if the table cannot be persisted.
         self.table.insert(orig_phys, slot);
-        match self.write_table(&layout, now + busy) {
-            Ok(d) => busy += d,
-            Err(e) => {
-                self.table.remove(orig_phys);
-                return Err(e);
-            }
-        }
+        busy += self.write_table(&layout, now + busy, TableChange::Inserted(orig_phys))?;
         Ok(IoctlReply::Moved { ops: 3, busy })
     }
 
@@ -1346,7 +1358,8 @@ impl AdaptiveDriver {
     ///   on subsequent reads;
     /// * home write fails → keep the entry (the slot copy remains the
     ///   canonical data) and skip the block;
-    /// * table persist fails → roll the entry back in memory and abort.
+    /// * table persist fails → `write_table` rolls the entry back in
+    ///   memory; abort.
     ///
     /// Returns `(busy, ops)` on a handled outcome, or the accumulated
     /// busy time plus the error when the caller must abort.
@@ -1403,19 +1416,12 @@ impl AdaptiveDriver {
             }
         }
         self.table.remove(orig_phys);
-        match self.write_table(layout, now + busy) {
+        match self.write_table(layout, now + busy, TableChange::Removed(orig_phys, entry)) {
             Ok(d) => {
                 busy += d;
                 ops += 1;
             }
-            Err(e) => {
-                // Roll back to match the on-disk table.
-                self.table.insert(orig_phys, entry.slot);
-                if entry.dirty {
-                    self.table.mark_dirty(orig_phys);
-                }
-                return Err((busy, e));
-            }
+            Err(e) => return Err((busy, e)),
         }
         if lost {
             self.lost.insert(orig_phys);
@@ -1507,43 +1513,77 @@ impl AdaptiveDriver {
         Ok(IoctlReply::Moved { ops, busy })
     }
 
-    /// Persist the block table into the table region (dual-copy format),
-    /// returning the time the write took.
+    /// Persist the block table into the table region (dual-copy format)
+    /// to commit `change`, returning the time the write took.
     ///
-    /// On failure only the persisted prefix of the new image reaches the
-    /// store (torn writes), the failure is counted, and the caller must
-    /// roll back any in-memory table change it has not yet committed so
-    /// memory keeps matching the on-disk table.
+    /// Only the simulated write happens here; the image itself is
+    /// produced by [`Self::materialize_table`] when it can be observed.
+    /// A failed write is rolled back here, for every caller: `change` is
+    /// undone so memory keeps matching the on-disk table, and the store
+    /// ends up holding the old image under the persisted prefix of the
+    /// new one (torn writes). The failure is counted.
     fn write_table(
         &mut self,
         layout: &ReservedLayout,
         now: SimTime,
+        change: TableChange,
     ) -> Result<SimDuration, DriverError> {
-        let bytes = self
-            .table
-            .encode_region(layout)
-            .expect("table sized by config.table_max_entries");
+        assert!(
+            self.table.fits(layout),
+            "table sized by config.table_max_entries"
+        );
         let (elapsed, res) = self.serviced(
             IoDir::Write,
             layout.start_sector,
             layout.table_sectors as u32,
             now,
         );
-        match res {
-            Ok(_) => {
-                self.disk.store_mut().write(layout.start_sector, &bytes);
-                Ok(elapsed)
+        let Err(e) = res else {
+            self.table_unwritten = true;
+            return Ok(elapsed);
+        };
+        // What a torn write leaves behind is a prefix of the image WITH
+        // the change, on top of the image without it.
+        let torn =
+            (e.fault == DiskFault::TornWrite && e.persisted > 0).then(|| self.table_image(layout));
+        match change {
+            TableChange::Inserted(orig) => {
+                self.table.remove(orig);
             }
-            Err(e) => {
-                if e.fault == DiskFault::TornWrite && e.persisted > 0 {
-                    let end = (e.persisted as usize * SECTOR_SIZE).min(bytes.len());
-                    self.disk
-                        .store_mut()
-                        .write(layout.start_sector, &bytes[..end]);
+            TableChange::Removed(orig, entry) => {
+                self.table.insert(orig, entry.slot);
+                if entry.dirty {
+                    self.table.mark_dirty(orig);
                 }
-                self.perf.record_table_write_failure();
-                Err(e.into())
             }
+        }
+        self.materialize_table();
+        if let Some(new) = torn {
+            let end = (e.persisted as usize * SECTOR_SIZE).min(new.len());
+            self.disk
+                .store_mut()
+                .write(layout.start_sector, &new[..end]);
+        }
+        self.perf.record_table_write_failure();
+        Err(e.into())
+    }
+
+    /// The table region's bytes for the table as it is now.
+    fn table_image(&self, layout: &ReservedLayout) -> Vec<u8> {
+        self.table
+            .encode_region(layout)
+            .expect("table sized by config.table_max_entries")
+    }
+
+    /// Put the image of the last serviced table write into the store, if
+    /// it is not there yet (see `table_unwritten`).
+    fn materialize_table(&mut self) {
+        if !std::mem::take(&mut self.table_unwritten) {
+            return;
+        }
+        if let Some(layout) = self.layout {
+            let bytes = self.table_image(&layout);
+            self.disk.store_mut().write(layout.start_sector, &bytes);
         }
     }
 
@@ -1587,9 +1627,20 @@ impl AdaptiveDriver {
 
     /// Detach without any cleanup, modelling a crash: returns the raw
     /// disk so a new driver can re-attach and exercise recovery.
-    pub fn crash(self) -> Disk {
+    pub fn crash(mut self) -> Disk {
+        self.materialize_table();
         self.disk
     }
+}
+
+/// The in-memory table change a [`AdaptiveDriver::write_table`] call
+/// commits, and undoes if the write fails.
+#[derive(Debug, Clone, Copy)]
+enum TableChange {
+    /// An entry for this original sector went in.
+    Inserted(u64),
+    /// This original sector's entry came out.
+    Removed(u64, crate::blocktable::Entry),
 }
 
 /// An all-zero [`ServiceBreakdown`] for requests that never reached the
