@@ -15,7 +15,6 @@
 //!   selection (the paper's Related Work argues blocks beat cylinders,
 //!   corroborating [Ruemmler 91]).
 
-use crate::engine::UnknownId;
 use crate::report::Report;
 use crate::runs::short_system_config;
 use abr_core::analyzer::HotBlock;
@@ -23,40 +22,6 @@ use abr_core::Experiment;
 use abr_driver::SchedulerKind;
 use abr_sim::jsn;
 use std::collections::BTreeMap;
-
-/// All ablation ids.
-pub fn ablation_ids() -> &'static [&'static str] {
-    &[
-        "ablate-scheduler",
-        "ablate-analyzer",
-        "ablate-location",
-        "ablate-drift",
-        "ablate-granularity",
-        "ablate-incremental",
-        "ablate-decay",
-        "ablate-online",
-        "ablate-shuffler",
-        "ablate-rotation",
-    ]
-}
-
-/// Run one ablation by id; unknown ids are a typed error listing the
-/// valid ids.
-pub fn run_ablation(id: &str) -> Result<Report, UnknownId> {
-    Ok(match id {
-        "ablate-scheduler" => scheduler(),
-        "ablate-analyzer" => analyzer(),
-        "ablate-location" => location(),
-        "ablate-drift" => drift(),
-        "ablate-granularity" => granularity(),
-        "ablate-incremental" => incremental(),
-        "ablate-decay" => decay(),
-        "ablate-online" => online(),
-        "ablate-shuffler" => shuffler(),
-        "ablate-rotation" => rotation(),
-        other => return Err(UnknownId::new(other)),
-    })
-}
 
 /// One off/on pair under a config; returns (off, on) day metrics.
 fn pair(
@@ -86,11 +51,7 @@ fn mean_pair_seeks(cfg: abr_core::ExperimentConfig, n_blocks: usize, pairs: usiz
     (mean(false), mean(true))
 }
 
-fn scheduler() -> Report {
-    let mut r = Report::new(
-        "ablate-scheduler",
-        "Scheduler x rearrangement: is part of the win SCAN synergy?",
-    );
+pub(crate) fn scheduler(mut r: Report) -> Report {
     let mut rows = Vec::new();
     for kind in [
         SchedulerKind::Fcfs,
@@ -123,11 +84,7 @@ fn scheduler() -> Report {
     r
 }
 
-fn analyzer() -> Report {
-    let mut r = Report::new(
-        "ablate-analyzer",
-        "Reference-list size: exact counts vs bounded Space-Saving lists",
-    );
+pub(crate) fn analyzer(mut r: Report) -> Report {
     let mut rows = Vec::new();
     for cap in [
         None,
@@ -159,11 +116,7 @@ fn analyzer() -> Report {
     r
 }
 
-fn location() -> Report {
-    let mut r = Report::new(
-        "ablate-location",
-        "Reserved region location: middle of the disk vs the edge",
-    );
+pub(crate) fn location(mut r: Report) -> Report {
     let mut rows = Vec::new();
     for edge in [false, true] {
         let mut cfg = short_system_config(0xAB3);
@@ -188,11 +141,7 @@ fn location() -> Report {
     r
 }
 
-fn drift() -> Report {
-    let mut r = Report::new(
-        "ablate-drift",
-        "Day-to-day drift: how fast changing access patterns erode the benefit",
-    );
+pub(crate) fn drift(mut r: Report) -> Report {
     let mut rows = Vec::new();
     for drift in [0.0, 0.04, 0.15, 0.4, 0.8] {
         let mut cfg = short_system_config(0xAB4);
@@ -216,11 +165,7 @@ fn drift() -> Report {
     r
 }
 
-fn granularity() -> Report {
-    let mut r = Report::new(
-        "ablate-granularity",
-        "Selection granularity: hottest blocks vs hottest whole cylinders",
-    );
+pub(crate) fn granularity(mut r: Report) -> Report {
     // Block-granularity baseline.
     let (b_off, b_on) = pair(short_system_config(0xAB5), 1017);
 
@@ -277,11 +222,7 @@ fn granularity() -> Report {
     r
 }
 
-fn incremental() -> Report {
-    let mut r = Report::new(
-        "ablate-incremental",
-        "Overnight movement cost: full clean-and-recopy vs incremental rearrangement",
-    );
+pub(crate) fn incremental(mut r: Report) -> Report {
     let mut rows = Vec::new();
     for inc in [false, true] {
         let mut cfg = short_system_config(0xAB6);
@@ -322,11 +263,7 @@ fn incremental() -> Report {
     r
 }
 
-fn decay() -> Report {
-    let mut r = Report::new(
-        "ablate-decay",
-        "Count history: nightly reset (the paper) vs exponential decay, across drift rates",
-    );
+pub(crate) fn decay(mut r: Report) -> Report {
     let mut rows = Vec::new();
     for drift in [0.04f64, 0.3] {
         for decay in [None, Some(0.5), Some(0.8)] {
@@ -357,14 +294,10 @@ fn decay() -> Report {
     r
 }
 
-fn online() -> Report {
+pub(crate) fn online(mut r: Report) -> Report {
     use abr_core::experiment::OnlineConfig;
     use abr_sim::SimDuration;
 
-    let mut r = Report::new(
-        "ablate-online",
-        "Overnight-only (the paper) vs continuous online rearrangement (controller-style)",
-    );
     // (a) The paper's protocol: day 1 has no benefit, rearrangement lands
     // overnight.
     let mut cfg = short_system_config(0xAB8);
@@ -417,11 +350,7 @@ fn online() -> Report {
     r
 }
 
-fn shuffler() -> Report {
-    let mut r = Report::new(
-        "ablate-shuffler",
-        "Block rearrangement vs whole-disk cylinder shuffling ([Vongsathorn & Carson 90])",
-    );
+pub(crate) fn shuffler(mut r: Report) -> Report {
     // Block rearrangement (the paper): 1017 blocks into the reserved area.
     let mut cfg = short_system_config(0xAB9);
     let mut a = Experiment::new(cfg.clone());
@@ -467,7 +396,7 @@ fn shuffler() -> Report {
     r
 }
 
-fn rotation() -> Report {
+pub(crate) fn rotation(mut r: Report) -> Report {
     use abr_core::arranger::BlockArranger;
     use abr_core::placement::PolicyKind;
     use abr_disk::{models, DiskLabel};
@@ -475,10 +404,6 @@ fn rotation() -> Report {
     use abr_driver::{AdaptiveDriver, DriverConfig};
     use abr_sim::SimTime;
 
-    let mut r = Report::new(
-        "ablate-rotation",
-        "Rotational cost of placement under BACK-TO-BACK sequential reads (Table 10's regime)",
-    );
     r.line("Table 10's ~1 ms rotational penalty only appears when sequential blocks are");
     r.line("read back to back (each request issued the instant the previous completes);");
     r.line("with client pacing the platter turns many times between requests and placement");

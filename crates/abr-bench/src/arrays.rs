@@ -14,7 +14,6 @@
 //! is a single N = 2 cell, small enough for the CI smoke job's
 //! serial-vs-parallel byte-identity gate.
 
-use crate::engine::UnknownId;
 use crate::report::Report;
 use abr_array::{ArrayConfig, ArrayDayMetrics, ArrayExperiment, Redundancy, StripePolicy};
 use abr_core::ExperimentConfig;
@@ -22,11 +21,6 @@ use abr_disk::fault::FaultPlan;
 use abr_disk::models;
 use abr_sim::{jsn, JsonValue, SimDuration};
 use abr_workload::WorkloadProfile;
-
-/// Array experiment ids, in listing order.
-pub fn array_ids() -> &'static [&'static str] {
-    &["array", "array-n2", "array-redundant"]
-}
 
 /// Blocks the paper rearranged on the Toshiba, split across members.
 const PAPER_BLOCKS: usize = 1018;
@@ -252,11 +246,7 @@ fn run_redundant_cell(redundancy: Redundancy, r: &mut Report) -> JsonValue {
 
 /// The `array-redundant` sweep: none (the control — it *does* fail
 /// requests once the disk dies), mirror, and rotated parity.
-fn run_redundant() -> Report {
-    let mut r = Report::new(
-        "array-redundant",
-        "Redundant arrays: whole-disk death, hot-spare fail-over, online rebuild (extension)",
-    );
+pub(crate) fn redundant(mut r: Report) -> Report {
     let mut rows = Vec::new();
     for redundancy in [Redundancy::None, Redundancy::Mirror, Redundancy::RotParity] {
         rows.push(run_redundant_cell(redundancy, &mut r));
@@ -270,81 +260,55 @@ fn run_redundant() -> Report {
     r
 }
 
-/// Run an array experiment by id.
-pub fn run_array(id: &str) -> Result<Report, UnknownId> {
-    if id == "array-redundant" {
-        return Ok(run_redundant());
-    }
-    let (cells, report): (Vec<Cell>, Report) = match id {
-        "array" => (
-            sweep_cells(),
-            Report::new(
-                "array",
-                "Array scale-out: N-disk striped volumes, per-disk rearrangement (extension)",
-            ),
-        ),
-        "array-n2" => (
-            vec![Cell {
-                n: 2,
-                workload: "system",
-                stripe: StripePolicy::Striped { chunk_blocks: 8 },
-            }],
-            Report::new(
-                "array-n2",
-                "Array smoke cell: N=2 striped volume (CI determinism gate)",
-            ),
-        ),
-        other => return Err(UnknownId::new(other)),
-    };
-    let mut r = report;
+/// Print the table header and run `cells`, one row each.
+fn run_cells(r: &mut Report, cells: &[Cell]) -> Vec<JsonValue> {
     r.line(format!(
         "{:22} | {:^31} | {:^31} | {:^14}",
         "cell", "off day", "on day", "rearrangement"
     ));
-    let mut rows = Vec::new();
-    for cell in &cells {
-        rows.push(run_cell(cell, &mut r));
+    cells.iter().map(|cell| run_cell(cell, r)).collect()
+}
+
+/// The `array` sweep: scale-out, chunk size and striping policy.
+pub(crate) fn scale_out(mut r: Report) -> Report {
+    let rows = run_cells(&mut r, &sweep_cells());
+    r.blank();
+    r.line("expected shape: per-disk seek cuts persist at every N (each spindle organ-pipes its own traffic);");
+    r.line("per-disk request counts stay balanced for striped/hash policies and skew for concat");
+    let mut csv =
+        String::from("n_disks,workload,policy,chunk_blocks,off_seek_ms,on_seek_ms,seek_cut_pct\n");
+    for row in &rows {
+        csv.push_str(&format!(
+            "{},{},{},{},{:.4},{:.4},{:.2}\n",
+            row["n_disks"],
+            row["workload"].as_str().unwrap_or(""),
+            row["policy"].as_str().unwrap_or(""),
+            row["chunk_blocks"],
+            row["off_seek_ms"].as_f64().unwrap_or(0.0),
+            row["on_seek_ms"].as_f64().unwrap_or(0.0),
+            row["seek_cut_pct"].as_f64().unwrap_or(0.0),
+        ));
     }
-    if id == "array" {
-        r.blank();
-        r.line("expected shape: per-disk seek cuts persist at every N (each spindle organ-pipes its own traffic);");
-        r.line(
-            "per-disk request counts stay balanced for striped/hash policies and skew for concat",
-        );
-        let mut csv = String::from(
-            "n_disks,workload,policy,chunk_blocks,off_seek_ms,on_seek_ms,seek_cut_pct\n",
-        );
-        for row in &rows {
-            csv.push_str(&format!(
-                "{},{},{},{},{:.4},{:.4},{:.2}\n",
-                row["n_disks"],
-                row["workload"].as_str().unwrap_or(""),
-                row["policy"].as_str().unwrap_or(""),
-                row["chunk_blocks"],
-                row["off_seek_ms"].as_f64().unwrap_or(0.0),
-                row["on_seek_ms"].as_f64().unwrap_or(0.0),
-                row["seek_cut_pct"].as_f64().unwrap_or(0.0),
-            ));
-        }
-        r.attach_csv("array_scaleout.csv".to_string(), csv);
-    }
+    r.attach_csv("array_scaleout.csv".to_string(), csv);
     r.json = jsn!({ "rows": rows });
-    Ok(r)
+    r
+}
+
+/// The `array-n2` smoke cell: one N = 2 striped volume.
+pub(crate) fn n2_cell(mut r: Report) -> Report {
+    let cell = Cell {
+        n: 2,
+        workload: "system",
+        stripe: StripePolicy::Striped { chunk_blocks: 8 },
+    };
+    let rows = run_cells(&mut r, &[cell]);
+    r.json = jsn!({ "rows": rows });
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_are_registered() {
-        assert_eq!(array_ids(), &["array", "array-n2", "array-redundant"]);
-    }
-
-    #[test]
-    fn unknown_array_id_is_typed() {
-        assert_eq!(run_array("array-n99").unwrap_err().id, "array-n99");
-    }
 
     #[test]
     fn sweep_covers_every_policy_and_requested_n() {

@@ -9,7 +9,6 @@
 //! experiments --list                 # list ids
 //! experiments --ablations            # the ablation suite
 //! experiments bench-compare OLD NEW [--threshold-pct P]
-//! experiments lint                   # static-analysis gate (abr-lint)
 //! ```
 //!
 //! Every suite invocation writes `results/<id>.{txt,json}` plus a
@@ -24,18 +23,13 @@
 //! a nonzero drop count is an error, so CI can gate on the exit code.
 //! Inspect the file with `abrctl trace FILE`.
 
-use abr_bench::ablations;
-use abr_bench::arrays;
-use abr_bench::engine::{bench_compare, detected_parallelism, RunBatch};
-use abr_bench::runs::Campaign;
-use abr_bench::serve;
+use abr_bench::engine::{bench_compare, detected_parallelism, Family, RunBatch, RUNS};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
     "usage: experiments [--jobs N] [--trace FILE] [--list | --ablations | <id>...]\n\
-     \x20      experiments bench-compare <old.json> <new.json> [--threshold-pct P]\n\
-     \x20      experiments lint [--json] [--jobs N] [--write-budget] [--write-baseline]"
+     \x20      experiments bench-compare <old.json> <new.json> [--threshold-pct P]"
 }
 
 fn main() -> ExitCode {
@@ -45,23 +39,9 @@ fn main() -> ExitCode {
         return compare_main(&args[1..]);
     }
 
-    if args.first().map(String::as_str) == Some("lint") {
-        return lint_main(&args[1..]);
-    }
-
     if args.iter().any(|a| a == "--list") {
-        for id in Campaign::all_ids() {
-            println!("{id}");
-        }
-        for id in ablations::ablation_ids() {
-            println!("{id}");
-        }
-        println!("faults");
-        for id in arrays::array_ids() {
-            println!("{id}");
-        }
-        for id in serve::serve_ids() {
-            println!("{id}");
+        for run in RUNS {
+            println!("{}", run.id);
         }
         return ExitCode::SUCCESS;
     }
@@ -101,9 +81,9 @@ fn main() -> ExitCode {
     }
 
     let ids: Vec<&str> = if ablations_only {
-        ablations::ablation_ids().to_vec()
+        Family::Ablation.ids()
     } else if ids.is_empty() {
-        Campaign::all_ids().to_vec()
+        Family::Experiment.ids()
     } else {
         ids.iter().map(String::as_str).collect()
     };
@@ -189,68 +169,6 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// The determinism/panic-safety gate, wired in next to the perf gates so
-/// one binary can drive all of CI. Same behaviour as
-/// `cargo run -p abr-lint -- --workspace`: sorted `file:line` findings
-/// (or the `--json` machine report), nonzero exit on any violation.
-/// `--write-budget`/`--write-baseline` rewrite the ratchet files — only
-/// downward; a write is refused when findings increased.
-fn lint_main(args: &[String]) -> ExitCode {
-    let mut opts = abr_lint::LintOptions::default();
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--jobs" | "-j" => {
-                let Some(n) = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|n| *n > 0)
-                else {
-                    eprintln!("error: --jobs needs a positive integer\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                opts.jobs = n;
-            }
-            "--write-budget" | "--update-budget" => opts.write_budget = true,
-            "--write-baseline" => opts.write_baseline = true,
-            other => {
-                eprintln!("error: unknown lint argument {other}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let Some(root) = abr_lint::find_root(&cwd) else {
-        eprintln!(
-            "error: could not find the workspace root above {}",
-            cwd.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    let report = match abr_lint::run_lint(&root, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render());
-    }
-    if report.diags.is_empty() {
-        eprintln!("abr-lint: clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("abr-lint: {} violation(s)", report.diags.len());
-        ExitCode::FAILURE
     }
 }
 

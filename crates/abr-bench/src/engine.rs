@@ -18,12 +18,9 @@
 //! the sim-time/real-time ratio is the throughput figure that
 //! `BENCH_experiments.json` reports per run and for the whole batch.
 
-use crate::ablations::{ablation_ids, run_ablation};
-use crate::arrays::{array_ids, run_array};
-use crate::faults::run_faults;
 use crate::report::Report;
-use crate::runs::{Campaign, DayCache};
-use crate::serve::{run_serve, serve_ids};
+use crate::runs::{self, Campaign, DayCache, DiskKind, FsKind};
+use crate::{ablations, arrays, faults, serve};
 use abr_core::{run_meter, run_meter_reset, RunMeter};
 use abr_obs::{
     day_series_reset, day_series_take, registry_clear, registry_snapshot, slo_clear, slo_install,
@@ -36,7 +33,101 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// An id that names no experiment, ablation, or extension run.
+/// Which family of runs an id belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// A paper table/figure regenerator (`table2`, `fig8`, ...).
+    Experiment,
+    /// An ablation study (`ablate-*`).
+    Ablation,
+    /// The fault-injection sweep (`faults`).
+    Faults,
+    /// An array scale-out run (`array`, `array-n2`, `array-redundant`).
+    Array,
+    /// A serving-front-end run (`serve`, `serve-smoke`).
+    Serve,
+}
+
+impl Family {
+    /// Stable lower-case name (the `kind` of a `BENCH_experiments.json`
+    /// row).
+    pub fn name(self) -> &'static str {
+        match self {
+            Family::Experiment => "experiment",
+            Family::Ablation => "ablation",
+            Family::Faults => "faults",
+            Family::Array => "array",
+            Family::Serve => "serve",
+        }
+    }
+
+    /// The family's ids, in listing order (`experiments` with no ids
+    /// runs [`Family::Experiment`], `--ablations` [`Family::Ablation`]).
+    pub fn ids(self) -> Vec<&'static str> {
+        let mine = RUNS.iter().filter(|run| run.family == self);
+        mine.map(|run| run.id).collect()
+    }
+}
+
+/// One row of the run table.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Run {
+    /// The id the CLI accepts and `results/<id>.*` is named after.
+    pub id: &'static str,
+    /// The family it is listed, selected and recorded under.
+    pub family: Family,
+    /// The report's one-line title.
+    pub title: &'static str,
+}
+
+const fn run(id: &'static str, family: Family, title: &'static str) -> Run {
+    Run { id, family, title }
+}
+
+/// The run table: every id the suite accepts, in listing order (paper
+/// order, then the extensions). `--list`, the default and `--ablations`
+/// selections, [`RunSpec::resolve`] and [`UnknownId`]'s message all
+/// read it; a new run is a row here and an arm in
+/// [`RunSpec::dispatch`].
+pub const RUNS: &[Run] = {
+    use Family::{Ablation, Array, Experiment, Faults, Serve};
+    &[
+        run("table1", Experiment, "Disk specifications and seek curves"),
+        run("table2", Experiment, "On/Off summary, system file system (daily mean min/avg/max)"),
+        run("table3", Experiment, "Two-day detail, system file system (off day / on day)"),
+        run("table4", Experiment, "On/Off summary, system file system, READ requests only"),
+        run("fig4", Experiment, "Service time distribution, system fs, Fujitsu (off vs on day)"),
+        run("fig5", Experiment, "Block access distribution, system fs (both disks, reads and all)"),
+        run("table5", Experiment, "On/Off summary, users file system"),
+        run("fig6", Experiment, "Service time distribution, users fs, Fujitsu (off vs on day)"),
+        run("fig7", Experiment, "Block access distribution, users fs (both disks, reads and all)"),
+        run("table6", Experiment, "On/Off summary, users file system, READ requests only"),
+        run("fig8", Experiment, "Seek reduction vs number of rearranged blocks (Toshiba, system fs)"),
+        run("table7", Experiment, "Placement policy summary: % reduction in daily mean seek time vs FCFS/no-rearrangement"),
+        run("table8", Experiment, "Placement policy detail, Toshiba (on days)"),
+        run("table9", Experiment, "Placement policy detail, Fujitsu (on days)"),
+        run("table10", Experiment, "Rotational latency + transfer time by placement policy (reads, Toshiba)"),
+        run("fig3", Experiment, "Placement policy illustration (worked example)"),
+        run("ablate-scheduler", Ablation, "Scheduler x rearrangement: is part of the win SCAN synergy?"),
+        run("ablate-analyzer", Ablation, "Reference-list size: exact counts vs bounded Space-Saving lists"),
+        run("ablate-location", Ablation, "Reserved region location: middle of the disk vs the edge"),
+        run("ablate-drift", Ablation, "Day-to-day drift: how fast changing access patterns erode the benefit"),
+        run("ablate-granularity", Ablation, "Selection granularity: hottest blocks vs hottest whole cylinders"),
+        run("ablate-incremental", Ablation, "Overnight movement cost: full clean-and-recopy vs incremental rearrangement"),
+        run("ablate-decay", Ablation, "Count history: nightly reset (the paper) vs exponential decay, across drift rates"),
+        run("ablate-online", Ablation, "Overnight-only (the paper) vs continuous online rearrangement (controller-style)"),
+        run("ablate-shuffler", Ablation, "Block rearrangement vs whole-disk cylinder shuffling ([Vongsathorn & Carson 90])"),
+        run("ablate-rotation", Ablation, "Rotational cost of placement under BACK-TO-BACK sequential reads (Table 10's regime)"),
+        run("faults", Faults, "Graceful degradation under seeded disk faults (extension)"),
+        run("array", Array, "Array scale-out: N-disk striped volumes, per-disk rearrangement (extension)"),
+        run("array-n2", Array, "Array smoke cell: N=2 striped volume (CI determinism gate)"),
+        run("array-redundant", Array, "Redundant arrays: whole-disk death, hot-spare fail-over, online rebuild (extension)"),
+        run("serve", Serve, "Serving front end: admission control, backpressure, DRR fairness (extension)"),
+        run("serve-smoke", Serve, "Serving smoke cell: tiny adaptive member under overload (CI gate)"),
+    ]
+};
+
+/// An id that names no row of the run table.
 ///
 /// The error message lists every valid id so a typo at the CLI is a
 /// one-round-trip fix rather than a scavenger hunt.
@@ -46,28 +137,11 @@ pub struct UnknownId {
     pub id: String,
 }
 
-impl UnknownId {
-    /// Wrap an unrecognized id.
-    pub fn new(id: impl Into<String>) -> Self {
-        UnknownId { id: id.into() }
-    }
-
-    /// Every id the suite accepts, in listing order.
-    pub fn valid_ids() -> Vec<&'static str> {
-        let mut ids: Vec<&'static str> = Campaign::all_ids().to_vec();
-        ids.extend_from_slice(ablation_ids());
-        ids.push("faults");
-        ids.extend_from_slice(array_ids());
-        ids.extend_from_slice(serve_ids());
-        ids
-    }
-}
-
 impl std::fmt::Display for UnknownId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "unknown experiment id `{}`; valid ids:", self.id)?;
-        for id in Self::valid_ids() {
-            writeln!(f, "  {id}")?;
+        for run in RUNS {
+            writeln!(f, "  {}", run.id)?;
         }
         Ok(())
     }
@@ -75,64 +149,69 @@ impl std::fmt::Display for UnknownId {
 
 impl std::error::Error for UnknownId {}
 
-/// What kind of run a [`RunSpec`] names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunKind {
-    /// A paper table/figure regenerator (`table2`, `fig8`, ...).
-    Experiment,
-    /// An ablation study (`ablate-*`).
-    Ablation,
-    /// The fault-injection sweep (`faults`).
-    Faults,
-    /// An array scale-out run (`array`, `array-n2`).
-    Array,
-    /// A serving-front-end run (`serve`, `serve-smoke`).
-    Serve,
-}
-
-impl RunKind {
-    /// Stable lower-case name for JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            RunKind::Experiment => "experiment",
-            RunKind::Ablation => "ablation",
-            RunKind::Faults => "faults",
-            RunKind::Array => "array",
-            RunKind::Serve => "serve",
-        }
-    }
-}
-
-/// One independent unit of work in a batch.
+/// One independent unit of work in a batch: a row of the run table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSpec {
     /// The run id (`table2`, `ablate-drift`, `faults`, ...).
     pub id: String,
-    /// Which family of runs the id belongs to.
-    pub kind: RunKind,
+    /// Its row of [`RUNS`].
+    pub run: &'static Run,
 }
 
 impl RunSpec {
-    /// Classify an id, rejecting unknown ones up front — a batch with a
-    /// typo fails before any work starts, not twenty minutes in.
+    /// Look an id up in the run table, rejecting unknown ones up front —
+    /// a batch with a typo fails before any work starts, not twenty
+    /// minutes in.
     pub fn resolve(id: &str) -> Result<RunSpec, UnknownId> {
-        let kind = if Campaign::all_ids().contains(&id) {
-            RunKind::Experiment
-        } else if ablation_ids().contains(&id) {
-            RunKind::Ablation
-        } else if id == "faults" {
-            RunKind::Faults
-        } else if array_ids().contains(&id) {
-            RunKind::Array
-        } else if serve_ids().contains(&id) {
-            RunKind::Serve
-        } else {
-            return Err(UnknownId::new(id));
-        };
+        let run = RUNS.iter().find(|run| run.id == id);
+        let run = run.ok_or_else(|| UnknownId { id: id.to_string() })?;
         Ok(RunSpec {
             id: id.to_string(),
-            kind,
+            run,
         })
+    }
+
+    /// Run it: the one place an id turns into code. A `match` of direct
+    /// calls on purpose — `abr-lint`'s call graph does not follow
+    /// function values, so a table of `fn` pointers would hide every
+    /// run body from D004/D005.
+    pub fn dispatch(&self, campaign: &Campaign) -> Report {
+        let r = Report::new(self.run.id, self.run.title);
+        match self.run.id {
+            "table1" => runs::table1(r),
+            "table2" => campaign.summary_table(r, FsKind::System, false, &runs::PAPER_TABLE2),
+            "table3" => campaign.table3(r),
+            "table4" => campaign.summary_table(r, FsKind::System, true, &runs::PAPER_TABLE4),
+            "fig4" => campaign.service_cdf(r, FsKind::System),
+            "fig5" => campaign.block_distribution(r, FsKind::System),
+            "table5" => campaign.summary_table(r, FsKind::Users, false, &runs::PAPER_TABLE5),
+            "fig6" => campaign.service_cdf(r, FsKind::Users),
+            "fig7" => campaign.block_distribution(r, FsKind::Users),
+            "table6" => campaign.summary_table(r, FsKind::Users, true, &runs::PAPER_TABLE6),
+            "fig8" => runs::fig8(r),
+            "table7" => campaign.table7(r),
+            "table8" => campaign.policy_detail(r, DiskKind::Toshiba),
+            "table9" => campaign.policy_detail(r, DiskKind::Fujitsu),
+            "table10" => campaign.table10(r),
+            "fig3" => runs::fig3(r),
+            "ablate-scheduler" => ablations::scheduler(r),
+            "ablate-analyzer" => ablations::analyzer(r),
+            "ablate-location" => ablations::location(r),
+            "ablate-drift" => ablations::drift(r),
+            "ablate-granularity" => ablations::granularity(r),
+            "ablate-incremental" => ablations::incremental(r),
+            "ablate-decay" => ablations::decay(r),
+            "ablate-online" => ablations::online(r),
+            "ablate-shuffler" => ablations::shuffler(r),
+            "ablate-rotation" => ablations::rotation(r),
+            "faults" => faults::sweep(r),
+            "array" => arrays::scale_out(r),
+            "array-n2" => arrays::n2_cell(r),
+            "array-redundant" => arrays::redundant(r),
+            "serve" => serve::sweep(r),
+            "serve-smoke" => serve::smoke(r),
+            other => panic!("run table row `{other}` has no dispatcher arm"),
+        }
     }
 }
 
@@ -217,7 +296,7 @@ impl BatchResult {
             // byte-compared across machines and worker counts.
             runs.push(jsn!({
                 "id": o.spec.id.as_str(),
-                "kind": o.spec.kind.name(),
+                "kind": o.spec.run.family.name(),
                 "ok": o.report.is_ok(),
                 "wall_s": o.wall.as_secs_f64(),
                 "sim_s": o.meter.sim.as_secs_f64(),
@@ -436,13 +515,7 @@ impl RunBatch {
         } else {
             Campaign::with_cache(Arc::clone(&self.cache))
         };
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| match spec.kind {
-            RunKind::Experiment => campaign.run(&spec.id),
-            RunKind::Ablation => run_ablation(&spec.id),
-            RunKind::Faults => Ok(run_faults()),
-            RunKind::Array => run_array(&spec.id),
-            RunKind::Serve => run_serve(&spec.id),
-        }));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| spec.dispatch(&campaign)));
         let wall = t0.elapsed();
         // Always harvest, even after a panic: worker threads are reused
         // and a leaked recorder (or series/objective set) would bleed
@@ -450,15 +523,9 @@ impl RunBatch {
         let trace = trace_take();
         let day_series = day_series_take();
         slo_clear();
-        let report = match result {
-            // `resolve()` vetted the id, so the inner Err is unreachable
-            // in practice; fold it into the failure path anyway.
-            Ok(inner) => inner.map_err(|e| e.to_string()),
-            Err(panic) => Err(panic_message(panic)),
-        };
         RunOutcome {
             spec: spec.clone(),
-            report,
+            report: result.map_err(panic_message),
             wall,
             meter: run_meter(),
             metrics: registry_snapshot(),
@@ -688,28 +755,55 @@ pub fn bench_compare(
 mod tests {
     use super::*;
 
-    #[test]
-    fn resolve_classifies_every_family() {
-        assert_eq!(
-            RunSpec::resolve("table2").unwrap().kind,
-            RunKind::Experiment
-        );
-        assert_eq!(
-            RunSpec::resolve("ablate-drift").unwrap().kind,
-            RunKind::Ablation
-        );
-        assert_eq!(RunSpec::resolve("faults").unwrap().kind, RunKind::Faults);
-        assert_eq!(RunSpec::resolve("array").unwrap().kind, RunKind::Array);
-        assert_eq!(RunSpec::resolve("array-n2").unwrap().kind, RunKind::Array);
-        assert_eq!(RunSpec::resolve("nope").unwrap_err().id, "nope");
-    }
+    /// The parent's `experiments --list`, in its order.
+    const LISTING: &str = "table1 table2 table3 table4 fig4 fig5 table5 fig6 fig7 table6 fig8 \
+        table7 table8 table9 table10 fig3 ablate-scheduler ablate-analyzer ablate-location \
+        ablate-drift ablate-granularity ablate-incremental ablate-decay ablate-online \
+        ablate-shuffler ablate-rotation faults array array-n2 array-redundant serve serve-smoke";
 
     #[test]
-    fn unknown_id_lists_every_valid_id() {
-        let msg = UnknownId::new("bogus").to_string();
-        for id in UnknownId::valid_ids() {
-            assert!(msg.contains(id), "message must mention {id}");
+    fn run_table_lists_resolves_and_dispatches_every_id() {
+        // The listing: the parent's 32 ids in the parent's order, so no
+        // id twice, and the two family selections the CLI makes.
+        let listing: Vec<&str> = LISTING.split_whitespace().collect();
+        let ids: Vec<&str> = RUNS.iter().map(|run| run.id).collect();
+        assert_eq!((ids.len(), &ids), (32, &listing));
+        assert_eq!(Family::Experiment.ids(), &listing[..16]);
+        assert_eq!(Family::Ablation.ids(), &listing[16..26]);
+
+        // An unknown id is a typed error whose message lists them all.
+        let err = RunSpec::resolve("table99").unwrap_err();
+        assert_eq!(err.id, "table99");
+        let lines: Vec<String> = listing.iter().map(|id| format!("  {id}\n")).collect();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "unknown experiment id `table99`; valid ids:\n{}",
+                lines.concat()
+            )
+        );
+
+        // Every row resolves to itself and has a dispatcher arm: the
+        // whole table runs (on the shared day cache, like the CLI) and
+        // each report carries its row's id and title.
+        let batch = RunBatch::new(&listing, 0).unwrap();
+        for (spec, run) in batch.specs().iter().zip(RUNS) {
+            assert_eq!((spec.id.as_str(), spec.run), (run.id, run));
         }
+        let result = batch.execute();
+        assert_eq!(result.failed_ids(), Vec::<&str>::new());
+        for (outcome, run) in result.outcomes.iter().zip(RUNS) {
+            let report = outcome.report.as_ref().unwrap();
+            assert_eq!((report.id, report.title), (run.id, run.title));
+            assert!(report
+                .text
+                .starts_with(&format!("== {}: {} ==\n", run.id, run.title)));
+        }
+        let table1 = result.outcomes[0].report.as_ref().unwrap();
+        assert!(table1.text.contains("Toshiba MK156F"));
+        assert_eq!(table1.json["models"][0]["cylinders"], 815);
+        let fig3 = result.outcomes[15].report.as_ref().unwrap();
+        assert!(fig3.text.contains("Organ-pipe") && fig3.text.contains("Serial"));
     }
 
     #[test]

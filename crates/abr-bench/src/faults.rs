@@ -61,11 +61,7 @@ fn scenario(name: &str, plan: Option<FaultPlan>, r: &mut Report) -> JsonValue {
 }
 
 /// The `faults` experiment: graceful degradation under seeded faults.
-pub fn run_faults() -> Report {
-    let mut r = Report::new(
-        "faults",
-        "Graceful degradation under seeded disk faults (extension)",
-    );
+pub(crate) fn sweep(mut r: Report) -> Report {
     let mut rows = Vec::new();
     rows.push(scenario("no faults", None, &mut r));
     for rate in [1e-4, 1e-3, 1e-2] {

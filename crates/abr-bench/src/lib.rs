@@ -1,4 +1,4 @@
-//! # abr-bench — experiment regenerators and micro-benchmarks
+//! # abr-bench — experiment regenerators
 //!
 //! One regenerator per table and figure of the paper's evaluation
 //! (§5), runnable via the `experiments` binary:
@@ -14,7 +14,9 @@
 //! next to the paper's published numbers. Results are also written to
 //! `results/<id>.txt` and `results/<id>.json` for EXPERIMENTS.md.
 //!
-//! Criterion micro-benchmarks for the hot paths live in `benches/`.
+//! Every id — paper tables and figures, ablations, the fault sweep,
+//! array and serving runs — is a row of one table, [`engine::RUNS`],
+//! and [`RunSpec::dispatch`] is the one place an id turns into code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

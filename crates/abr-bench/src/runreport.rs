@@ -408,7 +408,6 @@ mod tests {
                         }),
                     }),
                 }),
-                "histograms": JsonValue::object(),
                 "slo": vec![jsn!({
                     "slo": "p99(driver.service_us) < 150ms",
                     "value": p99,

@@ -9,7 +9,6 @@
 //! * The Figure 8 sweep varies the number of rearranged blocks day by day
 //!   on one long-running instance, just as §5.4 describes.
 
-use crate::engine::UnknownId;
 use crate::report::{triple, Report};
 use abr_core::{DayMetrics, Experiment, ExperimentConfig, PolicyKind};
 use abr_disk::{models, DiskModel};
@@ -83,6 +82,45 @@ impl FsKind {
 /// Number of on/off day pairs per summary table (the paper ran 5–6).
 const PAIRS: usize = 5;
 
+/// The paper's rows of an on/off summary table, Toshiba off/on then
+/// Fujitsu off/on: `[seek min avg max, service min avg max, waiting
+/// min avg max]` in ms.
+pub(crate) type PaperSummary = [[f64; 9]; 4];
+
+/// Table 2: system file system, all requests.
+pub(crate) const PAPER_TABLE2: PaperSummary = [
+    [
+        18.70, 19.46, 21.51, 38.41, 39.78, 41.71, 65.39, 82.73, 94.52,
+    ],
+    [0.98, 1.17, 1.55, 22.61, 22.88, 23.34, 40.39, 46.43, 51.13],
+    [7.80, 8.14, 8.67, 21.26, 21.60, 22.04, 61.35, 66.57, 72.69],
+    [0.70, 0.91, 1.16, 13.83, 14.18, 14.41, 35.65, 45.31, 52.52],
+];
+
+/// Table 4: system file system, reads only.
+pub(crate) const PAPER_TABLE4: PaperSummary = [
+    [12.46, 14.31, 16.60, 30.50, 32.80, 35.32, 4.48, 5.80, 6.86],
+    [3.54, 3.89, 4.49, 22.57, 23.59, 24.03, 4.46, 4.97, 5.47],
+    [7.52, 7.79, 8.02, 19.69, 20.29, 21.48, 3.21, 4.72, 7.59],
+    [1.32, 1.58, 1.89, 12.34, 12.87, 13.41, 2.54, 2.98, 3.32],
+];
+
+/// Table 5: users file system, all requests.
+pub(crate) const PAPER_TABLE5: PaperSummary = [
+    [11.06, 13.10, 15.45, 28.83, 31.14, 34.06, 8.32, 16.86, 31.93],
+    [8.10, 8.90, 10.78, 26.08, 27.32, 29.54, 4.74, 10.18, 18.63],
+    [3.27, 4.27, 4.79, 16.23, 17.00, 17.37, 4.33, 15.19, 48.96],
+    [1.76, 2.73, 3.92, 14.04, 15.12, 16.13, 3.53, 5.83, 8.75],
+];
+
+/// Table 6: users file system, reads only.
+pub(crate) const PAPER_TABLE6: PaperSummary = [
+    [11.97, 15.38, 17.73, 30.03, 32.90, 35.29, 1.18, 5.16, 16.87],
+    [6.67, 8.40, 9.64, 25.35, 26.48, 27.79, 0.73, 2.48, 4.19],
+    [4.95, 5.98, 7.13, 16.62, 17.59, 18.00, 1.30, 3.01, 7.21],
+    [2.05, 2.44, 2.74, 13.12, 13.84, 14.51, 0.99, 2.04, 4.05],
+];
+
 /// A system-fs Toshiba config with a 4-hour day — the standard setup for
 /// ablation sweeps, where many configurations must run.
 pub fn short_system_config(seed: u64) -> ExperimentConfig {
@@ -150,39 +188,6 @@ impl Campaign {
         Campaign { cache }
     }
 
-    /// All experiment ids in paper order.
-    pub fn all_ids() -> &'static [&'static str] {
-        &[
-            "table1", "table2", "table3", "table4", "fig4", "fig5", "table5", "fig6", "fig7",
-            "table6", "fig8", "table7", "table8", "table9", "table10", "fig3",
-        ]
-    }
-
-    /// Run one experiment by id. Unknown ids are a typed error listing
-    /// the valid ids, so a suite can reject bad input up front instead
-    /// of aborting mid-run.
-    pub fn run(&self, id: &str) -> Result<Report, UnknownId> {
-        Ok(match id {
-            "table1" => table1(),
-            "table2" => self.table2_or_4_or_5_or_6("table2")?,
-            "table3" => self.table3(),
-            "table4" => self.table2_or_4_or_5_or_6("table4")?,
-            "table5" => self.table2_or_4_or_5_or_6("table5")?,
-            "table6" => self.table2_or_4_or_5_or_6("table6")?,
-            "fig4" => self.fig_cdf("fig4"),
-            "fig6" => self.fig_cdf("fig6"),
-            "fig5" => self.fig_dist("fig5"),
-            "fig7" => self.fig_dist("fig7"),
-            "fig8" => fig8(),
-            "table7" => self.table7(),
-            "table8" => self.table8_or_9(DiskKind::Toshiba),
-            "table9" => self.table8_or_9(DiskKind::Fujitsu),
-            "table10" => self.table10(),
-            "fig3" => fig3(),
-            other => return Err(UnknownId::new(other)),
-        })
-    }
-
     /// The standard alternating on/off run for a (disk, fs), memoized.
     fn onoff_days(&self, disk: DiskKind, fs: FsKind) -> Arc<Vec<DayMetrics>> {
         memoized(&self.cache.onoff, (disk, fs), || {
@@ -208,61 +213,16 @@ impl Campaign {
         })
     }
 
-    fn table2_or_4_or_5_or_6(&self, id: &'static str) -> Result<Report, UnknownId> {
-        let (fs, reads_only, title, paper): (_, _, _, &[[f64; 9]]) = match id {
-            "table2" => (
-                FsKind::System,
-                false,
-                "On/Off summary, system file system (daily mean min/avg/max)",
-                // paper rows: [seek min avg max, svc min avg max, wait min avg max]
-                &[
-                    [
-                        18.70, 19.46, 21.51, 38.41, 39.78, 41.71, 65.39, 82.73, 94.52,
-                    ],
-                    [0.98, 1.17, 1.55, 22.61, 22.88, 23.34, 40.39, 46.43, 51.13],
-                    [7.80, 8.14, 8.67, 21.26, 21.60, 22.04, 61.35, 66.57, 72.69],
-                    [0.70, 0.91, 1.16, 13.83, 14.18, 14.41, 35.65, 45.31, 52.52],
-                ],
-            ),
-            "table4" => (
-                FsKind::System,
-                true,
-                "On/Off summary, system file system, READ requests only",
-                &[
-                    [12.46, 14.31, 16.60, 30.50, 32.80, 35.32, 4.48, 5.80, 6.86],
-                    [3.54, 3.89, 4.49, 22.57, 23.59, 24.03, 4.46, 4.97, 5.47],
-                    [7.52, 7.79, 8.02, 19.69, 20.29, 21.48, 3.21, 4.72, 7.59],
-                    [1.32, 1.58, 1.89, 12.34, 12.87, 13.41, 2.54, 2.98, 3.32],
-                ],
-            ),
-            "table5" => (
-                FsKind::Users,
-                false,
-                "On/Off summary, users file system",
-                &[
-                    [11.06, 13.10, 15.45, 28.83, 31.14, 34.06, 8.32, 16.86, 31.93],
-                    [8.10, 8.90, 10.78, 26.08, 27.32, 29.54, 4.74, 10.18, 18.63],
-                    [3.27, 4.27, 4.79, 16.23, 17.00, 17.37, 4.33, 15.19, 48.96],
-                    [1.76, 2.73, 3.92, 14.04, 15.12, 16.13, 3.53, 5.83, 8.75],
-                ],
-            ),
-            "table6" => (
-                FsKind::Users,
-                true,
-                "On/Off summary, users file system, READ requests only",
-                &[
-                    [11.97, 15.38, 17.73, 30.03, 32.90, 35.29, 1.18, 5.16, 16.87],
-                    [6.67, 8.40, 9.64, 25.35, 26.48, 27.79, 0.73, 2.48, 4.19],
-                    [4.95, 5.98, 7.13, 16.62, 17.59, 18.00, 1.30, 3.01, 7.21],
-                    [2.05, 2.44, 2.74, 13.12, 13.84, 14.51, 0.99, 2.04, 4.05],
-                ],
-            ),
-            // Defensive: `run` only routes the four ids above here, but
-            // a library caller reaching in gets a typed error, not a
-            // panic.
-            other => return Err(UnknownId::new(other)),
-        };
-        let mut r = Report::new(id, title);
+    /// Tables 2, 4, 5 and 6: daily means of every on day and every off
+    /// day of one file system, all requests or reads only, next to the
+    /// paper's rows.
+    pub(crate) fn summary_table(
+        &self,
+        mut r: Report,
+        fs: FsKind,
+        reads_only: bool,
+        paper: &PaperSummary,
+    ) -> Report {
         r.line(format!(
             "{:8} {:4} | {:^22} | {:^22} | {:^22}",
             "Disk", "On?", "Seek (min avg max)", "Service", "Waiting"
@@ -303,14 +263,10 @@ impl Campaign {
             }
         }
         r.json = jsn!({ "rows": json_rows });
-        Ok(r)
+        r
     }
 
-    fn table3(&self) -> Report {
-        let mut r = Report::new(
-            "table3",
-            "Two-day detail, system file system (off day / on day)",
-        );
+    pub(crate) fn table3(&self, mut r: Report) -> Report {
         // Paper: [fcfs_dist, dist, zero%, fcfs_seek, seek, svc, wait]
         // abr-lint: allow(D005, keyed lookup of paper constants; never iterated)
         let paper: HashMap<(DiskKind, bool), [f64; 7]> = HashMap::from([
@@ -359,18 +315,9 @@ impl Campaign {
         r
     }
 
-    fn fig_cdf(&self, id: &'static str) -> Report {
-        let (fs, title) = match id {
-            "fig4" => (
-                FsKind::System,
-                "Service time distribution, system fs, Fujitsu (off vs on day)",
-            ),
-            _ => (
-                FsKind::Users,
-                "Service time distribution, users fs, Fujitsu (off vs on day)",
-            ),
-        };
-        let mut r = Report::new(id, title);
+    /// Figures 4 and 6: the Fujitsu's service-time CDF on an off and an
+    /// on day of `fs`.
+    pub(crate) fn service_cdf(&self, mut r: Report, fs: FsKind) -> Report {
         let days = self.onoff_days(DiskKind::Fujitsu, fs);
         let off = days.iter().find(|d| !d.rearranged).expect("off day");
         let on = days.iter().find(|d| d.rearranged).expect("on day");
@@ -389,7 +336,7 @@ impl Campaign {
                 frac_below(&on.service_cdf, ms as f64) * 100.0
             ));
         }
-        if id == "fig4" {
+        if fs == FsKind::System {
             r.blank();
             r.line(format!(
                 "paper: ~50% of off-day requests complete in <20 ms vs ~85% on-day; measured {:.0}% vs {:.0}%",
@@ -417,22 +364,12 @@ impl Campaign {
             ));
             ms += 1.0;
         }
-        r.attach_csv(format!("{id}_cdf.csv"), csv);
+        r.attach_csv(format!("{}_cdf.csv", r.id), csv);
         r
     }
 
-    fn fig_dist(&self, id: &'static str) -> Report {
-        let (fs, title) = match id {
-            "fig5" => (
-                FsKind::System,
-                "Block access distribution, system fs (both disks, reads and all)",
-            ),
-            _ => (
-                FsKind::Users,
-                "Block access distribution, users fs (both disks, reads and all)",
-            ),
-        };
-        let mut r = Report::new(id, title);
+    /// Figures 5 and 7: how a day's requests of `fs` spread over blocks.
+    pub(crate) fn block_distribution(&self, mut r: Report, fs: FsKind) -> Report {
         let mut json_rows = Vec::new();
         for disk in DiskKind::both() {
             let days = self.onoff_days(disk, fs);
@@ -482,9 +419,9 @@ impl Campaign {
                     day.block_counts_reads.get(i).copied().unwrap_or(0)
                 ));
             }
-            r.attach_csv(format!("{id}_{}.csv", disk.name().to_lowercase()), csv);
+            r.attach_csv(format!("{}_{}.csv", r.id, disk.name().to_lowercase()), csv);
         }
-        if id == "fig5" {
+        if fs == FsKind::System {
             r.blank();
             r.line("paper (§5.4): fewer than 2000 blocks absorbed all requests; the 100 hottest absorbed ~90%");
         }
@@ -492,11 +429,7 @@ impl Campaign {
         r
     }
 
-    fn table7(&self) -> Report {
-        let mut r = Report::new(
-            "table7",
-            "Placement policy summary: % reduction in daily mean seek time vs FCFS/no-rearrangement",
-        );
+    pub(crate) fn table7(&self, mut r: Report) -> Report {
         // abr-lint: allow(D005, keyed lookup of paper constants; never iterated)
         let paper: HashMap<(DiskKind, &str, bool), f64> = HashMap::from([
             ((DiskKind::Toshiba, "Organ-pipe", false), 95.0),
@@ -548,12 +481,8 @@ impl Campaign {
         r
     }
 
-    fn table8_or_9(&self, disk: DiskKind) -> Report {
-        let (id, title): (&'static str, &'static str) = match disk {
-            DiskKind::Toshiba => ("table8", "Placement policy detail, Toshiba (on days)"),
-            DiskKind::Fujitsu => ("table9", "Placement policy detail, Fujitsu (on days)"),
-        };
-        let mut r = Report::new(id, title);
+    /// Tables 8 and 9: one on day of `disk` under each placement policy.
+    pub(crate) fn policy_detail(&self, mut r: Report, disk: DiskKind) -> Report {
         let mut json_rows = Vec::new();
         for policy in PolicyKind::all() {
             let days = self.policy_onoff(disk, policy);
@@ -586,11 +515,7 @@ impl Campaign {
         r
     }
 
-    fn table10(&self) -> Report {
-        let mut r = Report::new(
-            "table10",
-            "Rotational latency + transfer time by placement policy (reads, Toshiba)",
-        );
+    pub(crate) fn table10(&self, mut r: Report) -> Report {
         // Without rearrangement: the off day of the organ-pipe run.
         let days = self.policy_onoff(DiskKind::Toshiba, PolicyKind::OrganPipe);
         let off = days.iter().find(|d| !d.rearranged).expect("off day");
@@ -627,8 +552,7 @@ impl Campaign {
 }
 
 /// Table 1: disk model self-check.
-fn table1() -> Report {
-    let mut r = Report::new("table1", "Disk specifications and seek curves");
+pub(crate) fn table1(mut r: Report) -> Report {
     let mut rows = Vec::new();
     for m in [models::toshiba_mk156f(), models::fujitsu_m2266()] {
         let g = m.geometry;
@@ -664,11 +588,7 @@ fn table1() -> Report {
 
 /// Figure 8: % reduction vs number of rearranged blocks (Toshiba, system
 /// fs, all requests and reads only).
-fn fig8() -> Report {
-    let mut r = Report::new(
-        "fig8",
-        "Seek reduction vs number of rearranged blocks (Toshiba, system fs)",
-    );
+pub(crate) fn fig8(mut r: Report) -> Report {
     let cfg = config(
         DiskKind::Toshiba,
         FsKind::System,
@@ -726,13 +646,12 @@ fn fig8() -> Report {
 }
 
 /// Figure 3: the worked placement-policy example.
-fn fig3() -> Report {
+pub(crate) fn fig3(mut r: Report) -> Report {
     use abr_core::analyzer::HotBlock;
     use abr_core::placement::SlotMap;
     use abr_disk::DiskLabel;
     use abr_driver::ReservedLayout;
 
-    let mut r = Report::new("fig3", "Placement policy illustration (worked example)");
     // A small reserved area, 4-KB blocks: mirrors the paper's 3-cylinder,
     // 4-blocks-per-cylinder illustration in structure.
     let g = models::tiny_test_disk().geometry;
@@ -783,45 +702,6 @@ fn fig3() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_are_unique_and_complete() {
-        let ids = Campaign::all_ids();
-        let set: std::collections::HashSet<_> = ids.iter().collect();
-        assert_eq!(set.len(), ids.len());
-        assert_eq!(ids.len(), 16);
-    }
-
-    #[test]
-    fn table1_and_fig3_run_instantly() {
-        let c = Campaign::new();
-        let t1 = c.run("table1").unwrap();
-        assert!(t1.text.contains("Toshiba MK156F"));
-        assert!(t1.json["models"].as_array().unwrap().len() == 2);
-        assert_eq!(t1.json["models"][0]["cylinders"], 815);
-        let f3 = c.run("fig3").unwrap();
-        assert!(f3.text.contains("Organ-pipe"));
-        assert!(f3.text.contains("Serial"));
-    }
-
-    #[test]
-    fn unknown_id_is_a_typed_error_listing_valid_ids() {
-        let err = Campaign::new().run("table99").unwrap_err();
-        assert_eq!(err.id, "table99");
-        let msg = err.to_string();
-        assert!(msg.contains("table99"));
-        assert!(msg.contains("table2"));
-        assert!(msg.contains("ablate-"));
-        assert!(msg.contains("faults"));
-    }
-
-    #[test]
-    fn summary_table_helper_rejects_foreign_ids_without_panicking() {
-        // Library callers reaching past `run` get the same typed error
-        // the CLI does, not a panic.
-        let err = Campaign::new().table2_or_4_or_5_or_6("fig4").unwrap_err();
-        assert_eq!(err.id, "fig4");
-    }
 
     #[test]
     fn shared_cache_serves_precomputed_days() {

@@ -18,18 +18,12 @@
 //! sweep itself is a regression gate. The `serve-smoke` id is a single
 //! small adaptive overload cell for the CI byte-identity job.
 
-use crate::engine::UnknownId;
 use crate::report::Report;
 use abr_array::{Redundancy, StripePolicy};
 use abr_disk::fault::FaultPlan;
 use abr_disk::models;
 use abr_serve::{ServeConfig, ServeExperiment, ServeSummary};
 use abr_sim::{jsn, JsonValue, SimDuration, SimTime};
-
-/// Serving experiment ids, in listing order.
-pub fn serve_ids() -> &'static [&'static str] {
-    &["serve", "serve-smoke"]
-}
 
 /// Which in-process gate a cell carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,52 +279,30 @@ fn check_cell(cell: &Cell, s: &ServeSummary, lost: u64, snap: &JsonValue) {
     }
 }
 
-/// Run a serving experiment by id.
-pub fn run_serve(id: &str) -> Result<Report, UnknownId> {
-    let (cells, mut r) = match id {
-        "serve" => (
-            sweep_cells(),
-            Report::new(
-                "serve",
-                "Serving front end: admission control, backpressure, DRR fairness (extension)",
-            ),
-        ),
-        "serve-smoke" => (
-            vec![smoke_cell()],
-            Report::new(
-                "serve-smoke",
-                "Serving smoke cell: tiny adaptive member under overload (CI gate)",
-            ),
-        ),
-        other => return Err(UnknownId::new(other)),
-    };
-    let mut rows = Vec::new();
-    for cell in &cells {
-        rows.push(run_cell(cell, &mut r));
-    }
-    if id == "serve" {
-        r.blank();
-        r.line("expected shape: moderate-load cells accept everything; the overload cell sheds");
-        r.line("with a bounded queue and a max/min per-client completion ratio <= 2; the degraded");
-        r.line("mirror serves every request with zero lost blocks through death and replacement.");
-    }
+/// The `serve` sweep: every volume shape, then the two gate cells.
+pub(crate) fn sweep(mut r: Report) -> Report {
+    let rows: Vec<JsonValue> = sweep_cells()
+        .iter()
+        .map(|cell| run_cell(cell, &mut r))
+        .collect();
+    r.blank();
+    r.line("expected shape: moderate-load cells accept everything; the overload cell sheds");
+    r.line("with a bounded queue and a max/min per-client completion ratio <= 2; the degraded");
+    r.line("mirror serves every request with zero lost blocks through death and replacement.");
     r.json = jsn!({ "rows": rows });
-    Ok(r)
+    r
+}
+
+/// The `serve-smoke` cell on its own.
+pub(crate) fn smoke(mut r: Report) -> Report {
+    let rows = vec![run_cell(&smoke_cell(), &mut r)];
+    r.json = jsn!({ "rows": rows });
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_are_registered() {
-        assert_eq!(serve_ids(), &["serve", "serve-smoke"]);
-    }
-
-    #[test]
-    fn unknown_serve_id_is_typed() {
-        assert_eq!(run_serve("serve-99").unwrap_err().id, "serve-99");
-    }
 
     #[test]
     fn sweep_covers_all_three_fronts_and_both_gates() {

@@ -31,6 +31,38 @@ pub struct RearrangeReport {
     pub busy: SimDuration,
 }
 
+impl RearrangeReport {
+    /// Fold the reply to one block-movement ioctl into the report: the
+    /// disk operations and busy time of a move that happened (`true`),
+    /// or one more failed block for a failure that is local to it
+    /// (`false`). Any other failure ends the pass.
+    fn absorb(&mut self, reply: Result<IoctlReply, DriverError>) -> Result<bool, DriverError> {
+        match reply {
+            Ok(IoctlReply::Moved { ops, busy }) => {
+                self.io_ops += ops;
+                self.busy += busy;
+                Ok(true)
+            }
+            Ok(_) => unreachable!("block-movement ioctls reply Moved"),
+            Err(e) if skippable(&e) => {
+                self.blocks_failed += 1;
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// What every placing pass ends with. Sanitize builds verify the
+    /// whole pass left the redirect map a bijection, including after
+    /// partially failed placements.
+    #[cfg_attr(not(feature = "sanitize"), allow(unused_variables))]
+    fn checked(self, driver: &AdaptiveDriver) -> RearrangeReport {
+        #[cfg(feature = "sanitize")]
+        driver.block_table().assert_bijection();
+        self
+    }
+}
+
 /// Whether a block-movement failure is local to that block (skip it and
 /// carry on) rather than fatal to the whole pass. Power loss kills the
 /// device; everything else — bad media, quarantined or occupied slots,
@@ -73,14 +105,10 @@ impl BlockArranger {
         driver: &mut AdaptiveDriver,
         now: SimTime,
     ) -> Result<RearrangeReport, DriverError> {
+        // A clean that fails fails the pass, whatever the reason.
+        let reply = driver.ioctl(Ioctl::Clean, now)?;
         let mut report = RearrangeReport::default();
-        match driver.ioctl(Ioctl::Clean, now)? {
-            IoctlReply::Moved { ops, busy } => {
-                report.io_ops += ops;
-                report.busy += busy;
-            }
-            _ => unreachable!("Clean replies Moved"),
-        }
+        report.absorb(Ok(reply))?;
         Ok(report)
     }
 
@@ -109,22 +137,11 @@ impl BlockArranger {
         let mut report = self.clean(driver, now)?;
         for (block, slot) in assignment {
             let at = now + report.busy;
-            match driver.ioctl(Ioctl::BCopy { block, slot }, at) {
-                Ok(IoctlReply::Moved { ops, busy }) => {
-                    report.io_ops += ops;
-                    report.busy += busy;
-                    report.blocks_placed += 1;
-                }
-                Ok(_) => unreachable!("BCopy replies Moved"),
-                Err(e) if skippable(&e) => report.blocks_failed += 1,
-                Err(e) => return Err(e),
+            if report.absorb(driver.ioctl(Ioctl::BCopy { block, slot }, at))? {
+                report.blocks_placed += 1;
             }
         }
-        // Sanitize builds verify the whole pass left the redirect map a
-        // bijection, including after partially failed placements.
-        #[cfg(feature = "sanitize")]
-        driver.block_table().assert_bijection();
-        Ok(report)
+        Ok(report.checked(driver))
     }
 
     /// Incremental rearrangement — the extension the paper's §1.1 points
@@ -172,19 +189,11 @@ impl BlockArranger {
             if wanted_set.contains(&orig) {
                 continue;
             }
+            // A failed eviction leaves the entry resident and its slot
+            // unavailable; the newcomer that wanted the slot will be
+            // skipped below.
             let at = now + report.busy;
-            match driver.ioctl(Ioctl::BEvict { orig }, at) {
-                Ok(IoctlReply::Moved { ops, busy }) => {
-                    report.io_ops += ops;
-                    report.busy += busy;
-                }
-                Ok(_) => unreachable!("BEvict replies Moved"),
-                // A failed eviction leaves the entry resident and its
-                // slot unavailable; the newcomer that wanted the slot
-                // will be skipped below.
-                Err(e) if skippable(&e) => report.blocks_failed += 1,
-                Err(e) => return Err(e),
-            }
+            report.absorb(driver.ioctl(Ioctl::BEvict { orig }, at))?;
         }
         // Newcomers take the freed slots in organ-pipe fill order
         // (hottest newcomer gets the most central free slot).
@@ -207,22 +216,11 @@ impl BlockArranger {
                 continue;
             };
             let at = now + report.busy;
-            match driver.ioctl(Ioctl::BCopy { block, slot }, at) {
-                Ok(IoctlReply::Moved { ops, busy }) => {
-                    report.io_ops += ops;
-                    report.busy += busy;
-                    report.blocks_placed += 1;
-                }
-                Ok(_) => unreachable!("BCopy replies Moved"),
-                Err(e) if skippable(&e) => report.blocks_failed += 1,
-                Err(e) => return Err(e),
+            if report.absorb(driver.ioctl(Ioctl::BCopy { block, slot }, at))? {
+                report.blocks_placed += 1;
             }
         }
-        // Sanitize builds verify the whole pass left the redirect map a
-        // bijection, including after partially failed placements.
-        #[cfg(feature = "sanitize")]
-        driver.block_table().assert_bijection();
-        Ok(report)
+        Ok(report.checked(driver))
     }
 }
 

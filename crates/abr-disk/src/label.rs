@@ -197,15 +197,7 @@ impl DiskLabel {
     ) -> DiskLabel {
         let reserved = ReservedArea::centered_aligned(&physical, n_cylinders, sectors_per_block)
             .expect("no block-aligned reserved placement exists");
-        let virtual_geometry = physical.with_cylinders(physical.cylinders - n_cylinders);
-        DiskLabel {
-            physical,
-            partitions: vec![Partition {
-                start_sector: 0,
-                n_sectors: virtual_geometry.total_sectors(),
-            }],
-            reserved: Some(reserved),
-        }
+        DiskLabel::with_reserved(physical, reserved)
     }
 
     /// Like [`DiskLabel::rearranged_aligned`] but with the reserved
@@ -226,12 +218,18 @@ impl DiskLabel {
             start_cylinder: start,
             n_cylinders,
         };
-        let virtual_geometry = physical.with_cylinders(physical.cylinders - n_cylinders);
+        DiskLabel::with_reserved(physical, reserved)
+    }
+
+    /// A rearranged label hiding `reserved`, with one partition covering
+    /// the whole virtual disk.
+    fn with_reserved(physical: Geometry, reserved: ReservedArea) -> DiskLabel {
+        let virtual_cylinders = physical.cylinders - reserved.n_cylinders;
         DiskLabel {
             physical,
             partitions: vec![Partition {
                 start_sector: 0,
-                n_sectors: virtual_geometry.total_sectors(),
+                n_sectors: physical.with_cylinders(virtual_cylinders).total_sectors(),
             }],
             reserved: Some(reserved),
         }

@@ -117,11 +117,6 @@ impl FsLayout {
         self.inode_blocks_per_group * u64::from(self.block_size / INODE_SIZE)
     }
 
-    /// Total i-nodes in the file system.
-    pub fn total_inodes(&self) -> u64 {
-        self.inodes_per_group() * self.n_groups()
-    }
-
     /// The group an i-node lives in.
     pub fn group_of_inode(&self, ino: u64) -> u64 {
         ino / self.inodes_per_group()

@@ -549,13 +549,10 @@ mod tests {
 
     #[test]
     fn cross_file_method_calls_link() {
-        let a = "struct Campaign;\nimpl Campaign { pub fn run(&self) {} }\n";
-        let b = "fn exec(c: &Campaign) { c.run(); }\n";
+        let a = "struct RunSpec;\nimpl RunSpec { pub fn dispatch(&self) {} }\n";
+        let b = "fn exec(s: &RunSpec) { s.dispatch(); }\n";
         let (_l, g) = graph_of(&[a, b]);
-        assert!(g
-            .edges
-            .iter()
-            .any(|e| g.fns[e.caller].name == "exec"
-                && g.fns[e.callee].qualified() == "Campaign::run"));
+        assert!(g.edges.iter().any(|e| g.fns[e.caller].name == "exec"
+            && g.fns[e.callee].qualified() == "RunSpec::dispatch"));
     }
 }

@@ -10,6 +10,8 @@
 //! token ranges belonging to `#[cfg(test)]` items so rules can skip
 //! test code.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 /// Token classes the rules care about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
@@ -72,6 +74,17 @@ impl Lexed {
         self.annotations
             .iter()
             .map(|a| (if a.own_line { a.line + 1 } else { a.line }, a))
+    }
+
+    /// Rule ids allowed per 1-based line, as every pass consumes them.
+    /// Validation (known rule, non-empty reason) is L001's job in
+    /// [`crate::rules::lint_file`]; an unknown id here is simply inert.
+    pub fn allow_lines(&self) -> BTreeMap<u32, BTreeSet<String>> {
+        let mut allow: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
+        for (applies_to, a) in self.annotation_lines() {
+            allow.entry(applies_to).or_default().insert(a.rule.clone());
+        }
+        allow
     }
 }
 

@@ -7,18 +7,20 @@
 //!   enforcing the repo's determinism contracts (no randomized-order
 //!   containers on the result path, no wall-clock reads outside the
 //!   allowlist, no unseeded randomness, narrow-cast bans in geometry
-//!   arithmetic) and a ratcheted `unwrap()`/`expect()` budget;
+//!   arithmetic) and a per-file count of `unwrap()`/`expect()` (P001);
 //! * a **deep analyzer** — a workspace symbol table and call graph
 //!   ([`graph`]) feeding an interprocedural determinism taint pass
 //!   ([`taint`], rules D004/D005) and a metric/SLO schema cross-check
-//!   ([`schema`], rules M001/M002), gated by a per-rule baseline
-//!   ratchet (`crates/abr-lint/baselines.txt`);
+//!   ([`schema`], rules M001/M002);
 //! * a **runtime sanitizer** ([`sanitize`]) — invariant checks the
 //!   product crates call behind their `sanitize` cargo feature
 //!   (block-table bijection, stripe/cylinder permutations, monotone
 //!   counters).
 //!
-//! See `DESIGN.md` §11 for the rule catalogue and annotation syntax.
+//! The findings that may stay (P001 debt per file, frozen D004/D005/
+//! M001/M002 exceptions) live in one down-only ratchet,
+//! `crates/abr-lint/baselines.txt`. See `DESIGN.md` §11 for the rule
+//! catalogue and annotation syntax.
 
 #![forbid(unsafe_code)]
 
@@ -36,10 +38,9 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Repo-relative path of the P001 budget file.
-pub const BUDGET_PATH: &str = "crates/abr-lint/p001_budget.txt";
-
-/// Repo-relative path of the deep-rule (D004/D005/M001/M002) baseline.
+/// Repo-relative path of the baseline: the one ratchet file, holding
+/// `RULE KEY COUNT` entries for P001 (key = file) and for
+/// D004/D005/M001/M002 (key = the finding's edit-stable key).
 pub const BASELINE_PATH: &str = "crates/abr-lint/baselines.txt";
 
 /// One finding, ordered for deterministic output.
@@ -78,39 +79,53 @@ impl fmt::Display for Diagnostic {
 }
 
 /// One parsed baseline entry: the frozen finding count plus the
-/// justifying comment lines directly above it in the file.
+/// justifying comment block it sits under in the file.
 #[derive(Debug, Clone, Default)]
 pub struct BaselineEntry {
     /// Allowed finding count for this (rule, key).
     pub count: usize,
-    /// `#`-comment lines attached to the entry (kept on rewrite).
+    /// `#`-comment lines of the entry's block (kept on rewrite).
     pub comments: Vec<String>,
 }
 
-/// The parsed deep-rule baseline file: `(rule, key) -> entry`.
+/// The parsed baseline file: `(rule, key) -> entry`.
 #[derive(Debug, Clone, Default)]
 pub struct Baseline {
     /// Entries keyed by (rule id, baseline key).
     pub entries: BTreeMap<(String, String), BaselineEntry>,
 }
 
-/// Parse `baselines.txt`. Line format: `RULE KEY COUNT`, `#` comments
-/// attach to the entry below them (a blank line detaches them — that is
-/// how the file header stays a header). Malformed lines and unknown
-/// rules become diagnostics rather than being ignored.
+impl Baseline {
+    /// Findings `entry` (a `(rule, key)` pair) may have: its count, or
+    /// none when it has no entry.
+    fn allowed(&self, entry: &(String, String)) -> usize {
+        self.entries.get(entry).map_or(0, |e| e.count)
+    }
+}
+
+/// Parse `baselines.txt`. Line format: `RULE KEY COUNT`. A block of `#`
+/// comments justifies every entry below it up to the next blank line
+/// (which is also how the file header stays a header); a comment after
+/// an entry starts a new block. Malformed lines and unknown rules
+/// become diagnostics rather than being ignored.
 pub fn parse_baseline(text: &str, diags: &mut Vec<Diagnostic>) -> Baseline {
     let mut baseline = Baseline::default();
-    let mut pending: Vec<String> = Vec::new();
+    let mut block: Vec<String> = Vec::new();
+    let mut block_has_entry = false;
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
-        if line.is_empty() {
-            pending.clear();
+        let comment = line.strip_prefix('#');
+        if line.is_empty() || (comment.is_some() && block_has_entry) {
+            block.clear();
+            block_has_entry = false;
+        }
+        if let Some(c) = comment {
+            block.push(c.trim().to_string());
+        }
+        if line.is_empty() || comment.is_some() {
             continue;
         }
-        if let Some(c) = line.strip_prefix('#') {
-            pending.push(c.trim().to_string());
-            continue;
-        }
+        block_has_entry = true;
         let mut it = line.split_whitespace();
         let entry = (|| {
             let rule = it.next()?;
@@ -121,31 +136,27 @@ pub fn parse_baseline(text: &str, diags: &mut Vec<Diagnostic>) -> Baseline {
             }
             Some((rule.to_string(), key.to_string(), n))
         })();
-        match entry {
-            Some((rule, key, count)) => {
-                if !rules::KNOWN_RULES.contains(&rule.as_str()) {
-                    diags.push(Diagnostic::new(
-                        "L001",
-                        BASELINE_PATH,
-                        (idx + 1) as u32,
-                        format!("baseline names unknown rule `{rule}`"),
-                    ));
-                }
-                baseline.entries.insert(
-                    (rule, key),
-                    BaselineEntry {
-                        count,
-                        comments: std::mem::take(&mut pending),
-                    },
-                );
-            }
-            None => diags.push(Diagnostic::new(
+        let Some((rule, key, count)) = entry else {
+            diags.push(Diagnostic::new(
                 "L001",
                 BASELINE_PATH,
                 (idx + 1) as u32,
                 format!("malformed baseline line `{line}` (want `RULE KEY COUNT`)"),
-            )),
+            ));
+            continue;
+        };
+        if !rules::KNOWN_RULES.contains(&rule.as_str()) {
+            diags.push(Diagnostic::new(
+                "L001",
+                BASELINE_PATH,
+                (idx + 1) as u32,
+                format!("baseline names unknown rule `{rule}`"),
+            ));
         }
+        let comments = block.clone();
+        baseline
+            .entries
+            .insert((rule, key), BaselineEntry { count, comments });
     }
     baseline
 }
@@ -154,14 +165,10 @@ pub fn parse_baseline(text: &str, diags: &mut Vec<Diagnostic>) -> Baseline {
 pub struct LintReport {
     /// All findings, sorted by (file, line, rule, message).
     pub diags: Vec<Diagnostic>,
-    /// Per-file unannotated `unwrap()`/`expect()` counts in non-test
-    /// library code (the reality side of the P001 ratchet).
-    pub p001_counts: BTreeMap<String, usize>,
-    /// Reality side of the deep-rule ratchet: `(rule, key) -> count`
-    /// of D004/D005/M001/M002 findings before baseline subtraction.
-    pub deep_counts: BTreeMap<(String, String), usize>,
-    /// The committed budget (allowed side), for regression refusal.
-    pub old_budget: BTreeMap<String, usize>,
+    /// Reality side of the ratchet: `(rule, key) -> count` of ratcheted
+    /// findings (P001 per file, D004/D005/M001/M002 per key) before
+    /// baseline subtraction.
+    pub counts: BTreeMap<(String, String), usize>,
     /// The committed baseline (allowed side + comments), for
     /// regression refusal and comment-preserving rewrite.
     pub old_baseline: Baseline,
@@ -178,98 +185,53 @@ impl LintReport {
         s
     }
 
-    /// Render the reality-side budget file content (sorted, one
-    /// `path count` pair per line) for `--write-budget`.
-    pub fn render_budget(&self) -> String {
-        let mut s = String::from(
-            "# P001 unwrap()/expect() debt per file — ratchet DOWN only.\n\
-             # Regenerate with: cargo run -p abr-lint -- --workspace --update-budget\n",
-        );
-        for (file, n) in &self.p001_counts {
-            if *n > 0 {
-                s.push_str(&format!("{file} {n}\n"));
-            }
-        }
-        s
-    }
-
     /// Render the reality-side baseline file for `--write-baseline`,
-    /// preserving the justifying comments of surviving entries. Entries
+    /// preserving the justifying comments of surviving entries (one
+    /// block per run of entries that share a justification). Entries
     /// that never had one get a TODO placeholder (which the lint keeps
     /// flagging until a real justification replaces it).
     pub fn render_baseline(&self) -> String {
         let mut s = String::from(
-            "# Deep-rule baselines (D004/D005/M001/M002) — ratchet DOWN only.\n\
-             # Format: RULE KEY COUNT. The comment above each entry must say\n\
-             # why it is allowed to stay; the lint flags entries without one.\n\
-             # Regenerate (down only) with: experiments lint --write-baseline\n",
+            "# abr-lint baselines: the findings that may stay. Ratchet DOWN only.\n\
+             # Format: RULE KEY COUNT, the key being the file for P001, file:fn:sink\n\
+             # for D004/D005 and the metric name for M001/M002. The comment block\n\
+             # above a run of entries must say why they are allowed to stay; the\n\
+             # lint flags entries without one. Regenerate (down only) with:\n\
+             #   cargo run -p abr-lint -- --write-baseline\n",
         );
-        for ((rule, key), n) in &self.deep_counts {
-            if *n == 0 {
-                continue;
-            }
-            s.push('\n');
-            let comments = self
-                .old_baseline
-                .entries
-                .get(&(rule.clone(), key.clone()))
-                .map(|e| e.comments.as_slice())
-                .unwrap_or(&[]);
-            if comments.is_empty() {
-                s.push_str("# TODO: justify this baseline entry\n");
-            } else {
+        let todo = ["TODO: justify this baseline entry".to_string()];
+        let mut previous: Option<&[String]> = None;
+        for (entry, n) in self.counts.iter().filter(|(_, n)| **n > 0) {
+            let comments = match self.old_baseline.entries.get(entry) {
+                Some(e) if !e.comments.is_empty() => e.comments.as_slice(),
+                _ => todo.as_slice(),
+            };
+            if previous != Some(comments) {
+                s.push('\n');
                 for c in comments {
                     s.push_str(&format!("# {c}\n"));
                 }
+                previous = Some(comments);
             }
-            s.push_str(&format!("{rule} {key} {n}\n"));
+            s.push_str(&format!("{} {} {n}\n", entry.0, entry.1));
         }
         s
     }
 
-    /// Files whose unwrap debt grew past the committed budget (the
-    /// write-refusal check: ratchets only move down).
-    pub fn budget_regressions(&self) -> Vec<String> {
-        self.p001_counts
-            .iter()
-            .filter(|(file, n)| **n > self.old_budget.get(*file).copied().unwrap_or(0))
-            .map(|(file, n)| {
-                format!(
-                    "{file}: {n} > budget {}",
-                    self.old_budget.get(file).copied().unwrap_or(0)
-                )
-            })
-            .collect()
-    }
-
-    /// Deep-rule entries whose finding count grew past the baseline.
+    /// Entries whose finding count grew past the baseline (the
+    /// write-refusal check: the ratchet only moves down).
     pub fn baseline_regressions(&self) -> Vec<String> {
-        self.deep_counts
-            .iter()
-            .filter(|((rule, key), n)| {
-                **n > self
-                    .old_baseline
-                    .entries
-                    .get(&((*rule).clone(), (*key).clone()))
-                    .map(|e| e.count)
-                    .unwrap_or(0)
-            })
-            .map(|((rule, key), n)| {
-                let allowed = self
-                    .old_baseline
-                    .entries
-                    .get(&(rule.clone(), key.clone()))
-                    .map(|e| e.count)
-                    .unwrap_or(0);
-                format!("{rule} {key}: {n} > baseline {allowed}")
-            })
-            .collect()
+        let risen = self.counts.iter().filter_map(|(entry, n)| {
+            let allowed = self.old_baseline.allowed(entry);
+            (*n > allowed).then(|| format!("{} {}: {n} > baseline {allowed}", entry.0, entry.1))
+        });
+        risen.collect()
     }
 
     /// Machine-readable report: a deterministic JSON document (sorted
-    /// diagnostics, sorted count maps) rendered with a hand-rolled
-    /// emitter so `abr-lint` stays dependency-free. Byte-identical for
-    /// identical findings regardless of `--jobs`.
+    /// diagnostics, one sorted `counts` map keyed `"RULE KEY"`)
+    /// rendered with a hand-rolled emitter so `abr-lint` stays
+    /// dependency-free.
     pub fn render_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"violations\": {},\n", self.diags.len()));
@@ -289,20 +251,13 @@ impl LintReport {
         } else {
             "\n  ],\n"
         });
-        s.push_str("  \"p001\": {");
-        let live: Vec<_> = self.p001_counts.iter().filter(|(_, n)| **n > 0).collect();
-        for (i, (file, n)) in live.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!("    {}: {n}", json_str(file)));
-        }
-        s.push_str(if live.is_empty() { "},\n" } else { "\n  },\n" });
-        s.push_str("  \"deep\": {");
-        let deep: Vec<_> = self.deep_counts.iter().filter(|(_, n)| **n > 0).collect();
-        for (i, ((rule, key), n)) in deep.iter().enumerate() {
+        s.push_str("  \"counts\": {");
+        let live: Vec<_> = self.counts.iter().filter(|(_, n)| **n > 0).collect();
+        for (i, ((rule, key), n)) in live.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             s.push_str(&format!("    {}: {n}", json_str(&format!("{rule} {key}"))));
         }
-        s.push_str(if deep.is_empty() { "}\n" } else { "\n  }\n" });
+        s.push_str(if live.is_empty() { "}\n" } else { "\n  }\n" });
         s.push_str("}\n");
         s
     }
@@ -325,39 +280,6 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Parse the budget file into `path -> allowed count`. Unknown or
-/// malformed lines become diagnostics rather than being ignored.
-pub fn parse_budget(text: &str, diags: &mut Vec<Diagnostic>) -> BTreeMap<String, usize> {
-    let mut budget = BTreeMap::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let entry = (|| {
-            let path = it.next()?;
-            let n: usize = it.next()?.parse().ok()?;
-            if it.next().is_some() {
-                return None;
-            }
-            Some((path.to_string(), n))
-        })();
-        match entry {
-            Some((path, n)) => {
-                budget.insert(path, n);
-            }
-            None => diags.push(Diagnostic::new(
-                "P001",
-                BUDGET_PATH,
-                (idx + 1) as u32,
-                format!("malformed budget line `{line}`"),
-            )),
-        }
-    }
-    budget
 }
 
 /// Recursively collect `.rs` files under `dir`, sorted for determinism.
@@ -442,38 +364,18 @@ fn load_one(src: &(String, String, PathBuf)) -> SourceFile {
     }
 }
 
-/// Read and lex every workspace source, on `jobs` threads. Results are
-/// merged back in enumeration order, so the outcome (and everything
-/// derived from it, including `--json` bytes) is identical for any
-/// `jobs` value.
-pub fn load_workspace(root: &Path, jobs: usize) -> Vec<SourceFile> {
-    let sources = workspace_sources(root);
-    let jobs = jobs.max(1).min(sources.len().max(1));
-    if jobs == 1 {
-        return sources.iter().map(load_one).collect();
-    }
-    let chunk = sources.len().div_ceil(jobs);
-    let mut out: Vec<SourceFile> = Vec::with_capacity(sources.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = sources
-            .chunks(chunk)
-            .map(|c| s.spawn(move || c.iter().map(load_one).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            // abr-lint: allow(P001, a panicked lexer worker leaves no sane report to emit)
-            out.extend(h.join().expect("lint worker panicked"));
-        }
-    });
-    out
+/// Read and lex every workspace source, in enumeration order.
+pub fn load_workspace(root: &Path) -> Vec<SourceFile> {
+    workspace_sources(root).iter().map(load_one).collect()
 }
 
-/// Lint already-loaded sources against the full rule catalogue, the
-/// P001 budget text, and the deep-rule baseline text. Pure: reads no
-/// files, so tests can drive it with synthetic workspaces.
-pub fn lint_sources(files: &[SourceFile], budget_text: &str, baseline_text: &str) -> LintReport {
+/// Lint already-loaded sources against the full rule catalogue and the
+/// baseline text. Pure: reads no files, so tests can drive it with
+/// synthetic workspaces.
+pub fn lint_sources(files: &[SourceFile], baseline_text: &str) -> LintReport {
     let mut diags = Vec::new();
-    let mut p001_counts = BTreeMap::new();
-    let mut p001_lines: BTreeMap<String, Vec<u32>> = BTreeMap::new();
+    // Every ratcheted finding, grouped by its baseline entry.
+    let mut found: BTreeMap<(String, String), Vec<Diagnostic>> = BTreeMap::new();
 
     for f in files {
         if f.read_error {
@@ -491,50 +393,16 @@ pub fn lint_sources(files: &[SourceFile], budget_text: &str, baseline_text: &str
             lexed: &f.lexed,
         });
         diags.extend(lint.diags);
-        if !lint.p001_lines.is_empty() {
-            p001_counts.insert(f.rel_path.clone(), lint.p001_lines.len());
-            p001_lines.insert(f.rel_path.clone(), lint.p001_lines);
-        }
-    }
-
-    // P001 budget arithmetic: over budget -> diagnostics at the excess
-    // call sites; under budget -> stale-budget diagnostic so debt only
-    // ratchets down (the file must be regenerated to the lower count).
-    let old_budget = parse_budget(budget_text, &mut diags);
-    for (file, lines) in &p001_lines {
-        let allowed = old_budget.get(file).copied().unwrap_or(0);
-        if lines.len() > allowed {
-            for line in &lines[allowed..] {
-                diags.push(Diagnostic::new(
+        for line in lint.p001_lines {
+            found
+                .entry(("P001".to_string(), f.rel_path.clone()))
+                .or_default()
+                .push(Diagnostic::new(
                     "P001",
-                    file,
-                    *line,
-                    format!(
-                        "unwrap()/expect() count {} exceeds budget {allowed}; handle the error or annotate allow(P001, reason)",
-                        lines.len()
-                    ),
+                    &f.rel_path,
+                    line,
+                    "unwrap()/expect() beyond the file's baseline; handle the error or annotate allow(P001, reason)".to_string(),
                 ));
-            }
-        } else if lines.len() < allowed {
-            diags.push(Diagnostic::new(
-                "P001",
-                file,
-                0,
-                format!(
-                    "budget {allowed} is stale (actual {}); ratchet down via --update-budget",
-                    lines.len()
-                ),
-            ));
-        }
-    }
-    for (file, allowed) in &old_budget {
-        if *allowed > 0 && !p001_lines.contains_key(file) {
-            diags.push(Diagnostic::new(
-                "P001",
-                file,
-                0,
-                format!("budget {allowed} is stale (actual 0); ratchet down via --update-budget"),
-            ));
         }
     }
 
@@ -551,13 +419,12 @@ pub fn lint_sources(files: &[SourceFile], budget_text: &str, baseline_text: &str
     // An entry point that names no function silently shrinks the taint
     // analysis (a rename leaves it guarding nothing): make that loud.
     for (ty, name) in taint::ENTRY_POINTS {
-        if call_graph.find(*ty, name).is_empty() {
-            let qualified = ty.map_or(name.to_string(), |t| format!("{t}::{name}"));
+        if call_graph.find(Some(ty), name).is_empty() {
             diags.push(Diagnostic::new(
                 "L001",
                 "crates/abr-lint/src/taint.rs",
                 0,
-                format!("taint entry point `{qualified}` resolves to no function"),
+                format!("taint entry point `{ty}::{name}` resolves to no function"),
             ));
         }
     }
@@ -570,54 +437,40 @@ pub fn lint_sources(files: &[SourceFile], budget_text: &str, baseline_text: &str
         .iter()
         .map(|f| (f.crate_name.clone(), f.rel_path.clone(), &f.lexed))
         .collect();
-
-    let mut deep: BTreeMap<(String, String), Vec<Diagnostic>> = BTreeMap::new();
     for f in taint::analyze(&taint_input, &scans, &call_graph) {
-        deep.entry((f.rule.to_string(), f.key()))
+        found
+            .entry((f.rule.to_string(), f.key()))
             .or_default()
             .push(f.diagnostic());
     }
     for f in schema::analyze(&schema_input) {
-        deep.entry((f.rule.to_string(), f.key()))
+        found
+            .entry((f.rule.to_string(), f.key()))
             .or_default()
             .push(f.diagnostic());
     }
 
-    // Baseline arithmetic: same ratchet shape as P001, but per
-    // (rule, key) so each frozen exception is individually visible.
+    // The ratchet, once for every rule: findings past an entry's count
+    // are reported where they are; an entry above reality (or naming a
+    // key with no finding left) is stale and must be regenerated, so
+    // debt only moves down; every frozen exception says why it stays.
     let old_baseline = parse_baseline(baseline_text, &mut diags);
-    let mut deep_counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for ((rule, key), found) in &deep {
-        deep_counts.insert((rule.clone(), key.clone()), found.len());
-        let entry = old_baseline.entries.get(&(rule.clone(), key.clone()));
-        let allowed = entry.map(|e| e.count).unwrap_or(0);
-        if found.len() > allowed {
-            diags.extend(found[allowed..].iter().cloned());
-        } else if found.len() < allowed {
-            diags.push(Diagnostic::new(
-                rule,
-                BASELINE_PATH,
-                0,
-                format!(
-                    "baseline `{rule} {key} {allowed}` is stale (actual {}); ratchet down via --write-baseline",
-                    found.len()
-                ),
-            ));
-        }
+    for (entry, findings) in &found {
+        diags.extend(findings.iter().skip(old_baseline.allowed(entry)).cloned());
     }
-    for ((rule, key), entry) in &old_baseline.entries {
-        if entry.count > 0 && !deep.contains_key(&(rule.clone(), key.clone())) {
+    for (id @ (rule, key), entry) in &old_baseline.entries {
+        let actual = found.get(id).map_or(0, Vec::len);
+        if actual < entry.count {
             diags.push(Diagnostic::new(
                 rule,
                 BASELINE_PATH,
                 0,
                 format!(
-                    "baseline `{rule} {key} {}` is stale (actual 0); ratchet down via --write-baseline",
+                    "baseline `{rule} {key} {}` is stale (actual {actual}); ratchet down via --write-baseline",
                     entry.count
                 ),
             ));
         }
-        // Frozen exceptions must each say why they stay.
         let justified = entry
             .comments
             .iter()
@@ -636,78 +489,40 @@ pub fn lint_sources(files: &[SourceFile], budget_text: &str, baseline_text: &str
     diags.dedup();
     LintReport {
         diags,
-        p001_counts,
-        deep_counts,
-        old_budget,
+        counts: found.into_iter().map(|(k, v)| (k, v.len())).collect(),
         old_baseline,
     }
 }
 
-/// Lint every workspace source file against the full rule catalogue,
-/// the P001 budget, and the deep-rule baseline (single-threaded load).
+/// Lint every workspace source file against the full rule catalogue
+/// and the committed baseline.
 pub fn lint_workspace(root: &Path) -> LintReport {
-    lint_workspace_jobs(root, 1)
-}
-
-/// [`lint_workspace`] with `jobs` loader/lexer threads. The report —
-/// including `--json` bytes — is identical for any `jobs` value.
-pub fn lint_workspace_jobs(root: &Path, jobs: usize) -> LintReport {
-    let files = load_workspace(root, jobs);
-    let budget_text = fs::read_to_string(root.join(BUDGET_PATH)).unwrap_or_default();
     let baseline_text = fs::read_to_string(root.join(BASELINE_PATH)).unwrap_or_default();
-    lint_sources(&files, &budget_text, &baseline_text)
+    lint_sources(&load_workspace(root), &baseline_text)
 }
 
-/// Options for [`run_lint`]: one struct so the two CLIs (`abr-lint`,
-/// `experiments lint`) stay in lockstep.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LintOptions {
-    /// Loader/lexer threads (0 or 1 = serial).
-    pub jobs: usize,
-    /// Rewrite the P001 budget to reality (refused on regressions).
-    pub write_budget: bool,
-    /// Rewrite the deep baseline to reality (refused on regressions).
-    pub write_baseline: bool,
-}
-
-/// Lint the workspace and apply any requested ratchet writes. A write
-/// is refused (Err) when findings *increased* — ratchets only move
-/// down; new debt needs a fix, an annotation, or a hand-written
-/// baseline entry with a justification. After a write the workspace is
-/// re-linted so the returned report reflects the refreshed files.
-pub fn run_lint(root: &Path, opts: &LintOptions) -> Result<LintReport, String> {
-    let report = lint_workspace_jobs(root, opts.jobs);
-    let mut rewritten = false;
-    if opts.write_budget {
-        let regressions = report.budget_regressions();
-        if !regressions.is_empty() {
-            return Err(format!(
-                "refusing to write {BUDGET_PATH}: unwrap debt increased\n  {}",
-                regressions.join("\n  ")
-            ));
-        }
-        let path = root.join(BUDGET_PATH);
-        fs::write(&path, report.render_budget())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        rewritten = true;
+/// Lint the workspace and, with `write_baseline`, rewrite the baseline
+/// to reality. The write is refused (Err) when findings *increased* —
+/// the ratchet only moves down; new debt needs a fix, an annotation, or
+/// a hand-written baseline entry with a justification. After a write
+/// the workspace is re-linted so the returned report reflects the
+/// refreshed file.
+pub fn run_lint(root: &Path, write_baseline: bool) -> Result<LintReport, String> {
+    let report = lint_workspace(root);
+    if !write_baseline {
+        return Ok(report);
     }
-    if opts.write_baseline {
-        let regressions = report.baseline_regressions();
-        if !regressions.is_empty() {
-            return Err(format!(
-                "refusing to write {BASELINE_PATH}: deep findings increased\n  {}",
-                regressions.join("\n  ")
-            ));
-        }
-        let path = root.join(BASELINE_PATH);
-        fs::write(&path, report.render_baseline())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        rewritten = true;
+    let regressions = report.baseline_regressions();
+    if !regressions.is_empty() {
+        return Err(format!(
+            "refusing to write {BASELINE_PATH}: findings increased\n  {}",
+            regressions.join("\n  ")
+        ));
     }
-    if rewritten {
-        return Ok(lint_workspace_jobs(root, opts.jobs));
-    }
-    Ok(report)
+    let path = root.join(BASELINE_PATH);
+    fs::write(&path, report.render_baseline())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(lint_workspace(root))
 }
 
 /// Find the workspace root by walking up from `start` until a directory

@@ -4,7 +4,7 @@
 
 #![forbid(unsafe_code)]
 
-use abr_lint::{find_root, run_lint, LintOptions};
+use abr_lint::{find_root, run_lint};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -12,24 +12,19 @@ const USAGE: &str = "\
 abr-lint: workspace determinism & panic-safety analyzer
 
 USAGE:
-    abr-lint [--workspace] [--root <dir>] [--jobs N] [--json]
-             [--write-budget] [--write-baseline] [--list-rules]
+    abr-lint [--workspace] [--root <dir>] [--json] [--write-baseline]
+             [--list-rules]
 
 OPTIONS:
     --workspace        Lint the enclosing workspace (default; kept for
                        symmetry with cargo's flag)
     --root <dir>       Lint the workspace rooted at <dir> instead of
                        searching upward from the current directory
-    --jobs N           Load and lex sources on N threads (output is
-                       byte-identical for any N)
     --json             Emit the machine-readable JSON report instead of
                        one-line-per-finding text
-    --write-budget     Rewrite crates/abr-lint/p001_budget.txt to the
-                       current unwrap()/expect() reality; refused if
-                       debt increased (--update-budget is an alias)
     --write-baseline   Rewrite crates/abr-lint/baselines.txt to the
-                       current D004/D005/M001/M002 reality; refused if
-                       findings increased
+                       current P001/D004/D005/M001/M002 reality,
+                       keeping its comments; refused if any count rose
     --list-rules       Print the rule catalogue and exit
 ";
 
@@ -41,18 +36,18 @@ D002  no Instant::now / SystemTime / env reads outside the allowlist
 D003  no unseeded randomness (thread_rng, rand::random, OsRng,
       from_entropy) anywhere
 D004  interprocedural: no wall-clock/env/FS-order/thread-id sink
-      reachable from a result-path entry point (Campaign::run,
-      RunBatch::execute, the array/fault/serve harnesses) through the
-      workspace call graph
+      reachable from a result-path entry point (RunBatch::execute,
+      RunSpec::dispatch, ServeExperiment::run/run_epoch,
+      DayLoop::run_day) through the workspace call graph
 D005  interprocedural: no HashMap/HashSet/RandomState or unseeded-rng
       sink reachable from a result-path entry point
 P001  unwrap()/expect() in non-test library code must stay within the
-      ratcheted per-file budget (crates/abr-lint/p001_budget.txt)
+      file's ratcheted `P001 <file> <count>` baseline entry
 C001  no narrowing `as` casts (u8/u16/u32/i8/i16/i32) in geometry.rs,
       layout.rs, cylmap.rs, stripe.rs
-M001  every registered metric name (counter/gauge/histogram/hires in a
-      producer crate) must have a consumer: a report column, an SLO,
-      or the bench-compare allowlist
+M001  every registered metric name (counter/gauge/hires in a producer
+      crate) must have a consumer: a report column, an SLO, or the
+      bench-compare allowlist
 M002  every consumed metric name must be registered by a producer
 L001  abr-lint annotations must name a known rule and give a reason;
       baseline entries must carry a justifying comment
@@ -61,13 +56,14 @@ Escape hatch: `// abr-lint: allow(RULE, reason)` — trailing on the
 offending line, or alone on the line above it. For D004/D005 an allow
 on a *call-site* line cuts taint propagation through that edge; an
 allow on the sink line (D002/D003/D001 ids work there too) suppresses
-the seed. Surviving findings go in crates/abr-lint/baselines.txt as
-`RULE KEY COUNT` with a justifying comment, and only ratchet down.
+the seed. Surviving P001/D004/D005/M001/M002 findings go in
+crates/abr-lint/baselines.txt as `RULE KEY COUNT` under a justifying
+comment block, and only ratchet down.
 ";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut opts = LintOptions::default();
+    let mut write_baseline = false;
     let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -80,16 +76,8 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--jobs" | "-j" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => opts.jobs = n,
-                _ => {
-                    eprintln!("--jobs needs a positive integer\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--json" => json = true,
-            "--write-budget" | "--update-budget" => opts.write_budget = true,
-            "--write-baseline" => opts.write_baseline = true,
+            "--write-baseline" => write_baseline = true,
             "--list-rules" => {
                 print!("{RULES}");
                 return ExitCode::SUCCESS;
@@ -113,7 +101,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let report = match run_lint(&root, &opts) {
+    let report = match run_lint(&root, write_baseline) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("abr-lint: {e}");

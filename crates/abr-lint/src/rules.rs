@@ -10,7 +10,7 @@
 //! | D001 | no `HashMap`/`HashSet` in result-path crates |
 //! | D002 | no wall-clock / environment reads outside the allowlist |
 //! | D003 | no unseeded randomness anywhere |
-//! | P001 | `unwrap()`/`expect()` in library code stays within the ratcheted budget |
+//! | P001 | `unwrap()`/`expect()` in library code stays within the file's ratcheted baseline entry |
 //! | C001 | no `as` narrowing casts in sector/cylinder arithmetic modules |
 //! | L001 | the lint's own inputs are well-formed: annotations (known rule, non-empty reason), baseline entries (justified), taint entry points (each resolves to a function) |
 //!
@@ -21,7 +21,6 @@
 
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::Diagnostic;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose code runs on the simulated-result path: anything with
 /// host-dependent iteration order here can leak into `results/*.json`.
@@ -66,7 +65,7 @@ pub struct FileCtx<'a> {
 }
 
 /// Result of linting one file: immediate diagnostics plus the P001
-/// occurrence list (budget arithmetic happens at workspace level).
+/// occurrence list (the baseline ratchet runs at workspace level).
 #[derive(Default)]
 pub struct FileLint {
     /// D001/D002/D003/C001/L001 findings.
@@ -76,44 +75,26 @@ pub struct FileLint {
     pub p001_lines: Vec<u32>,
 }
 
-/// Per-line allow set derived from annotations, plus L001 findings for
-/// malformed ones.
-fn allow_map(
-    ctx: &FileCtx<'_>,
-    diags: &mut Vec<Diagnostic>,
-) -> BTreeMap<u32, BTreeSet<&'static str>> {
-    let mut allow: BTreeMap<u32, BTreeSet<&'static str>> = BTreeMap::new();
-    for (applies_to, a) in ctx.lexed.annotation_lines() {
-        let known = KNOWN_RULES.iter().find(|r| **r == a.rule);
-        match known {
-            None => diags.push(Diagnostic::new(
-                "L001",
-                ctx.rel_path,
-                a.line,
-                format!("annotation names unknown rule `{}`", a.rule),
-            )),
-            Some(rule) => {
-                if a.reason.is_empty() {
-                    diags.push(Diagnostic::new(
-                        "L001",
-                        ctx.rel_path,
-                        a.line,
-                        format!("allow({rule}) annotation is missing a reason"),
-                    ));
-                }
-                allow.entry(applies_to).or_default().insert(rule);
-            }
-        }
+/// L001: every annotation must name a known rule and give a reason.
+fn check_annotations(ctx: &FileCtx<'_>, diags: &mut Vec<Diagnostic>) {
+    for a in &ctx.lexed.annotations {
+        let message = if !KNOWN_RULES.contains(&a.rule.as_str()) {
+            format!("annotation names unknown rule `{}`", a.rule)
+        } else if a.reason.is_empty() {
+            format!("allow({}) annotation is missing a reason", a.rule)
+        } else {
+            continue;
+        };
+        diags.push(Diagnostic::new("L001", ctx.rel_path, a.line, message));
     }
-    allow
 }
 
 /// Run every rule over one lexed file.
 pub fn lint_file(ctx: &FileCtx<'_>) -> FileLint {
     let mut out = FileLint::default();
-    let allow = allow_map(ctx, &mut out.diags);
-    let allowed =
-        |line: u32, rule: &str| allow.get(&line).map(|s| s.contains(rule)).unwrap_or(false);
+    check_annotations(ctx, &mut out.diags);
+    let allow = ctx.lexed.allow_lines();
+    let allowed = |line: u32, rule: &str| allow.get(&line).is_some_and(|s| s.contains(rule));
     let toks = &ctx.lexed.tokens;
     let in_test = &ctx.lexed.in_test;
     let is = |i: usize, kind: TokKind, s: &str| -> bool {
@@ -224,7 +205,7 @@ pub fn lint_file(ctx: &FileCtx<'_>) -> FileLint {
                 }
             }
 
-            // P001 — record unwrap()/expect() occurrences for budgeting.
+            // P001 — record unwrap()/expect() occurrences for the ratchet.
             if p001_applies
                 && (t.text == "unwrap" || t.text == "expect")
                 && i > 0

@@ -8,7 +8,7 @@
 //! silently yields zeros. This pass closes the loop:
 //!
 //! * **Registrations** — every string literal passed to a
-//!   `counter`/`gauge`/`histogram`/`hires` call in a *producer* crate
+//!   `counter`/`gauge`/`hires` call in a *producer* crate
 //!   (everything except `abr-bench`, which only reads snapshots, and
 //!   `abr-lint` itself).
 //! * **Consumptions** — every metric-shaped string literal in
@@ -27,10 +27,10 @@
 
 use crate::lexer::{Lexed, TokKind};
 use crate::Diagnostic;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Registry calls whose first string argument registers a metric name.
-const REGISTER_FNS: &[&str] = &["counter", "gauge", "histogram", "hires"];
+const REGISTER_FNS: &[&str] = &["counter", "gauge", "hires"];
 
 /// Crates that only *read* metric snapshots; their string literals are
 /// consumption sites. (`abr-lint` is excluded from the scan entirely —
@@ -141,15 +141,6 @@ fn slo_metric_names(s: &str) -> Vec<String> {
     out
 }
 
-/// Per-line allow set (rule ids only; validation lives in `rules.rs`).
-fn allow_lines(lexed: &Lexed) -> BTreeMap<u32, BTreeSet<String>> {
-    let mut allow: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
-    for (applies_to, a) in lexed.annotation_lines() {
-        allow.entry(applies_to).or_default().insert(a.rule.clone());
-    }
-    allow
-}
-
 /// Cross-check registrations against consumptions over the workspace.
 /// `files` holds `(crate_name, rel_path, lexed)` per file.
 pub fn analyze(files: &[(String, String, &Lexed)]) -> Vec<SchemaFinding> {
@@ -162,9 +153,9 @@ pub fn analyze(files: &[(String, String, &Lexed)]) -> Vec<SchemaFinding> {
             continue;
         }
         let consumer = CONSUMER_CRATES.contains(&crate_name.as_str());
-        let allows = allow_lines(lexed);
+        let allows = lexed.allow_lines();
         let line_allowed =
-            |line: u32, rule: &str| allows.get(&line).map(|s| s.contains(rule)).unwrap_or(false);
+            |line: u32, rule: &str| allows.get(&line).is_some_and(|s| s.contains(rule));
         let toks = &lexed.tokens;
         for (i, t) in toks.iter().enumerate() {
             if t.kind != TokKind::Str || lexed.in_test.get(i).copied().unwrap_or(false) {

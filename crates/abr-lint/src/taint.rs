@@ -35,17 +35,15 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Result-path entry points: `(impl type, method name)`. Everything
 /// reachable from these must be deterministic — their output lands in
-/// `results/*.json` or the byte-compared bench/serve records.
-pub const ENTRY_POINTS: &[(Option<&str>, &str)] = &[
-    (Some("Campaign"), "run"),
-    (Some("RunBatch"), "execute"),
-    (None, "run_ablation"),
-    (None, "run_faults"),
-    (None, "run_array"),
-    (None, "run_serve"),
-    (Some("ServeExperiment"), "run"),
-    (Some("ServeExperiment"), "run_epoch"),
-    (Some("DayLoop"), "run_day"),
+/// `results/*.json` or the byte-compared bench/serve records. The
+/// batch engine, the one run dispatcher (a `match` of direct calls, so
+/// every run body is a call edge away), and the three loop entries.
+pub const ENTRY_POINTS: &[(&str, &str)] = &[
+    ("RunBatch", "execute"),
+    ("RunSpec", "dispatch"),
+    ("ServeExperiment", "run"),
+    ("ServeExperiment", "run_epoch"),
+    ("DayLoop", "run_day"),
 ];
 
 /// One taint finding: a sink inside a function reachable from the
@@ -101,16 +99,6 @@ struct Seed {
     line: u32,
 }
 
-/// Per-line allowed rules for one file (L001 validation happens in
-/// [`crate::rules::lint_file`]; unknown rules are simply inert here).
-fn allow_lines(lexed: &Lexed) -> BTreeMap<u32, BTreeSet<String>> {
-    let mut allow: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
-    for (applies_to, a) in lexed.annotation_lines() {
-        allow.entry(applies_to).or_default().insert(a.rule.clone());
-    }
-    allow
-}
-
 /// Run the analysis. `files` holds `(rel_path, lexed)` per file,
 /// aligned with `scans` and with the graph's `FnDef::file` indices.
 pub fn analyze(
@@ -119,13 +107,13 @@ pub fn analyze(
     graph: &CallGraph,
 ) -> Vec<TaintFinding> {
     let allows: Vec<BTreeMap<u32, BTreeSet<String>>> =
-        files.iter().map(|(_, l)| allow_lines(l)).collect();
+        files.iter().map(|(_, l)| l.allow_lines()).collect();
 
     let seeds = collect_seeds(files, scans, &allows);
 
     let mut findings = Vec::new();
     for rule in ["D004", "D005"] {
-        let parents = reach(graph, files, &allows, rule);
+        let parents = reach(graph, &allows, rule);
         for s in seeds.iter().filter(|s| s.rule == rule) {
             let Some(chain) = chain_to(graph, &parents, s.fn_gid) else {
                 continue;
@@ -247,7 +235,6 @@ fn collect_seeds(
 /// points map to themselves).
 fn reach(
     graph: &CallGraph,
-    files: &[(String, &Lexed)],
     allows: &[BTreeMap<u32, BTreeSet<String>>],
     rule: &str,
 ) -> Vec<Option<usize>> {
@@ -260,7 +247,7 @@ fn reach(
     let mut parents: Vec<Option<usize>> = vec![None; graph.fns.len()];
     let mut queue: Vec<usize> = Vec::new();
     for (ty, name) in ENTRY_POINTS {
-        for gid in graph.find(*ty, name) {
+        for gid in graph.find(Some(ty), name) {
             if parents[gid].is_none() {
                 parents[gid] = Some(gid);
                 queue.push(gid);
@@ -288,7 +275,6 @@ fn reach(
             queue.push(callee);
         }
     }
-    let _ = files;
     parents
 }
 
@@ -340,15 +326,15 @@ mod tests {
 
     #[test]
     fn two_hop_wall_clock_leak_is_found() {
-        let src = "struct Campaign;\n\
-                   impl Campaign { pub fn run(&self) { helper(); } }\n\
+        let src = "struct RunSpec;\n\
+                   impl RunSpec { pub fn dispatch(&self) { helper(); } }\n\
                    fn helper() { stamp(); }\n\
                    fn stamp() -> u64 { Instant::now().elapsed().as_micros() as u64 }\n";
         let f = run(&[("crates/abr-bench/src/runs.rs", src)]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "D004");
         assert_eq!(f[0].qualname, "stamp");
-        assert_eq!(f[0].chain, vec!["Campaign::run", "helper", "stamp"]);
+        assert_eq!(f[0].chain, vec!["RunSpec::dispatch", "helper", "stamp"]);
         assert_eq!(
             f[0].key(),
             "crates/abr-bench/src/runs.rs:stamp:Instant::now"
@@ -363,16 +349,16 @@ mod tests {
 
     #[test]
     fn sink_line_allow_suppresses_the_seed() {
-        let src = "struct Campaign;\n\
-                   impl Campaign { pub fn run(&self) { stamp(); } }\n\
+        let src = "struct RunSpec;\n\
+                   impl RunSpec { pub fn dispatch(&self) { stamp(); } }\n\
                    // abr-lint: allow(D004, wall profiling only, never in results)\n\
                    fn stamp() {\n\
                        let t = Instant::now();\n\
                    }\n";
         // The annotation covers the `fn` line, not the sink line inside.
         assert_eq!(run(&[("crates/abr-core/src/x.rs", src)]).len(), 1);
-        let src2 = "struct Campaign;\n\
-                    impl Campaign { pub fn run(&self) { stamp(); } }\n\
+        let src2 = "struct RunSpec;\n\
+                    impl RunSpec { pub fn dispatch(&self) { stamp(); } }\n\
                     fn stamp() {\n\
                         // abr-lint: allow(D004, wall profiling only, never in results)\n\
                         let t = Instant::now();\n\
@@ -382,9 +368,9 @@ mod tests {
 
     #[test]
     fn call_edge_allow_cuts_propagation() {
-        let src = "struct Campaign;\n\
-                   impl Campaign {\n\
-                       pub fn run(&self) {\n\
+        let src = "struct RunSpec;\n\
+                   impl RunSpec {\n\
+                       pub fn dispatch(&self) {\n\
                            stamp(); // abr-lint: allow(D004, wall time reported, not folded into results)\n\
                        }\n\
                    }\n\
@@ -402,7 +388,7 @@ mod tests {
 
     #[test]
     fn d005_hashmap_in_reachable_fn_body() {
-        let src = "fn run_ablation() { build(); }\n\
+        let src = "impl RunSpec { fn dispatch(&self) { build(); } }\n\
                    fn build() { let m = HashMap::new(); }\n";
         let f = run(&[("crates/abr-bench/src/ablations.rs", src)]);
         assert_eq!(f.len(), 1);
@@ -413,13 +399,13 @@ mod tests {
     #[test]
     fn type_alias_hashmap_does_not_seed() {
         let src = "type Cache = HashMap<u64, u64>;\n\
-                   fn run_ablation() { let c: Cache = Default::default(); }\n";
+                   impl RunSpec { fn dispatch(&self) { let c: Cache = Default::default(); } }\n";
         assert!(run(&[("crates/abr-bench/src/ablations.rs", src)]).is_empty());
     }
 
     #[test]
     fn existing_d001_annotation_covers_d005_seed() {
-        let src = "fn run_array() { let m = HashMap::new(); } // abr-lint: allow(D001, keyed lookups only)\n";
+        let src = "impl DayLoop { fn run_day(&mut self) { let m = HashMap::new(); } } // abr-lint: allow(D001, keyed lookups only)\n";
         assert!(run(&[("crates/abr-bench/src/arrays.rs", src)]).is_empty());
     }
 

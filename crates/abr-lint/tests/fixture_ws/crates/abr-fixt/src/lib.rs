@@ -1,10 +1,10 @@
 //! Taint fixture: each chain below is asserted by tests/deep.rs at
 //! these exact line numbers — renumber the asserts if you edit.
 
-pub struct Campaign;
+pub struct RunSpec;
 
-impl Campaign {
-    pub fn run(&self) {
+impl RunSpec {
+    pub fn dispatch(&self) {
         helper_a();
         // abr-lint: allow(D004, fixture: this edge is cut, the chain below must stay silent)
         cut_chain();

@@ -4,8 +4,8 @@
 //!   violations at known lines; the analyzer must find exactly those
 //!   (fixtures are plain data here: `workspace_sources` only scans
 //!   `src/`, so they never pollute a real workspace lint);
-//! * repo gates — the workspace itself must lint clean, and the P001
-//!   budget file must byte-match reality (the ratchet: debt can only
+//! * repo gates — the workspace itself must lint clean, and the
+//!   baseline file must byte-match reality (the ratchet: debt can only
 //!   go down, and only by regenerating the file).
 
 use abr_lint::lexer::lex;
@@ -172,7 +172,7 @@ fn fixture_l001_flags_malformed_annotations() {
 
 #[test]
 fn fixture_unresolved_entry_point_is_a_lint_error() {
-    // The fixture workspace defines `Campaign::run` and nothing else
+    // The fixture workspace defines `RunSpec::dispatch` and nothing else
     // from the entry-point list: every other entry must be reported,
     // the one that resolves must not.
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixture_ws");
@@ -189,8 +189,8 @@ fn fixture_unresolved_entry_point_is_a_lint_error() {
         "{}",
         report.render()
     );
-    assert!(unresolved("run_faults"), "{}", report.render());
-    assert!(!unresolved("Campaign::run"), "{}", report.render());
+    assert!(unresolved("RunBatch::execute"), "{}", report.render());
+    assert!(!unresolved("RunSpec::dispatch"), "{}", report.render());
 }
 
 fn render(lint: &FileLint) -> String {
@@ -219,20 +219,21 @@ fn repo_lints_clean() {
     );
 }
 
-/// The ratchet: the committed budget byte-matches reality. A fixed
-/// unwrap makes this fail until the budget is regenerated (downward);
-/// a new unwrap fails `repo_lints_clean` with a P001 instead.
+/// The ratchet: the committed baseline byte-matches reality, comments
+/// included (`--write-baseline` on a clean tree is a no-op). A fixed
+/// unwrap or a cured deep finding makes this fail until the file is
+/// regenerated (downward); a new one fails `repo_lints_clean` instead.
 #[test]
-fn p001_budget_matches_reality() {
+fn baseline_matches_reality() {
     let root = repo_root();
     let report = lint_workspace(&root);
     let committed =
-        std::fs::read_to_string(root.join(abr_lint::BUDGET_PATH)).expect("budget file present");
+        std::fs::read_to_string(root.join(abr_lint::BASELINE_PATH)).expect("baseline file present");
     assert_eq!(
         committed,
-        report.render_budget(),
-        "p001_budget.txt is out of date; regenerate with \
-         `cargo run -p abr-lint -- --workspace --update-budget`"
+        report.render_baseline(),
+        "baselines.txt is out of date; regenerate with \
+         `cargo run -p abr-lint -- --write-baseline`"
     );
 }
 

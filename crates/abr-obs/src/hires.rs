@@ -2,10 +2,11 @@
 //!
 //! The paper's claims are distributional — the value of rearrangement
 //! lives in the tail of the seek/service-time distribution, not the
-//! mean — so the coarse nine-bucket fixed histograms the registry
-//! started with cannot answer "what happened to p999". `LogHistogram`
-//! is the high-resolution replacement used on the driver and array
-//! latency paths: an HDR-style log2 layout with 32 linear sub-buckets
+//! mean — so a handful of coarse fixed buckets cannot answer "what
+//! happened to p999". `LogHistogram` is the registry's one histogram
+//! type, used on the driver, array and serving latency paths (see the
+//! crate docs for how it divides the work with `abr_sim::hist`): an
+//! HDR-style log2 layout with 32 linear sub-buckets
 //! per octave, giving a bounded ~3.1% relative error per bucket over
 //! the full `[0, 2^32)` µs range while staying a plain dense array —
 //! deterministic, mergeable (for the parallel engine's batched

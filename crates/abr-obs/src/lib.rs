@@ -15,9 +15,8 @@
 //!   recording is a thread-local concern so `--jobs N` parallelism
 //!   cannot perturb a trace.
 //! * [`registry`] — a unified metrics registry (counters, gauges,
-//!   fixed-bucket histograms, high-resolution [`hires::LogHistogram`]s)
-//!   with static handles, snapshotable as deterministic JSON through
-//!   [`abr_sim::json`].
+//!   high-resolution [`hires::LogHistogram`]s) with static handles,
+//!   snapshotable as deterministic JSON through [`abr_sim::json`].
 //! * [`series`] — a per-day metric time series: registry deltas
 //!   snapshotted at each simulated day boundary, so tail latency and
 //!   adaptation are visible day over day, not just end-of-run.
@@ -27,6 +26,19 @@
 //! * [`timer`] — scoped *wall-clock* timers feeding the same registry,
 //!   so simulated-time and real-time cost of each pipeline phase
 //!   (analyzer, placement, event loop) are reported side by side.
+//!
+//! ## Which histogram is for what
+//!
+//! The workspace has two histogram types, one per job:
+//!
+//! * `abr_sim::hist::Histogram` is the paper's measurement: the
+//!   driver's monitor at 1 ms resolution (§4.1.5), read out through
+//!   `DKIOCREADSTATS`. Every number in `results/*` comes from it.
+//! * [`LogHistogram`] is tail latency for operators: the only histogram
+//!   the registry holds, feeding run snapshots, the per-day series and
+//!   the SLO verdicts (`p99(driver.service_us) < 150ms`), in
+//!   microseconds with ~3.1 % buckets. Nothing in `results/*` except
+//!   `BENCH_experiments.json` reads it.
 //!
 //! ## Determinism contract
 //!
@@ -54,10 +66,10 @@ pub use recorder::{
     TraceBuffer, TracePause, DEFAULT_TRACE_CAPACITY,
 };
 pub use registry::{
-    registry_clear, registry_reset, registry_snapshot, with_registry, CounterId, FixedHistogram,
-    GaugeId, HiresId, HistogramId, Registry,
+    registry_clear, registry_reset, registry_snapshot, with_registry, CounterId, GaugeId, HiresId,
+    Registry,
 };
 pub use series::{day_series_len, day_series_record, day_series_reset, day_series_take};
-pub use slo::{slo_active, slo_clear, slo_install, Slo, SloQuantile};
+pub use slo::{slo_clear, slo_install, Slo, SloQuantile};
 pub use span::{MoveKind, ObsEvent, RearrangePhase, RequestSpan};
 pub use timer::{time_scope, ScopedWallTimer};

@@ -1,9 +1,9 @@
-//! Unified metrics registry: counters, gauges, fixed-bucket histograms.
+//! Unified metrics registry: counters, gauges, latency histograms.
 //!
 //! Every subsystem that used to keep an ad-hoc `u64` tally (the request
 //! monitor, the perf monitor, the bench engine's `RunMeter`) registers
 //! a named metric here instead and holds a static handle
-//! ([`CounterId`] / [`GaugeId`] / [`HistogramId`]) — an index, so the
+//! ([`CounterId`] / [`GaugeId`] / [`HiresId`]) — an index, so the
 //! hot-path update is one bounds-checked array write with no hashing.
 //!
 //! The registry is thread-local for the same reason the flight recorder
@@ -31,174 +31,15 @@ pub struct CounterId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeId(usize);
 
-/// Handle to a registered fixed-bucket histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
 /// Handle to a registered high-resolution [`LogHistogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HiresId(usize);
 
-/// A histogram with caller-fixed bucket upper bounds plus an overflow
-/// bucket, tracking exact `count` and `sum` alongside.
-///
-/// Bounds are inclusive upper edges in the metric's native unit
-/// (typically microseconds). Exact totals mean snapshots can recompute
-/// a mean without quantization error — the reconciliation test against
-/// `DirMetrics` relies on this.
-#[derive(Debug, Clone)]
-pub struct FixedHistogram {
-    bounds: Vec<u64>,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl FixedHistogram {
-    /// A fresh histogram with the given inclusive upper bounds — for
-    /// hot-path callers that accumulate observations locally and merge
-    /// them into the registry in one batch (see
-    /// [`Registry::merge_histogram`]).
-    pub fn with_bounds(bounds: &[u64]) -> FixedHistogram {
-        FixedHistogram::new(bounds.to_vec())
-    }
-
-    fn new(bounds: Vec<u64>) -> FixedHistogram {
-        let n = bounds.len() + 1; // + overflow
-        FixedHistogram {
-            bounds,
-            buckets: vec![0; n],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Observations that exceeded the last bound.
-    pub fn overflow(&self) -> u64 {
-        *self.buckets.last().expect("overflow bucket always present")
-    }
-
-    /// Largest observation seen (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Zero all buckets and totals, keeping the bounds.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.max = 0;
-    }
-
-    /// Quantile by bucket upper edge, same semantics as
-    /// `abr_sim::hist::Histogram::quantile` and
-    /// [`LogHistogram::quantile`]: target rank `ceil(q * count)`,
-    /// cumulative scan, inclusive upper bound of the holding bucket
-    /// (capped at the exact `max`); overflow ranks report `max`.
-    /// Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut acc = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return match self.bounds.get(i) {
-                    Some(&bound) => bound.min(self.max),
-                    None => self.max, // overflow bucket
-                };
-            }
-        }
-        self.max
-    }
-
-    /// The observations recorded here but not in `baseline` — the
-    /// per-day delta used by the day series. `baseline` must be an
-    /// earlier state of this histogram (same bounds, bucket-wise `<=`);
-    /// counts subtract saturating so a violated precondition degrades
-    /// to an undercount instead of a panic.
-    ///
-    /// `max` is not recoverable from a subtraction: the delta reports
-    /// the upper bound of its highest non-empty bucket, or the lifetime
-    /// `max` if the delta includes overflow observations.
-    pub fn diff(&self, baseline: &FixedHistogram) -> FixedHistogram {
-        let mut d = FixedHistogram::new(self.bounds.clone());
-        let mut top: Option<usize> = None;
-        for (i, (cur, base)) in self.buckets.iter().zip(&baseline.buckets).enumerate() {
-            let delta = cur.saturating_sub(*base);
-            d.buckets[i] = delta;
-            if delta > 0 {
-                top = Some(i);
-            }
-        }
-        d.count = self.count.saturating_sub(baseline.count);
-        d.sum = self.sum.saturating_sub(baseline.sum);
-        d.max = match top {
-            Some(i) => match self.bounds.get(i) {
-                Some(&bound) => bound.min(self.max),
-                None => self.max, // overflow bucket grew this window
-            },
-            None => 0,
-        };
-        d
-    }
-
-    /// The standard quantile set reported in snapshots and day series.
-    pub fn quantiles_json(&self) -> JsonValue {
-        jsn!({
-            "p50": self.quantile(0.50),
-            "p90": self.quantile(0.90),
-            "p99": self.quantile(0.99),
-            "p999": self.quantile(0.999),
-        })
-    }
-
-    fn to_json(&self) -> JsonValue {
-        jsn!({
-            "bounds": self.bounds.clone(),
-            "buckets": self.buckets.clone(),
-            "count": self.count,
-            "sum": self.sum,
-            "max": self.max,
-            "quantiles": self.quantiles_json(),
-        })
-    }
-}
-
-/// A metrics registry: named counters, gauges, and histograms.
+/// A metrics registry: named counters, gauges, and latency histograms.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, i64)>,
-    histograms: Vec<(String, FixedHistogram)>,
     hires: Vec<(String, LogHistogram)>,
     /// Counter values at the previous snapshot — sanitize builds verify
     /// counters are monotone between snapshots (a counter running
@@ -229,18 +70,6 @@ impl Registry {
         }
         self.gauges.push((name.to_string(), 0));
         GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Get or create the histogram named `name`. Bucket bounds are
-    /// fixed at first registration; later callers get the same
-    /// histogram regardless of the bounds they pass.
-    pub fn histogram(&mut self, name: &str, bounds: &[u64]) -> HistogramId {
-        if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
-            return HistogramId(i);
-        }
-        self.histograms
-            .push((name.to_string(), FixedHistogram::new(bounds.to_vec())));
-        HistogramId(self.histograms.len() - 1)
     }
 
     /// Get or create the high-resolution histogram named `name`. The
@@ -274,33 +103,6 @@ impl Registry {
         self.gauges[id.0].1
     }
 
-    /// Record one observation into a histogram.
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
-        self.histograms[id.0].1.observe(value);
-    }
-
-    /// Merge a locally-accumulated histogram into a registered one in a
-    /// single pass — the batched alternative to per-observation
-    /// [`Registry::observe`] on hot paths. Bucket layouts must match.
-    ///
-    /// # Panics
-    /// Panics if `other` was built with different bounds.
-    pub fn merge_histogram(&mut self, id: HistogramId, other: &FixedHistogram) {
-        let h = &mut self.histograms[id.0].1;
-        assert_eq!(h.bounds, other.bounds, "histogram bucket layouts differ");
-        for (b, o) in h.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        h.count += other.count;
-        h.sum += other.sum;
-        h.max = h.max.max(other.max);
-    }
-
-    /// Read access to a histogram.
-    pub fn histogram_value(&self, id: HistogramId) -> &FixedHistogram {
-        &self.histograms[id.0].1
-    }
-
     /// Record one observation into a high-resolution histogram.
     pub fn observe_hires(&mut self, id: HiresId, value: u64) {
         self.hires[id.0].1.observe(value);
@@ -328,11 +130,6 @@ impl Registry {
         self.gauges.iter().map(|(n, v)| (n.as_str(), *v))
     }
 
-    /// Iterate fixed-bucket histograms in registration order.
-    pub fn iter_histograms(&self) -> impl Iterator<Item = (&str, &FixedHistogram)> + '_ {
-        self.histograms.iter().map(|(n, h)| (n.as_str(), h))
-    }
-
     /// Iterate high-resolution histograms in registration order.
     pub fn iter_hires(&self) -> impl Iterator<Item = (&str, &LogHistogram)> + '_ {
         self.hires.iter().map(|(n, h)| (n.as_str(), h))
@@ -347,14 +144,12 @@ impl Registry {
         self.monotone_baseline.borrow_mut().clear();
         self.counters.iter_mut().for_each(|(_, v)| *v = 0);
         self.gauges.iter_mut().for_each(|(_, v)| *v = 0);
-        self.histograms.iter_mut().for_each(|(_, h)| h.reset());
         self.hires.iter_mut().for_each(|(_, h)| h.reset());
     }
 
     /// Serialize all metrics, names sorted within each section, as a
     /// deterministic JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "hires": {...},
-    /// "histograms": {...}}`.
+    /// `{"counters": {...}, "gauges": {...}, "hires": {...}}`.
     pub fn snapshot(&self) -> JsonValue {
         #[cfg(feature = "sanitize")]
         {
@@ -368,36 +163,23 @@ impl Registry {
             }
             *base = self.counters.clone();
         }
-        let mut counters: Vec<&(String, u64)> = self.counters.iter().collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut c = JsonValue::object();
-        for (name, v) in counters {
-            c.insert(name.as_str(), *v);
-        }
-
-        let mut gauges: Vec<&(String, i64)> = self.gauges.iter().collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut g = JsonValue::object();
-        for (name, v) in gauges {
-            g.insert(name.as_str(), *v);
-        }
-
-        let mut hists: Vec<&(String, FixedHistogram)> = self.histograms.iter().collect();
-        hists.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut h = JsonValue::object();
-        for (name, hist) in hists {
-            h.insert(name.as_str(), hist.to_json());
-        }
-
-        let mut hires: Vec<&(String, LogHistogram)> = self.hires.iter().collect();
-        hires.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut hr = JsonValue::object();
-        for (name, hist) in hires {
-            hr.insert(name.as_str(), hist.to_json());
-        }
-
-        jsn!({ "counters": c, "gauges": g, "hires": hr, "histograms": h })
+        jsn!({
+            "counters": section(&self.counters, |v| JsonValue::from(*v)),
+            "gauges": section(&self.gauges, |v| JsonValue::from(*v)),
+            "hires": section(&self.hires, LogHistogram::to_json),
+        })
     }
+}
+
+/// One section of a snapshot: `metrics` as an object, names sorted.
+fn section<T>(metrics: &[(String, T)], value: impl Fn(&T) -> JsonValue) -> JsonValue {
+    let mut sorted: Vec<&(String, T)> = metrics.iter().collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut object = JsonValue::object();
+    for (name, v) in sorted {
+        object.insert(name.as_str(), value(v));
+    }
+    object
 }
 
 thread_local! {
@@ -453,34 +235,18 @@ mod tests {
         let mut reg = Registry::new();
         let c = reg.counter("x");
         let g = reg.gauge("y");
-        let h = reg.histogram("z", &[10, 100]);
+        let h = reg.hires("z");
         reg.inc(c, 7);
         reg.set_gauge(g, -4);
-        reg.observe(h, 55);
+        reg.observe_hires(h, 55);
         reg.reset();
         assert_eq!(reg.counter_value(c), 0);
         assert_eq!(reg.gauge_value(g), 0);
-        assert_eq!(reg.histogram_value(h).count(), 0);
+        assert_eq!(reg.hires_value(h).count(), 0);
         // Handles resolved before the reset still address the same metric.
         reg.inc(c, 1);
         let again = reg.counter("x");
         assert_eq!(reg.counter_value(again), 1);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = FixedHistogram::new(vec![10, 100, 1000]);
-        for v in [5, 10, 11, 100, 999, 1000, 1001, 5000] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.sum(), 5 + 10 + 11 + 100 + 999 + 1000 + 1001 + 5000);
-        assert_eq!(h.overflow(), 2);
-        let j = h.to_json();
-        assert_eq!(j["buckets"][0], 2); // 5, 10
-        assert_eq!(j["buckets"][1], 2); // 11, 100
-        assert_eq!(j["buckets"][2], 2); // 999, 1000
-        assert_eq!(j["buckets"][3], 2); // 1001, 5000
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //!   "gauges": { "driver.queue_age_max_us": 181243, ... },
 //!   "hires": { "driver.service_us": { "count": ..., "sum": ...,
 //!               "max": ..., "quantiles": { "p50": ..., ... } }, ... },
-//!   "histograms": { ... same shape ... },
 //!   "slo": [ { "slo": "p99(driver.service_us) < 150ms",
 //!              "value": 52223, "ok": true }, ... ]
 //! }
@@ -35,7 +34,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::hires::LogHistogram;
-use crate::registry::{with_registry, FixedHistogram};
+use crate::registry::with_registry;
 use crate::slo;
 use abr_sim::jsn;
 use abr_sim::json::JsonValue;
@@ -50,7 +49,6 @@ fn excluded(name: &str) -> bool {
 struct DaySeries {
     points: Vec<JsonValue>,
     base_counters: BTreeMap<String, u64>,
-    base_hists: BTreeMap<String, FixedHistogram>,
     base_hires: BTreeMap<String, LogHistogram>,
 }
 
@@ -81,10 +79,8 @@ pub fn day_series_record() {
     struct DayData {
         counter_deltas: Vec<(String, u64)>,
         gauges: Vec<(String, i64)>,
-        hist_deltas: Vec<(String, FixedHistogram)>,
         hires_deltas: Vec<(String, LogHistogram)>,
         counters_now: BTreeMap<String, u64>,
-        hists_now: BTreeMap<String, FixedHistogram>,
         hires_now: BTreeMap<String, LogHistogram>,
     }
     let data = SERIES.with(|s| {
@@ -108,21 +104,6 @@ pub fn day_series_record() {
                 .filter(|(name, _)| !excluded(name))
                 .map(|(n, v)| (n.to_string(), v))
                 .collect();
-            let mut hist_deltas = Vec::new();
-            let mut hists_now = BTreeMap::new();
-            for (name, h) in r.iter_histograms() {
-                if excluded(name) {
-                    continue;
-                }
-                let delta = match series.base_hists.get(name) {
-                    Some(base) => h.diff(base),
-                    None => h.clone(),
-                };
-                hists_now.insert(name.to_string(), h.clone());
-                if delta.count() > 0 {
-                    hist_deltas.push((name.to_string(), delta));
-                }
-            }
             let mut hires_deltas = Vec::new();
             let mut hires_now = BTreeMap::new();
             for (name, h) in r.iter_hires() {
@@ -141,10 +122,8 @@ pub fn day_series_record() {
             DayData {
                 counter_deltas,
                 gauges,
-                hist_deltas,
                 hires_deltas,
                 counters_now,
-                hists_now,
                 hires_now,
             }
         })
@@ -153,13 +132,8 @@ pub fn day_series_record() {
     // Phase 2: evaluate SLOs against the day's deltas (may write the
     // slo.violations counter — excluded from points, so no feedback).
     let lookup = |metric: &str, q: f64| -> Option<u64> {
-        if let Some((_, h)) = data.hires_deltas.iter().find(|(n, _)| n == metric) {
-            return Some(h.quantile(q));
-        }
-        data.hist_deltas
-            .iter()
-            .find(|(n, _)| n == metric)
-            .map(|(_, h)| h.quantile(q))
+        let delta = data.hires_deltas.iter().find(|(n, _)| n == metric);
+        delta.map(|(_, h)| h.quantile(q))
     };
     let verdicts = slo::evaluate_day(&lookup);
 
@@ -174,14 +148,6 @@ pub fn day_series_record() {
                 o.insert(name, v);
             }
             o
-        };
-        let summarize_fixed = |h: &FixedHistogram| {
-            jsn!({
-                "count": h.count(),
-                "sum": h.sum(),
-                "max": h.max(),
-                "quantiles": h.quantiles_json(),
-            })
         };
         let summarize_hires = |h: &LogHistogram| {
             jsn!({
@@ -211,19 +177,12 @@ pub fn day_series_record() {
                     .map(|(n, h)| (n.clone(), summarize_hires(h)))
                     .collect(),
             ),
-            "histograms": sorted_obj(
-                data.hist_deltas
-                    .iter()
-                    .map(|(n, h)| (n.clone(), summarize_fixed(h)))
-                    .collect(),
-            ),
         });
         if let Some(v) = verdicts {
             point.insert("slo", v);
         }
         series.points.push(point);
         series.base_counters = data.counters_now;
-        series.base_hists = data.hists_now;
         series.base_hires = data.hires_now;
     });
 }

@@ -10,7 +10,7 @@
 //!
 //! Grammar: `<quantile> '(' <metric> ')' '<' <number><unit>` with
 //! `quantile ∈ {p50, p90, p99, p999}`, `metric` a registry histogram
-//! name (high-resolution or fixed-bucket), and `unit ∈ {us, ms, s}`.
+//! name, and `unit ∈ {us, ms, s}`.
 //! Whitespace around tokens is ignored. Metrics are always in
 //! microseconds, so thresholds normalize to µs at parse time.
 //!
@@ -137,11 +137,6 @@ pub fn slo_install(slos: Vec<Slo>) {
 /// Remove all installed objectives (run boundaries).
 pub fn slo_clear() {
     slo_install(Vec::new());
-}
-
-/// Whether any objectives are installed on this thread.
-pub fn slo_active() -> bool {
-    TRACKER.with(|t| !t.borrow().is_empty())
 }
 
 /// Evaluate every installed objective against one day's metric deltas.

@@ -45,5 +45,5 @@ pub use event::EventQueue;
 pub use hist::{DistTable, Histogram, TimeStats};
 pub use json::JsonValue;
 pub use rng::SimRng;
-pub use stats::{OnlineStats, Summary};
+pub use stats::Summary;
 pub use time::{SimDuration, SimTime};

@@ -2,8 +2,7 @@
 //!
 //! The paper's summary tables (Tables 2, 4, 5, 6) report the minimum,
 //! average and maximum of *daily mean* times over all "on" days or all
-//! "off" days. [`Summary`] accumulates exactly that. [`OnlineStats`] is a
-//! Welford accumulator for mean/variance when a spread estimate is useful.
+//! "off" days. [`Summary`] accumulates exactly that.
 
 use serde::{Deserialize, Serialize};
 
@@ -89,57 +88,6 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// Welford online mean/variance accumulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean, or NaN if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or NaN if empty.
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation, or NaN if empty.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,25 +119,5 @@ mod tests {
     fn summary_triple_format() {
         let s: Summary = [18.70, 19.46, 21.51].into_iter().collect();
         assert_eq!(s.triple(), " 18.70  19.89  21.51");
-    }
-
-    #[test]
-    fn online_stats_match_naive() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut o = OnlineStats::new();
-        for &x in &xs {
-            o.add(x);
-        }
-        assert!((o.mean() - 5.0).abs() < 1e-12);
-        assert!((o.variance() - 4.0).abs() < 1e-12);
-        assert!((o.stddev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn online_stats_single_value() {
-        let mut o = OnlineStats::new();
-        o.add(42.0);
-        assert_eq!(o.mean(), 42.0);
-        assert_eq!(o.variance(), 0.0);
     }
 }
