@@ -6,11 +6,15 @@
 //! block address space:
 //!
 //! * [`stripe`] — the address map: classic striping with a
-//!   configurable chunk size, concatenation, and hash-sharding.
+//!   configurable chunk size, concatenation, and hash-sharding; and,
+//!   under a redundancy scheme, the *redundancy groups* — which
+//!   locations protect which ([`StripeMap::group_at`]).
 //! * [`volume`] — the dispatcher: splits requests into per-disk
-//!   sub-requests, merges completions in simulated-time order, tracks
-//!   per-disk health (dead / failed / rebuilding / degraded / lost
-//!   blocks), and publishes the `array.*` registry metrics.
+//!   sub-requests, merges completions in simulated-time order, and
+//!   publishes the `array.*` registry metrics. Its maintenance half
+//!   (`maint.rs`: hot spares, resilver, scrub, per-disk health — dead /
+//!   failed / rebuilding / degraded / lost blocks) is a second `impl`
+//!   of the same type.
 //! * [`experiment`] — the measured-day harness over a volume, with one
 //!   rearrangement daemon *per member disk* so hot blocks migrate into
 //!   each spindle's own reserved region.
@@ -21,8 +25,10 @@
 //! (striped over half the members, copied to the other half) or
 //! rotated block parity. Redundant volumes serve reads through
 //! whole-disk failures, re-silver hot-spare replacements under a
-//! windowed I/O budget, and background-scrub for latent defects. See
-//! the [`volume`] module docs for the full model.
+//! windowed I/O budget, and background-scrub for latent defects. All
+//! of that is written once over the group invariant — the XOR over a
+//! group's members is zero — not once per scheme. See the [`volume`]
+//! module docs for the full model.
 //!
 //! ## Determinism invariants
 //!

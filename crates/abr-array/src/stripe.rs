@@ -297,11 +297,12 @@ impl StripeMap {
     }
 
     /// Mirroring only: the disk holding the other copy of everything on
-    /// `disk` (an involution — data disk ↔ copy disk).
+    /// `disk` (an involution — data disk ↔ copy disk). The write path's
+    /// view; everything that recovers asks for the [`Self::group_at`].
     ///
     /// # Panics
     /// If the map is not mirrored or `disk` is out of range.
-    pub fn mirror_partner(&self, disk: usize) -> usize {
+    pub(crate) fn mirror_partner(&self, disk: usize) -> usize {
         assert_eq!(self.redundancy, Redundancy::Mirror, "not a mirrored map");
         assert!(disk < self.n_disks);
         (disk + self.n_disks / 2) % self.n_disks
@@ -347,11 +348,12 @@ impl StripeMap {
     }
 
     /// Rotated parity only: the `(disk, disk block)` holding the parity
-    /// that covers volume block `vblock` (same within-chunk offset).
+    /// that covers volume block `vblock` (same within-chunk offset). The
+    /// write path's view, like [`Self::mirror_partner`].
     ///
     /// # Panics
     /// If the map is not parity-redundant.
-    pub fn parity_location(&self, vblock: u64) -> (usize, u64) {
+    pub(crate) fn parity_location(&self, vblock: u64) -> (usize, u64) {
         assert_eq!(self.redundancy, Redundancy::RotParity, "not a parity map");
         let within = vblock % self.chunk_blocks;
         let row = (vblock / self.chunk_blocks) / (self.n_disks as u64 - 1);
@@ -359,44 +361,66 @@ impl StripeMap {
         (parity, row * self.chunk_blocks + within)
     }
 
-    /// Rotated parity only: the other data locations XOR-ed into the
-    /// parity that covers `vblock` (same within-chunk offset, excludes
-    /// `vblock`'s own location and the parity chunk). Together with
-    /// `vblock`'s location these are the row's full XOR group.
-    ///
-    /// # Panics
-    /// If the map is not parity-redundant.
-    pub fn data_peers_of_block(&self, vblock: u64) -> Vec<(usize, u64)> {
-        assert_eq!(self.redundancy, Redundancy::RotParity, "not a parity map");
-        let within = vblock % self.chunk_blocks;
-        let chunk = vblock / self.chunk_blocks;
-        let data_per_row = self.n_disks as u64 - 1;
-        let row = chunk / data_per_row;
-        let own_pos = chunk % data_per_row;
-        let parity = row % self.n_disks as u64;
-        let mut peers = Vec::with_capacity(self.n_disks - 2);
-        for pos in 0..data_per_row {
-            if pos == own_pos {
-                continue;
-            }
-            let disk = if pos < parity { pos } else { pos + 1 } as usize;
-            peers.push((disk, row * self.chunk_blocks + within));
+    /// How many redundancy groups the volume has (0 without
+    /// redundancy): the range of the scrub cursor.
+    pub fn n_groups(&self) -> u64 {
+        let vol_blocks = self.vol_sectors.div_ceil(self.sectors_per_block);
+        match self.redundancy {
+            Redundancy::None => 0,
+            Redundancy::Mirror => vol_blocks,
+            Redundancy::RotParity => vol_blocks / (self.n_disks as u64 - 1),
         }
-        peers
     }
 
-    /// Rotated parity only: the volume blocks whose data lives in the
-    /// stripe row containing disk block `dblock` of any member (the
-    /// blocks a parity chunk at that row protects), at the same
-    /// within-chunk offset.
-    pub fn row_blocks_at(&self, dblock: u64) -> Vec<u64> {
-        assert_eq!(self.redundancy, Redundancy::RotParity, "not a parity map");
-        let row = dblock / self.chunk_blocks;
-        let within = dblock % self.chunk_blocks;
-        let data_per_row = self.n_disks as u64 - 1;
-        (0..data_per_row)
-            .map(|pos| (row * data_per_row + pos) * self.chunk_blocks + within)
-            .collect()
+    /// Members of every redundancy group: 2 mirrored, `N` under rotated
+    /// parity, 0 without redundancy. Restoring one member costs this
+    /// many member operations (the others read, the one written).
+    pub fn group_len(&self) -> usize {
+        match self.redundancy {
+            Redundancy::None => 0,
+            Redundancy::Mirror => 2,
+            Redundancy::RotParity => self.n_disks,
+        }
+    }
+
+    /// Redundancy group `index < n_groups()`: the `(disk, disk block)`
+    /// locations that protect one another. **The XOR over the members'
+    /// bytes is zero** — any member is the XOR of the others — which is
+    /// all that degraded reads, resilvering and scrubbing need to know
+    /// about the scheme. Data members come first (a mirrored block's
+    /// primary; a parity row's data blocks in volume order) and the
+    /// *check* member — the copy, the parity block — is last: a
+    /// mismatch is repaired by rewriting it from the data.
+    ///
+    /// # Panics
+    /// If the map has no redundancy.
+    pub fn group(&self, index: u64) -> Vec<(usize, u64)> {
+        match self.redundancy {
+            Redundancy::None => panic!("no redundancy groups"),
+            Redundancy::Mirror => {
+                let (disk, dblock) = self.map_block(index);
+                vec![(disk, dblock), (self.mirror_partner(disk), dblock)]
+            }
+            Redundancy::RotParity => {
+                // One group per disk-block index: the row's data chunks
+                // in position order, then its parity chunk.
+                let parity = (index / self.chunk_blocks % self.n_disks as u64) as usize;
+                let data = (0..self.n_disks).filter(|&disk| disk != parity);
+                data.chain([parity]).map(|disk| (disk, index)).collect()
+            }
+        }
+    }
+
+    /// The redundancy group that `(disk, dblock)` is a member of, or
+    /// `None` when nothing protects it: a volume without redundancy, or
+    /// a slot of the member's unused tail.
+    pub fn group_at(&self, disk: usize, dblock: u64) -> Option<Vec<(usize, u64)>> {
+        let index = match self.redundancy {
+            Redundancy::None => return None,
+            Redundancy::Mirror => self.vblock_at(disk % self.n_data, dblock)?,
+            Redundancy::RotParity => dblock,
+        };
+        (index < self.n_groups()).then(|| self.group(index))
     }
 
     /// Inverse of [`Self::map_block`] over the base layout: the volume
@@ -453,13 +477,6 @@ impl StripeMap {
             }
         };
         (vb * spb < self.vol_sectors).then_some(vb)
-    }
-
-    /// Rotated parity only: whether `(disk, dblock)` is a parity slot
-    /// (content is the XOR of its row, not a volume block).
-    pub fn is_parity_slot(&self, disk: usize, dblock: u64) -> bool {
-        self.redundancy == Redundancy::RotParity
-            && (dblock / self.chunk_blocks % self.n_disks as u64) as usize == disk
     }
 
     /// Check that the map sends the volume's chunks onto the member
@@ -707,19 +724,18 @@ mod tests {
         let vol_blocks = m.vol_sectors() / u64::from(SPB);
         for vb in 0..vol_blocks {
             let own = m.map_block(vb);
-            let parity = m.parity_location(vb);
-            let peers = m.data_peers_of_block(vb);
-            assert_eq!(peers.len(), 2, "N-2 peers");
-            // Own + peers + parity live on 4 distinct disks, same row.
-            let mut disks: Vec<usize> = peers.iter().map(|&(d, _)| d).collect();
-            disks.push(own.0);
-            disks.push(parity.0);
+            let group = m.group_at(own.0, own.1).expect("data is protected");
+            assert_eq!(group.len(), 4, "own + N-2 peers + parity");
+            assert!(
+                group[..3].contains(&own),
+                "block {vb} missing from its group"
+            );
+            assert_eq!(group[3], m.parity_location(vb), "the check member is last");
+            // One member per disk, all at the same row offset.
+            let mut disks: Vec<usize> = group.iter().map(|&(d, _)| d).collect();
             disks.sort_unstable();
             assert_eq!(disks, vec![0, 1, 2, 3], "block {vb}");
-            for &(_, db) in &peers {
-                assert_eq!(db, own.1, "peers share the row offset");
-            }
-            assert_eq!(parity.1, own.1, "parity shares the row offset");
+            assert!(group.iter().all(|&(_, db)| db == own.1));
         }
     }
 
@@ -734,14 +750,87 @@ mod tests {
         );
         let vol_blocks = m.vol_sectors() / u64::from(SPB);
         for vb in 0..vol_blocks {
-            let (_, db) = m.map_block(vb);
-            let row = m.row_blocks_at(db);
-            assert_eq!(row.len(), 3, "N-1 data blocks per row");
+            let (d, db) = m.map_block(vb);
+            let group = m.group_at(d, db).expect("data is protected");
+            let (&(pd, pdb), data) = group.split_last().expect("non-empty");
+            assert_eq!(m.vblock_at(pd, pdb), None, "parity slot is not data");
+            let row: Vec<u64> = data
+                .iter()
+                .map(|&(d, db)| m.vblock_at(d, db).expect("data member"))
+                .collect();
+            assert!(row.is_sorted(), "data members come in volume order");
             assert!(row.contains(&vb), "block {vb} missing from its own row");
-            for &peer in &row {
-                assert_eq!(m.map_block(peer).1, db, "row offset mismatch");
+            for (&peer, &home) in row.iter().zip(data) {
+                assert_eq!(m.map_block(peer), home, "row member mismatch");
             }
         }
+    }
+
+    #[test]
+    fn groups_partition_the_protected_slots() {
+        // 17 blocks plus a partial tail per disk: chunk 4 leaves an
+        // unused tail block, and the N=2 mirror exposes the partial one.
+        let per_disk = 17 * u64::from(SPB) + 5;
+        let shapes = [
+            (StripePolicy::Concat, Redundancy::Mirror, 2),
+            (
+                StripePolicy::Striped { chunk_blocks: 4 },
+                Redundancy::Mirror,
+                4,
+            ),
+            (
+                StripePolicy::HashShard { chunk_blocks: 4 },
+                Redundancy::Mirror,
+                6,
+            ),
+            (
+                StripePolicy::Striped { chunk_blocks: 4 },
+                Redundancy::RotParity,
+                3,
+            ),
+            (
+                StripePolicy::Striped { chunk_blocks: 1 },
+                Redundancy::RotParity,
+                4,
+            ),
+        ];
+        for (p, red, n) in shapes {
+            let m = StripeMap::new_redundant(p, red, n, per_disk, SPB);
+            let mut members = std::collections::HashSet::new();
+            for index in 0..m.n_groups() {
+                let group = m.group(index);
+                assert_eq!(group.len(), m.group_len(), "{p:?} {red:?}");
+                for &(d, db) in &group {
+                    assert_eq!(m.group_at(d, db).as_ref(), Some(&group), "{red:?} N={n}");
+                    assert!(
+                        members.insert((d, db)),
+                        "{red:?} N={n}: ({d},{db}) in two groups"
+                    );
+                }
+                // Data first, in volume order; the check member holds none.
+                let (&(cd, cdb), data) = group.split_last().expect("non-empty");
+                assert!(m.vblock_at(cd, cdb).is_none());
+                let vbs: Vec<_> = data.iter().map(|&(d, db)| m.vblock_at(d, db)).collect();
+                assert!(vbs.iter().all(Option::is_some) && vbs.is_sorted());
+            }
+            // Every data block is protected; the unused tail is not.
+            let protected = m.n_groups() * m.group_len() as u64;
+            assert_eq!(members.len() as u64, protected);
+            for vb in 0..m.vol_sectors().div_ceil(u64::from(SPB)) {
+                assert!(
+                    members.contains(&m.map_block(vb)),
+                    "{red:?} N={n}: block {vb}"
+                );
+            }
+            for d in 0..n {
+                for db in 0..19 {
+                    assert_eq!(m.group_at(d, db).is_some(), members.contains(&(d, db)));
+                }
+            }
+        }
+        let plain = StripeMap::new(StripePolicy::Concat, 2, per_disk, SPB);
+        assert_eq!((plain.n_groups(), plain.group_len()), (0, 0));
+        assert_eq!(plain.group_at(0, 0), None);
     }
 
     #[test]
@@ -795,9 +884,7 @@ mod tests {
         for vb in 0..vol_blocks {
             let (d, db) = m.map_block(vb);
             assert_eq!(m.vblock_at(d, db), Some(vb));
-            assert!(!m.is_parity_slot(d, db));
             let (pd, pdb) = m.parity_location(vb);
-            assert!(m.is_parity_slot(pd, pdb));
             assert_eq!(m.vblock_at(pd, pdb), None, "parity slot is not data");
         }
         // Mirror: the inverse is over the data half; copy disks map to None.

@@ -23,8 +23,9 @@
 //! * **Reads** route around unavailable members at submit time (dead
 //!   or failed disk, un-resilvered block, lost block, latent defect)
 //!   and fail over at completion time if the member died with the read
-//!   in flight: a mirror read retries on the partner, a parity read
-//!   becomes reconstruction reads over the surviving row.
+//!   in flight: the read is re-issued on the rest of the block's
+//!   redundancy group ([`StripeMap::group_at`]) — the mirror copy, or
+//!   the surviving row of a parity group.
 //! * **Resilvering** is tracked per disk as a `stale` set of disk
 //!   blocks whose on-disk bytes no longer match the volume's logical
 //!   contents (writes redirected while the member was down, or a blank
@@ -51,6 +52,11 @@ use abr_sim::SimTime;
 use bytes::Bytes;
 use std::collections::HashMap; // abr-lint: allow(D001, request bookkeeping; keyed insert/remove only, completion order is driven by sorted member queues)
 use std::collections::{BTreeMap, BTreeSet};
+
+// The maintenance half (resilver, scrub, health): a second
+// `impl ArrayVolume` over the same private state.
+#[path = "maint.rs"]
+mod maint;
 
 /// Opaque identifier of a volume-level request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -158,23 +164,9 @@ impl ArrayHealth {
     }
 }
 
-/// Why a redundancy-aware sub-request was issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SubRole {
-    /// Serves the user's data directly: its failure (after one
-    /// failover attempt for reads) fails the request.
-    Primary,
-    /// Mirror copy write; failure marks the block stale, not the
-    /// request.
-    Copy,
-    /// Parity update write; failure marks the parity chunk stale.
-    Parity,
-}
-
 /// Redundancy bookkeeping carried by each user sub-request.
 #[derive(Debug, Clone, Copy)]
 struct RedSub {
-    role: SubRole,
     dir: IoDir,
     /// Volume sector of the piece (for completion-time failover).
     vsector: u64,
@@ -462,33 +454,29 @@ impl ArrayVolume {
             return;
         }
         let spb = self.map.sectors_per_block();
-        let n = self.disks.len() as u64;
-        let cb = self.map.policy().chunk_blocks();
-        let rows = self.map.vol_sectors() / (spb * cb * (n - 1));
-        for row in 0..rows {
-            let pd = (row % n) as usize;
-            for i in 0..cb {
-                let pdb = row * cb + i;
-                let mut acc = vec![0u8; spb as usize * SECTOR_SIZE];
-                for vb in self.map.row_blocks_at(pdb) {
-                    let (d, db) = self.map.map_block(vb);
-                    let img = self.disks[d]
-                        .peek(0, db * spb, spb as u32)
-                        .expect("fresh member has no lost blocks");
-                    xor_into(&mut acc, &img);
-                }
-                let segs = self.disks[pd]
-                    .physical_segments(0, pdb * spb, spb as u32)
-                    .expect("parity block in range");
-                let mut off = 0usize;
-                for (s, len) in segs {
-                    let bytes = len as usize * SECTOR_SIZE;
-                    self.disks[pd]
-                        .disk_mut()
-                        .store_mut()
-                        .write(s, &acc[off..off + bytes]);
-                    off += bytes;
-                }
+        for index in 0..self.map.n_groups() {
+            let group = self.map.group(index);
+            let Some((&(pd, pdb), data)) = group.split_last() else {
+                continue;
+            };
+            let mut acc = vec![0u8; spb as usize * SECTOR_SIZE];
+            for &(d, db) in data {
+                let img = self.disks[d]
+                    .peek(0, db * spb, spb as u32)
+                    .expect("fresh member has no lost blocks");
+                xor_into(&mut acc, &img);
+            }
+            let segs = self.disks[pd]
+                .physical_segments(0, pdb * spb, spb as u32)
+                .expect("parity block in range");
+            let mut off = 0usize;
+            for (s, len) in segs {
+                let bytes = len as usize * SECTOR_SIZE;
+                self.disks[pd]
+                    .disk_mut()
+                    .store_mut()
+                    .write(s, &acc[off..off + bytes]);
+                off += bytes;
             }
         }
     }
@@ -580,51 +568,47 @@ impl ArrayVolume {
             .map(|b| b.to_vec())
     }
 
-    /// The *logical* bytes of volume block `vblock`, resolved through
-    /// the redundancy scheme: the primary copy when current, else the
-    /// mirror partner, else parity reconstruction. Fails only when
+    /// The other members of the redundancy group of `(disk, dblock)`:
+    /// by the group invariant their XOR is what the block holds, or
+    /// should hold. `None` when nothing protects the slot.
+    fn rest_of_group(&self, disk: usize, dblock: u64) -> Option<Vec<(usize, u64)>> {
+        let mut group = self.map.group_at(disk, dblock)?;
+        group.retain(|&m| m != (disk, dblock));
+        Some(group)
+    }
+
+    /// XOR of the current bytes of `members` — the content of the one
+    /// member missing from their group. Fails when a member is stale or
+    /// unreadable: a second failure, beyond single redundancy.
+    fn xor_of(&self, members: &[(usize, u64)]) -> Result<Vec<u8>, DriverError> {
+        let mut acc = Vec::new();
+        for &(d, db) in members {
+            if self.stale[d].contains(&db) {
+                return Err(DriverError::DataLoss);
+            }
+            let img = self.block_bytes(d, db)?;
+            if acc.is_empty() {
+                acc = img;
+            } else {
+                xor_into(&mut acc, &img);
+            }
+        }
+        Ok(acc)
+    }
+
+    /// The *logical* bytes of volume block `vblock`: its home copy when
+    /// current, else the XOR of the rest of its redundancy group (the
+    /// mirror copy; the parity reconstruction). Fails only when
     /// redundancy cannot cover the block (multiple failures).
     fn logical_block(&self, vblock: u64) -> Result<Vec<u8>, DriverError> {
         let (d, db) = self.map.map_block(vblock);
-        match self.map.redundancy() {
-            Redundancy::None => self.block_bytes(d, db),
-            Redundancy::Mirror => {
-                if !self.stale[d].contains(&db) {
-                    if let Ok(b) = self.block_bytes(d, db) {
-                        return Ok(b);
-                    }
-                }
-                let p = self.map.mirror_partner(d);
-                if self.stale[p].contains(&db) {
-                    return Err(DriverError::DataLoss);
-                }
-                self.block_bytes(p, db)
-            }
-            Redundancy::RotParity => {
-                if !self.stale[d].contains(&db) {
-                    if let Ok(b) = self.block_bytes(d, db) {
-                        return Ok(b);
-                    }
-                }
-                self.reconstruct_block(vblock)
+        if !self.stale[d].contains(&db) {
+            if let Ok(b) = self.block_bytes(d, db) {
+                return Ok(b);
             }
         }
-    }
-
-    /// Rebuild a data block's bytes from its row's parity and peers.
-    fn reconstruct_block(&self, vblock: u64) -> Result<Vec<u8>, DriverError> {
-        let (pd, pdb) = self.map.parity_location(vblock);
-        if self.stale[pd].contains(&pdb) {
-            return Err(DriverError::DataLoss);
-        }
-        let mut acc = self.block_bytes(pd, pdb)?;
-        for (peer_d, peer_db) in self.map.data_peers_of_block(vblock) {
-            if self.stale[peer_d].contains(&peer_db) {
-                return Err(DriverError::DataLoss);
-            }
-            xor_into(&mut acc, &self.block_bytes(peer_d, peer_db)?);
-        }
-        Ok(acc)
+        let rest = self.rest_of_group(d, db).ok_or(DriverError::DataLoss)?;
+        self.xor_of(&rest)
     }
 
     /// Whether a timed read of `[sector, sector+n)` on member `disk`
@@ -673,6 +657,43 @@ impl ArrayVolume {
         }
     }
 
+    /// A read sub of `n` sectors at `sector` of member `disk`, serving
+    /// the piece at volume sector `vsector`.
+    fn read_sub(&self, disk: usize, sector: u64, vsector: u64, n: u32, retried: bool) -> Routed {
+        Routed {
+            disk,
+            req: IoRequest::read(0, sector, n),
+            red: Some(RedSub {
+                dir: IoDir::Read,
+                vsector,
+                n_sectors: n,
+                dblock: sector / self.map.sectors_per_block(),
+                retried,
+            }),
+            pending_img: None,
+        }
+    }
+
+    /// The survivor route of the piece at `vsector`: one read per other
+    /// member of its home's redundancy group (their XOR is the data; the
+    /// request completes when all are in). Empty when a survivor cannot
+    /// serve its share — the caller decides what that means.
+    fn survivor_route(&self, vsector: u64, n: u32, now: SimTime) -> Vec<Routed> {
+        let spb = self.map.sectors_per_block();
+        let (disk, sector) = self.map.map_sector(vsector);
+        let off = sector % spb;
+        let rest = self.rest_of_group(disk, sector / spb).unwrap_or_default();
+        if !rest
+            .iter()
+            .all(|&(d, db)| self.read_usable(d, db * spb + off, n, now))
+        {
+            return Vec::new();
+        }
+        rest.iter()
+            .map(|&(d, db)| self.read_sub(d, db * spb + off, vsector, n, true))
+            .collect()
+    }
+
     fn route_read(
         &mut self,
         req: &IoRequest,
@@ -680,60 +701,19 @@ impl ArrayVolume {
         sector: u64,
         now: SimTime,
     ) -> Vec<Routed> {
-        let spb = self.map.sectors_per_block();
-        let dblock = sector / spb;
-        let off = sector % spb;
-        let n = req.n_sectors;
-        let vsector = req.sector_in_partition;
-        let sub = |disk: usize, sector: u64, dblock: u64, retried: bool| Routed {
-            disk,
-            req: IoRequest::read(0, sector, n),
-            red: Some(RedSub {
-                role: SubRole::Primary,
-                dir: IoDir::Read,
-                vsector,
-                n_sectors: n,
-                dblock,
-                retried,
-            }),
-            pending_img: None,
-        };
+        let (vsector, n) = (req.sector_in_partition, req.n_sectors);
         if self.read_usable(disk, sector, n, now) {
-            return vec![sub(disk, sector, dblock, false)];
+            return vec![self.read_sub(disk, sector, vsector, n, false)];
         }
         if let Some(m) = &self.maint {
             with_registry(|r| r.inc(m.obs.reads_degraded, 1));
         }
-        match self.redundancy() {
-            Redundancy::Mirror => {
-                let p = self.map.mirror_partner(disk);
-                if self.read_usable(p, sector, n, now) {
-                    vec![sub(p, sector, dblock, true)]
-                } else {
-                    // No survivor: surface the failure on the primary.
-                    vec![sub(disk, sector, dblock, true)]
-                }
-            }
-            Redundancy::RotParity => {
-                // Reconstruction: read the surviving row (peers +
-                // parity) instead; the request completes when the whole
-                // row is in.
-                let vblock = vsector / spb;
-                let (pd, pdb) = self.map.parity_location(vblock);
-                let mut locs = self.map.data_peers_of_block(vblock);
-                locs.push((pd, pdb));
-                if locs
-                    .iter()
-                    .any(|&(d, db)| self.disk_down(d, now) || self.stale[d].contains(&db))
-                {
-                    return vec![sub(disk, sector, dblock, true)];
-                }
-                locs.into_iter()
-                    .map(|(d, db)| sub(d, db * spb + off, db, true))
-                    .collect()
-            }
-            Redundancy::None => unreachable!("routed earlier"),
+        let route = self.survivor_route(vsector, n, now);
+        if route.is_empty() {
+            // No survivor: surface the failure on the primary.
+            return vec![self.read_sub(disk, sector, vsector, n, true)];
         }
+        route
     }
 
     fn route_write(
@@ -773,14 +753,13 @@ impl ArrayVolume {
         match self.redundancy() {
             Redundancy::Mirror => {
                 let partner = self.map.mirror_partner(disk);
-                for (target, role) in [(disk, SubRole::Primary), (partner, SubRole::Copy)] {
+                for target in [disk, partner] {
                     if self.disk_down(target, now) {
                         self.stale[target].insert(dblock);
                         redirected += 1;
                         continue;
                     }
-                    if let Some(r) =
-                        self.data_write_sub(target, dblock, off, full, &req.data, role, req)
+                    if let Some(r) = self.data_write_sub(target, dblock, off, full, &req.data, req)
                     {
                         out.push(r);
                     } else {
@@ -797,8 +776,7 @@ impl ArrayVolume {
                 if self.disk_down(disk, now) {
                     self.stale[disk].insert(dblock);
                     redirected += 1;
-                } else if let Some(r) =
-                    self.data_write_sub(disk, dblock, off, full, &req.data, SubRole::Primary, req)
+                } else if let Some(r) = self.data_write_sub(disk, dblock, off, full, &req.data, req)
                 {
                     out.push(r);
                 } else {
@@ -824,7 +802,6 @@ impl ArrayVolume {
                     ..req.clone()
                 },
                 red: Some(RedSub {
-                    role: SubRole::Primary,
                     dir: IoDir::Write,
                     vsector: req.sector_in_partition,
                     n_sectors: n,
@@ -842,7 +819,6 @@ impl ArrayVolume {
     /// to a full-block write of the logical image (re-silvering it in
     /// passing); returns `None` when the promotion source is
     /// unavailable (block stays stale).
-    #[allow(clippy::too_many_arguments)]
     fn data_write_sub(
         &mut self,
         target: usize,
@@ -850,14 +826,12 @@ impl ArrayVolume {
         off: u64,
         full: bool,
         payload: &Bytes,
-        role: SubRole,
         req: &IoRequest,
     ) -> Option<Routed> {
         let spb = self.map.sectors_per_block();
         let span = self.block_span(target, dblock);
         let vblock = req.sector_in_partition / spb;
         let red = RedSub {
-            role,
             dir: IoDir::Write,
             vsector: req.sector_in_partition,
             n_sectors: req.n_sectors,
@@ -928,7 +902,6 @@ impl ArrayVolume {
             return None;
         }
         let red = RedSub {
-            role: SubRole::Parity,
             dir: IoDir::Write,
             vsector: vblock * spb,
             n_sectors: n,
@@ -971,17 +944,13 @@ impl ArrayVolume {
         };
         overlay(&mut own, off, payload);
         let mut parity = own;
-        for (peer_d, peer_db) in self.map.data_peers_of_block(vblock) {
-            let peer_vb = match self.map.vblock_at(peer_d, peer_db) {
-                Some(vb) => vb,
+        let home = self.map.map_block(vblock);
+        let row = self.rest_of_group(pd, pdb).unwrap_or_default();
+        for &(peer_d, peer_db) in row.iter().filter(|&&m| m != home) {
+            let peer = self.map.vblock_at(peer_d, peer_db);
+            match peer.and_then(|vb| self.logical_block(vb).ok()) {
+                Some(b) => xor_into(&mut parity, &b),
                 None => {
-                    self.stale[pd].insert(pdb);
-                    return None;
-                }
-            };
-            match self.logical_block(peer_vb) {
-                Ok(b) => xor_into(&mut parity, &b),
-                Err(_) => {
                     self.stale[pd].insert(pdb);
                     return None;
                 }
@@ -1174,73 +1143,50 @@ impl ArrayVolume {
             }
         }
         let vol = self.subs.remove(&key)?;
-        // Completion-time failover: the member died with a primary read
-        // in flight — re-issue on the survivor(s) before accounting.
-        let mut extra_subs: Vec<(usize, RequestId)> = Vec::new();
-        if let (Some(rs), Some(err)) = (red, c.error.clone()) {
-            match rs.role {
-                SubRole::Primary if rs.dir.is_read() && !rs.retried => {
-                    let piece = IoRequest::read(0, rs.vsector, rs.n_sectors);
-                    let routed = self.failover_read(&piece, disk, now);
-                    if routed.is_empty() {
-                        let inflight = self.inflight.get_mut(&vol).expect("live request"); // abr-lint: allow(P001, sub completion implies a live parent request)
-                        if inflight.error.is_none() {
-                            inflight.error = Some(err);
-                        }
-                    } else if let Ok(p) = self.place(routed, now) {
-                        if let Some(m) = &self.maint {
-                            with_registry(|r| r.inc(m.obs.read_failovers, 1));
-                        }
-                        extra_subs = p;
-                    }
+        let mut parent = self.inflight.remove(&vol).expect("live request"); // abr-lint: allow(P001, sub completion implies a live parent request)
+        match (red, c.error) {
+            (Some(rs), Some(err)) if rs.dir.is_read() => {
+                // Completion-time failover: the member died with the
+                // read in flight — re-issue it on the rest of the group
+                // (once; a survivor's failure is the request's).
+                let placed = if rs.retried {
+                    Vec::new()
+                } else {
+                    let route = self.survivor_route(rs.vsector, rs.n_sectors, now);
+                    self.place(route, now).unwrap_or_default()
+                };
+                if placed.is_empty() {
+                    parent.error.get_or_insert(err);
+                } else if let Some(m) = &self.maint {
+                    with_registry(|r| r.inc(m.obs.read_failovers, 1));
                 }
-                SubRole::Primary if rs.dir.is_read() => {
-                    let inflight = self.inflight.get_mut(&vol).expect("live request"); // abr-lint: allow(P001, sub completion implies a live parent request)
-                    if inflight.error.is_none() {
-                        inflight.error = Some(err);
-                    }
-                }
-                SubRole::Primary | SubRole::Copy | SubRole::Parity => {
-                    // A write replica failed: the block's on-disk bytes
-                    // diverge from the volume's logical contents — mark
-                    // it for re-silvering instead of failing the
-                    // request (another replica may have landed).
-                    self.stale[disk].insert(rs.dblock);
-                    let inflight = self.inflight.get_mut(&vol).expect("live request"); // abr-lint: allow(P001, sub completion implies a live parent request)
-                    if inflight.red_write_err.is_none() {
-                        inflight.red_write_err = Some(err);
-                    }
+                for (d, id) in placed {
+                    self.subs.insert((d, id), vol);
+                    parent.remaining += 1;
+                    parent.n_subs += 1;
                 }
             }
-        } else if let Some(rs) = red {
-            if !rs.dir.is_read() {
-                self.inflight
-                    .get_mut(&vol)
-                    .expect("live request") // abr-lint: allow(P001, sub completion implies a live parent request)
-                    .red_write_ok = true;
+            (Some(rs), Some(err)) => {
+                // A write replica failed: the block's on-disk bytes
+                // diverge from the volume's logical contents — mark it
+                // for re-silvering instead of failing the request
+                // (another replica may have landed).
+                self.stale[disk].insert(rs.dblock);
+                parent.red_write_err.get_or_insert(err);
             }
-        } else if let Some(err) = c.error {
+            (Some(rs), None) => parent.red_write_ok |= !rs.dir.is_read(),
             // Plain (non-redundant) volume: first error wins, as ever.
-            let inflight = self.inflight.get_mut(&vol).expect("live request"); // abr-lint: allow(P001, sub completion implies a live parent request)
-            if inflight.error.is_none() {
-                inflight.error = Some(err);
+            (None, Some(err)) => {
+                parent.error.get_or_insert(err);
             }
+            (None, None) => {}
         }
-        let inflight = self
-            .inflight
-            .get_mut(&vol)
-            .expect("sub-request maps to a live request"); // abr-lint: allow(P001, sub completion implies a live parent request)
-        for (d, id) in extra_subs {
-            self.subs.insert((d, id), vol);
-            inflight.remaining += 1;
-            inflight.n_subs += 1;
-        }
-        let inflight = self.inflight.get_mut(&vol).expect("live request"); // abr-lint: allow(P001, sub completion implies a live parent request)
-        inflight.remaining -= 1;
-        if inflight.remaining > 0 {
+        parent.remaining -= 1;
+        if parent.remaining > 0 {
+            self.inflight.insert(vol, parent);
             return None;
         }
-        let done = self.inflight.remove(&vol).expect("checked above"); // abr-lint: allow(P001, remaining hit zero under this key)
+        let done = parent;
         let error = done.error.or(if done.red_write_ok {
             None
         } else {
@@ -1261,60 +1207,6 @@ impl ArrayVolume {
         })
     }
 
-    /// Survivor route for a read whose primary sub failed at
-    /// completion on `failed_disk`. Empty when no survivor can serve.
-    fn failover_read(
-        &mut self,
-        piece: &IoRequest,
-        failed_disk: usize,
-        now: SimTime,
-    ) -> Vec<Routed> {
-        let spb = self.map.sectors_per_block();
-        let (d, s) = self.map.map_sector(piece.sector_in_partition);
-        let off = s % spb;
-        let n = piece.n_sectors;
-        let mk = |disk: usize, sector: u64, dblock: u64| Routed {
-            disk,
-            req: IoRequest::read(0, sector, n),
-            red: Some(RedSub {
-                role: SubRole::Primary,
-                dir: IoDir::Read,
-                vsector: piece.sector_in_partition,
-                n_sectors: n,
-                dblock,
-                retried: true,
-            }),
-            pending_img: None,
-        };
-        match self.redundancy() {
-            Redundancy::Mirror => {
-                let p = self.map.mirror_partner(failed_disk);
-                if self.read_usable(p, s, n, now) {
-                    vec![mk(p, s, s / spb)]
-                } else {
-                    Vec::new()
-                }
-            }
-            Redundancy::RotParity => {
-                let vblock = piece.sector_in_partition / spb;
-                let (pd, pdb) = self.map.parity_location(vblock);
-                let mut locs = self.map.data_peers_of_block(vblock);
-                locs.push((pd, pdb));
-                if locs
-                    .iter()
-                    .any(|&(ld, ldb)| self.disk_down(ld, now) || self.stale[ld].contains(&ldb))
-                {
-                    return Vec::new();
-                }
-                let _ = d;
-                locs.into_iter()
-                    .map(|(ld, ldb)| mk(ld, ldb * spb + off, ldb))
-                    .collect()
-            }
-            Redundancy::None => Vec::new(),
-        }
-    }
-
     /// Account a finished maintenance sub-request.
     fn finish_maint(
         &mut self,
@@ -1331,16 +1223,15 @@ impl ArrayVolume {
                         self.pending.remove(&(disk, db));
                     }
                 }
-                let rebuild = matches!(role, MaintRole::RebuildWrite(_));
-                if let Some(e) = err {
-                    let _ = e;
-                    if rebuild {
-                        // The re-silver write itself failed: the block
-                        // is still stale; retry next window.
-                        self.stale[disk].insert(db);
-                        with_registry(|r| r.inc(m.obs.rebuild_errors, 1));
-                    }
-                } else if rebuild {
+                if !matches!(role, MaintRole::RebuildWrite(_)) {
+                    return;
+                }
+                if err.is_some() {
+                    // The re-silver write itself failed: the block is
+                    // still stale; retry next window.
+                    self.stale[disk].insert(db);
+                    with_registry(|r| r.inc(m.obs.rebuild_errors, 1));
+                } else {
                     with_registry(|r| r.inc(m.obs.rebuild_blocks, 1));
                 }
             }
@@ -1368,496 +1259,6 @@ impl ArrayVolume {
     /// Whether every member is idle.
     pub fn is_idle(&self) -> bool {
         self.disks.iter().all(|d| d.is_idle())
-    }
-
-    /// Swap a failed member for a freshly formatted replacement drive
-    /// and queue its entire contents for re-silvering. The caller
-    /// formats the replacement exactly like the original members and
-    /// waits until the failed member has no in-flight sub-requests.
-    ///
-    /// # Panics
-    /// If the volume is not redundant, the member still has queued or
-    /// active requests, or the replacement's geometry differs.
-    pub fn replace_disk(&mut self, i: usize, mut fresh: AdaptiveDriver) {
-        assert!(
-            self.redundancy().is_redundant(),
-            "replacement without redundancy cannot be re-silvered"
-        );
-        assert!(
-            self.disks[i].is_idle(),
-            "drain the failed member before replacing it"
-        );
-        assert_eq!(
-            fresh.label().partitions[0].n_sectors,
-            self.disks[i].label().partitions[0].n_sectors,
-            "replacement partition size differs"
-        );
-        assert_eq!(
-            fresh.sectors_per_block(),
-            self.disks[i].sectors_per_block(),
-            "replacement block size differs"
-        );
-        fresh.set_disk_index(i as u32);
-        self.disks[i] = fresh;
-        // Queued write images aimed at the dead drive are void.
-        self.pending.retain(|&(d, _), _| d != i);
-        // Every block with volume content on this member is now stale.
-        let spb = self.map.sectors_per_block();
-        let vol_blocks = self.map.vol_sectors().div_ceil(spb);
-        let content_disk = match self.redundancy() {
-            Redundancy::Mirror => {
-                let half = self.disks.len() / 2;
-                if i < half {
-                    i
-                } else {
-                    i - half
-                }
-            }
-            _ => i,
-        };
-        let mut stale = BTreeSet::new();
-        for vb in 0..vol_blocks {
-            let (d, db) = self.map.map_block(vb);
-            if d == content_disk {
-                stale.insert(db);
-            }
-            if self.redundancy() == Redundancy::RotParity {
-                let (pd, pdb) = self.map.parity_location(vb);
-                if pd == i {
-                    stale.insert(pdb);
-                }
-            }
-        }
-        self.stale[i] = stale;
-    }
-
-    /// Peak rebuild ops consumed in any single budget window (the
-    /// "rebuild stayed within its budget" figure).
-    pub fn rebuild_peak_window_ops(&self) -> u32 {
-        self.maint.as_ref().map_or(0, |m| m.budget.peak_used())
-    }
-
-    /// Swap in every hot spare that is due: a member whose spindle has
-    /// died, whose replacement (scheduled by its own fault plan) has
-    /// arrived and whose queue has drained is replaced by a blank drive
-    /// formatted like it, and its contents queued for re-silvering.
-    fn install_replacements(&mut self, now: SimTime) {
-        for i in 0..self.disks.len() {
-            let due = self.disks[i].is_idle()
-                && self.disks[i].disk().injector().is_some_and(|inj| {
-                    let plan = inj.plan();
-                    plan.replacement_at().is_some_and(|at| now >= at)
-                        && (inj.is_failed() || plan.disk_death_at.is_some_and(|t| now >= t))
-                });
-            if due {
-                let spare = self.disks[i].blank_twin();
-                self.replace_disk(i, spare);
-            }
-        }
-    }
-
-    /// One background-maintenance window: install due hot spares,
-    /// re-silver stale blocks under the I/O budget, then (when the
-    /// array is idle and fully re-silvered) scrub the next few
-    /// redundancy groups. Pure sim-time work — byte-identical across
-    /// host thread counts.
-    pub fn maintenance_tick(&mut self, now: SimTime) {
-        if self.maint.is_none() {
-            return;
-        }
-        self.install_replacements(now);
-        self.rebuild_tick(now);
-        self.scrub_tick(now);
-        if let Some(m) = &self.maint {
-            let pending = self.stale.iter().map(|s| s.len() as i64).sum::<i64>();
-            let rebuilding = self
-                .stale
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| !s.is_empty() && !self.disk_down(*i, now))
-                .count() as i64;
-            with_registry(|r| {
-                r.set_gauge(m.obs.rebuild_pending, pending);
-                r.set_gauge(m.obs.disks_rebuilding, rebuilding);
-            });
-        }
-    }
-
-    /// Re-silver plan for one stale block: the survivor reads to issue
-    /// and the bytes to write. `Ok(None)` = nothing stored there (drop
-    /// the stale entry); `Err(())` = sources unavailable right now.
-    #[allow(clippy::type_complexity)]
-    fn resilver_plan(
-        &self,
-        i: usize,
-        db: u64,
-        now: SimTime,
-    ) -> Result<Option<(Vec<(usize, u64, u32)>, Vec<u8>)>, ()> {
-        let spb = self.map.sectors_per_block();
-        match self.redundancy() {
-            Redundancy::Mirror => {
-                let half = self.disks.len() / 2;
-                let content_disk = if i < half { i } else { i - half };
-                if self.map.vblock_at(content_disk, db).is_none() {
-                    return Ok(None);
-                }
-                let survivor = self.map.mirror_partner(i);
-                if self.disk_down(survivor, now) || self.stale[survivor].contains(&db) {
-                    return Err(());
-                }
-                let bytes = self.block_bytes(survivor, db).map_err(|_| ())?;
-                let span = self.block_span(survivor, db);
-                Ok(Some((vec![(survivor, db * spb, span)], bytes)))
-            }
-            Redundancy::RotParity => {
-                let mut reads = Vec::new();
-                let bytes = if self.map.is_parity_slot(i, db) {
-                    // Recompute the row's parity from its data blocks.
-                    let row = self.map.row_blocks_at(db);
-                    if row.iter().any(|&vb| vb * spb >= self.map.vol_sectors()) {
-                        return Ok(None);
-                    }
-                    let mut acc = vec![0u8; spb as usize * SECTOR_SIZE];
-                    for &vb in &row {
-                        let (d, ddb) = self.map.map_block(vb);
-                        if self.disk_down(d, now) || self.stale[d].contains(&ddb) {
-                            return Err(());
-                        }
-                        xor_into(&mut acc, &self.block_bytes(d, ddb).map_err(|_| ())?);
-                        reads.push((d, ddb * spb, spb as u32));
-                    }
-                    acc
-                } else {
-                    let vb = match self.map.vblock_at(i, db) {
-                        Some(vb) => vb,
-                        None => return Ok(None),
-                    };
-                    let (pd, pdb) = self.map.parity_location(vb);
-                    let mut locs = self.map.data_peers_of_block(vb);
-                    locs.push((pd, pdb));
-                    if locs
-                        .iter()
-                        .any(|&(d, ddb)| self.disk_down(d, now) || self.stale[d].contains(&ddb))
-                    {
-                        return Err(());
-                    }
-                    let mut acc = vec![0u8; spb as usize * SECTOR_SIZE];
-                    for &(d, ddb) in &locs {
-                        xor_into(&mut acc, &self.block_bytes(d, ddb).map_err(|_| ())?);
-                        reads.push((d, ddb * spb, spb as u32));
-                    }
-                    acc
-                };
-                Ok(Some((reads, bytes)))
-            }
-            Redundancy::None => Ok(None),
-        }
-    }
-
-    /// Drain stale sets under the windowed budget, lowest serving disk
-    /// first, lowest block first.
-    fn rebuild_tick(&mut self, now: SimTime) {
-        let spb = self.map.sectors_per_block();
-        let Some(i) =
-            (0..self.disks.len()).find(|&i| !self.stale[i].is_empty() && !self.disk_down(i, now))
-        else {
-            return;
-        };
-        let ops_per_item = match self.redundancy() {
-            Redundancy::Mirror => 2u32,
-            Redundancy::RotParity => self.disks.len() as u32,
-            Redundancy::None => return,
-        };
-        let mut skipped: Vec<u64> = Vec::new();
-        while let Some(m) = &mut self.maint {
-            if m.budget.available(now) < ops_per_item {
-                break;
-            }
-            let Some(db) = self.stale[i].pop_first() else {
-                break;
-            };
-            match self.resilver_plan(i, db, now) {
-                Ok(None) => continue, // unused slot: nothing to restore
-                Err(()) => {
-                    skipped.push(db);
-                    continue;
-                }
-                Ok(Some((reads, bytes))) => {
-                    let span = bytes.len() / SECTOR_SIZE;
-                    let mut issued = 0u32;
-                    for (rd, rs, rn) in reads {
-                        if let Ok(id) = self.disks[rd].submit(IoRequest::read(0, rs, rn), now) {
-                            self.maint_subs.insert((rd, id), MaintRole::RebuildRead);
-                            issued += 1;
-                        }
-                    }
-                    let w = IoRequest::write(0, db * spb, span as u32, Bytes::from(bytes.clone()));
-                    match self.disks[i].submit(w, now) {
-                        Ok(id) => {
-                            self.pending.insert((i, db), (id, bytes));
-                            self.maint_subs.insert((i, id), MaintRole::RebuildWrite(db));
-                            issued += 1;
-                        }
-                        Err(_) => {
-                            skipped.push(db);
-                        }
-                    }
-                    let m = self.maint.as_mut().expect("redundant volume"); // abr-lint: allow(P001, rebuild_tick only runs on redundant volumes)
-                    m.budget.consume(now, issued.max(1).min(ops_per_item));
-                    with_registry(|r| r.inc(m.obs.rebuild_ops, u64::from(issued)));
-                }
-            }
-        }
-        for db in skipped {
-            self.stale[i].insert(db);
-        }
-    }
-
-    /// Scrub the next few redundancy groups when the array is idle and
-    /// fully re-silvered: verify copies/parity, remap latent defects,
-    /// rewrite lost or divergent blocks from the surviving redundancy.
-    fn scrub_tick(&mut self, now: SimTime) {
-        if !self.is_idle() || self.stale.iter().any(|s| !s.is_empty()) {
-            return;
-        }
-        let Some(m) = &self.maint else { return };
-        let groups = m.cfg.scrub_groups_per_window;
-        let spb = self.map.sectors_per_block();
-        let total = match self.redundancy() {
-            Redundancy::Mirror => self.map.vol_sectors().div_ceil(spb),
-            Redundancy::RotParity => {
-                // One group per (row, offset): every disk-block index
-                // shared across the members.
-                let vol_blocks = self.map.vol_sectors() / spb;
-                vol_blocks / (self.disks.len() as u64 - 1)
-            }
-            Redundancy::None => return,
-        };
-        if total == 0 {
-            return;
-        }
-        for _ in 0..groups {
-            let cursor = {
-                let m = self.maint.as_mut().expect("redundant volume"); // abr-lint: allow(P001, scrub_tick only runs on redundant volumes)
-                let c = m.scrub_cursor % total;
-                m.scrub_cursor = (m.scrub_cursor + 1) % total;
-                c
-            };
-            match self.redundancy() {
-                Redundancy::Mirror => self.scrub_mirror_group(cursor, now),
-                Redundancy::RotParity => self.scrub_parity_group(cursor, now),
-                Redundancy::None => unreachable!(),
-            }
-        }
-    }
-
-    /// Remap any latent defects under block `db` of member `loc` and
-    /// report whether the block needs rewriting (defective or lost).
-    fn scrub_check_location(&mut self, loc: usize, db: u64) -> bool {
-        let spb = self.map.sectors_per_block();
-        let span = self.block_span(loc, db);
-        let mut needs = false;
-        if let Ok(segs) = self.disks[loc].physical_segments(0, db * spb, span) {
-            let mut cleared = 0u32;
-            for &(s, n) in &segs {
-                if let Some(inj) = self.disks[loc].disk_mut().injector_mut() {
-                    cleared += inj.remap(s, n);
-                }
-            }
-            if cleared > 0 {
-                needs = true;
-                if let Some(m) = &self.maint {
-                    with_registry(|r| r.inc(m.obs.scrub_defects, u64::from(cleared)));
-                }
-            }
-        }
-        if self.disks[loc].block_is_lost(0, db * spb) {
-            needs = true;
-        }
-        needs
-    }
-
-    /// Issue a scrub repair write of `bytes` to block `db` of `loc`.
-    fn scrub_repair(&mut self, loc: usize, db: u64, bytes: Vec<u8>, now: SimTime) {
-        let spb = self.map.sectors_per_block();
-        let span = (bytes.len() / SECTOR_SIZE) as u32;
-        if let Ok(id) = self.disks[loc].submit(
-            IoRequest::write(0, db * spb, span, Bytes::from(bytes.clone())),
-            now,
-        ) {
-            self.pending.insert((loc, db), (id, bytes));
-            self.maint_subs.insert((loc, id), MaintRole::ScrubWrite(db));
-            if let Some(m) = &self.maint {
-                with_registry(|r| r.inc(m.obs.scrub_repairs, 1));
-            }
-        }
-    }
-
-    /// Issue the scrub verification read for block `db` of `loc`.
-    fn scrub_read(&mut self, loc: usize, db: u64, now: SimTime) {
-        let spb = self.map.sectors_per_block();
-        let span = self.block_span(loc, db);
-        if let Ok(id) = self.disks[loc].submit(IoRequest::read(0, db * spb, span), now) {
-            self.maint_subs.insert((loc, id), MaintRole::ScrubRead);
-        }
-    }
-
-    /// One mirror scrub group: volume block `vb` and its copy.
-    fn scrub_mirror_group(&mut self, vb: u64, now: SimTime) {
-        let (d, db) = self.map.map_block(vb);
-        let p = self.map.mirror_partner(d);
-        if self.disk_down(d, now) || self.disk_down(p, now) {
-            return;
-        }
-        if let Some(m) = &self.maint {
-            with_registry(|r| r.inc(m.obs.scrub_groups, 1));
-        }
-        let mut needs = Vec::new();
-        for loc in [d, p] {
-            if self.scrub_check_location(loc, db) {
-                needs.push(loc);
-            }
-        }
-        // Divergence check through the pending-aware images.
-        match (self.block_bytes(d, db), self.block_bytes(p, db)) {
-            (Ok(a), Ok(b)) => {
-                if a != b {
-                    // Repair toward the data half: the primary wins.
-                    if let Some(m) = &self.maint {
-                        with_registry(|r| r.inc(m.obs.scrub_mismatches, 1));
-                    }
-                    if !needs.contains(&p) {
-                        needs.push(p);
-                    }
-                }
-            }
-            (Err(_), Ok(_)) => {
-                if !needs.contains(&d) {
-                    needs.push(d);
-                }
-            }
-            (Ok(_), Err(_)) => {
-                if !needs.contains(&p) {
-                    needs.push(p);
-                }
-            }
-            (Err(_), Err(_)) => {} // both copies gone: surfaced via health
-        }
-        for loc in needs {
-            let source = if loc == d { p } else { d };
-            if let Ok(bytes) = self.block_bytes(source, db) {
-                self.scrub_repair(loc, db, bytes, now);
-            }
-        }
-        for loc in [d, p] {
-            self.scrub_read(loc, db, now);
-        }
-    }
-
-    /// One rotated-parity scrub group: disk block `db` across all
-    /// members (one stripe row offset).
-    fn scrub_parity_group(&mut self, db: u64, now: SimTime) {
-        let n = self.disks.len();
-        if (0..n).any(|i| self.disk_down(i, now)) {
-            return;
-        }
-        if let Some(m) = &self.maint {
-            with_registry(|r| r.inc(m.obs.scrub_groups, 1));
-        }
-        let pd = (db / self.map.policy().chunk_blocks() % n as u64) as usize;
-        let mut needs = Vec::new();
-        for loc in 0..n {
-            if self.scrub_check_location(loc, db) {
-                needs.push(loc);
-            }
-        }
-        // Parity identity: XOR over the whole row (data + parity) is 0.
-        let spb = self.map.sectors_per_block();
-        let images: Vec<Result<Vec<u8>, DriverError>> =
-            (0..n).map(|loc| self.block_bytes(loc, db)).collect();
-        let unreadable: Vec<usize> = (0..n).filter(|&i| images[i].is_err()).collect();
-        match unreadable.len() {
-            0 => {
-                let mut acc = vec![0u8; spb as usize * SECTOR_SIZE];
-                for img in images.iter().flatten() {
-                    xor_into(&mut acc, img);
-                }
-                if acc.iter().any(|&b| b != 0) {
-                    // Repair toward the data: recompute the parity.
-                    if let Some(m) = &self.maint {
-                        with_registry(|r| r.inc(m.obs.scrub_mismatches, 1));
-                    }
-                    if !needs.contains(&pd) {
-                        needs.push(pd);
-                    }
-                }
-            }
-            1 => {
-                if !needs.contains(&unreadable[0]) {
-                    needs.push(unreadable[0]);
-                }
-            }
-            _ => return, // multiple failures: beyond single redundancy
-        }
-        for loc in needs {
-            // Rebuild the location from the rest of the row.
-            let mut acc = vec![0u8; spb as usize * SECTOR_SIZE];
-            let mut ok = true;
-            for other in 0..n {
-                if other == loc {
-                    continue;
-                }
-                match self.block_bytes(other, db) {
-                    Ok(img) => xor_into(&mut acc, &img),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                self.scrub_repair(loc, db, acc, now);
-            }
-        }
-        for loc in 0..n {
-            self.scrub_read(loc, db, now);
-        }
-    }
-
-    /// Snapshot array health and publish it to the `array.*` gauges.
-    pub fn health(&mut self) -> ArrayHealth {
-        let disks: Vec<DiskHealth> = self
-            .disks
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let failed = d.disk().injector().is_some_and(|inj| inj.is_failed());
-                DiskHealth {
-                    disk: i as u32,
-                    dead: d.disk().injector().is_some_and(|inj| inj.is_dead()),
-                    failed,
-                    degraded: d.is_degraded(),
-                    rebuilding: !failed && !self.stale[i].is_empty(),
-                    quarantined: d.quarantined_slots().count() as u32,
-                    lost: d.lost_blocks().count() as u32,
-                    placed: d.block_table().len() as u32,
-                    stale: self.stale[i].len() as u32,
-                }
-            })
-            .collect();
-        let health = ArrayHealth { disks };
-        with_registry(|r| {
-            r.set_gauge(self.obs.dead, health.n_dead() as i64);
-            r.set_gauge(self.obs.degraded, health.n_degraded() as i64);
-            r.set_gauge(self.obs.lost, health.total_lost() as i64);
-        });
-        if let Some(m) = &self.maint {
-            with_registry(|r| {
-                r.set_gauge(m.obs.rebuild_pending, health.total_stale() as i64);
-                r.set_gauge(m.obs.disks_rebuilding, health.n_rebuilding() as i64);
-            });
-        }
-        health
     }
 }
 
@@ -2183,45 +1584,6 @@ mod tests {
         assert!(a.iter().all(|&x| x == 0x02), "replacement has fresh data");
         let h = v.health();
         assert!(h.n_rebuilding() == 0);
-    }
-
-    #[test]
-    fn scrub_repairs_mirror_divergence() {
-        let mut v = red_volume(
-            2,
-            StripePolicy::Striped { chunk_blocks: 1 },
-            Redundancy::Mirror,
-        );
-        v.submit(
-            IoRequest::write(0, 0, 16, block_payload(0x55)),
-            SimTime::ZERO,
-        )
-        .unwrap();
-        v.drain();
-        // Corrupt the copy behind the volume's back.
-        let (d, db) = v.map().map_block(0);
-        let p = v.map().mirror_partner(d);
-        let seg = v.disk(p).physical_segments(0, db * 16, 16).unwrap()[0];
-        v.disk_mut(p)
-            .disk_mut()
-            .store_mut()
-            .write(seg.0, &vec![0xEE; 16 * SECTOR_SIZE]);
-        assert_ne!(
-            v.disk(d).peek(0, db * 16, 16).unwrap(),
-            v.disk(p).peek(0, db * 16, 16).unwrap()
-        );
-        // Scrub sweeps group 0 (block 0) in the first window.
-        let mut t = SimTime::from_micros(1_000_000);
-        for _ in 0..4 {
-            v.maintenance_tick(t);
-            v.drain();
-            t += SimDuration::from_secs(10);
-        }
-        assert_eq!(
-            v.disk(d).peek(0, db * 16, 16).unwrap(),
-            v.disk(p).peek(0, db * 16, 16).unwrap(),
-            "scrub repaired the divergent copy"
-        );
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Committed-results regression: the engine hot path (calendar event
 //! queue, SoA tables, lazy seeded payload store) is a pure *throughput*
 //! rework — every result artifact must stay byte-identical. This
-//! regenerates the three gate ids in-process and compares against the
+//! regenerates the four gate ids in-process and compares against the
 //! bytes committed under `results/`, so any future "optimization" that
 //! perturbs simulation order or payload semantics fails here instead of
 //! silently shifting the paper's numbers.
 //!
-//! The three ids are the three configurations of the one day loop — a
+//! Three ids are the three configurations of the one day loop — a
 //! bare driver (`table2`), a volume (`array-n2`) and the serving front
 //! end (`serve-smoke`) — so each is byte-gated, and each must carry the
 //! loop's wall-clock phase scopes, and the arranger's policy/move split
-//! of the night, in its bench-record row.
+//! of the night, in its bench-record row. The fourth, `array-redundant`,
+//! is the only committed run that enters the volume's recover side
+//! (degraded reads, rebuild, scrub): its rebuild/scrub counters and
+//! seek means are pinned to the last bit.
 //!
 //! If a change is *supposed* to alter results (a model fix, a new
 //! metric), regenerate and commit `results/` in the same PR; this test
@@ -29,7 +32,7 @@ fn committed(name: &str) -> String {
 
 #[test]
 fn each_day_loop_configuration_matches_committed_results() {
-    let batch = RunBatch::new(&["table2", "array-n2", "serve-smoke"], 1)
+    let batch = RunBatch::new(&["table2", "array-n2", "serve-smoke", "array-redundant"], 1)
         .unwrap()
         .execute();
     for outcome in &batch.outcomes {
