@@ -44,13 +44,13 @@ use abr_core::analyzer::HotBlock;
 use abr_core::arranger::BlockArranger;
 use abr_core::placement::PolicyKind;
 use abr_core::replay::{replay, ReplayConfig};
-use abr_core::DayMetrics;
+use abr_core::{DayLoop, DayMetrics, FsTraffic};
 use abr_disk::{image, models, Disk, DiskLabel, DiskModel};
 use abr_driver::{AdaptiveDriver, DriverConfig, Ioctl, IoctlReply, RequestMonitor};
 use abr_fs::{FileSystem, FsConfig, MountMode};
 use abr_obs::{ObsEvent, RequestSpan};
 use abr_sim::{jsn, JsonValue, SimDuration, SimRng, SimTime};
-use abr_workload::{TraceEvent, TraceLog, WorkloadProfile, WorkloadState};
+use abr_workload::{TraceLog, WorkloadProfile, WorkloadState};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -360,55 +360,34 @@ fn workload(args: &[String]) -> Result<(), Error> {
     if !profile.is_mutating() {
         fs.remount(MountMode::ReadOnly);
     }
-    // Clear monitors: measure only the run below.
-    driver.ioctl(Ioctl::ReadStats, clock)?;
-    driver.ioctl(Ioctl::ReadRequestTable, clock)?;
 
+    // One measured day of `minutes`: the update daemon syncs every 30 s,
+    // and the requests of one file-level op are paced like NFS RPC trains
+    // (see ExperimentConfig::request_pacing). No daemon reads the request
+    // table during the day; the whole of it is read below.
+    state.set_day_length(SimDuration::from_mins(minutes));
+    let mut traffic = FsTraffic::new(
+        fs,
+        state,
+        SimDuration::from_secs(30),
+        SimDuration::from_millis(150),
+    );
     let start = clock + SimDuration::from_mins(1);
-    let end = start + SimDuration::from_mins(minutes);
-    let mut now = start;
-    let mut trace = TraceLog::new();
-    let mut next_sync = start + SimDuration::from_secs(30);
-    let (mut op_at, mut op) = state.next_op(now, &fs);
-    // Requests from one file-level op are paced like NFS RPC trains (see
-    // ExperimentConfig::request_pacing).
-    let pace = SimDuration::from_millis(150);
-    let mut pending: abr_sim::EventQueue<abr_driver::IoRequest> = abr_sim::EventQueue::new();
-    loop {
-        let next_completion = driver.next_completion().unwrap_or(SimTime::MAX);
-        let next_pending = pending.peek_time().unwrap_or(SimTime::MAX);
-        let t = op_at.min(next_sync).min(next_completion).min(next_pending);
-        if t > end && pending.is_empty() {
-            break;
-        }
-        now = t;
-        if t == next_completion {
-            driver.complete_next(t);
-        } else if t == next_pending {
-            let (_, r) = pending
-                .pop()
-                .ok_or("pending queue empty despite a peeked event time")?;
-            trace.push(TraceEvent::of(&r, (t - start).as_micros()));
-            driver.submit(r, t)?;
-        } else if t == op_at {
-            for (i, r) in state.apply(op, &mut fs).into_iter().enumerate() {
-                pending.schedule(t + pace * i as u64, r);
-            }
-            let (at, next) = state.next_op(t, &fs);
-            op_at = at;
-            op = next;
-        } else {
-            for r in fs.sync() {
-                trace.push(TraceEvent::of(&r, (t - start).as_micros()));
-                driver.submit(r, t)?;
-            }
-            next_sync = t + SimDuration::from_secs(30);
-        }
+    if trace_out.is_some() {
+        traffic.trace_from(start);
     }
-    while let Some(t) = driver.next_completion() {
-        now = t;
-        driver.complete_next(t);
-    }
+    let mut day = DayLoop::new(driver, traffic, vec![], None, start);
+    let curve = day.device.disk().model().seek;
+    // The member's metrics, not the roll-up: `placed` there counts what
+    // this loop's nights placed, and the image may arrive rearranged.
+    let mut metrics = day
+        .run_day()
+        .per_member(&curve)
+        .pop()
+        .ok_or("a driver is one member")?;
+    let now = day.clock();
+    let trace = day.traffic.take_trace();
+    let (mut driver, traffic) = (day.device, day.traffic);
 
     // Persist: reference counts (analyze/rearrange read these), stats,
     // optional trace, and the image itself. The raw table goes into a
@@ -426,21 +405,9 @@ fn workload(args: &[String]) -> Result<(), Error> {
     let counts = analyzer.hot_list(analyzer.tracked());
     std::fs::write(counts_path(&path), serde_json::to_vec_pretty(&counts)?)?;
 
-    let snapshot = match driver.ioctl(Ioctl::ReadStats, now)? {
-        IoctlReply::Stats(s) => s,
-        other => return Err(format!("unexpected reply to ReadStats: {other:?}").into()),
-    };
-    let metrics = DayMetrics::new(
-        0,
-        !driver.block_table().is_empty(),
-        driver.block_table().len() as u32,
-        &snapshot,
-        &driver.disk().model().seek,
-        counts.iter().map(|h| h.count).collect(),
-        vec![],
-    );
+    metrics.block_counts = counts.iter().map(|h| h.count).collect();
     std::fs::write(stats_path(&path), serde_json::to_vec_pretty(&metrics)?)?;
-    if let Some(out) = trace_out {
+    if let (Some(out), Some(trace)) = (trace_out, trace) {
         let f = std::fs::File::create(&out)?;
         trace.write_jsonl(std::io::BufWriter::new(f))?;
         println!("trace     : {} events -> {out}", trace.len());
@@ -456,11 +423,9 @@ fn workload(args: &[String]) -> Result<(), Error> {
         "mean seek {:.2} ms | mean service {:.2} ms | mean wait {:.2} ms",
         metrics.all.seek_ms, metrics.all.service_ms, metrics.all.waiting_ms
     );
-    // Persist the file system (after a final flush) and the generator.
-    for r in fs.sync() {
-        driver.submit(r, SimTime::from_micros(now.as_micros() + 1_000_000))?;
-    }
-    driver.drain();
+    // Persist the file system (the day ended with a final flush) and the
+    // generator.
+    let (fs, state) = traffic.into_parts();
     std::fs::write(fs_state_path(&path), serde_json::to_vec(&fs.save_state())?)?;
     std::fs::write(
         wl_state_path(&path),

@@ -8,12 +8,12 @@
 //! experiments --trace out.jsonl fig8 # also record per-request traces
 //! experiments --list                 # list ids
 //! experiments --ablations            # the ablation suite
-//! experiments bench-compare OLD NEW [--threshold-pct P]
 //! ```
 //!
 //! Every suite invocation writes `results/<id>.{txt,json}` plus a
-//! machine-readable `results/BENCH_experiments.json` with per-run wall
-//! times, sim-time throughput, and the speedup over a serial execution.
+//! machine-readable `results/BENCH_experiments.json` — the run record
+//! `abrctl report` and `bench/` read: per-run wall times, sim-time
+//! throughput, metrics and per-day series.
 //! Results are bit-identical for any `--jobs` value: runs are seeded
 //! independently, and shared day-vectors come from a compute-once cache.
 //!
@@ -23,21 +23,16 @@
 //! a nonzero drop count is an error, so CI can gate on the exit code.
 //! Inspect the file with `abrctl trace FILE`.
 
-use abr_bench::engine::{bench_compare, detected_parallelism, Family, RunBatch, RUNS};
-use std::path::{Path, PathBuf};
+use abr_bench::engine::{detected_parallelism, Family, RunBatch, RUNS};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
-    "usage: experiments [--jobs N] [--trace FILE] [--list | --ablations | <id>...]\n\
-     \x20      experiments bench-compare <old.json> <new.json> [--threshold-pct P]"
+    "usage: experiments [--jobs N] [--trace FILE] [--list | --ablations | <id>...]"
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    if args.first().map(String::as_str) == Some("bench-compare") {
-        return compare_main(&args[1..]);
-    }
 
     if args.iter().any(|a| a == "--list") {
         for run in RUNS {
@@ -130,12 +125,7 @@ fn main() -> ExitCode {
         }
     }
 
-    eprintln!(
-        "[batch: {:.1?} wall, {:.1?} serial-equivalent, {:.2}x speedup]",
-        result.wall,
-        result.serial_equiv(),
-        result.speedup()
-    );
+    eprintln!("[batch: {:.1?} wall]", result.wall);
     if let Err(e) = result.write_bench(&results_dir) {
         eprintln!("warning: could not write BENCH_experiments.json: {e}");
     }
@@ -169,61 +159,5 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-fn compare_main(args: &[String]) -> ExitCode {
-    let mut threshold_pct = 25.0;
-    let mut paths: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold-pct" => {
-                let Some(p) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("error: --threshold-pct needs a number\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                threshold_pct = p;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown flag {other}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-            p => paths.push(p),
-        }
-    }
-    let [old, new] = paths.as_slice() else {
-        eprintln!("error: bench-compare takes exactly two files\n{}", usage());
-        return ExitCode::FAILURE;
-    };
-    match bench_compare(Path::new(old), Path::new(new), threshold_pct) {
-        Ok(cmp) => {
-            print!("{}", cmp.text);
-            if !cmp.added.is_empty() {
-                println!("new runs (informational): {}", cmp.added.join(", "));
-            }
-            let mut ok = true;
-            if !cmp.regressions.is_empty() {
-                println!("regressions: {}", cmp.regressions.join(", "));
-                ok = false;
-            }
-            if !cmp.disappeared.is_empty() {
-                println!(
-                    "baseline runs missing from new record: {}",
-                    cmp.disappeared.join(", ")
-                );
-                ok = false;
-            }
-            if ok {
-                println!("no regressions beyond {threshold_pct:.0}%");
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
     }
 }

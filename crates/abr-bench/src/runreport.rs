@@ -43,7 +43,7 @@ const TABLE_QUANTILES: &[&str] = &["p50", "p99", "p999"];
 /// counters on a single-disk run, serve counters on a batch run)
 /// contribute no rows. This list is also the curated consumer side of
 /// the abr-lint M001 dead-metric check: a producer counter nobody
-/// reads — not here, not in an SLO, not in bench-compare — is flagged.
+/// reads — not here, not in an SLO — is flagged.
 const REPORT_COUNTERS: &[(&str, &str)] = &[
     ("engine.days", "simulated days"),
     ("engine.sim_us", "simulated time (us)"),

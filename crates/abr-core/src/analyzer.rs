@@ -112,6 +112,26 @@ impl FullAnalyzer {
     }
 }
 
+/// The count cell of `block`: its slot in `dense`, grown on demand, or
+/// past the dense range its entry in `spill`. A zero cell is untracked;
+/// the caller bumps its `tracked`.
+#[inline]
+fn count_cell<'a, C: Copy + Default>(
+    dense: &'a mut Vec<C>,
+    spill: &'a mut BTreeMap<u64, C>,
+    block: u64,
+) -> &'a mut C {
+    if block < ANALYZER_DENSE_BLOCKS {
+        let idx = block as usize;
+        if idx >= dense.len() {
+            dense.resize(idx + 1, C::default());
+        }
+        &mut dense[idx]
+    } else {
+        spill.entry(block).or_default()
+    }
+}
+
 /// Sort (block, count) pairs into canonical hot-list order and truncate.
 fn ranked(mut v: Vec<HotBlock>, n: usize) -> Vec<HotBlock> {
     v.sort_by(|a, b| b.count.cmp(&a.count).then(a.block.cmp(&b.block)));
@@ -121,15 +141,7 @@ fn ranked(mut v: Vec<HotBlock>, n: usize) -> Vec<HotBlock> {
 
 impl ReferenceAnalyzer for FullAnalyzer {
     fn observe(&mut self, block: u64, weight: u64) {
-        let cell = if block < ANALYZER_DENSE_BLOCKS {
-            let idx = block as usize;
-            if idx >= self.dense.len() {
-                self.dense.resize(idx + 1, 0);
-            }
-            &mut self.dense[idx]
-        } else {
-            self.spill.entry(block).or_insert(0)
-        };
+        let cell = count_cell(&mut self.dense, &mut self.spill, block);
         if *cell == 0 {
             self.tracked += 1;
         }
@@ -141,15 +153,7 @@ impl ReferenceAnalyzer for FullAnalyzer {
         // One pass, one bump of `total`: the whole collection window
         // lands with a single virtual dispatch.
         for &block in blocks {
-            let cell = if block < ANALYZER_DENSE_BLOCKS {
-                let idx = block as usize;
-                if idx >= self.dense.len() {
-                    self.dense.resize(idx + 1, 0);
-                }
-                &mut self.dense[idx]
-            } else {
-                self.spill.entry(block).or_insert(0)
-            };
+            let cell = count_cell(&mut self.dense, &mut self.spill, block);
             if *cell == 0 {
                 self.tracked += 1;
             }
@@ -332,15 +336,7 @@ impl DecayingAnalyzer {
 
 impl ReferenceAnalyzer for DecayingAnalyzer {
     fn observe(&mut self, block: u64, weight: u64) {
-        let cell = if block < ANALYZER_DENSE_BLOCKS {
-            let idx = block as usize;
-            if idx >= self.dense.len() {
-                self.dense.resize(idx + 1, 0.0);
-            }
-            &mut self.dense[idx]
-        } else {
-            self.spill.entry(block).or_insert(0.0)
-        };
+        let cell = count_cell(&mut self.dense, &mut self.spill, block);
         if *cell == 0.0 {
             self.tracked += 1;
         }
@@ -350,15 +346,7 @@ impl ReferenceAnalyzer for DecayingAnalyzer {
 
     fn observe_each(&mut self, blocks: &[u64]) {
         for &block in blocks {
-            let cell = if block < ANALYZER_DENSE_BLOCKS {
-                let idx = block as usize;
-                if idx >= self.dense.len() {
-                    self.dense.resize(idx + 1, 0.0);
-                }
-                &mut self.dense[idx]
-            } else {
-                self.spill.entry(block).or_insert(0.0)
-            };
+            let cell = count_cell(&mut self.dense, &mut self.spill, block);
             if *cell == 0.0 {
                 self.tracked += 1;
             }

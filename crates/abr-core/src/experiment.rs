@@ -248,6 +248,44 @@ pub struct FsTraffic {
 }
 
 impl FsTraffic {
+    /// A source over an existing file system and the generator whose
+    /// population lives on it — freshly set up or resumed from saved
+    /// state. The day's length is the generator profile's `day_length`.
+    pub fn new(
+        fs: FileSystem,
+        workload: WorkloadState,
+        sync_period: SimDuration,
+        request_pacing: SimDuration,
+    ) -> Self {
+        FsTraffic {
+            fs,
+            workload,
+            sync_period,
+            request_pacing,
+            day_end: SimTime::ZERO,
+            next_op: None,
+            next_sync: SimTime::MAX,
+            pending: EventQueue::new(),
+            trace: None,
+        }
+    }
+
+    /// Log every request submitted from now on, timestamped relative to
+    /// `day_start`, until [`Self::take_trace`].
+    pub fn trace_from(&mut self, day_start: SimTime) {
+        self.trace = Some((day_start, TraceLog::new()));
+    }
+
+    /// Stop logging and hand back what was logged, if anything.
+    pub fn take_trace(&mut self) -> Option<TraceLog> {
+        self.trace.take().map(|(_, log)| log)
+    }
+
+    /// Give back the file system and the generator, to persist them.
+    pub fn into_parts(self) -> (FileSystem, WorkloadState) {
+        (self.fs, self.workload)
+    }
+
     /// Submit `req` at `at`, logging it into the active trace, if any.
     fn submit<D: BlockDevice>(&mut self, dev: &mut D, req: IoRequest, at: SimTime) {
         if let Some((day_start, log)) = &mut self.trace {
@@ -383,17 +421,7 @@ impl<D: BlockDevice> DayLoop<D, FsTraffic> {
             })
             .collect();
 
-        let traffic = FsTraffic {
-            fs,
-            workload,
-            sync_period: config.sync_period,
-            request_pacing: config.request_pacing,
-            day_end: SimTime::ZERO,
-            next_op: None,
-            next_sync: SimTime::MAX,
-            pending: EventQueue::new(),
-            trace: None,
-        };
+        let traffic = FsTraffic::new(fs, workload, config.sync_period, config.request_pacing);
         let mut h = DayLoop::new(
             device,
             traffic,
@@ -547,10 +575,9 @@ impl Experiment {
     /// stream (timestamps relative to the day start), for trace-driven
     /// replay (see the [`mod@crate::replay`] module).
     pub fn run_day_traced(&mut self) -> (DayMetrics, TraceLog) {
-        self.h.traffic.trace = Some((self.h.clock, TraceLog::new()));
+        self.h.traffic.trace_from(self.h.clock);
         let metrics = self.run_day();
-        let (_, log) = self.h.traffic.trace.take().expect("set above");
-        (metrics, log)
+        (metrics, self.h.traffic.take_trace().expect("set above"))
     }
 
     /// Movement I/O performed by online rearrangement during the last

@@ -947,6 +947,18 @@ impl AdaptiveDriver {
             Some(seed) if !q.req.dir.is_read() => Some(seed),
             _ => None,
         };
+        // Apply `n_sectors` of the payload, from byte offset `off`, to
+        // the store at `sector`: a whole segment or a torn prefix.
+        let store_write = |disk: &mut Disk, sector: u64, n_sectors: u32, off: usize| match seeded {
+            Some(seed) => disk
+                .store_mut()
+                .write_seeded(sector, n_sectors, seed, (off / 8) as u64),
+            None => {
+                let bytes = n_sectors as usize * SECTOR_SIZE;
+                disk.store_mut()
+                    .write(sector, &q.req.data[off..off + bytes]);
+            }
+        };
         let mut wasted = SimDuration::ZERO;
         let mut acc: Option<ServiceBreakdown> = None;
         let mut error = None;
@@ -959,21 +971,7 @@ impl AdaptiveDriver {
                 Ok(b) => {
                     wasted += elapsed - b.total();
                     if !q.req.dir.is_read() {
-                        match seeded {
-                            Some(seed) => {
-                                self.disk.store_mut().write_seeded(
-                                    sector,
-                                    n,
-                                    seed,
-                                    (off / 8) as u64,
-                                );
-                            }
-                            None => {
-                                self.disk
-                                    .store_mut()
-                                    .write(sector, &q.req.data[off..off + bytes]);
-                            }
-                        }
+                        store_write(&mut self.disk, sector, n, off);
                     }
                     acc = Some(match acc {
                         None => b,
@@ -990,22 +988,7 @@ impl AdaptiveDriver {
                     wasted += elapsed;
                     // A torn write persisted a prefix of this segment.
                     if e.fault == DiskFault::TornWrite && e.persisted > 0 {
-                        match seeded {
-                            Some(seed) => {
-                                self.disk.store_mut().write_seeded(
-                                    sector,
-                                    e.persisted,
-                                    seed,
-                                    (off / 8) as u64,
-                                );
-                            }
-                            None => {
-                                let torn = e.persisted as usize * SECTOR_SIZE;
-                                self.disk
-                                    .store_mut()
-                                    .write(sector, &q.req.data[off..off + torn]);
-                            }
-                        }
+                        store_write(&mut self.disk, sector, e.persisted, off);
                     }
                     self.perf.record_failure(q.req.dir);
                     error = Some(DriverError::from(e));
@@ -1404,11 +1387,10 @@ impl AdaptiveDriver {
                 Err(e) if e.fault == DiskFault::PowerLoss => {
                     return Err((busy, e.into()));
                 }
-                Err(e) => {
+                Err(_) => {
                     // The dirty reserved copy is gone for good: quarantine
                     // the slot and surface the loss on future reads rather
                     // than silently reviving the stale home copy.
-                    let _ = e;
                     self.quarantined.insert(entry.slot);
                     self.perf.record_quarantine();
                     lost = true;

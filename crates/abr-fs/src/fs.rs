@@ -225,10 +225,13 @@ pub struct FileSystem {
     /// hasher; serialized through an ordered map (see
     /// [`FileSystem::save_state`]).
     inode_block_gen: FastMap<u64, u32>,
-    /// Reusable (block, generation) scratch for `read`/`write`, so the
-    /// per-operation hot path does not allocate to walk an extent list.
-    op_scratch: Vec<(u64, u32)>,
+    /// Reusable scratch for `read`/`write`, so the per-operation hot
+    /// path does not allocate to walk an extent list.
+    op_scratch: OpScratch,
 }
+
+/// The `(disk block, generation)` pairs of one block walk.
+type OpScratch = Vec<(u64, u32)>;
 
 impl fmt::Debug for FileSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -544,6 +547,26 @@ impl FileSystem {
         Ok((FileHandle(ino), out))
     }
 
+    /// What walking file blocks `start..start + n_blocks` starts with:
+    /// the file's i-node, checked to have them, and the emptied op
+    /// scratch for the walk's `(disk block, generation)` pairs. The
+    /// scratch is taken only after the checks, so no error path has to
+    /// hand it back; the caller does once the walk is over.
+    fn block_walk(
+        &mut self,
+        file: FileHandle,
+        start: usize,
+        n_blocks: usize,
+    ) -> Result<(&mut Inode, OpScratch), FsError> {
+        let inode = self.inodes.get_mut(file.0).ok_or(FsError::NoSuchFile)?;
+        if start + n_blocks > inode.blocks.len() {
+            return Err(FsError::BeyondEof);
+        }
+        let mut scratch = std::mem::take(&mut self.op_scratch);
+        scratch.clear();
+        Ok((inode, scratch))
+    }
+
     /// Read `n_blocks` file blocks starting at block `start` of the file.
     /// Returns the disk requests this triggers (metadata misses, data
     /// misses, dirty evictions). Updates the access time (a delayed
@@ -554,27 +577,13 @@ impl FileSystem {
         start: usize,
         n_blocks: usize,
     ) -> Result<Vec<IoRequest>, FsError> {
-        let mut scratch = std::mem::take(&mut self.op_scratch);
-        scratch.clear();
-        let (size, indirect, total) = {
-            let inode = match self.inodes.get(file.0) {
-                Some(i) => i,
-                None => {
-                    self.op_scratch = scratch;
-                    return Err(FsError::NoSuchFile);
-                }
-            };
-            if start + n_blocks > inode.blocks.len() {
-                self.op_scratch = scratch;
-                return Err(FsError::BeyondEof);
-            }
-            scratch.extend(
-                inode.blocks[start..start + n_blocks]
-                    .iter()
-                    .map(|&b| (b, 0)),
-            );
-            (inode.size, inode.indirect, inode.blocks.len())
-        };
+        let (inode, mut scratch) = self.block_walk(file, start, n_blocks)?;
+        scratch.extend(
+            inode.blocks[start..start + n_blocks]
+                .iter()
+                .map(|&b| (b, 0)),
+        );
+        let (size, indirect, total) = (inode.size, inode.indirect, inode.blocks.len());
         let mut out = Vec::new();
         self.fetch_inode(file.0, &mut out);
         // Touching blocks beyond the direct pointers needs the indirect
@@ -617,26 +626,12 @@ impl FileSystem {
         if self.cfg.mode == MountMode::ReadOnly {
             return Err(FsError::ReadOnly);
         }
-        let mut scratch = std::mem::take(&mut self.op_scratch);
-        scratch.clear();
-        let (size, total) = {
-            let inode = match self.inodes.get_mut(file.0) {
-                Some(i) => i,
-                None => {
-                    self.op_scratch = scratch;
-                    return Err(FsError::NoSuchFile);
-                }
-            };
-            if start + n_blocks > inode.blocks.len() {
-                self.op_scratch = scratch;
-                return Err(FsError::BeyondEof);
-            }
-            for idx in start..start + n_blocks {
-                inode.generations[idx] += 1;
-                scratch.push((inode.blocks[idx], inode.generations[idx]));
-            }
-            (inode.size, inode.blocks.len())
-        };
+        let (inode, mut scratch) = self.block_walk(file, start, n_blocks)?;
+        for idx in start..start + n_blocks {
+            inode.generations[idx] += 1;
+            scratch.push((inode.blocks[idx], inode.generations[idx]));
+        }
+        let (size, total) = (inode.size, inode.blocks.len());
         let mut out = Vec::new();
         self.fetch_inode(file.0, &mut out);
         for (i, &(b, generation)) in scratch.iter().enumerate() {

@@ -46,8 +46,7 @@ P001  unwrap()/expect() in non-test library code must stay within the
 C001  no narrowing `as` casts (u8/u16/u32/i8/i16/i32) in geometry.rs,
       layout.rs, cylmap.rs, stripe.rs
 M001  every registered metric name (counter/gauge/hires in a producer
-      crate) must have a consumer: a report column, an SLO, or the
-      bench-compare allowlist
+      crate) must have a consumer: a report column or an SLO
 M002  every consumed metric name must be registered by a producer
 L001  abr-lint annotations must name a known rule and give a reason;
       baseline entries must carry a justifying comment

@@ -3,7 +3,7 @@
 //! The metrics registry is stringly-typed: producers register
 //! `r.counter("driver.submitted")` in one crate, consumers read
 //! `snap["counters"]["driver.submitted"]` (or name a metric in an SLO
-//! spec / report column / bench-compare allowlist) in another. Nothing
+//! spec or a report column) in another. Nothing
 //! in the type system connects the two, so a typo'd or orphaned name
 //! silently yields zeros. This pass closes the loop:
 //!
@@ -12,9 +12,8 @@
 //!   (everything except `abr-bench`, which only reads snapshots, and
 //!   `abr-lint` itself).
 //! * **Consumptions** — every metric-shaped string literal in
-//!   `abr-bench` live code (snapshot lookups, report columns, the
-//!   bench-compare p99 allowlist), plus every metric named inside a
-//!   `pNN(...)` SLO expression anywhere.
+//!   `abr-bench` live code (snapshot lookups, report columns), plus
+//!   every metric named inside a `pNN(...)` SLO expression anywhere.
 //!
 //! **M001 (dead)**: registered, never consumed — nothing would notice
 //! if the instrumented code stopped counting. **M002 (phantom)**:

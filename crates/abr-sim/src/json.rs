@@ -12,7 +12,7 @@
 //! * Deterministic writers ([`JsonValue::pretty`], `Display`): floats are
 //!   printed with Rust's shortest round-trip representation, objects in
 //!   insertion order, no locale or hash-order dependence anywhere.
-//! * A strict parser ([`JsonValue::parse`]) for `bench-compare` and for
+//! * A strict parser ([`JsonValue::parse`]) for `abrctl report` and for
 //!   reading artifacts back in tests.
 
 use std::fmt;

@@ -7,13 +7,13 @@
 //! returns the disk requests it triggers. Between measured days,
 //! [`WorkloadState::advance_day`] applies popularity drift.
 
-use crate::profile::WorkloadProfile;
+use crate::profile::{OpMix, WorkloadProfile};
 use abr_driver::request::IoRequest;
 use abr_fs::fs::{DirHandle, FileHandle, FileSystem, FsError};
 use abr_sim::arrival::OnOff;
 use abr_sim::dist::{FileSizes, Weighted, Zipf};
 use abr_sim::hash::FastMap;
-use abr_sim::{SimRng, SimTime};
+use abr_sim::{SimDuration, SimRng, SimTime};
 
 /// A file-level operation, resolved to concrete handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +97,19 @@ impl std::fmt::Debug for WorkloadState {
     }
 }
 
+/// The sampler over the six operation kinds, in the order
+/// `WorkloadState::draw_op` numbers them.
+fn op_mix(m: &OpMix) -> Weighted {
+    Weighted::new(&[
+        m.read_whole,
+        m.read_range,
+        m.write_range,
+        m.create,
+        m.append,
+        m.delete,
+    ])
+}
+
 impl WorkloadState {
     /// Build the file population on `fs` (directories spread across
     /// cylinder groups, then files), flush the resulting writes, and
@@ -173,15 +186,7 @@ impl WorkloadState {
         let rank_to_file: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
 
         let popularity = Zipf::new(files.len(), profile.popularity_s);
-        let m = &profile.mix;
-        let mix = Weighted::new(&[
-            m.read_whole,
-            m.read_range,
-            m.write_range,
-            m.create,
-            m.append,
-            m.delete,
-        ]);
+        let mix = op_mix(&profile.mix);
         let mut arrival_rng = rng.substream("arrivals");
         let arrivals = OnOff::new(profile.arrivals, &mut arrival_rng);
         Ok((
@@ -205,6 +210,12 @@ impl WorkloadState {
     /// The profile this generator runs.
     pub fn profile(&self) -> &WorkloadProfile {
         &self.profile
+    }
+
+    /// Measure days of `day_length` from now on (a resumed session may
+    /// run a shorter or longer day than the one it was saved after).
+    pub fn set_day_length(&mut self, day_length: SimDuration) {
+        self.profile.day_length = day_length;
     }
 
     /// Current day index (starts at 0, advanced by
@@ -430,15 +441,7 @@ impl WorkloadState {
         let profile: WorkloadProfile = serde_json::from_value(state["profile"].clone())?;
         let files: Vec<FileRec> = serde_json::from_value(state["files"].clone())?;
         let day: u64 = serde_json::from_value(state["day"].clone())?;
-        let m = &profile.mix;
-        let mix = Weighted::new(&[
-            m.read_whole,
-            m.read_range,
-            m.write_range,
-            m.create,
-            m.append,
-            m.delete,
-        ]);
+        let mix = op_mix(&profile.mix);
         let sizes = FileSizes::new(profile.file_min, profile.file_max, profile.size_alpha);
         let root = SimRng::new(seed);
         let mut arrival_rng = root.substream_idx("resume", day);
