@@ -8,12 +8,11 @@
 //!
 //! [`StripeMap::group_at`]: crate::stripe::StripeMap::group_at
 
-use super::{ArrayHealth, ArrayVolume, DiskHealth, MaintRole};
-use abr_disk::SECTOR_SIZE;
+use super::{ArrayHealth, ArrayVolume, DiskHealth, Image, MaintRole};
+use abr_disk::store::Form;
 use abr_driver::{AdaptiveDriver, IoRequest};
 use abr_obs::with_registry;
 use abr_sim::SimTime;
-use bytes::Bytes;
 
 impl ArrayVolume {
     /// Swap a failed member for a freshly formatted replacement drive
@@ -116,15 +115,15 @@ impl ArrayVolume {
         i: usize,
         db: u64,
         now: SimTime,
-    ) -> Result<Option<(Vec<(usize, u64)>, Vec<u8>)>, ()> {
+    ) -> Result<Option<(Vec<(usize, u64)>, Image)>, ()> {
         let Some(rest) = self.rest_of_group(i, db) else {
             return Ok(None);
         };
         if rest.iter().any(|&(d, _)| self.disk_down(d, now)) {
             return Err(());
         }
-        let bytes = self.xor_of(&rest).map_err(|_| ())?;
-        Ok(Some((rest, bytes)))
+        let image = self.xor_of(&rest).map_err(|_| ())?;
+        Ok(Some((rest, image)))
     }
 
     /// Drain stale sets under the windowed budget, lowest serving disk
@@ -152,8 +151,7 @@ impl ArrayVolume {
                     skipped.push(db);
                     continue;
                 }
-                Ok(Some((reads, bytes))) => {
-                    let span = bytes.len() / SECTOR_SIZE;
+                Ok(Some((reads, image))) => {
                     let mut issued = 0u32;
                     for (rd, rdb) in reads {
                         let r = IoRequest::read(0, rdb * spb, self.block_span(rd, rdb));
@@ -162,10 +160,10 @@ impl ArrayVolume {
                             issued += 1;
                         }
                     }
-                    let w = IoRequest::write(0, db * spb, span as u32, Bytes::from(bytes.clone()));
+                    let w = IoRequest::write_forms(0, db * spb, image[..].into());
                     match self.disks[i].submit(w, now) {
                         Ok(id) => {
-                            self.pending.insert((i, db), (id, bytes));
+                            self.pending.insert((i, db), (id, image));
                             self.maint_subs.insert((i, id), MaintRole::RebuildWrite(db));
                             issued += 1;
                         }
@@ -234,15 +232,12 @@ impl ArrayVolume {
         needs
     }
 
-    /// Issue a scrub repair write of `bytes` to block `db` of `loc`.
-    fn scrub_repair(&mut self, loc: usize, db: u64, bytes: Vec<u8>, now: SimTime) {
+    /// Issue a scrub repair write of `image` to block `db` of `loc`.
+    fn scrub_repair(&mut self, loc: usize, db: u64, image: Image, now: SimTime) {
         let spb = self.map.sectors_per_block();
-        let span = (bytes.len() / SECTOR_SIZE) as u32;
-        if let Ok(id) = self.disks[loc].submit(
-            IoRequest::write(0, db * spb, span, Bytes::from(bytes.clone())),
-            now,
-        ) {
-            self.pending.insert((loc, db), (id, bytes));
+        let w = IoRequest::write_forms(0, db * spb, image[..].into());
+        if let Ok(id) = self.disks[loc].submit(w, now) {
+            self.pending.insert((loc, db), (id, image));
             self.maint_subs.insert((loc, id), MaintRole::ScrubWrite(db));
             if let Some(m) = &self.maint {
                 with_registry(|r| r.inc(m.obs.scrub_repairs, 1));
@@ -277,9 +272,11 @@ impl ArrayVolume {
                 needs.push((loc, db));
             }
         }
-        // Through the pending-aware images.
+        // Through the pending-aware images. Forms that cancel are zero;
+        // a sum that does not cancel is materialized, so the verdict is
+        // exact even when a raw sector spells out a seeded stream.
         let suspect = match self.xor_of(group) {
-            Ok(sum) if sum.iter().all(|&b| b == 0) => None,
+            Ok(sum) if sum.iter().all(Form::is_zero) => None,
             Ok(_) => {
                 if let Some(m) = &self.maint {
                     with_registry(|r| r.inc(m.obs.scrub_mismatches, 1));
@@ -289,7 +286,7 @@ impl ArrayVolume {
             Err(_) => {
                 let mut unreadable = group
                     .iter()
-                    .filter(|&&(loc, db)| self.block_bytes(loc, db).is_err());
+                    .filter(|&&(loc, db)| self.block_forms(loc, db).is_err());
                 match (unreadable.next(), unreadable.next()) {
                     (Some(&lost), None) => Some(lost),
                     _ => return,
@@ -300,8 +297,8 @@ impl ArrayVolume {
         for (loc, db) in needs {
             let rest: Vec<(usize, u64)> =
                 group.iter().copied().filter(|&m| m != (loc, db)).collect();
-            if let Ok(bytes) = self.xor_of(&rest) {
-                self.scrub_repair(loc, db, bytes, now);
+            if let Ok(image) = self.xor_of(&rest) {
+                self.scrub_repair(loc, db, image, now);
             }
         }
         for &(loc, db) in group {

@@ -14,12 +14,15 @@
 //! failure without losing a block:
 //!
 //! * **Writes** fan out at submit time with *computed payloads*: the
-//!   mirror copy carries the same bytes, the parity update carries
+//!   mirror copy carries the same payload, the parity update carries
 //!   `parity ⊕ old ⊕ new` (old data and old parity come from
-//!   [`AdaptiveDriver::peek`], the simulator's stand-in for cache-
-//!   resident data). The data write is issued first, then the
-//!   copy/parity write — on a crash the scrub repairs toward the data
-//!   copy, so the ordering is the crash-consistency contract.
+//!   [`AdaptiveDriver::peek_forms`], the simulator's stand-in for
+//!   cache-resident data). Payloads are computed on [`Form`]s, one per
+//!   sector, never on bytes: a seeded write stays a marker on its home
+//!   member and its parity is a short list of markers. The data write
+//!   is issued first, then the copy/parity write — on a crash the scrub
+//!   repairs toward the data copy, so the ordering is the
+//!   crash-consistency contract.
 //! * **Reads** route around unavailable members at submit time (dead
 //!   or failed disk, un-resilvered block, lost block, latent defect)
 //!   and fail over at completion time if the member died with the read
@@ -44,12 +47,11 @@
 
 use crate::stripe::{Redundancy, StripeMap, StripePolicy};
 use abr_core::recovery::{IoBudget, MaintenanceConfig};
-use abr_disk::SECTOR_SIZE;
+use abr_disk::store::Form;
 use abr_driver::request::IoDir;
 use abr_driver::{AdaptiveDriver, BlockDevice, DriverError, IoRequest, RequestId};
 use abr_obs::{with_registry, CounterId, GaugeId, HiresId};
 use abr_sim::SimTime;
-use bytes::Bytes;
 use std::collections::HashMap; // abr-lint: allow(D001, request bookkeeping; keyed insert/remove only, completion order is driven by sorted member queues)
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -197,7 +199,7 @@ struct Routed {
     req: IoRequest,
     red: Option<RedSub>,
     /// Full-block image to record as in-flight once submitted.
-    pending_img: Option<Vec<u8>>,
+    pending_img: Option<Image>,
 }
 
 /// Per-request bookkeeping while sub-requests are outstanding.
@@ -316,18 +318,23 @@ pub struct DiskIoCounts {
     pub failed: u64,
 }
 
-/// XOR `src` into `acc` (parity accumulation).
-fn xor_into(acc: &mut [u8], src: &[u8]) {
-    debug_assert_eq!(acc.len(), src.len());
-    for (a, s) in acc.iter_mut().zip(src) {
-        *a ^= s;
-    }
+/// A block's (or span's) contents: one [`Form`] per sector.
+type Image = Vec<Form>;
+
+/// Sector-wise XOR of equal-length images (parity accumulation).
+fn xor_images(images: &[impl AsRef<[Form]>]) -> Image {
+    let len = images.first().map_or(0, |img| img.as_ref().len());
+    debug_assert!(images.iter().all(|img| img.as_ref().len() == len));
+    let mut scratch = Vec::new();
+    (0..len)
+        .map(|s| Form::xor_all(images.iter().map(|img| &img.as_ref()[s]), &mut scratch))
+        .collect()
 }
 
 /// Overlay `data` onto `img` starting `off_sectors` into the block.
-fn overlay(img: &mut [u8], off_sectors: u64, data: &[u8]) {
-    let off = off_sectors as usize * SECTOR_SIZE;
-    img[off..off + data.len()].copy_from_slice(data);
+fn overlay(img: &mut [Form], off_sectors: u64, data: &[Form]) {
+    let off = off_sectors as usize;
+    img[off..off + data.len()].clone_from_slice(data);
 }
 
 /// N adaptive drivers behind one block address space.
@@ -344,10 +351,10 @@ pub struct ArrayVolume {
     /// Per disk: blocks whose on-disk bytes await re-silvering.
     stale: Vec<BTreeSet<u64>>,
     /// Submitted-but-not-yet-dispatched write images, keyed by
-    /// `(disk, dblock)`: the bytes the block will hold once the tagged
+    /// `(disk, dblock)`: what the block will hold once the tagged
     /// request dispatches. Parity math and scrubbing read through this
     /// so queued writes are never double-counted.
-    pending: BTreeMap<(usize, u64), (RequestId, Vec<u8>)>,
+    pending: BTreeMap<(usize, u64), (RequestId, Image)>,
     maint: Option<MaintState>,
     io_counts: Vec<DiskIoCounts>,
     /// Volume-level requests that finished clean / with an error.
@@ -443,12 +450,13 @@ impl ArrayVolume {
         vol
     }
 
-    /// Array creation: materialize consistent parity for every row —
-    /// the simulator's stand-in for the parity build a real array does
-    /// at `mkraid` time. Untimed store writes, exactly like formatting;
+    /// Array creation: consistent parity for every row — the
+    /// simulator's stand-in for the parity build a real array does at
+    /// `mkraid` time. Untimed store writes, exactly like formatting;
     /// freshly formatted members carry identical metadata in their
     /// content blocks, so without this step the parity identity would
-    /// start out violated.
+    /// start out violated. A row of blank blocks has blank parity:
+    /// nothing is written for it.
     fn init_parity(&mut self) {
         if self.redundancy() != Redundancy::RotParity {
             return;
@@ -459,24 +467,17 @@ impl ArrayVolume {
             let Some((&(pd, pdb), data)) = group.split_last() else {
                 continue;
             };
-            let mut acc = vec![0u8; spb as usize * SECTOR_SIZE];
-            for &(d, db) in data {
-                let img = self.disks[d]
-                    .peek(0, db * spb, spb as u32)
-                    .expect("fresh member has no lost blocks");
-                xor_into(&mut acc, &img);
+            let parity = self.xor_of(data).expect("fresh member has no lost blocks");
+            if parity.iter().all(|form| *form == Form::Zero) {
+                continue;
             }
             let segs = self.disks[pd]
                 .physical_segments(0, pdb * spb, spb as u32)
                 .expect("parity block in range");
-            let mut off = 0usize;
-            for (s, len) in segs {
-                let bytes = len as usize * SECTOR_SIZE;
-                self.disks[pd]
-                    .disk_mut()
-                    .store_mut()
-                    .write(s, &acc[off..off + bytes]);
-                off += bytes;
+            let sectors = segs.iter().flat_map(|&(s, len)| s..s + u64::from(len));
+            let store = self.disks[pd].disk_mut().store_mut();
+            for (s, form) in sectors.zip(&parity) {
+                store.write_form(s, form);
             }
         }
     }
@@ -554,18 +555,16 @@ impl ArrayVolume {
         ((part - dblock * spb).min(spb)) as u32
     }
 
-    /// The block's current bytes on one member: the queued write image
-    /// if one is in flight, else the backing store (fails for a lost
-    /// block). *Not* redundancy-aware — see [`Self::logical_block`].
-    fn block_bytes(&self, disk: usize, dblock: u64) -> Result<Vec<u8>, DriverError> {
+    /// What the block currently holds on one member: the queued write
+    /// image if one is in flight, else the backing store (fails for a
+    /// lost block). *Not* redundancy-aware — see [`Self::logical_block`].
+    fn block_forms(&self, disk: usize, dblock: u64) -> Result<Image, DriverError> {
         if let Some((_, img)) = self.pending.get(&(disk, dblock)) {
             return Ok(img.clone());
         }
         let spb = self.map.sectors_per_block();
         let span = self.block_span(disk, dblock);
-        self.disks[disk]
-            .peek(0, dblock * spb, span)
-            .map(|b| b.to_vec())
+        self.disks[disk].peek_forms(0, dblock * spb, span)
     }
 
     /// The other members of the redundancy group of `(disk, dblock)`:
@@ -577,33 +576,28 @@ impl ArrayVolume {
         Some(group)
     }
 
-    /// XOR of the current bytes of `members` — the content of the one
+    /// XOR of what `members` currently hold — the content of the one
     /// member missing from their group. Fails when a member is stale or
     /// unreadable: a second failure, beyond single redundancy.
-    fn xor_of(&self, members: &[(usize, u64)]) -> Result<Vec<u8>, DriverError> {
-        let mut acc = Vec::new();
+    fn xor_of(&self, members: &[(usize, u64)]) -> Result<Image, DriverError> {
+        let mut images = Vec::with_capacity(members.len());
         for &(d, db) in members {
             if self.stale[d].contains(&db) {
                 return Err(DriverError::DataLoss);
             }
-            let img = self.block_bytes(d, db)?;
-            if acc.is_empty() {
-                acc = img;
-            } else {
-                xor_into(&mut acc, &img);
-            }
+            images.push(self.block_forms(d, db)?);
         }
-        Ok(acc)
+        Ok(xor_images(&images))
     }
 
-    /// The *logical* bytes of volume block `vblock`: its home copy when
-    /// current, else the XOR of the rest of its redundancy group (the
-    /// mirror copy; the parity reconstruction). Fails only when
+    /// The *logical* contents of volume block `vblock`: its home copy
+    /// when current, else the XOR of the rest of its redundancy group
+    /// (the mirror copy; the parity reconstruction). Fails only when
     /// redundancy cannot cover the block (multiple failures).
-    fn logical_block(&self, vblock: u64) -> Result<Vec<u8>, DriverError> {
+    fn logical_block(&self, vblock: u64) -> Result<Image, DriverError> {
         let (d, db) = self.map.map_block(vblock);
         if !self.stale[d].contains(&db) {
-            if let Ok(b) = self.block_bytes(d, db) {
+            if let Ok(b) = self.block_forms(d, db) {
                 return Ok(b);
             }
         }
@@ -723,21 +717,9 @@ impl ArrayVolume {
         sector: u64,
         now: SimTime,
     ) -> Vec<Routed> {
-        // Redundant schemes need the payload bytes up front (parity
-        // deltas, pending write images), so a seeded request is
-        // materialized once here.
-        let materialized;
-        let req = if req.payload_seed.is_some() {
-            materialized = IoRequest::write(
-                req.partition,
-                req.sector_in_partition,
-                req.n_sectors,
-                req.payload(),
-            );
-            &materialized
-        } else {
-            req
-        };
+        // What the write stores, sector by sector (parity deltas,
+        // pending write images); no bytes are produced for it.
+        let new = req.payload_forms();
         let spb = self.map.sectors_per_block();
         let dblock = sector / spb;
         let off = sector % spb;
@@ -759,8 +741,7 @@ impl ArrayVolume {
                         redirected += 1;
                         continue;
                     }
-                    if let Some(r) = self.data_write_sub(target, dblock, off, full, &req.data, req)
-                    {
+                    if let Some(r) = self.data_write_sub(target, dblock, off, full, &new, req) {
                         out.push(r);
                     } else {
                         redirected += 1;
@@ -776,13 +757,12 @@ impl ArrayVolume {
                 if self.disk_down(disk, now) {
                     self.stale[disk].insert(dblock);
                     redirected += 1;
-                } else if let Some(r) = self.data_write_sub(disk, dblock, off, full, &req.data, req)
-                {
+                } else if let Some(r) = self.data_write_sub(disk, dblock, off, full, &new, req) {
                     out.push(r);
                 } else {
                     redirected += 1;
                 }
-                match self.parity_write_sub(vblock, off, n, &req.data, old_block, now) {
+                match self.parity_write_sub(vblock, off, &new, old_block, now) {
                     Some(r) => out.push(r),
                     None => redirected += 1,
                 }
@@ -825,7 +805,7 @@ impl ArrayVolume {
         dblock: u64,
         off: u64,
         full: bool,
-        payload: &Bytes,
+        payload: &[Form],
         req: &IoRequest,
     ) -> Option<Routed> {
         let spb = self.map.sectors_per_block();
@@ -849,7 +829,7 @@ impl ArrayVolume {
             self.stale[target].remove(&dblock);
             return Some(Routed {
                 disk: target,
-                req: IoRequest::write(0, dblock * spb, span, Bytes::from(img.clone())),
+                req: IoRequest::write_forms(0, dblock * spb, img[..].into()),
                 red: Some(RedSub {
                     n_sectors: span,
                     ..red
@@ -860,12 +840,12 @@ impl ArrayVolume {
         if full {
             self.stale[target].remove(&dblock);
         }
-        // In-flight image: the current block bytes with the payload
+        // In-flight image: the block's current contents with the payload
         // overlaid (whole payload for a full write).
         let pending_img = if full {
             Some(payload.to_vec())
         } else {
-            match self.block_bytes(target, dblock) {
+            match self.block_forms(target, dblock) {
                 Ok(mut img) => {
                     overlay(&mut img, off, payload);
                     Some(img)
@@ -875,7 +855,10 @@ impl ArrayVolume {
         };
         Some(Routed {
             disk: target,
-            req: IoRequest::write(0, dblock * spb + off, req.n_sectors, payload.clone()),
+            req: IoRequest {
+                sector_in_partition: dblock * spb + off,
+                ..req.clone()
+            },
             red: Some(red),
             pending_img,
         })
@@ -890,12 +873,12 @@ impl ArrayVolume {
         &mut self,
         vblock: u64,
         off: u64,
-        n: u32,
-        payload: &Bytes,
-        old_block: Result<Vec<u8>, DriverError>,
+        payload: &[Form],
+        old_block: Result<Image, DriverError>,
         now: SimTime,
     ) -> Option<Routed> {
         let spb = self.map.sectors_per_block();
+        let n = payload.len() as u32;
         let (pd, pdb) = self.map.parity_location(vblock);
         if self.disk_down(pd, now) {
             self.stale[pd].insert(pdb);
@@ -913,12 +896,9 @@ impl ArrayVolume {
                 return None;
             }
             let old = old_block.as_ref().ok()?;
-            let parity_old = self.block_bytes(pd, pdb).ok()?;
-            let lo = off as usize * SECTOR_SIZE;
-            let hi = lo + n as usize * SECTOR_SIZE;
-            let mut span = parity_old[lo..hi].to_vec();
-            xor_into(&mut span, &old[lo..hi]);
-            xor_into(&mut span, payload);
+            let parity_old = self.block_forms(pd, pdb).ok()?;
+            let (lo, hi) = (off as usize, off as usize + payload.len());
+            let span = xor_images(&[&parity_old[lo..hi], &old[lo..hi], payload]);
             // In-flight image of the whole parity block.
             let mut img = parity_old;
             overlay(&mut img, off, &span);
@@ -927,7 +907,7 @@ impl ArrayVolume {
         if let Some((span, img)) = delta {
             return Some(Routed {
                 disk: pd,
-                req: IoRequest::write(0, pdb * spb + off, n, Bytes::from(span)),
+                req: IoRequest::write_forms(0, pdb * spb + off, span.into()),
                 red: Some(red),
                 pending_img: Some(img),
             });
@@ -943,23 +923,24 @@ impl ArrayVolume {
             }
         };
         overlay(&mut own, off, payload);
-        let mut parity = own;
+        let mut images = vec![own];
         let home = self.map.map_block(vblock);
         let row = self.rest_of_group(pd, pdb).unwrap_or_default();
         for &(peer_d, peer_db) in row.iter().filter(|&&m| m != home) {
             let peer = self.map.vblock_at(peer_d, peer_db);
             match peer.and_then(|vb| self.logical_block(vb).ok()) {
-                Some(b) => xor_into(&mut parity, &b),
+                Some(b) => images.push(b),
                 None => {
                     self.stale[pd].insert(pdb);
                     return None;
                 }
             }
         }
+        let parity = xor_images(&images);
         self.stale[pd].remove(&pdb);
         Some(Routed {
             disk: pd,
-            req: IoRequest::write(0, pdb * spb, spb as u32, Bytes::from(parity.clone())),
+            req: IoRequest::write_forms(0, pdb * spb, parity[..].into()),
             red: Some(RedSub {
                 n_sectors: spb as u32,
                 ..red
@@ -992,7 +973,11 @@ impl ArrayVolume {
     }
 
     /// Submit routed subs to their members, registering redundancy
-    /// bookkeeping and pending write images.
+    /// bookkeeping and pending write images. When a member rejects a sub
+    /// up front (it never reached a queue), the subs already queued are
+    /// orphans: they keep their redundancy bookkeeping until they
+    /// complete (image retired, block marked stale on failure) and never
+    /// get a parent.
     fn place(
         &mut self,
         routed: Vec<Routed>,
@@ -1000,24 +985,14 @@ impl ArrayVolume {
     ) -> Result<Vec<(usize, RequestId)>, DriverError> {
         let mut placed = Vec::with_capacity(routed.len());
         for r in routed {
-            match self.disks[r.disk].submit(r.req, now) {
-                Ok(id) => {
-                    if let Some(red) = r.red {
-                        self.red_subs.insert((r.disk, id), red);
-                        if let Some(img) = r.pending_img {
-                            self.pending.insert((r.disk, red.dblock), (id, img));
-                        }
-                    }
-                    placed.push((r.disk, id));
-                }
-                Err(e) => {
-                    for (d, id) in placed {
-                        self.subs.remove(&(d, id));
-                        self.red_subs.remove(&(d, id));
-                    }
-                    return Err(e);
+            let id = self.disks[r.disk].submit(r.req, now)?;
+            if let Some(red) = r.red {
+                self.red_subs.insert((r.disk, id), red);
+                if let Some(img) = r.pending_img {
+                    self.pending.insert((r.disk, red.dblock), (id, img));
                 }
             }
+            placed.push((r.disk, id));
         }
         Ok(placed)
     }
@@ -1050,19 +1025,8 @@ impl ArrayVolume {
                 IoDir::Write => IoRequest::write_zeroes(0, s, n),
             };
             let routed = self.route_piece(&piece, now);
-            match self.place(routed, now) {
-                Ok(mut p) => placed.append(&mut p),
-                Err(e) => {
-                    // Piece rejected up front (it never reached a
-                    // queue): orphan the accepted pieces — they will
-                    // complete and be dropped — and report the error.
-                    for (d, id) in placed {
-                        self.subs.remove(&(d, id));
-                        self.red_subs.remove(&(d, id));
-                    }
-                    return Err(e);
-                }
-            }
+            // A rejected piece orphans the accepted ones (see `place`).
+            placed.append(&mut self.place(routed, now)?);
         }
         Ok(self.admit(now, placed))
     }
@@ -1131,17 +1095,17 @@ impl ArrayVolume {
             return None;
         }
         let red = self.red_subs.remove(&key);
-        // Retire this sub's pending write image (unless a newer write
-        // to the same block superseded it).
-        if let Some(rs) = red {
-            if !rs.dir.is_read() {
-                if let Some(&(pid, _)) = self.pending.get(&(disk, rs.dblock)) {
-                    if pid == c.id {
-                        self.pending.remove(&(disk, rs.dblock));
-                    }
-                }
+        if let Some(rs) = red.filter(|rs| !rs.dir.is_read()) {
+            self.retire_pending(disk, rs.dblock, c.id);
+            // A write replica failed: the block's on-disk bytes diverge
+            // from the volume's logical contents — mark it for
+            // re-silvering instead of failing the request (another
+            // replica may have landed).
+            if c.error.is_some() {
+                self.stale[disk].insert(rs.dblock);
             }
         }
+        // No parent: the orphan of a request rejected in `place`.
         let vol = self.subs.remove(&key)?;
         let mut parent = self.inflight.remove(&vol).expect("live request"); // abr-lint: allow(P001, sub completion implies a live parent request)
         match (red, c.error) {
@@ -1166,12 +1130,7 @@ impl ArrayVolume {
                     parent.n_subs += 1;
                 }
             }
-            (Some(rs), Some(err)) => {
-                // A write replica failed: the block's on-disk bytes
-                // diverge from the volume's logical contents — mark it
-                // for re-silvering instead of failing the request
-                // (another replica may have landed).
-                self.stale[disk].insert(rs.dblock);
+            (Some(_), Some(err)) => {
                 parent.red_write_err.get_or_insert(err);
             }
             (Some(rs), None) => parent.red_write_ok |= !rs.dir.is_read(),
@@ -1207,6 +1166,14 @@ impl ArrayVolume {
         })
     }
 
+    /// Retire the pending write image of finished write `id` (unless a
+    /// newer write to the same block superseded it).
+    fn retire_pending(&mut self, disk: usize, dblock: u64, id: RequestId) {
+        if self.pending.get(&(disk, dblock)).is_some_and(|p| p.0 == id) {
+            self.pending.remove(&(disk, dblock));
+        }
+    }
+
     /// Account a finished maintenance sub-request.
     fn finish_maint(
         &mut self,
@@ -1215,27 +1182,20 @@ impl ArrayVolume {
         id: RequestId,
         err: Option<DriverError>,
     ) {
-        let Some(m) = &self.maint else { return };
-        match role {
-            MaintRole::RebuildWrite(db) | MaintRole::ScrubWrite(db) => {
-                if let Some(&(pid, _)) = self.pending.get(&(disk, db)) {
-                    if pid == id {
-                        self.pending.remove(&(disk, db));
-                    }
-                }
-                if !matches!(role, MaintRole::RebuildWrite(_)) {
-                    return;
-                }
-                if err.is_some() {
-                    // The re-silver write itself failed: the block is
-                    // still stale; retry next window.
-                    self.stale[disk].insert(db);
-                    with_registry(|r| r.inc(m.obs.rebuild_errors, 1));
-                } else {
-                    with_registry(|r| r.inc(m.obs.rebuild_blocks, 1));
-                }
-            }
-            MaintRole::RebuildRead | MaintRole::ScrubRead => {}
+        let (MaintRole::RebuildWrite(db) | MaintRole::ScrubWrite(db)) = role else {
+            return;
+        };
+        self.retire_pending(disk, db, id);
+        let (Some(m), MaintRole::RebuildWrite(_)) = (&self.maint, role) else {
+            return;
+        };
+        if err.is_some() {
+            // The re-silver write itself failed: the block is still
+            // stale; retry next window.
+            self.stale[disk].insert(db);
+            with_registry(|r| r.inc(m.obs.rebuild_errors, 1));
+        } else {
+            with_registry(|r| r.inc(m.obs.rebuild_blocks, 1));
         }
     }
 
@@ -1296,9 +1256,11 @@ impl BlockDevice for ArrayVolume {
 mod tests {
     use super::*;
     use abr_disk::fault::{FaultInjector, FaultPlan};
-    use abr_disk::{models, DiskLabel};
+    use abr_disk::{models, DiskLabel, SECTOR_SIZE};
+    use abr_driver::request::fill_seeded_payload;
     use abr_driver::{DriverConfig, SchedulerKind};
     use abr_sim::{SimDuration, SimRng};
+    use bytes::Bytes;
 
     fn member(spb: u32) -> AdaptiveDriver {
         let model = models::toshiba_mk156f();
@@ -1328,6 +1290,15 @@ mod tests {
 
     fn block_payload(tag: u8) -> Bytes {
         Bytes::from(vec![tag; 16 * SECTOR_SIZE])
+    }
+
+    /// The materialized bytes of an image.
+    fn bytes_of(img: &[Form]) -> Vec<u8> {
+        let mut buf = vec![0u8; img.len() * SECTOR_SIZE];
+        for (form, chunk) in img.iter().zip(buf.chunks_mut(SECTOR_SIZE)) {
+            form.fill(chunk);
+        }
+        buf
     }
 
     #[test]
@@ -1447,23 +1418,79 @@ mod tests {
             StripePolicy::Striped { chunk_blocks: 1 },
             Redundancy::RotParity,
         );
-        // Write both data blocks of row 0, then check XOR(all 3) == 0.
-        for (vb, tag) in [(0u64, 0x11u8), (1, 0x22)] {
-            v.submit(
-                IoRequest::write(0, vb * 16, 16, block_payload(tag)),
-                SimTime::ZERO,
-            )
-            .unwrap();
+        // Seed both data blocks of row 0, then overwrite block 0 with
+        // raw bytes (raw ⊕ seeded) and a fragment of block 1 with another
+        // stream (overlay) — all queued at once, so the parity math also
+        // runs through the pending images.
+        let writes = [
+            IoRequest::write_seeded(0, 0, 16, 0x5EED),
+            IoRequest::write_seeded(0, 16, 16, 0xFEED),
+            IoRequest::write(0, 0, 16, block_payload(0x11)),
+            IoRequest::write_seeded(0, 16 + 8, 4, 0xF00D),
+        ];
+        for w in writes {
+            v.submit(w, SimTime::ZERO).unwrap();
         }
         let done = v.drain();
-        assert_eq!(done.len(), 2);
+        assert_eq!(done.len(), 4);
         assert!(done.iter().all(|c| c.error.is_none() && c.n_subs == 2));
+        // XOR(all 3 members) == 0, byte for byte.
         let mut acc = vec![0u8; 16 * SECTOR_SIZE];
         for disk in 0..3 {
             let img = v.disk(disk).peek(0, 0, 16).unwrap();
-            xor_into(&mut acc, &img);
+            acc.iter_mut().zip(img.iter()).for_each(|(a, b)| *a ^= b);
         }
         assert!(acc.iter().all(|&b| b == 0), "parity identity violated");
+        // And the data is what was written.
+        assert_eq!(
+            bytes_of(&v.logical_block(0).unwrap()),
+            block_payload(0x11)[..]
+        );
+        let mut want = vec![0u8; 16 * SECTOR_SIZE];
+        fill_seeded_payload(0xFEED, &mut want);
+        fill_seeded_payload(0xF00D, &mut want[8 * SECTOR_SIZE..12 * SECTOR_SIZE]);
+        assert_eq!(bytes_of(&v.logical_block(1).unwrap()), want);
+        // The seeded block stayed markers: no page beyond formatting's.
+        let formatted = member(16).disk().store().raw_pages();
+        assert_eq!(v.disk(2).disk().store().raw_pages(), formatted);
+    }
+
+    #[test]
+    fn rejected_sub_leaves_an_orphan_that_is_still_accounted() {
+        let mut v = red_volume(
+            3,
+            StripePolicy::Striped { chunk_blocks: 1 },
+            Redundancy::RotParity,
+        );
+        // The data member dies at 1 s; at 2 s a two-sub write is placed
+        // whose parity sub the member rejects (out of its partition).
+        let plan =
+            FaultPlan::disk_death(SimTime::from_micros(1_000_000), SimDuration::from_secs(60));
+        let injector = FaultInjector::new(plan, SimRng::new(4).substream("faults"));
+        v.disk_mut(1).disk_mut().set_injector(Some(injector));
+        let red = RedSub {
+            dir: IoDir::Write,
+            vsector: 0,
+            n_sectors: 16,
+            dblock: 0,
+            retried: false,
+        };
+        let beyond = v.disk(0).label().partitions[0].n_sectors;
+        let sub = |disk, sector| Routed {
+            disk,
+            req: IoRequest::write_seeded(0, sector, 16, 7),
+            red: Some(red),
+            pending_img: Some(vec![Form::Zero; 16]),
+        };
+        let now = SimTime::from_micros(2_000_000);
+        let rejected = v.place(vec![sub(1, 0), sub(0, beyond)], now);
+        assert_eq!(rejected, Err(DriverError::OutOfPartition));
+        assert!(v.pending.contains_key(&(1, 0)), "orphan is in flight");
+        // The orphaned data sub fails on the dead member: no volume
+        // completion, its image is retired and the block goes stale.
+        assert!(v.drain().is_empty());
+        assert!(v.pending.is_empty(), "orphan's image was never retired");
+        assert_eq!(v.stale_blocks(1), 1, "failed orphan left no stale mark");
     }
 
     #[test]
@@ -1529,7 +1556,7 @@ mod tests {
         assert!(c.error.is_none(), "reconstruction failed: {:?}", c.error);
         assert_eq!(c.n_subs, 2, "peer + parity reconstruction reads");
         // The logical bytes are still reconstructable and correct.
-        let img = v.logical_block(0).unwrap();
+        let img = bytes_of(&v.logical_block(0).unwrap());
         assert!(img.iter().all(|&b| b == 0x0F));
     }
 

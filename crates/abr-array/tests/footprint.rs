@@ -1,0 +1,90 @@
+//! Footprint and identity of a redundant array: redundancy is computed
+//! on forms, so a rotating-parity array fed seeded writes holds markers
+//! like any single disk — no member store grows a 32 KB raw page beyond
+//! the ones formatting wrote — while the bytes those markers stand for
+//! still satisfy the parity identity, through a disk death, a hot spare
+//! and its rebuild.
+//!
+//! The configuration is the benchmark's `array_redundant`: the paper
+//! profile under `--release` (CI's `bench-smoke` job), `tiny_test`
+//! otherwise (tier-1).
+
+use abr_array::{ArrayConfig, ArrayExperiment, ArrayVolume, Redundancy, StripePolicy};
+use abr_core::ExperimentConfig;
+use abr_disk::fault::FaultPlan;
+use abr_disk::store::Form;
+use abr_disk::{models, SECTOR_SIZE};
+use abr_sim::SimDuration;
+use abr_workload::WorkloadProfile;
+
+const N_DISKS: usize = 4;
+const VICTIM: usize = 1;
+
+fn config() -> ArrayConfig {
+    let mut profile = if cfg!(debug_assertions) {
+        WorkloadProfile::tiny_test()
+    } else {
+        WorkloadProfile::users_fs()
+    };
+    // Long enough for the budgeted rebuild of a whole member to finish.
+    profile.day_length = SimDuration::from_hours(4);
+    let mut base = ExperimentConfig::new(models::toshiba_mk156f(), profile);
+    base.seed = 0xA77A_5AFE;
+    let stripe = StripePolicy::Striped { chunk_blocks: 8 };
+    ArrayConfig::redundant(base, N_DISKS, stripe, Redundancy::RotParity)
+}
+
+fn raw_pages(v: &ArrayVolume, i: usize) -> usize {
+    v.disk(i).disk().store().raw_pages()
+}
+
+/// Groups whose members' *materialized* XOR is not zero. A group whose
+/// members all hold the zero form needs no bytes to be judged.
+fn broken_groups(v: &ArrayVolume) -> Vec<u64> {
+    let spb = v.map().sectors_per_block();
+    let broken = |index: &u64| {
+        let group = v.map().group(*index);
+        let forms = |&(d, db): &(usize, u64)| v.disk(d).peek_forms(0, db * spb, spb as u32);
+        if (group.iter()).all(|m| forms(m).is_ok_and(|img| img.iter().all(|f| *f == Form::Zero))) {
+            return false;
+        }
+        let mut acc = vec![0u8; spb as usize * SECTOR_SIZE];
+        for &(d, db) in &group {
+            let img = v.disk(d).peek(0, db * spb, spb as u32).expect("readable");
+            acc.iter_mut().zip(img.iter()).for_each(|(a, b)| *a ^= b);
+        }
+        acc.iter().any(|&b| b != 0)
+    };
+    (0..v.map().n_groups()).filter(broken).collect()
+}
+
+#[test]
+fn redundant_array_holds_markers_and_keeps_the_parity_identity() {
+    abr_obs::registry_clear();
+    let mut e = ArrayExperiment::new(config());
+    // What formatting itself writes raw: label and block table.
+    let formatted = e.volume().disk(0).blank_twin().disk().store().raw_pages();
+    for i in 0..N_DISKS {
+        assert_eq!(
+            raw_pages(e.volume(), i),
+            formatted,
+            "member {i} after set-up"
+        );
+    }
+    assert_eq!(broken_groups(e.volume()), Vec::<u64>::new(), "after set-up");
+
+    // The victim dies 30 minutes into the measured day; its hot spare
+    // arrives 10 minutes later and is re-silvered under the budget.
+    let death = e.clock() + SimDuration::from_mins(30);
+    let spare_after = SimDuration::from_mins(10);
+    e.install_fault_plan(VICTIM, FaultPlan::disk_death(death, spare_after));
+    let day = e.run_day();
+    assert!(day.volume.all.n > 100, "volume served {}", day.volume.all.n);
+    let v = e.volume();
+    assert!(!v.disk_down(VICTIM, e.clock()), "the spare is in");
+    assert_eq!(v.rebuild_pending(), 0, "the spare is re-silvered");
+    assert_eq!(broken_groups(v), Vec::<u64>::new(), "after the rebuild");
+    for i in 0..N_DISKS {
+        assert_eq!(raw_pages(v, i), formatted, "member {i} after the day");
+    }
+}

@@ -22,11 +22,12 @@ use crate::cylmap::CylinderMap;
 use crate::layout::ReservedLayout;
 use crate::monitor::{PerfMonitor, PerfSnapshot, RequestMonitor, RequestRecord};
 use crate::queue::RequestQueue;
-use crate::request::{IoDir, IoRequest, Queued, RequestId, Segments};
+use crate::request::{IoDir, IoRequest, Payload, Queued, RequestId, Segments};
 use crate::sched::SchedulerKind;
 use abr_disk::disk::ServiceBreakdown;
 use abr_disk::fault::{DiskError, DiskFault};
 use abr_disk::label::LabelError;
+use abr_disk::store::Form;
 use abr_disk::{Disk, DiskLabel, DiskModel, SECTOR_SIZE};
 use abr_obs::{record_with, with_registry, CounterId, MoveKind, ObsEvent, RequestSpan};
 use abr_sim::{SimDuration, SimTime};
@@ -792,22 +793,23 @@ impl AdaptiveDriver {
         Ok(self.resolve_at(vsector, n_sectors).to_vec())
     }
 
-    /// Read a range's current contents straight from the backing store,
-    /// bypassing the queue and the simulated clock (no time passes, no
-    /// head movement). Reads of a lost block fail with
-    /// [`DriverError::DataLoss`] exactly like a queued read would.
+    /// What a range currently holds, straight from the backing store as
+    /// one [`Form`] per sector, bypassing the queue and the simulated
+    /// clock (no time passes, no head movement, no bytes are produced).
+    /// A lost block fails with [`DriverError::DataLoss`] exactly like a
+    /// queued read would.
     ///
     /// The array layer uses this to compute mirror and parity payloads
     /// at submit time and to fetch survivor data during rebuild — the
     /// simulator's stand-in for data already resident in the buffer
     /// cache (the timed disk reads are issued separately as real
     /// requests).
-    pub fn peek(
+    pub fn peek_forms(
         &self,
         partition: usize,
         sector_in_partition: u64,
         n_sectors: u32,
-    ) -> Result<Bytes, DriverError> {
+    ) -> Result<Vec<Form>, DriverError> {
         let segments = self.physical_segments(partition, sector_in_partition, n_sectors)?;
         let spb = u64::from(self.sectors_per_block());
         let vsector = self.to_virtual(partition, sector_in_partition, n_sectors)?;
@@ -815,12 +817,23 @@ impl AdaptiveDriver {
         if self.lost.contains(&home_phys) {
             return Err(DriverError::DataLoss);
         }
-        let mut buf = vec![0u8; n_sectors as usize * SECTOR_SIZE];
-        let mut off = 0usize;
-        for &(sector, n) in &segments {
-            let bytes = n as usize * SECTOR_SIZE;
-            self.disk.store().read(sector, &mut buf[off..off + bytes]);
-            off += bytes;
+        let sectors = segments
+            .iter()
+            .flat_map(|&(sector, n)| sector..sector + u64::from(n));
+        Ok(sectors.map(|s| self.disk.store().read_form(s)).collect())
+    }
+
+    /// [`Self::peek_forms`], materialized.
+    pub fn peek(
+        &self,
+        partition: usize,
+        sector_in_partition: u64,
+        n_sectors: u32,
+    ) -> Result<Bytes, DriverError> {
+        let forms = self.peek_forms(partition, sector_in_partition, n_sectors)?;
+        let mut buf = vec![0u8; forms.len() * SECTOR_SIZE];
+        for (form, chunk) in forms.iter().zip(buf.chunks_mut(SECTOR_SIZE)) {
+            form.fill(chunk);
         }
         Ok(Bytes::from(buf))
     }
@@ -938,25 +951,26 @@ impl AdaptiveDriver {
         // A segment failure (after the bounded retries inside `serviced`)
         // fails the whole request but still charges the time it took.
         self.retry_scratch = 0;
-        // Seeded writes never materialize here: the store records the
-        // `(seed, word offset)` marker per sector and synthesizes bytes
-        // only if something later reads them. The stream is counter-based,
-        // so a segment at byte offset `off` starts at word `off / 8` and a
-        // torn-write prefix is just a shorter marker run.
-        let seeded: Option<u64> = match q.req.payload_seed {
-            Some(seed) if !q.req.dir.is_read() => Some(seed),
-            _ => None,
-        };
         // Apply `n_sectors` of the payload, from byte offset `off`, to
-        // the store at `sector`: a whole segment or a torn prefix.
-        let store_write = |disk: &mut Disk, sector: u64, n_sectors: u32, off: usize| match seeded {
-            Some(seed) => disk
-                .store_mut()
-                .write_seeded(sector, n_sectors, seed, (off / 8) as u64),
-            None => {
-                let bytes = n_sectors as usize * SECTOR_SIZE;
-                disk.store_mut()
-                    .write(sector, &q.req.data[off..off + bytes]);
+        // the store at `sector`: a whole segment or a torn prefix. Only
+        // literal bytes are copied; every other kind is recorded per
+        // sector as what it is and synthesized if something reads it.
+        // The seeded stream is counter-based, so a segment at byte
+        // offset `off` starts at word `off / 8` and a torn-write prefix
+        // is just a shorter marker run.
+        let store_write = |disk: &mut Disk, sector: u64, n_sectors: u32, off: usize| {
+            let (store, n) = (disk.store_mut(), n_sectors as usize);
+            match &q.req.payload {
+                Payload::Seeded(seed) => {
+                    store.write_seeded(sector, n_sectors, *seed, (off / 8) as u64)
+                }
+                Payload::Zeroes => store.write_zeroes(sector, n_sectors),
+                Payload::Bytes(data) => store.write(sector, &data[off..off + n * SECTOR_SIZE]),
+                Payload::Forms(forms) => {
+                    for (s, form) in (sector..).zip(&forms[off / SECTOR_SIZE..][..n]) {
+                        store.write_form(s, form);
+                    }
+                }
             }
         };
         let mut wasted = SimDuration::ZERO;

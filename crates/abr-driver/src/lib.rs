@@ -46,5 +46,5 @@ pub use layout::ReservedLayout;
 pub use monitor::{PerfMonitor, PerfSnapshot, RequestMonitor, RequestRecord};
 #[cfg(feature = "sanitize")]
 pub use queue::QueueCorruption;
-pub use request::{IoRequest, RequestId};
+pub use request::{IoRequest, Payload, RequestId};
 pub use sched::SchedulerKind;

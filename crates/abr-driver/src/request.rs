@@ -7,13 +7,32 @@
 //! if the block has been rearranged — to its reserved-area copy.
 
 pub use abr_disk::disk::IoDir;
+use abr_disk::store::{Form, WORDS_PER_SECTOR};
+use abr_disk::SECTOR_SIZE;
 use abr_sim::SimTime;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Opaque identifier of a submitted request, unique within one driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RequestId(pub u64);
+
+/// What a write carries. A read carries [`Payload::Zeroes`].
+#[derive(Debug, Clone)]
+pub enum Payload {
+    /// Zero-filled sectors: nothing to carry, nothing to store.
+    Zeroes,
+    /// The deterministic stream of this generator seed, synthesized
+    /// only if something reads it back (see [`fill_seeded_payload`]):
+    /// the request carries 8 bytes instead of a materialized block.
+    Seeded(u64),
+    /// Literal bytes, `n_sectors * SECTOR_SIZE` of them.
+    Bytes(Bytes),
+    /// One [`Form`] per sector — what the array layer's computed
+    /// payloads (parity, reconstruction) are.
+    Forms(Arc<[Form]>),
+}
 
 /// A block-device request as the file system hands it to `strategy`.
 #[derive(Debug, Clone)]
@@ -29,14 +48,9 @@ pub struct IoRequest {
     /// boundary (the FS never asks for more than one block per request;
     /// larger raw requests are split by [`crate::physio`]).
     pub n_sectors: u32,
-    /// Payload for writes (`n_sectors * SECTOR_SIZE` bytes); empty for
-    /// reads and for seeded writes (see [`IoRequest::write_seeded`]).
-    pub data: Bytes,
-    /// For seeded writes, the deterministic generator seed the payload
-    /// is synthesized from at the moment it hits the media — the request
-    /// carries 8 bytes instead of a materialized block. `None` for reads
-    /// and explicit-data writes.
-    pub payload_seed: Option<u64>,
+    /// What a write stores, applied per sector at the moment it hits
+    /// the media.
+    pub payload: Payload,
 }
 
 /// Synthesize the deterministic payload stream for `seed` into `buf`
@@ -58,11 +72,22 @@ impl IoRequest {
     pub fn read(partition: usize, sector_in_partition: u64, n_sectors: u32) -> Self {
         IoRequest {
             dir: IoDir::Read,
+            ..Self::write_zeroes(partition, sector_in_partition, n_sectors)
+        }
+    }
+
+    fn write_of(
+        partition: usize,
+        sector_in_partition: u64,
+        n_sectors: u32,
+        payload: Payload,
+    ) -> Self {
+        IoRequest {
+            dir: IoDir::Write,
             partition,
             sector_in_partition,
             n_sectors,
-            data: Bytes::new(),
-            payload_seed: None,
+            payload,
         }
     }
 
@@ -73,60 +98,54 @@ impl IoRequest {
     pub fn write(partition: usize, sector_in_partition: u64, n_sectors: u32, data: Bytes) -> Self {
         assert_eq!(
             data.len(),
-            n_sectors as usize * abr_disk::SECTOR_SIZE,
+            n_sectors as usize * SECTOR_SIZE,
             "write payload does not match transfer length"
         );
-        IoRequest {
-            dir: IoDir::Write,
-            partition,
-            sector_in_partition,
-            n_sectors,
-            data,
-            payload_seed: None,
-        }
+        let payload = Payload::Bytes(data);
+        Self::write_of(partition, sector_in_partition, n_sectors, payload)
     }
 
-    /// A write whose payload is synthesized from `seed` only when it
-    /// reaches the media (see [`fill_seeded_payload`]): the hot
-    /// submit→dispatch path carries no block-sized allocation at all.
+    /// A write whose payload is synthesized from `seed` only when
+    /// something reads it back: the hot submit→dispatch path carries no
+    /// block-sized allocation at all.
     pub fn write_seeded(
         partition: usize,
         sector_in_partition: u64,
         n_sectors: u32,
         seed: u64,
     ) -> Self {
-        IoRequest {
-            dir: IoDir::Write,
-            partition,
-            sector_in_partition,
-            n_sectors,
-            data: Bytes::new(),
-            payload_seed: Some(seed),
-        }
+        let payload = Payload::Seeded(seed);
+        Self::write_of(partition, sector_in_partition, n_sectors, payload)
     }
 
-    /// The write payload, materializing a seeded request's stream. Used
-    /// where the bytes themselves are needed before the media write
-    /// (parity deltas, mirror pending images).
-    pub fn payload(&self) -> Bytes {
-        match self.payload_seed {
-            Some(seed) => {
-                let mut buf = vec![0u8; self.n_sectors as usize * abr_disk::SECTOR_SIZE];
-                fill_seeded_payload(seed, &mut buf);
-                Bytes::from(buf)
-            }
-            None => self.data.clone(),
-        }
-    }
-
-    /// A write of zero-filled sectors (for tests and formatting).
+    /// A write of zero-filled sectors (raw transfers, trace replay,
+    /// formatting).
     pub fn write_zeroes(partition: usize, sector_in_partition: u64, n_sectors: u32) -> Self {
-        IoRequest::write(
-            partition,
-            sector_in_partition,
-            n_sectors,
-            Bytes::from(vec![0u8; n_sectors as usize * abr_disk::SECTOR_SIZE]),
-        )
+        Self::write_of(partition, sector_in_partition, n_sectors, Payload::Zeroes)
+    }
+
+    /// A write of one [`Form`] per sector.
+    pub fn write_forms(partition: usize, sector_in_partition: u64, forms: Arc<[Form]>) -> Self {
+        let n_sectors = abr_sim::narrow::u32_from_usize(forms.len());
+        let payload = Payload::Forms(forms);
+        Self::write_of(partition, sector_in_partition, n_sectors, payload)
+    }
+
+    /// The payload as one [`Form`] per sector (raw bytes stay bytes;
+    /// nothing is synthesized).
+    pub fn payload_forms(&self) -> Vec<Form> {
+        let sectors = 0..self.n_sectors;
+        match &self.payload {
+            Payload::Zeroes => sectors.map(|_| Form::Zero).collect(),
+            Payload::Seeded(seed) => sectors
+                .map(|i| Form::Seeded((*seed, i * WORDS_PER_SECTOR)))
+                .collect(),
+            Payload::Bytes(data) => data
+                .chunks(SECTOR_SIZE)
+                .map(|c| Form::Raw(Box::new(c.try_into().expect("whole sectors")))) // abr-lint: allow(P001, length checked by IoRequest::write)
+                .collect(),
+            Payload::Forms(forms) => forms.to_vec(),
+        }
     }
 }
 
@@ -200,7 +219,7 @@ mod tests {
     #[test]
     fn read_has_no_payload() {
         let r = IoRequest::read(0, 100, 16);
-        assert!(r.data.is_empty());
+        assert!(matches!(r.payload, Payload::Zeroes));
         assert!(r.dir.is_read());
     }
 
@@ -209,7 +228,7 @@ mod tests {
         let data = Bytes::from(vec![0xAB; 2 * abr_disk::SECTOR_SIZE]);
         let w = IoRequest::write(1, 50, 2, data);
         assert_eq!(w.n_sectors, 2);
-        assert_eq!(w.data.len(), 1024);
+        assert!(matches!(w.payload, Payload::Bytes(d) if d.len() == 1024));
     }
 
     #[test]
@@ -221,7 +240,13 @@ mod tests {
     #[test]
     fn write_zeroes_helper() {
         let w = IoRequest::write_zeroes(0, 0, 4);
-        assert_eq!(w.data.len(), 4 * 512);
-        assert!(w.data.iter().all(|&b| b == 0));
+        assert!(!w.dir.is_read());
+        assert_eq!(w.payload_forms(), vec![Form::Zero; 4]);
+    }
+
+    #[test]
+    fn request_is_no_larger_than_bytes_plus_seed() {
+        // `data: Bytes` + `payload_seed: Option<u64>` made it 56 bytes.
+        assert!(std::mem::size_of::<IoRequest>() <= 48);
     }
 }

@@ -173,7 +173,7 @@ mod tests {
             n_sectors: 4,
         };
         let req = e.to_request();
-        assert_eq!(req.data.len(), 4 * 512);
+        assert!(matches!(req.payload, abr_driver::Payload::Zeroes) && req.n_sectors == 4);
     }
 
     #[test]
