@@ -498,7 +498,7 @@ impl StripeMap {
                 let (disk, dblock) = self.parity_location(row * data_per_row * self.chunk_blocks);
                 disk as u64 * rows + dblock / self.chunk_blocks
             });
-            return abr_lint::sanitize::check_permutation(
+            return abr_sim::sanitize::check_permutation(
                 data_ids.chain(parity_ids),
                 self.n_disks as u64 * rows,
             );
@@ -516,7 +516,7 @@ impl StripeMap {
             let slot = dblock / self.chunk_blocks;
             disk as u64 * chunks_per_disk + slot
         });
-        abr_lint::sanitize::check_permutation(ids, self.n_data as u64 * chunks_per_disk)
+        abr_sim::sanitize::check_permutation(ids, self.n_data as u64 * chunks_per_disk)
     }
 
     /// Map a volume sector to `(disk index, disk sector)`. The

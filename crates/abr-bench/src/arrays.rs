@@ -154,6 +154,18 @@ fn redundant_config(redundancy: Redundancy) -> ArrayConfig {
     )
 }
 
+/// Registry counters a redundant cell's row reads out of the snapshot,
+/// in the order the row lists them (a consumer side of the registry
+/// join in `engine`'s tests).
+pub(crate) const ROW_COUNTERS: [&str; 6] = [
+    "array.rebuild.blocks",
+    "array.reads.degraded",
+    "array.reads.failover",
+    "array.scrub.groups",
+    "array.scrub.repairs",
+    "array.scrub.mismatches",
+];
+
 /// Run one redundancy scheme through a whole-disk death with hot-spare
 /// replacement and report availability, data loss, and rebuild pacing.
 /// Redundant schemes are *required* to come through with every request
@@ -200,8 +212,8 @@ fn run_redundant_cell(redundancy: Redundancy, r: &mut Report) -> JsonValue {
         redundancy.name(),
     ));
     let snap = abr_obs::registry_snapshot();
-    let counter = |name: &str| snap["counters"][name].as_u64().unwrap_or(0);
-    let scrub_groups = counter("array.scrub.groups");
+    let [rebuild_blocks, reads_degraded, read_failovers, scrub_groups, scrub_repairs, scrub_mismatches] =
+        ROW_COUNTERS.map(|name| snap["counters"][name].as_u64().unwrap_or(0));
     if redundancy.is_redundant() {
         assert_eq!(
             lost,
@@ -231,12 +243,12 @@ fn run_redundant_cell(redundancy: Redundancy, r: &mut Report) -> JsonValue {
         "resilver_remaining": stale as u64,
         "rebuild_peak_window_ops": peak,
         "rebuild_ops_per_window": budget,
-        "rebuild_blocks": counter("array.rebuild.blocks"),
-        "reads_degraded": counter("array.reads.degraded"),
-        "read_failovers": counter("array.reads.failover"),
+        "rebuild_blocks": rebuild_blocks,
+        "reads_degraded": reads_degraded,
+        "read_failovers": read_failovers,
         "scrub_groups": scrub_groups,
-        "scrub_repairs": counter("array.scrub.repairs"),
-        "scrub_mismatches": counter("array.scrub.mismatches"),
+        "scrub_repairs": scrub_repairs,
+        "scrub_mismatches": scrub_mismatches,
         "replacement_installed": health.n_failed() == 0,
         "off_seek_ms": off.volume.all.seek_ms,
         "on_seek_ms": on.volume.all.seek_ms,

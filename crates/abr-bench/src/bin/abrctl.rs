@@ -872,7 +872,12 @@ fn replay_cmd(args: &[String]) -> Result<(), Error> {
     let mut cfg = ReplayConfig::new(driver.disk().model().clone());
     cfg.reserved_cylinders = driver.label().reserved.map(|r| r.n_cylinders).unwrap_or(0);
     cfg.n_blocks = opt(args, "--blocks").map_or(Ok(0), |s| s.parse::<usize>())?;
-    let m = replay(&trace, &cfg);
+    let m = replay(&trace, &cfg).map_err(|e| {
+        format!(
+            "{trace_file} does not replay against {}: {e}",
+            path.display()
+        )
+    })?;
     println!(
         "replayed {} requests ({} blocks pre-placed):",
         m.all.n, cfg.n_blocks

@@ -35,18 +35,18 @@ fn main() {
     };
     let cfg = ExperimentConfig::new(disk, profile);
     eprintln!("building {which} ...");
-    #[allow(clippy::disallowed_methods)]
-    let t0 = std::time::Instant::now(); // abr-lint: allow(D002, operator-facing progress timing on stderr; never folded into results)
+    #[allow(clippy::disallowed_methods)] // stderr progress timing; never a result input
+    let t0 = std::time::Instant::now();
     let mut e = Experiment::new(cfg);
     eprintln!("setup took {:?}", t0.elapsed());
 
-    #[allow(clippy::disallowed_methods)]
-    let t0 = std::time::Instant::now(); // abr-lint: allow(D002, operator-facing progress timing on stderr; never folded into results)
+    #[allow(clippy::disallowed_methods)] // stderr progress timing; never a result input
+    let t0 = std::time::Instant::now();
     let off = e.run_day();
     eprintln!("off day took {:?}", t0.elapsed());
     e.rearrange_for_next_day(n_blocks);
-    #[allow(clippy::disallowed_methods)]
-    let t0 = std::time::Instant::now(); // abr-lint: allow(D002, operator-facing progress timing on stderr; never folded into results)
+    #[allow(clippy::disallowed_methods)] // stderr progress timing; never a result input
+    let t0 = std::time::Instant::now();
     let on = e.run_day();
     eprintln!("on day took {:?}", t0.elapsed());
     let (cov_all, cov_reads) = e.remap_coverage();

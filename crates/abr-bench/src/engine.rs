@@ -69,8 +69,12 @@ impl Family {
     }
 }
 
+/// What a run does: fill in the report it is handed (which carries the
+/// row's id and title), reading shared day-vectors through the campaign.
+pub type RunBody = fn(&Campaign, Report) -> Report;
+
 /// One row of the run table.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Run {
     /// The id the CLI accepts and `results/<id>.*` is named after.
     pub id: &'static str,
@@ -78,52 +82,68 @@ pub struct Run {
     pub family: Family,
     /// The report's one-line title.
     pub title: &'static str,
+    /// The run itself.
+    pub body: RunBody,
 }
 
-const fn run(id: &'static str, family: Family, title: &'static str) -> Run {
-    Run { id, family, title }
+/// Rows are the same row when they carry the same id (the table holds
+/// each id once); function pointers have no meaningful equality.
+impl PartialEq for Run {
+    fn eq(&self, other: &Run) -> bool {
+        self.id == other.id
+    }
+}
+
+impl Eq for Run {}
+
+const fn run(id: &'static str, family: Family, title: &'static str, body: RunBody) -> Run {
+    Run {
+        id,
+        family,
+        title,
+        body,
+    }
 }
 
 /// The run table: every id the suite accepts, in listing order (paper
 /// order, then the extensions). `--list`, the default and `--ablations`
-/// selections, [`RunSpec::resolve`] and [`UnknownId`]'s message all
-/// read it; a new run is a row here and an arm in
-/// [`RunSpec::dispatch`].
+/// selections, [`RunSpec::resolve`], [`RunSpec::dispatch`] and
+/// [`UnknownId`]'s message all read it; a new run is a row here.
 pub const RUNS: &[Run] = {
     use Family::{Ablation, Array, Experiment, Faults, Serve};
     &[
-        run("table1", Experiment, "Disk specifications and seek curves"),
-        run("table2", Experiment, "On/Off summary, system file system (daily mean min/avg/max)"),
-        run("table3", Experiment, "Two-day detail, system file system (off day / on day)"),
-        run("table4", Experiment, "On/Off summary, system file system, READ requests only"),
-        run("fig4", Experiment, "Service time distribution, system fs, Fujitsu (off vs on day)"),
-        run("fig5", Experiment, "Block access distribution, system fs (both disks, reads and all)"),
-        run("table5", Experiment, "On/Off summary, users file system"),
-        run("fig6", Experiment, "Service time distribution, users fs, Fujitsu (off vs on day)"),
-        run("fig7", Experiment, "Block access distribution, users fs (both disks, reads and all)"),
-        run("table6", Experiment, "On/Off summary, users file system, READ requests only"),
-        run("fig8", Experiment, "Seek reduction vs number of rearranged blocks (Toshiba, system fs)"),
-        run("table7", Experiment, "Placement policy summary: % reduction in daily mean seek time vs FCFS/no-rearrangement"),
-        run("table8", Experiment, "Placement policy detail, Toshiba (on days)"),
-        run("table9", Experiment, "Placement policy detail, Fujitsu (on days)"),
-        run("table10", Experiment, "Rotational latency + transfer time by placement policy (reads, Toshiba)"),
-        run("fig3", Experiment, "Placement policy illustration (worked example)"),
-        run("ablate-scheduler", Ablation, "Scheduler x rearrangement: is part of the win SCAN synergy?"),
-        run("ablate-analyzer", Ablation, "Reference-list size: exact counts vs bounded Space-Saving lists"),
-        run("ablate-location", Ablation, "Reserved region location: middle of the disk vs the edge"),
-        run("ablate-drift", Ablation, "Day-to-day drift: how fast changing access patterns erode the benefit"),
-        run("ablate-granularity", Ablation, "Selection granularity: hottest blocks vs hottest whole cylinders"),
-        run("ablate-incremental", Ablation, "Overnight movement cost: full clean-and-recopy vs incremental rearrangement"),
-        run("ablate-decay", Ablation, "Count history: nightly reset (the paper) vs exponential decay, across drift rates"),
-        run("ablate-online", Ablation, "Overnight-only (the paper) vs continuous online rearrangement (controller-style)"),
-        run("ablate-shuffler", Ablation, "Block rearrangement vs whole-disk cylinder shuffling ([Vongsathorn & Carson 90])"),
-        run("ablate-rotation", Ablation, "Rotational cost of placement under BACK-TO-BACK sequential reads (Table 10's regime)"),
-        run("faults", Faults, "Graceful degradation under seeded disk faults (extension)"),
-        run("array", Array, "Array scale-out: N-disk striped volumes, per-disk rearrangement (extension)"),
-        run("array-n2", Array, "Array smoke cell: N=2 striped volume (CI determinism gate)"),
-        run("array-redundant", Array, "Redundant arrays: whole-disk death, hot-spare fail-over, online rebuild (extension)"),
-        run("serve", Serve, "Serving front end: admission control, backpressure, DRR fairness (extension)"),
-        run("serve-smoke", Serve, "Serving smoke cell: tiny adaptive member under overload (CI gate)"),
+        run("table1", Experiment, "Disk specifications and seek curves", |_, r| runs::table1(r)),
+        run("table2", Experiment, "On/Off summary, system file system (daily mean min/avg/max)", |c, r| c.summary_table(r, FsKind::System, false, &runs::PAPER_TABLE2)),
+        run("table3", Experiment, "Two-day detail, system file system (off day / on day)", |c, r| c.table3(r)),
+        run("table4", Experiment, "On/Off summary, system file system, READ requests only", |c, r| c.summary_table(r, FsKind::System, true, &runs::PAPER_TABLE4)),
+        run("fig4", Experiment, "Service time distribution, system fs, Fujitsu (off vs on day)", |c, r| c.service_cdf(r, FsKind::System)),
+        run("fig5", Experiment, "Block access distribution, system fs (both disks, reads and all)", |c, r| c.block_distribution(r, FsKind::System)),
+        run("table5", Experiment, "On/Off summary, users file system", |c, r| c.summary_table(r, FsKind::Users, false, &runs::PAPER_TABLE5)),
+        run("fig6", Experiment, "Service time distribution, users fs, Fujitsu (off vs on day)", |c, r| c.service_cdf(r, FsKind::Users)),
+        run("fig7", Experiment, "Block access distribution, users fs (both disks, reads and all)", |c, r| c.block_distribution(r, FsKind::Users)),
+        run("table6", Experiment, "On/Off summary, users file system, READ requests only", |c, r| c.summary_table(r, FsKind::Users, true, &runs::PAPER_TABLE6)),
+        run("fig8", Experiment, "Seek reduction vs number of rearranged blocks (Toshiba, system fs)", |_, r| runs::fig8(r)),
+        run("table7", Experiment, "Placement policy summary: % reduction in daily mean seek time vs FCFS/no-rearrangement", |c, r| c.table7(r)),
+        run("table8", Experiment, "Placement policy detail, Toshiba (on days)", |c, r| c.policy_detail(r, DiskKind::Toshiba)),
+        run("table9", Experiment, "Placement policy detail, Fujitsu (on days)", |c, r| c.policy_detail(r, DiskKind::Fujitsu)),
+        run("table10", Experiment, "Rotational latency + transfer time by placement policy (reads, Toshiba)", |c, r| c.table10(r)),
+        run("fig3", Experiment, "Placement policy illustration (worked example)", |_, r| runs::fig3(r)),
+        run("ablate-scheduler", Ablation, "Scheduler x rearrangement: is part of the win SCAN synergy?", |_, r| ablations::scheduler(r)),
+        run("ablate-analyzer", Ablation, "Reference-list size: exact counts vs bounded Space-Saving lists", |_, r| ablations::analyzer(r)),
+        run("ablate-location", Ablation, "Reserved region location: middle of the disk vs the edge", |_, r| ablations::location(r)),
+        run("ablate-drift", Ablation, "Day-to-day drift: how fast changing access patterns erode the benefit", |_, r| ablations::drift(r)),
+        run("ablate-granularity", Ablation, "Selection granularity: hottest blocks vs hottest whole cylinders", |_, r| ablations::granularity(r)),
+        run("ablate-incremental", Ablation, "Overnight movement cost: full clean-and-recopy vs incremental rearrangement", |_, r| ablations::incremental(r)),
+        run("ablate-decay", Ablation, "Count history: nightly reset (the paper) vs exponential decay, across drift rates", |_, r| ablations::decay(r)),
+        run("ablate-online", Ablation, "Overnight-only (the paper) vs continuous online rearrangement (controller-style)", |_, r| ablations::online(r)),
+        run("ablate-shuffler", Ablation, "Block rearrangement vs whole-disk cylinder shuffling ([Vongsathorn & Carson 90])", |_, r| ablations::shuffler(r)),
+        run("ablate-rotation", Ablation, "Rotational cost of placement under BACK-TO-BACK sequential reads (Table 10's regime)", |_, r| ablations::rotation(r)),
+        run("faults", Faults, "Graceful degradation under seeded disk faults (extension)", |_, r| faults::sweep(r)),
+        run("array", Array, "Array scale-out: N-disk striped volumes, per-disk rearrangement (extension)", |_, r| arrays::scale_out(r)),
+        run("array-n2", Array, "Array smoke cell: N=2 striped volume (CI determinism gate)", |_, r| arrays::n2_cell(r)),
+        run("array-redundant", Array, "Redundant arrays: whole-disk death, hot-spare fail-over, online rebuild (extension)", |_, r| arrays::redundant(r)),
+        run("serve", Serve, "Serving front end: admission control, backpressure, DRR fairness (extension)", |_, r| serve::sweep(r)),
+        run("serve-smoke", Serve, "Serving smoke cell: tiny adaptive member under overload (CI gate)", |_, r| serve::smoke(r)),
     ]
 };
 
@@ -171,47 +191,9 @@ impl RunSpec {
         })
     }
 
-    /// Run it: the one place an id turns into code. A `match` of direct
-    /// calls on purpose — `abr-lint`'s call graph does not follow
-    /// function values, so a table of `fn` pointers would hide every
-    /// run body from D004/D005.
+    /// Run it: hand the row's body a report carrying its id and title.
     pub fn dispatch(&self, campaign: &Campaign) -> Report {
-        let r = Report::new(self.run.id, self.run.title);
-        match self.run.id {
-            "table1" => runs::table1(r),
-            "table2" => campaign.summary_table(r, FsKind::System, false, &runs::PAPER_TABLE2),
-            "table3" => campaign.table3(r),
-            "table4" => campaign.summary_table(r, FsKind::System, true, &runs::PAPER_TABLE4),
-            "fig4" => campaign.service_cdf(r, FsKind::System),
-            "fig5" => campaign.block_distribution(r, FsKind::System),
-            "table5" => campaign.summary_table(r, FsKind::Users, false, &runs::PAPER_TABLE5),
-            "fig6" => campaign.service_cdf(r, FsKind::Users),
-            "fig7" => campaign.block_distribution(r, FsKind::Users),
-            "table6" => campaign.summary_table(r, FsKind::Users, true, &runs::PAPER_TABLE6),
-            "fig8" => runs::fig8(r),
-            "table7" => campaign.table7(r),
-            "table8" => campaign.policy_detail(r, DiskKind::Toshiba),
-            "table9" => campaign.policy_detail(r, DiskKind::Fujitsu),
-            "table10" => campaign.table10(r),
-            "fig3" => runs::fig3(r),
-            "ablate-scheduler" => ablations::scheduler(r),
-            "ablate-analyzer" => ablations::analyzer(r),
-            "ablate-location" => ablations::location(r),
-            "ablate-drift" => ablations::drift(r),
-            "ablate-granularity" => ablations::granularity(r),
-            "ablate-incremental" => ablations::incremental(r),
-            "ablate-decay" => ablations::decay(r),
-            "ablate-online" => ablations::online(r),
-            "ablate-shuffler" => ablations::shuffler(r),
-            "ablate-rotation" => ablations::rotation(r),
-            "faults" => faults::sweep(r),
-            "array" => arrays::scale_out(r),
-            "array-n2" => arrays::n2_cell(r),
-            "array-redundant" => arrays::redundant(r),
-            "serve" => serve::sweep(r),
-            "serve-smoke" => serve::smoke(r),
-            other => panic!("run table row `{other}` has no dispatcher arm"),
-        }
+        (self.run.body)(campaign, Report::new(self.run.id, self.run.title))
     }
 }
 
@@ -577,6 +559,61 @@ mod tests {
         assert_eq!(table1.json["models"][0]["cylinders"], 815);
         let fig3 = result.outcomes[15].report.as_ref().unwrap();
         assert!(fig3.text.contains("Organ-pipe") && fig3.text.contains("Serial"));
+    }
+
+    /// The registry is stringly typed: producers register
+    /// `r.counter("driver.submitted")` in one crate, consumers read
+    /// `snap["counters"]["driver.submitted"]` in this one. Join what
+    /// real runs register (a single disk with faults, a redundant
+    /// array, the serving front end) against every consumer, in both
+    /// directions. Exempt: `wall.*` (formatted by the profiling timer,
+    /// harvested wholesale by `folded_profile`) and the indexed
+    /// `array.disk.{i}.*` family (one triple per member, named by
+    /// `format!`; the run record carries it for whoever asks which
+    /// member was slow).
+    #[test]
+    fn registry_and_consumers_name_the_same_metrics() {
+        use crate::runreport::{
+            QUEUE_AGE_MAX_US, REPORT_COUNTERS, REPORT_GAUGES, STARVED_TOTAL, TABLE_METRICS,
+        };
+        use std::collections::BTreeSet;
+
+        let batch = RunBatch::new(&["faults", "array-redundant", "serve-smoke"], 1).unwrap();
+        let mut registered = BTreeSet::new();
+        for outcome in batch.execute().outcomes {
+            for kind in ["counters", "gauges", "hires"] {
+                for (name, _) in outcome.metrics[kind].as_object().unwrap() {
+                    if !name.starts_with("wall.") && !name.starts_with("array.disk.") {
+                        registered.insert((kind, name.clone()));
+                    }
+                }
+            }
+        }
+
+        let first = |rows: &[(&'static str, &str)]| rows.iter().map(|row| row.0).collect();
+        let slos = default_slos();
+        let consumers: [(&str, Vec<&str>); 8] = [
+            ("counters", first(REPORT_COUNTERS)),
+            ("counters", arrays::ROW_COUNTERS.to_vec()),
+            ("counters", vec![STARVED_TOTAL]),
+            ("gauges", first(REPORT_GAUGES)),
+            ("gauges", vec![QUEUE_AGE_MAX_US]),
+            ("hires", first(TABLE_METRICS)),
+            ("hires", serve::ROW_HIRES.to_vec()),
+            ("hires", slos.iter().map(|s| s.metric.as_str()).collect()),
+        ];
+        let consumed: BTreeSet<(&str, String)> = consumers
+            .iter()
+            .flat_map(|(kind, names)| names.iter().map(|name| (*kind, name.to_string())))
+            .collect();
+
+        let dead: Vec<_> = registered.difference(&consumed).collect();
+        let phantom: Vec<_> = consumed.difference(&registered).collect();
+        assert!(
+            dead.is_empty() && phantom.is_empty(),
+            "registered but read by no report row, result row or SLO: {dead:?}\n\
+             read by a consumer but registered by no run: {phantom:?}"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! Every id — paper tables and figures, ablations, the fault sweep,
 //! array and serving runs — is a row of one table, [`engine::RUNS`],
-//! and [`RunSpec::dispatch`] is the one place an id turns into code.
+//! which carries its body; [`RunSpec::dispatch`] calls it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

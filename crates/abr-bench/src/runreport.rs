@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 /// High-resolution metrics the per-day tail-latency table shows, with
 /// their column labels, in column order. Metrics absent from a run's
 /// series simply contribute no columns.
-const TABLE_METRICS: &[(&str, &str)] = &[
+pub(crate) const TABLE_METRICS: &[(&str, &str)] = &[
     ("driver.service_us", "service"),
     ("driver.queueing_us", "queueing"),
     ("array.request_us", "request"),
@@ -41,10 +41,13 @@ const TABLE_QUANTILES: &[&str] = &["p50", "p99", "p999"];
 /// Run-wide registry counters the report surfaces, with their row
 /// labels, in row order. Counters absent from a run's snapshot (array
 /// counters on a single-disk run, serve counters on a batch run)
-/// contribute no rows. This list is also the curated consumer side of
-/// the abr-lint M001 dead-metric check: a producer counter nobody
-/// reads — not here, not in an SLO — is flagged.
-const REPORT_COUNTERS: &[(&str, &str)] = &[
+/// contribute no rows. These lists are the consumer side of the
+/// registry join (`engine`'s
+/// `registry_and_consumers_name_the_same_metrics`): a counter some run
+/// registers and nobody reads — not here, not in an SLO, not in a
+/// result row — fails that test, and so does a row naming a metric no
+/// run registers.
+pub(crate) const REPORT_COUNTERS: &[(&str, &str)] = &[
     ("engine.days", "simulated days"),
     ("engine.sim_us", "simulated time (us)"),
     ("driver.submitted", "requests submitted"),
@@ -77,7 +80,7 @@ const REPORT_COUNTERS: &[(&str, &str)] = &[
 ];
 
 /// Run-wide registry gauges shown alongside [`REPORT_COUNTERS`].
-const REPORT_GAUGES: &[(&str, &str)] = &[
+pub(crate) const REPORT_GAUGES: &[(&str, &str)] = &[
     ("array.disks", "disks in array"),
     ("array.disks.dead", "disks dead"),
     ("array.disks.degraded", "disks degraded"),
@@ -89,6 +92,10 @@ const REPORT_GAUGES: &[(&str, &str)] = &[
     ("serve.queue_depth_max", "peak queue depth"),
     ("serve.inflight", "final inflight"),
 ];
+
+/// The counter and the gauge behind the Starvation section.
+pub(crate) const STARVED_TOTAL: &str = "driver.starved_total";
+pub(crate) const QUEUE_AGE_MAX_US: &str = "driver.queue_age_max_us";
 
 /// Format microseconds as fixed-point milliseconds (`14.335ms`).
 /// Integer arithmetic only, so the bytes depend on nothing but the
@@ -262,8 +269,8 @@ pub fn render_markdown(bench: &JsonValue) -> Result<String, String> {
             }
         }
 
-        let starved = run["metrics"]["counters"]["driver.starved_total"].as_u64();
-        let max_age = run["metrics"]["gauges"]["driver.queue_age_max_us"].as_u64();
+        let starved = run["metrics"]["counters"][STARVED_TOTAL].as_u64();
+        let max_age = run["metrics"]["gauges"][QUEUE_AGE_MAX_US].as_u64();
         if let (Some(starved), Some(max_age)) = (starved, max_age) {
             let _ = writeln!(out);
             let _ = writeln!(out, "### Starvation");
@@ -332,10 +339,10 @@ pub fn render_json(bench: &JsonValue) -> Result<JsonValue, String> {
             "day_series": run["day_series"].clone(),
             "slo_summary": slo,
         });
-        if let Some(v) = run["metrics"]["counters"]["driver.starved_total"].as_u64() {
+        if let Some(v) = run["metrics"]["counters"][STARVED_TOTAL].as_u64() {
             r.insert("starved_total", JsonValue::from(v));
         }
-        if let Some(v) = run["metrics"]["gauges"]["driver.queue_age_max_us"].as_u64() {
+        if let Some(v) = run["metrics"]["gauges"][QUEUE_AGE_MAX_US].as_u64() {
             r.insert("queue_age_max_us", JsonValue::from(v));
         }
         let rows = counter_rows(run);

@@ -14,7 +14,6 @@ use abr_core::{DayMetrics, Experiment, ExperimentConfig, PolicyKind};
 use abr_disk::{models, DiskModel};
 use abr_sim::jsn;
 use abr_workload::WorkloadProfile;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which disk, by paper name.
@@ -152,7 +151,8 @@ pub struct DayCache {
     policy: Mutex<DayMap<(DiskKind, PolicyKind)>>,
 }
 
-type DayMap<K> = HashMap<K, Arc<OnceLock<Arc<Vec<DayMetrics>>>>>;
+// abr-lint: allow(D001, keyed get-or-insert of memo cells; never iterated)
+type DayMap<K> = std::collections::HashMap<K, Arc<OnceLock<Arc<Vec<DayMetrics>>>>>;
 
 /// Fetch-or-compute `key`: the first caller runs `compute` while any
 /// concurrent caller for the same key blocks on the cell, so the days
@@ -267,33 +267,21 @@ impl Campaign {
     }
 
     pub(crate) fn table3(&self, mut r: Report) -> Report {
-        // Paper: [fcfs_dist, dist, zero%, fcfs_seek, seek, svc, wait]
-        // abr-lint: allow(D005, keyed lookup of paper constants; never iterated)
-        let paper: HashMap<(DiskKind, bool), [f64; 7]> = HashMap::from([
-            (
-                (DiskKind::Toshiba, false),
-                [220.0, 173.0, 23.0, 20.92, 18.21, 38.41, 87.30],
-            ),
-            (
-                (DiskKind::Toshiba, true),
-                [225.0, 8.0, 88.0, 21.46, 1.55, 22.95, 50.03],
-            ),
-            (
-                (DiskKind::Fujitsu, false),
-                [435.0, 315.0, 27.0, 10.31, 8.01, 21.15, 69.98],
-            ),
-            (
-                (DiskKind::Fujitsu, true),
-                [413.0, 27.0, 76.0, 9.73, 1.16, 14.08, 35.65],
-            ),
-        ]);
+        // Paper, Toshiba off/on then Fujitsu off/on:
+        // [fcfs_dist, dist, zero%, fcfs_seek, seek, svc, wait]
+        const PAPER: [[f64; 7]; 4] = [
+            [220.0, 173.0, 23.0, 20.92, 18.21, 38.41, 87.30],
+            [225.0, 8.0, 88.0, 21.46, 1.55, 22.95, 50.03],
+            [435.0, 315.0, 27.0, 10.31, 8.01, 21.15, 69.98],
+            [413.0, 27.0, 76.0, 9.73, 1.16, 14.08, 35.65],
+        ];
         let mut json_rows = Vec::new();
-        for disk in DiskKind::both() {
+        for (di, disk) in DiskKind::both().into_iter().enumerate() {
             let days = self.onoff_days(disk, FsKind::System);
             // The first off/on pair is "Day 1 / Day 2".
             for day in days.iter().take(2) {
                 let m = day.all;
-                let p = paper[&(disk, day.rearranged)];
+                let p = PAPER[di * 2 + usize::from(day.rearranged)];
                 r.line(format!(
                     "{:8} {:3} | fcfs_dist {:5.0} (paper {:4.0}) | dist {:5.0} ({:4.0}) | zero {:4.1}% ({:2.0}%) | fcfs_seek {:5.2} ({:5.2}) | seek {:5.2} ({:5.2}) | svc {:5.2} ({:5.2}) | wait {:6.2} ({:5.2})",
                     disk.name(),
@@ -430,24 +418,16 @@ impl Campaign {
     }
 
     pub(crate) fn table7(&self, mut r: Report) -> Report {
-        // abr-lint: allow(D005, keyed lookup of paper constants; never iterated)
-        let paper: HashMap<(DiskKind, &str, bool), f64> = HashMap::from([
-            ((DiskKind::Toshiba, "Organ-pipe", false), 95.0),
-            ((DiskKind::Toshiba, "Interleaved", false), 87.0),
-            ((DiskKind::Toshiba, "Serial", false), 58.0),
-            ((DiskKind::Toshiba, "Organ-pipe", true), 76.0),
-            ((DiskKind::Toshiba, "Interleaved", true), 62.0),
-            ((DiskKind::Toshiba, "Serial", true), 40.0),
-            ((DiskKind::Fujitsu, "Organ-pipe", false), 90.0),
-            ((DiskKind::Fujitsu, "Interleaved", false), 88.0),
-            ((DiskKind::Fujitsu, "Serial", false), 76.0),
-            ((DiskKind::Fujitsu, "Organ-pipe", true), 78.0),
-            ((DiskKind::Fujitsu, "Interleaved", true), 77.0),
-            ((DiskKind::Fujitsu, "Serial", true), 65.0),
-        ]);
+        // Paper, % reduction (all, reads): Toshiba then Fujitsu, each
+        // in `PolicyKind::all()` order.
+        const PAPER: [[(f64, f64); 3]; 2] = [
+            [(95.0, 76.0), (87.0, 62.0), (58.0, 40.0)],
+            [(90.0, 78.0), (88.0, 77.0), (76.0, 65.0)],
+        ];
         let mut json_rows = Vec::new();
-        for disk in DiskKind::both() {
-            for policy in PolicyKind::all() {
+        for (di, disk) in DiskKind::both().into_iter().enumerate() {
+            for (pi, policy) in PolicyKind::all().into_iter().enumerate() {
+                let (paper_all, paper_reads) = PAPER[di][pi];
                 let days = self.policy_onoff(disk, policy);
                 let ons: Vec<&DayMetrics> = days.iter().filter(|d| d.rearranged).collect();
                 let all: f64 = ons
@@ -465,9 +445,9 @@ impl Campaign {
                     disk.name(),
                     policy.name(),
                     all,
-                    paper[&(disk, policy.name(), false)],
+                    paper_all,
                     reads,
-                    paper[&(disk, policy.name(), true)],
+                    paper_reads,
                 ));
                 json_rows.push(jsn!({
                     "disk": disk.name(), "policy": policy.name(),
@@ -524,12 +504,11 @@ impl Campaign {
             "{:22} {:6.2} ms   (paper 18.58)",
             "Without rearrangement", base
         ));
-        // abr-lint: allow(D005, keyed lookup of paper constants; never iterated)
-        let paper: HashMap<&str, f64> = HashMap::from([
-            ("Organ-pipe", 19.42),
-            ("Serial", 19.29),
-            ("Interleaved", 18.47),
-        ]);
+        let paper = |policy| match policy {
+            PolicyKind::OrganPipe => 19.42,
+            PolicyKind::Interleaved => 18.47,
+            PolicyKind::Serial => 19.29,
+        };
         let mut json_rows = vec![jsn!({"policy": "none", "rot_plus_xfer_ms": base})];
         for policy in PolicyKind::all() {
             let days = self.policy_onoff(DiskKind::Toshiba, policy);
@@ -539,7 +518,7 @@ impl Campaign {
                 "{:22} {:6.2} ms   (paper {:5.2})",
                 policy.name(),
                 v,
-                paper[policy.name()],
+                paper(policy),
             ));
             json_rows.push(jsn!({"policy": policy.name(), "rot_plus_xfer_ms": v}));
         }

@@ -162,6 +162,10 @@ fn smoke_cell() -> Cell {
     }
 }
 
+/// Registry histograms a cell's row and gates read out of the snapshot
+/// (a consumer side of the registry join in `engine`'s tests).
+pub(crate) const ROW_HIRES: [&str; 2] = ["serve.request_us", "serve.queue_us"];
+
 /// Run one cell and append its row. Each cell starts from a clean
 /// registry/day-series boundary so its quantiles and day points are its
 /// own; the run-level snapshot the engine harvests afterwards therefore
@@ -175,7 +179,8 @@ fn run_cell(cell: &Cell, r: &mut Report) -> JsonValue {
     let health = e.health();
     let lost = health.total_lost();
     let snap = abr_obs::registry_snapshot();
-    let q = |metric: &str, p: &str| snap["hires"][metric]["quantiles"][p].as_u64().unwrap_or(0);
+    let [request_us, queue_us] = ROW_HIRES.map(|metric| &snap["hires"][metric]["quantiles"]);
+    let q = |quantiles: &JsonValue, p: &str| quantiles[p].as_u64().unwrap_or(0);
     let fairness = s.fairness_ratio();
     r.line(format!(
         "{:15} | arr {:6} acc {:6} shed {:5} thr {:5} | done {:6} err {:3} | qmax {:3} \
@@ -188,11 +193,11 @@ fn run_cell(cell: &Cell, r: &mut Report) -> JsonValue {
         s.completed,
         s.errors,
         s.queue_depth_max,
-        q("serve.request_us", "p50"),
-        q("serve.request_us", "p999"),
+        q(request_us, "p50"),
+        q(request_us, "p999"),
         fairness,
     ));
-    check_cell(cell, &s, lost, &snap);
+    check_cell(cell, &s, lost, q(request_us, "p999"));
     jsn!({
         "cell": cell.name,
         "n_disks": cell.config.n_disks,
@@ -212,18 +217,18 @@ fn run_cell(cell: &Cell, r: &mut Report) -> JsonValue {
         "blocks_placed": s.placed,
         "lost_blocks": lost,
         "fairness_ratio": fairness,
-        "request_us_p50": q("serve.request_us", "p50"),
-        "request_us_p99": q("serve.request_us", "p99"),
-        "request_us_p999": q("serve.request_us", "p999"),
-        "queue_us_p50": q("serve.queue_us", "p50"),
-        "queue_us_p99": q("serve.queue_us", "p99"),
+        "request_us_p50": q(request_us, "p50"),
+        "request_us_p99": q(request_us, "p99"),
+        "request_us_p999": q(request_us, "p999"),
+        "queue_us_p50": q(queue_us, "p50"),
+        "queue_us_p99": q(queue_us, "p99"),
     })
 }
 
 /// The per-cell gates. Every cell's admission and service accounting
 /// must balance exactly; the overload and degraded cells additionally
 /// carry the acceptance criteria from the front end's contract.
-fn check_cell(cell: &Cell, s: &ServeSummary, lost: u64, snap: &JsonValue) {
+fn check_cell(cell: &Cell, s: &ServeSummary, lost: u64, request_p999_us: u64) {
     assert_eq!(
         s.arrivals,
         s.accepted + s.shed + s.throttled,
@@ -254,9 +259,8 @@ fn check_cell(cell: &Cell, s: &ServeSummary, lost: u64, snap: &JsonValue) {
         }
         CellKind::Overload => {
             assert!(s.shed > 0, "{}: overload must shed", cell.name);
-            let p999 = snap["hires"]["serve.request_us"]["quantiles"]["p999"].as_u64();
             assert!(
-                p999.is_some_and(|v| v > 0),
+                request_p999_us > 0,
                 "{}: p999 request latency missing from the registry",
                 cell.name
             );

@@ -15,7 +15,7 @@ use crate::experiment::experiment_member;
 use crate::metrics::DayMetrics;
 use crate::placement::PolicyKind;
 use abr_disk::DiskModel;
-use abr_driver::SchedulerKind;
+use abr_driver::{DriverError, SchedulerKind};
 use abr_sim::SimTime;
 use abr_workload::TraceLog;
 
@@ -70,11 +70,11 @@ pub fn trace_hot_list(trace: &TraceLog, sectors_per_block: u32) -> Vec<HotBlock>
 /// regardless of configuration, so metric differences are attributable
 /// purely to the configuration.
 ///
-/// # Panics
-/// Panics if the trace addresses fall outside the configured virtual
-/// disk (a trace recorded on a disk with a different reserved size may
-/// not fit).
-pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> DayMetrics {
+/// # Errors
+/// The driver's error for the first request it rejects: a trace
+/// recorded on a disk with a different reserved size may address
+/// sectors past the end of this one's partitions.
+pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> Result<DayMetrics, DriverError> {
     // Replay consumes only the measured statistics: no read data, and
     // the request monitor is never read (it just stops recording when
     // full).
@@ -90,9 +90,7 @@ pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> DayMetrics {
     if config.n_blocks > 0 {
         let hot = trace_hot_list(trace, driver.sectors_per_block());
         let arranger = BlockArranger::new(config.policy.make(1));
-        arranger
-            .rearrange(&mut driver, &hot, config.n_blocks, SimTime::ZERO)
-            .expect("placement on idle driver");
+        arranger.rearrange(&mut driver, &hot, config.n_blocks, SimTime::ZERO)?;
         // Placement I/O must not pollute the replay's measurements.
         driver.read_stats();
     }
@@ -109,9 +107,7 @@ pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> DayMetrics {
             }
             driver.complete_next(c);
         }
-        driver
-            .submit(e.to_request(), at)
-            .expect("trace request valid");
+        driver.submit(e.to_request(), at)?;
     }
     driver.drain();
 
@@ -128,7 +124,7 @@ pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> DayMetrics {
         }
         a.distribution().iter().map(|h| h.count).collect()
     };
-    DayMetrics::new(
+    Ok(DayMetrics::new(
         0,
         config.n_blocks > 0,
         config.n_blocks as u32,
@@ -136,7 +132,7 @@ pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> DayMetrics {
         &config.disk.seek,
         hot.iter().map(|h| h.count).collect(),
         reads,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -170,8 +166,8 @@ mod tests {
     fn replay_is_deterministic() {
         let trace = record_short_day();
         let cfg = ReplayConfig::new(models::toshiba_mk156f());
-        let a = replay(&trace, &cfg);
-        let b = replay(&trace, &cfg);
+        let a = replay(&trace, &cfg).unwrap();
+        let b = replay(&trace, &cfg).unwrap();
         assert_eq!(a.all.n, b.all.n);
         assert_eq!(a.all.service_ms.to_bits(), b.all.service_ms.to_bits());
     }
@@ -180,7 +176,7 @@ mod tests {
     fn replay_request_count_matches_trace() {
         let trace = record_short_day();
         let cfg = ReplayConfig::new(models::toshiba_mk156f());
-        let m = replay(&trace, &cfg);
+        let m = replay(&trace, &cfg).unwrap();
         assert_eq!(m.all.n as usize, trace.len());
     }
 
@@ -188,9 +184,9 @@ mod tests {
     fn rearranged_replay_beats_plain_replay() {
         let trace = record_short_day();
         let mut cfg = ReplayConfig::new(models::toshiba_mk156f());
-        let off = replay(&trace, &cfg);
+        let off = replay(&trace, &cfg).unwrap();
         cfg.n_blocks = 400;
-        let on = replay(&trace, &cfg);
+        let on = replay(&trace, &cfg).unwrap();
         // Identical stream: the difference is purely the rearrangement.
         // With today's own hot list (perfect prediction) the cut is
         // large.
@@ -200,6 +196,22 @@ mod tests {
             on.all.seek_ms,
             off.all.seek_ms
         );
+    }
+
+    #[test]
+    fn foreign_trace_is_an_error_not_a_panic() {
+        // One event past the last sector of partition 0, as in a trace
+        // recorded against a smaller reserved area.
+        let mut log = TraceLog::new();
+        log.push(abr_workload::TraceEvent {
+            at_us: 0,
+            dir: abr_disk::disk::IoDir::Read,
+            partition: 0,
+            sector: 1 << 40,
+            n_sectors: 16,
+        });
+        let cfg = ReplayConfig::new(models::toshiba_mk156f());
+        assert_eq!(replay(&log, &cfg).err(), Some(DriverError::OutOfPartition));
     }
 
     #[test]

@@ -285,7 +285,7 @@ impl BlockTable {
             .filter(|&(_, &orig)| orig != ABSENT)
             .map(|(slot, &orig)| (slot as u64, orig))
             .chain(self.rev_spill.iter().map(|(&s, &o)| (u64::from(s), o)));
-        abr_lint::sanitize::check_bijection(
+        abr_sim::sanitize::check_bijection(
             self.iter().map(|(b, e)| (b, u64::from(e.slot))),
             reverse,
         )

@@ -50,7 +50,7 @@ impl CylinderMap {
         // permutation invariant is enforced by the same code the other
         // maps use.
         #[cfg(feature = "sanitize")]
-        if let Err(e) = abr_lint::sanitize::check_permutation(
+        if let Err(e) = abr_sim::sanitize::check_permutation(
             map.iter().map(|&m| u64::from(m)),
             map.len() as u64,
         ) {

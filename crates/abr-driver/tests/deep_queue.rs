@@ -159,12 +159,12 @@ fn deep_over_shallow_cost(kind: SchedulerKind) -> f64 {
     });
     let shallow_bursts = DEEP / SHALLOW;
     let mut t = SimTime::ZERO;
-    let start = Instant::now(); // abr-lint: allow(D002, the test bounds a wall-time ratio; no result reads it)
+    let start = Instant::now();
     for _ in 0..shallow_bursts {
         t = burst(&mut d, SHALLOW, t);
     }
     let shallow = start.elapsed().as_secs_f64() / (shallow_bursts * SHALLOW) as f64;
-    let start = Instant::now(); // abr-lint: allow(D002, as above)
+    let start = Instant::now();
     t = burst(&mut d, DEEP, t);
     let deep = start.elapsed().as_secs_f64() / DEEP as f64;
 

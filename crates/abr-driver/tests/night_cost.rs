@@ -51,7 +51,7 @@ fn night(d: &mut AdaptiveDriver, n: u32, mut now: SimTime) -> SimTime {
 fn seconds_per_move((n, table_max_entries): (u32, u32)) -> f64 {
     let mut d = driver(table_max_entries);
     let now = night(&mut d, n, SimTime::ZERO);
-    let start = Instant::now(); // abr-lint: allow(D002, the test bounds a wall-time ratio; no result reads it)
+    let start = Instant::now();
     night(&mut d, n, now);
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(d.block_table().len(), n as usize);

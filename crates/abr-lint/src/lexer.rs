@@ -23,7 +23,6 @@ pub enum TokKind {
     Lit,
     /// String literal (plain, raw, or byte). `text` holds the contents
     /// between the quotes, uncooked: escape sequences stay as written.
-    /// The schema cross-checker reads metric names out of these.
     Str,
     /// A lifetime such as `'a`.
     Lifetime,
@@ -56,7 +55,7 @@ pub struct Annotation {
 }
 
 /// The lexed form of one source file.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Lexed {
     /// Token stream in source order.
     pub tokens: Vec<Tok>,
@@ -76,7 +75,7 @@ impl Lexed {
             .map(|a| (if a.own_line { a.line + 1 } else { a.line }, a))
     }
 
-    /// Rule ids allowed per 1-based line, as every pass consumes them.
+    /// Rule ids allowed per 1-based line, as the rules consume them.
     /// Validation (known rule, non-empty reason) is L001's job in
     /// [`crate::rules::lint_file`]; an unknown id here is simply inert.
     pub fn allow_lines(&self) -> BTreeMap<u32, BTreeSet<String>> {

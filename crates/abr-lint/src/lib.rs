@@ -1,46 +1,32 @@
 //! `abr-lint`: the workspace determinism & panic-safety analyzer.
 //!
-//! Three halves live here:
+//! A dependency-free Rust tokenizer ([`lexer`]) plus three token rules
+//! ([`rules`]): no randomized-order containers anywhere in the
+//! workspace (D001), a per-file count of `unwrap()`/`expect()` (P001),
+//! and no narrowing `as` casts in geometry arithmetic (C001). L001
+//! keeps the lint's own inputs well-formed. Every other invariant has
+//! another owner: clippy's type-resolved `disallowed-methods`
+//! (`clippy.toml`) bans wall-clock, environment, directory-order and
+//! unseeded-randomness calls, and the metric registry is joined against
+//! its consumers by a test in `abr-bench`.
 //!
-//! * a **static analyzer** ([`lint_workspace`]) — a dependency-free
-//!   Rust tokenizer ([`lexer`]) plus a small rule catalogue ([`rules`])
-//!   enforcing the repo's determinism contracts (no randomized-order
-//!   containers on the result path, no wall-clock reads outside the
-//!   allowlist, no unseeded randomness, narrow-cast bans in geometry
-//!   arithmetic) and a per-file count of `unwrap()`/`expect()` (P001);
-//! * a **deep analyzer** — a workspace symbol table and call graph
-//!   ([`graph`]) feeding an interprocedural determinism taint pass
-//!   ([`taint`], rules D004/D005) and a metric/SLO schema cross-check
-//!   ([`schema`], rules M001/M002);
-//! * a **runtime sanitizer** ([`sanitize`]) — invariant checks the
-//!   product crates call behind their `sanitize` cargo feature
-//!   (block-table bijection, stripe/cylinder permutations, monotone
-//!   counters).
-//!
-//! The findings that may stay (P001 debt per file, frozen D004/D005/
-//! M001/M002 exceptions) live in one down-only ratchet,
-//! `crates/abr-lint/baselines.txt`. See `DESIGN.md` §11 for the rule
-//! catalogue and annotation syntax.
+//! The findings that may stay (P001 debt per file) live in one
+//! down-only ratchet, `crates/abr-lint/baselines.txt`. See `DESIGN.md`
+//! §11 for the rule catalogue and annotation syntax.
 
 #![forbid(unsafe_code)]
 
-pub mod graph;
 pub mod lexer;
 pub mod rules;
-pub mod sanitize;
-pub mod schema;
-pub mod taint;
 
-use graph::FileFns;
-use rules::{lint_file, FileCtx};
+use rules::lint_file;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Repo-relative path of the baseline: the one ratchet file, holding
-/// `RULE KEY COUNT` entries for P001 (key = file) and for
-/// D004/D005/M001/M002 (key = the finding's edit-stable key).
+/// `RULE KEY COUNT` entries (P001, key = file).
 pub const BASELINE_PATH: &str = "crates/abr-lint/baselines.txt";
 
 /// One finding, ordered for deterministic output.
@@ -166,8 +152,7 @@ pub struct LintReport {
     /// All findings, sorted by (file, line, rule, message).
     pub diags: Vec<Diagnostic>,
     /// Reality side of the ratchet: `(rule, key) -> count` of ratcheted
-    /// findings (P001 per file, D004/D005/M001/M002 per key) before
-    /// baseline subtraction.
+    /// findings (P001 per file) before baseline subtraction.
     pub counts: BTreeMap<(String, String), usize>,
     /// The committed baseline (allowed side + comments), for
     /// regression refusal and comment-preserving rewrite.
@@ -193,10 +178,10 @@ impl LintReport {
     pub fn render_baseline(&self) -> String {
         let mut s = String::from(
             "# abr-lint baselines: the findings that may stay. Ratchet DOWN only.\n\
-             # Format: RULE KEY COUNT, the key being the file for P001, file:fn:sink\n\
-             # for D004/D005 and the metric name for M001/M002. The comment block\n\
-             # above a run of entries must say why they are allowed to stay; the\n\
-             # lint flags entries without one. Regenerate (down only) with:\n\
+             # Format: RULE KEY COUNT, the key being the file (P001 is the one\n\
+             # ratcheted rule). The comment block above a run of entries must say\n\
+             # why they are allowed to stay; the lint flags entries without one.\n\
+             # Regenerate (down only) with:\n\
              #   cargo run -p abr-lint -- --write-baseline\n",
         );
         let todo = ["TODO: justify this baseline entry".to_string()];
@@ -227,64 +212,14 @@ impl LintReport {
         });
         risen.collect()
     }
-
-    /// Machine-readable report: a deterministic JSON document (sorted
-    /// diagnostics, one sorted `counts` map keyed `"RULE KEY"`)
-    /// rendered with a hand-rolled emitter so `abr-lint` stays
-    /// dependency-free.
-    pub fn render_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"violations\": {},\n", self.diags.len()));
-        s.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diags.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-                json_str(&d.file),
-                d.line,
-                json_str(&d.rule),
-                json_str(&d.message)
-            ));
-        }
-        s.push_str(if self.diags.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        s.push_str("  \"counts\": {");
-        let live: Vec<_> = self.counts.iter().filter(|(_, n)| **n > 0).collect();
-        for (i, ((rule, key), n)) in live.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!("    {}: {n}", json_str(&format!("{rule} {key}"))));
-        }
-        s.push_str(if live.is_empty() { "}\n" } else { "\n  }\n" });
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// JSON string literal with the mandatory escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Recursively collect `.rs` files under `dir`, sorted for determinism.
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(rd) = fs::read_dir(dir) else { return };
+    #[allow(clippy::disallowed_methods)] // the entries are sorted below
+    let Ok(rd) = fs::read_dir(dir) else {
+        return;
+    };
     let mut entries: Vec<PathBuf> = rd.filter_map(|e| e.ok().map(|e| e.path())).collect();
     entries.sort();
     for p in entries {
@@ -296,11 +231,10 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Enumerate `(crate_name, rel_path, abs_path)` for every library
-/// source file in the workspace: `crates/*/src/**/*.rs` plus the root
-/// package's `src/`.
-pub fn workspace_sources(root: &Path) -> Vec<(String, String, PathBuf)> {
-    let mut out = Vec::new();
+/// Enumerate `(rel_path, abs_path)` for every library source file in
+/// the workspace: `crates/*/src/**/*.rs` plus the root package's `src/`.
+pub fn workspace_sources(root: &Path) -> Vec<(String, PathBuf)> {
+    #[allow(clippy::disallowed_methods)] // the entries are sorted below
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
         .map(|rd| {
             rd.filter_map(|e| e.ok().map(|e| e.path()))
@@ -309,67 +243,37 @@ pub fn workspace_sources(root: &Path) -> Vec<(String, String, PathBuf)> {
         })
         .unwrap_or_default();
     crate_dirs.sort();
-    // The root package `abr` participates too (its crate name is not on
-    // the D001 result-path list, but D002/D003/P001 still apply).
     crate_dirs.push(root.to_path_buf());
+    let mut files = Vec::new();
     for dir in crate_dirs {
-        let crate_name = if dir == *root {
-            "abr".to_string()
-        } else {
-            dir.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default()
-        };
-        let mut files = Vec::new();
         rs_files(&dir.join("src"), &mut files);
-        for f in files {
-            let rel = f
-                .strip_prefix(root)
-                .unwrap_or(&f)
-                .to_string_lossy()
-                .replace('\\', "/");
-            out.push((crate_name.clone(), rel, f));
-        }
     }
-    out
+    let rel = |f: &PathBuf| {
+        let rel = f.strip_prefix(root).unwrap_or(f);
+        rel.to_string_lossy().replace('\\', "/")
+    };
+    files.into_iter().map(|f| (rel(&f), f)).collect()
 }
 
 /// One loaded and lexed workspace source file.
 pub struct SourceFile {
-    /// Crate the file belongs to (directory name under `crates/`).
-    pub crate_name: String,
     /// Repo-relative path with forward slashes.
     pub rel_path: String,
-    /// Lexed source (empty on read error).
-    pub lexed: lexer::Lexed,
-    /// The file could not be read as UTF-8.
-    pub read_error: bool,
-}
-
-fn load_one(src: &(String, String, PathBuf)) -> SourceFile {
-    let (crate_name, rel_path, abs) = src;
-    match fs::read_to_string(abs) {
-        Ok(text) => SourceFile {
-            crate_name: crate_name.clone(),
-            rel_path: rel_path.clone(),
-            lexed: lexer::lex(&text),
-            read_error: false,
-        },
-        Err(_) => SourceFile {
-            crate_name: crate_name.clone(),
-            rel_path: rel_path.clone(),
-            lexed: lexer::Lexed::default(),
-            read_error: true,
-        },
-    }
+    /// Lexed source, or `None` when the file could not be read as
+    /// UTF-8.
+    pub lexed: Option<lexer::Lexed>,
 }
 
 /// Read and lex every workspace source, in enumeration order.
 pub fn load_workspace(root: &Path) -> Vec<SourceFile> {
-    workspace_sources(root).iter().map(load_one).collect()
+    let load = |(rel_path, abs): (String, PathBuf)| SourceFile {
+        rel_path,
+        lexed: fs::read_to_string(abs).ok().map(|text| lexer::lex(&text)),
+    };
+    workspace_sources(root).into_iter().map(load).collect()
 }
 
-/// Lint already-loaded sources against the full rule catalogue and the
+/// Lint already-loaded sources against the rule catalogue and the
 /// baseline text. Pure: reads no files, so tests can drive it with
 /// synthetic workspaces.
 pub fn lint_sources(files: &[SourceFile], baseline_text: &str) -> LintReport {
@@ -378,7 +282,7 @@ pub fn lint_sources(files: &[SourceFile], baseline_text: &str) -> LintReport {
     let mut found: BTreeMap<(String, String), Vec<Diagnostic>> = BTreeMap::new();
 
     for f in files {
-        if f.read_error {
+        let Some(lexed) = &f.lexed else {
             diags.push(Diagnostic::new(
                 "L001",
                 &f.rel_path,
@@ -386,12 +290,8 @@ pub fn lint_sources(files: &[SourceFile], baseline_text: &str) -> LintReport {
                 "file is not valid UTF-8 or could not be read".to_string(),
             ));
             continue;
-        }
-        let lint = lint_file(&FileCtx {
-            crate_name: &f.crate_name,
-            rel_path: &f.rel_path,
-            lexed: &f.lexed,
-        });
+        };
+        let lint = lint_file(&f.rel_path, lexed);
         diags.extend(lint.diags);
         for line in lint.p001_lines {
             found
@@ -406,54 +306,10 @@ pub fn lint_sources(files: &[SourceFile], baseline_text: &str) -> LintReport {
         }
     }
 
-    // Deep pass: call graph -> taint, plus the metric schema check.
-    let scans: Vec<FileFns> = files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| graph::scan_file(i, &f.lexed))
-        .collect();
-    let pairs: Vec<(&lexer::Lexed, &FileFns)> =
-        files.iter().map(|f| &f.lexed).zip(scans.iter()).collect();
-    let call_graph = graph::build_graph(&pairs);
-
-    // An entry point that names no function silently shrinks the taint
-    // analysis (a rename leaves it guarding nothing): make that loud.
-    for (ty, name) in taint::ENTRY_POINTS {
-        if call_graph.find(Some(ty), name).is_empty() {
-            diags.push(Diagnostic::new(
-                "L001",
-                "crates/abr-lint/src/taint.rs",
-                0,
-                format!("taint entry point `{ty}::{name}` resolves to no function"),
-            ));
-        }
-    }
-
-    let taint_input: Vec<(String, &lexer::Lexed)> = files
-        .iter()
-        .map(|f| (f.rel_path.clone(), &f.lexed))
-        .collect();
-    let schema_input: Vec<(String, String, &lexer::Lexed)> = files
-        .iter()
-        .map(|f| (f.crate_name.clone(), f.rel_path.clone(), &f.lexed))
-        .collect();
-    for f in taint::analyze(&taint_input, &scans, &call_graph) {
-        found
-            .entry((f.rule.to_string(), f.key()))
-            .or_default()
-            .push(f.diagnostic());
-    }
-    for f in schema::analyze(&schema_input) {
-        found
-            .entry((f.rule.to_string(), f.key()))
-            .or_default()
-            .push(f.diagnostic());
-    }
-
-    // The ratchet, once for every rule: findings past an entry's count
-    // are reported where they are; an entry above reality (or naming a
-    // key with no finding left) is stale and must be regenerated, so
-    // debt only moves down; every frozen exception says why it stays.
+    // The ratchet: findings past an entry's count are reported where
+    // they are; an entry above reality (or naming a key with no finding
+    // left) is stale and must be regenerated, so debt only moves down;
+    // every frozen exception says why it stays.
     let old_baseline = parse_baseline(baseline_text, &mut diags);
     for (entry, findings) in &found {
         diags.extend(findings.iter().skip(old_baseline.allowed(entry)).cloned());
@@ -494,8 +350,8 @@ pub fn lint_sources(files: &[SourceFile], baseline_text: &str) -> LintReport {
     }
 }
 
-/// Lint every workspace source file against the full rule catalogue
-/// and the committed baseline.
+/// Lint every workspace source file against the rule catalogue and the
+/// committed baseline.
 pub fn lint_workspace(root: &Path) -> LintReport {
     let baseline_text = fs::read_to_string(root.join(BASELINE_PATH)).unwrap_or_default();
     lint_sources(&load_workspace(root), &baseline_text)

@@ -12,58 +12,43 @@ const USAGE: &str = "\
 abr-lint: workspace determinism & panic-safety analyzer
 
 USAGE:
-    abr-lint [--workspace] [--root <dir>] [--json] [--write-baseline]
-             [--list-rules]
+    abr-lint [--workspace] [--root <dir>] [--write-baseline] [--list-rules]
 
 OPTIONS:
     --workspace        Lint the enclosing workspace (default; kept for
                        symmetry with cargo's flag)
     --root <dir>       Lint the workspace rooted at <dir> instead of
                        searching upward from the current directory
-    --json             Emit the machine-readable JSON report instead of
-                       one-line-per-finding text
     --write-baseline   Rewrite crates/abr-lint/baselines.txt to the
-                       current P001/D004/D005/M001/M002 reality,
-                       keeping its comments; refused if any count rose
+                       current P001 reality, keeping its comments;
+                       refused if any count rose
     --list-rules       Print the rule catalogue and exit
 ";
 
 const RULES: &str = "\
-D001  no HashMap/HashSet in result-path crates (abr-core, abr-driver,
-      abr-disk, abr-array, abr-workload, abr-fs)
-D002  no Instant::now / SystemTime / env reads outside the allowlist
-      (abr-bench engine.rs, abr-obs timer.rs)
-D003  no unseeded randomness (thread_rng, rand::random, OsRng,
-      from_entropy) anywhere
-D004  interprocedural: no wall-clock/env/FS-order/thread-id sink
-      reachable from a result-path entry point (RunBatch::execute,
-      RunSpec::dispatch, ServeExperiment::run/run_epoch,
-      DayLoop::run_day) through the workspace call graph
-D005  interprocedural: no HashMap/HashSet/RandomState or unseeded-rng
-      sink reachable from a result-path entry point
+D001  no HashMap/HashSet in any workspace crate
 P001  unwrap()/expect() in non-test library code must stay within the
       file's ratcheted `P001 <file> <count>` baseline entry
 C001  no narrowing `as` casts (u8/u16/u32/i8/i16/i32) in geometry.rs,
       layout.rs, cylmap.rs, stripe.rs
-M001  every registered metric name (counter/gauge/hires in a producer
-      crate) must have a consumer: a report column or an SLO
-M002  every consumed metric name must be registered by a producer
 L001  abr-lint annotations must name a known rule and give a reason;
       baseline entries must carry a justifying comment
 
 Escape hatch: `// abr-lint: allow(RULE, reason)` — trailing on the
-offending line, or alone on the line above it. For D004/D005 an allow
-on a *call-site* line cuts taint propagation through that edge; an
-allow on the sink line (D002/D003/D001 ids work there too) suppresses
-the seed. Surviving P001/D004/D005/M001/M002 findings go in
-crates/abr-lint/baselines.txt as `RULE KEY COUNT` under a justifying
-comment block, and only ratchet down.
+offending line, or alone on the line above it. Surviving P001 findings
+go in crates/abr-lint/baselines.txt as `P001 <file> <count>` under a
+justifying comment block, and only ratchet down.
+
+Owned elsewhere: wall-clock, environment, directory-order and
+unseeded-randomness calls are banned by clippy's `disallowed-methods`
+(clippy.toml; escape hatch `#[allow(clippy::disallowed_methods)]`), and
+every registered metric is joined against its report/SLO consumers by
+the abr-bench test `registry_and_consumers_name_the_same_metrics`.
 ";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut write_baseline = false;
-    let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -75,7 +60,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--json" => json = true,
             "--write-baseline" => write_baseline = true,
             "--list-rules" => {
                 print!("{RULES}");
@@ -108,20 +92,12 @@ fn main() -> ExitCode {
         }
     };
 
-    if json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render());
-    }
+    print!("{}", report.render());
     if report.diags.is_empty() {
-        if !json {
-            println!("abr-lint: clean");
-        }
+        println!("abr-lint: clean");
         ExitCode::SUCCESS
     } else {
-        if !json {
-            println!("abr-lint: {} violation(s)", report.diags.len());
-        }
+        println!("abr-lint: {} violation(s)", report.diags.len());
         ExitCode::FAILURE
     }
 }

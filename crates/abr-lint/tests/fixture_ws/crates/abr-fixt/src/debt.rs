@@ -1,5 +1,5 @@
 //! P001 fixture: two unannotated calls at known lines, for the ratchet
-//! cases in tests/deep.rs (over, at, under, and a file with none).
+//! cases in tests/ratchet.rs (over, at, under, and a file with none).
 
 pub fn first(v: Option<u32>) -> u32 {
     v.unwrap()

@@ -1,5 +1,5 @@
-// Fixture for D001: randomized-order containers on the result path.
-// Linted as crate `abr-core`, so the rule applies.
+// Fixture for D001: randomized-order containers (banned in every crate).
+// Linted under more than one crate's path: the rule is not crate scoped.
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 

@@ -9,22 +9,17 @@
 //!   go down, and only by regenerating the file).
 
 use abr_lint::lexer::lex;
-use abr_lint::rules::{lint_file, FileCtx, FileLint};
+use abr_lint::rules::{lint_file, FileLint};
 use abr_lint::{find_root, lint_workspace, workspace_sources};
 use std::path::Path;
 
-fn lint_fixture(name: &str, crate_name: &str, rel_path: &str) -> FileLint {
+fn lint_fixture(name: &str, rel_path: &str) -> FileLint {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
     let source = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()));
-    let lexed = lex(&source);
-    lint_file(&FileCtx {
-        crate_name,
-        rel_path,
-        lexed: &lexed,
-    })
+    lint_file(rel_path, &lex(&source))
 }
 
 /// (rule, line) pairs of every diagnostic, in order.
@@ -37,11 +32,7 @@ fn keys(lint: &FileLint) -> Vec<(String, u32)> {
 
 #[test]
 fn fixture_d001_flags_hashmap_not_btreemap() {
-    let lint = lint_fixture(
-        "d001_hashmap.rs",
-        "abr-core",
-        "crates/abr-core/src/fixture.rs",
-    );
+    let lint = lint_fixture("d001_hashmap.rs", "crates/abr-core/src/fixture.rs");
     assert_eq!(
         keys(&lint),
         vec![("D001".to_string(), 4), ("D001".to_string(), 8)],
@@ -52,69 +43,26 @@ fn fixture_d001_flags_hashmap_not_btreemap() {
 }
 
 #[test]
-fn fixture_d001_silent_outside_result_path() {
-    let lint = lint_fixture(
-        "d001_hashmap.rs",
-        "abr-bench",
+fn fixture_d001_fires_outside_the_result_path_too() {
+    // abr-bench and abr-serve were outside the rule's crate list once;
+    // the ban is workspace-wide.
+    for path in [
         "crates/abr-bench/src/fixture.rs",
-    );
-    assert!(lint.diags.is_empty(), "{}", render(&lint));
-}
-
-#[test]
-fn fixture_d002_flags_clock_and_env_reads() {
-    let lint = lint_fixture(
-        "d002_wallclock.rs",
-        "abr-core",
-        "crates/abr-core/src/fixture.rs",
-    );
-    assert_eq!(
-        keys(&lint),
-        vec![
-            ("D002".to_string(), 2), // SystemTime in the use list
-            ("D002".to_string(), 5), // Instant::now
-            ("D002".to_string(), 6), // SystemTime::now
-            ("D002".to_string(), 7), // env::var
-        ],
-        "both annotation forms (own-line and trailing) must excuse lines 13/14:\n{}",
-        render(&lint)
-    );
-}
-
-#[test]
-fn fixture_d002_allowlisted_file_is_exempt() {
-    // The allowlist is per rel_path; the same source under timer.rs is clean.
-    let lint = lint_fixture(
-        "d002_wallclock.rs",
-        "abr-obs",
-        "crates/abr-obs/src/timer.rs",
-    );
-    assert!(lint.diags.is_empty(), "{}", render(&lint));
-}
-
-#[test]
-fn fixture_d003_flags_unseeded_randomness_in_any_crate() {
-    // abr-bench is NOT a result-path crate, but D003 applies everywhere.
-    let lint = lint_fixture(
-        "d003_rng.rs",
-        "abr-bench",
-        "crates/abr-bench/src/fixture.rs",
-    );
-    assert_eq!(
-        keys(&lint),
-        vec![("D003".to_string(), 3), ("D003".to_string(), 4)],
-        "{}",
-        render(&lint)
-    );
+        "crates/abr-serve/src/fixture.rs",
+    ] {
+        let lint = lint_fixture("d001_hashmap.rs", path);
+        assert_eq!(
+            keys(&lint),
+            vec![("D001".to_string(), 4), ("D001".to_string(), 8)],
+            "{path}:\n{}",
+            render(&lint)
+        );
+    }
 }
 
 #[test]
 fn fixture_c001_flags_narrowing_casts_in_geometry_files_only() {
-    let lint = lint_fixture(
-        "c001_casts.rs",
-        "abr-disk",
-        "crates/abr-disk/src/geometry.rs",
-    );
+    let lint = lint_fixture("c001_casts.rs", "crates/abr-disk/src/geometry.rs");
     assert_eq!(
         keys(&lint),
         vec![("C001".to_string(), 4), ("C001".to_string(), 5)],
@@ -122,17 +70,13 @@ fn fixture_c001_flags_narrowing_casts_in_geometry_files_only() {
         render(&lint)
     );
     // Same source under a non-geometry file name: clean.
-    let lint = lint_fixture("c001_casts.rs", "abr-disk", "crates/abr-disk/src/other.rs");
+    let lint = lint_fixture("c001_casts.rs", "crates/abr-disk/src/other.rs");
     assert!(lint.diags.is_empty(), "{}", render(&lint));
 }
 
 #[test]
 fn fixture_p001_counts_unannotated_nontest_unwraps() {
-    let lint = lint_fixture(
-        "p001_unwrap.rs",
-        "abr-core",
-        "crates/abr-core/src/fixture.rs",
-    );
+    let lint = lint_fixture("p001_unwrap.rs", "crates/abr-core/src/fixture.rs");
     assert!(lint.diags.is_empty(), "{}", render(&lint));
     assert_eq!(
         lint.p001_lines,
@@ -143,21 +87,13 @@ fn fixture_p001_counts_unannotated_nontest_unwraps() {
 
 #[test]
 fn fixture_p001_exempt_in_binaries() {
-    let lint = lint_fixture(
-        "p001_unwrap.rs",
-        "abr-core",
-        "crates/abr-core/src/bin/tool.rs",
-    );
+    let lint = lint_fixture("p001_unwrap.rs", "crates/abr-core/src/bin/tool.rs");
     assert!(lint.p001_lines.is_empty(), "bin targets may unwrap freely");
 }
 
 #[test]
 fn fixture_l001_flags_malformed_annotations() {
-    let lint = lint_fixture(
-        "l001_annotations.rs",
-        "abr-core",
-        "crates/abr-core/src/fixture.rs",
-    );
+    let lint = lint_fixture("l001_annotations.rs", "crates/abr-core/src/fixture.rs");
     assert_eq!(
         keys(&lint),
         vec![("L001".to_string(), 3), ("L001".to_string(), 7)],
@@ -168,29 +104,6 @@ fn fixture_l001_flags_malformed_annotations() {
     // still counts; the empty-reason P001 allow still suppresses line 7
     // (the L001 is the enforcement).
     assert_eq!(lint.p001_lines, vec![3]);
-}
-
-#[test]
-fn fixture_unresolved_entry_point_is_a_lint_error() {
-    // The fixture workspace defines `RunSpec::dispatch` and nothing else
-    // from the entry-point list: every other entry must be reported,
-    // the one that resolves must not.
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixture_ws");
-    let report = lint_workspace(&fixture);
-    let unresolved = |name: &str| {
-        report.diags.iter().any(|d| {
-            d.rule == "L001"
-                && d.message.contains(&format!("`{name}`"))
-                && d.message.contains("resolves to no function")
-        })
-    };
-    assert!(
-        unresolved("ServeExperiment::run_epoch"),
-        "{}",
-        report.render()
-    );
-    assert!(unresolved("RunBatch::execute"), "{}", report.render());
-    assert!(!unresolved("RunSpec::dispatch"), "{}", report.render());
 }
 
 fn render(lint: &FileLint) -> String {
@@ -221,8 +134,8 @@ fn repo_lints_clean() {
 
 /// The ratchet: the committed baseline byte-matches reality, comments
 /// included (`--write-baseline` on a clean tree is a no-op). A fixed
-/// unwrap or a cured deep finding makes this fail until the file is
-/// regenerated (downward); a new one fails `repo_lints_clean` instead.
+/// unwrap makes this fail until the file is regenerated (downward); a
+/// new one fails `repo_lints_clean` instead.
 #[test]
 fn baseline_matches_reality() {
     let root = repo_root();
@@ -241,7 +154,7 @@ fn baseline_matches_reality() {
 /// deliberate violations).
 #[test]
 fn fixtures_are_not_scanned() {
-    for (_, rel, _) in workspace_sources(&repo_root()) {
+    for (rel, _) in workspace_sources(&repo_root()) {
         assert!(
             !rel.contains("tests/fixtures"),
             "fixture leaked into workspace scan: {rel}"

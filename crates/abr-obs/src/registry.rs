@@ -156,7 +156,7 @@ impl Registry {
             let mut base = self.monotone_baseline.borrow_mut();
             for (name, v) in &self.counters {
                 if let Some((_, prev)) = base.iter().find(|(n, _)| n == name) {
-                    if let Err(e) = abr_lint::sanitize::check_monotone(name, *prev, *v) {
+                    if let Err(e) = abr_sim::sanitize::check_monotone(name, *prev, *v) {
                         panic!("registry sanitizer: {e}");
                     }
                 }

@@ -14,7 +14,6 @@
 //! std hasher's per-process random key would otherwise make reruns
 //! disagree), so swapping the hasher cannot change any artifact byte.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd multiplier from the golden ratio, the usual Fx-style constant.
@@ -79,10 +78,12 @@ impl Hasher for FastHasher {
 }
 
 /// A `HashMap` keyed with [`FastHasher`].
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+// abr-lint: allow(D001, fixed-key hasher: the same operations give the same order in every process)
+pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// A `HashSet` keyed with [`FastHasher`].
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
+// abr-lint: allow(D001, fixed-key hasher: the same operations give the same order in every process)
+pub type FastSet<K> = std::collections::HashSet<K, BuildHasherDefault<FastHasher>>;
 
 #[cfg(test)]
 mod tests {

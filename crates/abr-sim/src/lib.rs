@@ -26,6 +26,9 @@
 //! * [`json`] — dependency-free, order-preserving JSON values with
 //!   deterministic serialization, for the machine-readable experiment and
 //!   benchmark artifacts (`results/*.json`, `BENCH_*.json`).
+//! * [`narrow`] / [`sanitize`] — checked integer narrowing for geometry
+//!   arithmetic, and the invariant checks (permutation, bijection,
+//!   monotone counter) the `sanitize` feature of the layers above calls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +41,7 @@ pub mod hist;
 pub mod json;
 pub mod narrow;
 pub mod rng;
+pub mod sanitize;
 pub mod stats;
 pub mod time;
 

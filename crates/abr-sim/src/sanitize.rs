@@ -1,13 +1,12 @@
 //! Runtime invariant checks for the `sanitize` build feature.
 //!
-//! The static rules in [`crate::rules`] catch *sources* of
-//! nondeterminism; these helpers catch *consequences* — a block table
-//! that stops being a bijection, a stripe/cylinder map that stops being
-//! a permutation, a counter that runs backwards. Product crates
-//! (`abr-driver`, `abr-core`, `abr-array`, `abr-obs`) depend on this
-//! module only when built with `--features sanitize` and call these
-//! helpers from `debug`-style assertion points on the rearrangement
-//! path.
+//! The static rules (abr-lint, clippy's `disallowed-methods`) catch
+//! *sources* of nondeterminism; these helpers catch *consequences* — a
+//! block table that stops being a bijection, a stripe/cylinder map that
+//! stops being a permutation, a counter that runs backwards. Product
+//! crates (`abr-driver`, `abr-array`, `abr-obs`) call them behind their
+//! `sanitize` cargo feature from `debug`-style assertion points on the
+//! rearrangement path.
 //!
 //! Every helper returns `Err(description)` instead of panicking so call
 //! sites can choose between `assert!`-style aborts (the default wiring)

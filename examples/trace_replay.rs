@@ -38,7 +38,7 @@ fn main() {
         "placement", "seek (ms)", "service (ms)", "waiting (ms)", "zero-seeks"
     );
     let mut replay_cfg = ReplayConfig::new(models::toshiba_mk156f());
-    let base = replay(&trace, &replay_cfg);
+    let base = replay(&trace, &replay_cfg).expect("the trace was recorded on this disk");
     println!(
         "{:14} {:>10.2} {:>12.2} {:>12.2} {:>11.1}%",
         "none", base.all.seek_ms, base.all.service_ms, base.all.waiting_ms, base.all.zero_seek_pct
@@ -46,7 +46,7 @@ fn main() {
     replay_cfg.n_blocks = 1017;
     for policy in PolicyKind::all() {
         replay_cfg.policy = policy;
-        let m = replay(&trace, &replay_cfg);
+        let m = replay(&trace, &replay_cfg).expect("the trace was recorded on this disk");
         println!(
             "{:14} {:>10.2} {:>12.2} {:>12.2} {:>11.1}%",
             policy.name(),
