@@ -9,7 +9,6 @@
 //! [`StripeMap::group_at`]: crate::stripe::StripeMap::group_at
 
 use super::{ArrayHealth, ArrayVolume, DiskHealth, Image, MaintRole};
-use abr_disk::store::Form;
 use abr_driver::{AdaptiveDriver, IoRequest};
 use abr_obs::with_registry;
 use abr_sim::SimTime;
@@ -160,7 +159,7 @@ impl ArrayVolume {
                             issued += 1;
                         }
                     }
-                    let w = IoRequest::write_forms(0, db * spb, image[..].into());
+                    let w = IoRequest::write_runs(0, db * spb, image.runs());
                     match self.disks[i].submit(w, now) {
                         Ok(id) => {
                             self.pending.insert((i, db), (id, image));
@@ -214,7 +213,7 @@ impl ArrayVolume {
         let mut needs = false;
         if let Ok(segs) = self.disks[loc].physical_segments(0, db * spb, span) {
             let mut cleared = 0u32;
-            for &(s, n) in &segs {
+            for &(s, n) in segs.iter() {
                 if let Some(inj) = self.disks[loc].disk_mut().injector_mut() {
                     cleared += inj.remap(s, n);
                 }
@@ -235,7 +234,7 @@ impl ArrayVolume {
     /// Issue a scrub repair write of `image` to block `db` of `loc`.
     fn scrub_repair(&mut self, loc: usize, db: u64, image: Image, now: SimTime) {
         let spb = self.map.sectors_per_block();
-        let w = IoRequest::write_forms(0, db * spb, image[..].into());
+        let w = IoRequest::write_runs(0, db * spb, image.runs());
         if let Ok(id) = self.disks[loc].submit(w, now) {
             self.pending.insert((loc, db), (id, image));
             self.maint_subs.insert((loc, id), MaintRole::ScrubWrite(db));
@@ -272,11 +271,10 @@ impl ArrayVolume {
                 needs.push((loc, db));
             }
         }
-        // Through the pending-aware images. Forms that cancel are zero;
-        // a sum that does not cancel is materialized, so the verdict is
-        // exact even when a raw sector spells out a seeded stream.
+        // Through the pending-aware images; the verdict is exact (see
+        // `Image::is_zero`).
         let suspect = match self.xor_of(group) {
-            Ok(sum) if sum.iter().all(Form::is_zero) => None,
+            Ok(sum) if sum.is_zero() => None,
             Ok(_) => {
                 if let Some(m) = &self.maint {
                     with_registry(|r| r.inc(m.obs.scrub_mismatches, 1));
@@ -286,7 +284,7 @@ impl ArrayVolume {
             Err(_) => {
                 let mut unreadable = group
                     .iter()
-                    .filter(|&&(loc, db)| self.block_forms(loc, db).is_err());
+                    .filter(|&&(loc, db)| self.block_image(loc, db).is_err());
                 match (unreadable.next(), unreadable.next()) {
                     (Some(&lost), None) => Some(lost),
                     _ => return,

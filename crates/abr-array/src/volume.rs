@@ -16,10 +16,11 @@
 //! * **Writes** fan out at submit time with *computed payloads*: the
 //!   mirror copy carries the same payload, the parity update carries
 //!   `parity ⊕ old ⊕ new` (old data and old parity come from
-//!   [`AdaptiveDriver::peek_forms`], the simulator's stand-in for
-//!   cache-resident data). Payloads are computed on [`Form`]s, one per
-//!   sector, never on bytes: a seeded write stays a marker on its home
-//!   member and its parity is a short list of markers. The data write
+//!   [`AdaptiveDriver::peek_runs`], the simulator's stand-in for
+//!   cache-resident data). Payloads are computed on [`Image`]s — runs
+//!   of sector forms — never on bytes or sector by sector: a seeded
+//!   write stays a marker on its home member and its parity is one
+//!   short list of markers per run. The data write
 //!   is issued first, then the copy/parity write — on a crash the scrub
 //!   repairs toward the data copy, so the ordering is the
 //!   crash-consistency contract.
@@ -45,15 +46,16 @@
 //! byte-identical regardless of host threading. A volume with
 //! `Redundancy::None` takes exactly the pre-redundancy code paths.
 
+use crate::image::Image;
 use crate::stripe::{Redundancy, StripeMap, StripePolicy};
 use abr_core::recovery::{IoBudget, MaintenanceConfig};
-use abr_disk::store::Form;
+use abr_disk::store::{Form, Run};
 use abr_driver::request::IoDir;
 use abr_driver::{AdaptiveDriver, BlockDevice, DriverError, IoRequest, RequestId};
 use abr_obs::{with_registry, CounterId, GaugeId, HiresId};
+use abr_sim::hash::FastMap;
 use abr_sim::SimTime;
-use std::collections::HashMap; // abr-lint: allow(D001, request bookkeeping; keyed insert/remove only, completion order is driven by sorted member queues)
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 // The maintenance half (resilver, scrub, health): a second
 // `impl ArrayVolume` over the same private state.
@@ -318,43 +320,26 @@ pub struct DiskIoCounts {
     pub failed: u64,
 }
 
-/// A block's (or span's) contents: one [`Form`] per sector.
-type Image = Vec<Form>;
-
-/// Sector-wise XOR of equal-length images (parity accumulation).
-fn xor_images(images: &[impl AsRef<[Form]>]) -> Image {
-    let len = images.first().map_or(0, |img| img.as_ref().len());
-    debug_assert!(images.iter().all(|img| img.as_ref().len() == len));
-    let mut scratch = Vec::new();
-    (0..len)
-        .map(|s| Form::xor_all(images.iter().map(|img| &img.as_ref()[s]), &mut scratch))
-        .collect()
-}
-
-/// Overlay `data` onto `img` starting `off_sectors` into the block.
-fn overlay(img: &mut [Form], off_sectors: u64, data: &[Form]) {
-    let off = off_sectors as usize;
-    img[off..off + data.len()].clone_from_slice(data);
-}
-
 /// N adaptive drivers behind one block address space.
 pub struct ArrayVolume {
     disks: Vec<AdaptiveDriver>,
     map: StripeMap,
     next_id: u64,
-    subs: HashMap<(usize, RequestId), u64>, // abr-lint: allow(D001, keyed lookup only; never iterated)
-    inflight: HashMap<u64, Inflight>, // abr-lint: allow(D001, keyed lookup only; never iterated)
+    /// The maps below are keyed lookups only, never walked in order:
+    /// completion order is driven by the sorted member queues.
+    subs: FastMap<(usize, RequestId), u64>,
+    inflight: FastMap<u64, Inflight>,
     /// Redundancy bookkeeping per user sub (empty for plain volumes).
-    red_subs: BTreeMap<(usize, RequestId), RedSub>,
+    red_subs: FastMap<(usize, RequestId), RedSub>,
     /// Maintenance subs (rebuild/scrub I/O); never surface to the user.
-    maint_subs: BTreeMap<(usize, RequestId), MaintRole>,
+    maint_subs: FastMap<(usize, RequestId), MaintRole>,
     /// Per disk: blocks whose on-disk bytes await re-silvering.
     stale: Vec<BTreeSet<u64>>,
     /// Submitted-but-not-yet-dispatched write images, keyed by
     /// `(disk, dblock)`: what the block will hold once the tagged
     /// request dispatches. Parity math and scrubbing read through this
     /// so queued writes are never double-counted.
-    pending: BTreeMap<(usize, u64), (RequestId, Image)>,
+    pending: FastMap<(usize, u64), (RequestId, Image)>,
     maint: Option<MaintState>,
     io_counts: Vec<DiskIoCounts>,
     /// Volume-level requests that finished clean / with an error.
@@ -434,12 +419,12 @@ impl ArrayVolume {
             disks,
             map,
             next_id: 0,
-            subs: HashMap::new(), // abr-lint: allow(D001, keyed lookup only; never iterated)
-            inflight: HashMap::new(), // abr-lint: allow(D001, keyed lookup only; never iterated)
-            red_subs: BTreeMap::new(),
-            maint_subs: BTreeMap::new(),
+            subs: FastMap::default(),
+            inflight: FastMap::default(),
+            red_subs: FastMap::default(),
+            maint_subs: FastMap::default(),
             stale: vec![BTreeSet::new(); n],
-            pending: BTreeMap::new(),
+            pending: FastMap::default(),
             maint,
             io_counts: vec![DiskIoCounts::default(); n],
             req_ok: 0,
@@ -468,16 +453,17 @@ impl ArrayVolume {
                 continue;
             };
             let parity = self.xor_of(data).expect("fresh member has no lost blocks");
-            if parity.iter().all(|form| *form == Form::Zero) {
+            if parity.iter().all(|run| run.base == Form::Zero) {
                 continue;
             }
             let segs = self.disks[pd]
                 .physical_segments(0, pdb * spb, spb as u32)
                 .expect("parity block in range");
-            let sectors = segs.iter().flat_map(|&(s, len)| s..s + u64::from(len));
             let store = self.disks[pd].disk_mut().store_mut();
-            for (s, form) in sectors.zip(&parity) {
-                store.write_form(s, form);
+            let mut at = 0;
+            for &(s, len) in segs.iter() {
+                store.write_runs(s, Run::slice_of(&parity, at, len));
+                at += len;
             }
         }
     }
@@ -558,13 +544,14 @@ impl ArrayVolume {
     /// What the block currently holds on one member: the queued write
     /// image if one is in flight, else the backing store (fails for a
     /// lost block). *Not* redundancy-aware — see [`Self::logical_block`].
-    fn block_forms(&self, disk: usize, dblock: u64) -> Result<Image, DriverError> {
+    fn block_image(&self, disk: usize, dblock: u64) -> Result<Image, DriverError> {
         if let Some((_, img)) = self.pending.get(&(disk, dblock)) {
             return Ok(img.clone());
         }
         let spb = self.map.sectors_per_block();
         let span = self.block_span(disk, dblock);
-        self.disks[disk].peek_forms(0, dblock * spb, span)
+        let runs = self.disks[disk].peek_runs(0, dblock * spb, span)?;
+        Ok(runs.into())
     }
 
     /// The other members of the redundancy group of `(disk, dblock)`:
@@ -585,9 +572,9 @@ impl ArrayVolume {
             if self.stale[d].contains(&db) {
                 return Err(DriverError::DataLoss);
             }
-            images.push(self.block_forms(d, db)?);
+            images.push(self.block_image(d, db)?);
         }
-        Ok(xor_images(&images))
+        Ok(Image::xor(&images))
     }
 
     /// The *logical* contents of volume block `vblock`: its home copy
@@ -597,7 +584,7 @@ impl ArrayVolume {
     fn logical_block(&self, vblock: u64) -> Result<Image, DriverError> {
         let (d, db) = self.map.map_block(vblock);
         if !self.stale[d].contains(&db) {
-            if let Ok(b) = self.block_forms(d, db) {
+            if let Ok(b) = self.block_image(d, db) {
                 return Ok(b);
             }
         }
@@ -717,12 +704,12 @@ impl ArrayVolume {
         sector: u64,
         now: SimTime,
     ) -> Vec<Routed> {
-        // What the write stores, sector by sector (parity deltas,
-        // pending write images); no bytes are produced for it.
-        let new = req.payload_forms();
+        // What the write stores (parity deltas, pending write images);
+        // no bytes are produced for it.
+        let new = Image::from(req.payload_runs());
         let spb = self.map.sectors_per_block();
         let dblock = sector / spb;
-        let off = sector % spb;
+        let off = (sector % spb) as u32;
         let n = req.n_sectors;
         let vblock = req.sector_in_partition / spb;
         let span = self.block_span(disk, dblock);
@@ -803,9 +790,9 @@ impl ArrayVolume {
         &mut self,
         target: usize,
         dblock: u64,
-        off: u64,
+        off: u32,
         full: bool,
-        payload: &[Form],
+        payload: &Image,
         req: &IoRequest,
     ) -> Option<Routed> {
         let spb = self.map.sectors_per_block();
@@ -821,15 +808,11 @@ impl ArrayVolume {
         if self.stale[target].contains(&dblock) && !full {
             // Promote: overlay the payload on the logical image and
             // rewrite the whole block.
-            let mut img = match self.logical_block(vblock) {
-                Ok(img) => img,
-                Err(_) => return None,
-            };
-            overlay(&mut img, off, payload);
+            let img = self.logical_block(vblock).ok()?.overlay(off, payload);
             self.stale[target].remove(&dblock);
             return Some(Routed {
                 disk: target,
-                req: IoRequest::write_forms(0, dblock * spb, img[..].into()),
+                req: IoRequest::write_runs(0, dblock * spb, img.runs()),
                 red: Some(RedSub {
                     n_sectors: span,
                     ..red
@@ -843,20 +826,16 @@ impl ArrayVolume {
         // In-flight image: the block's current contents with the payload
         // overlaid (whole payload for a full write).
         let pending_img = if full {
-            Some(payload.to_vec())
+            Some(payload.clone())
         } else {
-            match self.block_forms(target, dblock) {
-                Ok(mut img) => {
-                    overlay(&mut img, off, payload);
-                    Some(img)
-                }
-                Err(_) => None, // partial write over a lost block: image unknowable
-            }
+            // A partial write over a lost block: image unknowable.
+            let held = self.block_image(target, dblock).ok();
+            held.map(|img| img.overlay(off, payload))
         };
         Some(Routed {
             disk: target,
             req: IoRequest {
-                sector_in_partition: dblock * spb + off,
+                sector_in_partition: dblock * spb + u64::from(off),
                 ..req.clone()
             },
             red: Some(red),
@@ -872,13 +851,13 @@ impl ArrayVolume {
     fn parity_write_sub(
         &mut self,
         vblock: u64,
-        off: u64,
-        payload: &[Form],
+        off: u32,
+        payload: &Image,
         old_block: Result<Image, DriverError>,
         now: SimTime,
     ) -> Option<Routed> {
         let spb = self.map.sectors_per_block();
-        let n = payload.len() as u32;
+        let n = payload.sectors();
         let (pd, pdb) = self.map.parity_location(vblock);
         if self.disk_down(pd, now) {
             self.stale[pd].insert(pdb);
@@ -896,33 +875,31 @@ impl ArrayVolume {
                 return None;
             }
             let old = old_block.as_ref().ok()?;
-            let parity_old = self.block_forms(pd, pdb).ok()?;
-            let (lo, hi) = (off as usize, off as usize + payload.len());
-            let span = xor_images(&[&parity_old[lo..hi], &old[lo..hi], payload]);
+            let parity_old = self.block_image(pd, pdb).ok()?;
+            let operands = [parity_old.slice(off, n), old.slice(off, n), payload.clone()];
+            let span = Image::xor(&operands);
             // In-flight image of the whole parity block.
-            let mut img = parity_old;
-            overlay(&mut img, off, &span);
+            let img = parity_old.overlay(off, &span);
             Some((span, img))
         })();
         if let Some((span, img)) = delta {
             return Some(Routed {
                 disk: pd,
-                req: IoRequest::write_forms(0, pdb * spb + off, span.into()),
+                req: IoRequest::write_runs(0, pdb * spb + u64::from(off), span.runs()),
                 red: Some(red),
                 pending_img: Some(img),
             });
         }
         // Full parity rebuild: XOR the whole row's logical data, with
         // the new payload overlaid on its own block.
-        let mut own = match self.logical_block(vblock) {
-            Ok(img) => img,
-            Err(_) if off == 0 && u64::from(n) == spb => payload.to_vec(),
+        let own = match self.logical_block(vblock) {
+            Ok(img) => img.overlay(off, payload),
+            Err(_) if off == 0 && u64::from(n) == spb => payload.clone(),
             Err(_) => {
                 self.stale[pd].insert(pdb);
                 return None;
             }
         };
-        overlay(&mut own, off, payload);
         let mut images = vec![own];
         let home = self.map.map_block(vblock);
         let row = self.rest_of_group(pd, pdb).unwrap_or_default();
@@ -936,11 +913,11 @@ impl ArrayVolume {
                 }
             }
         }
-        let parity = xor_images(&images);
+        let parity = Image::xor(&images);
         self.stale[pd].remove(&pdb);
         Some(Routed {
             disk: pd,
-            req: IoRequest::write_forms(0, pdb * spb, parity[..].into()),
+            req: IoRequest::write_runs(0, pdb * spb, parity.runs()),
             red: Some(RedSub {
                 n_sectors: spb as u32,
                 ..red
@@ -1293,11 +1270,9 @@ mod tests {
     }
 
     /// The materialized bytes of an image.
-    fn bytes_of(img: &[Form]) -> Vec<u8> {
-        let mut buf = vec![0u8; img.len() * SECTOR_SIZE];
-        for (form, chunk) in img.iter().zip(buf.chunks_mut(SECTOR_SIZE)) {
-            form.fill(chunk);
-        }
+    fn bytes_of(img: &Image) -> Vec<u8> {
+        let mut buf = vec![0u8; img.sectors() as usize * SECTOR_SIZE];
+        Run::fill_all(img, &mut buf);
         buf
     }
 
@@ -1480,7 +1455,7 @@ mod tests {
             disk,
             req: IoRequest::write_seeded(0, sector, 16, 7),
             red: Some(red),
-            pending_img: Some(vec![Form::Zero; 16]),
+            pending_img: Some(IoRequest::write_zeroes(0, 0, 16).payload_runs().into()),
         };
         let now = SimTime::from_micros(2_000_000);
         let rejected = v.place(vec![sub(1, 0), sub(0, beyond)], now);

@@ -1,9 +1,10 @@
 //! Footprint and identity of a redundant array: redundancy is computed
-//! on forms, so a rotating-parity array fed seeded writes holds markers
-//! like any single disk — no member store grows a 32 KB raw page beyond
-//! the ones formatting wrote — while the bytes those markers stand for
-//! still satisfy the parity identity, through a disk death, a hot spare
-//! and its rebuild.
+//! on runs of forms, so a rotating-parity array fed seeded writes holds
+//! markers like any single disk — no member store grows a 32 KB raw page
+//! beyond the ones formatting wrote, and its slab holds a term list per
+//! *run* of a parity block, a few per block rather than one per sector
+//! — while the bytes those markers stand for still satisfy the parity
+//! identity, through a disk death, a hot spare and its rebuild.
 //!
 //! The configuration is the benchmark's `array_redundant`: the paper
 //! profile under `--release` (CI's `bench-smoke` job), `tiny_test`
@@ -38,14 +39,48 @@ fn raw_pages(v: &ArrayVolume, i: usize) -> usize {
     v.disk(i).disk().store().raw_pages()
 }
 
+/// Term lists a parity block may hold on average: a block written whole
+/// is one run, and fragment writes cut it into a few more (one list per
+/// sector would be 16).
+const RUNS_PER_PARITY_BLOCK: usize = 3;
+
+/// Every member's slab is bounded by the parity blocks it holds that
+/// are an XOR of streams at all — nothing else ever is one.
+#[track_caller]
+fn assert_slabs_are_per_run(v: &ArrayVolume, when: &str) {
+    let spb = v.map().sectors_per_block();
+    let mut xor_blocks = [0usize; N_DISKS];
+    for index in 0..v.map().n_groups() {
+        let &(d, db) = v.map().group(index).last().expect("check member");
+        let runs = v
+            .disk(d)
+            .peek_runs(0, db * spb, spb as u32)
+            .expect("parity readable");
+        xor_blocks[d] += runs.iter().any(|run| matches!(run.base, Form::Xor(_))) as usize;
+    }
+    for (i, blocks) in xor_blocks.into_iter().enumerate() {
+        let lists = v.disk(i).disk().store().slab_len();
+        assert!(
+            blocks > 0 && lists >= blocks,
+            "member {i} {when}: no parity?"
+        );
+        let bound = RUNS_PER_PARITY_BLOCK * blocks;
+        assert!(
+            lists <= bound,
+            "member {i} {when}: {lists} term lists, {blocks} parity blocks"
+        );
+    }
+}
+
 /// Groups whose members' *materialized* XOR is not zero. A group whose
 /// members all hold the zero form needs no bytes to be judged.
 fn broken_groups(v: &ArrayVolume) -> Vec<u64> {
     let spb = v.map().sectors_per_block();
     let broken = |index: &u64| {
         let group = v.map().group(*index);
-        let forms = |&(d, db): &(usize, u64)| v.disk(d).peek_forms(0, db * spb, spb as u32);
-        if (group.iter()).all(|m| forms(m).is_ok_and(|img| img.iter().all(|f| *f == Form::Zero))) {
+        let runs = |&(d, db): &(usize, u64)| v.disk(d).peek_runs(0, db * spb, spb as u32);
+        if (group.iter()).all(|m| runs(m).is_ok_and(|img| img.iter().all(|r| r.base == Form::Zero)))
+        {
             return false;
         }
         let mut acc = vec![0u8; spb as usize * SECTOR_SIZE];
@@ -72,6 +107,7 @@ fn redundant_array_holds_markers_and_keeps_the_parity_identity() {
         );
     }
     assert_eq!(broken_groups(e.volume()), Vec::<u64>::new(), "after set-up");
+    assert_slabs_are_per_run(e.volume(), "after set-up");
 
     // The victim dies 30 minutes into the measured day; its hot spare
     // arrives 10 minutes later and is re-silvered under the budget.
@@ -87,4 +123,5 @@ fn redundant_array_holds_markers_and_keeps_the_parity_identity() {
     for i in 0..N_DISKS {
         assert_eq!(raw_pages(v, i), formatted, "member {i} after the day");
     }
+    assert_slabs_are_per_run(v, "after the day");
 }

@@ -275,6 +275,119 @@ fn torture(redundancy: Redundancy, n: usize) {
     assert_eq!(v.health().total_lost(), 0);
 }
 
+/// Fragment (sub-block) writes leave a parity block in several runs —
+/// the delta covers only the written span, so the block reads as runs
+/// of different term lists — and the parity identity must hold on the
+/// *materialized* bytes of every touched group all the same: after the
+/// writes, after more of them with a member dead, and after its hot
+/// spare has been re-silvered from those multi-run images.
+#[test]
+fn fragment_writes_make_multi_run_parity_that_survives_death_and_rebuild() {
+    let maint = MaintenanceConfig {
+        rebuild_ops_per_window: 4096,
+        ..MaintenanceConfig::default()
+    };
+    let mut v = ArrayVolume::with_redundancy(
+        (0..4).map(|_| member(16)).collect(),
+        StripePolicy::Striped { chunk_blocks: 2 },
+        Redundancy::RotParity,
+        maint,
+    );
+    let n_blocks = 36u64;
+    let mut rng = SimRng::new(0xF4A6).substream("fragments");
+    // What every block must read as, byte for byte.
+    let mut model = vec![vec![0u8; SPB as usize * SECTOR_SIZE]; n_blocks as usize];
+    let write = |v: &mut ArrayVolume, model: &mut [Vec<u8>], vb, off: u64, n: u64, seed, now| {
+        let req = IoRequest::write_seeded(0, vb * SPB + off, n as u32, seed);
+        v.submit(req, now).expect("write accepted");
+        let block: &mut Vec<u8> = &mut model[vb as usize];
+        let bytes = &mut block[off as usize * SECTOR_SIZE..][..n as usize * SECTOR_SIZE];
+        abr_disk::store::fill_seeded(seed, 0, bytes);
+    };
+    let mut fragments = |v: &mut ArrayVolume, model: &mut [Vec<u8>], count: u32, now: SimTime| {
+        for _ in 0..count {
+            let off = rng.below(SPB - 1);
+            let n = 1 + rng.below(SPB - off - 1);
+            let (vb, seed) = (rng.below(n_blocks), 1 + rng.below(1 << 30));
+            write(v, model, vb, off, n, seed, now);
+        }
+    };
+    let check = |v: &ArrayVolume, model: &[Vec<u8>], when: &str| {
+        for vb in 0..n_blocks {
+            let group = group_of(v, vb);
+            let sum = xor_of(v, &group).expect("group readable");
+            assert!(sum.iter().all(|&b| b == 0), "{when}: group of block {vb}");
+            let home = peek(v, v.map().map_block(vb)).expect("home readable");
+            assert_eq!(home, model[vb as usize], "{when}: block {vb}");
+        }
+    };
+    let runs_of = |v: &ArrayVolume, (d, db): (usize, u64)| {
+        let runs = v.disk(d).peek_runs(0, db * SPB, SPB as u32);
+        runs.expect("parity readable")
+    };
+
+    for vb in 0..n_blocks {
+        write(
+            &mut v,
+            &mut model,
+            vb,
+            0,
+            SPB,
+            0x5EED_0000 + vb,
+            SimTime::ZERO,
+        );
+    }
+    fragments(&mut v, &mut model, 96, SimTime::ZERO);
+    v.drain();
+    let parity = |v: &ArrayVolume, vb| *group_of(v, vb).last().expect("check member");
+    let multi_run = (0..n_blocks)
+        .filter(|&vb| runs_of(&v, parity(&v, vb)).len() > 1)
+        .count();
+    assert!(
+        multi_run > n_blocks as usize / 2,
+        "{multi_run} multi-run parity blocks"
+    );
+    check(&v, &model, "healthy");
+
+    // Member 1 dies; fragments keep coming (redirected, reconstructed).
+    let death = FaultPlan::disk_death(SimTime::from_micros(1_000_000), SimDuration::from_secs(30));
+    let injector = FaultInjector::new(death, SimRng::new(1).substream("faults"));
+    v.disk_mut(1).disk_mut().set_injector(Some(injector));
+    fragments(&mut v, &mut model, 64, SimTime::from_micros(2_000_000));
+    v.drain();
+    assert_eq!(v.request_outcomes().1, 0, "degraded fragment writes failed");
+
+    // Hot spare, rebuild with fragments racing it, then scrub sweeps.
+    v.replace_disk(1, member(16));
+    let mut t = SimTime::from_micros(60_000_000);
+    for round in 0..2_000 {
+        v.maintenance_tick(t);
+        if round % 5 == 0 {
+            fragments(&mut v, &mut model, 1, t);
+        }
+        v.drain();
+        if v.rebuild_pending() == 0 {
+            break;
+        }
+        t += SimDuration::from_secs(10);
+    }
+    assert_eq!(v.rebuild_pending(), 0, "rebuild never drained");
+    check(&v, &model, "rebuilt");
+    let repairs = counter("array.scrub.repairs");
+    for _ in 0..32 {
+        t += SimDuration::from_secs(10);
+        v.maintenance_tick(t);
+        v.drain();
+    }
+    assert_eq!(
+        counter("array.scrub.repairs"),
+        repairs,
+        "scrub found a mismatch"
+    );
+    check(&v, &model, "scrubbed");
+    assert_eq!(v.health().total_lost(), 0);
+}
+
 /// The shapes the recover side must treat alike.
 const SHAPES: [(Redundancy, usize); 4] = [
     (Redundancy::Mirror, 2),

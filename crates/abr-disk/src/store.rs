@@ -26,10 +26,7 @@
 //! * **XOR of seeded streams** — what parity over seeded data is: a
 //!   sorted list of `(seed, word)` terms. A term XORed in twice cancels,
 //!   so `parity ⊕ old ⊕ new` is a symmetric difference of term lists and
-//!   reconstructing a block from its row gives back its single marker.
-//!   The list lives out of line in a store-level slab, indexed through
-//!   the marker's spare 32 bits; the slot is freed when the sector is
-//!   overwritten, and a store never handed such a form allocates nothing;
+//!   reconstructing a block from its row gives back its single marker;
 //! * **raw** — 512 literal bytes in the page's 32 KB data area (allocated
 //!   on the page's first raw write). XOR with a raw sector materializes:
 //!   the only operation that touches 512 bytes.
@@ -37,6 +34,30 @@
 //! [`SectorStore::read`] materializes any kind, so the observable
 //! contents never depend on the representation; the kinds mix freely
 //! within a page.
+//!
+//! # Runs
+//!
+//! A block is written as one payload, so its sectors are not sixteen
+//! unrelated forms: sector *i* holds the first sector's form *advanced*
+//! by *i* sectors — every term's word moved on by `i · WORDS_PER_SECTOR`
+//! ([`Form::translate`]). Translation keeps term order, distinctness and
+//! cancellation, so it commutes with XOR:
+//!
+//! ```text
+//! xor_all(translate(a, k), translate(b, k)) == translate(xor_all(a, b), k)
+//! ```
+//!
+//! and "n consecutive sectors holding one base form advanced sector by
+//! sector" is itself a value, a [`Run`]: the XOR of aligned runs is
+//! **one** [`Form::xor_all`] on their bases instead of n. The store
+//! reads a range as its maximal runs ([`SectorStore::read_runs`]) and
+//! writes a run in one call ([`SectorStore::write_run`]); a single
+//! sector is the run of length one. An XOR run keeps **one** term list,
+//! out of line in a store-level slab with a count of the sectors still
+//! holding it; each sector's marker names the slot and its index within
+//! the run. The slot is freed when the last of its sectors is
+//! overwritten, and a store never handed such a form allocates nothing.
+//! Raw bytes do not translate: a raw sector is always a run of one.
 
 use crate::SECTOR_SIZE;
 use abr_sim::rng::splitmix64;
@@ -113,7 +134,9 @@ impl Form {
         }
     }
 
-    /// Materialize the sector into `out` (`SECTOR_SIZE` bytes).
+    /// Materialize the sector into `out` — or, `out` being longer, the
+    /// run of sectors that starts with it: sector `i` of a run continues
+    /// each stream where sector `i - 1` left off.
     pub fn fill(&self, out: &mut [u8]) {
         match self {
             Form::Raw(bytes) => out.copy_from_slice(&bytes[..]),
@@ -125,29 +148,56 @@ impl Form {
         }
     }
 
-    /// Whether the sector reads as all zeroes. Exact: anything but the
-    /// zero form is materialized and its bytes compared.
-    pub fn is_zero(&self) -> bool {
-        *self == Form::Zero || {
-            let mut buf = [0u8; SECTOR_SIZE];
-            self.fill(&mut buf);
-            buf == [0u8; SECTOR_SIZE]
+    /// The form `k` sectors further into a run that starts with this
+    /// one: every term's word advanced by `k * WORDS_PER_SECTOR`.
+    ///
+    /// # Panics
+    /// A raw sector translates by zero only.
+    pub fn translate(&self, k: u32) -> Form {
+        assert!(
+            k == 0 || !matches!(self, Form::Raw(_)),
+            "raw bytes do not translate"
+        );
+        let by = k * WORDS_PER_SECTOR;
+        match self {
+            &Form::Seeded((seed, w)) => Form::Seeded((seed, w + by)),
+            Form::Xor(terms) if k > 0 => {
+                Form::Xor(terms.iter().map(|&(s, w)| (s, w + by)).collect())
+            }
+            form => form.clone(),
         }
     }
 
-    /// The XOR of `forms`. Seeded terms are merged and a term that
-    /// occurs twice cancels; a raw operand materializes the result.
-    /// `terms` is scratch space, reusable from one call to the next.
-    pub fn xor_all<'a>(forms: impl IntoIterator<Item = &'a Form>, terms: &mut Vec<Term>) -> Form {
+    /// Whether `next` is this form advanced by `k` sectors, compared
+    /// without building the translation (raw bytes continue nothing).
+    fn continues_as(&self, k: u32, next: &Form) -> bool {
+        let (a, b) = (self.terms(), next.terms());
+        let plain = !matches!((self, next), (Form::Raw(_), _) | (_, Form::Raw(_)));
+        let advanced = |(&(s, w), &t): (&Term, &Term)| (s, w + k * WORDS_PER_SECTOR) == t;
+        plain && a.len() == b.len() && a.iter().zip(b).all(advanced)
+    }
+
+    /// The XOR of `forms`, each advanced by its own sector count first
+    /// (see [`Form::translate`]; nothing is built for the operands).
+    /// Seeded terms are merged and a term that occurs twice cancels; a
+    /// raw operand materializes the result. `terms` is scratch space,
+    /// reusable from one call to the next.
+    pub fn xor_all<'a>(
+        forms: impl IntoIterator<Item = (&'a Form, u32)>,
+        terms: &mut Vec<Term>,
+    ) -> Form {
         terms.clear();
         let mut raw: Option<Box<[u8; SECTOR_SIZE]>> = None;
-        for form in forms {
+        for (form, k) in forms {
             match (form, &mut raw) {
                 (Form::Raw(bytes), None) => raw = Some(bytes.clone()),
                 (Form::Raw(bytes), Some(acc)) => {
                     acc.iter_mut().zip(bytes.iter()).for_each(|(a, b)| *a ^= b);
                 }
-                (form, _) => terms.extend_from_slice(form.terms()),
+                (form, _) => {
+                    let by = k * WORDS_PER_SECTOR;
+                    terms.extend(form.terms().iter().map(|&(s, w)| (s, w + by)));
+                }
             }
         }
         terms.sort_unstable();
@@ -173,43 +223,143 @@ impl Form {
     }
 }
 
+/// `len` consecutive sectors, sector `i` holding `base` advanced by `i`
+/// sectors (see the module docs). A raw base has `len` 1.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run {
+    /// What the first sector holds.
+    pub base: Form,
+    /// Sectors in the run, at least one.
+    pub len: u32,
+}
+
+impl Run {
+    /// The run sector by sector — for tests and materialization.
+    pub fn forms(&self) -> impl Iterator<Item = Form> + '_ {
+        (0..self.len).map(|i| self.base.translate(i))
+    }
+
+    /// Materialize `runs`, back to back, into `out`: the sectors of a
+    /// run are one continuous stretch of each of its streams.
+    pub fn fill_all(runs: &[Run], out: &mut [u8]) {
+        let mut rest = out;
+        for run in runs {
+            let (chunk, tail) = rest.split_at_mut(run.len as usize * SECTOR_SIZE);
+            run.base.fill(chunk);
+            rest = tail;
+        }
+    }
+
+    /// Whether every sector reads as all zeroes. Exact: anything but the
+    /// zero form is materialized and its bytes compared.
+    pub fn is_zero(&self) -> bool {
+        self.base == Form::Zero || {
+            let mut buf = vec![0u8; self.len as usize * SECTOR_SIZE];
+            self.base.fill(&mut buf);
+            buf.iter().all(|&b| b == 0)
+        }
+    }
+
+    /// Append `run` to `runs`, extending the last run when `run`
+    /// continues it, so a list built through here holds maximal runs.
+    pub fn push_onto(self, runs: &mut Vec<Run>) {
+        match runs.last_mut() {
+            Some(last) if last.base.continues_as(last.len, &self.base) => last.len += self.len,
+            _ => runs.push(self),
+        }
+    }
+
+    /// Sectors `[off, off + n)` of the range `runs` cover, as runs.
+    pub fn slice_of(runs: &[Run], mut off: u32, mut n: u32) -> impl Iterator<Item = Run> + '_ {
+        runs.iter().filter_map(move |run| {
+            let skip = off.min(run.len);
+            let take = (run.len - skip).min(n);
+            off -= skip;
+            n -= take;
+            (take > 0).then(|| {
+                let (base, len) = (run.base.translate(skip), take);
+                Run { base, len }
+            })
+        })
+    }
+}
+
 /// A lazily-held sector: the `(seed, word)` of a seeded stream, or —
-/// `slot != 0` — slot `slot - 1` of the store's slab of XOR term lists.
-/// `slot` is zero on every sector that is not such an XOR sector.
-#[derive(Debug, Clone, Copy, Default)]
+/// `slot != 0` — sector `word` of the XOR run in slot `slot - 1` of the
+/// store's slab. `slot` is zero on every sector that is not such an XOR
+/// sector.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Marker {
     seed: u64,
     word: u32,
     slot: u32,
 }
 
-/// Out-of-line term lists of the store's XOR sectors.
+impl Marker {
+    /// The marker of the sector `k` further into the same run.
+    fn advanced(self, k: u32) -> Marker {
+        let step = if self.slot == 0 { WORDS_PER_SECTOR } else { 1 };
+        let word = self.word + k * step;
+        Marker { word, ..self }
+    }
+}
+
+/// Out-of-line term lists of the store's XOR runs: the base terms and
+/// how many sectors still hold the run.
 #[derive(Debug, Default, Clone)]
 struct Slab {
-    slots: Vec<Option<Arc<[Term]>>>,
+    slots: Vec<Option<(Arc<[Term]>, u32)>>,
     free: Vec<u32>,
 }
 
 impl Slab {
-    /// Store `terms`, returning the marker's `slot` value.
-    fn insert(&mut self, terms: Arc<[Term]>) -> u32 {
+    /// Store the base `terms` of a run of `n` sectors, returning the
+    /// markers' `slot` value.
+    fn insert(&mut self, terms: Arc<[Term]>, n: u32) -> u32 {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
-            u32::try_from(self.slots.len()).expect("slab slot fits u32") // abr-lint: allow(P001, one slot per live sector)
+            u32::try_from(self.slots.len()).expect("slab slot fits u32") // abr-lint: allow(P001, at most one slot per live sector)
         });
-        self.slots[slot as usize - 1] = Some(terms);
+        self.slots[slot as usize - 1] = Some((terms, n));
         slot
     }
 
+    /// One sector of the run in `slot` was overwritten; the last one
+    /// frees the slot.
     fn release(&mut self, slot: u32) {
-        self.slots[slot as usize - 1] = None;
-        self.free.push(slot);
+        let entry = &mut self.slots[slot as usize - 1];
+        match entry {
+            Some((_, live)) if *live > 1 => *live -= 1,
+            _ => self.free.extend(entry.take().map(|_| slot)),
+        }
     }
 }
 
 /// The bitmap bits of the in-page sector range `run` (not empty).
 fn mask(run: &Range<usize>) -> u64 {
     (u64::MAX >> (PAGE_SECTORS as usize - run.len())) << run.start
+}
+
+/// What a sector holds, as the store keeps it: enough to tell whether
+/// the next sector continues its run without building either form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// Never written (reads as zero; a copy of it clears the target).
+    Absent,
+    Zero,
+    Lazy(Marker),
+    /// The bytes at this sector address.
+    Raw(u64),
+}
+
+impl Held {
+    /// What the sector `k` further on holds if it continues the run.
+    fn advanced(self, k: u32) -> Held {
+        match self {
+            Held::Lazy(marker) => Held::Lazy(marker.advanced(k)),
+            held => held,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -233,7 +383,7 @@ impl Page {
     }
 
     /// Sectors `run` stop being lazily held; XOR sectors among them
-    /// free their slab slots.
+    /// leave their runs.
     fn unlazy(&mut self, run: Range<usize>, slab: &mut Slab) {
         if let (Some(seeds), true) = (&mut self.seeds, self.lazy & mask(&run) != 0) {
             self.lazy &= !mask(&run);
@@ -255,20 +405,22 @@ impl Page {
         seeds[s] = marker;
     }
 
-    /// What sector `s` holds.
-    fn form(&self, s: usize, slab: &Slab) -> Form {
+    /// What sector `s` (at store address `sector`) holds, and how many
+    /// sectors from it on, short of `end`, hold one run: the bitmaps say
+    /// how far its kind reaches, the markers how far each continues the
+    /// one before.
+    fn run_at(&self, s: usize, end: usize, sector: u64) -> (Held, usize) {
+        let reach = |kind: u64| ((kind & mask(&(s..end))) >> s).trailing_ones() as usize;
         match (&self.seeds, &self.data) {
-            (Some(seeds), _) if self.lazy & (1 << s) != 0 => match seeds[s].slot.checked_sub(1) {
-                None => Form::Seeded((seeds[s].seed, seeds[s].word)),
-                // abr-lint: allow(P001, a marker names a live slot)
-                Some(i) => Form::Xor(slab.slots[i as usize].clone().expect("live slot")),
-            },
-            (_, Some(data)) if self.bitmap & (1 << s) != 0 => {
-                let mut bytes = Box::new([0u8; SECTOR_SIZE]);
-                bytes.copy_from_slice(&data[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE]);
-                Form::Raw(bytes)
+            (Some(seeds), _) if self.lazy & (1 << s) != 0 => {
+                let first = seeds[s];
+                let markers = seeds[s..s + reach(self.lazy)].iter().zip(0..);
+                let run = markers.take_while(|&(m, i)| *m == first.advanced(i));
+                (Held::Lazy(first), run.count())
             }
-            _ => Form::Zero,
+            _ if self.bitmap & (1 << s) == 0 => (Held::Absent, reach(!self.bitmap)),
+            (_, Some(_)) => (Held::Raw(sector), 1),
+            _ => (Held::Zero, reach(self.bitmap & !self.lazy)),
         }
     }
 }
@@ -294,7 +446,7 @@ fn split(sector: u64) -> (usize, usize) {
 
 /// `[sector, sector + n)` cut at page boundaries: for each piece its
 /// page, its sectors within the page, and its offset into the range.
-fn runs(sector: u64, n: usize) -> impl Iterator<Item = (usize, Range<usize>, usize)> {
+fn pieces(sector: u64, n: usize) -> impl Iterator<Item = (usize, Range<usize>, usize)> {
     let mut at = 0;
     std::iter::from_fn(move || {
         let (p, s) = split(sector + at as u64);
@@ -328,17 +480,75 @@ impl SectorStore {
     /// Panics if `buf.len()` is not sector-aligned.
     pub fn read(&self, sector: u64, buf: &mut [u8]) {
         assert_eq!(buf.len() % SECTOR_SIZE, 0, "unaligned read length");
-        for (s, chunk) in (sector..).zip(buf.chunks_mut(SECTOR_SIZE)) {
-            self.read_form(s).fill(chunk);
+        let mut runs = Vec::new();
+        self.read_runs(sector, (buf.len() / SECTOR_SIZE) as u32, &mut runs);
+        Run::fill_all(&runs, buf);
+    }
+
+    /// The maximal stretches of `[sector, sector + n)` on which each
+    /// sector continues the one before, as the store keeps them, handed
+    /// to `emit` in address order.
+    fn held_runs(&self, sector: u64, n: u32, mut emit: impl FnMut(Held, u32)) {
+        let (mut at, mut run) = (0, None::<(Held, u32)>);
+        while at < n {
+            // As far as the page says; a run goes on across its edge.
+            let (p, s) = split(sector + u64::from(at));
+            let end = (s + (n - at) as usize).min(PAGE_SECTORS as usize);
+            let pg = self.pages.get(p).and_then(|pg| pg.as_ref());
+            let blank = (Held::Absent, end - s);
+            let (held, len) = pg.map_or(blank, |pg| pg.run_at(s, end, sector + u64::from(at)));
+            at += len as u32;
+            match &mut run {
+                Some((first, so_far)) if first.advanced(*so_far) == held => *so_far += len as u32,
+                _ => {
+                    if let Some((first, so_far)) = run.replace((held, len as u32)) {
+                        emit(first, so_far);
+                    }
+                }
+            }
+        }
+        if let Some((held, len)) = run {
+            emit(held, len);
         }
     }
 
-    /// What `sector` holds, without producing its bytes (an unwritten
-    /// sector holds zero).
+    /// The run of `len` sectors the store holds as `held`.
+    fn run_of(&self, held: Held, len: u32) -> Run {
+        let base = match held {
+            Held::Absent | Held::Zero => Form::Zero,
+            Held::Lazy(m) if m.slot == 0 => Form::Seeded((m.seed, m.word)),
+            Held::Lazy(m) => {
+                let run = self.slab.slots[m.slot as usize - 1].as_ref();
+                Form::Xor(run.expect("live slot").0.clone()).translate(m.word) // abr-lint: allow(P001, a marker names a live slot)
+            }
+            Held::Raw(sector) => {
+                let (p, s) = split(sector);
+                let data = self.pages[p].as_ref().and_then(|pg| pg.data.as_ref());
+                let mut bytes = Box::new([0u8; SECTOR_SIZE]);
+                // `Held::Raw` is only built over a data area.
+                if let Some(data) = data {
+                    bytes.copy_from_slice(&data[s * SECTOR_SIZE..][..SECTOR_SIZE]);
+                }
+                Form::Raw(bytes)
+            }
+        };
+        Run { base, len }
+    }
+
+    /// What `[sector, sector + n)` holds, appended to `runs` as maximal
+    /// runs, without producing any bytes (an unwritten sector holds
+    /// zero).
+    pub fn read_runs(&self, sector: u64, n: u32, runs: &mut Vec<Run>) {
+        self.held_runs(sector, n, |held, len| {
+            self.run_of(held, len).push_onto(runs)
+        });
+    }
+
+    /// What `sector` holds: [`Self::read_runs`] of one sector.
     pub fn read_form(&self, sector: u64) -> Form {
-        let (p, s) = split(sector);
-        let pg = self.pages.get(p).and_then(|pg| pg.as_ref());
-        pg.map_or(Form::Zero, |pg| pg.form(s, &self.slab))
+        let mut form = Form::Zero;
+        self.held_runs(sector, 1, |held, len| form = self.run_of(held, len).base);
+        form
     }
 
     /// Write `buf.len()` bytes starting at the first byte of `sector`.
@@ -347,11 +557,22 @@ impl SectorStore {
     /// Panics if `buf.len()` is not sector-aligned.
     pub fn write(&mut self, sector: u64, buf: &[u8]) {
         assert_eq!(buf.len() % SECTOR_SIZE, 0, "unaligned write length");
-        for (p, run, at) in runs(sector, buf.len() / SECTOR_SIZE) {
+        for (p, run, at) in pieces(sector, buf.len() / SECTOR_SIZE) {
             let (pg, slab) = self.touch(p, &run);
             pg.unlazy(run.clone(), slab);
             let bytes = &buf[at * SECTOR_SIZE..][..run.len() * SECTOR_SIZE];
             pg.data_mut()[run.start * SECTOR_SIZE..][..bytes.len()].copy_from_slice(bytes);
+        }
+    }
+
+    /// Sectors `[sector, sector + n)` become lazily held: sector `i` as
+    /// `first` advanced by `i`.
+    fn write_markers(&mut self, sector: u64, n: u32, first: Marker) {
+        for (p, piece, at) in pieces(sector, n as usize) {
+            let (pg, slab) = self.touch(p, &piece);
+            for (s, i) in piece.zip(at as u32..) {
+                pg.set_marker(s, first.advanced(i), slab);
+            }
         }
     }
 
@@ -361,27 +582,16 @@ impl SectorStore {
     /// of the materialized stream would have stored; the store just
     /// defers synthesizing the bytes until someone actually reads them.
     pub fn write_seeded(&mut self, sector: u64, n_sectors: u32, seed: u64, start_word: u64) {
-        for (p, run, at) in runs(sector, n_sectors as usize) {
-            let (pg, slab) = self.touch(p, &run);
-            let words = (start_word + (at as u64) * u64::from(WORDS_PER_SECTOR)..)
-                .step_by(WORDS_PER_SECTOR as usize);
-            for (s, w) in run.zip(words) {
-                // abr-lint: allow(P001, offsets bounded by request size)
-                let word = u32::try_from(w).expect("word offset fits u32");
-                let marker = Marker {
-                    seed,
-                    word,
-                    slot: 0,
-                };
-                pg.set_marker(s, marker, slab);
-            }
-        }
+        let end_word = start_word + u64::from(n_sectors) * u64::from(WORDS_PER_SECTOR);
+        assert!(end_word <= u64::from(u32::MAX), "word offset fits u32");
+        let (word, slot) = (start_word as u32, 0);
+        self.write_markers(sector, n_sectors, Marker { seed, word, slot });
     }
 
     /// Record a write of `n_sectors` zero sectors: they count as written
     /// and hold neither bytes nor a marker.
     pub fn write_zeroes(&mut self, sector: u64, n_sectors: u32) {
-        for (p, run, _) in runs(sector, n_sectors as usize) {
+        for (p, run, _) in pieces(sector, n_sectors as usize) {
             let (pg, slab) = self.touch(p, &run);
             pg.unlazy(run.clone(), slab);
             if let Some(data) = &mut pg.data {
@@ -390,43 +600,71 @@ impl SectorStore {
         }
     }
 
-    /// Write one sector given as a [`Form`]; reads return what
-    /// [`SectorStore::write`] of [`Form::fill`]'s bytes would.
-    pub fn write_form(&mut self, sector: u64, form: &Form) {
-        match form {
-            Form::Zero => self.write_zeroes(sector, 1),
-            &Form::Seeded((seed, w)) => self.write_seeded(sector, 1, seed, u64::from(w)),
-            Form::Raw(bytes) => self.write(sector, &bytes[..]),
+    /// Write `run` at `sector` onward; reads return what
+    /// [`SectorStore::write`] of [`Run::fill_all`]'s bytes would.
+    pub fn write_run(&mut self, sector: u64, run: &Run) {
+        match &run.base {
+            Form::Zero => self.write_zeroes(sector, run.len),
+            &Form::Seeded((seed, w)) => self.write_seeded(sector, run.len, seed, u64::from(w)),
+            Form::Raw(bytes) => {
+                assert_eq!(run.len, 1, "raw bytes are a run of one");
+                self.write(sector, &bytes[..]);
+            }
             Form::Xor(terms) => {
-                let (p, s) = split(sector);
-                let (pg, slab) = self.touch(p, &(s..s + 1));
-                let slot = slab.insert(terms.clone());
-                let marker = Marker {
-                    seed: 0,
-                    word: 0,
-                    slot,
-                };
-                pg.set_marker(s, marker, slab);
+                let slot = self.slab.insert(terms.clone(), run.len);
+                let (seed, word) = (0, 0);
+                self.write_markers(sector, run.len, Marker { seed, word, slot });
             }
         }
+        // Unequal forms may hold equal bytes (a zero written into a raw
+        // page reads back raw): those are compared materialized.
+        #[cfg(feature = "sanitize")]
+        for (s, form) in (sector..).zip(run.forms()) {
+            let mut want = [0u8; SECTOR_SIZE];
+            form.fill(&mut want);
+            let held = self.read_form(s) == form || self.read_sector(s) == want;
+            assert!(held, "sector {s} of a run write is not {form:?}");
+        }
+    }
+
+    /// Write `runs` back to back from `sector` onward.
+    pub fn write_runs(&mut self, mut sector: u64, runs: impl IntoIterator<Item = Run>) {
+        for run in runs {
+            self.write_run(sector, &run);
+            sector += u64::from(run.len);
+        }
+    }
+
+    /// Write one sector given as a [`Form`]: the run of length one.
+    pub fn write_form(&mut self, sector: u64, form: &Form) {
+        let (base, len) = (form.clone(), 1);
+        self.write_run(sector, &Run { base, len });
     }
 
     /// Copy `n_sectors` sectors from `src` to `dst` (the driver's block
     /// copy-in/copy-out primitive operates on whole file-system blocks).
-    /// Sectors copy as forms: a lazily-held sector costs no bytes.
+    /// The source is read first, as runs, and then written: a
+    /// lazily-held sector costs no bytes, and a never-written stretch
+    /// clears its destination.
     pub fn copy(&mut self, src: u64, dst: u64, n_sectors: u32) {
-        for i in 0..u64::from(n_sectors) {
-            let (sp, ss) = split(src + i);
-            let (dp, ds) = split(dst + i);
-            if matches!(self.pages.get(sp), Some(Some(pg)) if pg.bitmap & (1 << ss) != 0) {
-                let form = self.read_form(src + i);
-                self.write_form(dst + i, &form);
-            } else if let Some(Some(pg)) = self.pages.get_mut(dp) {
-                // Copying an unwritten sector clears the destination.
-                pg.unlazy(ds..ds + 1, &mut self.slab);
-                self.written -= (pg.bitmap >> ds & 1) as usize;
-                pg.bitmap &= !(1 << ds);
+        let mut source = Vec::with_capacity(1);
+        self.held_runs(src, n_sectors, |held, len| {
+            source.push((held == Held::Absent, self.run_of(held, len)));
+        });
+        let mut at = dst;
+        for (absent, run) in source {
+            if absent {
+                for (p, piece, _) in pieces(at, run.len as usize) {
+                    if let Some(Some(pg)) = self.pages.get_mut(p) {
+                        pg.unlazy(piece.clone(), &mut self.slab);
+                        self.written -= (pg.bitmap & mask(&piece)).count_ones() as usize;
+                        pg.bitmap &= !mask(&piece);
+                    }
+                }
+            } else {
+                self.write_run(at, &run);
             }
+            at += u64::from(run.len);
         }
     }
 
@@ -460,7 +698,8 @@ impl SectorStore {
         pages.filter(|pg| pg.data.is_some()).count()
     }
 
-    /// Term lists the slab holds: one per XOR sector, or a slot leaked.
+    /// Term lists the slab holds: one per XOR run with a sector still
+    /// live, or a slot leaked.
     pub fn slab_len(&self) -> usize {
         self.slab.slots.len() - self.slab.free.len()
     }

@@ -27,7 +27,7 @@ use crate::sched::SchedulerKind;
 use abr_disk::disk::ServiceBreakdown;
 use abr_disk::fault::{DiskError, DiskFault};
 use abr_disk::label::LabelError;
-use abr_disk::store::Form;
+use abr_disk::store::Run;
 use abr_disk::{Disk, DiskLabel, DiskModel, SECTOR_SIZE};
 use abr_obs::{record_with, with_registry, CounterId, MoveKind, ObsEvent, RequestSpan};
 use abr_sim::{SimDuration, SimTime};
@@ -616,8 +616,13 @@ impl AdaptiveDriver {
         self.queue.is_empty() && self.active.is_none()
     }
 
-    /// Resolve a (partition, sector) pair to an absolute virtual sector.
+    /// Validate a transfer as the strategy routine does — not empty,
+    /// inside its partition, inside one file-system block — and resolve
+    /// it to an absolute virtual sector.
     fn to_virtual(&self, partition: usize, sector: u64, n: u32) -> Result<u64, DriverError> {
+        if n == 0 {
+            return Err(DriverError::EmptyTransfer);
+        }
         let p = self
             .label
             .partitions
@@ -625,6 +630,10 @@ impl AdaptiveDriver {
             .ok_or(DriverError::BadPartition)?;
         if sector + u64::from(n) > p.n_sectors {
             return Err(DriverError::OutOfPartition);
+        }
+        let spb = u64::from(self.sectors_per_block());
+        if (p.start_sector + sector) % spb + u64::from(n) > spb {
+            return Err(DriverError::CrossesBlockBoundary);
         }
         Ok(p.start_sector + sector)
     }
@@ -694,14 +703,8 @@ impl AdaptiveDriver {
     /// how disks were relabelled. The file system never allocates block 0
     /// (it is the superblock's home), so well-behaved stacks are safe.
     pub fn submit(&mut self, req: IoRequest, now: SimTime) -> Result<RequestId, DriverError> {
-        if req.n_sectors == 0 {
-            return Err(DriverError::EmptyTransfer);
-        }
         let spb = u64::from(self.sectors_per_block());
         let vsector = self.to_virtual(req.partition, req.sector_in_partition, req.n_sectors)?;
-        if (vsector % spb) + u64::from(req.n_sectors) > spb {
-            return Err(DriverError::CrossesBlockBoundary);
-        }
 
         // FCFS/no-rearrangement baseline distance, from pre-remap
         // addresses in arrival order.
@@ -781,60 +784,51 @@ impl AdaptiveDriver {
         partition: usize,
         sector_in_partition: u64,
         n_sectors: u32,
-    ) -> Result<Vec<(u64, u32)>, DriverError> {
-        if n_sectors == 0 {
-            return Err(DriverError::EmptyTransfer);
-        }
-        let spb = u64::from(self.sectors_per_block());
+    ) -> Result<Segments, DriverError> {
         let vsector = self.to_virtual(partition, sector_in_partition, n_sectors)?;
-        if (vsector % spb) + u64::from(n_sectors) > spb {
-            return Err(DriverError::CrossesBlockBoundary);
-        }
-        Ok(self.resolve_at(vsector, n_sectors).to_vec())
+        Ok(self.resolve_at(vsector, n_sectors))
     }
 
     /// What a range currently holds, straight from the backing store as
-    /// one [`Form`] per sector, bypassing the queue and the simulated
-    /// clock (no time passes, no head movement, no bytes are produced).
-    /// A lost block fails with [`DriverError::DataLoss`] exactly like a
-    /// queued read would.
+    /// maximal [`Run`]s, bypassing the queue and the simulated clock (no
+    /// time passes, no head movement, no bytes are produced). A lost
+    /// block fails with [`DriverError::DataLoss`] exactly like a queued
+    /// read would.
     ///
     /// The array layer uses this to compute mirror and parity payloads
     /// at submit time and to fetch survivor data during rebuild — the
     /// simulator's stand-in for data already resident in the buffer
     /// cache (the timed disk reads are issued separately as real
     /// requests).
-    pub fn peek_forms(
+    pub fn peek_runs(
         &self,
         partition: usize,
         sector_in_partition: u64,
         n_sectors: u32,
-    ) -> Result<Vec<Form>, DriverError> {
-        let segments = self.physical_segments(partition, sector_in_partition, n_sectors)?;
-        let spb = u64::from(self.sectors_per_block());
+    ) -> Result<Vec<Run>, DriverError> {
         let vsector = self.to_virtual(partition, sector_in_partition, n_sectors)?;
+        let spb = u64::from(self.sectors_per_block());
         let home_phys = self.label.virtual_to_physical(vsector - (vsector % spb));
         if self.lost.contains(&home_phys) {
             return Err(DriverError::DataLoss);
         }
-        let sectors = segments
-            .iter()
-            .flat_map(|&(sector, n)| sector..sector + u64::from(n));
-        Ok(sectors.map(|s| self.disk.store().read_form(s)).collect())
+        let mut runs = Vec::with_capacity(1);
+        for &(sector, n) in self.resolve_at(vsector, n_sectors).iter() {
+            self.disk.store().read_runs(sector, n, &mut runs);
+        }
+        Ok(runs)
     }
 
-    /// [`Self::peek_forms`], materialized.
+    /// [`Self::peek_runs`], materialized.
     pub fn peek(
         &self,
         partition: usize,
         sector_in_partition: u64,
         n_sectors: u32,
     ) -> Result<Bytes, DriverError> {
-        let forms = self.peek_forms(partition, sector_in_partition, n_sectors)?;
-        let mut buf = vec![0u8; forms.len() * SECTOR_SIZE];
-        for (form, chunk) in forms.iter().zip(buf.chunks_mut(SECTOR_SIZE)) {
-            form.fill(chunk);
-        }
+        let runs = self.peek_runs(partition, sector_in_partition, n_sectors)?;
+        let mut buf = vec![0u8; n_sectors as usize * SECTOR_SIZE];
+        Run::fill_all(&runs, &mut buf);
         Ok(Bytes::from(buf))
     }
 
@@ -953,11 +947,11 @@ impl AdaptiveDriver {
         self.retry_scratch = 0;
         // Apply `n_sectors` of the payload, from byte offset `off`, to
         // the store at `sector`: a whole segment or a torn prefix. Only
-        // literal bytes are copied; every other kind is recorded per
-        // sector as what it is and synthesized if something reads it.
-        // The seeded stream is counter-based, so a segment at byte
-        // offset `off` starts at word `off / 8` and a torn-write prefix
-        // is just a shorter marker run.
+        // literal bytes are copied; every other kind is recorded as what
+        // it is and synthesized if something reads it. The seeded stream
+        // is counter-based, so a segment at byte offset `off` starts at
+        // word `off / 8` and a torn-write prefix is just a shorter marker
+        // run; of a payload of runs both are translated sub-runs.
         let store_write = |disk: &mut Disk, sector: u64, n_sectors: u32, off: usize| {
             let (store, n) = (disk.store_mut(), n_sectors as usize);
             match &q.req.payload {
@@ -966,10 +960,9 @@ impl AdaptiveDriver {
                 }
                 Payload::Zeroes => store.write_zeroes(sector, n_sectors),
                 Payload::Bytes(data) => store.write(sector, &data[off..off + n * SECTOR_SIZE]),
-                Payload::Forms(forms) => {
-                    for (s, form) in (sector..).zip(&forms[off / SECTOR_SIZE..][..n]) {
-                        store.write_form(s, form);
-                    }
+                Payload::Runs(runs) => {
+                    let part = Run::slice_of(runs, (off / SECTOR_SIZE) as u32, n_sectors);
+                    store.write_runs(sector, part);
                 }
             }
         };

@@ -7,7 +7,7 @@
 //! if the block has been rearranged — to its reserved-area copy.
 
 pub use abr_disk::disk::IoDir;
-use abr_disk::store::{Form, WORDS_PER_SECTOR};
+use abr_disk::store::{Form, Run};
 use abr_disk::SECTOR_SIZE;
 use abr_sim::SimTime;
 use bytes::Bytes;
@@ -29,9 +29,9 @@ pub enum Payload {
     Seeded(u64),
     /// Literal bytes, `n_sectors * SECTOR_SIZE` of them.
     Bytes(Bytes),
-    /// One [`Form`] per sector — what the array layer's computed
-    /// payloads (parity, reconstruction) are.
-    Forms(Arc<[Form]>),
+    /// [`Run`]s of sector forms, `n_sectors` in all — what the array
+    /// layer's computed payloads (parity, reconstruction) are.
+    Runs(Arc<[Run]>),
 }
 
 /// A block-device request as the file system hands it to `strategy`.
@@ -124,27 +124,31 @@ impl IoRequest {
         Self::write_of(partition, sector_in_partition, n_sectors, Payload::Zeroes)
     }
 
-    /// A write of one [`Form`] per sector.
-    pub fn write_forms(partition: usize, sector_in_partition: u64, forms: Arc<[Form]>) -> Self {
-        let n_sectors = abr_sim::narrow::u32_from_usize(forms.len());
-        let payload = Payload::Forms(forms);
+    /// A write of `runs`, back to back.
+    pub fn write_runs(partition: usize, sector_in_partition: u64, runs: Arc<[Run]>) -> Self {
+        let n_sectors = runs.iter().map(|run| run.len).sum();
+        let payload = Payload::Runs(runs);
         Self::write_of(partition, sector_in_partition, n_sectors, payload)
     }
 
-    /// The payload as one [`Form`] per sector (raw bytes stay bytes;
+    /// The payload as runs (raw bytes stay bytes, a run per sector;
     /// nothing is synthesized).
-    pub fn payload_forms(&self) -> Vec<Form> {
-        let sectors = 0..self.n_sectors;
+    pub fn payload_runs(&self) -> Vec<Run> {
+        let whole = |base| {
+            vec![Run {
+                base,
+                len: self.n_sectors,
+            }]
+        };
         match &self.payload {
-            Payload::Zeroes => sectors.map(|_| Form::Zero).collect(),
-            Payload::Seeded(seed) => sectors
-                .map(|i| Form::Seeded((*seed, i * WORDS_PER_SECTOR)))
-                .collect(),
+            Payload::Zeroes => whole(Form::Zero),
+            &Payload::Seeded(seed) => whole(Form::Seeded((seed, 0))),
             Payload::Bytes(data) => data
                 .chunks(SECTOR_SIZE)
                 .map(|c| Form::Raw(Box::new(c.try_into().expect("whole sectors")))) // abr-lint: allow(P001, length checked by IoRequest::write)
+                .map(|base| Run { base, len: 1 })
                 .collect(),
-            Payload::Forms(forms) => forms.to_vec(),
+            Payload::Runs(runs) => runs.to_vec(),
         }
     }
 }
@@ -152,16 +156,16 @@ impl IoRequest {
 /// The physical `(sector, n_sectors)` segments of one request, stored
 /// inline. Requests are block-bounded and a block spans at most two
 /// cylinder pieces under a cylinder map, so two fixed slots cover every
-/// case — no heap allocation per request.
+/// case — no heap allocation per request. Derefs to the slice of them.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Segments {
+pub struct Segments {
     buf: [(u64, u32); 2],
     len: u8,
 }
 
 impl Segments {
     /// The common single-segment case.
-    pub fn one(sector: u64, n_sectors: u32) -> Self {
+    pub(crate) fn one(sector: u64, n_sectors: u32) -> Self {
         Segments {
             buf: [(sector, n_sectors), (0, 0)],
             len: 1,
@@ -169,7 +173,7 @@ impl Segments {
     }
 
     /// An empty list to push into.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Segments::default()
     }
 
@@ -178,7 +182,7 @@ impl Segments {
     /// # Panics
     /// Panics on a third segment — a block-bounded request cannot
     /// straddle more than one cylinder boundary.
-    pub fn push(&mut self, sector: u64, n_sectors: u32) {
+    pub(crate) fn push(&mut self, sector: u64, n_sectors: u32) {
         assert!(
             self.len < 2,
             "block-bounded request resolved to more than two segments"
@@ -241,7 +245,8 @@ mod tests {
     fn write_zeroes_helper() {
         let w = IoRequest::write_zeroes(0, 0, 4);
         assert!(!w.dir.is_read());
-        assert_eq!(w.payload_forms(), vec![Form::Zero; 4]);
+        let (base, len) = (Form::Zero, 4);
+        assert_eq!(w.payload_runs()[..], [Run { base, len }]);
     }
 
     #[test]
