@@ -69,6 +69,12 @@ struct BufferedRange {
 #[derive(Debug)]
 pub struct Disk {
     model: DiskModel,
+    /// `model.seek.time(d)` for every distance `d` the arm can travel:
+    /// the curve costs a `sqrt`, a `cbrt` and an `ln` per evaluation.
+    seek_by_distance: Vec<SimDuration>,
+    /// Microseconds a transfer pays to cross into the next cylinder (the
+    /// one-cylinder seek, unrounded).
+    crossing_us: f64,
     head_cylinder: u32,
     buffer: Option<BufferedRange>,
     store: SectorStore,
@@ -82,6 +88,10 @@ impl Disk {
     /// A disk with the head parked at cylinder 0 and empty media.
     pub fn new(model: DiskModel) -> Self {
         Disk {
+            seek_by_distance: (0..u64::from(model.geometry.cylinders))
+                .map(|d| model.seek.time(d))
+                .collect(),
+            crossing_us: model.seek.time_ms(1) * 1_000.0,
             model,
             head_cylinder: 0,
             buffer: None,
@@ -201,8 +211,8 @@ impl Disk {
 
         // Mechanical path. 1: seek.
         let target_cyl = g.cylinder_of(sector);
-        let distance = u64::from(self.head_cylinder.abs_diff(target_cyl));
-        let seek = self.model.seek.time(distance);
+        let distance = self.head_cylinder.abs_diff(target_cyl);
+        let seek = self.seek_by_distance[distance as usize];
 
         // 2: rotational latency to the first sector, relative to the
         // platter phase when the head arrives.
@@ -229,7 +239,7 @@ impl Disk {
         // remaining boundaries the head-switch time.
         let track_crossings = (last_track - first_track) - cyl_crossings;
         transfer_us += track_crossings as f64 * self.model.track_switch.as_micros() as f64;
-        transfer_us += cyl_crossings as f64 * self.model.seek.time_ms(1) * 1_000.0;
+        transfer_us += cyl_crossings as f64 * self.crossing_us;
         let transfer = SimDuration::from_micros(transfer_us.round() as u64);
 
         // Arm ends where the transfer ended.
@@ -264,7 +274,7 @@ impl Disk {
             seek,
             rotation,
             transfer,
-            seek_distance: distance,
+            seek_distance: u64::from(distance),
             buffer_hit: false,
         }
     }
@@ -365,6 +375,18 @@ mod tests {
         let b = d.service(IoDir::Read, 640, 1, at(0));
         assert_eq!(b.seek_distance, 10);
         assert_eq!(b.seek, SimDuration::from_micros(1_500));
+    }
+
+    #[test]
+    fn seek_table_is_the_curve_on_both_paper_disks() {
+        for model in DiskModel::paper_models() {
+            let d = Disk::new(model);
+            let cylinders = d.geometry().cylinders as usize;
+            assert_eq!(d.seek_by_distance.len(), cylinders);
+            for (distance, &seek) in d.seek_by_distance.iter().enumerate() {
+                assert_eq!(seek, d.model.seek.time(distance as u64), "{distance}");
+            }
+        }
     }
 
     #[test]

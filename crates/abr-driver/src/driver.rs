@@ -494,11 +494,11 @@ impl AdaptiveDriver {
         }
         Ok(AdaptiveDriver {
             disk,
+            queue: RequestQueue::new(config.scheduler, label.physical.cylinders),
             label,
             layout,
             table,
             table_unwritten: false,
-            queue: RequestQueue::new(config.scheduler),
             active: None,
             req_mon: RequestMonitor::new(config.monitor_capacity),
             perf: PerfMonitor::with_starvation_age(config.starvation_age),

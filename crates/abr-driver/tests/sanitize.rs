@@ -127,6 +127,7 @@ fn each_queue_corruption_is_caught() {
         (QueueCorruption::WrongCylinder, "misfiled"),
         (QueueCorruption::ArrivedButFuture, "misfiled"),
         (QueueCorruption::Twice, "queued twice"),
+        (QueueCorruption::StaleBit, "bit true, list"),
     ] {
         // FCFS indexes by age alone, SCAN by cylinder: both key rules.
         for kind in [SchedulerKind::Fcfs, SchedulerKind::Scan] {
