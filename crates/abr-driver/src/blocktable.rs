@@ -9,15 +9,22 @@
 //! all blocks are marked as dirty when \[the\] memory-resident copy of the
 //! table is recreated after a failure."
 //!
-//! The in-memory table is a pair of dense index arrays keyed by the
-//! block's *original physical* starting sector (forward) and by the
-//! reserved-area slot (reverse); each forward cell packs the slot and the
-//! dirty bit into one word. Sector addresses and slot indices on real
-//! disks are small, so both directions are O(1) array reads on the
-//! request hot path — out-of-range keys (only reachable through a
-//! corrupt-but-checksum-valid on-disk table) spill to ordered maps. The
-//! on-disk form is a compact binary record with a checksum, written into
-//! the table region at the head of the reserved area.
+//! The in-memory table is a pair of dense index arrays, sized by what
+//! the disk can hold rather than by its address space. The forward array
+//! has one cell per block-sized *bucket* of original physical sectors
+//! (`orig_sector / sectors_per_block`), and each cell packs the slot, the
+//! dirty bit and the start's offset within its bucket, so a lookup
+//! matches the exact starting sector whatever the partition alignment:
+//! one division and one array read on the request hot path. Blocks do not
+//! overlap, so two starts share a bucket only in a corrupt-but-checksum-
+//! valid on-disk table; the second one, like a start beyond the disk,
+//! spills to an ordered map. The driver sizes the array once at attach
+//! (`ceil(total_sectors / sectors_per_block)` cells: 139 KB on the
+//! Toshiba MK156F, 1.06 MB on the Fujitsu M2266, where a cell per *sector*
+//! grown by doubling had reached 10.4 MB). The reverse array is indexed
+//! by reserved-area slot. The on-disk form is a compact binary record
+//! with a checksum, written into the table region at the head of the
+//! reserved area.
 
 use crate::layout::ReservedLayout;
 use serde::{Deserialize, Serialize};
@@ -62,22 +69,37 @@ impl std::error::Error for TableError {}
 
 const TABLE_MAGIC: u64 = 0x4142_5254_4142_4c45; // "ABRTABLE"
 
-/// Forward cells for original sectors below this index live in the flat
-/// array; larger keys (no real disk in the models is this big) spill.
-const FWD_DENSE_SECTORS: u64 = 1 << 20;
+/// Sectors per forward bucket of [`BlockTable::new`]: the 8 KB block of
+/// every configuration in the tree.
+const DEFAULT_BUCKET_SECTORS: u32 = 16;
+/// Forward buckets a table that was not sized for a disk keeps in the
+/// flat array (eight Fujitsus at 8 KB blocks); what a forged on-disk
+/// table can make [`BlockTable::decode`] allocate is bounded by it.
+const FWD_DENSE_BUCKETS: u64 = 1 << 20;
 /// Reverse cells for slots below this index live in the flat array.
 const REV_DENSE_SLOTS: u32 = 1 << 20;
-/// Sentinel marking an empty cell in either dense array. A packed
-/// forward cell only uses the low 33 bits, so it can never collide; an
-/// original sector of `u64::MAX` is rejected at decode time.
+/// Sentinel marking an empty cell of the reverse array; an original
+/// sector of `u64::MAX` is rejected at decode time.
 const ABSENT: u64 = u64::MAX;
 
+/// Forward cell: `slot | dirty << 32 | offset in bucket << 33 | PRESENT`.
+/// An empty cell is zero, so a fresh array is untouched zero pages.
+const DIRTY: u64 = 1 << 32;
+const OFFSET_SHIFT: u32 = 33;
+const PRESENT: u64 = 1 << 63;
+
 /// The block table: original physical block address → reserved slot.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BlockTable {
-    /// orig sector → packed `slot | dirty << 32`, [`ABSENT`] when empty.
-    /// Grown lazily to the largest mapped sector.
+    /// Sectors per forward bucket: the driver's block size.
+    bucket_sectors: u64,
+    /// Buckets below this index live in `fwd`; the rest spill.
+    dense_buckets: u64,
+    /// bucket → packed cell, zero when empty. Allocated whole by
+    /// [`BlockTable::for_disk`], grown to the largest mapped bucket
+    /// otherwise.
     fwd: Vec<u64>,
+    /// orig sector → packed cell, for starts `fwd` cannot hold.
     fwd_spill: BTreeMap<u64, u64>,
     /// slot → orig sector, [`ABSENT`] when empty.
     rev: Vec<u64>,
@@ -85,21 +107,50 @@ pub struct BlockTable {
     len: usize,
 }
 
+impl Default for BlockTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 fn pack(e: Entry) -> u64 {
-    u64::from(e.slot) | (u64::from(e.dirty) << 32)
+    u64::from(e.slot) | if e.dirty { DIRTY } else { 0 }
 }
 
 fn unpack(cell: u64) -> Entry {
     Entry {
         slot: (cell & 0xFFFF_FFFF) as u32,
-        dirty: cell & (1 << 32) != 0,
+        dirty: cell & DIRTY != 0,
     }
 }
 
 impl BlockTable {
-    /// An empty table.
+    /// An empty table over 16-sector (8 KB) buckets that allocates as it
+    /// fills.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_buckets(DEFAULT_BUCKET_SECTORS, FWD_DENSE_BUCKETS, 0)
+    }
+
+    /// An empty table for a disk of `total_sectors` sectors rearranged in
+    /// blocks of `sectors_per_block`: the forward index is allocated
+    /// once, one cell per block the disk can hold.
+    pub fn for_disk(sectors_per_block: u32, total_sectors: u64) -> Self {
+        let buckets = total_sectors.div_ceil(u64::from(sectors_per_block));
+        Self::with_buckets(sectors_per_block, buckets, buckets as usize)
+    }
+
+    fn with_buckets(bucket_sectors: u32, dense_buckets: u64, allocated: usize) -> Self {
+        // A start's offset within its bucket has 30 bits of a cell.
+        assert!((1..1 << 30).contains(&bucket_sectors));
+        BlockTable {
+            bucket_sectors: u64::from(bucket_sectors),
+            dense_buckets,
+            fwd: vec![0; allocated],
+            fwd_spill: BTreeMap::new(),
+            rev: Vec::new(),
+            rev_spill: BTreeMap::new(),
+            len: 0,
+        }
     }
 
     /// Number of rearranged blocks.
@@ -112,40 +163,56 @@ impl BlockTable {
         self.len == 0
     }
 
+    /// Bytes of heap behind the two index arrays.
+    pub fn heap_bytes(&self) -> usize {
+        (self.fwd.capacity() + self.rev.capacity()) * std::mem::size_of::<u64>()
+    }
+
+    /// The forward bucket of a starting sector, and what the high bits of
+    /// its cell read when it is that sector's.
+    fn bucket(&self, orig_sector: u64) -> (u64, u64) {
+        let tag = (PRESENT >> OFFSET_SHIFT) | (orig_sector % self.bucket_sectors);
+        (orig_sector / self.bucket_sectors, tag)
+    }
+
     fn fwd_cell(&self, orig_sector: u64) -> Option<u64> {
-        if orig_sector < FWD_DENSE_SECTORS {
-            match self.fwd.get(orig_sector as usize) {
-                Some(&c) if c != ABSENT => Some(c),
-                _ => None,
-            }
-        } else {
-            self.fwd_spill.get(&orig_sector).copied()
+        let (bucket, tag) = self.bucket(orig_sector);
+        match self.fwd.get(bucket as usize) {
+            Some(&c) if c >> OFFSET_SHIFT == tag => Some(c),
+            _ => self.fwd_spill.get(&orig_sector).copied(),
         }
     }
 
-    fn fwd_put(&mut self, orig_sector: u64, cell: u64) -> Option<u64> {
-        if orig_sector < FWD_DENSE_SECTORS {
-            let idx = orig_sector as usize;
-            if idx >= self.fwd.len() {
-                self.fwd.resize(idx + 1, ABSENT);
-            }
-            let old = self.fwd[idx];
-            self.fwd[idx] = cell;
-            (old != ABSENT).then_some(old)
-        } else {
-            self.fwd_spill.insert(orig_sector, cell)
+    fn fwd_cell_mut(&mut self, orig_sector: u64) -> Option<&mut u64> {
+        let (bucket, tag) = self.bucket(orig_sector);
+        match self.fwd.get_mut(bucket as usize) {
+            Some(c) if *c >> OFFSET_SHIFT == tag => Some(c),
+            _ => self.fwd_spill.get_mut(&orig_sector),
         }
+    }
+
+    /// Store `cell` for a starting sector, returning the cell it had.
+    fn fwd_put(&mut self, orig_sector: u64, cell: u64) -> Option<u64> {
+        let (bucket, tag) = self.bucket(orig_sector);
+        if bucket < self.dense_buckets && !self.fwd_spill.contains_key(&orig_sector) {
+            let idx = bucket as usize;
+            if idx >= self.fwd.len() {
+                self.fwd.resize(idx + 1, 0);
+            }
+            let c = &mut self.fwd[idx];
+            if *c == 0 || *c >> OFFSET_SHIFT == tag {
+                let old = std::mem::replace(c, cell | (tag << OFFSET_SHIFT));
+                return (old != 0).then_some(old);
+            }
+        }
+        self.fwd_spill.insert(orig_sector, cell)
     }
 
     fn fwd_take(&mut self, orig_sector: u64) -> Option<u64> {
-        if orig_sector < FWD_DENSE_SECTORS {
-            match self.fwd.get_mut(orig_sector as usize) {
-                Some(c) if *c != ABSENT => Some(std::mem::replace(c, ABSENT)),
-                _ => None,
-            }
-        } else {
-            self.fwd_spill.remove(&orig_sector)
-        }
+        let cell = std::mem::take(self.fwd_cell_mut(orig_sector)?);
+        // A dense cell is empty now; a spilled one must also leave its map.
+        self.fwd_spill.remove(&orig_sector);
+        Some(cell)
     }
 
     fn rev_put(&mut self, slot: u32, orig_sector: u64) {
@@ -215,38 +282,42 @@ impl BlockTable {
     /// Set the dirty bit for a block (called when a write is redirected
     /// into the reserved area).
     pub fn mark_dirty(&mut self, orig_sector: u64) {
-        if orig_sector < FWD_DENSE_SECTORS {
-            if let Some(c) = self.fwd.get_mut(orig_sector as usize) {
-                if *c != ABSENT {
-                    *c |= 1 << 32;
-                }
-            }
-        } else if let Some(c) = self.fwd_spill.get_mut(&orig_sector) {
-            *c |= 1 << 32;
+        if let Some(c) = self.fwd_cell_mut(orig_sector) {
+            *c |= DIRTY;
         }
     }
 
     /// Mark every entry dirty — the conservative recovery rule applied
     /// when the in-memory table is recreated after a failure (§4.1.2).
     pub fn mark_all_dirty(&mut self) {
-        for c in &mut self.fwd {
-            if *c != ABSENT {
-                *c |= 1 << 32;
-            }
-        }
-        for c in self.fwd_spill.values_mut() {
-            *c |= 1 << 32;
+        let dense = self.fwd.iter_mut().filter(|c| **c != 0);
+        for c in dense.chain(self.fwd_spill.values_mut()) {
+            *c |= DIRTY;
         }
     }
 
-    /// Iterate `(orig_sector, entry)` in unspecified order.
+    /// Iterate `(orig_sector, entry)` in ascending sector order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, Entry)> + '_ {
-        self.fwd
+        let mut dense = self
+            .fwd
             .iter()
             .enumerate()
-            .filter(|&(_, &c)| c != ABSENT)
-            .map(|(s, &c)| (s as u64, unpack(c)))
-            .chain(self.fwd_spill.iter().map(|(&s, &c)| (s, unpack(c))))
+            .filter(|&(_, &c)| c != 0)
+            .map(|(b, &c)| {
+                let offset = (c & !PRESENT) >> OFFSET_SHIFT;
+                (b as u64 * self.bucket_sectors + offset, unpack(c))
+            })
+            .peekable();
+        let mut spill = self
+            .fwd_spill
+            .iter()
+            .map(|(&s, &c)| (s, unpack(c)))
+            .peekable();
+        std::iter::from_fn(move || match (dense.peek(), spill.peek()) {
+            (Some(d), Some(s)) if s.0 < d.0 => spill.next(),
+            (None, _) => spill.next(),
+            _ => dense.next(),
+        })
     }
 
     /// All entries sorted by slot (deterministic order for cleaning).
@@ -429,7 +500,7 @@ impl BlockTable {
             // A checksum-valid table should never be inconsistent, but a
             // buggy writer must surface as an error, not a panic. An
             // original sector of u64::MAX is no real disk address and
-            // collides with the dense arrays' empty sentinel.
+            // collides with the reverse array's empty sentinel.
             if orig == ABSENT || t.lookup(orig).is_some() || t.occupant(slot).is_some() {
                 return Err(TableError::Inconsistent);
             }
@@ -712,6 +783,57 @@ mod tests {
             &t,
             &BlockTable::decode_region(&region).unwrap()
         ));
+    }
+
+    #[test]
+    fn paper_disks_answer_from_the_dense_index() {
+        // The paper's block counts (§4.1.2), spread from sector 0 to the
+        // last aligned block of each disk.
+        for (model, n) in [
+            (models::toshiba_mk156f(), 1_018u64),
+            (models::fujitsu_m2266(), 3_500),
+        ] {
+            let total = model.geometry.total_sectors();
+            let at = |i: u64| i * (total / 16 - 1) / (n - 1) * 16;
+            assert!(at(n - 1) + 16 > total - 16, "reaches the last block");
+            for mut t in [BlockTable::new(), BlockTable::for_disk(16, total)] {
+                for i in 0..n {
+                    t.insert(at(i), i as u32);
+                    t.mark_dirty(at(i));
+                }
+                assert!(t.fwd_spill.is_empty(), "{}: spilled", model.name);
+                for i in 0..n {
+                    assert_eq!(t.lookup(at(i) + 1), None, "only the exact start");
+                    let found = t.lookup(at(i));
+                    assert_eq!(found.map(|e| (e.slot, e.dirty)), Some((i as u32, true)));
+                    assert_eq!(t.remove(at(i)), found);
+                }
+                assert!(t.is_empty() && t.fwd.iter().all(|&c| c == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn two_starts_in_one_bucket_are_both_kept() {
+        // Blocks do not overlap, so only a forged table holds these.
+        let l = layout();
+        let mut t = BlockTable::new();
+        t.insert(40, 0);
+        t.insert(32, 1);
+        t.insert(64, 2);
+        t.mark_dirty(32);
+        assert_eq!(t.fwd_spill.len(), 1);
+        let expect = [(32, 1, true), (40, 0, false), (64, 2, false)];
+        let check = |t: &BlockTable| {
+            let got: Vec<_> = t.iter().map(|(s, e)| (s, e.slot, e.dirty)).collect();
+            assert_eq!(got, expect);
+            for (s, slot, dirty) in expect {
+                assert_eq!(t.lookup(s), Some(Entry { slot, dirty }));
+            }
+        };
+        check(&t);
+        let back = BlockTable::decode_region(&t.encode_region(&l).unwrap()).unwrap();
+        check(&back);
     }
 
     #[test]

@@ -460,7 +460,8 @@ impl AdaptiveDriver {
         let label_sector = disk.store().read_sector(0);
         let label = DiskLabel::decode(&label_sector)?;
         let layout = ReservedLayout::for_label(&label, config.block_size, config.table_max_entries);
-        let spb = u64::from(config.block_size / SECTOR_SIZE as u32);
+        let sectors_per_block = config.block_size / SECTOR_SIZE as u32;
+        let spb = u64::from(sectors_per_block);
         if let Some(l) = &layout {
             // The mapping discontinuity at the front of the reserved area
             // must fall on a block boundary (see ReservedArea::centered_aligned).
@@ -473,9 +474,12 @@ impl AdaptiveDriver {
                 return Err(DriverError::UnalignedPartition);
             }
         }
+        // A disk without a reserved area never maps a block: its table
+        // allocates nothing. One with it gets its index whole, now.
         let mut table = BlockTable::new();
         let mut degraded = false;
         if let Some(l) = &layout {
+            table = BlockTable::for_disk(sectors_per_block, disk.geometry().total_sectors());
             let mut buf = vec![0u8; l.table_sectors as usize * SECTOR_SIZE];
             disk.store().read(l.start_sector, &mut buf);
             // Both redundant copies (and the legacy layout) are tried; if
@@ -486,7 +490,9 @@ impl AdaptiveDriver {
             // reserved copies are unreachable either way).
             match BlockTable::decode_region(&buf) {
                 Ok(t) => {
-                    table = t;
+                    for (orig, entry) in t.entries_by_slot() {
+                        table.insert(orig, entry.slot);
+                    }
                     table.mark_all_dirty();
                 }
                 Err(_) => degraded = true,

@@ -117,6 +117,11 @@ impl FsLayout {
         self.inode_blocks_per_group * u64::from(self.block_size / INODE_SIZE)
     }
 
+    /// Size of the i-node number space.
+    pub fn n_inodes(&self) -> u64 {
+        self.n_groups() * self.inodes_per_group()
+    }
+
     /// The group an i-node lives in.
     pub fn group_of_inode(&self, ino: u64) -> u64 {
         ino / self.inodes_per_group()

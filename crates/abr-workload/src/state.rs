@@ -441,19 +441,17 @@ impl WorkloadState {
         let profile: WorkloadProfile = serde_json::from_value(state["profile"].clone())?;
         let files: Vec<FileRec> = serde_json::from_value(state["files"].clone())?;
         let day: u64 = serde_json::from_value(state["day"].clone())?;
+        let rank_to_file: Vec<usize> = serde_json::from_value(state["rank_to_file"].clone())?;
         let mix = op_mix(&profile.mix);
         let sizes = FileSizes::new(profile.file_min, profile.file_max, profile.size_alpha);
         let root = SimRng::new(seed);
         let mut arrival_rng = root.substream_idx("resume", day);
         let arrivals = OnOff::new(profile.arrivals, &mut arrival_rng);
         Ok(WorkloadState {
+            popularity: Zipf::new(rank_to_file.len(), profile.popularity_s),
             profile,
             files,
-            rank_to_file: serde_json::from_value(state["rank_to_file"].clone())?,
-            popularity: Zipf::new(
-                serde_json::from_value::<Vec<usize>>(state["rank_to_file"].clone())?.len(),
-                serde_json::from_value::<WorkloadProfile>(state["profile"].clone())?.popularity_s,
-            ),
+            rank_to_file,
             sizes,
             mix,
             arrivals,
