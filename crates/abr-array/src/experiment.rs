@@ -78,7 +78,7 @@ impl ArrayConfig {
 
 /// One measured day of an array run: the volume-level roll-up plus the
 /// per-disk breakdown (the per-disk label dimension of the results).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ArrayDayMetrics {
     /// Metrics over all requests the volume served, with per-disk
     /// performance windows merged order-insensitively.

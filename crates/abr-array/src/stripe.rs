@@ -17,10 +17,8 @@
 //! per-disk size)` at construction — no state updates on the I/O path —
 //! which is what makes array runs byte-identical across thread counts.
 
-use serde::{Deserialize, Serialize};
-
 /// How volume blocks are distributed over the member disks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StripePolicy {
     /// Classic RAID-0: chunk `c` of the volume lives on disk
     /// `c mod N`, round-robin.
@@ -64,7 +62,7 @@ impl StripePolicy {
 }
 
 /// The redundancy scheme layered over a striping policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Redundancy {
     /// No redundancy: every member disk is data, a lost block is lost.
     None,

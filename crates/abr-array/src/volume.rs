@@ -86,7 +86,7 @@ pub struct VolCompletion {
 }
 
 /// Health of one member disk, as reported by [`ArrayVolume::health`].
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct DiskHealth {
     /// Disk index within the array.
     pub disk: u32,
@@ -120,7 +120,7 @@ impl DiskHealth {
 }
 
 /// Array-level health summary.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ArrayHealth {
     /// Per-disk state, indexed by disk.
     pub disks: Vec<DiskHealth>,
@@ -310,7 +310,7 @@ struct MaintState {
 
 /// Plain per-disk I/O tallies, independent of the registry, for tests
 /// and reports that need exact counts from a specific volume instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskIoCounts {
     /// Sub-requests submitted to this disk.
     pub submitted: u64,

@@ -8,7 +8,7 @@
 //! the loop the same sector count, members and seeds.
 
 use abr_array::{ArrayConfig, ArrayExperiment, StripePolicy};
-use abr_core::{Experiment, ExperimentConfig};
+use abr_core::{DayMetrics, Experiment, ExperimentConfig};
 use abr_disk::models;
 use abr_sim::SimDuration;
 use abr_workload::WorkloadProfile;
@@ -28,8 +28,8 @@ fn n1_striped_volume_is_wired_like_the_single_disk() {
     let array_cfg = ArrayConfig::new(tiny_config(), 1, StripePolicy::Striped { chunk_blocks: 8 });
     let array = ArrayExperiment::new(array_cfg).run_day();
     assert_eq!(
-        serde_json::to_string(&single).expect("day metrics serialize"),
-        serde_json::to_string(&array.volume).expect("day metrics serialize"),
+        single.to_json().to_string(),
+        array.volume.to_json().to_string(),
         "the first measured day (after setup and warm-up) diverged"
     );
 }
@@ -41,8 +41,8 @@ fn n1_volume_per_disk_view_matches_its_own_rollup() {
     for m in &days {
         assert_eq!(m.per_disk.len(), 1);
         assert_eq!(
-            serde_json::to_string(&m.volume).unwrap(),
-            serde_json::to_string(&m.per_disk[0]).unwrap(),
+            m.volume.to_json().to_string(),
+            m.per_disk[0].to_json().to_string(),
             "one-disk roll-up must equal the member's own metrics"
         );
     }
@@ -53,8 +53,14 @@ fn array_runs_are_deterministic() {
     let run = || {
         let cfg = ArrayConfig::new(tiny_config(), 2, StripePolicy::Striped { chunk_blocks: 8 });
         let days = ArrayExperiment::new(cfg).run_on_off(1, 40);
+        let json = |m: &DayMetrics| m.to_json().to_string();
         days.iter()
-            .map(|m| serde_json::to_string(m).unwrap())
+            .map(|m| {
+                (
+                    json(&m.volume),
+                    m.per_disk.iter().map(json).collect::<Vec<_>>(),
+                )
+            })
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());

@@ -49,7 +49,7 @@ use abr_disk::{image, models, Disk, DiskLabel, DiskModel};
 use abr_driver::{AdaptiveDriver, DriverConfig, Ioctl, IoctlReply, RequestMonitor};
 use abr_fs::{FileSystem, FsConfig, MountMode};
 use abr_obs::{ObsEvent, RequestSpan};
-use abr_sim::{jsn, JsonValue, SimDuration, SimRng, SimTime};
+use abr_sim::{jsn, FromJson, JsonValue, SimDuration, SimRng, SimTime};
 use abr_workload::{TraceLog, WorkloadProfile, WorkloadState};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -313,10 +313,8 @@ fn workload(args: &[String]) -> Result<(), Error> {
         && fs_state_path(&path).exists()
         && wl_state_path(&path).exists();
     let (mut fs, mut state) = if resumable {
-        let fs_state: serde_json::Value =
-            serde_json::from_slice(&std::fs::read(fs_state_path(&path))?)?;
-        let wl_state: serde_json::Value =
-            serde_json::from_slice(&std::fs::read(wl_state_path(&path))?)?;
+        let fs_state = JsonValue::parse(&std::fs::read_to_string(fs_state_path(&path))?)?;
+        let wl_state = JsonValue::parse(&std::fs::read_to_string(wl_state_path(&path))?)?;
         let fs = FileSystem::load_state(&fs_state)?;
         let mut state = WorkloadState::load_state(&wl_state, seed)?;
         if state.profile().name != profile.name {
@@ -403,10 +401,11 @@ fn workload(args: &[String]) -> Result<(), Error> {
     }
     use abr_core::ReferenceAnalyzer as _;
     let counts = analyzer.hot_list(analyzer.tracked());
-    std::fs::write(counts_path(&path), serde_json::to_vec_pretty(&counts)?)?;
+    let counts_json = JsonValue::Array(counts.iter().map(HotBlock::to_json).collect());
+    std::fs::write(counts_path(&path), sidecar_text(&counts_json))?;
 
     metrics.block_counts = counts.iter().map(|h| h.count).collect();
-    std::fs::write(stats_path(&path), serde_json::to_vec_pretty(&metrics)?)?;
+    std::fs::write(stats_path(&path), sidecar_text(&metrics.to_json()))?;
     if let (Some(out), Some(trace)) = (trace_out, trace) {
         let f = std::fs::File::create(&out)?;
         trace.write_jsonl(std::io::BufWriter::new(f))?;
@@ -426,23 +425,28 @@ fn workload(args: &[String]) -> Result<(), Error> {
     // Persist the file system (the day ended with a final flush) and the
     // generator.
     let (fs, state) = traffic.into_parts();
-    std::fs::write(fs_state_path(&path), serde_json::to_vec(&fs.save_state())?)?;
-    std::fs::write(
-        wl_state_path(&path),
-        serde_json::to_vec(&state.save_state())?,
-    )?;
+    std::fs::write(fs_state_path(&path), fs.save_state().to_string())?;
+    std::fs::write(wl_state_path(&path), state.save_state().to_string())?;
     save_driver(driver, &path)?;
     Ok(())
 }
 
+/// A pretty sidecar without a final newline, as these files have
+/// always been written.
+fn sidecar_text(v: &JsonValue) -> String {
+    let mut text = v.pretty();
+    text.pop();
+    text
+}
+
 fn read_counts(img: &Path) -> Result<Vec<HotBlock>, Error> {
-    let bytes = std::fs::read(counts_path(img)).map_err(|_| {
+    let text = std::fs::read_to_string(counts_path(img)).map_err(|_| {
         format!(
             "no reference counts next to {} — run `abrctl workload` first",
             img.display()
         )
     })?;
-    Ok(serde_json::from_slice(&bytes)?)
+    Ok(Vec::from_json(&JsonValue::parse(&text)?)?)
 }
 
 fn analyze(args: &[String]) -> Result<(), Error> {
@@ -516,13 +520,13 @@ fn clean(args: &[String]) -> Result<(), Error> {
 
 fn stats(args: &[String]) -> Result<(), Error> {
     let path = image_path(args)?;
-    let bytes = std::fs::read(stats_path(&path)).map_err(|_| {
+    let text = std::fs::read_to_string(stats_path(&path)).map_err(|_| {
         format!(
             "no stats next to {} — run `abrctl workload` first",
             path.display()
         )
     })?;
-    let m: DayMetrics = serde_json::from_slice(&bytes)?;
+    let m = DayMetrics::from_json(&JsonValue::parse(&text)?)?;
     println!(
         "last workload run ({} requests, rearranged: {}):",
         m.all.n, m.rearranged

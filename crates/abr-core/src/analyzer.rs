@@ -17,16 +17,33 @@
 //!   list is full, the minimum-count entry is replaced and the new entry
 //!   inherits its count plus one (an upper bound with bounded error).
 
+use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A block and its (estimated) reference count, as produced in a hot
 /// list (descending count order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotBlock {
     /// Virtual block number.
     pub block: u64,
     /// Reference count (exact or estimated, by analyzer).
     pub count: u64,
+}
+
+impl HotBlock {
+    /// Persisted form: one entry of `abrctl`'s counts sidecar.
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({ "block": self.block, "count": self.count })
+    }
+}
+
+impl FromJson for HotBlock {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(HotBlock {
+            block: v.at("block")?,
+            count: v.at("count")?,
+        })
+    }
 }
 
 /// A reference stream analyzer: consumes block observations, produces a

@@ -8,11 +8,11 @@
 
 use abr_disk::SeekCurve;
 use abr_driver::monitor::{DirStats, FaultStats, PerfSnapshot};
-use serde::{Deserialize, Serialize};
+use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 
 /// Metrics for one request direction (or all requests combined) over one
 /// day — one column of Tables 3, 8 and 9.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DirMetrics {
     /// Requests measured.
     pub n: u64,
@@ -90,10 +90,45 @@ impl DirMetrics {
     pub fn seek_dist_reduction_pct(&self) -> f64 {
         (1.0 - self.seek_dist / self.fcfs_seek_dist) * 100.0
     }
+
+    /// Persisted form (inside a stats sidecar's day record).
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "fcfs_seek_dist": self.fcfs_seek_dist,
+            "fcfs_seek_ms": self.fcfs_seek_ms,
+            "n": self.n,
+            "reserved_frac": self.reserved_frac,
+            "rotation_ms": self.rotation_ms,
+            "seek_dist": self.seek_dist,
+            "seek_ms": self.seek_ms,
+            "service_ms": self.service_ms,
+            "transfer_ms": self.transfer_ms,
+            "waiting_ms": self.waiting_ms,
+            "zero_seek_pct": self.zero_seek_pct,
+        })
+    }
+}
+
+impl FromJson for DirMetrics {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(DirMetrics {
+            n: v.at("n")?,
+            fcfs_seek_dist: v.at("fcfs_seek_dist")?,
+            seek_dist: v.at("seek_dist")?,
+            zero_seek_pct: v.at("zero_seek_pct")?,
+            fcfs_seek_ms: v.at("fcfs_seek_ms")?,
+            seek_ms: v.at("seek_ms")?,
+            service_ms: v.at("service_ms")?,
+            waiting_ms: v.at("waiting_ms")?,
+            rotation_ms: v.at("rotation_ms")?,
+            transfer_ms: v.at("transfer_ms")?,
+            reserved_frac: v.at("reserved_frac")?,
+        })
+    }
 }
 
 /// Everything measured in one experiment day.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DayMetrics {
     /// Day index within the run.
     pub day: u64,
@@ -118,7 +153,6 @@ pub struct DayMetrics {
     pub block_counts_reads: Vec<u64>,
     /// Error-path counters for the day (all zero on a healthy device;
     /// absent in records written before fault injection existed).
-    #[serde(default)]
     pub faults: FaultStats,
 }
 
@@ -169,6 +203,42 @@ impl DayMetrics {
     /// Number of distinct blocks referenced this day.
     pub fn active_blocks(&self) -> usize {
         self.block_counts.len()
+    }
+
+    /// Persisted form: the record of `abrctl`'s stats sidecar.
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "all": self.all.to_json(),
+            "block_counts": &self.block_counts,
+            "block_counts_reads": &self.block_counts_reads,
+            "day": self.day,
+            "faults": self.faults.to_json(),
+            "n_rearranged": self.n_rearranged,
+            "reads": self.reads.to_json(),
+            "rearranged": self.rearranged,
+            "service_cdf": &self.service_cdf,
+            "writes": self.writes.to_json(),
+        })
+    }
+}
+
+impl FromJson for DayMetrics {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(DayMetrics {
+            day: v.at("day")?,
+            rearranged: v.at("rearranged")?,
+            n_rearranged: v.at("n_rearranged")?,
+            all: v.at("all")?,
+            reads: v.at("reads")?,
+            writes: v.at("writes")?,
+            service_cdf: v.at("service_cdf")?,
+            block_counts: v.at("block_counts")?,
+            block_counts_reads: v.at("block_counts_reads")?,
+            faults: match v.get("faults") {
+                Some(_) => v.at("faults")?,
+                None => FaultStats::default(),
+            },
+        })
     }
 }
 
@@ -248,9 +318,10 @@ mod tests {
         let curve = models::toshiba_mk156f().seek;
         let s = snapshot();
         let d = DayMetrics::new(3, false, 0, &s, &curve, vec![1], vec![1]);
-        let json = serde_json::to_string(&d).unwrap();
-        let back: DayMetrics = serde_json::from_str(&json).unwrap();
+        let json = JsonValue::parse(&d.to_json().to_string()).unwrap();
+        let back = DayMetrics::from_json(&json).unwrap();
         assert_eq!(back.day, 3);
         assert!(!back.rearranged);
+        assert_eq!(back.to_json(), d.to_json());
     }
 }

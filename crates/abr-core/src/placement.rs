@@ -17,11 +17,10 @@
 use crate::analyzer::HotBlock;
 use abr_disk::Geometry;
 use abr_driver::ReservedLayout;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Selectable policy kinds (for configs and reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Organ-pipe placement.
     OrganPipe,

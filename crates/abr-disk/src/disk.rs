@@ -13,11 +13,10 @@ use crate::fault::{DiskError, DiskFault, FaultInjector};
 use crate::geometry::Geometry;
 use crate::models::DiskModel;
 use crate::store::SectorStore;
-use abr_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use abr_sim::{FromJson, JsonError, JsonValue, SimDuration, SimTime};
 
 /// Direction of a disk transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoDir {
     /// Data flows disk → host.
     Read,
@@ -30,10 +29,25 @@ impl IoDir {
     pub fn is_read(self) -> bool {
         matches!(self, IoDir::Read)
     }
+
+    /// Persisted form (a workload trace's `dir`): the variant name.
+    pub fn to_json(self) -> JsonValue {
+        JsonValue::from(if self.is_read() { "Read" } else { "Write" })
+    }
+}
+
+impl FromJson for IoDir {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        match v.as_str() {
+            Some("Read") => Ok(IoDir::Read),
+            Some("Write") => Ok(IoDir::Write),
+            _ => Err(JsonError::new("expected \"Read\" or \"Write\"")),
+        }
+    }
 }
 
 /// Mechanical timing decomposition of one serviced request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceBreakdown {
     /// Fixed controller/bus overhead.
     pub overhead: SimDuration,

@@ -5,11 +5,11 @@
 //! sector numbers map to physical positions in the obvious
 //! cylinder-major / track-major order. [`Geometry`] owns that mapping.
 
-use serde::{Deserialize, Serialize};
+use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 
 /// Physical geometry of a disk: cylinders x tracks x sectors at a fixed
 /// rotational speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Number of cylinders (seek positions).
     pub cylinders: u32,
@@ -22,7 +22,7 @@ pub struct Geometry {
 }
 
 /// A decomposed sector address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectorAddr {
     /// Cylinder number, `0..cylinders`.
     pub cylinder: u32,
@@ -117,6 +117,27 @@ impl Geometry {
     #[inline]
     pub fn with_cylinders(&self, cylinders: u32) -> Geometry {
         Geometry { cylinders, ..*self }
+    }
+
+    /// Persisted form (inside an image's embedded model).
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "cylinders": self.cylinders,
+            "rpm": self.rpm,
+            "sectors_per_track": self.sectors_per_track,
+            "tracks_per_cylinder": self.tracks_per_cylinder,
+        })
+    }
+}
+
+impl FromJson for Geometry {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(Geometry {
+            cylinders: v.at("cylinders")?,
+            tracks_per_cylinder: v.at("tracks_per_cylinder")?,
+            sectors_per_track: v.at("sectors_per_track")?,
+            rpm: v.at("rpm")?,
+        })
     }
 }
 

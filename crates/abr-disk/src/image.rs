@@ -14,6 +14,7 @@
 use crate::disk::Disk;
 use crate::models::DiskModel;
 use crate::SECTOR_SIZE;
+use abr_sim::{FromJson, JsonError, JsonValue};
 use std::io::{self, Read, Write};
 
 const IMAGE_MAGIC: u64 = 0x4142_5244_4953_4b31; // "ABRDISK1"
@@ -28,7 +29,7 @@ pub enum ImageError {
     /// Corrupt image (checksum mismatch).
     BadChecksum,
     /// The embedded model failed to parse.
-    BadModel(serde_json::Error),
+    BadModel(JsonError),
 }
 
 impl std::fmt::Display for ImageError {
@@ -54,9 +55,9 @@ impl From<io::Error> for ImageError {
 pub fn save<W: Write>(disk: &Disk, mut w: W) -> Result<(), ImageError> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&IMAGE_MAGIC.to_le_bytes());
-    let model_json = serde_json::to_vec(disk.model()).expect("model serializes");
+    let model_json = disk.model().to_json().to_string();
     buf.extend_from_slice(&(model_json.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&model_json);
+    buf.extend_from_slice(model_json.as_bytes());
     buf.extend_from_slice(&u64::from(disk.head_cylinder()).to_le_bytes());
 
     // Collect written sectors in ascending order for a canonical image.
@@ -107,13 +108,19 @@ pub fn load<R: Read>(mut r: R) -> Result<Disk, ImageError> {
     if take_u64(&mut pos)? != IMAGE_MAGIC {
         return Err(ImageError::BadFormat);
     }
-    let model_len = take_u64(&mut pos)? as usize;
-    if pos + model_len > body.len() {
+    let model_len = take_u64(&mut pos)?;
+    let Some(model_json) = usize::try_from(model_len)
+        .ok()
+        .and_then(|len| body.get(pos..pos.checked_add(len)?))
+    else {
         return Err(ImageError::BadFormat);
-    }
-    let model: DiskModel =
-        serde_json::from_slice(&body[pos..pos + model_len]).map_err(ImageError::BadModel)?;
-    pos += model_len;
+    };
+    let model = std::str::from_utf8(model_json)
+        .map_err(|_| JsonError::new("model is not UTF-8"))
+        .and_then(JsonValue::parse)
+        .and_then(|v| DiskModel::from_json(&v))
+        .map_err(ImageError::BadModel)?;
+    pos += model_json.len();
     let head = take_u64(&mut pos)? as u32;
     let n_sectors = take_u64(&mut pos)? as usize;
 
@@ -187,6 +194,48 @@ mod tests {
             load(&b"not an image"[..]),
             Err(ImageError::BadFormat)
         ));
+    }
+
+    /// A checksum-valid image holding `model` under a `model_len` header,
+    /// head at cylinder 0 and no sectors.
+    fn image_with_model(model: &str, model_len: u64) -> Vec<u8> {
+        let mut buf = IMAGE_MAGIC.to_le_bytes().to_vec();
+        buf.extend_from_slice(&model_len.to_le_bytes());
+        buf.extend_from_slice(model.as_bytes());
+        buf.extend_from_slice(&[0; 16]);
+        let sum = fletcher64(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn a_bad_embedded_model_is_an_error_not_a_panic() {
+        let good = models::tiny_test_disk().to_json().to_string();
+        assert!(load(&image_with_model(&good, good.len() as u64)[..]).is_ok());
+        let missing = good.replace("\"rpm\":3600,", "");
+        assert_ne!(missing, good);
+        for model in [&good[..good.len() - 1], "{not json", &missing] {
+            let img = image_with_model(model, model.len() as u64);
+            assert!(
+                matches!(load(&img[..]), Err(ImageError::BadModel(_))),
+                "{model}"
+            );
+        }
+        let Err(e) = load(&image_with_model(&missing, missing.len() as u64)[..]) else {
+            panic!("a model without rpm loaded");
+        };
+        assert!(e.to_string().contains("`rpm`"), "{e}");
+    }
+
+    #[test]
+    fn a_model_length_past_the_body_is_bad_format() {
+        let good = models::tiny_test_disk().to_json().to_string();
+        for len in [good.len() as u64 + 17, u64::MAX] {
+            assert!(matches!(
+                load(&image_with_model(&good, len)[..]),
+                Err(ImageError::BadFormat)
+            ));
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use crate::geometry::Geometry;
 use crate::SECTOR_SIZE;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Magic number identifying a valid label ("ABRL" + version).
@@ -48,7 +47,7 @@ impl fmt::Display for LabelError {
 impl std::error::Error for LabelError {}
 
 /// A partition (logical device) on the virtual disk, in virtual sectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partition {
     /// First virtual sector of the partition.
     pub start_sector: u64,
@@ -69,7 +68,7 @@ impl Partition {
 }
 
 /// The reserved cylinder group hidden from the file system (§4.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReservedArea {
     /// First physical cylinder of the reserved region.
     pub start_cylinder: u32,
@@ -150,7 +149,7 @@ impl ReservedArea {
 
 /// The disk label: physical geometry, partition table, and (for a
 /// rearranged disk) the reserved-area extent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskLabel {
     /// True physical geometry of the drive.
     pub physical: Geometry,

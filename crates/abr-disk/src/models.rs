@@ -2,12 +2,11 @@
 
 use crate::geometry::Geometry;
 use crate::seek::{LongSeek, SeekCurve, ShortSeek};
-use abr_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use abr_sim::{jsn, FromJson, JsonError, JsonValue, SimDuration};
 
 /// Specification of a read-ahead track buffer (the Fujitsu M2266 has a
 /// 256 KB one; the Toshiba MK156F has none).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrackBufferSpec {
     /// Buffer capacity in bytes.
     pub capacity_bytes: u32,
@@ -18,7 +17,7 @@ pub struct TrackBufferSpec {
 
 /// A complete disk model: geometry, seek curve, fixed per-request
 /// overhead, and optional track buffer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DiskModel {
     /// Human-readable model name.
     pub name: String,
@@ -136,6 +135,50 @@ impl DiskModel {
     /// All preset models from the paper, for sweeping experiments.
     pub fn paper_models() -> Vec<DiskModel> {
         vec![toshiba_mk156f(), fujitsu_m2266()]
+    }
+
+    /// Persisted form: the model JSON embedded in a disk image.
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "geometry": self.geometry.to_json(),
+            "name": self.name.as_str(),
+            "overhead": self.overhead.to_json(),
+            "seek": self.seek.to_json(),
+            "track_buffer": self.track_buffer.map(|b| b.to_json()),
+            "track_switch": self.track_switch.to_json(),
+        })
+    }
+}
+
+impl FromJson for DiskModel {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(DiskModel {
+            name: v.at("name")?,
+            geometry: v.at("geometry")?,
+            seek: v.at("seek")?,
+            overhead: v.at("overhead")?,
+            track_switch: v.at("track_switch")?,
+            track_buffer: v.at("track_buffer")?,
+        })
+    }
+}
+
+impl TrackBufferSpec {
+    /// Persisted form.
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "capacity_bytes": self.capacity_bytes,
+            "hit_transfer_us_per_sector": self.hit_transfer_us_per_sector,
+        })
+    }
+}
+
+impl FromJson for TrackBufferSpec {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(TrackBufferSpec {
+            capacity_bytes: v.at("capacity_bytes")?,
+            hit_transfer_us_per_sector: v.at("hit_transfer_us_per_sector")?,
+        })
     }
 }
 

@@ -15,12 +15,11 @@
 //! its reported seek times by pushing measured seek-distance distributions
 //! through these curves — [`SeekCurve::time_ms`] is that function.
 
-use abr_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use abr_sim::{jsn, FromJson, JsonError, JsonValue, SimDuration};
 
 /// Coefficients of the short-seek regime:
 /// `a + b*sqrt(d) + c*cbrt(d) + e*ln(d)` milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShortSeek {
     /// Constant term (ms).
     pub a: f64,
@@ -33,7 +32,7 @@ pub struct ShortSeek {
 }
 
 /// Coefficients of the long-seek (linear) regime: `f + g*d` milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LongSeek {
     /// Constant term (ms).
     pub f: f64,
@@ -42,7 +41,7 @@ pub struct LongSeek {
 }
 
 /// A piecewise seek-time curve in the paper's Table 1 form.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeekCurve {
     /// Seek distances `1..boundary` use the short-seek curve; `>= boundary`
     /// the linear regime.
@@ -79,6 +78,59 @@ impl SeekCurve {
     /// Full-stroke seek time across `cylinders - 1` cylinders.
     pub fn full_stroke_ms(&self, cylinders: u32) -> f64 {
         self.time_ms(u64::from(cylinders.saturating_sub(1)))
+    }
+
+    /// Persisted form (inside an image's embedded model).
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "boundary": self.boundary,
+            "long": self.long.to_json(),
+            "short": self.short.to_json(),
+        })
+    }
+}
+
+impl FromJson for SeekCurve {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(SeekCurve {
+            boundary: v.at("boundary")?,
+            short: v.at("short")?,
+            long: v.at("long")?,
+        })
+    }
+}
+
+impl ShortSeek {
+    /// Persisted form.
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({ "a": self.a, "b": self.b, "c": self.c, "e": self.e })
+    }
+}
+
+impl FromJson for ShortSeek {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(ShortSeek {
+            a: v.at("a")?,
+            b: v.at("b")?,
+            c: v.at("c")?,
+            e: v.at("e")?,
+        })
+    }
+}
+
+impl LongSeek {
+    /// Persisted form.
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({ "f": self.f, "g": self.g })
+    }
+}
+
+impl FromJson for LongSeek {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(LongSeek {
+            f: v.at("f")?,
+            g: v.at("g")?,
+        })
     }
 }
 

@@ -27,11 +27,10 @@
 //! reserved area.
 
 use crate::layout::ReservedLayout;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One block-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Entry {
     /// Reserved-area slot index holding the copy.
     pub slot: u32,

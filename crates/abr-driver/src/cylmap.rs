@@ -17,10 +17,8 @@
 //! * there is no reserved space — the disk is fully occupied by the
 //!   permuted cylinders.
 
-use serde::{Deserialize, Serialize};
-
 /// A bijective virtual-cylinder → physical-cylinder map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CylinderMap {
     map: Vec<u32>,
 }

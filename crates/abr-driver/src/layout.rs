@@ -15,10 +15,9 @@
 //! the 1018 slots the paper rearranges.
 
 use abr_disk::{DiskLabel, Geometry, ReservedArea};
-use serde::{Deserialize, Serialize};
 
 /// Resolved geometry of the reserved area for a given block size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReservedLayout {
     /// First physical sector of the reserved area.
     pub start_sector: u64,

@@ -14,11 +14,10 @@
 
 use abr_disk::disk::IoDir;
 use abr_obs::{with_registry, CounterId, GaugeId, HiresId, LogHistogram};
-use abr_sim::{DistTable, SimDuration, TimeStats};
-use serde::{Deserialize, Serialize};
+use abr_sim::{jsn, DistTable, FromJson, JsonError, JsonValue, SimDuration, TimeStats};
 
 /// One record in the request monitor's table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestRecord {
     /// The *virtual* (pre-remapping) block number: stable identity for
     /// reference counting across rearrangements.
@@ -131,7 +130,7 @@ impl RequestMonitor {
 }
 
 /// Statistics for one direction (reads or writes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DirStats {
     /// Seek distances in *arrival order* with *no rearrangement*: the
     /// distance between the pre-remap cylinder of consecutive arriving
@@ -194,7 +193,7 @@ impl DirStats {
 /// Error-path counters: what the retry loop, quarantine logic, and
 /// degraded mode did during the measurement window. All zero on a
 /// fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Transient disk faults absorbed by the bounded retry loop.
     pub retries: u64,
@@ -231,18 +230,42 @@ impl FaultStats {
         self.lost_blocks += other.lost_blocks;
         self.table_write_failures += other.table_write_failures;
     }
+
+    /// Persisted form (inside a stats sidecar's day record).
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "lost_blocks": self.lost_blocks,
+            "quarantines": self.quarantines,
+            "read_failures": self.read_failures,
+            "retries": self.retries,
+            "table_write_failures": self.table_write_failures,
+            "write_failures": self.write_failures,
+        })
+    }
+}
+
+impl FromJson for FaultStats {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(FaultStats {
+            retries: v.at("retries")?,
+            read_failures: v.at("read_failures")?,
+            write_failures: v.at("write_failures")?,
+            quarantines: v.at("quarantines")?,
+            lost_blocks: v.at("lost_blocks")?,
+            table_write_failures: v.at("table_write_failures")?,
+        })
+    }
 }
 
 /// A point-in-time copy of the monitor contents, as returned by the
 /// read-stats ioctl.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfSnapshot {
     /// Read-request statistics.
     pub reads: DirStats,
     /// Write-request statistics.
     pub writes: DirStats,
     /// Error-path counters for the window.
-    #[serde(default)]
     pub faults: FaultStats,
 }
 

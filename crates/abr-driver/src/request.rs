@@ -11,11 +11,10 @@ use abr_disk::store::{Form, Run};
 use abr_disk::SECTOR_SIZE;
 use abr_sim::SimTime;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Opaque identifier of a submitted request, unique within one driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
 /// What a write carries. A read carries [`Payload::Zeroes`].

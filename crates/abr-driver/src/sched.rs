@@ -32,10 +32,9 @@
 //! | SSTF   | the nearer of the two neighbours found by the SCAN probes; at equal distance the older one |
 
 use crate::queue::{Key, Ready};
-use serde::{Deserialize, Serialize};
 
 /// Selectable queueing policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// First-come, first-served (arrival order).
     Fcfs,

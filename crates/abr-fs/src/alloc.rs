@@ -12,9 +12,10 @@
 //!   in the group, then to subsequent groups.
 
 use crate::layout::FsLayout;
+use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 
 /// Free-space tracking and placement for one file system.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Allocator {
     layout: FsLayout,
     /// Per-group free data-block bitmaps (true = free).
@@ -162,6 +163,29 @@ impl Allocator {
         assert!(!self.free[g as usize][i], "double free of block {block}");
         self.free[g as usize][i] = true;
         self.free_count[g as usize] += 1;
+    }
+
+    /// Persisted form (inside a saved file system).
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "dirs_per_group": &self.dirs_per_group,
+            "free": &self.free,
+            "free_count": &self.free_count,
+            "layout": self.layout.to_json(),
+            "next_inode": &self.next_inode,
+        })
+    }
+}
+
+impl FromJson for Allocator {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(Allocator {
+            layout: v.at("layout")?,
+            free: v.at("free")?,
+            free_count: v.at("free_count")?,
+            next_inode: v.at("next_inode")?,
+            dirs_per_group: v.at("dirs_per_group")?,
+        })
     }
 }
 

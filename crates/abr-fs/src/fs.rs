@@ -14,6 +14,7 @@ use crate::layout::FsLayout;
 use crate::payload::PayloadTag;
 use abr_driver::request::IoRequest;
 use abr_sim::hash::FastMap;
+use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -21,7 +22,7 @@ use std::fmt;
 pub const DIRECT_POINTERS: usize = 12;
 
 /// Mount mode (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MountMode {
     /// Users may not create, delete or modify files; the OS still updates
     /// i-node bookkeeping (access times), so writes trickle out anyway.
@@ -31,7 +32,7 @@ pub enum MountMode {
 }
 
 /// File-system configuration.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FsConfig {
     /// Partition index on the driver.
     pub partition: usize,
@@ -107,16 +108,14 @@ impl fmt::Display for FsError {
 impl std::error::Error for FsError {}
 
 /// Handle to an open file (its i-node number).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileHandle(pub u64);
 
 /// Handle to a directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DirHandle(pub u64);
 
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Inode {
     size: u64,
     /// Absolute FS block numbers of the file's data blocks, in file order.
@@ -130,7 +129,7 @@ struct Inode {
     group: u64,
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 struct Dir {
     /// The directory's single directory-contents block.
     block: u64,
@@ -149,8 +148,8 @@ struct Dir {
 /// allocated zeroed and so resident only where touched) leads to a
 /// compact arena of live i-nodes whose freed slots are reused. A slot per
 /// i-node *number* was 80 bytes each: 20.4 MB for the users file
-/// system's ~1,000 files. Serialization goes through an ordered map (see
-/// [`FileSystem::save_state`]) so saved state is unchanged.
+/// system's ~1,000 files. Saved state lists i-nodes by number whatever
+/// the arena order (see [`FileSystem::save_state`]).
 #[derive(Debug, Default)]
 struct InodeTable {
     /// i-node number → arena slot + 1, zero when the number is free.
@@ -220,11 +219,9 @@ impl InodeTable {
             + self.arena.capacity() * std::mem::size_of::<Option<(u64, Inode)>>()
     }
 
-    /// Live entries in i-node order (the order the old ordered map
-    /// serialized in).
-    fn ordered(&self) -> BTreeMap<u64, &Inode> {
-        let live = self.arena.iter().flatten();
-        live.map(|(ino, inode)| (*ino, inode)).collect()
+    /// Live entries, in arena order.
+    fn live(&self) -> impl Iterator<Item = &(u64, Inode)> {
+        self.arena.iter().flatten()
     }
 
     fn from_ordered(map: BTreeMap<u64, Inode>, n_inodes: u64) -> Self {
@@ -254,8 +251,7 @@ pub struct FileSystem {
     next_dir_id: u64,
     /// Update generation per i-node region block. Touched on every
     /// operation (access-time updates), so keyed with the fast fixed
-    /// hasher; serialized through an ordered map (see
-    /// [`FileSystem::save_state`]).
+    /// hasher; saved in key order (see [`FileSystem::save_state`]).
     inode_block_gen: FastMap<u64, u32>,
     /// Reusable scratch for `read`/`write`, so the per-operation hot
     /// path does not allocate to walk an extent list.
@@ -859,43 +855,40 @@ impl FileSystem {
     /// Panics if dirty buffers remain — `sync` (and flush the returned
     /// requests to the disk) before snapshotting, exactly like a clean
     /// unmount.
-    pub fn save_state(&self) -> serde_json::Value {
+    pub fn save_state(&self) -> JsonValue {
         assert_eq!(
             self.cache.dirty_count(),
             0,
             "sync before saving file-system state (clean unmount)"
         );
-        serde_json::json!({
-            "cfg": self.cfg,
-            "layout": self.layout,
-            "alloc": self.alloc,
-            "inodes": self.inodes.ordered(),
-            "dirs": self.dirs,
+        let inodes = self.inodes.live().map(|(ino, i)| (*ino, i.to_json()));
+        let dirs = self.dirs.iter().map(|(&id, d)| (id, d.to_json()));
+        let gens = self.inode_block_gen.iter().map(|(&b, &g)| (b, g.into()));
+        jsn!({
+            "alloc": self.alloc.to_json(),
+            "cfg": self.cfg.to_json(),
+            "dirs": JsonValue::keyed_by_u64(dirs),
+            "inode_block_gen": JsonValue::keyed_by_u64(gens),
+            "inodes": JsonValue::keyed_by_u64(inodes),
+            "layout": self.layout.to_json(),
             "next_dir_id": self.next_dir_id,
-            "inode_block_gen": self.inode_block_gen.iter().map(|(&k, &v)| (k, v)).collect::<BTreeMap<u64, u32>>(),
         })
     }
 
     /// Restore a file system from [`FileSystem::save_state`] output. The
     /// buffer cache starts cold.
-    pub fn load_state(state: &serde_json::Value) -> Result<Self, serde_json::Error> {
-        let cfg: FsConfig = serde_json::from_value(state["cfg"].clone())?;
-        let layout: FsLayout = serde_json::from_value(state["layout"].clone())?;
+    pub fn load_state(state: &JsonValue) -> Result<Self, JsonError> {
+        let cfg: FsConfig = state.at("cfg")?;
+        let layout: FsLayout = state.at("layout")?;
+        let gens: BTreeMap<u64, u32> = state.at("inode_block_gen")?;
         Ok(FileSystem {
             cfg,
             layout,
-            alloc: serde_json::from_value(state["alloc"].clone())?,
-            inodes: InodeTable::from_ordered(
-                serde_json::from_value(state["inodes"].clone())?,
-                layout.n_inodes(),
-            ),
-            dirs: serde_json::from_value(state["dirs"].clone())?,
-            next_dir_id: serde_json::from_value(state["next_dir_id"].clone())?,
-            inode_block_gen: serde_json::from_value::<BTreeMap<u64, u32>>(
-                state["inode_block_gen"].clone(),
-            )?
-            .into_iter()
-            .collect(),
+            alloc: state.at("alloc")?,
+            inodes: InodeTable::from_ordered(state.at("inodes")?, layout.n_inodes()),
+            dirs: state.at("dirs")?,
+            next_dir_id: state.at("next_dir_id")?,
+            inode_block_gen: gens.into_iter().collect(),
             op_scratch: Vec::new(),
             cache: BufferCache::new(cfg.cache_blocks),
         })
@@ -914,6 +907,129 @@ impl FileSystem {
     /// Dirty blocks currently awaiting the next sync.
     pub fn dirty_blocks(&self) -> usize {
         self.cache.dirty_count()
+    }
+}
+
+// ----- persisted forms (`FileSystem::save_state`, workload state) -----------
+
+impl MountMode {
+    /// Persisted form: the variant name.
+    pub fn to_json(self) -> JsonValue {
+        JsonValue::from(match self {
+            MountMode::ReadOnly => "ReadOnly",
+            MountMode::ReadWrite => "ReadWrite",
+        })
+    }
+}
+
+impl FromJson for MountMode {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        match v.as_str() {
+            Some("ReadOnly") => Ok(MountMode::ReadOnly),
+            Some("ReadWrite") => Ok(MountMode::ReadWrite),
+            _ => Err(JsonError::new("expected \"ReadOnly\" or \"ReadWrite\"")),
+        }
+    }
+}
+
+impl FsConfig {
+    /// Persisted form.
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "block_size": self.block_size,
+            "cache_blocks": self.cache_blocks,
+            "cylinders_per_group": self.cylinders_per_group,
+            "fragment_size": self.fragment_size,
+            "interleave": self.interleave,
+            "mode": self.mode.to_json(),
+            "partition": self.partition,
+            "write_through": self.write_through,
+        })
+    }
+}
+
+impl FromJson for FsConfig {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(FsConfig {
+            partition: v.at("partition")?,
+            block_size: v.at("block_size")?,
+            fragment_size: v.at("fragment_size")?,
+            cylinders_per_group: v.at("cylinders_per_group")?,
+            interleave: v.at("interleave")?,
+            cache_blocks: v.at("cache_blocks")?,
+            mode: v.at("mode")?,
+            write_through: v.at("write_through")?,
+        })
+    }
+}
+
+impl FileHandle {
+    /// Persisted form: the i-node number.
+    pub fn to_json(self) -> JsonValue {
+        JsonValue::UInt(self.0)
+    }
+}
+
+impl FromJson for FileHandle {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        u64::from_json(v).map(FileHandle)
+    }
+}
+
+impl DirHandle {
+    /// Persisted form: the directory id.
+    pub fn to_json(self) -> JsonValue {
+        JsonValue::UInt(self.0)
+    }
+}
+
+impl FromJson for DirHandle {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        u64::from_json(v).map(DirHandle)
+    }
+}
+
+impl Inode {
+    fn to_json(&self) -> JsonValue {
+        jsn!({
+            "blocks": &self.blocks,
+            "generations": &self.generations,
+            "group": self.group,
+            "indirect": self.indirect,
+            "size": self.size,
+        })
+    }
+}
+
+impl FromJson for Inode {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(Inode {
+            size: v.at("size")?,
+            blocks: v.at("blocks")?,
+            indirect: v.at("indirect")?,
+            generations: v.at("generations")?,
+            group: v.at("group")?,
+        })
+    }
+}
+
+impl Dir {
+    fn to_json(&self) -> JsonValue {
+        jsn!({
+            "block": self.block,
+            "generation": self.generation,
+            "group": self.group,
+        })
+    }
+}
+
+impl FromJson for Dir {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(Dir {
+            block: v.at("block")?,
+            group: v.at("group")?,
+            generation: v.at("generation")?,
+        })
     }
 }
 
@@ -963,8 +1079,8 @@ mod tests {
             peak = peak.max(oracle.len());
             assert_eq!(t.len(), oracle.len());
             assert_eq!(t.get(ino).map(|i| i.size), oracle.get(&ino).copied());
-            let ordered = t.ordered();
-            assert!(ordered.iter().map(|(&n, i)| (n, i.size)).eq(oracle.clone()));
+            let live: BTreeMap<u64, u64> = t.live().map(|(n, i)| (*n, i.size)).collect();
+            assert_eq!(live, oracle);
             assert!(t.arena.len() <= peak, "freed slots are reused");
         }
         assert!(peak > 50, "the stream keeps a population alive ({peak})");

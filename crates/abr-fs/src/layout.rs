@@ -7,13 +7,13 @@
 //! behaviour (hot data spread across groups, metadata interleaved with
 //! data) emerges naturally.
 
-use serde::{Deserialize, Serialize};
+use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 
 /// Bytes per on-disk i-node (the classic UFS size).
 pub const INODE_SIZE: u32 = 128;
 
 /// Static layout parameters of a file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsLayout {
     /// File-system block size in bytes (8192 in the paper).
     pub block_size: u32,
@@ -141,6 +141,31 @@ impl FsLayout {
         }
         let g = (block - 1) / self.blocks_per_group;
         (g < self.n_groups()).then_some(g)
+    }
+
+    /// Persisted form (inside a saved file system).
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "block_size": self.block_size,
+            "blocks_per_group": self.blocks_per_group,
+            "fragment_size": self.fragment_size,
+            "inode_blocks_per_group": self.inode_blocks_per_group,
+            "interleave": self.interleave,
+            "n_blocks": self.n_blocks,
+        })
+    }
+}
+
+impl FromJson for FsLayout {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(FsLayout {
+            block_size: v.at("block_size")?,
+            fragment_size: v.at("fragment_size")?,
+            n_blocks: v.at("n_blocks")?,
+            blocks_per_group: v.at("blocks_per_group")?,
+            inode_blocks_per_group: v.at("inode_blocks_per_group")?,
+            interleave: v.at("interleave")?,
+        })
     }
 }
 

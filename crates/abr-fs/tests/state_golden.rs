@@ -37,7 +37,7 @@ fn saved_state_bytes_are_pinned() {
     }
     fs.sync();
     let state = fs.save_state();
-    let bytes = serde_json::to_string(&state).unwrap().into_bytes();
+    let bytes = state.to_string().into_bytes();
     assert_eq!(
         (bytes.len(), fletcher64(&bytes)),
         (STATE_LEN, STATE_FINGERPRINT)

@@ -247,33 +247,42 @@ impl ObsEvent {
     ///
     /// Used by `abrctl trace` and the determinism tests; returns `None`
     /// on unknown discriminators so readers skip foreign lines instead
-    /// of failing.
+    /// of failing. A count that does not fit its `u32` field makes the
+    /// line malformed too: it is skipped, never truncated.
     pub fn from_json(v: &JsonValue) -> Option<ObsEvent> {
+        let u32_at = |key: &str| u32::try_from(v[key].as_u64()?).ok();
+        let u32_or_0 = |key: &str| {
+            if v[key].is_null() {
+                Some(0)
+            } else {
+                u32_at(key)
+            }
+        };
         match v["ev"].as_str()? {
             "req" => Some(ObsEvent::Request(RequestSpan {
                 id: v["id"].as_u64()?,
                 read: v["dir"].as_str()? == "r",
                 block: v["block"].as_u64()?,
-                n_sectors: v["sectors"].as_u64()? as u32,
+                n_sectors: u32_at("sectors")?,
                 arrived_us: v["arrived_us"].as_u64()?,
                 dispatched_us: v["dispatched_us"].as_u64()?,
                 completed_us: v["completed_us"].as_u64()?,
                 seek_us: v["seek_us"].as_u64()?,
                 rotation_us: v["rotation_us"].as_u64()?,
                 transfer_us: v["transfer_us"].as_u64()?,
-                seek_cylinders: v["seek_cyl"].as_u64()? as u32,
-                queue_depth: v["qdepth"].as_u64()? as u32,
+                seek_cylinders: u32_at("seek_cyl")?,
+                queue_depth: u32_at("qdepth")?,
                 in_reserved: v["reserved"].as_bool()?,
-                retries: v["retries"].as_u64().unwrap_or(0) as u32,
+                retries: u32_or_0("retries")?,
                 error: v["error"].as_str().map(str::to_string),
-                disk: v["disk"].as_u64().unwrap_or(0) as u32,
+                disk: u32_or_0("disk")?,
             })),
             "move" => Some(ObsEvent::Move {
                 kind: MoveKind::from_tag(v["kind"].as_str()?)?,
                 at_us: v["at_us"].as_u64()?,
                 block: v["block"].as_u64()?,
                 slot: v["slot"].as_u64()?,
-                ops: v["ops"].as_u64()? as u32,
+                ops: u32_at("ops")?,
                 busy_us: v["busy_us"].as_u64()?,
                 ok: v["ok"].as_bool().unwrap_or(true),
             }),
@@ -286,9 +295,9 @@ impl ObsEvent {
                 Some(ObsEvent::Rearrange {
                     phase,
                     at_us: v["at_us"].as_u64()?,
-                    placed: v["placed"].as_u64().unwrap_or(0) as u32,
-                    failed: v["failed"].as_u64().unwrap_or(0) as u32,
-                    io_ops: v["io_ops"].as_u64().unwrap_or(0) as u32,
+                    placed: u32_or_0("placed")?,
+                    failed: u32_or_0("failed")?,
+                    io_ops: u32_or_0("io_ops")?,
                     busy_us: v["busy_us"].as_u64().unwrap_or(0),
                 })
             }
@@ -414,6 +423,17 @@ mod tests {
             ok: true,
         };
         assert!(!ok_move.to_json().to_string().contains("ok"));
+    }
+
+    #[test]
+    fn a_count_too_wide_for_its_field_skips_the_line() {
+        let line = ObsEvent::Request(sample_span()).to_json().to_string();
+        let wide = line.replace("\"sectors\":16", "\"sectors\":4294967312");
+        assert_ne!(wide, line);
+        assert!(ObsEvent::from_json(&JsonValue::parse(&wide).unwrap()).is_none());
+        let retries = line.replace("\"retries\":2", "\"retries\":4294967298");
+        assert_ne!(retries, line);
+        assert!(ObsEvent::from_json(&JsonValue::parse(&retries).unwrap()).is_none());
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! Both yield an iterator-like `next_after` API so the simulation can pull
 //! the next arrival lazily.
 
+use crate::jsn;
+use crate::json::{FromJson, JsonError, JsonValue};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -44,7 +46,7 @@ impl Poisson {
 }
 
 /// Parameters of the ON/OFF bursty arrival process.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OnOffParams {
     /// Mean length of an ON (burst) period.
     pub mean_on: SimDuration,
@@ -60,6 +62,25 @@ impl OnOffParams {
         let on = self.mean_on.as_secs_f64();
         let off = self.mean_off.as_secs_f64();
         self.on_rate_per_sec * on / (on + off)
+    }
+
+    /// Persisted form (inside a saved workload profile).
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "mean_off": self.mean_off.to_json(),
+            "mean_on": self.mean_on.to_json(),
+            "on_rate_per_sec": self.on_rate_per_sec,
+        })
+    }
+}
+
+impl FromJson for OnOffParams {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(OnOffParams {
+            mean_on: v.at("mean_on")?,
+            mean_off: v.at("mean_off")?,
+            on_rate_per_sec: v.at("on_rate_per_sec")?,
+        })
     }
 }
 

@@ -14,11 +14,10 @@
 //!   keeps for each measured quantity.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Fixed-bucket-width histogram of durations with an exact cumulative sum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     bucket_width_us: u64,
     buckets: Vec<u64>,
@@ -211,7 +210,7 @@ const DIST_DENSE_LIMIT: u64 = 4096;
 /// halves — the same order the previous all-`BTreeMap` layout produced,
 /// so order-sensitive consumers ([`DistTable::mean_by`] sums `f64`s in
 /// iteration order) observe identical results.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DistTable {
     dense: Vec<u64>,
     spill: BTreeMap<u64, u64>,
@@ -321,7 +320,7 @@ impl DistTable {
 
 /// The (1 ms histogram, exact cumulative) pair the driver keeps per
 /// measured time quantity (§4.1.5).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeStats {
     hist: Histogram,
 }

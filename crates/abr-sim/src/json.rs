@@ -1,10 +1,13 @@
-//! Dependency-free JSON values with deterministic serialization.
+//! Dependency-free JSON values with deterministic serialization — the
+//! workspace's one JSON layer.
 //!
-//! The experiment regenerators and the benchmark harness need real,
-//! machine-readable JSON artifacts (`results/<id>.json`,
-//! `BENCH_experiments.json`) whose bytes are *identical* across runs and
-//! across thread schedules — the CI determinism gate literally `cmp`s
-//! them. This module provides:
+//! Two kinds of file go through it, and both need bytes that are
+//! *identical* across runs and thread schedules: the artifacts of the
+//! experiment regenerators and the benchmark harness (`results/<id>.json`,
+//! `BENCH_experiments.json`, span traces — the CI determinism gate
+//! literally `cmp`s them), and the state `abrctl` persists beside a disk
+//! image (the embedded disk model, `*.fs.json`, `*.wl.json`, workload
+//! traces, the counts and stats sidecars). This module provides:
 //!
 //! * [`JsonValue`] — an order-preserving JSON tree (object keys keep
 //!   insertion order, so serial and parallel runs emit identical bytes).
@@ -14,7 +17,14 @@
 //!   insertion order, no locale or hash-order dependence anywhere.
 //! * A strict parser ([`JsonValue::parse`]) for `abrctl report` and for
 //!   reading artifacts back in tests.
+//! * [`FromJson`] and [`JsonValue::at`] for reading persisted state back:
+//!   each persisted type writes itself with a hand-written `to_json` and
+//!   reads itself back with `FromJson::from_json`. Persisted objects list
+//!   their keys in sorted order, integer-keyed maps included
+//!   ([`JsonValue::keyed_by_u64`]) — the order those files have had since
+//!   the format began.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// An order-preserving JSON value.
@@ -298,18 +308,33 @@ impl fmt::Display for JsonValue {
     }
 }
 
-/// A parse error with byte offset context.
+/// A parse error with byte offset context, or a well-formed document of
+/// the wrong shape for the type reading it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
     pub message: String,
-    /// Byte offset into the input.
-    pub offset: usize,
+    /// Byte offset into the input (`None` for shape errors).
+    pub offset: Option<usize>,
+}
+
+impl JsonError {
+    /// A shape error: the document parsed but does not hold the value.
+    pub fn new(message: impl Into<String>) -> JsonError {
+        JsonError {
+            message: message.into(),
+            offset: None,
+        }
+    }
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
+        f.write_str(&self.message)?;
+        match self.offset {
+            Some(offset) => write!(f, " at byte {offset}"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -324,7 +349,7 @@ impl<'a> Parser<'a> {
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError {
             message: msg.into(),
-            offset: self.pos,
+            offset: Some(self.pos),
         }
     }
 
@@ -511,7 +536,7 @@ impl<'a> Parser<'a> {
             .map(JsonValue::Float)
             .map_err(|_| JsonError {
                 message: format!("invalid number `{text}`"),
-                offset: start,
+                offset: Some(start),
             })
     }
 }
@@ -681,6 +706,119 @@ impl<A: Into<JsonValue>, B: Into<JsonValue>, C: Into<JsonValue>> From<(A, B, C)>
     }
 }
 
+// ---- reading persisted state -------------------------------------------
+
+/// A value that reads itself back from the JSON its `to_json` wrote.
+///
+/// Integers narrow checked: a count that does not fit its field is an
+/// error, never a silent truncation.
+pub trait FromJson: Sized {
+    /// Rebuild the value, or say what in `v` does not fit.
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError>;
+}
+
+impl JsonValue {
+    /// Field `key` of an object, read as `T`; an error names the field.
+    pub fn at<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
+        let field = self
+            .get(key)
+            .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))?;
+        T::from_json(field).map_err(|e| JsonError::new(format!("`{key}`: {}", e.message)))
+    }
+
+    /// An object over integer keys, listed in the order their decimal
+    /// strings sort ("10" before "9").
+    pub fn keyed_by_u64(entries: impl IntoIterator<Item = (u64, JsonValue)>) -> JsonValue {
+        let mut entries: Vec<(String, JsonValue)> = entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        JsonValue::Object(entries)
+    }
+}
+
+fn expected(what: &str) -> JsonError {
+    JsonError::new(format!("expected {what}"))
+}
+
+macro_rules! impl_from_json_uint {
+    ($($t:ty),*) => {$(
+        impl FromJson for $t {
+            fn from_json(v: &JsonValue) -> Result<$t, JsonError> {
+                let n = v.as_u64().ok_or_else(|| expected("an unsigned integer"))?;
+                <$t>::try_from(n)
+                    .map_err(|_| JsonError::new(format!("{n} does not fit in {}", stringify!($t))))
+            }
+        }
+    )*};
+}
+impl_from_json_uint!(u32, u64, usize);
+
+impl FromJson for f64 {
+    fn from_json(v: &JsonValue) -> Result<f64, JsonError> {
+        v.as_f64().ok_or_else(|| expected("a number"))
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(v: &JsonValue) -> Result<bool, JsonError> {
+        v.as_bool().ok_or_else(|| expected("a boolean"))
+    }
+}
+
+impl FromJson for String {
+    fn from_json(v: &JsonValue) -> Result<String, JsonError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| expected("a string"))
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &JsonValue) -> Result<Option<T>, JsonError> {
+        if v.is_null() {
+            Ok(None)
+        } else {
+            T::from_json(v).map(Some)
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &JsonValue) -> Result<Vec<T>, JsonError> {
+        let items = v.as_array().ok_or_else(|| expected("an array"))?;
+        items.iter().map(T::from_json).collect()
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(v: &JsonValue) -> Result<(A, B), JsonError> {
+        match v.as_array().map(Vec::as_slice) {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err(expected("a pair")),
+        }
+    }
+}
+
+/// The inverse of [`JsonValue::keyed_by_u64`].
+impl<V: FromJson> FromJson for BTreeMap<u64, V> {
+    fn from_json(v: &JsonValue) -> Result<BTreeMap<u64, V>, JsonError> {
+        let entries = v.as_object().ok_or_else(|| expected("an object"))?;
+        entries
+            .iter()
+            .map(|(k, v)| {
+                let key = k
+                    .parse()
+                    .map_err(|_| JsonError::new(format!("key `{k}` is not a u64")))?;
+                let value =
+                    V::from_json(v).map_err(|e| JsonError::new(format!("`{k}`: {}", e.message)))?;
+                Ok((key, value))
+            })
+            .collect()
+    }
+}
+
 /// Build a [`JsonValue`] with `serde_json::json!`-like syntax.
 ///
 /// Supported forms: `jsn!(null)`, `jsn!(expr)`, `jsn!([e1, e2, ...])`,
@@ -797,6 +935,31 @@ mod tests {
         assert!(matches!(v[2], JsonValue::Float(_)));
         assert_eq!(v[0].as_u64(), Some(9223372036854775808));
         assert_eq!(v[1].as_i64(), Some(-3));
+    }
+
+    #[test]
+    fn persisted_state_reads_back_checked() {
+        let v = JsonValue::keyed_by_u64([(9, jsn!([1, 2])), (10, jsn!([3, 4]))]);
+        assert_eq!(v.to_string(), r#"{"10":[3,4],"9":[1,2]}"#);
+        let back: BTreeMap<u64, (u32, f64)> = FromJson::from_json(&v).unwrap();
+        assert_eq!(back[&9], (1, 2.0));
+        let doc = jsn!({ "n": 4_294_967_312u64, "s": "x" });
+        assert_eq!(doc.at::<u64>("n"), Ok(4_294_967_312));
+        let narrow = doc.at::<u32>("n").unwrap_err().to_string();
+        assert_eq!(narrow, "`n`: 4294967312 does not fit in u32");
+        assert_eq!(
+            doc.at::<u32>("m").unwrap_err().to_string(),
+            "missing field `m`"
+        );
+        assert!(doc.at::<bool>("s").is_err());
+        assert_eq!(doc.at::<Option<String>>("s"), Ok(Some("x".to_string())));
+        // Files written before this module held persisted state spelled
+        // floats as `{}` (plus ".0"); the two spellings differ only for
+        // |x| < 1e-4 or >= 1e16, and those still read back equal.
+        for (old, x) in [("0.00005", 5e-5), ("100000000000000000000.0", 1e20)] {
+            assert_ne!(jsn!(x).to_string(), old);
+            assert_eq!(f64::from_json(&JsonValue::parse(old).unwrap()), Ok(x));
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! * [`stats`] — small online summary statistics (min/avg/max across days).
 //! * [`json`] — dependency-free, order-preserving JSON values with
 //!   deterministic serialization, for the machine-readable experiment and
-//!   benchmark artifacts (`results/*.json`, `BENCH_*.json`).
+//!   benchmark artifacts (`results/*.json`, `BENCH_*.json`) and for the
+//!   state `abrctl` persists beside a disk image.
 //! * [`narrow`] / [`sanitize`] — checked integer narrowing for geometry
 //!   arithmetic, and the invariant checks (permutation, bijection,
 //!   monotone counter) the `sanitize` feature of the layers above calls.
@@ -47,7 +48,7 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use hist::{DistTable, Histogram, TimeStats};
-pub use json::JsonValue;
+pub use json::{FromJson, JsonError, JsonValue};
 pub use rng::SimRng;
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};

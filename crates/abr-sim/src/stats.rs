@@ -4,11 +4,9 @@
 //! average and maximum of *daily mean* times over all "on" days or all
 //! "off" days. [`Summary`] accumulates exactly that.
 
-use serde::{Deserialize, Serialize};
-
 /// Min / average / max of a sequence of daily values (the shape of every
 /// summary row in the paper's tables).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     count: u64,
     sum: f64,

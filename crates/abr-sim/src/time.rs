@@ -6,16 +6,16 @@
 //! from being mixed up: [`SimTime`] is a point on the simulation clock,
 //! [`SimDuration`] is a length of time.
 
+use crate::json::{FromJson, JsonError, JsonValue};
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// A point in simulated time, in microseconds since simulation start.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -123,6 +123,17 @@ impl SimDuration {
     #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
+    }
+
+    /// Persisted form: the microsecond count.
+    pub fn to_json(self) -> JsonValue {
+        JsonValue::UInt(self.0)
+    }
+}
+
+impl FromJson for SimDuration {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        u64::from_json(v).map(SimDuration)
     }
 }
 

@@ -1,12 +1,11 @@
 //! Workload profiles: tunable parameters and the paper-calibrated presets.
 
 use abr_sim::arrival::OnOffParams;
-use abr_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use abr_sim::{jsn, FromJson, JsonError, JsonValue, SimDuration};
 
 /// Relative frequencies of the file-level operation kinds. Normalized at
 /// draw time; entries may be zero.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpMix {
     /// Read a whole file (executable load, library page-in).
     pub read_whole: f64,
@@ -32,10 +31,35 @@ impl OpMix {
             + self.append
             + self.delete
     }
+
+    /// Persisted form (inside a saved profile).
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "append": self.append,
+            "create": self.create,
+            "delete": self.delete,
+            "read_range": self.read_range,
+            "read_whole": self.read_whole,
+            "write_range": self.write_range,
+        })
+    }
+}
+
+impl FromJson for OpMix {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(OpMix {
+            read_whole: v.at("read_whole")?,
+            read_range: v.at("read_range")?,
+            write_range: v.at("write_range")?,
+            create: v.at("create")?,
+            append: v.at("append")?,
+            delete: v.at("delete")?,
+        })
+    }
 }
 
 /// Parameters of a synthetic workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadProfile {
     /// Profile name for reports.
     pub name: String,
@@ -206,6 +230,51 @@ impl WorkloadProfile {
             || self.mix.append > 0.0
             || self.mix.delete > 0.0
     }
+
+    /// Persisted form (inside saved workload state).
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "aging_churn": self.aging_churn,
+            "aging_rounds": self.aging_rounds,
+            "arrivals": self.arrivals.to_json(),
+            "cache_blocks": self.cache_blocks,
+            "daily_drift": self.daily_drift,
+            "day_length": self.day_length.to_json(),
+            "file_max": self.file_max,
+            "file_min": self.file_min,
+            "mean_range_blocks": self.mean_range_blocks,
+            "mix": self.mix.to_json(),
+            "n_dirs": self.n_dirs,
+            "n_files": self.n_files,
+            "name": self.name.as_str(),
+            "nfs_write_through": self.nfs_write_through,
+            "popularity_s": self.popularity_s,
+            "size_alpha": self.size_alpha,
+        })
+    }
+}
+
+impl FromJson for WorkloadProfile {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(WorkloadProfile {
+            name: v.at("name")?,
+            n_dirs: v.at("n_dirs")?,
+            n_files: v.at("n_files")?,
+            file_min: v.at("file_min")?,
+            file_max: v.at("file_max")?,
+            size_alpha: v.at("size_alpha")?,
+            popularity_s: v.at("popularity_s")?,
+            mix: v.at("mix")?,
+            arrivals: v.at("arrivals")?,
+            daily_drift: v.at("daily_drift")?,
+            mean_range_blocks: v.at("mean_range_blocks")?,
+            day_length: v.at("day_length")?,
+            aging_rounds: v.at("aging_rounds")?,
+            aging_churn: v.at("aging_churn")?,
+            nfs_write_through: v.at("nfs_write_through")?,
+            cache_blocks: v.at("cache_blocks")?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -254,9 +323,10 @@ mod tests {
     #[test]
     fn serde_roundtrip() {
         let p = WorkloadProfile::system_fs();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: WorkloadProfile = serde_json::from_str(&json).unwrap();
+        let json = JsonValue::parse(&p.to_json().to_string()).unwrap();
+        let back = WorkloadProfile::from_json(&json).unwrap();
         assert_eq!(back.name, "system");
         assert_eq!(back.n_files, p.n_files);
+        assert_eq!(back.to_json(), p.to_json());
     }
 }

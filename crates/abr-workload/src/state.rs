@@ -13,7 +13,7 @@ use abr_fs::fs::{DirHandle, FileHandle, FileSystem, FsError};
 use abr_sim::arrival::OnOff;
 use abr_sim::dist::{FileSizes, Weighted, Zipf};
 use abr_sim::hash::FastMap;
-use abr_sim::{SimDuration, SimRng, SimTime};
+use abr_sim::{jsn, FromJson, JsonError, JsonValue, SimDuration, SimRng, SimTime};
 
 /// A file-level operation, resolved to concrete handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,10 +62,25 @@ pub enum Op {
 }
 
 /// The generator's per-file record.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct FileRec {
     handle: FileHandle,
     dir: DirHandle,
+}
+
+impl FileRec {
+    fn to_json(self) -> JsonValue {
+        jsn!({ "dir": self.dir.to_json(), "handle": self.handle.to_json() })
+    }
+}
+
+impl FromJson for FileRec {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(FileRec {
+            handle: v.at("handle")?,
+            dir: v.at("dir")?,
+        })
+    }
 }
 
 /// Stateful workload generator. See the module docs.
@@ -426,22 +441,22 @@ impl WorkloadState {
     /// system. The arrival process and RNG restart from a seed derived
     /// from `seed` and the day counter, so a resumed run is deterministic
     /// (though not bit-identical to an uninterrupted one).
-    pub fn save_state(&self) -> serde_json::Value {
-        serde_json::json!({
-            "profile": self.profile,
-            "files": self.files,
-            "rank_to_file": self.rank_to_file,
-            "dirs": self.dirs,
+    pub fn save_state(&self) -> JsonValue {
+        jsn!({
             "day": self.day,
+            "dirs": JsonValue::Array(self.dirs.iter().map(|d| d.to_json()).collect()),
+            "files": JsonValue::Array(self.files.iter().map(|f| f.to_json()).collect()),
+            "profile": self.profile.to_json(),
+            "rank_to_file": &self.rank_to_file,
         })
     }
 
     /// Restore a generator from [`WorkloadState::save_state`] output.
-    pub fn load_state(state: &serde_json::Value, seed: u64) -> Result<Self, serde_json::Error> {
-        let profile: WorkloadProfile = serde_json::from_value(state["profile"].clone())?;
-        let files: Vec<FileRec> = serde_json::from_value(state["files"].clone())?;
-        let day: u64 = serde_json::from_value(state["day"].clone())?;
-        let rank_to_file: Vec<usize> = serde_json::from_value(state["rank_to_file"].clone())?;
+    pub fn load_state(state: &JsonValue, seed: u64) -> Result<Self, JsonError> {
+        let profile: WorkloadProfile = state.at("profile")?;
+        let files: Vec<FileRec> = state.at("files")?;
+        let day: u64 = state.at("day")?;
+        let rank_to_file: Vec<usize> = state.at("rank_to_file")?;
         let mix = op_mix(&profile.mix);
         let sizes = FileSizes::new(profile.file_min, profile.file_max, profile.size_alpha);
         let root = SimRng::new(seed);
@@ -455,7 +470,7 @@ impl WorkloadState {
             sizes,
             mix,
             arrivals,
-            dirs: serde_json::from_value(state["dirs"].clone())?,
+            dirs: state.at("dirs")?,
             rng: arrival_rng,
             day,
             offset_zipf: FastMap::default(),

@@ -8,11 +8,11 @@
 
 use abr_disk::disk::IoDir;
 use abr_driver::request::IoRequest;
-use serde::{Deserialize, Serialize};
+use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 use std::io::{BufRead, Write};
 
 /// One logged request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Submission time, microseconds since day start.
     pub at_us: u64,
@@ -45,6 +45,29 @@ impl TraceEvent {
             IoDir::Read => IoRequest::read(self.partition, self.sector, self.n_sectors),
             IoDir::Write => IoRequest::write_zeroes(self.partition, self.sector, self.n_sectors),
         }
+    }
+
+    /// Persisted form: one line of a JSONL trace.
+    pub fn to_json(&self) -> JsonValue {
+        jsn!({
+            "at_us": self.at_us,
+            "dir": self.dir.to_json(),
+            "n_sectors": self.n_sectors,
+            "partition": self.partition,
+            "sector": self.sector,
+        })
+    }
+}
+
+impl FromJson for TraceEvent {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(TraceEvent {
+            at_us: v.at("at_us")?,
+            dir: v.at("dir")?,
+            partition: v.at("partition")?,
+            sector: v.at("sector")?,
+            n_sectors: v.at("n_sectors")?,
+        })
     }
 }
 
@@ -90,23 +113,30 @@ impl TraceLog {
     /// Serialize as JSON lines.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         for e in &self.events {
-            serde_json::to_writer(&mut w, e)?;
-            w.write_all(b"\n")?;
+            writeln!(w, "{}", e.to_json())?;
         }
         Ok(())
     }
 
-    /// Parse from JSON lines.
+    /// Parse from JSON lines; an error names the line it is on.
     pub fn read_jsonl<R: BufRead>(r: R) -> std::io::Result<TraceLog> {
         let mut log = TraceLog::new();
-        for line in r.lines() {
+        for (i, line) in r.lines().enumerate() {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            let e: TraceEvent = serde_json::from_str(&line)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            log.push(e);
+            let e = JsonValue::parse(&line)
+                .and_then(|v| TraceEvent::from_json(&v))
+                .and_then(|e| match log.events.last() {
+                    Some(last) if e.at_us < last.at_us => Err(JsonError::new("out of order")),
+                    _ => Ok(e),
+                })
+                .map_err(|e| {
+                    let msg = format!("line {}: {e}", i + 1);
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+                })?;
+            log.events.push(e);
         }
         Ok(log)
     }
@@ -174,6 +204,21 @@ mod tests {
         };
         let req = e.to_request();
         assert!(matches!(req.payload, abr_driver::Payload::Zeroes) && req.n_sectors == 4);
+    }
+
+    #[test]
+    fn read_jsonl_errors_name_the_line() {
+        // Malformed, a sector count that does not fit in u32 (which must
+        // not wrap to 16), and a line earlier than the one before it.
+        let first = ev(5, 100).to_json().to_string();
+        let wide = first.replace("\"n_sectors\":16", "\"n_sectors\":4294967312");
+        assert_ne!(wide, first);
+        let earlier = ev(0, 100).to_json().to_string();
+        for bad in ["{not json", &wide, &earlier] {
+            let text = format!("{first}\n\n{bad}\n");
+            let e = TraceLog::read_jsonl(text.as_bytes()).unwrap_err();
+            assert!(e.to_string().starts_with("line 3: "), "{e}");
+        }
     }
 
     #[test]

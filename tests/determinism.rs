@@ -4,7 +4,7 @@
 
 use abr::core::{Experiment, ExperimentConfig};
 use abr::disk::models;
-use abr::sim::SimDuration;
+use abr::sim::{FromJson, JsonValue, SimDuration};
 use abr::workload::WorkloadProfile;
 
 fn tiny_config(seed: u64) -> ExperimentConfig {
@@ -57,8 +57,8 @@ fn different_seeds_give_different_days() {
 fn day_metrics_serde_roundtrip() {
     let mut e = Experiment::new(tiny_config(77));
     let day = e.run_day();
-    let json = serde_json::to_string(&day).unwrap();
-    let back: abr::core::DayMetrics = serde_json::from_str(&json).unwrap();
+    let json = JsonValue::parse(&day.to_json().to_string()).unwrap();
+    let back = abr::core::DayMetrics::from_json(&json).unwrap();
     assert_eq!(back.all.n, day.all.n);
     assert_eq!(back.service_cdf.len(), day.service_cdf.len());
     assert_eq!(back.block_counts, day.block_counts);
