@@ -14,21 +14,23 @@
 //! * `ablate-granularity` — block-level selection vs cylinder-level
 //!   selection (the paper's Related Work argues blocks beat cylinders,
 //!   corroborating [Ruemmler 91]).
+//!
+//! The variants of one ablation differ only in the device, except where
+//! the ablated knob is the workload itself (`ablate-drift`, the drift
+//! rates of `ablate-decay`) or the partition (`ablate-shuffler`), so
+//! they share one workload stream: the first variant runs live and the
+//! rest replay it ([`share_stream`]).
 
 use crate::report::Report;
 use crate::runs::short_system_config;
 use abr_core::analyzer::HotBlock;
-use abr_core::Experiment;
+use abr_core::{share_stream, DayMetrics, Experiment};
 use abr_driver::SchedulerKind;
 use abr_sim::jsn;
 use std::collections::BTreeMap;
 
-/// One off/on pair under a config; returns (off, on) day metrics.
-fn pair(
-    cfg: abr_core::ExperimentConfig,
-    n_blocks: usize,
-) -> (abr_core::DayMetrics, abr_core::DayMetrics) {
-    let mut e = Experiment::new(cfg);
+/// One off/on pair; returns (off, on) day metrics.
+fn pair(e: &mut Experiment, n_blocks: usize) -> (DayMetrics, DayMetrics) {
     let off = e.run_day();
     e.rearrange_for_next_day(n_blocks);
     let on = e.run_day();
@@ -37,8 +39,7 @@ fn pair(
 
 /// Mean (off seek, on seek) over several alternating pairs — for sweeps
 /// where single-day variance would drown the effect.
-fn mean_pair_seeks(cfg: abr_core::ExperimentConfig, n_blocks: usize, pairs: usize) -> (f64, f64) {
-    let mut e = Experiment::new(cfg);
+fn mean_pair_seeks(e: &mut Experiment, n_blocks: usize, pairs: usize) -> (f64, f64) {
     let days = e.run_on_off(pairs, n_blocks);
     let mean = |on: bool| {
         let sel: Vec<f64> = days
@@ -53,15 +54,19 @@ fn mean_pair_seeks(cfg: abr_core::ExperimentConfig, n_blocks: usize, pairs: usiz
 
 pub(crate) fn scheduler(mut r: Report) -> Report {
     let mut rows = Vec::new();
-    for kind in [
+    let kinds = [
         SchedulerKind::Fcfs,
         SchedulerKind::Scan,
         SchedulerKind::CScan,
         SchedulerKind::Sstf,
-    ] {
+    ];
+    let configs = kinds.map(|kind| {
         let mut cfg = short_system_config(0xAB1);
         cfg.scheduler = kind;
-        let (off, on) = pair(cfg, 1017);
+        cfg
+    });
+    let pairs = share_stream(configs, |_, e| pair(e, 1017));
+    for (kind, (off, on)) in kinds.into_iter().zip(pairs) {
         r.line(format!(
             "{:7} | off: seek {:5.2} ms wait {:7.2} ms | on: seek {:5.2} ms wait {:7.2} ms | seek cut {:4.1}%",
             kind.name(),
@@ -86,17 +91,21 @@ pub(crate) fn scheduler(mut r: Report) -> Report {
 
 pub(crate) fn analyzer(mut r: Report) -> Report {
     let mut rows = Vec::new();
-    for cap in [
+    let caps = [
         None,
         Some(2000usize),
         Some(500),
         Some(200),
         Some(100),
         Some(50),
-    ] {
+    ];
+    let configs = caps.map(|cap| {
         let mut cfg = short_system_config(0xAB2);
         cfg.analyzer_capacity = cap;
-        let (off, on) = pair(cfg, 1017);
+        cfg
+    });
+    let pairs = share_stream(configs, |_, e| pair(e, 1017));
+    for (cap, (off, on)) in caps.into_iter().zip(pairs) {
         let label = cap.map_or("exact".to_string(), |c| format!("cap {c}"));
         r.line(format!(
             "{:9} | on-day seek {:5.2} ms (off {:5.2}) | reduction {:4.1}%",
@@ -118,10 +127,15 @@ pub(crate) fn analyzer(mut r: Report) -> Report {
 
 pub(crate) fn location(mut r: Report) -> Report {
     let mut rows = Vec::new();
-    for edge in [false, true] {
+    // Where the region sits leaves the partition's size alone, so both
+    // locations see one stream.
+    let configs = [false, true].map(|edge| {
         let mut cfg = short_system_config(0xAB3);
         cfg.reserved_at_edge = edge;
-        let (off, on) = mean_pair_seeks(cfg, 1017, 3);
+        cfg
+    });
+    let seeks = share_stream(configs, |_, e| mean_pair_seeks(e, 1017, 3));
+    for (edge, (off, on)) in [false, true].into_iter().zip(seeks) {
         r.line(format!(
             "{:6} | mean on-day seek {:5.2} ms (off {:5.2}) | reduction {:4.1}%",
             if edge { "edge" } else { "middle" },
@@ -146,7 +160,7 @@ pub(crate) fn drift(mut r: Report) -> Report {
     for drift in [0.0, 0.04, 0.15, 0.4, 0.8] {
         let mut cfg = short_system_config(0xAB4);
         cfg.profile.daily_drift = drift;
-        let (off, on) = mean_pair_seeks(cfg, 1017, 3);
+        let (off, on) = mean_pair_seeks(&mut Experiment::new(cfg), 1017, 3);
         r.line(format!(
             "drift {:4.2} | mean on-day seek {:5.2} ms (off {:5.2}) | reduction {:4.1}%",
             drift,
@@ -165,15 +179,12 @@ pub(crate) fn drift(mut r: Report) -> Report {
     r
 }
 
-pub(crate) fn granularity(mut r: Report) -> Report {
-    // Block-granularity baseline.
-    let (b_off, b_on) = pair(short_system_config(0xAB5), 1017);
-
-    // Cylinder-granularity: aggregate the day's counts per virtual
-    // cylinder, pick the hottest cylinders, and place *all* their blocks
-    // until the budget is spent (what a cylinder shuffler can do).
-    let mut e = Experiment::new(short_system_config(0xAB5));
-    let c_off = e.run_day();
+/// One off/on pair selecting by cylinder: aggregate the off day's counts
+/// per virtual cylinder, pick the hottest cylinders, and place *all*
+/// their blocks until the budget is spent (what a cylinder shuffler can
+/// do).
+fn cylinder_pair(e: &mut Experiment, n_blocks: usize) -> (DayMetrics, DayMetrics) {
+    let off = e.run_day();
     let (all, _) = e.daemon().distributions();
     let g = e.config().disk.geometry;
     let spb = 16u64;
@@ -187,7 +198,7 @@ pub(crate) fn granularity(mut r: Report) -> Report {
     let mut hot = Vec::new();
     'outer: for (cyl, count) in cyls {
         for i in 0..blocks_per_cyl {
-            if hot.len() >= 1017 {
+            if hot.len() >= n_blocks {
                 break 'outer;
             }
             hot.push(HotBlock {
@@ -196,8 +207,18 @@ pub(crate) fn granularity(mut r: Report) -> Report {
             });
         }
     }
-    e.rearrange_for_next_day_with(&hot, 1017);
-    let c_on = e.run_day();
+    e.rearrange_for_next_day_with(&hot, n_blocks);
+    (off, e.run_day())
+}
+
+pub(crate) fn granularity(mut r: Report) -> Report {
+    // Block granularity (the baseline), then cylinder granularity.
+    let configs = [short_system_config(0xAB5), short_system_config(0xAB5)];
+    let pairs = share_stream(configs, |variant, e| match variant {
+        0 => pair(e, 1017),
+        _ => cylinder_pair(e, 1017),
+    });
+    let [(b_off, b_on), (c_off, c_on)] = [&pairs[0], &pairs[1]];
 
     r.line(format!(
         "block-granularity    | on-day seek {:5.2} ms (off {:5.2}) | reduction {:4.1}%",
@@ -223,24 +244,29 @@ pub(crate) fn granularity(mut r: Report) -> Report {
 }
 
 pub(crate) fn incremental(mut r: Report) -> Report {
+    const NIGHTS: usize = 4;
     let mut rows = Vec::new();
-    for inc in [false, true] {
+    let configs = [false, true].map(|inc| {
         let mut cfg = short_system_config(0xAB6);
         cfg.incremental_rearrange = inc;
-        let mut e = Experiment::new(cfg);
+        cfg
+    });
+    let runs = share_stream(configs, |_, e| {
         // Consecutive ON days: each night re-places from that day's counts
         // (the steady-state regime where incremental should shine).
         e.run_day();
         let mut ops = 0u64;
         let mut busy_s = 0.0;
         let mut on_seek = 0.0;
-        const NIGHTS: usize = 4;
         for _ in 0..NIGHTS {
             let rep = e.rearrange_for_next_day(1017);
             ops += u64::from(rep.io_ops);
             busy_s += rep.busy.as_secs_f64();
             on_seek += e.run_day().all.seek_ms;
         }
+        (ops, busy_s, on_seek)
+    });
+    for (inc, (ops, busy_s, on_seek)) in [false, true].into_iter().zip(runs) {
         r.line(format!(
             "{:11} | {:6.0} disk ops/night | {:6.1} s disk time/night | mean on-day seek {:5.2} ms",
             if inc { "incremental" } else { "full" },
@@ -265,12 +291,16 @@ pub(crate) fn incremental(mut r: Report) -> Report {
 
 pub(crate) fn decay(mut r: Report) -> Report {
     let mut rows = Vec::new();
+    let decays = [None, Some(0.5), Some(0.8)];
     for drift in [0.04f64, 0.3] {
-        for decay in [None, Some(0.5), Some(0.8)] {
+        let configs = decays.map(|decay| {
             let mut cfg = short_system_config(0xAB7);
             cfg.profile.daily_drift = drift;
             cfg.analyzer_decay = decay;
-            let (off, on) = mean_pair_seeks(cfg, 1017, 3);
+            cfg
+        });
+        let seeks = share_stream(configs, |_, e| mean_pair_seeks(e, 1017, 3));
+        for (decay, (off, on)) in decays.into_iter().zip(seeks) {
             let label = decay.map_or("reset".to_string(), |d| format!("decay {d}"));
             r.line(format!(
                 "drift {:4.2} {:9} | mean on-day seek {:5.2} ms (off {:5.2}) | reduction {:4.1}%",
@@ -300,28 +330,28 @@ pub(crate) fn online(mut r: Report) -> Report {
 
     // (a) The paper's protocol: day 1 has no benefit, rearrangement lands
     // overnight.
-    let mut cfg = short_system_config(0xAB8);
-    cfg.warmup_days = 0; // cold start shows adaptation speed
-    let mut a = Experiment::new(cfg);
-    let a1 = a.run_day();
-    a.rearrange_for_next_day(1017);
-    let a2 = a.run_day();
+    let mut overnight = short_system_config(0xAB8);
+    overnight.warmup_days = 0; // cold start shows adaptation speed
 
     // (b) Online: a controller re-places the hottest blocks every 10
     // simulated minutes of the day, whenever the device is idle.
-    let mut cfg = short_system_config(0xAB8);
-    cfg.warmup_days = 0;
-    cfg.analyzer_decay = Some(0.5); // carry counts; online never resets mid-day
-    cfg.online = Some(OnlineConfig {
+    let mut online = overnight.clone();
+    online.analyzer_decay = Some(0.5); // carry counts; online never resets mid-day
+    online.online = Some(OnlineConfig {
         period: SimDuration::from_mins(10),
         n_blocks: 1017,
     });
-    let mut b = Experiment::new(cfg);
-    let b1 = b.run_day();
-    let b1_io = b.last_online_io();
-    b.advance_day_keep_placement();
-    let b2 = b.run_day();
-    let b2_io = b.last_online_io();
+
+    let runs = share_stream([overnight, online], |variant, e| {
+        let day1 = (e.run_day(), e.last_online_io());
+        if variant == 0 {
+            e.rearrange_for_next_day(1017);
+        } else {
+            e.advance_day_keep_placement();
+        }
+        [day1, (e.run_day(), e.last_online_io())]
+    });
+    let [[(a1, _), (a2, _)], [(b1, b1_io), (b2, b2_io)]] = [&runs[0], &runs[1]];
 
     r.line(format!(
         "overnight | day1 seek {:5.2} ms (no help yet) | day2 seek {:5.2} ms",

@@ -372,7 +372,7 @@ fn workload(args: &[String]) -> Result<(), Error> {
     );
     let start = clock + SimDuration::from_mins(1);
     if trace_out.is_some() {
-        traffic.trace_from(start);
+        traffic.trace();
     }
     let mut day = DayLoop::new(driver, traffic, vec![], None, start);
     let curve = day.device.disk().model().seek;

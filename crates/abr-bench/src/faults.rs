@@ -10,7 +10,7 @@
 //! path.
 
 use crate::report::Report;
-use abr_core::{Experiment, ExperimentConfig};
+use abr_core::{share_stream, DayMetrics, ExperimentConfig};
 use abr_disk::fault::FaultPlan;
 use abr_disk::models;
 use abr_sim::SimDuration;
@@ -28,10 +28,12 @@ fn faulty_config(seed: u64, plan: Option<FaultPlan>) -> ExperimentConfig {
     cfg
 }
 
-/// Run one on/off pair under `plan` and summarize the damage.
-fn scenario(name: &str, plan: Option<FaultPlan>, r: &mut Report) -> JsonValue {
-    let mut e = Experiment::new(faulty_config(0xFA17, plan));
-    let days = e.run_on_off(1, 400);
+/// One on/off pair under a scenario's plan: its days and the overnight
+/// passes it skipped.
+type Outcome = (Vec<DayMetrics>, u64);
+
+/// Summarize the damage of one scenario's on/off pair.
+fn scenario(name: &str, (days, skipped): &Outcome, r: &mut Report) -> JsonValue {
     let (off, on) = (&days[0], &days[1]);
     let served: u64 = days.iter().map(|d| d.all.n).sum();
     let retries: u64 = days.iter().map(|d| d.faults.retries).sum();
@@ -43,8 +45,7 @@ fn scenario(name: &str, plan: Option<FaultPlan>, r: &mut Report) -> JsonValue {
     let seek_cut = (1.0 - on.all.seek_ms / off.all.seek_ms) * 100.0;
     r.line(format!(
         "{name:>14} | served {served:6} | retries {retries:4} | failed {failures:3} | lost {lost:2} \
-         | skipped passes {:1} | seek cut {seek_cut:5.1}%",
-        e.rearrange_failures(),
+         | skipped passes {skipped:1} | seek cut {seek_cut:5.1}%",
     ));
     jsn!({
         "scenario": name,
@@ -53,7 +54,7 @@ fn scenario(name: &str, plan: Option<FaultPlan>, r: &mut Report) -> JsonValue {
         "failed_requests": failures,
         "lost_blocks": lost,
         "quarantined": days.iter().map(|d| d.faults.quarantines).sum::<u64>(),
-        "skipped_passes": e.rearrange_failures(),
+        "skipped_passes": *skipped,
         "off_seek_ms": off.all.seek_ms,
         "on_seek_ms": on.all.seek_ms,
         "seek_cut_pct": seek_cut,
@@ -61,16 +62,13 @@ fn scenario(name: &str, plan: Option<FaultPlan>, r: &mut Report) -> JsonValue {
 }
 
 /// The `faults` experiment: graceful degradation under seeded faults.
+/// The faults are the device's, so every scenario sees one workload
+/// stream.
 pub(crate) fn sweep(mut r: Report) -> Report {
-    let mut rows = Vec::new();
-    rows.push(scenario("no faults", None, &mut r));
+    let mut scenarios = vec![("no faults".to_string(), None)];
     for rate in [1e-4, 1e-3, 1e-2] {
-        let name = format!("rate {rate:.0e}");
-        rows.push(scenario(
-            &name,
-            Some(FaultPlan::with_error_rate(rate)),
-            &mut r,
-        ));
+        let plan = FaultPlan::with_error_rate(rate);
+        scenarios.push((format!("rate {rate:.0e}"), Some(plan)));
     }
     // Cut power partway through the simulated day: the device dies
     // mid-traffic (every later request fails), the overnight pass is
@@ -79,7 +77,19 @@ pub(crate) fn sweep(mut r: Report) -> Report {
         power_cut_after_ops: Some(2_000),
         ..FaultPlan::none()
     };
-    rows.push(scenario("power cut", Some(cut), &mut r));
+    scenarios.push(("power cut".to_string(), Some(cut)));
+
+    let configs = scenarios
+        .iter()
+        .map(|(_, plan)| faulty_config(0xFA17, *plan));
+    let outcomes = share_stream(configs, |_, e| {
+        (e.run_on_off(1, 400), e.rearrange_failures())
+    });
+    let rows: Vec<JsonValue> = scenarios
+        .iter()
+        .zip(&outcomes)
+        .map(|((name, _), outcome)| scenario(name, outcome, &mut r))
+        .collect();
     r.blank();
     r.line("expected: retries absorb transient faults with no failed requests at low rates;");
     r.line("hard failures stay proportional to the rate while the seek win persists; a power");
@@ -92,6 +102,7 @@ pub(crate) fn sweep(mut r: Report) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abr_core::Experiment;
 
     #[test]
     fn zero_fault_scenario_matches_uninstrumented_run() {

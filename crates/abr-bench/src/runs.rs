@@ -10,7 +10,7 @@
 //!   on one long-running instance, just as §5.4 describes.
 
 use crate::report::{triple, Report};
-use abr_core::{DayMetrics, Experiment, ExperimentConfig, PolicyKind};
+use abr_core::{share_stream, DayMetrics, Experiment, ExperimentConfig, PolicyKind};
 use abr_disk::{models, DiskModel};
 use abr_sim::jsn;
 use abr_workload::WorkloadProfile;
@@ -145,23 +145,27 @@ fn config(disk: DiskKind, fs: FsKind, policy: PolicyKind, seed: u64) -> Experime
 /// [`OnceLock`] instead of recomputing, so a parallel suite performs
 /// exactly the serial suite's simulation work and every consumer sees
 /// bit-identical metrics regardless of which run got there first.
+///
+/// The three placement-policy runs of one disk share a workload stream,
+/// so they are one entry: the first policy runs live and records the
+/// stream, the other two replay it (see [`share_stream`]).
 #[derive(Default)]
 pub struct DayCache {
-    onoff: Mutex<DayMap<(DiskKind, FsKind)>>,
-    policy: Mutex<DayMap<(DiskKind, PolicyKind)>>,
+    onoff: Mutex<DayMap<(DiskKind, FsKind), Vec<DayMetrics>>>,
+    policy: Mutex<DayMap<DiskKind, Vec<Vec<DayMetrics>>>>,
 }
 
 // abr-lint: allow(D001, keyed get-or-insert of memo cells; never iterated)
-type DayMap<K> = std::collections::HashMap<K, Arc<OnceLock<Arc<Vec<DayMetrics>>>>>;
+type DayMap<K, V> = std::collections::HashMap<K, Arc<OnceLock<Arc<V>>>>;
 
 /// Fetch-or-compute `key`: the first caller runs `compute` while any
 /// concurrent caller for the same key blocks on the cell, so the days
 /// are simulated exactly once.
-fn memoized<K: std::hash::Hash + Eq + Clone>(
-    map: &Mutex<DayMap<K>>,
+fn memoized<K: std::hash::Hash + Eq + Clone, V>(
+    map: &Mutex<DayMap<K, V>>,
     key: K,
-    compute: impl FnOnce() -> Vec<DayMetrics>,
-) -> Arc<Vec<DayMetrics>> {
+    compute: impl FnOnce() -> V,
+) -> Arc<V> {
     let cell = {
         let mut map = map.lock().expect("day-cache lock");
         map.entry(key).or_default().clone()
@@ -198,18 +202,17 @@ impl Campaign {
         })
     }
 
-    /// Days measured under a given placement policy (on-days only),
-    /// system file system, memoized (Tables 7–10).
-    fn policy_onoff(&self, disk: DiskKind, policy: PolicyKind) -> Arc<Vec<DayMetrics>> {
-        memoized(&self.cache.policy, (disk, policy), || {
+    /// Two off/on pairs of the system file system on `disk` under each
+    /// placement policy, in [`PolicyKind::all`] order, memoized (Tables
+    /// 7–10). The policies share one workload stream.
+    fn policy_onoff(&self, disk: DiskKind) -> Arc<Vec<Vec<DayMetrics>>> {
+        memoized(&self.cache.policy, disk, || {
             eprintln!(
-                "  running {} / system with {} placement...",
-                disk.name(),
-                policy.name()
+                "  running {} / system under each placement policy...",
+                disk.name()
             );
-            let cfg = config(disk, FsKind::System, policy, 0xBEEF);
-            let mut e = Experiment::new(cfg);
-            e.run_on_off(2, disk.paper_blocks())
+            let configs = PolicyKind::all().map(|p| config(disk, FsKind::System, p, 0xBEEF));
+            share_stream(configs, |_, e| e.run_on_off(2, disk.paper_blocks()))
         })
     }
 
@@ -426,9 +429,9 @@ impl Campaign {
         ];
         let mut json_rows = Vec::new();
         for (di, disk) in DiskKind::both().into_iter().enumerate() {
-            for (pi, policy) in PolicyKind::all().into_iter().enumerate() {
+            let runs = self.policy_onoff(disk);
+            for (pi, (policy, days)) in PolicyKind::all().into_iter().zip(runs.iter()).enumerate() {
                 let (paper_all, paper_reads) = PAPER[di][pi];
-                let days = self.policy_onoff(disk, policy);
                 let ons: Vec<&DayMetrics> = days.iter().filter(|d| d.rearranged).collect();
                 let all: f64 = ons
                     .iter()
@@ -464,8 +467,8 @@ impl Campaign {
     /// Tables 8 and 9: one on day of `disk` under each placement policy.
     pub(crate) fn policy_detail(&self, mut r: Report, disk: DiskKind) -> Report {
         let mut json_rows = Vec::new();
-        for policy in PolicyKind::all() {
-            let days = self.policy_onoff(disk, policy);
+        let runs = self.policy_onoff(disk);
+        for (policy, days) in PolicyKind::all().into_iter().zip(runs.iter()) {
             let on = days.iter().find(|d| d.rearranged).expect("on day");
             for (label, m) in [("all", on.all), ("reads", on.reads)] {
                 r.line(format!(
@@ -497,8 +500,8 @@ impl Campaign {
 
     pub(crate) fn table10(&self, mut r: Report) -> Report {
         // Without rearrangement: the off day of the organ-pipe run.
-        let days = self.policy_onoff(DiskKind::Toshiba, PolicyKind::OrganPipe);
-        let off = days.iter().find(|d| !d.rearranged).expect("off day");
+        let runs = self.policy_onoff(DiskKind::Toshiba);
+        let off = runs[0].iter().find(|d| !d.rearranged).expect("off day");
         let base = off.reads.rotation_ms + off.reads.transfer_ms;
         r.line(format!(
             "{:22} {:6.2} ms   (paper 18.58)",
@@ -510,8 +513,7 @@ impl Campaign {
             PolicyKind::Serial => 19.29,
         };
         let mut json_rows = vec![jsn!({"policy": "none", "rot_plus_xfer_ms": base})];
-        for policy in PolicyKind::all() {
-            let days = self.policy_onoff(DiskKind::Toshiba, policy);
+        for (policy, days) in PolicyKind::all().into_iter().zip(runs.iter()) {
             let on = days.iter().find(|d| d.rearranged).expect("on day");
             let v = on.reads.rotation_ms + on.reads.transfer_ms;
             r.line(format!(

@@ -9,6 +9,10 @@
 //! the end of each day the caller decides how many blocks to place for
 //! the next day (0 = an "off" day), exactly like the paper's alternating
 //! on/off protocol.
+//!
+//! Variants that differ only in the device share one workload stream
+//! (see [`crate::stream`]): [`share_stream`] runs the first live while
+//! recording it and replays it into the rest.
 
 use crate::analyzer::{
     BoundedAnalyzer, DecayingAnalyzer, FullAnalyzer, HotBlock, ReferenceAnalyzer,
@@ -18,6 +22,7 @@ use crate::daemon::RearrangementDaemon;
 use crate::dayloop::{DayLoop, DayReport, Traffic};
 use crate::metrics::DayMetrics;
 use crate::placement::PolicyKind;
+use crate::stream::{log, DayStream, Requests, Stream, StreamKey, TraceTraffic};
 use abr_disk::fault::FaultPlan;
 use abr_disk::{DiskLabel, DiskModel};
 use abr_driver::{
@@ -25,7 +30,8 @@ use abr_driver::{
 };
 use abr_fs::{FileSystem, FsConfig, MountMode};
 use abr_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use abr_workload::{Op, TraceEvent, TraceLog, WorkloadProfile, WorkloadState};
+use abr_workload::{Op, TraceLog, WorkloadProfile, WorkloadState};
+use std::sync::Arc;
 
 /// Simulated progress accumulated on the current thread: how much
 /// simulated time [`DayLoop::run_day`] has advanced and how many days
@@ -179,6 +185,45 @@ impl ExperimentConfig {
             seed: 0x5eed,
         }
     }
+
+    /// The fields the workload's disk-level stream is a function of, as
+    /// the file system sees them: the partition's sectors and the
+    /// cylinder size, not the label fields that shape them. Every other
+    /// field only configures the device and its rearrangement. The
+    /// destructure is exhaustive, so a new field does not compile until
+    /// it is classified here.
+    pub fn stream_key(&self) -> StreamKey {
+        let ExperimentConfig {
+            disk,
+            reserved_cylinders,
+            reserved_at_edge,
+            profile,
+            cache_blocks,
+            sync_period,
+            request_pacing,
+            warmup_days,
+            seed,
+            policy: _,
+            scheduler: _,
+            monitor_period: _,
+            analyzer_capacity: _,
+            analyzer_decay: _,
+            incremental_rearrange: _,
+            online: _,
+            fault_plan: _,
+        } = self;
+        let label = experiment_label(disk, *reserved_cylinders, *reserved_at_edge);
+        StreamKey {
+            part_sectors: label.partitions[0].n_sectors,
+            sectors_per_cylinder: label.physical.sectors_per_cylinder(),
+            profile: profile.clone(),
+            cache_blocks: *cache_blocks,
+            sync_period: *sync_period,
+            request_pacing: *request_pacing,
+            warmup_days: *warmup_days,
+            seed: *seed,
+        }
+    }
 }
 
 /// Online rearrangement parameters (see `ExperimentConfig::online`).
@@ -205,12 +250,7 @@ pub fn experiment_member(
     reserved_at_edge: bool,
     scheduler: SchedulerKind,
 ) -> AdaptiveDriver {
-    const SECTORS_PER_BLOCK: u32 = 16;
-    let label = match (reserved_cylinders, reserved_at_edge) {
-        (0, _) => DiskLabel::whole_disk(disk.geometry),
-        (n, true) => DiskLabel::rearranged_at_edge(disk.geometry, n, SECTORS_PER_BLOCK),
-        (n, false) => DiskLabel::rearranged_aligned(disk.geometry, n, SECTORS_PER_BLOCK),
-    };
+    let label = experiment_label(disk, reserved_cylinders, reserved_at_edge);
     let driver_cfg = DriverConfig {
         block_size: 8192,
         scheduler,
@@ -224,15 +264,31 @@ pub fn experiment_member(
     member
 }
 
+/// The label [`experiment_member`] formats its disk with.
+fn experiment_label(
+    disk: &DiskModel,
+    reserved_cylinders: u32,
+    reserved_at_edge: bool,
+) -> DiskLabel {
+    const SECTORS_PER_BLOCK: u32 = 16;
+    match (reserved_cylinders, reserved_at_edge) {
+        (0, _) => DiskLabel::whole_disk(disk.geometry),
+        (n, true) => DiskLabel::rearranged_at_edge(disk.geometry, n, SECTORS_PER_BLOCK),
+        (n, false) => DiskLabel::rearranged_aligned(disk.geometry, n, SECTORS_PER_BLOCK),
+    }
+}
+
 /// The file-system traffic source: a synthetic workload issuing
 /// file-level operations against an FFS-lite file system, whose block
 /// requests reach the device paced like NFS RPC trains, plus the update
-/// daemon's periodic sync.
+/// daemon's periodic sync. It is open loop (see [`crate::stream`]), so
+/// what it submits can be recorded once and replayed.
 pub struct FsTraffic {
     fs: FileSystem,
     workload: WorkloadState,
     sync_period: SimDuration,
     request_pacing: SimDuration,
+    day_start: SimTime,
     day_end: SimTime,
     /// The next file-level operation; `None` once the day has no more.
     next_op: Option<(SimTime, Op)>,
@@ -244,7 +300,39 @@ pub struct FsTraffic {
     pending: EventQueue<IoRequest>,
     /// When set, every submitted request is also logged (relative to the
     /// current day's start) for trace-driven replay.
-    trace: Option<(SimTime, TraceLog)>,
+    trace: Option<TraceLog>,
+    /// When set, the stream produced so far, payloads included.
+    record: Option<Recording>,
+}
+
+/// What a recording [`FsTraffic`] has submitted: the set-up writes and
+/// one [`DayStream`] per day begun.
+struct Recording {
+    setup: Requests,
+    days: Vec<DayStream>,
+}
+
+impl Recording {
+    /// Trim the last day begun to its length: it is complete. Slack left
+    /// in every day of a 90 k-request stream costs `suite_paper` 1.1 MB
+    /// of peak RSS.
+    fn finish_day(&mut self) {
+        if let Some(day) = self.days.last_mut() {
+            day.timed.shrink_to_fit();
+            day.flush.shrink_to_fit();
+        }
+    }
+}
+
+/// Where a submitted request sits in the day's stream.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// A source event of its own.
+    Own,
+    /// Later in the same source event as the request before it.
+    Joined,
+    /// The day-end flush.
+    Flush,
 }
 
 impl FsTraffic {
@@ -262,23 +350,62 @@ impl FsTraffic {
             workload,
             sync_period,
             request_pacing,
+            day_start: SimTime::ZERO,
             day_end: SimTime::ZERO,
             next_op: None,
             next_sync: SimTime::MAX,
             pending: EventQueue::new(),
             trace: None,
+            record: None,
         }
     }
 
+    /// Make the file system on a volume of `vol_sectors` sectors in
+    /// cylinders of `spc`, and build `config`'s workload population on
+    /// it. Returns the source and the population's set-up writes, which
+    /// must reach the device before the first day.
+    fn set_up(vol_sectors: u64, spc: u64, config: &ExperimentConfig) -> (Self, Vec<IoRequest>) {
+        let fs_cfg = FsConfig {
+            partition: 0,
+            cache_blocks: config.cache_blocks,
+            mode: MountMode::ReadWrite,
+            write_through: config.profile.nfs_write_through,
+            ..FsConfig::default()
+        };
+        let mut fs = FileSystem::newfs(fs_cfg, vol_sectors, spc);
+        let mut rng = SimRng::new(config.seed);
+        let (workload, setup) = WorkloadState::setup(config.profile.clone(), &mut fs, &mut rng)
+            .expect("workload population fits the file system");
+        // The paper's *system* file system is served read-only.
+        if !config.profile.is_mutating() {
+            fs.remount(MountMode::ReadOnly);
+        }
+        let traffic = FsTraffic::new(fs, workload, config.sync_period, config.request_pacing);
+        (traffic, setup)
+    }
+
+    /// Record the stream from here on: `setup`, then every day.
+    fn record(&mut self, setup: &[IoRequest]) {
+        let mut requests = Requests::default();
+        for r in setup {
+            requests.push(0, r, false);
+        }
+        requests.shrink_to_fit();
+        self.record = Some(Recording {
+            setup: requests,
+            days: Vec::new(),
+        });
+    }
+
     /// Log every request submitted from now on, timestamped relative to
-    /// `day_start`, until [`Self::take_trace`].
-    pub fn trace_from(&mut self, day_start: SimTime) {
-        self.trace = Some((day_start, TraceLog::new()));
+    /// the start of its day, until [`Self::take_trace`].
+    pub fn trace(&mut self) {
+        self.trace = Some(TraceLog::new());
     }
 
     /// Stop logging and hand back what was logged, if anything.
     pub fn take_trace(&mut self) -> Option<TraceLog> {
-        self.trace.take().map(|(_, log)| log)
+        self.trace.take()
     }
 
     /// Give back the file system and the generator, to persist them.
@@ -286,25 +413,46 @@ impl FsTraffic {
         (self.fs, self.workload)
     }
 
-    /// Submit `req` at `at`, logging it into the active trace, if any.
-    fn submit<D: BlockDevice>(&mut self, dev: &mut D, req: IoRequest, at: SimTime) {
-        if let Some((day_start, log)) = &mut self.trace {
-            log.push(TraceEvent::of(&req, (at - *day_start).as_micros()));
+    /// Submit `req` at `at`, logging and recording it if asked to.
+    fn submit<D: BlockDevice>(&mut self, dev: &mut D, req: IoRequest, at: SimTime, step: Step) {
+        let offset = at - self.day_start;
+        log(&mut self.trace, &req, offset);
+        if let Some(day) = self.record.as_mut().and_then(|r| r.days.last_mut()) {
+            match step {
+                Step::Flush => day.flush.push(0, &req, false),
+                _ => day
+                    .timed
+                    .push(offset.as_micros(), &req, step == Step::Joined),
+            }
         }
         dev.submit(req, at).expect("file-system request valid");
     }
 
-    /// Flush the dirty buffers to the device.
-    fn sync<D: BlockDevice>(&mut self, dev: &mut D, t: SimTime) {
-        for r in self.fs.sync() {
-            self.submit(dev, r, t);
+    /// Flush the dirty buffers to the device, in one source event.
+    fn sync<D: BlockDevice>(&mut self, dev: &mut D, t: SimTime, flush: bool) {
+        for (i, r) in self.fs.sync().into_iter().enumerate() {
+            let step = match (flush, i) {
+                (true, _) => Step::Flush,
+                (false, 0) => Step::Own,
+                (false, _) => Step::Joined,
+            };
+            self.submit(dev, r, t, step);
         }
     }
 }
 
 impl<D: BlockDevice> Traffic<D> for FsTraffic {
     fn begin_day(&mut self, start: SimTime) -> SimTime {
-        self.day_end = start + self.workload.profile().day_length;
+        let length = self.workload.profile().day_length;
+        if let Some(r) = &mut self.record {
+            r.finish_day();
+            r.days.push(DayStream {
+                length,
+                ..DayStream::default()
+            });
+        }
+        self.day_start = start;
+        self.day_end = start + length;
         self.next_sync = start + self.sync_period;
         self.next_op = Some(self.workload.next_op(start, &self.fs));
         self.pending = EventQueue::new();
@@ -320,7 +468,7 @@ impl<D: BlockDevice> Traffic<D> for FsTraffic {
     fn on_event(&mut self, dev: &mut D, t: SimTime) {
         if self.pending.peek_time() == Some(t) {
             if let Some((_, r)) = self.pending.pop() {
-                self.submit(dev, r, t);
+                self.submit(dev, r, t, Step::Own);
             }
         } else if let Some((_, op)) = self.next_op.filter(|&(at, _)| at == t) {
             let reqs = self.workload.apply(op, &mut self.fs);
@@ -332,7 +480,7 @@ impl<D: BlockDevice> Traffic<D> for FsTraffic {
             let next = self.workload.next_op(t, &self.fs);
             self.next_op = (next.0 <= self.day_end).then_some(next);
         } else {
-            self.sync(dev, t);
+            self.sync(dev, t, false);
             self.next_sync = t + self.sync_period;
         }
     }
@@ -342,12 +490,21 @@ impl<D: BlockDevice> Traffic<D> for FsTraffic {
     }
 
     fn flush(&mut self, dev: &mut D, t: SimTime) {
-        self.sync(dev, t);
+        self.sync(dev, t, true);
     }
 
     fn next_day(&mut self, _clock: SimTime) {
         self.workload.advance_day();
     }
+}
+
+/// Setup and warm-up are unmeasured: span and event recording pause so
+/// an active trace holds only measured-day traffic, and the wall time
+/// goes to `wall.setup`. (Wall-clock timers keep running; they feed
+/// `wall.*` metrics, which never enter traces.)
+fn unmeasured() -> impl Sized {
+    let pause = abr_obs::trace_pause();
+    (abr_obs::time_scope("setup"), pause)
 }
 
 /// The paper's measured-day protocol over any device: the day loop fed
@@ -369,23 +526,28 @@ impl<D: BlockDevice> DayLoop<D, FsTraffic> {
         fault_plans: &[Option<FaultPlan>],
     ) -> Self {
         let spc = device.member_mut(0).label().physical.sectors_per_cylinder();
-        let fs_cfg = FsConfig {
-            partition: 0,
-            cache_blocks: config.cache_blocks,
-            mode: MountMode::ReadWrite,
-            write_through: config.profile.nfs_write_through,
-            ..FsConfig::default()
-        };
-        let mut fs = FileSystem::newfs(fs_cfg, vol_sectors, spc);
+        let (traffic, setup) = FsTraffic::set_up(vol_sectors, spc, config);
+        let interleave = traffic.fs.layout().interleave;
+        Self::start(device, traffic, setup, interleave, config, fault_plans)
+    }
+}
 
-        // Build the file population; push its writes through the device
-        // synchronously (setup, unmeasured).
-        let mut rng = SimRng::new(config.seed);
+impl<D: BlockDevice, T: Traffic<D>> DayLoop<D, T> {
+    /// Bring `device` up under `traffic`: push the population's `setup`
+    /// writes through it synchronously (unmeasured, at most 64 queued),
+    /// give every member its rearrangement daemon (the interleaved
+    /// policy keeps the file system's `interleave`), run the warm-up
+    /// days, and only then install `fault_plans`.
+    fn start(
+        mut device: D,
+        traffic: T,
+        setup: impl IntoIterator<Item = IoRequest>,
+        interleave: u64,
+        config: &ExperimentConfig,
+        fault_plans: &[Option<FaultPlan>],
+    ) -> Self {
         let mut clock = SimTime::ZERO;
-        let (workload, setup_reqs) =
-            WorkloadState::setup(config.profile.clone(), &mut fs, &mut rng)
-                .expect("workload population fits the file system");
-        for req in setup_reqs {
+        for req in setup {
             device.submit(req, clock).expect("setup requests are valid");
             if device.queue_len() > 64 {
                 if let Some(t) = device.next_completion() {
@@ -399,11 +561,6 @@ impl<D: BlockDevice> DayLoop<D, FsTraffic> {
             device.complete_next(t);
         }
 
-        // The paper's *system* file system is served read-only.
-        if !config.profile.is_mutating() {
-            fs.remount(MountMode::ReadOnly);
-        }
-
         // The rearrangement machinery, one daemon per member.
         let daemons = (0..device.n_members())
             .map(|_| {
@@ -413,7 +570,7 @@ impl<D: BlockDevice> DayLoop<D, FsTraffic> {
                         (None, Some(cap)) => Box::new(BoundedAnalyzer::new(cap)),
                         (None, None) => Box::new(FullAnalyzer::new()),
                     };
-                let arranger = BlockArranger::new(config.policy.make(fs.layout().interleave));
+                let arranger = BlockArranger::new(config.policy.make(interleave));
                 let mut daemon =
                     RearrangementDaemon::new(analyzer, arranger, config.monitor_period);
                 daemon.set_incremental(config.incremental_rearrange);
@@ -421,7 +578,6 @@ impl<D: BlockDevice> DayLoop<D, FsTraffic> {
             })
             .collect();
 
-        let traffic = FsTraffic::new(fs, workload, config.sync_period, config.request_pacing);
         let mut h = DayLoop::new(
             device,
             traffic,
@@ -488,6 +644,57 @@ impl<D: BlockDevice> DayLoop<D, FsTraffic> {
     }
 }
 
+/// Where an [`Experiment`]'s requests come from: the file system and
+/// workload producing them live, or a recorded stream replaying them.
+#[allow(clippy::large_enum_variant)] // one per experiment, never moved once built
+enum ExperimentTraffic {
+    Live(FsTraffic),
+    Replay(TraceTraffic),
+}
+
+/// `$body` on whichever source `$traffic` holds, bound to `$t`.
+macro_rules! either {
+    ($traffic:expr, $t:ident => $body:expr) => {
+        match $traffic {
+            ExperimentTraffic::Live($t) => $body,
+            ExperimentTraffic::Replay($t) => $body,
+        }
+    };
+}
+
+impl<D: BlockDevice> Traffic<D> for ExperimentTraffic {
+    fn begin_day(&mut self, start: SimTime) -> SimTime {
+        either!(self, t => Traffic::<D>::begin_day(t, start))
+    }
+
+    fn next_event(&self) -> SimTime {
+        either!(self, t => Traffic::<D>::next_event(t))
+    }
+
+    fn on_event(&mut self, dev: &mut D, at: SimTime) {
+        either!(self, t => t.on_event(dev, at))
+    }
+
+    fn drained(&self) -> bool {
+        either!(self, t => Traffic::<D>::drained(t))
+    }
+
+    fn flush(&mut self, dev: &mut D, at: SimTime) {
+        either!(self, t => t.flush(dev, at));
+        // A live source panics on a request the device rejects; so does
+        // its replay, once a day.
+        if let ExperimentTraffic::Replay(t) = self {
+            if let Some(e) = t.rejected() {
+                panic!("the device rejected a replayed request: {e}");
+            }
+        }
+    }
+
+    fn next_day(&mut self, clock: SimTime) {
+        either!(self, t => Traffic::<D>::next_day(t, clock))
+    }
+}
+
 /// The assembled simulated file server: the day loop over one
 /// [`AdaptiveDriver`]. Its day metrics are the roll-up of its single
 /// member, so a one-disk volume under the same loop reproduces them by
@@ -495,7 +702,34 @@ impl<D: BlockDevice> DayLoop<D, FsTraffic> {
 #[derive(Debug)]
 pub struct Experiment {
     config: ExperimentConfig,
-    h: FsLoop<AdaptiveDriver>,
+    h: DayLoop<AdaptiveDriver, ExperimentTraffic>,
+}
+
+/// Run `protocol` on an experiment of each configuration in turn,
+/// handing it the configuration's index. The configurations must share
+/// one [`StreamKey`]: the first runs live and records its stream, the
+/// others replay it, and the stream is freed after the last. One
+/// configuration alone runs live and records nothing. Results come back
+/// in configuration order.
+pub fn share_stream<R>(
+    configs: impl IntoIterator<Item = ExperimentConfig>,
+    mut protocol: impl FnMut(usize, &mut Experiment) -> R,
+) -> Vec<R> {
+    let mut configs = configs.into_iter().peekable();
+    let Some(first) = configs.next() else {
+        return Vec::new();
+    };
+    let mut live = match configs.peek() {
+        Some(_) => Experiment::recording(first),
+        None => Experiment::new(first),
+    };
+    let mut out = vec![protocol(0, &mut live)];
+    if let Some(stream) = live.into_stream() {
+        for (i, config) in configs.enumerate() {
+            out.push(protocol(i + 1, &mut Experiment::replaying(config, &stream)));
+        }
+    }
+    out
 }
 
 impl Experiment {
@@ -503,21 +737,77 @@ impl Experiment {
     /// if configured), attach the driver, create the file system, build
     /// the workload's file population, and run the warm-up days.
     pub fn new(config: ExperimentConfig) -> Self {
-        // Setup and warm-up are unmeasured: suppress span/event recording
-        // so an active trace holds only measured-day traffic. (Wall-clock
-        // timers keep running; they feed `wall.*` metrics, which never
-        // enter traces.)
-        let _unmeasured = abr_obs::trace_pause();
-        let _wall = abr_obs::time_scope("setup");
-        let driver = experiment_member(
+        Self::live(config, false)
+    }
+
+    /// [`Self::new`], recording the stream for [`Self::into_stream`].
+    pub fn recording(config: ExperimentConfig) -> Self {
+        Self::live(config, true)
+    }
+
+    /// The stack of [`Self::new`] with no file system or workload: the
+    /// device takes `stream`'s set-up and days instead, which a live run
+    /// of any configuration with the same [`ExperimentConfig::stream_key`]
+    /// recorded. Its days are bit for bit those of a live run.
+    ///
+    /// # Panics
+    /// Panics if `config`'s stream key is not the stream's.
+    pub fn replaying(config: ExperimentConfig, stream: &Stream) -> Self {
+        assert!(
+            config.stream_key() == stream.key,
+            "the stream was recorded under another stream key"
+        );
+        let _setup = unmeasured();
+        let driver = Self::member(&config);
+        let traffic = ExperimentTraffic::Replay(TraceTraffic::new(Arc::clone(&stream.days)));
+        let setup = stream.setup.iter().map(|(_, _, req)| req);
+        let plans = [config.fault_plan];
+        let h = DayLoop::start(driver, traffic, setup, stream.interleave, &config, &plans);
+        Experiment { config, h }
+    }
+
+    fn live(config: ExperimentConfig, record: bool) -> Self {
+        let _setup = unmeasured();
+        let driver = Self::member(&config);
+        let label = driver.label();
+        let part_sectors = label.partitions[0].n_sectors;
+        let spc = label.physical.sectors_per_cylinder();
+        let (mut traffic, setup) = FsTraffic::set_up(part_sectors, spc, &config);
+        if record {
+            traffic.record(&setup);
+        }
+        let interleave = traffic.fs.layout().interleave;
+        let traffic = ExperimentTraffic::Live(traffic);
+        let plans = [config.fault_plan];
+        let h = DayLoop::start(driver, traffic, setup, interleave, &config, &plans);
+        Experiment { config, h }
+    }
+
+    /// The formatted, attached driver `config` describes.
+    fn member(config: &ExperimentConfig) -> AdaptiveDriver {
+        experiment_member(
             &config.disk,
             config.reserved_cylinders,
             config.reserved_at_edge,
             config.scheduler,
-        );
-        let part_sectors = driver.label().partitions[0].n_sectors;
-        let h = DayLoop::with_file_system(driver, part_sectors, &config, &[config.fault_plan]);
-        Experiment { config, h }
+        )
+    }
+
+    /// The stream recorded so far — the set-up and every day run — if
+    /// this experiment was built by [`Self::recording`].
+    pub fn into_stream(self) -> Option<Stream> {
+        let ExperimentTraffic::Live(traffic) = self.h.traffic else {
+            return None;
+        };
+        let interleave = traffic.fs.layout().interleave;
+        let mut recording = traffic.record?;
+        recording.finish_day();
+        Some(Stream {
+            key: self.config.stream_key(),
+            interleave,
+            setup: recording.setup,
+            days: recording.days.into(),
+        })
     }
 
     /// The configuration.
@@ -575,9 +865,10 @@ impl Experiment {
     /// stream (timestamps relative to the day start), for trace-driven
     /// replay (see the [`mod@crate::replay`] module).
     pub fn run_day_traced(&mut self) -> (DayMetrics, TraceLog) {
-        self.h.traffic.trace_from(self.h.clock);
+        either!(&mut self.h.traffic, t => t.trace());
         let metrics = self.run_day();
-        (metrics, self.h.traffic.take_trace().expect("set above"))
+        let trace = either!(&mut self.h.traffic, t => t.take_trace());
+        (metrics, trace.expect("set above"))
     }
 
     /// Movement I/O performed by online rearrangement during the last
@@ -681,6 +972,69 @@ mod tests {
     /// A fast experiment: tiny workload on the small test disk.
     fn tiny_experiment() -> Experiment {
         Experiment::new(tiny_experiment_config())
+    }
+
+    #[test]
+    fn device_only_fields_share_a_stream_key_and_stream_fields_split_it() {
+        let base = tiny_experiment_config();
+        let key = base.stream_key();
+        let device_only: [fn(&mut ExperimentConfig); 11] = [
+            |c| c.policy = PolicyKind::Serial,
+            |c| c.scheduler = SchedulerKind::Fcfs,
+            |c| c.monitor_period = SimDuration::from_mins(7),
+            |c| c.analyzer_capacity = Some(100),
+            |c| c.analyzer_decay = Some(0.5),
+            |c| c.incremental_rearrange = true,
+            |c| {
+                c.online = Some(OnlineConfig {
+                    period: SimDuration::from_mins(3),
+                    n_blocks: 10,
+                })
+            },
+            |c| c.fault_plan = Some(FaultPlan::with_error_rate(1e-3)),
+            // Where the region sits leaves the partition's size alone.
+            |c| c.reserved_at_edge = true,
+            // The mechanism's timing is the device's; only its geometry
+            // reaches the file system.
+            |c| c.disk.overhead = SimDuration::from_millis(3),
+            |c| c.disk.track_buffer = models::fujitsu_m2266().track_buffer,
+        ];
+        for (i, change) in device_only.iter().enumerate() {
+            let mut c = base.clone();
+            change(&mut c);
+            assert_eq!(c.stream_key(), key, "device-only change {i}");
+        }
+        let stream: [fn(&mut ExperimentConfig); 9] = [
+            |c| c.disk = models::fujitsu_m2266(),
+            |c| c.reserved_cylinders = 40,
+            |c| c.profile.daily_drift = 0.3,
+            |c| c.profile.day_length = SimDuration::from_mins(21),
+            |c| c.cache_blocks = 100,
+            |c| c.sync_period = SimDuration::from_secs(10),
+            |c| c.request_pacing = SimDuration::from_millis(1),
+            |c| c.warmup_days = 2,
+            |c| c.seed = 1,
+        ];
+        for (i, change) in stream.iter().enumerate() {
+            let mut c = base.clone();
+            change(&mut c);
+            assert_ne!(c.stream_key(), key, "stream change {i}");
+        }
+    }
+
+    #[test]
+    fn a_replayed_experiment_needs_its_own_key() {
+        let mut e = Experiment::recording(tiny_experiment_config());
+        e.run_day();
+        let stream = e.into_stream().unwrap();
+        assert_eq!(stream.days.len(), 2, "warm-up and one measured day");
+        assert!(Experiment::new(tiny_experiment_config())
+            .into_stream()
+            .is_none());
+        let mut other = tiny_experiment_config();
+        other.seed += 1;
+        let replay = std::panic::catch_unwind(|| Experiment::replaying(other, &stream));
+        assert!(replay.is_err(), "a stream of another key must not replay");
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //!   synthetic workload, running multi-day on/off protocols with
 //!   per-day metrics matching the paper's tables.
 //! * [`metrics`] — per-day and per-run metric types.
+//! * [`stream`] — recorded workload streams: what an open-loop source
+//!   submitted, produced once and replayed into every device that shares
+//!   its key.
 //! * [`mod@replay`] — trace-driven evaluation (the companion ICDE 1993
 //!   paper's methodology): record a day's block-level stream, replay it
 //!   against differently-configured drivers with zero workload variance.
@@ -43,16 +46,18 @@ pub mod metrics;
 pub mod placement;
 pub mod recovery;
 pub mod replay;
+pub mod stream;
 
 pub use analyzer::{BoundedAnalyzer, DecayingAnalyzer, FullAnalyzer, HotBlock, ReferenceAnalyzer};
 pub use arranger::BlockArranger;
 pub use daemon::RearrangementDaemon;
 pub use dayloop::{DayLoop, DayReport, Traffic};
 pub use experiment::{
-    experiment_member, run_meter, run_meter_add, run_meter_reset, Experiment, ExperimentConfig,
-    FsLoop, FsTraffic, RunMeter, OVERNIGHT,
+    experiment_member, run_meter, run_meter_add, run_meter_reset, share_stream, Experiment,
+    ExperimentConfig, FsLoop, FsTraffic, RunMeter, OVERNIGHT,
 };
 pub use metrics::{DayMetrics, DirMetrics};
 pub use placement::{Interleaved, OrganPipe, PlacementPolicy, PolicyKind, Serial, SlotMap};
 pub use recovery::{IoBudget, MaintenanceConfig};
 pub use replay::{replay, ReplayConfig};
+pub use stream::{DayStream, Stream, StreamKey, TraceTraffic};

@@ -7,17 +7,22 @@
 //! simulated day ([`crate::experiment::Experiment::run_day_traced`]),
 //! then [`replay()`](crate::replay::replay) the identical stream against differently-configured
 //! drivers — placement policies, schedulers, reserved sizes — with
-//! *zero* workload variance between configurations.
+//! *zero* workload variance between configurations. A replay is one day
+//! of [`TraceTraffic`] through the one [`DayLoop`]; whole multi-day
+//! streams, payloads included, replay through [`crate::stream`].
 
 use crate::analyzer::{FullAnalyzer, HotBlock, ReferenceAnalyzer};
 use crate::arranger::BlockArranger;
+use crate::dayloop::DayLoop;
 use crate::experiment::experiment_member;
 use crate::metrics::DayMetrics;
 use crate::placement::PolicyKind;
+use crate::stream::{DayStream, TraceTraffic};
 use abr_disk::DiskModel;
 use abr_driver::{DriverError, SchedulerKind};
 use abr_sim::SimTime;
-use abr_workload::TraceLog;
+use abr_workload::{TraceEvent, TraceLog};
+use std::sync::Arc;
 
 /// Configuration of a replay run.
 #[derive(Debug, Clone)]
@@ -58,8 +63,15 @@ impl ReplayConfig {
 /// Count block references in a trace (what the reference stream analyzer
 /// would have seen).
 pub fn trace_hot_list(trace: &TraceLog, sectors_per_block: u32) -> Vec<HotBlock> {
+    hot_list(trace.events(), sectors_per_block)
+}
+
+fn hot_list<'a>(
+    events: impl IntoIterator<Item = &'a TraceEvent>,
+    sectors_per_block: u32,
+) -> Vec<HotBlock> {
     let mut analyzer = FullAnalyzer::new();
-    for e in trace.events() {
+    for e in events {
         analyzer.observe(e.sector / u64::from(sectors_per_block), 1);
     }
     analyzer.distribution()
@@ -68,7 +80,9 @@ pub fn trace_hot_list(trace: &TraceLog, sectors_per_block: u32) -> Vec<HotBlock>
 /// Replay a trace against a freshly formatted disk and return the
 /// measured day metrics. The replayed stream is *identical* across calls
 /// regardless of configuration, so metric differences are attributable
-/// purely to the configuration.
+/// purely to the configuration. No daemon runs: each event is submitted
+/// at its offset, and the day ends once the device has drained after the
+/// last one.
 ///
 /// # Errors
 /// The driver's error for the first request it rejects: a trace
@@ -84,55 +98,36 @@ pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> Result<DayMetrics, Dri
         false,
         config.scheduler,
     );
+    let spb = driver.sectors_per_block();
+    let hot = trace_hot_list(trace, spb);
 
     // Pre-place the trace's hottest blocks, exactly as the arranger
-    // would overnight.
+    // would overnight. The loop clears the placement I/O from the
+    // statistics before the day starts.
     if config.n_blocks > 0 {
-        let hot = trace_hot_list(trace, driver.sectors_per_block());
         let arranger = BlockArranger::new(config.policy.make(1));
         arranger.rearrange(&mut driver, &hot, config.n_blocks, SimTime::ZERO)?;
-        // Placement I/O must not pollute the replay's measurements.
-        driver.read_stats();
     }
 
     // The trace starts at t=0; offset everything past the placement
-    // phase (a day boundary in spirit).
-    let base = 200_000_000_000u64; // 200,000 s: far past any placement I/O
-    for e in trace.events() {
-        let at = SimTime::from_micros(base + e.at_us);
-        // Drain completions due before this arrival.
-        while let Some(c) = driver.next_completion() {
-            if c > at {
-                break;
-            }
-            driver.complete_next(c);
-        }
-        driver.submit(e.to_request(), at)?;
+    // phase (a day boundary in spirit): 200,000 s is far past any
+    // placement I/O.
+    let start = SimTime::from_micros(200_000_000_000);
+    let traffic = TraceTraffic::new(Arc::from([DayStream::from_trace(trace)]));
+    let mut day = DayLoop::new(driver, traffic, Vec::new(), None, start);
+    let report = day.run_day();
+    if let Some(e) = day.traffic.rejected() {
+        return Err(e.clone());
     }
-    driver.drain();
 
-    let snapshot = driver.read_stats();
     // Block distributions from the trace itself.
-    let hot = trace_hot_list(trace, driver.sectors_per_block());
-    let spb = u64::from(driver.sectors_per_block());
-    let reads: Vec<u64> = {
-        let mut a = FullAnalyzer::new();
-        for e in trace.events() {
-            if e.dir.is_read() {
-                a.observe(e.sector / spb, 1);
-            }
-        }
-        a.distribution().iter().map(|h| h.count).collect()
-    };
-    Ok(DayMetrics::new(
-        0,
-        config.n_blocks > 0,
-        config.n_blocks as u32,
-        &snapshot,
-        &config.disk.seek,
-        hot.iter().map(|h| h.count).collect(),
-        reads,
-    ))
+    let reads = hot_list(trace.events().iter().filter(|e| e.dir.is_read()), spb);
+    let mut m = report.volume(&config.disk.seek);
+    m.rearranged = config.n_blocks > 0;
+    m.n_rearranged = config.n_blocks as u32;
+    m.block_counts = hot.iter().map(|h| h.count).collect();
+    m.block_counts_reads = reads.iter().map(|h| h.count).collect();
+    Ok(m)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 pub struct RequestId(pub u64);
 
 /// What a write carries. A read carries [`Payload::Zeroes`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Zero-filled sectors: nothing to carry, nothing to store.
     Zeroes,
@@ -34,7 +34,7 @@ pub enum Payload {
 }
 
 /// A block-device request as the file system hands it to `strategy`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IoRequest {
     /// Read or write.
     pub dir: IoDir,

@@ -46,7 +46,7 @@ impl Poisson {
 }
 
 /// Parameters of the ON/OFF bursty arrival process.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnOffParams {
     /// Mean length of an ON (burst) period.
     pub mean_on: SimDuration,

@@ -59,7 +59,7 @@ impl FromJson for OpMix {
 }
 
 /// Parameters of a synthetic workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Profile name for reports.
     pub name: String,
