@@ -44,7 +44,7 @@ use abr_core::analyzer::HotBlock;
 use abr_core::arranger::BlockArranger;
 use abr_core::placement::PolicyKind;
 use abr_core::replay::{replay, ReplayConfig};
-use abr_core::{DayLoop, DayMetrics, FsTraffic};
+use abr_core::{DayLoop, DayMetrics, DaySource, FsProducer, FsTraffic, TraceTraffic};
 use abr_disk::{image, models, Disk, DiskLabel, DiskModel};
 use abr_driver::{AdaptiveDriver, DriverConfig, Ioctl, IoctlReply, RequestMonitor};
 use abr_fs::{FileSystem, FsConfig, MountMode};
@@ -364,13 +364,17 @@ fn workload(args: &[String]) -> Result<(), Error> {
     // (see ExperimentConfig::request_pacing). No daemon reads the request
     // table during the day; the whole of it is read below.
     state.set_day_length(SimDuration::from_mins(minutes));
-    let mut traffic = FsTraffic::new(
+    let start = clock + SimDuration::from_mins(1);
+    let mut producer = FsProducer::spawn(FsTraffic::new(
         fs,
         state,
         SimDuration::from_secs(30),
         SimDuration::from_millis(150),
-    );
-    let start = clock + SimDuration::from_mins(1);
+        start,
+    ));
+    // Exactly one day, so the state persisted below is that day's.
+    producer.plan(1);
+    let mut traffic = TraceTraffic::new(producer);
     if trace_out.is_some() {
         traffic.trace();
     }
@@ -424,7 +428,7 @@ fn workload(args: &[String]) -> Result<(), Error> {
     );
     // Persist the file system (the day ended with a final flush) and the
     // generator.
-    let (fs, state) = traffic.into_parts();
+    let (fs, state) = traffic.into_source().into_parts();
     std::fs::write(fs_state_path(&path), fs.save_state().to_string())?;
     std::fs::write(wl_state_path(&path), state.save_state().to_string())?;
     save_driver(driver, &path)?;

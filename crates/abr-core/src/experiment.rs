@@ -19,18 +19,16 @@ use crate::analyzer::{
 };
 use crate::arranger::{BlockArranger, RearrangeReport};
 use crate::daemon::RearrangementDaemon;
-use crate::dayloop::{DayLoop, DayReport, Traffic};
+use crate::dayloop::{DayLoop, DayReport};
 use crate::metrics::DayMetrics;
 use crate::placement::PolicyKind;
-use crate::stream::{log, DayStream, Requests, Stream, StreamKey, TraceTraffic};
+use crate::producer::{FsProducer, FsTraffic};
+use crate::stream::{DaySource, Recorded, Requests, Stream, StreamKey, TraceTraffic};
 use abr_disk::fault::FaultPlan;
 use abr_disk::{DiskLabel, DiskModel};
-use abr_driver::{
-    AdaptiveDriver, BlockDevice, DriverConfig, IoRequest, Ioctl, IoctlReply, SchedulerKind,
-};
-use abr_fs::{FileSystem, FsConfig, MountMode};
-use abr_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use abr_workload::{Op, TraceLog, WorkloadProfile, WorkloadState};
+use abr_driver::{AdaptiveDriver, BlockDevice, DriverConfig, Ioctl, IoctlReply, SchedulerKind};
+use abr_sim::{SimDuration, SimTime};
+use abr_workload::{TraceLog, WorkloadProfile};
 use std::sync::Arc;
 
 /// Simulated progress accumulated on the current thread: how much
@@ -278,226 +276,6 @@ fn experiment_label(
     }
 }
 
-/// The file-system traffic source: a synthetic workload issuing
-/// file-level operations against an FFS-lite file system, whose block
-/// requests reach the device paced like NFS RPC trains, plus the update
-/// daemon's periodic sync. It is open loop (see [`crate::stream`]), so
-/// what it submits can be recorded once and replayed.
-pub struct FsTraffic {
-    fs: FileSystem,
-    workload: WorkloadState,
-    sync_period: SimDuration,
-    request_pacing: SimDuration,
-    day_start: SimTime,
-    day_end: SimTime,
-    /// The next file-level operation; `None` once the day has no more.
-    next_op: Option<(SimTime, Op)>,
-    next_sync: SimTime,
-    /// Requests from file-level ops, paced out like NFS read/write RPC
-    /// trains (see `ExperimentConfig::request_pacing`). Trains from
-    /// different operations overlap, so a time-ordered queue merges
-    /// them.
-    pending: EventQueue<IoRequest>,
-    /// When set, every submitted request is also logged (relative to the
-    /// current day's start) for trace-driven replay.
-    trace: Option<TraceLog>,
-    /// When set, the stream produced so far, payloads included.
-    record: Option<Recording>,
-}
-
-/// What a recording [`FsTraffic`] has submitted: the set-up writes and
-/// one [`DayStream`] per day begun.
-struct Recording {
-    setup: Requests,
-    days: Vec<DayStream>,
-}
-
-impl Recording {
-    /// Trim the last day begun to its length: it is complete. Slack left
-    /// in every day of a 90 k-request stream costs `suite_paper` 1.1 MB
-    /// of peak RSS.
-    fn finish_day(&mut self) {
-        if let Some(day) = self.days.last_mut() {
-            day.timed.shrink_to_fit();
-            day.flush.shrink_to_fit();
-        }
-    }
-}
-
-/// Where a submitted request sits in the day's stream.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Step {
-    /// A source event of its own.
-    Own,
-    /// Later in the same source event as the request before it.
-    Joined,
-    /// The day-end flush.
-    Flush,
-}
-
-impl FsTraffic {
-    /// A source over an existing file system and the generator whose
-    /// population lives on it — freshly set up or resumed from saved
-    /// state. The day's length is the generator profile's `day_length`.
-    pub fn new(
-        fs: FileSystem,
-        workload: WorkloadState,
-        sync_period: SimDuration,
-        request_pacing: SimDuration,
-    ) -> Self {
-        FsTraffic {
-            fs,
-            workload,
-            sync_period,
-            request_pacing,
-            day_start: SimTime::ZERO,
-            day_end: SimTime::ZERO,
-            next_op: None,
-            next_sync: SimTime::MAX,
-            pending: EventQueue::new(),
-            trace: None,
-            record: None,
-        }
-    }
-
-    /// Make the file system on a volume of `vol_sectors` sectors in
-    /// cylinders of `spc`, and build `config`'s workload population on
-    /// it. Returns the source and the population's set-up writes, which
-    /// must reach the device before the first day.
-    fn set_up(vol_sectors: u64, spc: u64, config: &ExperimentConfig) -> (Self, Vec<IoRequest>) {
-        let fs_cfg = FsConfig {
-            partition: 0,
-            cache_blocks: config.cache_blocks,
-            mode: MountMode::ReadWrite,
-            write_through: config.profile.nfs_write_through,
-            ..FsConfig::default()
-        };
-        let mut fs = FileSystem::newfs(fs_cfg, vol_sectors, spc);
-        let mut rng = SimRng::new(config.seed);
-        let (workload, setup) = WorkloadState::setup(config.profile.clone(), &mut fs, &mut rng)
-            .expect("workload population fits the file system");
-        // The paper's *system* file system is served read-only.
-        if !config.profile.is_mutating() {
-            fs.remount(MountMode::ReadOnly);
-        }
-        let traffic = FsTraffic::new(fs, workload, config.sync_period, config.request_pacing);
-        (traffic, setup)
-    }
-
-    /// Record the stream from here on: `setup`, then every day.
-    fn record(&mut self, setup: &[IoRequest]) {
-        let mut requests = Requests::default();
-        for r in setup {
-            requests.push(0, r, false);
-        }
-        requests.shrink_to_fit();
-        self.record = Some(Recording {
-            setup: requests,
-            days: Vec::new(),
-        });
-    }
-
-    /// Log every request submitted from now on, timestamped relative to
-    /// the start of its day, until [`Self::take_trace`].
-    pub fn trace(&mut self) {
-        self.trace = Some(TraceLog::new());
-    }
-
-    /// Stop logging and hand back what was logged, if anything.
-    pub fn take_trace(&mut self) -> Option<TraceLog> {
-        self.trace.take()
-    }
-
-    /// Give back the file system and the generator, to persist them.
-    pub fn into_parts(self) -> (FileSystem, WorkloadState) {
-        (self.fs, self.workload)
-    }
-
-    /// Submit `req` at `at`, logging and recording it if asked to.
-    fn submit<D: BlockDevice>(&mut self, dev: &mut D, req: IoRequest, at: SimTime, step: Step) {
-        let offset = at - self.day_start;
-        log(&mut self.trace, &req, offset);
-        if let Some(day) = self.record.as_mut().and_then(|r| r.days.last_mut()) {
-            match step {
-                Step::Flush => day.flush.push(0, &req, false),
-                _ => day
-                    .timed
-                    .push(offset.as_micros(), &req, step == Step::Joined),
-            }
-        }
-        dev.submit(req, at).expect("file-system request valid");
-    }
-
-    /// Flush the dirty buffers to the device, in one source event.
-    fn sync<D: BlockDevice>(&mut self, dev: &mut D, t: SimTime, flush: bool) {
-        for (i, r) in self.fs.sync().into_iter().enumerate() {
-            let step = match (flush, i) {
-                (true, _) => Step::Flush,
-                (false, 0) => Step::Own,
-                (false, _) => Step::Joined,
-            };
-            self.submit(dev, r, t, step);
-        }
-    }
-}
-
-impl<D: BlockDevice> Traffic<D> for FsTraffic {
-    fn begin_day(&mut self, start: SimTime) -> SimTime {
-        let length = self.workload.profile().day_length;
-        if let Some(r) = &mut self.record {
-            r.finish_day();
-            r.days.push(DayStream {
-                length,
-                ..DayStream::default()
-            });
-        }
-        self.day_start = start;
-        self.day_end = start + length;
-        self.next_sync = start + self.sync_period;
-        self.next_op = Some(self.workload.next_op(start, &self.fs));
-        self.pending = EventQueue::new();
-        self.day_end
-    }
-
-    fn next_event(&self) -> SimTime {
-        let op_at = self.next_op.map_or(SimTime::MAX, |(at, _)| at);
-        let next_pending = self.pending.peek_time().unwrap_or(SimTime::MAX);
-        next_pending.min(op_at).min(self.next_sync)
-    }
-
-    fn on_event(&mut self, dev: &mut D, t: SimTime) {
-        if self.pending.peek_time() == Some(t) {
-            if let Some((_, r)) = self.pending.pop() {
-                self.submit(dev, r, t, Step::Own);
-            }
-        } else if let Some((_, op)) = self.next_op.filter(|&(at, _)| at == t) {
-            let reqs = self.workload.apply(op, &mut self.fs);
-            for (i, r) in reqs.into_iter().enumerate() {
-                self.pending.schedule(t + self.request_pacing * i as u64, r);
-            }
-            // New operations stop at the day boundary; only already-
-            // issued request trains drain past it.
-            let next = self.workload.next_op(t, &self.fs);
-            self.next_op = (next.0 <= self.day_end).then_some(next);
-        } else {
-            self.sync(dev, t, false);
-            self.next_sync = t + self.sync_period;
-        }
-    }
-
-    fn drained(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    fn flush(&mut self, dev: &mut D, t: SimTime) {
-        self.sync(dev, t, true);
-    }
-
-    fn next_day(&mut self, _clock: SimTime) {
-        self.workload.advance_day();
-    }
-}
-
 /// Setup and warm-up are unmeasured: span and event recording pause so
 /// an active trace holds only measured-day traffic, and the wall time
 /// goes to `wall.setup`. (Wall-clock timers keep running; they feed
@@ -508,10 +286,11 @@ fn unmeasured() -> impl Sized {
 }
 
 /// The paper's measured-day protocol over any device: the day loop fed
-/// by a file system under a synthetic workload.
-pub type FsLoop<D> = DayLoop<D, FsTraffic>;
+/// by a file system under a synthetic workload, made ahead on a producer
+/// thread (see [`crate::producer`]).
+pub type FsLoop<D> = DayLoop<D, TraceTraffic<FsProducer>>;
 
-impl<D: BlockDevice> DayLoop<D, FsTraffic> {
+impl<D: BlockDevice> FsLoop<D> {
     /// Build the stack above an already formatted `device` exposing
     /// `vol_sectors` sectors: create the file system, build the
     /// workload's file population (pushing its I/O through the device
@@ -527,12 +306,13 @@ impl<D: BlockDevice> DayLoop<D, FsTraffic> {
     ) -> Self {
         let spc = device.member_mut(0).label().physical.sectors_per_cylinder();
         let (traffic, setup) = FsTraffic::set_up(vol_sectors, spc, config);
-        let interleave = traffic.fs.layout().interleave;
-        Self::start(device, traffic, setup, interleave, config, fault_plans)
+        let interleave = traffic.interleave();
+        let traffic = TraceTraffic::new(FsProducer::spawn(traffic));
+        Self::start(device, traffic, &setup, interleave, config, fault_plans)
     }
 }
 
-impl<D: BlockDevice, T: Traffic<D>> DayLoop<D, T> {
+impl<D: BlockDevice, S: DaySource> DayLoop<D, TraceTraffic<S>> {
     /// Bring `device` up under `traffic`: push the population's `setup`
     /// writes through it synchronously (unmeasured, at most 64 queued),
     /// give every member its rearrangement daemon (the interleaved
@@ -540,14 +320,14 @@ impl<D: BlockDevice, T: Traffic<D>> DayLoop<D, T> {
     /// days, and only then install `fault_plans`.
     fn start(
         mut device: D,
-        traffic: T,
-        setup: impl IntoIterator<Item = IoRequest>,
+        traffic: TraceTraffic<S>,
+        setup: &Requests,
         interleave: u64,
         config: &ExperimentConfig,
         fault_plans: &[Option<FaultPlan>],
     ) -> Self {
         let mut clock = SimTime::ZERO;
-        for req in setup {
+        for (_, _, req) in setup.iter() {
             device.submit(req, clock).expect("setup requests are valid");
             if device.queue_len() > 64 {
                 if let Some(t) = device.next_completion() {
@@ -631,6 +411,7 @@ impl<D: BlockDevice, T: Traffic<D>> DayLoop<D, T> {
         n_blocks: usize,
         mut metrics: impl FnMut(DayReport) -> M,
     ) -> Vec<M> {
+        self.traffic.plan(pairs * 2);
         let mut out = Vec::with_capacity(pairs * 2);
         for _ in 0..pairs {
             // Off day.
@@ -644,57 +425,6 @@ impl<D: BlockDevice, T: Traffic<D>> DayLoop<D, T> {
     }
 }
 
-/// Where an [`Experiment`]'s requests come from: the file system and
-/// workload producing them live, or a recorded stream replaying them.
-#[allow(clippy::large_enum_variant)] // one per experiment, never moved once built
-enum ExperimentTraffic {
-    Live(FsTraffic),
-    Replay(TraceTraffic),
-}
-
-/// `$body` on whichever source `$traffic` holds, bound to `$t`.
-macro_rules! either {
-    ($traffic:expr, $t:ident => $body:expr) => {
-        match $traffic {
-            ExperimentTraffic::Live($t) => $body,
-            ExperimentTraffic::Replay($t) => $body,
-        }
-    };
-}
-
-impl<D: BlockDevice> Traffic<D> for ExperimentTraffic {
-    fn begin_day(&mut self, start: SimTime) -> SimTime {
-        either!(self, t => Traffic::<D>::begin_day(t, start))
-    }
-
-    fn next_event(&self) -> SimTime {
-        either!(self, t => Traffic::<D>::next_event(t))
-    }
-
-    fn on_event(&mut self, dev: &mut D, at: SimTime) {
-        either!(self, t => t.on_event(dev, at))
-    }
-
-    fn drained(&self) -> bool {
-        either!(self, t => Traffic::<D>::drained(t))
-    }
-
-    fn flush(&mut self, dev: &mut D, at: SimTime) {
-        either!(self, t => t.flush(dev, at));
-        // A live source panics on a request the device rejects; so does
-        // its replay, once a day.
-        if let ExperimentTraffic::Replay(t) = self {
-            if let Some(e) = t.rejected() {
-                panic!("the device rejected a replayed request: {e}");
-            }
-        }
-    }
-
-    fn next_day(&mut self, clock: SimTime) {
-        either!(self, t => Traffic::<D>::next_day(t, clock))
-    }
-}
-
 /// The assembled simulated file server: the day loop over one
 /// [`AdaptiveDriver`]. Its day metrics are the roll-up of its single
 /// member, so a one-disk volume under the same loop reproduces them by
@@ -702,7 +432,10 @@ impl<D: BlockDevice> Traffic<D> for ExperimentTraffic {
 #[derive(Debug)]
 pub struct Experiment {
     config: ExperimentConfig,
-    h: DayLoop<AdaptiveDriver, ExperimentTraffic>,
+    h: DayLoop<AdaptiveDriver, TraceTraffic>,
+    /// The set-up writes and the file system's interleave, kept by
+    /// [`Self::recording`] for [`Self::into_stream`].
+    recorded: Option<(Requests, u64)>,
 }
 
 /// Run `protocol` on an experiment of each configuration in turn,
@@ -759,28 +492,47 @@ impl Experiment {
         );
         let _setup = unmeasured();
         let driver = Self::member(&config);
-        let traffic = ExperimentTraffic::Replay(TraceTraffic::new(Arc::clone(&stream.days)));
-        let setup = stream.setup.iter().map(|(_, _, req)| req);
+        let days = Recorded::new(Arc::clone(&stream.days));
+        let traffic = TraceTraffic::new(Box::new(days) as Box<dyn DaySource>);
         let plans = [config.fault_plan];
-        let h = DayLoop::start(driver, traffic, setup, stream.interleave, &config, &plans);
-        Experiment { config, h }
+        let h = DayLoop::start(
+            driver,
+            traffic,
+            &stream.setup,
+            stream.interleave,
+            &config,
+            &plans,
+        );
+        Experiment {
+            config,
+            h,
+            recorded: None,
+        }
     }
 
+    /// The stack of [`Self::new`]: its file system and workload make the
+    /// stream on a producer thread, and the device replays it as it is
+    /// made, keeping every day if `record`.
     fn live(config: ExperimentConfig, record: bool) -> Self {
         let _setup = unmeasured();
         let driver = Self::member(&config);
         let label = driver.label();
         let part_sectors = label.partitions[0].n_sectors;
         let spc = label.physical.sectors_per_cylinder();
-        let (mut traffic, setup) = FsTraffic::set_up(part_sectors, spc, &config);
+        let (traffic, setup) = FsTraffic::set_up(part_sectors, spc, &config);
+        let interleave = traffic.interleave();
+        let producer = FsProducer::spawn(traffic);
+        let mut traffic = TraceTraffic::new(Box::new(producer) as Box<dyn DaySource>);
         if record {
-            traffic.record(&setup);
+            traffic = traffic.keeping();
         }
-        let interleave = traffic.fs.layout().interleave;
-        let traffic = ExperimentTraffic::Live(traffic);
         let plans = [config.fault_plan];
-        let h = DayLoop::start(driver, traffic, setup, interleave, &config, &plans);
-        Experiment { config, h }
+        let h = DayLoop::start(driver, traffic, &setup, interleave, &config, &plans);
+        Experiment {
+            config,
+            h,
+            recorded: record.then_some((setup, interleave)),
+        }
     }
 
     /// The formatted, attached driver `config` describes.
@@ -796,17 +548,12 @@ impl Experiment {
     /// The stream recorded so far — the set-up and every day run — if
     /// this experiment was built by [`Self::recording`].
     pub fn into_stream(self) -> Option<Stream> {
-        let ExperimentTraffic::Live(traffic) = self.h.traffic else {
-            return None;
-        };
-        let interleave = traffic.fs.layout().interleave;
-        let mut recording = traffic.record?;
-        recording.finish_day();
+        let (setup, interleave) = self.recorded?;
         Some(Stream {
             key: self.config.stream_key(),
             interleave,
-            setup: recording.setup,
-            days: recording.days.into(),
+            setup,
+            days: self.h.traffic.into_days().into(),
         })
     }
 
@@ -865,9 +612,9 @@ impl Experiment {
     /// stream (timestamps relative to the day start), for trace-driven
     /// replay (see the [`mod@crate::replay`] module).
     pub fn run_day_traced(&mut self) -> (DayMetrics, TraceLog) {
-        either!(&mut self.h.traffic, t => t.trace());
+        self.h.traffic.trace();
         let metrics = self.run_day();
-        let trace = either!(&mut self.h.traffic, t => t.take_trace());
+        let trace = self.h.traffic.take_trace();
         (metrics, trace.expect("set above"))
     }
 

@@ -24,6 +24,8 @@
 //!   synthetic workload, running multi-day on/off protocols with
 //!   per-day metrics matching the paper's tables.
 //! * [`metrics`] — per-day and per-run metric types.
+//! * [`producer`] — the file-system workload, made one day ahead of the
+//!   device on a thread of its own.
 //! * [`stream`] — recorded workload streams: what an open-loop source
 //!   submitted, produced once and replayed into every device that shares
 //!   its key.
@@ -44,6 +46,7 @@ pub mod dayloop;
 pub mod experiment;
 pub mod metrics;
 pub mod placement;
+pub mod producer;
 pub mod recovery;
 pub mod replay;
 pub mod stream;
@@ -54,10 +57,11 @@ pub use daemon::RearrangementDaemon;
 pub use dayloop::{DayLoop, DayReport, Traffic};
 pub use experiment::{
     experiment_member, run_meter, run_meter_add, run_meter_reset, share_stream, Experiment,
-    ExperimentConfig, FsLoop, FsTraffic, RunMeter, OVERNIGHT,
+    ExperimentConfig, FsLoop, RunMeter, OVERNIGHT,
 };
 pub use metrics::{DayMetrics, DirMetrics};
 pub use placement::{Interleaved, OrganPipe, PlacementPolicy, PolicyKind, Serial, SlotMap};
+pub use producer::{FsProducer, FsTraffic};
 pub use recovery::{IoBudget, MaintenanceConfig};
 pub use replay::{replay, ReplayConfig};
-pub use stream::{DayStream, Stream, StreamKey, TraceTraffic};
+pub use stream::{DaySource, DayStream, Recorded, Stream, StreamKey, TraceTraffic};

@@ -17,7 +17,7 @@ use crate::dayloop::DayLoop;
 use crate::experiment::experiment_member;
 use crate::metrics::DayMetrics;
 use crate::placement::PolicyKind;
-use crate::stream::{DayStream, TraceTraffic};
+use crate::stream::{DayStream, Recorded, TraceTraffic};
 use abr_disk::DiskModel;
 use abr_driver::{DriverError, SchedulerKind};
 use abr_sim::SimTime;
@@ -113,7 +113,8 @@ pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> Result<DayMetrics, Dri
     // phase (a day boundary in spirit): 200,000 s is far past any
     // placement I/O.
     let start = SimTime::from_micros(200_000_000_000);
-    let traffic = TraceTraffic::new(Arc::from([DayStream::from_trace(trace)]));
+    let days = Recorded::new(Arc::from([Arc::new(DayStream::from_trace(trace))]));
+    let traffic = TraceTraffic::new(days).lenient();
     let mut day = DayLoop::new(driver, traffic, Vec::new(), None, start);
     let report = day.run_day();
     if let Some(e) = day.traffic.rejected() {

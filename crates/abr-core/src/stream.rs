@@ -170,6 +170,30 @@ impl Requests {
         self.len == 0
     }
 
+    /// Continue `piece` in this empty sequence: the next request pushed
+    /// is a delta against `piece`'s last, so this sequence decodes only
+    /// after `piece` (see [`DayStream::more`]).
+    fn resume(&mut self, piece: &Requests) {
+        self.last = piece.last;
+    }
+
+    /// Append `piece`, which continues this sequence (see
+    /// [`Self::resume`]).
+    fn append(&mut self, piece: &Requests) {
+        self.bytes.extend_from_slice(&piece.bytes);
+        self.verbatim.extend_from_slice(&piece.verbatim);
+        self.len += piece.len;
+        self.last = piece.last;
+    }
+
+    /// Empty the sequence, keeping its capacity.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.verbatim.clear();
+        self.len = 0;
+        self.last = Cursor::default();
+    }
+
     /// Give back the capacity the sequence grew past its length.
     pub fn shrink_to_fit(&mut self) {
         self.bytes.shrink_to_fit();
@@ -247,7 +271,7 @@ impl Requests {
     }
 }
 
-/// One recorded day.
+/// One recorded day, or a piece of a day being made.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DayStream {
     /// How long the source issued operations: the day ends this long
@@ -259,6 +283,10 @@ pub struct DayStream {
     /// The day-end flush, submitted together once the device is idle
     /// after the day ends.
     pub flush: Requests,
+    /// More of the day follows: this is a piece of a day handed out
+    /// while it is made, whose flush is empty and whose next piece's
+    /// `timed` continues this one's. A whole day has it clear.
+    pub more: bool,
 }
 
 impl DayStream {
@@ -272,8 +300,32 @@ impl DayStream {
         DayStream {
             length: SimDuration::from_micros(trace.events().last().map_or(0, |e| e.at_us)),
             timed,
-            flush: Requests::default(),
+            ..DayStream::default()
         }
+    }
+
+    /// Empty the day, keeping its buffers for the next.
+    pub fn clear(&mut self) {
+        self.timed.clear();
+        self.flush.clear();
+        self.more = false;
+    }
+
+    /// Hand out what was made so far as a piece with [`Self::more`] set,
+    /// and go on in `next`'s buffers.
+    pub fn cut(&mut self, mut next: DayStream) -> DayStream {
+        next.clear();
+        next.length = self.length;
+        next.timed.resume(&self.timed);
+        let mut piece = std::mem::replace(self, next);
+        piece.more = true;
+        piece
+    }
+
+    /// Give back the capacity the day's buffers grew past their length.
+    fn shrink_to_fit(&mut self) {
+        self.timed.shrink_to_fit();
+        self.flush.shrink_to_fit();
     }
 }
 
@@ -291,7 +343,7 @@ pub struct Stream {
     /// the first day.
     pub setup: Requests,
     /// Every day run, warm-up days first.
-    pub days: Arc<[DayStream]>,
+    pub days: Arc<[Arc<DayStream>]>,
 }
 
 impl Stream {
@@ -312,21 +364,74 @@ impl Stream {
 }
 
 /// Log `req` into `trace`, if one is kept, `offset` into the day.
-pub(crate) fn log(trace: &mut Option<TraceLog>, req: &IoRequest, offset: SimDuration) {
+fn log(trace: &mut Option<TraceLog>, req: &IoRequest, offset: SimDuration) {
     if let Some(log) = trace {
         log.push(TraceEvent::of(req, offset.as_micros()));
     }
 }
 
-/// A [`Traffic`] source replaying recorded days, one per
-/// [`Traffic::begin_day`]: each recorded step is one source event at its
-/// recorded offset, and the flush goes out when the loop calls for it.
-/// A request the device rejects is skipped; the first rejection is kept
-/// (see [`Self::rejected`]).
+/// Where a [`TraceTraffic`] takes its days from: each day whole, or in
+/// pieces as it is made (see [`DayStream::more`]).
+pub trait DaySource: Iterator<Item = Arc<DayStream>> + Send {
+    /// The caller will begin exactly `days` more days and then stop or
+    /// plan again: a source that makes its days ahead of use makes no
+    /// more than that. Nothing to do for a source that is already made.
+    fn plan(&mut self, _days: usize) {}
+
+    /// The caller is done with `piece`: a source that makes days may
+    /// refill its buffers.
+    fn recycle(&mut self, _piece: Arc<DayStream>) {}
+}
+
+impl DaySource for Box<dyn DaySource> {
+    fn plan(&mut self, days: usize) {
+        (**self).plan(days);
+    }
+
+    fn recycle(&mut self, piece: Arc<DayStream>) {
+        (**self).recycle(piece);
+    }
+}
+
+/// The days of a recorded [`Stream`], in order, shared with the stream
+/// so it can serve any number of replays.
 #[derive(Debug)]
-pub struct TraceTraffic {
-    days: Arc<[DayStream]>,
-    /// Days begun; the day in progress is the last of them.
+pub struct Recorded {
+    days: Arc<[Arc<DayStream>]>,
+    next: usize,
+}
+
+impl Recorded {
+    /// A source over `days`.
+    pub fn new(days: Arc<[Arc<DayStream>]>) -> Self {
+        Recorded { days, next: 0 }
+    }
+}
+
+impl Iterator for Recorded {
+    type Item = Arc<DayStream>;
+
+    fn next(&mut self) -> Option<Arc<DayStream>> {
+        let day = Arc::clone(self.days.get(self.next)?);
+        self.next += 1;
+        Some(day)
+    }
+}
+
+impl DaySource for Recorded {}
+
+/// A [`Traffic`] source replaying the days its [`DaySource`] hands it,
+/// one per [`Traffic::begin_day`]: each recorded step is one source
+/// event at its recorded offset, and the flush goes out when the loop
+/// calls for it. A request the device rejects panics the run, unless
+/// the source is [`Self::lenient`].
+pub struct TraceTraffic<S = Box<dyn DaySource>> {
+    source: S,
+    /// The piece of today being replayed.
+    piece: Arc<DayStream>,
+    /// Every day begun, joined from its pieces, if kept (see
+    /// [`Self::keeping`]).
+    kept: Option<Vec<DayStream>>,
     begun: usize,
     cursor: Cursor,
     sink: Sink,
@@ -337,6 +442,7 @@ pub struct TraceTraffic {
 struct Sink {
     day_start: SimTime,
     trace: Option<TraceLog>,
+    lenient: bool,
     rejected: Option<DriverError>,
 }
 
@@ -344,20 +450,52 @@ impl Sink {
     fn submit<D: BlockDevice>(&mut self, dev: &mut D, req: IoRequest, t: SimTime) {
         log(&mut self.trace, &req, t - self.day_start);
         if let Err(e) = dev.submit(req, t) {
+            assert!(self.lenient, "the device rejected a replayed request: {e}");
             self.rejected.get_or_insert(e);
         }
     }
 }
 
-impl TraceTraffic {
-    /// A source over `days`.
-    pub fn new(days: Arc<[DayStream]>) -> Self {
+impl<S: DaySource> TraceTraffic<S> {
+    /// A source replaying `source`'s days.
+    pub fn new(source: S) -> Self {
         TraceTraffic {
-            days,
+            source,
+            piece: Arc::default(),
+            kept: None,
             begun: 0,
             cursor: Cursor::default(),
             sink: Sink::default(),
         }
+    }
+
+    /// Keep every day begun, for [`Self::into_days`].
+    pub fn keeping(mut self) -> Self {
+        self.kept = Some(Vec::new());
+        self
+    }
+
+    /// Skip a request the device rejects instead of panicking, and keep
+    /// the first error (see [`Self::rejected`]).
+    pub fn lenient(mut self) -> Self {
+        self.sink.lenient = true;
+        self
+    }
+
+    /// Every day begun, in order, if [`Self::keeping`]; else none.
+    pub fn into_days(self) -> Vec<Arc<DayStream>> {
+        let kept = self.kept.unwrap_or_default();
+        kept.into_iter().map(Arc::new).collect()
+    }
+
+    /// The day source, to take back what it owns.
+    pub fn into_source(self) -> S {
+        self.source
+    }
+
+    /// See [`DaySource::plan`].
+    pub fn plan(&mut self, days: usize) {
+        self.source.plan(days);
     }
 
     /// The first error the device returned for a replayed request.
@@ -376,47 +514,77 @@ impl TraceTraffic {
         self.sink.trace.take()
     }
 
-    fn today(&self) -> &DayStream {
-        &self.days[self.begun - 1]
+    /// Move on to the source's next piece, handing the last one back.
+    fn take_piece(&mut self) {
+        let Some(piece) = self.source.next() else {
+            panic!("the recorded stream holds only {} days", self.begun);
+        };
+        if let Some(kept) = &mut self.kept {
+            if !self.piece.more {
+                kept.push(DayStream {
+                    length: piece.length,
+                    ..DayStream::default()
+                });
+            }
+            if let Some(day) = kept.last_mut() {
+                day.timed.append(&piece.timed);
+                if !piece.more {
+                    day.flush.clone_from(&piece.flush);
+                    // A kept day lives as long as the stream: no slack.
+                    // (Slack in every day of a 90 k-request stream costs
+                    // `suite_paper` 1.1 MB of peak RSS.)
+                    day.shrink_to_fit();
+                }
+            }
+        }
+        let spent = std::mem::replace(&mut self.piece, piece);
+        self.source.recycle(spent);
+        (self.cursor.pos, self.cursor.verbatim) = (0, 0);
+    }
+
+    /// Take pieces until one has requests left or the day has no more.
+    fn settle(&mut self) {
+        while self.piece.more && self.piece.timed.at_end(&self.cursor) {
+            self.take_piece();
+        }
     }
 }
 
-impl<D: BlockDevice> Traffic<D> for TraceTraffic {
+impl<D: BlockDevice, S: DaySource> Traffic<D> for TraceTraffic<S> {
     fn begin_day(&mut self, start: SimTime) -> SimTime {
-        assert!(
-            self.begun < self.days.len(),
-            "the recorded stream holds only {} days",
-            self.days.len()
-        );
+        self.take_piece();
+        self.cursor = Cursor::default();
+        self.settle();
         self.begun += 1;
         self.sink.day_start = start;
-        self.cursor = Cursor::default();
-        start + self.today().length
+        start + self.piece.length
     }
 
     fn next_event(&self) -> SimTime {
-        let at = self.today().timed.peek_at(&self.cursor);
+        let at = self.piece.timed.peek_at(&self.cursor);
         at.map_or(SimTime::MAX, |at| {
             self.sink.day_start + SimDuration::from_micros(at)
         })
     }
 
     fn on_event(&mut self, dev: &mut D, t: SimTime) {
-        let timed = &self.days[self.begun - 1].timed;
+        // A step never spans two pieces: the producer cuts between steps.
+        let timed = &self.piece.timed;
         while let Some(req) = timed.take(&mut self.cursor) {
             self.sink.submit(dev, req, t);
             if !timed.joins(&self.cursor) {
                 break;
             }
         }
+        self.settle();
     }
 
     fn drained(&self) -> bool {
-        self.today().timed.at_end(&self.cursor)
+        !self.piece.more && self.piece.timed.at_end(&self.cursor)
     }
 
     fn flush(&mut self, dev: &mut D, t: SimTime) {
-        for (_, _, req) in self.days[self.begun - 1].flush.iter() {
+        for (_, _, req) in self.piece.flush.iter() {
             self.sink.submit(dev, req, t);
         }
     }

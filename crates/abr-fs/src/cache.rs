@@ -12,13 +12,14 @@
 //! block emits an immediate writeback.
 //!
 //! Internally the recency order is an intrusive doubly-linked list over a
-//! slab of entries, with a block → slot map on the side: referencing a
-//! resident block unlinks and relinks one node (O(1)) instead of
-//! reshuffling an ordered structure, and slots are recycled through a
-//! free list so a warmed-up cache performs no allocation at all.
+//! slab of entries, with a dense block → slot index on the side (one
+//! `u16` per block up to the highest block seen, 1/4096 of the blocks'
+//! bytes): referencing a resident block unlinks and relinks one node
+//! (O(1)) instead of reshuffling an ordered structure, and slots are
+//! recycled through a free list so a warmed-up cache performs no
+//! allocation at all.
 
 use crate::payload::PayloadTag;
-use abr_sim::hash::FastMap; // abr-lint: allow(D001, cache map is keyed lookup; eviction order comes from the intrusive lru list)
 
 /// A block due to be written to disk: which block, what it holds, and how
 /// many sectors of it are valid (fragment-tail writes are sub-block).
@@ -34,6 +35,10 @@ pub struct Writeback {
 
 const NIL: u32 = u32::MAX;
 
+/// The most blocks a [`BufferCache`] holds (512 MiB of 8 KB blocks), so
+/// its block → slot index needs two bytes a block.
+pub const MAX_CAPACITY: usize = u16::MAX as usize - 1;
+
 #[derive(Debug, Clone, Copy)]
 struct Node {
     block: u64,
@@ -48,7 +53,12 @@ struct Node {
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
-    map: FastMap<u64, u32>, // abr-lint: allow(D001, keyed lookup only; victims picked via the lru list)
+    /// Per block, its slot + 1 (0 = not resident); grown on demand.
+    /// Two bytes an entry: the capacity bound of [`Self::new`] keeps
+    /// every slot + 1 below `u16::MAX`.
+    index: Vec<u16>,
+    /// Resident blocks.
+    live: usize,
     nodes: Vec<Node>,
     free: Vec<u32>,
     /// Least-recently-used node (eviction victim), `NIL` when empty.
@@ -68,12 +78,14 @@ impl BufferCache {
     /// A cache holding at most `capacity` blocks.
     ///
     /// # Panics
-    /// Panics if capacity is zero.
+    /// Panics if capacity is zero or above [`MAX_CAPACITY`].
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "zero-capacity cache");
+        assert!(capacity <= MAX_CAPACITY, "cache of {capacity} blocks");
         BufferCache {
             capacity,
-            map: FastMap::default(), // abr-lint: allow(D001, keyed lookup only; victims picked via the lru list)
+            index: Vec::new(),
+            live: 0,
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -86,12 +98,12 @@ impl BufferCache {
 
     /// Blocks currently cached.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.live
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.live == 0
     }
 
     /// Lifetime (hit, miss) counts.
@@ -101,7 +113,21 @@ impl BufferCache {
 
     /// Whether a block is resident (does not affect LRU order).
     pub fn contains(&self, block: u64) -> bool {
-        self.map.contains_key(&block)
+        self.slot(block).is_some()
+    }
+
+    /// The slot holding `block`, if it is resident.
+    fn slot(&self, block: u64) -> Option<u32> {
+        u32::from(*self.index.get(block as usize)?).checked_sub(1)
+    }
+
+    /// Record `block`'s slot + 1 (0 = not resident).
+    fn set_index(&mut self, block: u64, entry: u16) {
+        let i = block as usize;
+        if i >= self.index.len() {
+            self.index.resize(i + 1, 0);
+        }
+        self.index[i] = entry;
     }
 
     fn unlink(&mut self, idx: u32) {
@@ -137,7 +163,7 @@ impl BufferCache {
     /// be evicted — if it was dirty, its writeback is returned and must be
     /// issued immediately.
     pub fn reference(&mut self, block: u64) -> (bool, Option<Writeback>) {
-        if let Some(&idx) = self.map.get(&block) {
+        if let Some(idx) = self.slot(block) {
             self.hits += 1;
             self.unlink(idx);
             self.link_mru(idx);
@@ -153,7 +179,7 @@ impl BufferCache {
     /// flush time. Returns an eviction writeback if inserting displaced a
     /// dirty block.
     pub fn mark_dirty(&mut self, block: u64, tag: PayloadTag, n_sectors: u32) -> Option<Writeback> {
-        if let Some(&idx) = self.map.get(&block) {
+        if let Some(idx) = self.slot(block) {
             self.unlink(idx);
             self.link_mru(idx);
             let n = &mut self.nodes[idx as usize];
@@ -171,12 +197,13 @@ impl BufferCache {
 
     fn insert(&mut self, block: u64, dirty: Option<(PayloadTag, u32)>) -> Option<Writeback> {
         let mut evicted = None;
-        if self.map.len() >= self.capacity {
+        if self.live >= self.capacity {
             // Evict the least-recently-used block.
             let victim = self.head;
             self.unlink(victim);
             let n = self.nodes[victim as usize];
-            self.map.remove(&n.block);
+            self.set_index(n.block, 0);
+            self.live -= 1;
             self.free.push(victim);
             if let Some((tag, n_sectors)) = n.dirty {
                 evicted = Some(Writeback {
@@ -208,13 +235,18 @@ impl BufferCache {
             }
         };
         self.link_mru(idx);
-        self.map.insert(block, idx);
+        // Below `MAX_CAPACITY` + 1: a slot is only made while the cache
+        // holds fewer than `capacity` blocks.
+        self.set_index(block, idx as u16 + 1);
+        self.live += 1;
         evicted
     }
 
     /// Drop a block from the cache without writeback (file deletion).
     pub fn invalidate(&mut self, block: u64) {
-        if let Some(idx) = self.map.remove(&block) {
+        if let Some(idx) = self.slot(block) {
+            self.set_index(block, 0);
+            self.live -= 1;
             self.unlink(idx);
             self.free.push(idx);
         }
@@ -231,7 +263,7 @@ impl BufferCache {
         order
             .into_iter()
             .filter_map(|block| {
-                let &idx = self.map.get(&block)?;
+                let idx = self.slot(block)?;
                 let n = &mut self.nodes[idx as usize];
                 n.dirty.take().map(|(tag, n_sectors)| Writeback {
                     block,
@@ -244,10 +276,14 @@ impl BufferCache {
 
     /// Number of dirty blocks awaiting flush.
     pub fn dirty_count(&self) -> usize {
-        self.map
-            .values()
-            .filter(|&&idx| self.nodes[idx as usize].dirty.is_some())
-            .count()
+        let mut count = 0;
+        let mut idx = self.head;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            count += usize::from(n.dirty.is_some());
+            idx = n.next;
+        }
+        count
     }
 }
 
@@ -385,28 +421,33 @@ mod tests {
 
     #[test]
     fn mixed_workout_matches_naive_model() {
-        // Cross-check list-based LRU against a simple vector model.
-        let mut c = BufferCache::new(4);
-        let mut model: Vec<u64> = Vec::new(); // front = LRU
-        let mut x = 0x12345u64;
-        for _ in 0..2000 {
-            x = abr_sim::rng::splitmix64(x);
-            let block = x % 12;
-            if x.is_multiple_of(7) && !model.is_empty() {
-                let victim = model[(x % model.len() as u64) as usize];
-                c.invalidate(victim);
-                model.retain(|&b| b != victim);
-                continue;
+        // Cross-check list-based LRU and the dense index against a
+        // simple vector model: a small cache over few blocks, and one
+        // whose blocks lie far apart, so the index grows in steps.
+        for (capacity, blocks, spread) in [(4, 12, 1), (32, 96, 1 << 13)] {
+            let mut c = BufferCache::new(capacity);
+            let mut model: Vec<u64> = Vec::new(); // front = LRU
+            let mut x = 0x12345u64;
+            for _ in 0..4000 {
+                x = abr_sim::rng::splitmix64(x);
+                let block = x % blocks * spread;
+                if x.is_multiple_of(7) && !model.is_empty() {
+                    let victim = model[(x % model.len() as u64) as usize];
+                    c.invalidate(victim);
+                    model.retain(|&b| b != victim);
+                    continue;
+                }
+                let (hit, _) = c.reference(block);
+                let modeled_hit = model.contains(&block);
+                assert_eq!(hit, modeled_hit, "block {block}");
+                model.retain(|&b| b != block);
+                model.push(block);
+                if model.len() > capacity {
+                    model.remove(0);
+                }
+                assert_eq!(c.len(), model.len());
+                assert!(model.iter().all(|&b| c.contains(b)));
             }
-            let (hit, _) = c.reference(block);
-            let modeled_hit = model.contains(&block);
-            assert_eq!(hit, modeled_hit, "block {block}");
-            model.retain(|&b| b != block);
-            model.push(block);
-            if model.len() > 4 {
-                model.remove(0);
-            }
-            assert_eq!(c.len(), model.len());
         }
     }
 }

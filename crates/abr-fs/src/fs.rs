@@ -10,10 +10,9 @@
 
 use crate::alloc::Allocator;
 use crate::cache::{BufferCache, Writeback};
-use crate::layout::FsLayout;
+use crate::layout::{FsLayout, INODE_SIZE};
 use crate::payload::PayloadTag;
 use abr_driver::request::IoRequest;
-use abr_sim::hash::FastMap;
 use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -249,13 +248,25 @@ pub struct FileSystem {
     inodes: InodeTable,
     dirs: BTreeMap<u64, Dir>,
     next_dir_id: u64,
-    /// Update generation per i-node region block. Touched on every
-    /// operation (access-time updates), so keyed with the fast fixed
-    /// hasher; saved in key order (see [`FileSystem::save_state`]).
-    inode_block_gen: FastMap<u64, u32>,
+    /// Update generation per i-node region block (0 = never updated),
+    /// indexed by the block's rank among the i-node blocks, which is
+    /// `ino / inodes per block` for any i-node it holds. Touched on every
+    /// operation (access-time updates), so dense: one entry per i-node
+    /// block, 1/32 of the partition.
+    inode_block_gen: Vec<u32>,
     /// Reusable scratch for `read`/`write`, so the per-operation hot
     /// path does not allocate to walk an extent list.
     op_scratch: OpScratch,
+}
+
+/// I-nodes per file-system block.
+fn inodes_per_block(layout: &FsLayout) -> u64 {
+    u64::from(layout.block_size / INODE_SIZE)
+}
+
+/// I-node blocks in the file system.
+fn inode_blocks(layout: &FsLayout) -> usize {
+    (layout.n_groups() * layout.inode_blocks_per_group) as usize
 }
 
 /// The `(disk block, generation)` pairs of one block walk.
@@ -289,7 +300,7 @@ impl FileSystem {
             inodes: InodeTable::new(layout.n_inodes()),
             dirs: BTreeMap::new(),
             next_dir_id: 0,
-            inode_block_gen: FastMap::default(),
+            inode_block_gen: vec![0; inode_blocks(&layout)],
             op_scratch: Vec::new(),
             layout,
             cfg,
@@ -411,11 +422,9 @@ impl FileSystem {
     /// (§3.1).
     fn touch_inode(&mut self, ino: u64, out: &mut Vec<IoRequest>) {
         let block = self.layout.inode_block(ino);
-        let generation = {
-            let g = self.inode_block_gen.entry(block).or_insert(0);
-            *g += 1;
-            *g
-        };
+        let g = &mut self.inode_block_gen[(ino / inodes_per_block(&self.layout)) as usize];
+        *g += 1;
+        let generation = *g;
         self.cache_dirty(
             block,
             PayloadTag::InodeBlock { block, generation },
@@ -863,7 +872,10 @@ impl FileSystem {
         );
         let inodes = self.inodes.live().map(|(ino, i)| (*ino, i.to_json()));
         let dirs = self.dirs.iter().map(|(&id, d)| (id, d.to_json()));
-        let gens = self.inode_block_gen.iter().map(|(&b, &g)| (b, g.into()));
+        let ipb = inodes_per_block(&self.layout);
+        let gens = (self.inode_block_gen.iter().enumerate())
+            .filter(|&(_, &g)| g > 0)
+            .map(|(i, &g)| (self.layout.inode_block(i as u64 * ipb), g.into()));
         jsn!({
             "alloc": self.alloc.to_json(),
             "cfg": self.cfg.to_json(),
@@ -881,6 +893,16 @@ impl FileSystem {
         let cfg: FsConfig = state.at("cfg")?;
         let layout: FsLayout = state.at("layout")?;
         let gens: BTreeMap<u64, u32> = state.at("inode_block_gen")?;
+        let mut inode_block_gen = vec![0; inode_blocks(&layout)];
+        for (block, g) in gens {
+            let rank = layout.group_of_block(block).and_then(|group| {
+                let within = block - layout.group_start(group);
+                (within < layout.inode_blocks_per_group)
+                    .then_some(group * layout.inode_blocks_per_group + within)
+            });
+            let rank = rank.ok_or_else(|| JsonError::new(format!("{block} is no i-node block")))?;
+            inode_block_gen[rank as usize] = g;
+        }
         Ok(FileSystem {
             cfg,
             layout,
@@ -888,7 +910,7 @@ impl FileSystem {
             inodes: InodeTable::from_ordered(state.at("inodes")?, layout.n_inodes()),
             dirs: state.at("dirs")?,
             next_dir_id: state.at("next_dir_id")?,
-            inode_block_gen: gens.into_iter().collect(),
+            inode_block_gen,
             op_scratch: Vec::new(),
             cache: BufferCache::new(cfg.cache_blocks),
         })

@@ -13,6 +13,7 @@ use rand::{Rng, RngCore, SeedableRng};
 ///
 /// Wraps [`SmallRng`] (fast, non-cryptographic — appropriate for
 /// simulation) and adds substream derivation.
+#[derive(Clone)]
 pub struct SimRng {
     inner: SmallRng,
     seed: u64,

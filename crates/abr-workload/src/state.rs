@@ -83,12 +83,99 @@ impl FromJson for FileRec {
     }
 }
 
+/// No rank, in [`Ranks`]' lists.
+const NIL: u32 = u32::MAX;
+
+/// The popularity assignment, rank → file record, with its inverse: the
+/// ranks pointing at each record, as a doubly linked list threaded
+/// through the ranks, so a deletion finds its record's ranks without
+/// scanning them all.
+#[derive(Debug)]
+struct Ranks {
+    /// `to_file[rank]` = index into `files`. Rank 0 is hottest.
+    to_file: Vec<usize>,
+    /// Per record, the first rank pointing at it.
+    head: Vec<u32>,
+    /// Per rank, the next and the previous rank on its record's list.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Ranks {
+    fn new(to_file: Vec<usize>, n_files: usize) -> Self {
+        let n = to_file.len();
+        let mut ranks = Ranks {
+            to_file,
+            head: vec![NIL; n_files],
+            next: vec![NIL; n],
+            prev: vec![NIL; n],
+        };
+        for rank in 0..n {
+            ranks.link(rank, ranks.to_file[rank]);
+        }
+        ranks
+    }
+
+    fn len(&self) -> usize {
+        self.to_file.len()
+    }
+
+    /// Make room for one more record, pointed at by no rank yet.
+    fn push_file(&mut self) {
+        self.head.push(NIL);
+    }
+
+    fn link(&mut self, rank: usize, file: usize) {
+        let first = self.head[file];
+        (self.next[rank], self.prev[rank]) = (first, NIL);
+        if first != NIL {
+            self.prev[first as usize] = rank as u32;
+        }
+        self.head[file] = rank as u32;
+    }
+
+    fn unlink(&mut self, rank: usize) {
+        let (next, prev) = (self.next[rank], self.prev[rank]);
+        if next != NIL {
+            self.prev[next as usize] = prev;
+        }
+        match prev {
+            NIL => self.head[self.to_file[rank]] = next,
+            _ => self.next[prev as usize] = next,
+        }
+    }
+
+    /// Point `rank` at `file`.
+    fn set(&mut self, rank: usize, file: usize) {
+        self.unlink(rank);
+        self.to_file[rank] = file;
+        self.link(rank, file);
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        let (fa, fb) = (self.to_file[a], self.to_file[b]);
+        self.set(a, fb);
+        self.set(b, fa);
+    }
+
+    /// Point every rank that points at `from` at `to` instead.
+    fn move_all(&mut self, from: usize, to: usize) {
+        if from == to {
+            return;
+        }
+        while self.head[from] != NIL {
+            self.set(self.head[from] as usize, to);
+        }
+    }
+}
+
 /// Stateful workload generator. See the module docs.
 pub struct WorkloadState {
     profile: WorkloadProfile,
     files: Vec<FileRec>,
-    /// `rank_to_file[rank]` = index into `files`. Rank 0 is hottest.
-    rank_to_file: Vec<usize>,
+    /// The index into `files` of the first record with each handle.
+    first_record: FastMap<u64, u32>,
+    ranks: Ranks,
     popularity: Zipf,
     sizes: FileSizes,
     mix: Weighted,
@@ -198,7 +285,7 @@ impl WorkloadState {
             })
             .collect();
         keyed.sort_unstable();
-        let rank_to_file: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
+        let ranks = Ranks::new(keyed.into_iter().map(|(_, i)| i).collect(), files.len());
 
         let popularity = Zipf::new(files.len(), profile.popularity_s);
         let mix = op_mix(&profile.mix);
@@ -207,8 +294,9 @@ impl WorkloadState {
         Ok((
             WorkloadState {
                 profile,
+                first_record: first_records(&files),
                 files,
-                rank_to_file,
+                ranks,
                 popularity,
                 sizes,
                 mix,
@@ -254,15 +342,15 @@ impl WorkloadState {
     /// Pick a file by popularity rank.
     fn pick_file(&mut self) -> usize {
         let rank = self.popularity.sample(&mut self.rng);
-        self.rank_to_file[rank.min(self.rank_to_file.len() - 1)]
+        self.ranks.to_file[rank.min(self.ranks.len() - 1)]
     }
 
     /// Pick a file from the cold tail (victims for deletion).
     fn pick_cold_file(&mut self) -> usize {
-        let n = self.rank_to_file.len();
+        let n = self.ranks.len();
         let tail_start = n - (n / 4).max(1);
         let rank = tail_start + self.rng.index(n - tail_start);
-        self.rank_to_file[rank]
+        self.ranks.to_file[rank]
     }
 
     /// A stable, skewed block offset within a file: rank drawn from a
@@ -388,10 +476,12 @@ impl WorkloadState {
                     // on disk (and in `files`) like any forgotten file.
                     let idx = self.files.len();
                     self.files.push(FileRec { handle, dir });
-                    let n = self.rank_to_file.len();
+                    note_record(&mut self.first_record, handle, idx);
+                    self.ranks.push_file();
+                    let n = self.ranks.len();
                     let tail = n - (n / 4).max(1);
                     let victim_rank = tail + self.rng.index(n - tail);
-                    self.rank_to_file[victim_rank] = idx;
+                    self.ranks.set(victim_rank, idx);
                     reqs
                 }
                 Err(_) => Vec::new(),
@@ -404,14 +494,11 @@ impl WorkloadState {
                         // random survivor. The dead FileRec stays in
                         // `files` (indices are stable identifiers);
                         // operations that still land on it degrade to
-                        // NoSuchFile no-ops by design.
-                        if let Some(pos) = self.files.iter().position(|r| r.handle == file) {
+                        // NoSuchFile no-ops by design. The record remapped
+                        // is the first with the handle, dead or not.
+                        if let Some(pos) = self.first_record_of(file) {
                             let replacement = self.rng.index(self.files.len());
-                            for r in &mut self.rank_to_file {
-                                if *r == pos {
-                                    *r = replacement;
-                                }
-                            }
+                            self.ranks.move_all(pos, replacement);
                         }
                         reqs
                     }
@@ -426,13 +513,13 @@ impl WorkloadState {
     /// system fs; faster for users — §5.3).
     pub fn advance_day(&mut self) {
         self.day += 1;
-        let n = self.rank_to_file.len();
+        let n = self.ranks.len();
         let swaps = ((n as f64) * self.profile.daily_drift / 2.0).round() as usize;
         let mut r = self.rng.substream_idx("drift", self.day);
         for _ in 0..swaps {
             let a = r.index(n);
             let b = r.index(n);
-            self.rank_to_file.swap(a, b);
+            self.ranks.swap(a, b);
         }
     }
 
@@ -447,7 +534,7 @@ impl WorkloadState {
             "dirs": JsonValue::Array(self.dirs.iter().map(|d| d.to_json()).collect()),
             "files": JsonValue::Array(self.files.iter().map(|f| f.to_json()).collect()),
             "profile": self.profile.to_json(),
-            "rank_to_file": &self.rank_to_file,
+            "rank_to_file": &self.ranks.to_file,
         })
     }
 
@@ -465,8 +552,9 @@ impl WorkloadState {
         Ok(WorkloadState {
             popularity: Zipf::new(rank_to_file.len(), profile.popularity_s),
             profile,
+            first_record: first_records(&files),
+            ranks: Ranks::new(rank_to_file, files.len()),
             files,
-            rank_to_file,
             sizes,
             mix,
             arrivals,
@@ -480,12 +568,33 @@ impl WorkloadState {
     /// The hottest `k` files (by current rank), for assertions and
     /// debugging.
     pub fn hottest_files(&self, k: usize) -> Vec<FileHandle> {
-        self.rank_to_file
+        self.ranks
+            .to_file
             .iter()
             .take(k)
             .map(|&i| self.files[i].handle)
             .collect()
     }
+
+    /// The index of the first record of `file`, as
+    /// `files.iter().position(..)` would find it.
+    fn first_record_of(&self, file: FileHandle) -> Option<usize> {
+        self.first_record.get(&file.0).map(|&i| i as usize)
+    }
+}
+
+/// Note that `files[idx]` has `handle`, unless an earlier record has.
+fn note_record(first_record: &mut FastMap<u64, u32>, handle: FileHandle, idx: usize) {
+    first_record.entry(handle.0).or_insert(idx as u32);
+}
+
+/// [`note_record`] over every record of `files`, in order.
+fn first_records(files: &[FileRec]) -> FastMap<u64, u32> {
+    let mut first_record = FastMap::default();
+    for (idx, rec) in files.iter().enumerate() {
+        note_record(&mut first_record, rec.handle, idx);
+    }
+    first_record
 }
 
 #[cfg(test)]
@@ -695,6 +804,57 @@ mod tests {
     }
 
     #[test]
+    fn delete_remaps_ranks_like_a_scan() {
+        // The inverse rank index against the scan it replaced: the first
+        // record with the handle (dead or not) loses its ranks to one
+        // random record, drawn once.
+        let mut fs = test_fs();
+        let mut profile = WorkloadProfile::tiny_test();
+        profile.mix = WorkloadProfile::users_fs().mix;
+        let (mut ws, _) = WorkloadState::setup(profile, &mut fs, &mut SimRng::new(5)).unwrap();
+        let mut expected = ws.ranks.to_file.clone();
+        let (mut now, mut remaps) = (SimTime::ZERO, 0);
+        for i in 0..20_000 {
+            if i % 2_000 == 1_999 {
+                ws.advance_day();
+                let n = expected.len();
+                let swaps = ((n as f64) * ws.profile.daily_drift / 2.0).round() as usize;
+                let mut r = ws.rng.substream_idx("drift", ws.day);
+                for _ in 0..swaps {
+                    expected.swap(r.index(n), r.index(n));
+                }
+            }
+            let (at, op) = ws.next_op(now, &fs);
+            now = at;
+            let mut rng = ws.rng.clone();
+            let n_files = ws.files.len();
+            let existed = matches!(op, Op::Delete { file, .. } if fs.file_size(file).is_ok());
+            ws.apply(op, &mut fs);
+            match op {
+                Op::Create { .. } if ws.files.len() > n_files => {
+                    let n = expected.len();
+                    let tail = n - (n / 4).max(1);
+                    expected[tail + rng.index(n - tail)] = n_files;
+                }
+                Op::Delete { file, .. } if existed && fs.file_size(file).is_err() => {
+                    if let Some(pos) = ws.files.iter().position(|r| r.handle == file) {
+                        let replacement = rng.index(ws.files.len());
+                        for r in &mut expected {
+                            if *r == pos {
+                                *r = replacement;
+                            }
+                        }
+                        remaps += 1;
+                    }
+                }
+                _ => {}
+            }
+            assert_eq!(ws.ranks.to_file, expected, "op {i}: {op:?}");
+        }
+        assert!(remaps > 100, "only {remaps} deletions remapped ranks");
+    }
+
+    #[test]
     fn create_and_delete_keep_state_consistent() {
         let (mut ws, mut fs) = setup();
         let mut now = SimTime::ZERO;
@@ -703,7 +863,7 @@ mod tests {
             now = at;
             ws.apply(op, &mut fs);
             // Every rank must point at a valid file index.
-            for &i in &ws.rank_to_file {
+            for &i in &ws.ranks.to_file {
                 assert!(i < ws.files.len());
             }
         }
