@@ -205,57 +205,69 @@ impl PlacementPolicy for Interleaved {
     }
 
     fn place(&self, hot: &[HotBlock], slots: &SlotMap) -> Vec<(u64, u32)> {
-        let counts: BTreeMap<u64, u64> = hot.iter().map(|h| (h.block, h.count)).collect();
-        let mut placed: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut todo: std::collections::VecDeque<HotBlock> = hot.iter().copied().collect();
-
-        for cyl_slots in slots.cylinders() {
-            // Free positions within this cylinder (index into cyl_slots).
-            let mut free: Vec<bool> = vec![true; cyl_slots.len()];
-            let mut n_free = cyl_slots.len();
-            'fill: while n_free > 0 {
-                // Hottest unplaced block starts a chain.
-                let head = loop {
-                    match todo.pop_front() {
-                        Some(h) if !placed.contains_key(&h.block) => break h,
-                        Some(_) => continue,
-                        None => break 'fill,
+        // The hot list's distinct blocks in ascending order, each with the
+        // count of its last entry; `of_rank[r]` is where `hot[r]`'s is.
+        let mut order: Vec<(u64, usize)> = hot.iter().map(|h| h.block).zip(0..).collect();
+        order.sort_unstable();
+        let mut blocks: Vec<HotBlock> = Vec::with_capacity(hot.len());
+        let mut of_rank = vec![0; hot.len()];
+        for (_, r) in order {
+            match blocks.last_mut() {
+                Some(last) if last.block == hot[r].block => *last = hot[r],
+                _ => blocks.push(hot[r]),
+            }
+            of_rank[r] = blocks.len() - 1;
+        }
+        let mut slot_of: Vec<Option<u32>> = vec![None; blocks.len()];
+        // The hottest rank not yet tried as a chain head.
+        let mut next = 0;
+        let mut free = Vec::new();
+        'cylinders: for cyl_slots in slots.cylinders() {
+            // Free positions within this cylinder (index into cyl_slots),
+            // and the first of them.
+            free.clear();
+            free.resize(cyl_slots.len(), true);
+            let mut first_free = 0;
+            while let Some(mut at) = (first_free..free.len()).find(|&p| free[p]) {
+                first_free = at;
+                // Hottest unplaced block starts a chain, at the first free
+                // position.
+                let (mut cur, mut count) = loop {
+                    let Some(h) = hot.get(next) else {
+                        break 'cylinders;
+                    };
+                    let i = of_rank[next];
+                    next += 1;
+                    if slot_of[i].is_none() {
+                        break (i, h.count);
                     }
                 };
-                // Place the head at the first free position.
-                let mut pos = free.iter().position(|&f| f).expect("n_free > 0");
-                placed.insert(head.block, cyl_slots[pos]);
-                free[pos] = false;
-                n_free -= 1;
+                slot_of[cur] = Some(cyl_slots[at]);
+                free[at] = false;
                 // Follow the successor chain with the interleave gap.
-                let mut cur = head;
                 loop {
-                    let succ_block = cur.block + self.gap;
-                    let Some(&succ_count) = counts.get(&succ_block) else {
+                    let succ_block = blocks[cur].block + self.gap;
+                    let Ok(succ) = blocks.binary_search_by_key(&succ_block, |h| h.block) else {
                         break; // no successor in the hot list
                     };
                     // "Close" frequency: at least 50% of the predecessor's.
-                    if succ_count * 2 < cur.count || placed.contains_key(&succ_block) {
+                    if blocks[succ].count * 2 < count || slot_of[succ].is_some() {
                         break;
                     }
-                    let want = pos + self.gap as usize;
+                    let want = at + self.gap as usize;
                     if want >= cyl_slots.len() || !free[want] {
                         break; // successor cannot be placed
                     }
-                    placed.insert(succ_block, cyl_slots[want]);
+                    slot_of[succ] = Some(cyl_slots[want]);
                     free[want] = false;
-                    n_free -= 1;
-                    pos = want;
-                    cur = HotBlock {
-                        block: succ_block,
-                        count: succ_count,
-                    };
+                    (at, cur, count) = (want, succ, blocks[succ].count);
                 }
             }
         }
         // Deterministic output order: by original rank.
         hot.iter()
-            .filter_map(|h| placed.get(&h.block).map(|&s| (h.block, s)))
+            .zip(of_rank)
+            .filter_map(|(h, i)| Some((h.block, slot_of[i]?)))
             .collect()
     }
 }
@@ -521,6 +533,92 @@ mod tests {
         let il = Interleaved::new(1).place(&hot, &sm);
         let op = OrganPipe.place(&hot, &sm);
         assert_eq!(il, op);
+    }
+
+    /// The interleaved policy as it was first written, over ordered maps
+    /// and a rescan for each chain head's free position.
+    fn interleaved_by_maps(gap: u64, hot: &[HotBlock], slots: &SlotMap) -> Vec<(u64, u32)> {
+        let counts: BTreeMap<u64, u64> = hot.iter().map(|h| (h.block, h.count)).collect();
+        let mut placed: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut todo: std::collections::VecDeque<HotBlock> = hot.iter().copied().collect();
+        for cyl_slots in slots.cylinders() {
+            let mut free: Vec<bool> = vec![true; cyl_slots.len()];
+            let mut n_free = cyl_slots.len();
+            'fill: while n_free > 0 {
+                let head = loop {
+                    match todo.pop_front() {
+                        Some(h) if !placed.contains_key(&h.block) => break h,
+                        Some(_) => continue,
+                        None => break 'fill,
+                    }
+                };
+                let mut pos = free.iter().position(|&f| f).unwrap();
+                placed.insert(head.block, cyl_slots[pos]);
+                free[pos] = false;
+                n_free -= 1;
+                let mut cur = head;
+                loop {
+                    let succ_block = cur.block + gap;
+                    let Some(&succ_count) = counts.get(&succ_block) else {
+                        break;
+                    };
+                    if succ_count * 2 < cur.count || placed.contains_key(&succ_block) {
+                        break;
+                    }
+                    let want = pos + gap as usize;
+                    if want >= cyl_slots.len() || !free[want] {
+                        break;
+                    }
+                    placed.insert(succ_block, cyl_slots[want]);
+                    free[want] = false;
+                    n_free -= 1;
+                    pos = want;
+                    cur = HotBlock {
+                        block: succ_block,
+                        count: succ_count,
+                    };
+                }
+            }
+        }
+        hot.iter()
+            .filter_map(|h| placed.get(&h.block).map(|&s| (h.block, s)))
+            .collect()
+    }
+
+    #[test]
+    fn interleaved_matches_the_map_version_on_random_chains() {
+        let (big, _) = slot_map();
+        let g = models::tiny_test_disk().geometry;
+        let label = DiskLabel::rearranged_aligned(g, 3, 8);
+        let small = SlotMap::new(&ReservedLayout::for_label(&label, 4096, 8).unwrap(), &g);
+        let mut rng = abr_sim::SimRng::new(0x1EAF);
+        for round in 0..400 {
+            let interleave = rng.below(4);
+            let gap = interleave + 1;
+            let n = 1 + rng.index(if round % 4 == 0 { 1_500 } else { 60 });
+            // Chains of file-successive blocks with counts that stay
+            // "close" or fall off, scattered over a span small enough
+            // that chains touch and blocks repeat now and then.
+            let span = 1 + rng.below(20 * n as u64);
+            let mut hot = Vec::with_capacity(n);
+            while hot.len() < n {
+                let (mut block, mut count) = (rng.below(span), 1 + rng.below(1_000));
+                for _ in 0..1 + rng.index(8) {
+                    hot.push(HotBlock { block, count });
+                    block += gap;
+                    count = count * (40 + rng.below(80)) / 100;
+                }
+            }
+            hot.truncate(n);
+            hot.sort_by_key(|h| std::cmp::Reverse(h.count));
+            for slots in [&big, &small] {
+                assert_eq!(
+                    Interleaved::new(interleave).place(&hot, slots),
+                    interleaved_by_maps(gap, &hot, slots),
+                    "round {round}, gap {gap}, {n} hot blocks"
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use crate::experiment::{ExperimentConfig, OVERNIGHT};
 use crate::stream::{DaySource, DayStream, Requests};
+use abr_driver::request::IoRequest;
 use abr_fs::{FileSystem, FsConfig, MountMode};
 use abr_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use abr_workload::WorkloadState;
@@ -56,6 +57,8 @@ pub struct FsTraffic {
     next_start: SimTime,
     /// Days made; the workload drifts before each one after the first.
     made: u64,
+    /// The requests of the operation or sync under way.
+    reqs: Vec<IoRequest>,
 }
 
 impl FsTraffic {
@@ -77,6 +80,7 @@ impl FsTraffic {
             request_pacing,
             next_start: first_day,
             made: 0,
+            reqs: Vec::new(),
         }
     }
 
@@ -188,8 +192,8 @@ impl FsTraffic {
                     day.timed.push(offset, &r, false);
                 }
             } else if let Some((_, op)) = next_op.filter(|&(at, _)| at == t) {
-                let reqs = self.workload.apply(op, &mut self.fs);
-                for (i, r) in reqs.into_iter().enumerate() {
+                self.workload.apply_into(op, &mut self.fs, &mut self.reqs);
+                for (i, r) in self.reqs.drain(..).enumerate() {
                     pending.schedule(t + self.request_pacing * i as u64, r);
                 }
                 // New operations stop at the day boundary; only already-
@@ -199,14 +203,16 @@ impl FsTraffic {
             } else {
                 // The periodic sync: one source event however many
                 // buffers it flushes.
-                for (i, r) in self.fs.sync().iter().enumerate() {
-                    day.timed.push(offset, r, i > 0);
+                self.fs.sync_into(&mut self.reqs);
+                for (i, r) in self.reqs.drain(..).enumerate() {
+                    day.timed.push(offset, &r, i > 0);
                 }
                 next_sync = t + self.sync_period;
             }
         }
-        for r in &self.fs.sync() {
-            day.flush.push(0, r, false);
+        self.fs.sync_into(&mut self.reqs);
+        for r in self.reqs.drain(..) {
+            day.flush.push(0, &r, false);
         }
         self.next_start = last.max(day_end) + OVERNIGHT;
         Some(day)

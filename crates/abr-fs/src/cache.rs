@@ -252,26 +252,29 @@ impl BufferCache {
         }
     }
 
-    /// The periodic update daemon: collect all dirty blocks, in the order
-    /// they first became dirty, and mark them clean. The real `update`
-    /// daemon walks the kernel buffer table, whose order has nothing to
-    /// do with disk position — so a flush burst hops all over the disk,
-    /// which is exactly why the paper's write arrivals have long
-    /// arrival-order seek distances.
-    pub fn flush_all(&mut self) -> Vec<Writeback> {
-        let order = std::mem::take(&mut self.dirty_seq);
-        order
-            .into_iter()
-            .filter_map(|block| {
-                let idx = self.slot(block)?;
-                let n = &mut self.nodes[idx as usize];
-                n.dirty.take().map(|(tag, n_sectors)| Writeback {
+    /// The periodic update daemon: hand every dirty block to `emit`, in
+    /// the order they first became dirty, and mark them clean. The real
+    /// `update` daemon walks the kernel buffer table, whose order has
+    /// nothing to do with disk position — so a flush burst hops all over
+    /// the disk, which is exactly why the paper's write arrivals have
+    /// long arrival-order seek distances.
+    pub fn flush_all(&mut self, mut emit: impl FnMut(&Writeback)) {
+        let mut order = std::mem::take(&mut self.dirty_seq);
+        for &block in &order {
+            let Some(idx) = self.slot(block) else {
+                continue;
+            };
+            if let Some((tag, n_sectors)) = self.nodes[idx as usize].dirty.take() {
+                emit(&Writeback {
                     block,
                     tag,
                     n_sectors,
-                })
-            })
-            .collect()
+                });
+            }
+        }
+        // Keep the sequence's capacity for the next round of dirtying.
+        order.clear();
+        self.dirty_seq = order;
     }
 
     /// Number of dirty blocks awaiting flush.
@@ -290,6 +293,13 @@ impl BufferCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What a flush hands out, in order.
+    fn flush(c: &mut BufferCache) -> Vec<Writeback> {
+        let mut out = Vec::new();
+        c.flush_all(|w| out.push(*w));
+        out
+    }
 
     fn tag(i: u64) -> PayloadTag {
         PayloadTag::FileData {
@@ -348,7 +358,7 @@ mod tests {
         c.mark_dirty(2, tag(2), 16);
         c.mark_dirty(9, tag(9), 2);
         assert_eq!(c.dirty_count(), 3);
-        let flushed = c.flush_all();
+        let flushed = flush(&mut c);
         assert_eq!(
             flushed.iter().map(|w| w.block).collect::<Vec<_>>(),
             vec![5, 2, 9]
@@ -356,7 +366,7 @@ mod tests {
         assert_eq!(c.dirty_count(), 0);
         // Blocks stay resident after flush.
         assert!(c.contains(5));
-        assert!(c.flush_all().is_empty());
+        assert!(flush(&mut c).is_empty());
     }
 
     #[test]
@@ -364,7 +374,7 @@ mod tests {
         let mut c = BufferCache::new(4);
         c.mark_dirty(1, tag(1), 16);
         c.mark_dirty(1, tag(2), 16);
-        let flushed = c.flush_all();
+        let flushed = flush(&mut c);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].tag, tag(2));
     }
@@ -375,7 +385,7 @@ mod tests {
         c.mark_dirty(1, tag(1), 16);
         c.invalidate(1);
         assert!(!c.contains(1));
-        assert!(c.flush_all().is_empty());
+        assert!(flush(&mut c).is_empty());
     }
 
     #[test]

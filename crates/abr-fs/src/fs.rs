@@ -1,12 +1,17 @@
 //! The file system proper: files, directories, and the translation of
 //! file-level operations into block-level driver requests.
 //!
-//! Operations do not perform I/O themselves; they return the
-//! [`IoRequest`]s the server would issue at that moment (cache misses and
-//! dirty-eviction writebacks). The caller — the workload harness —
-//! submits them to the driver. The periodic update daemon is modelled by
-//! [`FileSystem::sync`], which the harness calls on the update period
-//! (classically every 30 s), producing the paper's bursty write pattern.
+//! Operations do not perform I/O themselves; they append to the caller's
+//! `out` buffer the [`IoRequest`]s the server would issue at that moment
+//! (cache misses and dirty-eviction writebacks), and an operation that
+//! fails appends nothing. The caller — the workload harness — submits
+//! them to the driver. Each operation has one implementation, over `out`;
+//! [`FileSystem::mkdir`], [`FileSystem::create`], [`FileSystem::read`],
+//! [`FileSystem::delete`] and [`FileSystem::sync`] also return a fresh
+//! `Vec`, for callers that hold none. The periodic update daemon is
+//! modelled by [`FileSystem::sync_into`], which the harness calls on the
+//! update period (classically every 30 s), producing the paper's bursty
+//! write pattern.
 
 use crate::alloc::Allocator;
 use crate::cache::{BufferCache, Writeback};
@@ -254,9 +259,6 @@ pub struct FileSystem {
     /// operation (access-time updates), so dense: one entry per i-node
     /// block, 1/32 of the partition.
     inode_block_gen: Vec<u32>,
-    /// Reusable scratch for `read`/`write`, so the per-operation hot
-    /// path does not allocate to walk an extent list.
-    op_scratch: OpScratch,
 }
 
 /// I-nodes per file-system block.
@@ -269,8 +271,129 @@ fn inode_blocks(layout: &FsLayout) -> usize {
     (layout.n_groups() * layout.inode_blocks_per_group) as usize
 }
 
-/// The `(disk block, generation)` pairs of one block walk.
-type OpScratch = Vec<(u64, u32)>;
+/// Where an i-node's timestamp lives: its block, and that block's rank
+/// among the i-node blocks (its index in `inode_block_gen`).
+#[derive(Debug, Clone, Copy)]
+struct InodeAt {
+    block: u64,
+    rank: usize,
+}
+
+fn inode_at(layout: &FsLayout, ino: u64) -> InodeAt {
+    InodeAt {
+        block: layout.inode_block(ino),
+        rank: (ino / inodes_per_block(layout)) as usize,
+    }
+}
+
+impl FsConfig {
+    /// Sectors per file-system block.
+    fn spb(&self) -> u32 {
+        self.block_size / abr_disk::SECTOR_SIZE_U32
+    }
+
+    fn read_req(&self, block: u64, n_sectors: u32) -> IoRequest {
+        IoRequest::read(self.partition, block * u64::from(self.spb()), n_sectors)
+    }
+
+    fn write_req(&self, w: &Writeback) -> IoRequest {
+        // Seeded: the request carries the 8-byte generator seed; the
+        // driver synthesizes the identical payload stream at media-write
+        // time (see `PayloadTag::seed`).
+        IoRequest::write_seeded(
+            self.partition,
+            w.block * u64::from(self.spb()),
+            w.n_sectors,
+            w.tag.seed(),
+        )
+    }
+
+    /// Sectors occupied by file block `idx` of a file of `size` bytes:
+    /// full blocks transfer whole, the tail transfers only its fragments.
+    fn block_sectors(&self, size: u64, idx: usize, n_blocks: usize) -> u32 {
+        let bs = u64::from(self.block_size);
+        if idx + 1 < n_blocks || size.is_multiple_of(bs) {
+            self.spb()
+        } else {
+            let tail = size % bs;
+            let frag = u64::from(self.fragment_size);
+            (tail.div_ceil(frag) * frag / abr_disk::SECTOR_SIZE as u64) as u32
+        }
+    }
+}
+
+/// One operation's hold on the buffer cache and the i-node timestamps,
+/// borrowed apart from the i-node it walks: each reference or dirtying
+/// appends what it costs (a miss's read, an evicted dirty block's
+/// writeback) to the operation's `out`.
+struct Io<'a> {
+    cfg: &'a FsConfig,
+    cache: &'a mut BufferCache,
+    inode_block_gen: &'a mut [u32],
+    out: &'a mut Vec<IoRequest>,
+}
+
+impl Io<'_> {
+    /// Reference a block for reading: emits a read on a miss and a
+    /// writeback if a dirty block was evicted.
+    fn read(&mut self, block: u64, n_sectors: u32) {
+        let (hit, evicted) = self.cache.reference(block);
+        if let Some(w) = evicted {
+            self.out.push(self.cfg.write_req(&w));
+        }
+        if !hit {
+            self.out.push(self.cfg.read_req(block, n_sectors));
+        }
+    }
+
+    /// Dirty a block in the cache; emits a writeback if a dirty block was
+    /// evicted to make room.
+    fn dirty(&mut self, block: u64, tag: PayloadTag, n_sectors: u32) {
+        if let Some(w) = self.cache.mark_dirty(block, tag, n_sectors) {
+            self.out.push(self.cfg.write_req(&w));
+        }
+    }
+
+    /// Dirty a whole metadata block (directory, indirect or i-node).
+    fn dirty_meta(&mut self, block: u64, tag: PayloadTag) {
+        self.dirty(block, tag, self.cfg.spb());
+    }
+
+    /// Write a *data* block: through the cache when delayed writes are
+    /// configured, straight to disk (leaving the block clean-resident)
+    /// when `write_through` is set.
+    fn data_write(&mut self, block: u64, tag: PayloadTag, n_sectors: u32) {
+        if self.cfg.write_through {
+            let (_, evicted) = self.cache.reference(block);
+            if let Some(w) = evicted {
+                self.out.push(self.cfg.write_req(&w));
+            }
+            self.out.push(self.cfg.write_req(&Writeback {
+                block,
+                tag,
+                n_sectors,
+            }));
+        } else {
+            self.dirty(block, tag, n_sectors);
+        }
+    }
+
+    /// Read an i-node's block (metadata fetch before using a cold file).
+    fn fetch_inode(&mut self, at: InodeAt) {
+        self.read(at.block, self.cfg.spb());
+    }
+
+    /// Touch an i-node's block as dirty (timestamp update). Allowed on
+    /// read-only mounts — "the operating system itself may generate write
+    /// requests to the logical device that holds a read-only file system"
+    /// (§3.1).
+    fn touch_inode(&mut self, at: InodeAt) {
+        let g = &mut self.inode_block_gen[at.rank];
+        *g += 1;
+        let (block, generation) = (at.block, *g);
+        self.dirty_meta(block, PayloadTag::InodeBlock { block, generation });
+    }
+}
 
 impl fmt::Debug for FileSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -301,7 +424,6 @@ impl FileSystem {
             dirs: BTreeMap::new(),
             next_dir_id: 0,
             inode_block_gen: vec![0; inode_blocks(&layout)],
-            op_scratch: Vec::new(),
             layout,
             cfg,
         }
@@ -345,110 +467,14 @@ impl FileSystem {
 
     // ----- helpers ---------------------------------------------------
 
-    fn spb(&self) -> u32 {
-        self.layout.sectors_per_block()
-    }
-
-    fn read_req(&self, block: u64, n_sectors: u32) -> IoRequest {
-        IoRequest::read(self.cfg.partition, block * u64::from(self.spb()), n_sectors)
-    }
-
-    fn write_req(&self, w: &Writeback) -> IoRequest {
-        // Seeded: the request carries the 8-byte generator seed; the
-        // driver synthesizes the identical payload stream at media-write
-        // time (see `PayloadTag::seed`).
-        IoRequest::write_seeded(
-            self.cfg.partition,
-            w.block * u64::from(self.spb()),
-            w.n_sectors,
-            w.tag.seed(),
-        )
-    }
-
-    /// Reference a block for reading: emits a read on a miss and a
-    /// writeback if a dirty block was evicted.
-    fn cache_read(&mut self, block: u64, n_sectors: u32, out: &mut Vec<IoRequest>) {
-        let (hit, evicted) = self.cache.reference(block);
-        if let Some(w) = evicted {
-            out.push(self.write_req(&w));
-        }
-        if !hit {
-            out.push(self.read_req(block, n_sectors));
-        }
-    }
-
-    /// Dirty a block in the cache; emits a writeback if a dirty block was
-    /// evicted to make room.
-    fn cache_dirty(
-        &mut self,
-        block: u64,
-        tag: PayloadTag,
-        n_sectors: u32,
-        out: &mut Vec<IoRequest>,
-    ) {
-        if let Some(w) = self.cache.mark_dirty(block, tag, n_sectors) {
-            out.push(self.write_req(&w));
-        }
-    }
-
-    /// Write a *data* block: through the cache when delayed writes are
-    /// configured, straight to disk (leaving the block clean-resident)
-    /// when `write_through` is set.
-    fn data_write(
-        &mut self,
-        block: u64,
-        tag: PayloadTag,
-        n_sectors: u32,
-        out: &mut Vec<IoRequest>,
-    ) {
-        if self.cfg.write_through {
-            let (_, evicted) = self.cache.reference(block);
-            if let Some(w) = evicted {
-                out.push(self.write_req(&w));
-            }
-            out.push(self.write_req(&Writeback {
-                block,
-                tag,
-                n_sectors,
-            }));
-        } else {
-            self.cache_dirty(block, tag, n_sectors, out);
-        }
-    }
-
-    /// Touch an i-node's block as dirty (timestamp update). Allowed on
-    /// read-only mounts — "the operating system itself may generate write
-    /// requests to the logical device that holds a read-only file system"
-    /// (§3.1).
-    fn touch_inode(&mut self, ino: u64, out: &mut Vec<IoRequest>) {
-        let block = self.layout.inode_block(ino);
-        let g = &mut self.inode_block_gen[(ino / inodes_per_block(&self.layout)) as usize];
-        *g += 1;
-        let generation = *g;
-        self.cache_dirty(
-            block,
-            PayloadTag::InodeBlock { block, generation },
-            self.spb(),
+    /// The cache and the i-node timestamps, driven by one operation
+    /// that holds no i-node.
+    fn io<'a>(&'a mut self, out: &'a mut Vec<IoRequest>) -> Io<'a> {
+        Io {
+            cfg: &self.cfg,
+            cache: &mut self.cache,
+            inode_block_gen: &mut self.inode_block_gen,
             out,
-        );
-    }
-
-    /// Read an i-node's block (metadata fetch before using a cold file).
-    fn fetch_inode(&mut self, ino: u64, out: &mut Vec<IoRequest>) {
-        let block = self.layout.inode_block(ino);
-        self.cache_read(block, self.spb(), out);
-    }
-
-    /// Sectors occupied by file block `idx` of a file of `size` bytes:
-    /// full blocks transfer whole, the tail transfers only its fragments.
-    fn block_sectors(&self, size: u64, idx: usize, n_blocks: usize) -> u32 {
-        let bs = u64::from(self.cfg.block_size);
-        if idx + 1 < n_blocks || size.is_multiple_of(bs) {
-            self.spb()
-        } else {
-            let tail = size % bs;
-            let frag = u64::from(self.cfg.fragment_size);
-            (tail.div_ceil(frag) * frag / abr_disk::SECTOR_SIZE as u64) as u32
         }
     }
 
@@ -456,7 +482,7 @@ impl FileSystem {
 
     /// Create a directory. FFS policy: new directories go to the group
     /// with the most free space, spreading unrelated files apart.
-    pub fn mkdir(&mut self) -> Result<(DirHandle, Vec<IoRequest>), FsError> {
+    pub fn mkdir_into(&mut self, out: &mut Vec<IoRequest>) -> Result<DirHandle, FsError> {
         if self.cfg.mode == MountMode::ReadOnly {
             return Err(FsError::ReadOnly);
         }
@@ -475,17 +501,17 @@ impl FileSystem {
                 generation: 0,
             },
         );
-        let mut out = Vec::new();
-        self.cache_dirty(
-            block,
-            PayloadTag::DirBlock {
-                dir: id,
-                generation: 0,
-            },
-            self.spb(),
-            &mut out,
-        );
-        Ok((DirHandle(id), out))
+        let tag = PayloadTag::DirBlock {
+            dir: id,
+            generation: 0,
+        };
+        self.io(out).dirty_meta(block, tag);
+        Ok(DirHandle(id))
+    }
+
+    /// [`Self::mkdir_into`] a fresh buffer.
+    pub fn mkdir(&mut self) -> Result<(DirHandle, Vec<IoRequest>), FsError> {
+        collected(|out| self.mkdir_into(out))
     }
 
     /// Number of directories.
@@ -497,12 +523,8 @@ impl FileSystem {
         let d = self.dirs.get_mut(&dir).ok_or(FsError::NoSuchDir)?;
         d.generation += 1;
         let (block, generation) = (d.block, d.generation);
-        self.cache_dirty(
-            block,
-            PayloadTag::DirBlock { dir, generation },
-            self.spb(),
-            out,
-        );
+        let tag = PayloadTag::DirBlock { dir, generation };
+        self.io(out).dirty_meta(block, tag);
         Ok(())
     }
 
@@ -511,11 +533,12 @@ impl FileSystem {
     /// Create a file of `size` bytes in `dir`. Allocates the i-node in
     /// the directory's group and data blocks with rotational
     /// interleaving; all writes are delayed in the cache.
-    pub fn create(
+    pub fn create_into(
         &mut self,
         dir: DirHandle,
         size: u64,
-    ) -> Result<(FileHandle, Vec<IoRequest>), FsError> {
+        out: &mut Vec<IoRequest>,
+    ) -> Result<FileHandle, FsError> {
         if self.cfg.mode == MountMode::ReadOnly {
             return Err(FsError::ReadOnly);
         }
@@ -526,7 +549,6 @@ impl FileSystem {
         if n_blocks > DIRECT_POINTERS + (self.cfg.block_size as usize / 8) {
             return Err(FsError::TooLarge);
         }
-        let mut out = Vec::new();
         let mut blocks = Vec::with_capacity(n_blocks);
         let mut prev = None;
         // Roll back everything allocated so far if space runs out
@@ -553,26 +575,25 @@ impl FileSystem {
         }
         // Indirect block if the file outgrows the direct pointers.
         let indirect = if n_blocks > DIRECT_POINTERS {
-            let b = alloc_or_rollback(&mut self.alloc, &mut blocks, prev)?;
-            self.cache_dirty(b, PayloadTag::Indirect { ino }, self.spb(), &mut out);
-            Some(b)
+            Some(alloc_or_rollback(&mut self.alloc, &mut blocks, prev)?)
         } else {
             None
         };
+        let at = inode_at(&self.layout, ino);
+        let mut io = self.io(out);
+        if let Some(b) = indirect {
+            io.dirty_meta(b, PayloadTag::Indirect { ino });
+        }
         // Data block writes.
         for (idx, &b) in blocks.iter().enumerate() {
-            let n_sectors = self.block_sectors(size, idx, n_blocks);
-            self.data_write(
-                b,
-                PayloadTag::FileData {
-                    ino,
-                    index: idx as u64,
-                    generation: 0,
-                },
-                n_sectors,
-                &mut out,
-            );
+            let tag = PayloadTag::FileData {
+                ino,
+                index: idx as u64,
+                generation: 0,
+            };
+            io.data_write(b, tag, io.cfg.block_sectors(size, idx, n_blocks));
         }
+        io.touch_inode(at);
         let generations = vec![0; n_blocks];
         self.inodes.insert(
             ino,
@@ -584,77 +605,71 @@ impl FileSystem {
                 group,
             },
         );
-        self.touch_inode(ino, &mut out);
-        self.dirty_dir(dir.0, &mut out)?;
-        Ok((FileHandle(ino), out))
+        self.dirty_dir(dir.0, out)?;
+        Ok(FileHandle(ino))
     }
 
-    /// What walking file blocks `start..start + n_blocks` starts with:
-    /// the file's i-node, checked to have them, and the emptied op
-    /// scratch for the walk's `(disk block, generation)` pairs. The
-    /// scratch is taken only after the checks, so no error path has to
-    /// hand it back; the caller does once the walk is over.
-    fn block_walk(
+    /// [`Self::create_into`] a fresh buffer.
+    pub fn create(
+        &mut self,
+        dir: DirHandle,
+        size: u64,
+    ) -> Result<(FileHandle, Vec<IoRequest>), FsError> {
+        collected(|out| self.create_into(dir, size, out))
+    }
+
+    /// Read `n_blocks` file blocks starting at block `start` of the file:
+    /// metadata misses, data misses and dirty evictions go to `out`.
+    /// Updates the access time (a delayed i-node write) even on read-only
+    /// mounts.
+    pub fn read_into(
         &mut self,
         file: FileHandle,
         start: usize,
         n_blocks: usize,
-    ) -> Result<(&mut Inode, OpScratch), FsError> {
-        let inode = self.inodes.get_mut(file.0).ok_or(FsError::NoSuchFile)?;
-        if start + n_blocks > inode.blocks.len() {
-            return Err(FsError::BeyondEof);
+        out: &mut Vec<IoRequest>,
+    ) -> Result<(), FsError> {
+        let inode = self.inodes.get(file.0).ok_or(FsError::NoSuchFile)?;
+        let blocks = (inode.blocks)
+            .get(start..start + n_blocks)
+            .ok_or(FsError::BeyondEof)?;
+        let at = inode_at(&self.layout, file.0);
+        let mut io = Io {
+            cfg: &self.cfg,
+            cache: &mut self.cache,
+            inode_block_gen: &mut self.inode_block_gen,
+            out,
+        };
+        io.fetch_inode(at);
+        // Touching blocks beyond the direct pointers needs the indirect
+        // block resident.
+        if start + n_blocks > DIRECT_POINTERS {
+            if let Some(ib) = inode.indirect {
+                io.read(ib, io.cfg.spb());
+            }
         }
-        let mut scratch = std::mem::take(&mut self.op_scratch);
-        scratch.clear();
-        Ok((inode, scratch))
+        let (size, total) = (inode.size, inode.blocks.len());
+        for (i, &b) in blocks.iter().enumerate() {
+            io.read(b, io.cfg.block_sectors(size, start + i, total));
+        }
+        io.touch_inode(at);
+        Ok(())
     }
 
-    /// Read `n_blocks` file blocks starting at block `start` of the file.
-    /// Returns the disk requests this triggers (metadata misses, data
-    /// misses, dirty evictions). Updates the access time (a delayed
-    /// i-node write) even on read-only mounts.
+    /// [`Self::read_into`] a fresh buffer.
     pub fn read(
         &mut self,
         file: FileHandle,
         start: usize,
         n_blocks: usize,
     ) -> Result<Vec<IoRequest>, FsError> {
-        let (inode, mut scratch) = self.block_walk(file, start, n_blocks)?;
-        scratch.extend(
-            inode.blocks[start..start + n_blocks]
-                .iter()
-                .map(|&b| (b, 0)),
-        );
-        let (size, indirect, total) = (inode.size, inode.indirect, inode.blocks.len());
-        let mut out = Vec::new();
-        self.fetch_inode(file.0, &mut out);
-        // Touching blocks beyond the direct pointers needs the indirect
-        // block resident.
-        if start + n_blocks > DIRECT_POINTERS {
-            if let Some(ib) = indirect {
-                self.cache_read(ib, self.spb(), &mut out);
-            }
-        }
-        for (i, &(b, _)) in scratch.iter().enumerate() {
-            let idx = start + i;
-            let n_sectors = self.block_sectors(size, idx, total);
-            self.cache_read(b, n_sectors, &mut out);
-        }
-        self.touch_inode(file.0, &mut out);
-        self.op_scratch = scratch;
-        Ok(out)
+        emitted(|out| self.read_into(file, start, n_blocks, out))
     }
 
     /// Read the whole file.
-    pub fn read_file(&mut self, file: FileHandle) -> Result<Vec<IoRequest>, FsError> {
+    pub fn read_file(&mut self, file: FileHandle, out: &mut Vec<IoRequest>) -> Result<(), FsError> {
         let n = self.n_file_blocks(file)?;
-        if n == 0 {
-            let mut out = Vec::new();
-            self.fetch_inode(file.0, &mut out);
-            self.touch_inode(file.0, &mut out);
-            return Ok(out);
-        }
-        self.read(file, 0, n)
+        self.read_into(file, 0, n, out)
     }
 
     /// Overwrite `n_blocks` file blocks starting at `start` (delayed
@@ -664,135 +679,110 @@ impl FileSystem {
         file: FileHandle,
         start: usize,
         n_blocks: usize,
-    ) -> Result<Vec<IoRequest>, FsError> {
+        out: &mut Vec<IoRequest>,
+    ) -> Result<(), FsError> {
         if self.cfg.mode == MountMode::ReadOnly {
             return Err(FsError::ReadOnly);
         }
-        let (inode, mut scratch) = self.block_walk(file, start, n_blocks)?;
+        let inode = self.inodes.get_mut(file.0).ok_or(FsError::NoSuchFile)?;
+        if start + n_blocks > inode.blocks.len() {
+            return Err(FsError::BeyondEof);
+        }
+        let at = inode_at(&self.layout, file.0);
+        let mut io = Io {
+            cfg: &self.cfg,
+            cache: &mut self.cache,
+            inode_block_gen: &mut self.inode_block_gen,
+            out,
+        };
+        io.fetch_inode(at);
         for idx in start..start + n_blocks {
             inode.generations[idx] += 1;
-            scratch.push((inode.blocks[idx], inode.generations[idx]));
+            let tag = PayloadTag::FileData {
+                ino: file.0,
+                index: idx as u64,
+                generation: inode.generations[idx],
+            };
+            let n_sectors = io.cfg.block_sectors(inode.size, idx, inode.blocks.len());
+            io.data_write(inode.blocks[idx], tag, n_sectors);
         }
-        let (size, total) = (inode.size, inode.blocks.len());
-        let mut out = Vec::new();
-        self.fetch_inode(file.0, &mut out);
-        for (i, &(b, generation)) in scratch.iter().enumerate() {
-            let idx = start + i;
-            let n_sectors = self.block_sectors(size, idx, total);
-            self.data_write(
-                b,
-                PayloadTag::FileData {
-                    ino: file.0,
-                    index: idx as u64,
-                    generation,
-                },
-                n_sectors,
-                &mut out,
-            );
-        }
-        self.touch_inode(file.0, &mut out);
-        self.op_scratch = scratch;
-        Ok(out)
+        io.touch_inode(at);
+        Ok(())
     }
 
     /// Append `bytes` to a file, allocating new blocks as needed.
-    pub fn append(&mut self, file: FileHandle, bytes: u64) -> Result<Vec<IoRequest>, FsError> {
+    pub fn append(
+        &mut self,
+        file: FileHandle,
+        bytes: u64,
+        out: &mut Vec<IoRequest>,
+    ) -> Result<(), FsError> {
         if self.cfg.mode == MountMode::ReadOnly {
             return Err(FsError::ReadOnly);
         }
         let bs = u64::from(self.cfg.block_size);
-        let (old_size, group, mut prev, old_n) = {
-            let inode = self.inodes.get(file.0).ok_or(FsError::NoSuchFile)?;
-            (
-                inode.size,
-                inode.group,
-                inode.blocks.last().copied(),
-                inode.blocks.len(),
-            )
-        };
-        let new_size = old_size + bytes;
-        let new_n = new_size.div_ceil(bs) as usize;
-        if new_n > DIRECT_POINTERS + (self.cfg.block_size as usize / 8) {
+        let inode = self.inodes.get_mut(file.0).ok_or(FsError::NoSuchFile)?;
+        let (old_n, size) = (inode.blocks.len(), inode.size + bytes);
+        let total = size.div_ceil(bs) as usize;
+        if total > DIRECT_POINTERS + (self.cfg.block_size as usize / 8) {
             return Err(FsError::TooLarge);
         }
-        let mut out = Vec::new();
-        let mut new_blocks = Vec::new();
         // Allocate everything (including any new indirect block) before
-        // mutating the i-node, rolling back on exhaustion so a failed
+        // touching anything else, rolling back on exhaustion so a failed
         // append leaks nothing and leaves the file unchanged.
-        let rollback = |alloc: &mut crate::alloc::Allocator, blocks: &[u64]| {
-            for &b in blocks {
-                alloc.free_block(b);
-            }
-        };
-        for _ in old_n..new_n {
-            match self.alloc.alloc_block(group, prev) {
-                Some(b) => {
-                    new_blocks.push(b);
-                    prev = Some(b);
+        let mut prev = inode.blocks.last().copied();
+        let needs_indirect = total > DIRECT_POINTERS;
+        let new_indirect = needs_indirect && inode.indirect.is_none();
+        for i in old_n..total + usize::from(new_indirect) {
+            let Some(b) = self.alloc.alloc_block(inode.group, prev) else {
+                for b in inode.blocks.drain(old_n..) {
+                    self.alloc.free_block(b);
                 }
-                None => {
-                    rollback(&mut self.alloc, &new_blocks);
-                    return Err(FsError::NoSpace);
-                }
-            }
-        }
-        let needs_indirect = new_n > DIRECT_POINTERS;
-        let new_indirect = if needs_indirect && self.inodes[file.0].indirect.is_none() {
-            match self.alloc.alloc_block(group, prev) {
-                Some(b) => Some(b),
-                None => {
-                    rollback(&mut self.alloc, &new_blocks);
-                    return Err(FsError::NoSpace);
-                }
-            }
-        } else {
-            None
-        };
-        {
-            let inode = self.inodes.get_mut(file.0).expect("checked");
-            inode.blocks.extend(&new_blocks);
-            inode.generations.extend(new_blocks.iter().map(|_| 0));
-            inode.size = new_size;
-            if let Some(b) = new_indirect {
+                return Err(FsError::NoSpace);
+            };
+            if i < total {
+                inode.blocks.push(b);
+            } else {
                 inode.indirect = Some(b);
             }
+            prev = Some(b);
         }
-        if needs_indirect {
-            let ib = self.inodes[file.0].indirect.expect("just set"); // abr-lint: allow(P001, set by needs_indirect branch above)
-            self.cache_dirty(
-                ib,
-                PayloadTag::Indirect { ino: file.0 },
-                self.spb(),
-                &mut out,
-            );
+        inode.generations.resize(total, 0);
+        inode.size = size;
+        let at = inode_at(&self.layout, file.0);
+        let mut io = Io {
+            cfg: &self.cfg,
+            cache: &mut self.cache,
+            inode_block_gen: &mut self.inode_block_gen,
+            out,
+        };
+        if let Some(ib) = inode.indirect.filter(|_| needs_indirect) {
+            io.dirty_meta(ib, PayloadTag::Indirect { ino: file.0 });
         }
         // Rewrite the old tail block (it grew), then write the new blocks.
-        let total = new_n;
-        let size = new_size;
-        let start = old_n.saturating_sub(1);
-        let blocks = self.inodes[file.0].blocks[start..].to_vec();
-        for (i, b) in blocks.into_iter().enumerate() {
-            let idx = start + i;
-            let generation = self.inodes[file.0].generations[idx];
-            let n_sectors = self.block_sectors(size, idx, total);
-            self.data_write(
-                b,
-                PayloadTag::FileData {
-                    ino: file.0,
-                    index: idx as u64,
-                    generation,
-                },
-                n_sectors,
-                &mut out,
+        for idx in old_n.saturating_sub(1)..total {
+            let tag = PayloadTag::FileData {
+                ino: file.0,
+                index: idx as u64,
+                generation: inode.generations[idx],
+            };
+            io.data_write(
+                inode.blocks[idx],
+                tag,
+                io.cfg.block_sectors(size, idx, total),
             );
         }
-        self.touch_inode(file.0, &mut out);
-        Ok(out)
+        io.touch_inode(at);
+        Ok(())
     }
 
     /// Delete a file, freeing its blocks.
-    pub fn delete(&mut self, dir: DirHandle, file: FileHandle) -> Result<Vec<IoRequest>, FsError> {
+    pub fn delete_into(
+        &mut self,
+        dir: DirHandle,
+        file: FileHandle,
+        out: &mut Vec<IoRequest>,
+    ) -> Result<(), FsError> {
         if self.cfg.mode == MountMode::ReadOnly {
             return Err(FsError::ReadOnly);
         }
@@ -802,18 +792,18 @@ impl FileSystem {
             return Err(FsError::NoSuchDir);
         }
         let inode = self.inodes.remove(file.0).ok_or(FsError::NoSuchFile)?;
-        let mut out = Vec::new();
-        for b in &inode.blocks {
-            self.cache.invalidate(*b);
-            self.alloc.free_block(*b);
+        for &b in inode.blocks.iter().chain(&inode.indirect) {
+            self.cache.invalidate(b);
+            self.alloc.free_block(b);
         }
-        if let Some(ib) = inode.indirect {
-            self.cache.invalidate(ib);
-            self.alloc.free_block(ib);
-        }
-        self.touch_inode(file.0, &mut out);
-        self.dirty_dir(dir.0, &mut out)?;
-        Ok(out)
+        let at = inode_at(&self.layout, file.0);
+        self.io(out).touch_inode(at);
+        self.dirty_dir(dir.0, out)
+    }
+
+    /// [`Self::delete_into`] a fresh buffer.
+    pub fn delete(&mut self, dir: DirHandle, file: FileHandle) -> Result<Vec<IoRequest>, FsError> {
+        emitted(|out| self.delete_into(dir, file, out))
     }
 
     // ----- introspection ----------------------------------------------
@@ -844,7 +834,7 @@ impl FileSystem {
         if idx >= inode.blocks.len() {
             return Err(FsError::BeyondEof);
         }
-        let n_sectors = self.block_sectors(inode.size, idx, inode.blocks.len());
+        let n_sectors = (self.cfg).block_sectors(inode.size, idx, inode.blocks.len());
         Ok(PayloadTag::FileData {
             ino: file.0,
             index: idx as u64,
@@ -911,25 +901,42 @@ impl FileSystem {
             dirs: state.at("dirs")?,
             next_dir_id: state.at("next_dir_id")?,
             inode_block_gen,
-            op_scratch: Vec::new(),
             cache: BufferCache::new(cfg.cache_blocks),
         })
     }
 
-    /// Flush all dirty buffers — the periodic `update` policy of §3.1.
-    /// Returns the burst of write requests.
+    /// Flush all dirty buffers — the periodic `update` policy of §3.1:
+    /// the burst of write requests goes to `out`.
+    pub fn sync_into(&mut self, out: &mut Vec<IoRequest>) {
+        self.cache.flush_all(|w| out.push(self.cfg.write_req(w)));
+    }
+
+    /// [`Self::sync_into`] a fresh buffer.
     pub fn sync(&mut self) -> Vec<IoRequest> {
-        self.cache
-            .flush_all()
-            .iter()
-            .map(|w| self.write_req(w))
-            .collect()
+        let mut out = Vec::new();
+        self.sync_into(&mut out);
+        out
     }
 
     /// Dirty blocks currently awaiting the next sync.
     pub fn dirty_blocks(&self) -> usize {
         self.cache.dirty_count()
     }
+}
+
+/// What `op` returns, and the requests it appended to a fresh buffer.
+fn collected<T>(
+    op: impl FnOnce(&mut Vec<IoRequest>) -> Result<T, FsError>,
+) -> Result<(T, Vec<IoRequest>), FsError> {
+    let mut out = Vec::new();
+    Ok((op(&mut out)?, out))
+}
+
+/// The requests `op` appended to a fresh buffer.
+fn emitted(
+    op: impl FnOnce(&mut Vec<IoRequest>) -> Result<(), FsError>,
+) -> Result<Vec<IoRequest>, FsError> {
+    collected(op).map(|((), out)| out)
 }
 
 // ----- persisted forms (`FileSystem::save_state`, workload state) -----------
@@ -1131,7 +1138,7 @@ mod tests {
         fs.sync();
         // Blocks are still cache-resident after creation, so first read is
         // all hits except nothing: actually creation left them resident.
-        let reqs = fs.read_file(f).unwrap();
+        let reqs = emitted(|o| fs.read_file(f, o)).unwrap();
         assert!(reqs.iter().all(|r| !r.dir.is_read()) || reqs.is_empty());
 
         // Evict everything by touching many other blocks.
@@ -1140,7 +1147,7 @@ mod tests {
             fs.create(dir2, 32 * 1024).unwrap();
         }
         fs.sync();
-        let reqs = fs.read_file(f).unwrap();
+        let reqs = emitted(|o| fs.read_file(f, o)).unwrap();
         let reads = reqs.iter().filter(|r| r.dir.is_read()).count();
         assert!(reads >= 4, "expected cold-cache reads, got {reads}");
     }
@@ -1171,10 +1178,13 @@ mod tests {
         fs.sync();
         fs.remount(MountMode::ReadOnly);
         assert_eq!(fs.create(dir, 100).unwrap_err(), FsError::ReadOnly);
-        assert_eq!(fs.write(f, 0, 1).unwrap_err(), FsError::ReadOnly);
+        assert_eq!(
+            emitted(|o| fs.write(f, 0, 1, o)).unwrap_err(),
+            FsError::ReadOnly
+        );
         assert_eq!(fs.mkdir().unwrap_err(), FsError::ReadOnly);
         // Reads still dirty the i-node block (atime).
-        fs.read_file(f).unwrap();
+        emitted(|o| fs.read_file(f, o)).unwrap();
         assert!(fs.dirty_blocks() > 0, "atime update should be pending");
         let burst = fs.sync();
         assert!(!burst.is_empty());
@@ -1208,7 +1218,7 @@ mod tests {
         let (dir, _) = fs.mkdir().unwrap();
         let (f, _) = fs.create(dir, 8192).unwrap();
         fs.sync();
-        fs.append(f, 2 * 8192).unwrap();
+        emitted(|o| fs.append(f, 2 * 8192, o)).unwrap();
         assert_eq!(fs.n_file_blocks(f).unwrap(), 3);
         assert_eq!(fs.file_size(f).unwrap(), 3 * 8192);
         let burst = fs.sync();
@@ -1224,7 +1234,10 @@ mod tests {
         let free_before = fs.alloc.total_free();
         fs.delete(dir, f).unwrap();
         assert_eq!(fs.alloc.total_free(), free_before + 10);
-        assert_eq!(fs.read_file(f).unwrap_err(), FsError::NoSuchFile);
+        assert_eq!(
+            emitted(|o| fs.read_file(f, o)).unwrap_err(),
+            FsError::NoSuchFile
+        );
     }
 
     #[test]
@@ -1233,7 +1246,7 @@ mod tests {
         let (dir, _) = fs.mkdir().unwrap();
         let (f, _) = fs.create(dir, 8192).unwrap();
         let before = fs.expected_payload(f, 0).unwrap();
-        fs.write(f, 0, 1).unwrap();
+        emitted(|o| fs.write(f, 0, 1, o)).unwrap();
         let after = fs.expected_payload(f, 0).unwrap();
         assert_ne!(before, after);
     }
@@ -1256,7 +1269,10 @@ mod tests {
         let (dir, _) = fs.mkdir().unwrap();
         let (f, _) = fs.create(dir, 2 * 8192).unwrap();
         assert_eq!(fs.read(f, 1, 2).unwrap_err(), FsError::BeyondEof);
-        assert_eq!(fs.write(f, 2, 1).unwrap_err(), FsError::BeyondEof);
+        assert_eq!(
+            emitted(|o| fs.write(f, 2, 1, o)).unwrap_err(),
+            FsError::BeyondEof
+        );
         assert!(fs.read(f, 1, 1).is_ok());
     }
 
@@ -1273,7 +1289,7 @@ mod tests {
             fs.create(d2, 16 * 1024).unwrap();
         }
         fs.sync();
-        let reqs = fs.read_file(f).unwrap();
+        let reqs = emitted(|o| fs.read_file(f, o)).unwrap();
         assert!(reqs.iter().any(|r| matches!(r.dir, IoDir::Read)));
     }
 
@@ -1292,7 +1308,7 @@ mod tests {
         assert_eq!(writes, 3, "three data blocks written through");
         assert!(fs.dirty_blocks() > 0, "inode/dir updates still pending");
         // Overwrites also write through.
-        let reqs = fs.write(f, 0, 2).unwrap();
+        let reqs = emitted(|o| fs.write(f, 0, 2, o)).unwrap();
         assert_eq!(reqs.iter().filter(|r| !r.dir.is_read()).count(), 2);
         // Sync flushes only metadata.
         let burst = fs.sync();
@@ -1388,7 +1404,7 @@ mod tests {
         let mut fs = rw();
         let (dir, _) = fs.mkdir().unwrap();
         let (f, _) = fs.create(dir, 3 * 8192).unwrap();
-        fs.write(f, 1, 1).unwrap();
+        emitted(|o| fs.write(f, 1, 1, o)).unwrap();
         fs.sync();
         let free = fs.free_blocks();
         let expected = fs.expected_payload(f, 1).unwrap();
@@ -1423,7 +1439,7 @@ mod tests {
         let (f, _) = fs.create(dir, 0).unwrap();
         assert_eq!(fs.n_file_blocks(f).unwrap(), 0);
         // Reading it touches only metadata.
-        let reqs = fs.read_file(f).unwrap();
+        let reqs = emitted(|o| fs.read_file(f, o)).unwrap();
         assert!(reqs.len() <= 2);
     }
 }

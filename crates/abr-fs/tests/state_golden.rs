@@ -27,7 +27,8 @@ fn saved_state_bytes_are_pinned() {
             }
             _ if !files.is_empty() => {
                 let (_, file) = files[rng.index(files.len())];
-                fs.append(file, 1 + rng.below(30_000)).unwrap();
+                fs.append(file, 1 + rng.below(30_000), &mut Vec::new())
+                    .unwrap();
             }
             _ => {}
         }

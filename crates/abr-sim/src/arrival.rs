@@ -92,7 +92,11 @@ impl FromJson for OnOffParams {
 /// one stream.
 #[derive(Debug, Clone)]
 pub struct OnOff {
-    params: OnOffParams,
+    /// Mean gap between arrivals while ON, µs.
+    mean_gap_us: f64,
+    /// Mean ON and OFF period lengths, µs.
+    mean_on_us: f64,
+    mean_off_us: f64,
     /// End of the current ON period, if we are in one.
     on_until: Option<SimTime>,
     /// When the next ON period begins (valid while OFF).
@@ -106,9 +110,12 @@ impl OnOff {
         assert!(params.on_rate_per_sec > 0.0);
         assert!(params.mean_on > SimDuration::ZERO);
         assert!(params.mean_off > SimDuration::ZERO);
-        let first_on = rng.exp(params.mean_off.as_micros() as f64) as u64;
+        let mean_off_us = params.mean_off.as_micros() as f64;
+        let first_on = rng.exp(mean_off_us) as u64;
         OnOff {
-            params,
+            mean_gap_us: 1e6 / params.on_rate_per_sec,
+            mean_on_us: params.mean_on.as_micros() as f64,
+            mean_off_us,
             on_until: None,
             next_on: SimTime::from_micros(first_on),
         }
@@ -116,20 +123,19 @@ impl OnOff {
 
     /// The next arrival strictly after `now`.
     pub fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> SimTime {
-        let mean_gap_us = 1e6 / self.params.on_rate_per_sec;
         let mut t = now;
         loop {
             match self.on_until {
                 Some(end) if t < end => {
                     // In an ON period: Poisson arrival, if it lands before
                     // the period ends.
-                    let gap = rng.exp(mean_gap_us).max(1.0) as u64;
+                    let gap = rng.exp(self.mean_gap_us).max(1.0) as u64;
                     let cand = t + SimDuration::from_micros(gap);
                     if cand < end {
                         return cand;
                     }
                     // Burst ended before the candidate arrival: go OFF.
-                    let off = rng.exp(self.params.mean_off.as_micros() as f64).max(1.0) as u64;
+                    let off = rng.exp(self.mean_off_us).max(1.0) as u64;
                     self.next_on = end + SimDuration::from_micros(off);
                     self.on_until = None;
                     t = end;
@@ -137,7 +143,7 @@ impl OnOff {
                 _ => {
                     // OFF: jump to the start of the next ON period.
                     let start = self.next_on.max(t);
-                    let on = rng.exp(self.params.mean_on.as_micros() as f64).max(1.0) as u64;
+                    let on = rng.exp(self.mean_on_us).max(1.0) as u64;
                     self.on_until = Some(start + SimDuration::from_micros(on));
                     t = start;
                 }

@@ -7,18 +7,93 @@
 //! ([`Zipf::fit_top_share`]) that solves for the exponent reproducing a
 //! target top-k share, so workload profiles can be pinned directly to the
 //! paper's measured skew. [`Weighted`] samples from an arbitrary discrete
-//! weight table in O(log n).
+//! weight table. Both invert a [`Cdf`].
 
 use crate::rng::SimRng;
 
+/// A normalized cumulative table, inverted by a guide-table search
+/// (Chen & Asau, 1974).
+///
+/// `guide[j]` is the first index whose cumulative value reaches `j / m`,
+/// with `m` the table's length, so a uniform `u` starts at
+/// `guide[⌊u·m⌋]`, on average under two entries from its answer — one or
+/// two loads on the skewed tables the workloads draw from, where a
+/// binary search makes a chain of dependent ones.
+#[derive(Debug, Clone)]
+pub struct Cdf {
+    cdf: Vec<f64>,
+    guide: Vec<u32>,
+}
+
+impl Cdf {
+    /// The table of `weights`, each divided by their sum, its last entry
+    /// set to exactly 1.
+    ///
+    /// # Panics
+    /// Panics if there are no weights, any weight is negative or not
+    /// finite, or all are zero.
+    pub fn new(weights: impl IntoIterator<Item = f64>) -> Self {
+        let weights = weights.into_iter();
+        let mut cdf = Vec::with_capacity(weights.size_hint().0);
+        let mut acc = 0.0;
+        for w in weights {
+            assert!(w.is_finite() && w >= 0.0, "bad weight {w}");
+            acc += w;
+            cdf.push(acc);
+        }
+        assert!(!cdf.is_empty(), "empty weight table");
+        assert!(acc > 0.0, "all weights zero");
+        for c in &mut cdf {
+            *c /= acc;
+        }
+        // Guard against floating point leaving the last entry below 1.
+        *cdf.last_mut().expect("non-empty") = 1.0;
+        Cdf::from_cumulative(cdf)
+    }
+
+    /// The guide over a non-empty, non-decreasing table ending in 1.
+    fn from_cumulative(cdf: Vec<f64>) -> Self {
+        // One merge pass: both `j / m` and the table rise.
+        let m = cdf.len();
+        let mut i = 0;
+        let guide = (0..m)
+            .map(|j| {
+                let t = j as f64 / m as f64;
+                while cdf[i] < t {
+                    i += 1;
+                }
+                i as u32
+            })
+            .collect();
+        Cdf { cdf, guide }
+    }
+
+    /// The first index whose cumulative value reaches `u` — exactly
+    /// `partition_point(|c| c < u)` over the table — for `u` in `[0, 1]`.
+    /// The guide only picks where to start: the walk back and then
+    /// forward makes the answer exact whatever `⌊u·m⌋` rounded to.
+    #[inline]
+    pub fn search(&self, u: f64) -> usize {
+        let m = self.guide.len();
+        let mut i = self.guide[((u * m as f64) as usize).min(m - 1)] as usize;
+        while i > 0 && self.cdf[i - 1] >= u {
+            i -= 1;
+        }
+        while self.cdf[i] < u {
+            i += 1;
+        }
+        i
+    }
+}
+
 /// A Zipf-like rank-frequency distribution over ranks `0..n`.
 ///
-/// Rank `r` (0-based) has weight `1 / (r + 1)^s`. Sampling uses a
-/// precomputed cumulative table with binary search: O(log n) per draw,
-/// exact (no rejection), and deterministic given the RNG stream.
+/// Rank `r` (0-based) has weight `1 / (r + 1)^s`. Sampling inverts the
+/// cumulative table ([`Cdf`]): exact (no rejection), and deterministic
+/// given the RNG stream.
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    cdf: Cdf,
     s: f64,
 }
 
@@ -30,24 +105,13 @@ impl Zipf {
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf over zero ranks");
         assert!(s.is_finite() && s >= 0.0, "bad Zipf exponent {s}");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for r in 0..n {
-            acc += 1.0 / ((r + 1) as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        // Guard against floating point leaving the last entry below 1.
-        *cdf.last_mut().expect("n > 0") = 1.0;
+        let cdf = Cdf::new((0..n).map(|r| 1.0 / ((r + 1) as f64).powf(s)));
         Zipf { cdf, s }
     }
 
     /// Number of ranks.
     pub fn n(&self) -> usize {
-        self.cdf.len()
+        self.cdf.cdf.len()
     }
 
     /// The exponent.
@@ -57,29 +121,17 @@ impl Zipf {
 
     /// Sample a rank in `0..n` (0 is the most popular).
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        // partition_point returns the count of entries < u, i.e. the first
-        // rank whose cumulative probability reaches u. For the skewed
-        // exponents the workloads use, most draws land in the first few
-        // ranks, so search the (cache-resident) head before binary-
-        // searching the full table — same result, far fewer misses.
-        const HEAD: usize = 64;
-        if let Some(&h) = self.cdf.get(HEAD - 1) {
-            if u <= h {
-                return self.cdf[..HEAD].partition_point(|&c| c < u);
-            }
-        }
-        self.cdf.partition_point(|&c| c < u)
+        self.cdf.search(rng.f64())
     }
 
     /// Fraction of probability mass on the `k` most popular ranks.
     pub fn top_share(&self, k: usize) -> f64 {
         if k == 0 {
             0.0
-        } else if k >= self.cdf.len() {
+        } else if k >= self.n() {
             1.0
         } else {
-            self.cdf[k - 1]
+            self.cdf.cdf[k - 1]
         }
     }
 
@@ -121,10 +173,10 @@ impl Zipf {
     }
 }
 
-/// A discrete distribution over arbitrary weights, sampled in O(log n).
+/// A discrete distribution over arbitrary weights.
 #[derive(Debug, Clone)]
 pub struct Weighted {
-    cdf: Vec<f64>,
+    cdf: Cdf,
 }
 
 impl Weighted {
@@ -134,36 +186,24 @@ impl Weighted {
     /// Panics if the slice is empty, any weight is negative or non-finite,
     /// or all weights are zero.
     pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "empty weight table");
-        let mut cdf = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            assert!(w.is_finite() && w >= 0.0, "bad weight {w}");
-            acc += w;
-            cdf.push(acc);
+        Weighted {
+            cdf: Cdf::new(weights.iter().copied()),
         }
-        assert!(acc > 0.0, "all weights zero");
-        for c in &mut cdf {
-            *c /= acc;
-        }
-        *cdf.last_mut().expect("non-empty") = 1.0;
-        Weighted { cdf }
     }
 
     /// Sample an index in `0..len`.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        self.cdf.partition_point(|&c| c < u)
+        self.cdf.search(rng.f64())
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.cdf.cdf.len()
     }
 
     /// Whether the table is empty (never true for a constructed value).
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        self.cdf.cdf.is_empty()
     }
 }
 
@@ -236,6 +276,56 @@ mod tests {
             h[z.sample(rng)] += 1;
         }
         h
+    }
+
+    /// `Cdf::search` against the binary search it replaces, at `u` drawn
+    /// uniformly and at the values where an off-by-one would show.
+    fn check_search(cdf: &Cdf, rng: &mut SimRng) {
+        let m = cdf.cdf.len();
+        let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0, 1.0];
+        for &c in &cdf.cdf {
+            us.extend([c, c.next_up(), c.next_down()]);
+        }
+        us.extend((0..64).map(|_| rng.f64()));
+        for u in us.into_iter().filter(|u| (0.0..=1.0).contains(u)) {
+            let want = cdf.cdf.partition_point(|&c| c < u);
+            assert_eq!(cdf.search(u), want, "u {u:e} over {m} entries");
+        }
+    }
+
+    #[test]
+    fn cdf_search_is_a_binary_search() {
+        let mut rng = SimRng::new(0xCDF);
+        for round in 0..300 {
+            let n = 1 + rng.index(if round % 10 == 0 { 5_000 } else { 300 });
+            check_search(&Zipf::new(n, rng.f64() * 3.0).cdf, &mut rng);
+            // Weight tables with runs of zeroes: flat steps in the table.
+            let weights: Vec<f64> = (0..n)
+                .map(|_| match rng.index(3) {
+                    0 => 0.0,
+                    1 => rng.f64(),
+                    _ => rng.f64() * 1e-9,
+                })
+                .chain([1.0])
+                .collect();
+            check_search(&Weighted::new(&weights).cdf, &mut rng);
+        }
+    }
+
+    #[test]
+    fn cdf_search_steps_back_and_clamps() {
+        // `p` is below 5/6, yet `p * 6` rounds to 5: the guide starts one
+        // entry past the answer, and the walk back must find it.
+        let p = (5.0_f64 / 6.0).next_down();
+        assert_eq!((p * 6.0) as usize, 5);
+        let cdf = Cdf::from_cumulative(vec![0.1, 0.2, 0.3, 0.4, p, 1.0]);
+        assert_eq!(cdf.guide[5], 5);
+        assert_eq!(cdf.search(p), 4);
+        // No `u` below 1 has `u * m` round up to `m`; 1 itself does, and
+        // the guide index is clamped to the last.
+        assert_eq!((1.0 * 6.0) as usize, 6);
+        assert_eq!(cdf.search(1.0), 5);
+        check_search(&cdf, &mut SimRng::new(6));
     }
 
     #[test]

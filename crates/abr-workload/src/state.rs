@@ -3,9 +3,9 @@
 //! [`WorkloadState`] owns the file population, the popularity assignment
 //! (rank → file), and the bursty arrival process. The experiment harness
 //! drives it: [`WorkloadState::next_op`] draws the next timed operation,
-//! [`WorkloadState::apply`] executes it against the file system and
-//! returns the disk requests it triggers. Between measured days,
-//! [`WorkloadState::advance_day`] applies popularity drift.
+//! [`WorkloadState::apply_into`] executes it against the file system and
+//! appends the disk requests it triggers to the caller's buffer. Between
+//! measured days, [`WorkloadState::advance_day`] applies popularity drift.
 
 use crate::profile::{OpMix, WorkloadProfile};
 use abr_driver::request::IoRequest;
@@ -183,10 +183,13 @@ pub struct WorkloadState {
     dirs: Vec<DirHandle>,
     rng: SimRng,
     day: u64,
-    /// Per-file-size Zipf over block indices (lazily built): page-in
-    /// offsets within a file are skewed and *stable* across days (a
-    /// binary faults the same startup/hot-path pages every day).
-    offset_zipf: FastMap<usize, Zipf>,
+    /// Per-file-size Zipf over block indices, indexed by the file's block
+    /// count (lazily built): page-in offsets within a file are skewed and
+    /// *stable* across days (a binary faults the same startup/hot-path
+    /// pages every day).
+    offset_zipf: Vec<Option<Zipf>>,
+    /// Success probability of the geometric block count of range ops.
+    range_p: f64,
 }
 
 impl std::fmt::Debug for WorkloadState {
@@ -226,9 +229,7 @@ impl WorkloadState {
         let mut setup_reqs = Vec::new();
         let mut dirs = Vec::with_capacity(profile.n_dirs);
         for _ in 0..profile.n_dirs {
-            let (d, reqs) = fs.mkdir()?;
-            setup_reqs.extend(reqs);
-            dirs.push(d);
+            dirs.push(fs.mkdir_into(&mut setup_reqs)?);
         }
         let sizes = FileSizes::new(profile.file_min, profile.file_max, profile.size_alpha);
         let mut size_rng = rng.substream("file-sizes");
@@ -237,11 +238,10 @@ impl WorkloadState {
         for _ in 0..profile.n_files {
             let dir = dirs[dir_rng.index(dirs.len())];
             let size = sizes.sample(&mut size_rng);
-            let (handle, reqs) = fs.create(dir, size)?;
-            setup_reqs.extend(reqs);
+            let handle = fs.create_into(dir, size, &mut setup_reqs)?;
             files.push(FileRec { handle, dir });
         }
-        setup_reqs.extend(fs.sync());
+        fs.sync_into(&mut setup_reqs);
 
         // Age the file system: rounds of delete/recreate churn fragment
         // the free lists so block placement looks like months of
@@ -253,16 +253,15 @@ impl WorkloadState {
             for _ in 0..n_churn {
                 let victim = age_rng.index(files.len());
                 let rec = files.swap_remove(victim);
-                setup_reqs.extend(fs.delete(rec.dir, rec.handle)?);
+                fs.delete_into(rec.dir, rec.handle, &mut setup_reqs)?;
             }
             for _ in 0..n_churn {
                 let dir = dirs[age_rng.index(dirs.len())];
                 let size = sizes.sample(&mut age_rng);
-                let (handle, reqs) = fs.create(dir, size)?;
-                setup_reqs.extend(reqs);
+                let handle = fs.create_into(dir, size, &mut setup_reqs)?;
                 files.push(FileRec { handle, dir });
             }
-            setup_reqs.extend(fs.sync());
+            fs.sync_into(&mut setup_reqs);
         }
 
         // Popularity: hot ranks go preferentially to *small* files (the
@@ -293,6 +292,7 @@ impl WorkloadState {
         let arrivals = OnOff::new(profile.arrivals, &mut arrival_rng);
         Ok((
             WorkloadState {
+                range_p: range_p(&profile),
                 profile,
                 first_record: first_records(&files),
                 files,
@@ -304,7 +304,7 @@ impl WorkloadState {
                 dirs,
                 rng: arrival_rng,
                 day: 0,
-                offset_zipf: FastMap::default(),
+                offset_zipf: Vec::new(),
             },
             setup_reqs,
         ))
@@ -357,10 +357,10 @@ impl WorkloadState {
     /// Zipf over the file's blocks, mapped through a per-file permutation
     /// so each file has its own fixed set of hot pages.
     fn hot_offset(&mut self, file: FileHandle, total: usize) -> usize {
-        let z = self
-            .offset_zipf
-            .entry(total)
-            .or_insert_with(|| Zipf::new(total, 1.6));
+        if self.offset_zipf.len() <= total {
+            self.offset_zipf.resize_with(total + 1, || None);
+        }
+        let z = self.offset_zipf[total].get_or_insert_with(|| Zipf::new(total, 1.6));
         let rank = z.sample(&mut self.rng) as u64;
         // Stateless mix of (ino, rank): stable across days.
         abr_sim::rng::splitmix64(file.0 ^ rank.rotate_left(32)) as usize % total
@@ -368,8 +368,7 @@ impl WorkloadState {
 
     fn draw_op(&mut self, fs: &FileSystem) -> Op {
         // Geometric number of blocks for range ops.
-        fn geometric(rng: &mut SimRng, mean: f64) -> usize {
-            let p = 1.0 / mean.max(1.0);
+        fn geometric(rng: &mut SimRng, p: f64) -> usize {
             let mut n = 1;
             while !rng.chance(p) && n < 64 {
                 n += 1;
@@ -389,7 +388,7 @@ impl WorkloadState {
                 if total == 0 {
                     return Op::ReadWhole(f);
                 }
-                let n = geometric(&mut self.rng, self.profile.mean_range_blocks).min(total);
+                let n = geometric(&mut self.rng, self.range_p).min(total);
                 let start = self.hot_offset(f, total).min(total - n);
                 Op::ReadRange {
                     file: f,
@@ -404,7 +403,7 @@ impl WorkloadState {
                 if total == 0 {
                     return Op::ReadWhole(f);
                 }
-                let n = geometric(&mut self.rng, self.profile.mean_range_blocks).min(total);
+                let n = geometric(&mut self.rng, self.range_p).min(total);
                 let start = self.rng.index(total - n + 1);
                 Op::WriteRange {
                     file: f,
@@ -450,62 +449,64 @@ impl WorkloadState {
         }
     }
 
-    /// Execute an operation against the file system, returning the disk
-    /// requests it triggers. Failed mutations on full/read-only file
-    /// systems degrade to no-ops (returning no requests), so a generator
-    /// never wedges an experiment.
-    pub fn apply(&mut self, op: Op, fs: &mut FileSystem) -> Vec<IoRequest> {
-        match op {
-            Op::ReadWhole(f) => fs.read_file(f).unwrap_or_default(),
+    /// Execute an operation against the file system, appending the disk
+    /// requests it triggers to `out`. Failed mutations on full/read-only
+    /// file systems degrade to no-ops (a failed file-system operation
+    /// emits nothing), so a generator never wedges an experiment.
+    pub fn apply_into(&mut self, op: Op, fs: &mut FileSystem, out: &mut Vec<IoRequest>) {
+        let emitted = out.len();
+        let done = match op {
+            Op::ReadWhole(f) => fs.read_file(f, out),
             Op::ReadRange {
                 file,
                 start,
                 n_blocks,
-            } => fs.read(file, start, n_blocks).unwrap_or_default(),
+            } => fs.read_into(file, start, n_blocks, out),
             Op::WriteRange {
                 file,
                 start,
                 n_blocks,
-            } => fs.write(file, start, n_blocks).unwrap_or_default(),
-            Op::Create { dir, size } => match fs.create(dir, size) {
-                Ok((handle, reqs)) => {
-                    // The new file takes over a random cold rank so the
-                    // popularity law is preserved. The rank's previous
-                    // holder may become unreachable by future operations —
-                    // modelling a file the users stop touching; it stays
-                    // on disk (and in `files`) like any forgotten file.
-                    let idx = self.files.len();
-                    self.files.push(FileRec { handle, dir });
-                    note_record(&mut self.first_record, handle, idx);
-                    self.ranks.push_file();
-                    let n = self.ranks.len();
-                    let tail = n - (n / 4).max(1);
-                    let victim_rank = tail + self.rng.index(n - tail);
-                    self.ranks.set(victim_rank, idx);
-                    reqs
+            } => fs.write(file, start, n_blocks, out),
+            Op::Create { dir, size } => fs.create_into(dir, size, out).map(|handle| {
+                // The new file takes over a random cold rank so the
+                // popularity law is preserved. The rank's previous
+                // holder may become unreachable by future operations —
+                // modelling a file the users stop touching; it stays
+                // on disk (and in `files`) like any forgotten file.
+                let idx = self.files.len();
+                self.files.push(FileRec { handle, dir });
+                note_record(&mut self.first_record, handle, idx);
+                self.ranks.push_file();
+                let n = self.ranks.len();
+                let tail = n - (n / 4).max(1);
+                let victim_rank = tail + self.rng.index(n - tail);
+                self.ranks.set(victim_rank, idx);
+            }),
+            Op::Append { file, bytes } => fs.append(file, bytes, out),
+            Op::Delete { dir, file } => fs.delete_into(dir, file, out).map(|()| {
+                // Remap any ranks pointing at the deleted file to a
+                // random survivor. The dead FileRec stays in `files`
+                // (indices are stable identifiers); operations that still
+                // land on it degrade to NoSuchFile no-ops by design. The
+                // record remapped is the first with the handle, dead or
+                // not.
+                if let Some(pos) = self.first_record_of(file) {
+                    let replacement = self.rng.index(self.files.len());
+                    self.ranks.move_all(pos, replacement);
                 }
-                Err(_) => Vec::new(),
-            },
-            Op::Append { file, bytes } => fs.append(file, bytes).unwrap_or_default(),
-            Op::Delete { dir, file } => {
-                match fs.delete(dir, file) {
-                    Ok(reqs) => {
-                        // Remap any ranks pointing at the deleted file to a
-                        // random survivor. The dead FileRec stays in
-                        // `files` (indices are stable identifiers);
-                        // operations that still land on it degrade to
-                        // NoSuchFile no-ops by design. The record remapped
-                        // is the first with the handle, dead or not.
-                        if let Some(pos) = self.first_record_of(file) {
-                            let replacement = self.rng.index(self.files.len());
-                            self.ranks.move_all(pos, replacement);
-                        }
-                        reqs
-                    }
-                    Err(_) => Vec::new(),
-                }
-            }
-        }
+            }),
+        };
+        debug_assert!(
+            done.is_ok() || out.len() == emitted,
+            "{op:?} failed mid-way"
+        );
+    }
+
+    /// [`Self::apply_into`] a fresh buffer.
+    pub fn apply(&mut self, op: Op, fs: &mut FileSystem) -> Vec<IoRequest> {
+        let mut out = Vec::new();
+        self.apply_into(op, fs, &mut out);
+        out
     }
 
     /// Advance to the next day: reshuffle `daily_drift` of the popularity
@@ -551,6 +552,7 @@ impl WorkloadState {
         let arrivals = OnOff::new(profile.arrivals, &mut arrival_rng);
         Ok(WorkloadState {
             popularity: Zipf::new(rank_to_file.len(), profile.popularity_s),
+            range_p: range_p(&profile),
             profile,
             first_record: first_records(&files),
             ranks: Ranks::new(rank_to_file, files.len()),
@@ -561,7 +563,7 @@ impl WorkloadState {
             dirs: state.at("dirs")?,
             rng: arrival_rng,
             day,
-            offset_zipf: FastMap::default(),
+            offset_zipf: Vec::new(),
         })
     }
 
@@ -581,6 +583,11 @@ impl WorkloadState {
     fn first_record_of(&self, file: FileHandle) -> Option<usize> {
         self.first_record.get(&file.0).map(|&i| i as usize)
     }
+}
+
+/// The success probability of the geometric block count of range ops.
+fn range_p(profile: &WorkloadProfile) -> f64 {
+    1.0 / profile.mean_range_blocks.max(1.0)
 }
 
 /// Note that `files[idx]` has `handle`, unless an earlier record has.
