@@ -43,6 +43,7 @@
 //! a line-for-line mirror of `abr_core::Experiment`.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod experiment;

@@ -108,7 +108,7 @@ impl ArrayVolume {
     /// Re-silver plan for one stale block: the rest of its group to
     /// read and their XOR to write. `Ok(None)` = nothing stored there
     /// (drop the stale entry); `Err(())` = sources unavailable right now.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "a one-off return type")]
     fn resilver_plan(
         &self,
         i: usize,
@@ -170,7 +170,11 @@ impl ArrayVolume {
                             skipped.push(db);
                         }
                     }
-                    let m = self.maint.as_mut().expect("redundant volume"); // abr-lint: allow(P001, rebuild_tick only runs on redundant volumes)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "rebuild_tick only runs on redundant volumes"
+                    )]
+                    let m = self.maint.as_mut().expect("redundant volume");
                     m.budget.consume(now, issued.max(1).min(ops_per_item));
                     with_registry(|r| r.inc(m.obs.rebuild_ops, u64::from(issued)));
                 }
@@ -196,7 +200,11 @@ impl ArrayVolume {
         }
         for _ in 0..groups {
             let cursor = {
-                let m = self.maint.as_mut().expect("redundant volume"); // abr-lint: allow(P001, scrub_tick only runs on redundant volumes)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "scrub_tick only runs on redundant volumes"
+                )]
+                let m = self.maint.as_mut().expect("redundant volume");
                 let c = m.scrub_cursor % total;
                 m.scrub_cursor = (m.scrub_cursor + 1) % total;
                 c

@@ -17,6 +17,10 @@
 //! per-disk size)` at construction — no state updates on the I/O path —
 //! which is what makes array runs byte-identical across thread counts.
 
+#![deny(clippy::cast_possible_truncation)]
+
+use abr_sim::narrow::{u32_from_usize, usize_from_u64};
+
 /// How volume blocks are distributed over the member disks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StripePolicy {
@@ -244,17 +248,18 @@ impl StripeMap {
                 map.vol_sectors = total_chunks * chunk_blocks * spb;
                 if matches!(policy, StripePolicy::HashShard { .. }) {
                     let mut fill = vec![0u64; n_data];
-                    map.shard_disk.reserve(total_chunks as usize);
-                    map.shard_slot.reserve(total_chunks as usize);
-                    map.shard_rev = vec![0u64; total_chunks as usize];
+                    map.shard_disk.reserve(usize_from_u64(total_chunks));
+                    map.shard_slot.reserve(usize_from_u64(total_chunks));
+                    map.shard_rev = vec![0u64; usize_from_u64(total_chunks)];
                     for chunk in 0..total_chunks {
-                        let mut d = (splitmix64(chunk) % n_data as u64) as usize;
+                        let mut d = usize_from_u64(splitmix64(chunk) % n_data as u64);
                         while fill[d] == chunks_per_disk {
                             d = (d + 1) % n_data;
                         }
-                        map.shard_disk.push(abr_sim::narrow::u32_from_usize(d));
+                        map.shard_disk.push(u32_from_usize(d));
                         map.shard_slot.push(fill[d]);
-                        map.shard_rev[d * chunks_per_disk as usize + fill[d] as usize] = chunk;
+                        map.shard_rev
+                            [d * usize_from_u64(chunks_per_disk) + usize_from_u64(fill[d])] = chunk;
                         fill[d] += 1;
                     }
                 }
@@ -317,7 +322,7 @@ impl StripeMap {
             let row = chunk / data_per_row;
             let pos = chunk % data_per_row;
             let parity = row % self.n_disks as u64;
-            let disk = if pos < parity { pos } else { pos + 1 } as usize;
+            let disk = usize_from_u64(if pos < parity { pos } else { pos + 1 });
             return (disk, row * self.chunk_blocks + within);
         }
         if self.n_data == 1 {
@@ -327,19 +332,19 @@ impl StripeMap {
             StripePolicy::Striped { .. } => {
                 let chunk = vblock / self.chunk_blocks;
                 let within = vblock % self.chunk_blocks;
-                let disk = (chunk % self.n_data as u64) as usize;
+                let disk = usize_from_u64(chunk % self.n_data as u64);
                 let slot = chunk / self.n_data as u64;
                 (disk, slot * self.chunk_blocks + within)
             }
             StripePolicy::Concat => (
-                (vblock / self.per_disk_blocks) as usize,
+                usize_from_u64(vblock / self.per_disk_blocks),
                 vblock % self.per_disk_blocks,
             ),
             StripePolicy::HashShard { .. } => {
                 let chunk = vblock / self.chunk_blocks;
                 let within = vblock % self.chunk_blocks;
-                let disk = self.shard_disk[chunk as usize] as usize;
-                let slot = self.shard_slot[chunk as usize];
+                let disk = self.shard_disk[usize_from_u64(chunk)] as usize;
+                let slot = self.shard_slot[usize_from_u64(chunk)];
                 (disk, slot * self.chunk_blocks + within)
             }
         }
@@ -355,7 +360,7 @@ impl StripeMap {
         assert_eq!(self.redundancy, Redundancy::RotParity, "not a parity map");
         let within = vblock % self.chunk_blocks;
         let row = (vblock / self.chunk_blocks) / (self.n_disks as u64 - 1);
-        let parity = (row % self.n_disks as u64) as usize;
+        let parity = usize_from_u64(row % self.n_disks as u64);
         (parity, row * self.chunk_blocks + within)
     }
 
@@ -402,7 +407,7 @@ impl StripeMap {
             Redundancy::RotParity => {
                 // One group per disk-block index: the row's data chunks
                 // in position order, then its parity chunk.
-                let parity = (index / self.chunk_blocks % self.n_disks as u64) as usize;
+                let parity = usize_from_u64(index / self.chunk_blocks % self.n_disks as u64);
                 let data = (0..self.n_disks).filter(|&disk| disk != parity);
                 data.chain([parity]).map(|disk| (disk, index)).collect()
             }
@@ -431,7 +436,7 @@ impl StripeMap {
         if self.redundancy == Redundancy::RotParity {
             let row = dblock / self.chunk_blocks;
             let within = dblock % self.chunk_blocks;
-            let parity = (row % self.n_disks as u64) as usize;
+            let parity = usize_from_u64(row % self.n_disks as u64);
             if disk == parity {
                 return None; // the row's parity chunk, not data
             }
@@ -470,7 +475,8 @@ impl StripeMap {
                 if slot >= chunks_per_disk {
                     return None;
                 }
-                let chunk = self.shard_rev[disk * chunks_per_disk as usize + slot as usize];
+                let chunk =
+                    self.shard_rev[disk * usize_from_u64(chunks_per_disk) + usize_from_u64(slot)];
                 chunk * self.chunk_blocks + within
             }
         };
@@ -530,6 +536,7 @@ impl StripeMap {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
 mod tests {
     use super::*;
 

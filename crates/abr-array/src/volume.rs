@@ -452,10 +452,12 @@ impl ArrayVolume {
             let Some((&(pd, pdb), data)) = group.split_last() else {
                 continue;
             };
+            #[expect(clippy::expect_used, reason = "a fresh member has no lost blocks")]
             let parity = self.xor_of(data).expect("fresh member has no lost blocks");
             if parity.iter().all(|run| run.base == Form::Zero) {
                 continue;
             }
+            #[expect(clippy::expect_used, reason = "every parity block is in range")]
             let segs = self.disks[pd]
                 .physical_segments(0, pdb * spb, spb as u32)
                 .expect("parity block in range");
@@ -1055,6 +1057,7 @@ impl ArrayVolume {
     /// If no disk has a completion at exactly `now` — same contract as
     /// the single-disk driver.
     pub fn complete_next(&mut self, now: SimTime) -> Option<VolCompletion> {
+        #[expect(clippy::expect_used, reason = "the documented `# Panics` contract")]
         let disk = (0..self.disks.len())
             .find(|&i| self.disks[i].next_completion() == Some(now))
             .expect("no completion at this time");
@@ -1084,7 +1087,11 @@ impl ArrayVolume {
         }
         // No parent: the orphan of a request rejected in `place`.
         let vol = self.subs.remove(&key)?;
-        let mut parent = self.inflight.remove(&vol).expect("live request"); // abr-lint: allow(P001, sub completion implies a live parent request)
+        #[expect(
+            clippy::expect_used,
+            reason = "sub completion implies a live parent request"
+        )]
+        let mut parent = self.inflight.remove(&vol).expect("live request");
         match (red, c.error) {
             (Some(rs), Some(err)) if rs.dir.is_read() => {
                 // Completion-time failover: the member died with the

@@ -473,6 +473,7 @@ pub(crate) fn rotation(mut r: Report) -> Report {
             })
             .collect();
         let arranger = BlockArranger::new(kind.make(1));
+        #[expect(clippy::unwrap_used, reason = "a fresh idle driver takes the hot list")]
         arranger
             .rearrange(&mut driver, &hot, hot.len(), SimTime::ZERO)
             .unwrap();
@@ -483,6 +484,7 @@ pub(crate) fn rotation(mut r: Report) -> Report {
         for _ in 0..4 {
             for file in &files {
                 for &b in file {
+                    #[expect(clippy::unwrap_used, reason = "every read lies inside the partition")]
                     driver.submit(IoRequest::read(0, b * 16, 16), now).unwrap();
                     let done = driver.drain();
                     now = done[0].completed; // next request fires immediately

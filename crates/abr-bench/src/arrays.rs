@@ -319,6 +319,7 @@ pub(crate) fn n2_cell(mut r: Report) -> Report {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
 mod tests {
     use super::*;
 

@@ -35,17 +35,26 @@ fn main() {
     };
     let cfg = ExperimentConfig::new(disk, profile);
     eprintln!("building {which} ...");
-    #[allow(clippy::disallowed_methods)] // stderr progress timing; never a result input
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "stderr progress timing; never a result input"
+    )]
     let t0 = std::time::Instant::now();
     let mut e = Experiment::new(cfg);
     eprintln!("setup took {:?}", t0.elapsed());
 
-    #[allow(clippy::disallowed_methods)] // stderr progress timing; never a result input
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "stderr progress timing; never a result input"
+    )]
     let t0 = std::time::Instant::now();
     let off = e.run_day();
     eprintln!("off day took {:?}", t0.elapsed());
     e.rearrange_for_next_day(n_blocks);
-    #[allow(clippy::disallowed_methods)] // stderr progress timing; never a result input
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "stderr progress timing; never a result input"
+    )]
     let t0 = std::time::Instant::now();
     let on = e.run_day();
     eprintln!("on day took {:?}", t0.elapsed());

@@ -401,8 +401,12 @@ impl RunBatch {
     /// the calling thread. Otherwise a scoped pool of `jobs` workers
     /// pulls specs off an atomic index; a panicking run is caught and
     /// recorded as a failed outcome without taking down its worker.
+    #[expect(clippy::expect_used, reason = "runs catch panics, so every slot fills")]
     pub fn execute(&self) -> BatchResult {
-        #[allow(clippy::disallowed_methods)] // batch wall time; reported, never a result input
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "batch wall time; reported, never a result input"
+        )]
         let t0 = Instant::now();
         let workers = self.jobs.min(self.specs.len()).max(1);
         let mut outcomes: Vec<Option<RunOutcome>> = Vec::new();
@@ -450,7 +454,10 @@ impl RunBatch {
         if self.trace {
             trace_start(DEFAULT_TRACE_CAPACITY);
         }
-        #[allow(clippy::disallowed_methods)] // per-run wall time; reported, never a result input
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "per-run wall time; reported, never a result input"
+        )]
         let t0 = Instant::now();
         let campaign = if self.trace {
             Campaign::new()
@@ -482,6 +489,7 @@ impl RunBatch {
 /// the day series and the run report, never as a failed run. Metrics an
 /// objective names but a run never touches pass vacuously, so driver
 /// SLOs are harmless on array runs and vice versa.
+#[expect(clippy::expect_used, reason = "constant SLO strings that parse")]
 pub fn default_slos() -> Vec<Slo> {
     [
         "p99(driver.service_us) < 150ms",

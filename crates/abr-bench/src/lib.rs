@@ -19,6 +19,7 @@
 //! which carries its body; [`RunSpec::dispatch`] calls it.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod ablations;

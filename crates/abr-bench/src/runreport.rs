@@ -135,6 +135,7 @@ fn slo_summaries(days: &[JsonValue]) -> Vec<SloSummary> {
             let Some(text) = v["slo"].as_str() else {
                 continue;
             };
+            #[expect(clippy::expect_used, reason = "the entry was pushed just before")]
             let entry = match out.iter_mut().find(|s| s.text == text) {
                 Some(e) => e,
                 None => {

@@ -155,7 +155,7 @@ pub struct DayCache {
     policy: Mutex<DayMap<DiskKind, Vec<Vec<DayMetrics>>>>,
 }
 
-// abr-lint: allow(D001, keyed get-or-insert of memo cells; never iterated)
+#[allow(clippy::disallowed_types, reason = "memo cells, never iterated")]
 type DayMap<K, V> = std::collections::HashMap<K, Arc<OnceLock<Arc<V>>>>;
 
 /// Fetch-or-compute `key`: the first caller runs `compute` while any
@@ -167,6 +167,7 @@ fn memoized<K: std::hash::Hash + Eq + Clone, V>(
     compute: impl FnOnce() -> V,
 ) -> Arc<V> {
     let cell = {
+        #[expect(clippy::expect_used, reason = "nothing panics while holding the lock")]
         let mut map = map.lock().expect("day-cache lock");
         map.entry(key).or_default().clone()
     };
@@ -308,6 +309,7 @@ impl Campaign {
 
     /// Figures 4 and 6: the Fujitsu's service-time CDF on an off and an
     /// on day of `fs`.
+    #[expect(clippy::expect_used, reason = "an on/off run has one day of each kind")]
     pub(crate) fn service_cdf(&self, mut r: Report, fs: FsKind) -> Report {
         let days = self.onoff_days(DiskKind::Fujitsu, fs);
         let off = days.iter().find(|d| !d.rearranged).expect("off day");
@@ -469,6 +471,7 @@ impl Campaign {
         let mut json_rows = Vec::new();
         let runs = self.policy_onoff(disk);
         for (policy, days) in PolicyKind::all().into_iter().zip(runs.iter()) {
+            #[expect(clippy::expect_used, reason = "a policy run has a rearranged day")]
             let on = days.iter().find(|d| d.rearranged).expect("on day");
             for (label, m) in [("all", on.all), ("reads", on.reads)] {
                 r.line(format!(
@@ -501,6 +504,7 @@ impl Campaign {
     pub(crate) fn table10(&self, mut r: Report) -> Report {
         // Without rearrangement: the off day of the organ-pipe run.
         let runs = self.policy_onoff(DiskKind::Toshiba);
+        #[expect(clippy::expect_used, reason = "a policy run has a plain day")]
         let off = runs[0].iter().find(|d| !d.rearranged).expect("off day");
         let base = off.reads.rotation_ms + off.reads.transfer_ms;
         r.line(format!(
@@ -514,6 +518,7 @@ impl Campaign {
         };
         let mut json_rows = vec![jsn!({"policy": "none", "rot_plus_xfer_ms": base})];
         for (policy, days) in PolicyKind::all().into_iter().zip(runs.iter()) {
+            #[expect(clippy::expect_used, reason = "a policy run has a rearranged day")]
             let on = days.iter().find(|d| d.rearranged).expect("on day");
             let v = on.reads.rotation_ms + on.reads.transfer_ms;
             r.line(format!(
@@ -637,6 +642,7 @@ pub(crate) fn fig3(mut r: Report) -> Report {
     // 4-blocks-per-cylinder illustration in structure.
     let g = models::tiny_test_disk().geometry;
     let label = DiskLabel::rearranged_aligned(g, 3, 8);
+    #[expect(clippy::expect_used, reason = "the label reserves an area")]
     let layout = ReservedLayout::for_label(&label, 4096, 8).expect("rearranged");
     let slots = SlotMap::new(&layout, &g);
     let hot = vec![

@@ -305,6 +305,7 @@ pub(crate) fn smoke(mut r: Report) -> Report {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
 mod tests {
     use super::*;
 

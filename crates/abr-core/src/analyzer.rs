@@ -270,6 +270,7 @@ impl ReferenceAnalyzer for BoundedAnalyzer {
         if self.counts.len() >= self.capacity {
             // Replace the minimum-count entry; inherit its count (the
             // Space-Saving over-estimate guarantee).
+            #[expect(clippy::expect_used, reason = "the table is full, so not empty")]
             let &(min_count, victim) = self.by_count.iter().next().expect("non-empty");
             self.by_count.remove(&(min_count, victim));
             self.counts.remove(&victim);

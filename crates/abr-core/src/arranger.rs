@@ -55,7 +55,10 @@ impl RearrangeReport {
     /// What every placing pass ends with. Sanitize builds verify the
     /// whole pass left the redirect map a bijection, including after
     /// partially failed placements.
-    #[cfg_attr(not(feature = "sanitize"), allow(unused_variables))]
+    #[cfg_attr(
+        not(feature = "sanitize"),
+        allow(unused_variables, reason = "only the sanitize check reads the driver")
+    )]
     fn checked(self, driver: &AdaptiveDriver) -> RearrangeReport {
         #[cfg(feature = "sanitize")]
         driver.block_table().assert_bijection();

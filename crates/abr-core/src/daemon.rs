@@ -82,6 +82,7 @@ impl RearrangementDaemon {
 
     /// Read and clear the driver's request table, feeding the analyzer.
     /// Call every [`RearrangementDaemon::read_period`].
+    #[expect(clippy::expect_used, reason = "read-and-clear ioctls cannot fail")]
     pub fn collect(&mut self, driver: &mut AdaptiveDriver, now: SimTime) {
         let _t = time_scope("analyzer");
         match driver

@@ -114,7 +114,11 @@ impl DayReport {
     /// are the identity and the roll-up *is* the member's metrics.
     pub fn volume(self, curve: &SeekCurve) -> DayMetrics {
         let mut members = self.members.into_iter();
-        let first = members.next().expect("a device has at least one member"); // abr-lint: allow(P001, run_day reports every member and BlockDevice guarantees one)
+        #[expect(
+            clippy::expect_used,
+            reason = "run_day reports every member and BlockDevice guarantees one"
+        )]
+        let first = members.next().expect("a device has at least one member");
         let (mut stats, mut all, mut reads) = (first.stats, first.all_counts, first.read_counts);
         for m in members {
             stats.merge(&m.stats);
@@ -185,9 +189,13 @@ impl<D: BlockDevice, T: Traffic<D>> DayLoop<D, T> {
         for i in 0..device.n_members() {
             let member = device.member_mut(i);
             member.read_stats();
+            #[expect(
+                clippy::expect_used,
+                reason = "the read-and-clear ioctls have no error path"
+            )]
             member
                 .ioctl(Ioctl::ReadRequestTable, clock)
-                .expect("monitor reads are infallible"); // abr-lint: allow(P001, the read-and-clear ioctls have no error path)
+                .expect("monitor reads are infallible");
         }
         DayLoop {
             device,

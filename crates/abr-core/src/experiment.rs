@@ -328,6 +328,7 @@ impl<D: BlockDevice, S: DaySource> DayLoop<D, TraceTraffic<S>> {
     ) -> Self {
         let mut clock = SimTime::ZERO;
         for (_, _, req) in setup.iter() {
+            #[expect(clippy::expect_used, reason = "set-up requests lie inside the volume")]
             device.submit(req, clock).expect("setup requests are valid");
             if device.queue_len() > 64 {
                 if let Some(t) = device.next_completion() {
@@ -611,6 +612,7 @@ impl Experiment {
     /// Run one measured day while recording the block-level request
     /// stream (timestamps relative to the day start), for trace-driven
     /// replay (see the [`mod@crate::replay`] module).
+    #[expect(clippy::expect_used, reason = "tracing is switched on above")]
     pub fn run_day_traced(&mut self) -> (DayMetrics, TraceLog) {
         self.h.traffic.trace();
         let metrics = self.run_day();
@@ -641,6 +643,7 @@ impl Experiment {
             counts[cyl as usize] += h.count;
         }
         let map = CylinderMap::organ_pipe(&counts);
+        #[expect(clippy::expect_used, reason = "an idle plain disk takes the shuffle")]
         let reply = self
             .h
             .device

@@ -37,6 +37,7 @@
 //!   window discipline the arranger uses for block copies.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod analyzer;

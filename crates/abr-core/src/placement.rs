@@ -89,6 +89,7 @@ impl SlotMap {
         let cylinders = cyls
             .into_iter()
             .map(|c| {
+                #[expect(clippy::expect_used, reason = "cyls are the keys of by_cyl")]
                 let mut slots = by_cyl.remove(&c).expect("present");
                 slots.sort_unstable();
                 slots
@@ -273,6 +274,7 @@ impl PlacementPolicy for Interleaved {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
 mod tests {
     use super::*;
     use abr_disk::{models, DiskLabel};

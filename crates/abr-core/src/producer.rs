@@ -104,8 +104,12 @@ impl FsTraffic {
         };
         let mut fs = FileSystem::newfs(fs_cfg, vol_sectors, spc);
         let mut rng = SimRng::new(config.seed);
+        #[expect(
+            clippy::expect_used,
+            reason = "a population that does not fit is a configuration error"
+        )]
         let (workload, setup) = WorkloadState::setup(config.profile.clone(), &mut fs, &mut rng)
-            .expect("workload population fits the file system"); // abr-lint: allow(P001, a population that does not fit is a configuration error)
+            .expect("workload population fits the file system");
 
         // The paper's *system* file system is served read-only.
         if !config.profile.is_mutating() {
@@ -285,7 +289,11 @@ impl FsProducer {
                 }
             }
         });
-        let thread = thread.expect("a thread for the workload producer"); // abr-lint: allow(P001, a host that cannot start one thread cannot run the simulation)
+        #[expect(
+            clippy::expect_used,
+            reason = "a host that cannot start one thread cannot run the simulation"
+        )]
+        let thread = thread.expect("a thread for the workload producer");
         let mut producer = FsProducer {
             link: Some(Link {
                 pieces,

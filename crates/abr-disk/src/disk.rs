@@ -331,6 +331,7 @@ impl Disk {
                 elapsed: SimDuration::ZERO,
             });
         }
+        #[expect(clippy::expect_used, reason = "a torn write implies an injector")]
         let persisted = if fault == DiskFault::TornWrite {
             self.injector
                 .as_mut()

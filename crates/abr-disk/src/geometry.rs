@@ -5,6 +5,8 @@
 //! sector numbers map to physical positions in the obvious
 //! cylinder-major / track-major order. [`Geometry`] owns that mapping.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 
 /// Physical geometry of a disk: cylinders x tracks x sectors at a fixed

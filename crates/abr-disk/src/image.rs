@@ -91,6 +91,7 @@ pub fn load<R: Read>(mut r: R) -> Result<Disk, ImageError> {
         return Err(ImageError::BadFormat);
     }
     let (body, tail) = buf.split_at(buf.len() - 8);
+    #[expect(clippy::expect_used, reason = "split_at leaves exactly 8 bytes")]
     let stored = u64::from_le_bytes(tail.try_into().expect("8"));
     if fletcher64(body) != stored {
         return Err(ImageError::BadChecksum);
@@ -101,6 +102,7 @@ pub fn load<R: Read>(mut r: R) -> Result<Disk, ImageError> {
         if end > body.len() {
             return Err(ImageError::BadFormat);
         }
+        #[expect(clippy::expect_used, reason = "an 8-byte slice, bounds checked above")]
         let v = u64::from_le_bytes(body[*pos..end].try_into().expect("8"));
         *pos = end;
         Ok(v)

@@ -194,6 +194,7 @@ impl DiskLabel {
         n_cylinders: u32,
         sectors_per_block: u32,
     ) -> DiskLabel {
+        #[expect(clippy::expect_used, reason = "misaligned geometry is a caller error")]
         let reserved = ReservedArea::centered_aligned(&physical, n_cylinders, sectors_per_block)
             .expect("no block-aligned reserved placement exists");
         DiskLabel::with_reserved(physical, reserved)
@@ -210,6 +211,7 @@ impl DiskLabel {
         sectors_per_block: u32,
     ) -> DiskLabel {
         let spb = u64::from(sectors_per_block);
+        #[expect(clippy::expect_used, reason = "misaligned geometry is a caller error")]
         let start = (1..physical.cylinders - n_cylinders)
             .find(|&c| physical.cylinder_start(c).is_multiple_of(spb))
             .expect("no aligned edge placement exists");
@@ -364,6 +366,7 @@ impl DiskLabel {
             })
             .collect();
         let end = r.pos;
+        #[expect(clippy::expect_used, reason = "the last 4 bytes of the sector")]
         let stored = u32::from_le_bytes(buf[SECTOR_SIZE - 4..].try_into().expect("4 bytes"));
         if checksum(&buf[..end]) != stored {
             return Err(LabelError::BadChecksum);
@@ -437,11 +440,13 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
     fn u32(&mut self) -> u32 {
+        #[expect(clippy::expect_used, reason = "a 4-byte slice")]
         let v = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().expect("4"));
         self.pos += 4;
         v
     }
     fn u64(&mut self) -> u64 {
+        #[expect(clippy::expect_used, reason = "an 8-byte slice")]
         let v = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().expect("8"));
         self.pos += 8;
         v

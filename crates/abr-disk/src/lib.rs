@@ -23,6 +23,7 @@
 //!   media errors (a growing defect list), torn writes, power cuts.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod disk;

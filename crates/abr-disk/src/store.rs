@@ -316,9 +316,10 @@ impl Slab {
     /// Store the base `terms` of a run of `n` sectors, returning the
     /// markers' `slot` value.
     fn insert(&mut self, terms: Arc<[Term]>, n: u32) -> u32 {
+        #[expect(clippy::expect_used, reason = "at most one slot per live sector")]
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
-            u32::try_from(self.slots.len()).expect("slab slot fits u32") // abr-lint: allow(P001, at most one slot per live sector)
+            u32::try_from(self.slots.len()).expect("slab slot fits u32")
         });
         self.slots[slot as usize - 1] = Some((terms, n));
         slot
@@ -514,12 +515,13 @@ impl SectorStore {
 
     /// The run of `len` sectors the store holds as `held`.
     fn run_of(&self, held: Held, len: u32) -> Run {
+        #[expect(clippy::expect_used, reason = "a marker names a live slot")]
         let base = match held {
             Held::Absent | Held::Zero => Form::Zero,
             Held::Lazy(m) if m.slot == 0 => Form::Seeded((m.seed, m.word)),
             Held::Lazy(m) => {
                 let run = self.slab.slots[m.slot as usize - 1].as_ref();
-                Form::Xor(run.expect("live slot").0.clone()).translate(m.word) // abr-lint: allow(P001, a marker names a live slot)
+                Form::Xor(run.expect("live slot").0.clone()).translate(m.word)
             }
             Held::Raw(sector) => {
                 let (p, s) = split(sector);

@@ -466,6 +466,7 @@ impl BlockTable {
 
     /// Decode the on-disk form. Validates magic and checksum. Trailing
     /// bytes beyond the checksum are ignored (the region is zero-padded).
+    #[expect(clippy::expect_used, reason = "fixed-width slices of a checked buffer")]
     pub fn decode(bytes: &[u8]) -> Result<BlockTable, TableError> {
         if bytes.len() < 24 {
             return Err(TableError::BadMagic);

@@ -17,6 +17,8 @@
 //! * there is no reserved space — the disk is fully occupied by the
 //!   permuted cylinders.
 
+#![deny(clippy::cast_possible_truncation)]
+
 /// A bijective virtual-cylinder → physical-cylinder map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CylinderMap {

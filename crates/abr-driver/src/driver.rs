@@ -442,6 +442,7 @@ impl AdaptiveDriver {
             ReservedLayout::for_label(label, config.block_size, config.table_max_entries)
         {
             let table = BlockTable::new();
+            #[expect(clippy::expect_used, reason = "an empty table fits any table region")]
             let bytes = table.encode_region(&layout).expect("empty table fits");
             disk.store_mut().write(layout.start_sector, &bytes);
         }
@@ -526,10 +527,14 @@ impl AdaptiveDriver {
 
     /// Format a blank disk of `model` and attach to it: how every
     /// experiment member and hot spare comes into being.
+    #[expect(
+        clippy::expect_used,
+        reason = "attach only rejects a label the caller built misaligned"
+    )]
     pub fn on_blank_disk(model: DiskModel, label: &DiskLabel, config: DriverConfig) -> Self {
         let mut disk = Disk::new(model);
         Self::format(&mut disk, label, &config);
-        Self::attach(disk, config).expect("fresh format attaches") // abr-lint: allow(P001, attach only rejects a label the caller built misaligned)
+        Self::attach(disk, config).expect("fresh format attaches")
     }
 
     /// A blank drive of the same model, formatted and configured exactly
@@ -1078,6 +1083,7 @@ impl AdaptiveDriver {
     /// Panics if there is no active request or `now` does not match its
     /// completion time.
     pub fn complete_next(&mut self, now: SimTime) -> Completion {
+        #[expect(clippy::expect_used, reason = "the documented `# Panics` contract")]
         let a = self.active.take().expect("no active request");
         assert_eq!(a.completes, now, "completion at the wrong time");
         let data = if a.queued.req.dir.is_read() && a.error.is_none() && self.deliver_read_data {
@@ -1564,6 +1570,7 @@ impl AdaptiveDriver {
     }
 
     /// The table region's bytes for the table as it is now.
+    #[expect(clippy::expect_used, reason = "the table is capped at the region size")]
     fn table_image(&self, layout: &ReservedLayout) -> Vec<u8> {
         self.table
             .encode_region(layout)

@@ -14,6 +14,8 @@
 //! sectors, 8 KB blocks, table region of 32 sectors) this yields exactly
 //! the 1018 slots the paper rearranges.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use abr_disk::{DiskLabel, Geometry, ReservedArea};
 
 /// Resolved geometry of the reserved area for a given block size.

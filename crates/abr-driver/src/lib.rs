@@ -26,6 +26,7 @@
 //!   into block-sized subrequests (§4.1.2).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod blocktable;

@@ -132,6 +132,7 @@ impl IoRequest {
 
     /// The payload as runs (raw bytes stay bytes, a run per sector;
     /// nothing is synthesized).
+    #[expect(clippy::expect_used, reason = "length checked by IoRequest::write")]
     pub fn payload_runs(&self) -> Vec<Run> {
         let whole = |base| {
             vec![Run {
@@ -144,7 +145,7 @@ impl IoRequest {
             &Payload::Seeded(seed) => whole(Form::Seeded((seed, 0))),
             Payload::Bytes(data) => data
                 .chunks(SECTOR_SIZE)
-                .map(|c| Form::Raw(Box::new(c.try_into().expect("whole sectors")))) // abr-lint: allow(P001, length checked by IoRequest::write)
+                .map(|c| Form::Raw(Box::new(c.try_into().expect("whole sectors"))))
                 .map(|base| Run { base, len: 1 })
                 .collect(),
             Payload::Runs(runs) => runs.to_vec(),

@@ -9,9 +9,10 @@ use proptest::prelude::*;
 
 /// Build a rearranged label for an arbitrary geometry, or `None` when no
 /// block-aligned reserved placement exists for it.
-// dead_code: with the offline proptest stand-in the property bodies are
-// typechecked but not registered as tests, so helpers look unused.
-#[allow(dead_code)]
+#[allow(
+    dead_code,
+    reason = "the offline proptest stand-in registers no property as a test"
+)]
 fn rearranged_label(g: Geometry, n_reserved: u32, spb: u32) -> Option<DiskLabel> {
     let reserved = ReservedArea::centered_aligned(&g, n_reserved, spb)?;
     let virtual_geometry = g.with_cylinders(g.cylinders - n_reserved);
@@ -27,7 +28,10 @@ fn rearranged_label(g: Geometry, n_reserved: u32, spb: u32) -> Option<DiskLabel>
 
 /// Virtual sectors worth probing: the ends of the virtual disk plus
 /// every sector adjacent to a reserved-region boundary cylinder.
-#[allow(dead_code)]
+#[allow(
+    dead_code,
+    reason = "the offline proptest stand-in registers no property as a test"
+)]
 fn boundary_sectors(label: &DiskLabel) -> Vec<u64> {
     let g = &label.physical;
     let spc = g.sectors_per_cylinder();

@@ -150,7 +150,10 @@ fn starvation_counter_matches_its_threshold() {
 
 /// Per-dispatch wall time of one `DEEP` burst over that of as many
 /// requests sent through `SHALLOW` bursts, on one driver of `kind`.
-#[allow(clippy::disallowed_methods)] // wall time is the quantity under test
+#[allow(
+    clippy::disallowed_methods,
+    reason = "wall time is the quantity under test"
+)]
 fn deep_over_shallow_cost(kind: SchedulerKind) -> f64 {
     abr_obs::registry_clear();
     let mut d = driver(DriverConfig {

@@ -47,7 +47,10 @@ fn night(d: &mut AdaptiveDriver, n: u32, mut now: SimTime) -> SimTime {
 
 /// Host seconds per table write of a steady-state night of `n` blocks
 /// (`n` leave, `n` arrive).
-#[allow(clippy::disallowed_methods)] // wall time is the quantity under test
+#[allow(
+    clippy::disallowed_methods,
+    reason = "wall time is the quantity under test"
+)]
 fn seconds_per_move((n, table_max_entries): (u32, u32)) -> f64 {
     let mut d = driver(table_max_entries);
     let now = night(&mut d, n, SimTime::ZERO);

@@ -55,6 +55,7 @@ impl Allocator {
     }
 
     /// The group with the most free blocks (for new directories).
+    #[expect(clippy::expect_used, reason = "a file system has at least one group")]
     pub fn emptiest_group(&self) -> u64 {
         self.free_count
             .iter()
@@ -159,6 +160,7 @@ impl Allocator {
     /// Panics if the block is not an allocated data block (double free or
     /// metadata block).
     pub fn free_block(&mut self, block: u64) {
+        #[expect(clippy::expect_used, reason = "the documented `# Panics` contract")]
         let (g, i) = self.data_index(block).expect("freeing a non-data block");
         assert!(!self.free[g as usize][i], "double free of block {block}");
         self.free[g as usize][i] = true;

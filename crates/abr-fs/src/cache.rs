@@ -224,6 +224,7 @@ impl BufferCache {
                 i
             }
             None => {
+                #[expect(clippy::expect_used, reason = "cache slots are far fewer than 2^32")]
                 let i = u32::try_from(self.nodes.len()).expect("cache slots fit in u32");
                 self.nodes.push(Node {
                     block,

@@ -239,6 +239,7 @@ impl InodeTable {
 
 impl std::ops::Index<u64> for InodeTable {
     type Output = Inode;
+    #[expect(clippy::expect_used, reason = "indexing a freed i-node is a bug")]
     fn index(&self, ino: u64) -> &Inode {
         self.get(ino).expect("live i-node")
     }
@@ -1063,6 +1064,7 @@ impl FromJson for Dir {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
 mod tests {
     use super::*;
     use abr_disk::disk::IoDir;

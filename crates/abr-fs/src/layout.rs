@@ -7,6 +7,8 @@
 //! behaviour (hot data spread across groups, metadata interleaved with
 //! data) emerges naturally.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 
 /// Bytes per on-disk i-node (the classic UFS size).

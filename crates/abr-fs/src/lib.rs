@@ -26,6 +26,7 @@
 //! file contents in memory.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod alloc;

@@ -50,6 +50,7 @@
 //! trace bytes as `--jobs 1`.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod hires;

@@ -28,7 +28,10 @@ pub struct ScopedWallTimer {
 impl ScopedWallTimer {
     /// Start timing the phase `name` (e.g. `"analyzer.observe"`).
     pub fn new(name: &'static str) -> ScopedWallTimer {
-        #[allow(clippy::disallowed_methods)] // this is THE sanctioned wall-clock site
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "this is THE sanctioned wall-clock site"
+        )]
         ScopedWallTimer {
             name,
             started: Instant::now(),

@@ -39,6 +39,7 @@
 //! `abrctl report` renders serving runs like any other.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod admission;

@@ -456,6 +456,7 @@ impl Clients {
             }) else {
                 break;
             };
+            #[expect(clippy::expect_used, reason = "DRR picks a client with queued work")]
             let q = self.clients[c]
                 .queue
                 .pop_front()

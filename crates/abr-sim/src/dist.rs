@@ -32,6 +32,7 @@ impl Cdf {
     /// # Panics
     /// Panics if there are no weights, any weight is negative or not
     /// finite, or all are zero.
+    #[expect(clippy::expect_used, reason = "asserted non-empty above")]
     pub fn new(weights: impl IntoIterator<Item = f64>) -> Self {
         let weights = weights.into_iter();
         let mut cdf = Vec::with_capacity(weights.size_hint().0);

@@ -46,7 +46,8 @@ impl Hasher for FastHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            self.mix(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))); // abr-lint: allow(P001, chunks_exact guarantees length)
+            #[expect(clippy::expect_used, reason = "chunks_exact guarantees length")]
+            self.mix(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
@@ -78,14 +79,15 @@ impl Hasher for FastHasher {
 }
 
 /// A `HashMap` keyed with [`FastHasher`].
-// abr-lint: allow(D001, fixed-key hasher: the same operations give the same order in every process)
+#[allow(clippy::disallowed_types, reason = "fixed key, so a repeatable order")]
 pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// A `HashSet` keyed with [`FastHasher`].
-// abr-lint: allow(D001, fixed-key hasher: the same operations give the same order in every process)
+#[allow(clippy::disallowed_types, reason = "fixed key, so a repeatable order")]
 pub type FastSet<K> = std::collections::HashSet<K, BuildHasherDefault<FastHasher>>;
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
 mod tests {
     use super::*;
 

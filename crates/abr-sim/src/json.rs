@@ -523,6 +523,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
+        #[expect(clippy::expect_used, reason = "the number scan accepts ASCII only")]
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
@@ -842,7 +843,7 @@ macro_rules! jsn {
         $crate::json::JsonValue::Array(vec![ $($crate::json::JsonValue::from($elem)),* ])
     };
     ({ $($key:literal : $value:expr),* $(,)? }) => {{
-        #[allow(unused_mut)]
+        #[allow(unused_mut, reason = "an empty object literal inserts nothing")]
         let mut obj = $crate::json::JsonValue::object();
         $( obj.insert($key, $crate::json::JsonValue::from($value)); )*
         obj

@@ -32,6 +32,7 @@
 //!   monotone counter) the `sanitize` feature of the layers above calls.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod arrival;

@@ -1,11 +1,10 @@
 //! Checked integer narrowing for sector/cylinder arithmetic.
 //!
-//! The geometry modules (`geometry.rs`, `layout.rs`, `cylmap.rs`,
-//! `stripe.rs`) are banned from bare `as` narrowing casts (lint rule
-//! C001): a silently truncated cylinder or slot index corrupts the
-//! address map without failing any test on small configs. These helpers
-//! make the narrowing explicit and panic loudly on overflow instead of
-//! wrapping.
+//! The geometry modules (`geometry.rs`, both `layout.rs`, `cylmap.rs`,
+//! `stripe.rs`) deny `clippy::cast_possible_truncation` at their top: a
+//! silently truncated cylinder or slot index corrupts the address map
+//! without failing any test on small configs. These helpers make the
+//! narrowing explicit and panic loudly on overflow instead of wrapping.
 
 /// Narrow a `u64` to `u32`, panicking on overflow.
 #[inline]
@@ -27,6 +26,17 @@ pub fn u32_from_usize(x: usize) -> u32 {
     }
 }
 
+/// Narrow a `u64` to `usize`, panicking on overflow (never on a 64-bit
+/// target).
+#[inline]
+#[track_caller]
+pub fn usize_from_u64(x: u64) -> usize {
+    match usize::try_from(x) {
+        Ok(v) => v,
+        Err(_) => panic!("narrowing overflow: {x} does not fit in usize"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,6 +46,7 @@ mod tests {
         assert_eq!(u32_from_u64(0), 0);
         assert_eq!(u32_from_u64(u64::from(u32::MAX)), u32::MAX);
         assert_eq!(u32_from_usize(7), 7);
+        assert_eq!(usize_from_u64(u64::from(u32::MAX)), u32::MAX as usize);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Runtime invariant checks for the `sanitize` build feature.
 //!
-//! The static rules (abr-lint, clippy's `disallowed-methods`) catch
+//! The static rules (clippy's `disallowed-methods` and
+//! `disallowed-types`, `clippy.toml`) catch
 //! *sources* of nondeterminism; these helpers catch *consequences* — a
 //! block table that stops being a bijection, a stripe/cylinder map that
 //! stops being a permutation, a counter that runs backwards. Product

@@ -21,6 +21,7 @@
 //! trace format for record/replay.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod profile;

@@ -605,6 +605,7 @@ fn first_records(files: &[FileRec]) -> FastMap<u64, u32> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
 mod tests {
     use super::*;
     use abr_fs::fs::{FsConfig, MountMode};

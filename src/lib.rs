@@ -26,6 +26,7 @@
 //! See `README.md` for a tour and `examples/` for runnable entry points.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub use abr_core as core;
 pub use abr_disk as disk;

@@ -3,6 +3,8 @@
 //! successful read returns data the application actually wrote, never a
 //! silently corrupted block.
 
+#![allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
+
 use abr::core::analyzer::HotBlock;
 use abr::core::arranger::BlockArranger;
 use abr::core::placement::PolicyKind;

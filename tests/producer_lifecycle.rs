@@ -29,7 +29,7 @@ fn config(minutes: u64) -> ExperimentConfig {
 
 /// Producer threads alive in this process, or `None` where the host
 /// does not list its threads.
-#[allow(clippy::disallowed_methods)] // counted, never ordered
+#[allow(clippy::disallowed_methods, reason = "counted, never ordered")]
 fn producer_threads() -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     let named = |task: &std::fs::DirEntry| {
@@ -51,7 +51,10 @@ fn an_experiment_dropped_mid_run_stops_its_producer() {
 }
 
 #[test]
-#[allow(clippy::disallowed_methods)] // wall time is the quantity under test
+#[allow(
+    clippy::disallowed_methods,
+    reason = "wall time is the quantity under test"
+)]
 fn dropping_an_experiment_cancels_the_day_being_made() {
     let _one = one_at_a_time();
     // Making this day would take the producer an hour or more; the drop

@@ -1,5 +1,7 @@
 //! Property-based tests on core invariants, with `proptest`.
 
+#![allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
+
 use abr::core::analyzer::{BoundedAnalyzer, FullAnalyzer, HotBlock, ReferenceAnalyzer};
 use abr::core::placement::{PolicyKind, SlotMap};
 use abr::disk::{models, DiskLabel, Geometry};

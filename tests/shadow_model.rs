@@ -6,6 +6,8 @@
 //! operation; after each step, reads through the real stack must match
 //! the model byte for byte.
 
+#![allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
+
 use abr::core::analyzer::HotBlock;
 use abr::core::arranger::BlockArranger;
 use abr::core::placement::PolicyKind;
