@@ -8,7 +8,7 @@
 //!
 //! [`StripeMap::group_at`]: crate::stripe::StripeMap::group_at
 
-use super::{ArrayHealth, ArrayVolume, DiskHealth, Image, MaintRole};
+use super::{ArrayHealth, ArrayVolume, DiskHealth, Image, MaintRole, Sub};
 use abr_driver::{AdaptiveDriver, IoRequest};
 use abr_obs::with_registry;
 use abr_sim::SimTime;
@@ -155,7 +155,8 @@ impl ArrayVolume {
                     for (rd, rdb) in reads {
                         let r = IoRequest::read(0, rdb * spb, self.block_span(rd, rdb));
                         if let Ok(id) = self.disks[rd].submit(r, now) {
-                            self.maint_subs.insert((rd, id), MaintRole::RebuildRead);
+                            self.subs
+                                .insert((rd, id), Sub::Maint(MaintRole::RebuildRead));
                             issued += 1;
                         }
                     }
@@ -163,7 +164,8 @@ impl ArrayVolume {
                     match self.disks[i].submit(w, now) {
                         Ok(id) => {
                             self.pending.insert((i, db), (id, image));
-                            self.maint_subs.insert((i, id), MaintRole::RebuildWrite(db));
+                            self.subs
+                                .insert((i, id), Sub::Maint(MaintRole::RebuildWrite(db)));
                             issued += 1;
                         }
                         Err(_) => {
@@ -245,7 +247,8 @@ impl ArrayVolume {
         let w = IoRequest::write_runs(0, db * spb, image.runs());
         if let Ok(id) = self.disks[loc].submit(w, now) {
             self.pending.insert((loc, db), (id, image));
-            self.maint_subs.insert((loc, id), MaintRole::ScrubWrite(db));
+            self.subs
+                .insert((loc, id), Sub::Maint(MaintRole::ScrubWrite(db)));
             if let Some(m) = &self.maint {
                 with_registry(|r| r.inc(m.obs.scrub_repairs, 1));
             }
@@ -257,7 +260,8 @@ impl ArrayVolume {
         let spb = self.map.sectors_per_block();
         let span = self.block_span(loc, db);
         if let Ok(id) = self.disks[loc].submit(IoRequest::read(0, db * spb, span), now) {
-            self.maint_subs.insert((loc, id), MaintRole::ScrubRead);
+            self.subs
+                .insert((loc, id), Sub::Maint(MaintRole::ScrubRead));
         }
     }
 

@@ -51,11 +51,11 @@ use crate::stripe::{Redundancy, StripeMap, StripePolicy};
 use abr_core::recovery::{IoBudget, MaintenanceConfig};
 use abr_disk::store::{Form, Run};
 use abr_driver::request::IoDir;
-use abr_driver::{AdaptiveDriver, BlockDevice, DriverError, IoRequest, RequestId};
+use abr_driver::{AdaptiveDriver, BlockDevice, Completion, DriverError, IoRequest, RequestId};
 use abr_obs::{with_registry, CounterId, GaugeId, HiresId};
 use abr_sim::hash::FastMap;
 use abr_sim::SimTime;
-use std::collections::BTreeSet;
+use std::collections::{hash_map, BTreeSet};
 
 // The maintenance half (resilver, scrub, health): a second
 // `impl ArrayVolume` over the same private state.
@@ -170,16 +170,18 @@ impl ArrayHealth {
 
 /// Redundancy bookkeeping carried by each user sub-request.
 #[derive(Debug, Clone, Copy)]
-struct RedSub {
-    dir: IoDir,
-    /// Volume sector of the piece (for completion-time failover).
-    vsector: u64,
-    n_sectors: u32,
-    /// Disk block the sub targets on its member.
-    dblock: u64,
-    /// No further failover: already the second attempt, or a
-    /// reconstruction read.
-    retried: bool,
+enum RedSub {
+    /// A read of `n_sectors` serving the piece at volume sector
+    /// `vsector` (for completion-time failover). `retried`: no further
+    /// failover — already the second attempt, or a reconstruction read.
+    Read {
+        vsector: u64,
+        n_sectors: u32,
+        retried: bool,
+    },
+    /// A data, copy or parity write of disk block `dblock` of its
+    /// member.
+    Write { dblock: u64 },
 }
 
 /// Why a background-maintenance sub-request was issued.
@@ -194,6 +196,27 @@ enum MaintRole {
     /// Scrub repair write of the named disk block.
     ScrubWrite(u64),
 }
+
+/// One outstanding member sub-request.
+#[derive(Debug, Clone, Copy)]
+enum Sub {
+    /// Serves volume request `parent`, which is `None` until the
+    /// request is admitted and for good for the orphans of a request a
+    /// member rejected (see [`ArrayVolume::place`]). `red` is its
+    /// redundancy bookkeeping (`None` on plain volumes).
+    User {
+        parent: Option<u64>,
+        red: Option<RedSub>,
+    },
+    /// Background maintenance (rebuild/scrub) I/O; never surfaces to
+    /// the user.
+    Maint(MaintRole),
+}
+
+/// What a drained volume keeps of its bookkeeping tables, in entries:
+/// room for a day's usual depth, not for set-up's queue of every
+/// population write.
+const KEEP_ENTRIES: usize = 64;
 
 /// One sub-request's routing decision, ready to submit.
 struct Routed {
@@ -210,13 +233,13 @@ struct Inflight {
     remaining: u32,
     n_subs: u32,
     arrived: SimTime,
+    /// The first error among the request's subs. A request's subs all
+    /// go one way, so for a redundant write it is the first failed
+    /// replica/parity write, surfaced only if none `durable`.
     error: Option<DriverError>,
     /// Redundant writes: at least one replica/parity write landed, so
     /// the data is durable even if the primary write failed.
-    red_write_ok: bool,
-    /// First error among a redundant request's write subs (surfaced
-    /// only if *no* write sub landed).
-    red_write_err: Option<DriverError>,
+    durable: bool,
 }
 
 /// Registry handles for the `array.*` metric family.
@@ -325,14 +348,14 @@ pub struct ArrayVolume {
     disks: Vec<AdaptiveDriver>,
     map: StripeMap,
     next_id: u64,
-    /// The maps below are keyed lookups only, never walked in order:
-    /// completion order is driven by the sorted member queues.
-    subs: FastMap<(usize, RequestId), u64>,
+    /// Every outstanding member sub-request, user and maintenance. This
+    /// map, `inflight` and `pending` are keyed lookups only, never
+    /// walked in order (completion order is driven by the sorted member
+    /// queues), and shrink to [`KEEP_ENTRIES`] whenever the volume
+    /// drains.
+    subs: FastMap<(usize, RequestId), Sub>,
+    /// Admitted volume requests with sub-requests outstanding.
     inflight: FastMap<u64, Inflight>,
-    /// Redundancy bookkeeping per user sub (empty for plain volumes).
-    red_subs: FastMap<(usize, RequestId), RedSub>,
-    /// Maintenance subs (rebuild/scrub I/O); never surface to the user.
-    maint_subs: FastMap<(usize, RequestId), MaintRole>,
     /// Per disk: blocks whose on-disk bytes await re-silvering.
     stale: Vec<BTreeSet<u64>>,
     /// Submitted-but-not-yet-dispatched write images, keyed by
@@ -421,8 +444,6 @@ impl ArrayVolume {
             next_id: 0,
             subs: FastMap::default(),
             inflight: FastMap::default(),
-            red_subs: FastMap::default(),
-            maint_subs: FastMap::default(),
             stale: vec![BTreeSet::new(); n],
             pending: FastMap::default(),
             maint,
@@ -646,11 +667,9 @@ impl ArrayVolume {
         Routed {
             disk,
             req: IoRequest::read(0, sector, n),
-            red: Some(RedSub {
-                dir: IoDir::Read,
+            red: Some(RedSub::Read {
                 vsector,
                 n_sectors: n,
-                dblock: sector / self.map.sectors_per_block(),
                 retried,
             }),
             pending_img: None,
@@ -770,13 +789,7 @@ impl ArrayVolume {
                     sector_in_partition: sector,
                     ..req.clone()
                 },
-                red: Some(RedSub {
-                    dir: IoDir::Write,
-                    vsector: req.sector_in_partition,
-                    n_sectors: n,
-                    dblock,
-                    retried: true,
-                }),
+                red: Some(RedSub::Write { dblock }),
                 pending_img: None,
             });
         }
@@ -798,15 +811,8 @@ impl ArrayVolume {
         req: &IoRequest,
     ) -> Option<Routed> {
         let spb = self.map.sectors_per_block();
-        let span = self.block_span(target, dblock);
         let vblock = req.sector_in_partition / spb;
-        let red = RedSub {
-            dir: IoDir::Write,
-            vsector: req.sector_in_partition,
-            n_sectors: req.n_sectors,
-            dblock,
-            retried: false,
-        };
+        let red = RedSub::Write { dblock };
         if self.stale[target].contains(&dblock) && !full {
             // Promote: overlay the payload on the logical image and
             // rewrite the whole block.
@@ -815,10 +821,7 @@ impl ArrayVolume {
             return Some(Routed {
                 disk: target,
                 req: IoRequest::write_runs(0, dblock * spb, img.runs()),
-                red: Some(RedSub {
-                    n_sectors: span,
-                    ..red
-                }),
+                red: Some(red),
                 pending_img: Some(img),
             });
         }
@@ -865,13 +868,7 @@ impl ArrayVolume {
             self.stale[pd].insert(pdb);
             return None;
         }
-        let red = RedSub {
-            dir: IoDir::Write,
-            vsector: vblock * spb,
-            n_sectors: n,
-            dblock: pdb,
-            retried: false,
-        };
+        let red = RedSub::Write { dblock: pdb };
         let delta = (|| {
             if self.stale[pd].contains(&pdb) {
                 return None;
@@ -920,10 +917,7 @@ impl ArrayVolume {
         Some(Routed {
             disk: pd,
             req: IoRequest::write_runs(0, pdb * spb, parity.runs()),
-            red: Some(RedSub {
-                n_sectors: spb as u32,
-                ..red
-            }),
+            red: Some(red),
             pending_img: Some(parity),
         })
     }
@@ -951,12 +945,12 @@ impl ArrayVolume {
         Ok(self.admit(now, placed))
     }
 
-    /// Submit routed subs to their members, registering redundancy
-    /// bookkeeping and pending write images. When a member rejects a sub
-    /// up front (it never reached a queue), the subs already queued are
-    /// orphans: they keep their redundancy bookkeeping until they
-    /// complete (image retired, block marked stale on failure) and never
-    /// get a parent.
+    /// Submit routed subs to their members, recording each (parent
+    /// still unknown) and its pending write image. When a member rejects
+    /// a sub up front (it never reached a queue), the subs already
+    /// queued are orphans: they keep their redundancy bookkeeping until
+    /// they complete (image retired, block marked stale on failure) and
+    /// never get a parent.
     fn place(
         &mut self,
         routed: Vec<Routed>,
@@ -965,15 +959,24 @@ impl ArrayVolume {
         let mut placed = Vec::with_capacity(routed.len());
         for r in routed {
             let id = self.disks[r.disk].submit(r.req, now)?;
-            if let Some(red) = r.red {
-                self.red_subs.insert((r.disk, id), red);
-                if let Some(img) = r.pending_img {
-                    self.pending.insert((r.disk, red.dblock), (id, img));
-                }
+            let sub = Sub::User {
+                parent: None,
+                red: r.red,
+            };
+            self.subs.insert((r.disk, id), sub);
+            if let (Some(RedSub::Write { dblock }), Some(img)) = (r.red, r.pending_img) {
+                self.pending.insert((r.disk, dblock), (id, img));
             }
             placed.push((r.disk, id));
         }
         Ok(placed)
+    }
+
+    /// Hand placed sub `key` to volume request `vol`.
+    fn adopt(&mut self, key: (usize, RequestId), vol: u64) {
+        if let Some(Sub::User { parent, .. }) = self.subs.get_mut(&key) {
+            *parent = Some(vol);
+        }
     }
 
     /// Submit a raw transfer of `n_sectors` starting at `sector`,
@@ -1016,7 +1019,7 @@ impl ArrayVolume {
         self.next_id += 1;
         let n_subs = pieces.len() as u32;
         for (disk, id) in pieces {
-            self.subs.insert((disk, id), vol);
+            self.adopt((disk, id), vol);
             self.io_counts[disk].submitted += 1;
             with_registry(|r| {
                 r.inc(self.obs.per_disk[disk].submitted, 1);
@@ -1031,8 +1034,7 @@ impl ArrayVolume {
                 n_subs,
                 arrived: now,
                 error: None,
-                red_write_ok: false,
-                red_write_err: None,
+                durable: false,
             },
         );
         VolRequestId(vol)
@@ -1069,72 +1071,90 @@ impl ArrayVolume {
             self.io_counts[disk].failed += 1;
             with_registry(|r| r.inc(self.obs.per_disk[disk].failed, 1));
         }
-        let key = (disk, c.id);
-        if let Some(role) = self.maint_subs.remove(&key) {
-            self.finish_maint(disk, role, c.id, c.error);
-            return None;
+        let done = match self.subs.remove(&(disk, c.id)) {
+            Some(Sub::User { parent, red }) => self.finish_user(disk, c, parent, red, now),
+            Some(Sub::Maint(role)) => {
+                self.finish_maint(disk, role, c.id, c.error);
+                None
+            }
+            None => None,
+        };
+        if self.subs.is_empty() {
+            // Drained: every image and request retired with its subs.
+            self.subs.shrink_to(KEEP_ENTRIES);
+            self.inflight.shrink_to(KEEP_ENTRIES);
+            self.pending.shrink_to(KEEP_ENTRIES);
         }
-        let red = self.red_subs.remove(&key);
-        if let Some(rs) = red.filter(|rs| !rs.dir.is_read()) {
-            self.retire_pending(disk, rs.dblock, c.id);
+        done
+    }
+
+    /// Account a finished user sub-request; the volume completion if it
+    /// was its request's last outstanding piece.
+    fn finish_user(
+        &mut self,
+        disk: usize,
+        c: Completion,
+        parent: Option<u64>,
+        red: Option<RedSub>,
+        now: SimTime,
+    ) -> Option<VolCompletion> {
+        if let Some(RedSub::Write { dblock }) = red {
+            self.retire_pending(disk, dblock, c.id);
             // A write replica failed: the block's on-disk bytes diverge
             // from the volume's logical contents — mark it for
             // re-silvering instead of failing the request (another
             // replica may have landed).
             if c.error.is_some() {
-                self.stale[disk].insert(rs.dblock);
+                self.stale[disk].insert(dblock);
             }
         }
         // No parent: the orphan of a request rejected in `place`.
-        let vol = self.subs.remove(&key)?;
-        #[expect(
-            clippy::expect_used,
-            reason = "sub completion implies a live parent request"
-        )]
-        let mut parent = self.inflight.remove(&vol).expect("live request");
-        match (red, c.error) {
-            (Some(rs), Some(err)) if rs.dir.is_read() => {
-                // Completion-time failover: the member died with the
-                // read in flight — re-issue it on the rest of the group
-                // (once; a survivor's failure is the request's).
-                let placed = if rs.retried {
-                    Vec::new()
-                } else {
-                    let route = self.survivor_route(rs.vsector, rs.n_sectors, now);
-                    self.place(route, now).unwrap_or_default()
-                };
-                if placed.is_empty() {
-                    parent.error.get_or_insert(err);
-                } else if let Some(m) = &self.maint {
+        let vol = parent?;
+        // Completion-time failover: the member died with the read in
+        // flight — re-issue it on the rest of the group (once; a
+        // survivor's failure is the request's).
+        let mut failover = 0u32;
+        if let (
+            Some(RedSub::Read {
+                vsector,
+                n_sectors,
+                retried,
+            }),
+            Some(_),
+        ) = (red, &c.error)
+        {
+            if !retried {
+                let route = self.survivor_route(vsector, n_sectors, now);
+                for key in self.place(route, now).unwrap_or_default() {
+                    self.adopt(key, vol);
+                    failover += 1;
+                }
+                if let (Some(m), true) = (&self.maint, failover > 0) {
                     with_registry(|r| r.inc(m.obs.read_failovers, 1));
                 }
-                for (d, id) in placed {
-                    self.subs.insert((d, id), vol);
-                    parent.remaining += 1;
-                    parent.n_subs += 1;
-                }
             }
-            (Some(_), Some(err)) => {
-                parent.red_write_err.get_or_insert(err);
-            }
-            (Some(rs), None) => parent.red_write_ok |= !rs.dir.is_read(),
-            // Plain (non-redundant) volume: first error wins, as ever.
-            (None, Some(err)) => {
-                parent.error.get_or_insert(err);
-            }
-            (None, None) => {}
         }
-        parent.remaining -= 1;
-        if parent.remaining > 0 {
-            self.inflight.insert(vol, parent);
+        let hash_map::Entry::Occupied(mut slot) = self.inflight.entry(vol) else {
+            unreachable!("sub completion implies a live parent request");
+        };
+        let p = slot.get_mut();
+        match c.error {
+            // A failed-over read is served by its survivors.
+            Some(_) if failover > 0 => {
+                p.remaining += failover;
+                p.n_subs += failover;
+            }
+            Some(err) => {
+                p.error.get_or_insert(err);
+            }
+            None => p.durable |= matches!(red, Some(RedSub::Write { .. })),
+        }
+        p.remaining -= 1;
+        if p.remaining > 0 {
             return None;
         }
-        let done = parent;
-        let error = done.error.or(if done.red_write_ok {
-            None
-        } else {
-            done.red_write_err
-        });
+        let done = slot.remove();
+        let error = if done.durable { None } else { done.error };
         if error.is_none() {
             self.req_ok += 1;
         } else {
@@ -1193,6 +1213,16 @@ impl ArrayVolume {
             }
         }
         out
+    }
+
+    /// Bytes of heap behind the in-flight bookkeeping (sub-requests,
+    /// requests, pending write images): capacity × entry size. Not
+    /// counted: what the pending images themselves point to.
+    pub fn bookkeeping_heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.subs.capacity() * size_of::<((usize, RequestId), Sub)>()
+            + self.inflight.capacity() * size_of::<(u64, Inflight)>()
+            + self.pending.capacity() * size_of::<((usize, u64), (RequestId, Image))>()
     }
 
     /// Outstanding sub-requests across all member queues.
@@ -1450,13 +1480,7 @@ mod tests {
             FaultPlan::disk_death(SimTime::from_micros(1_000_000), SimDuration::from_secs(60));
         let injector = FaultInjector::new(plan, SimRng::new(4).substream("faults"));
         v.disk_mut(1).disk_mut().set_injector(Some(injector));
-        let red = RedSub {
-            dir: IoDir::Write,
-            vsector: 0,
-            n_sectors: 16,
-            dblock: 0,
-            retried: false,
-        };
+        let red = RedSub::Write { dblock: 0 };
         let beyond = v.disk(0).label().partitions[0].n_sectors;
         let sub = |disk, sector| Routed {
             disk,

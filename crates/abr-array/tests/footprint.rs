@@ -4,7 +4,10 @@
 //! beyond the ones formatting wrote, and its slab holds a term list per
 //! *run* of a parity block, a few per block rather than one per sector
 //! — while the bytes those markers stand for still satisfy the parity
-//! identity, through a disk death, a hot spare and its rebuild.
+//! identity, through a disk death, a hot spare and its rebuild. What the
+//! run keeps besides is small: set-up queues every population write at
+//! once, and the volume's bookkeeping gives that back once it drains; a
+//! returned day holds its block count distributions as runs.
 //!
 //! The configuration is the benchmark's `array_redundant`: the paper
 //! profile under `--release` (CI's `bench-smoke` job), `tiny_test`
@@ -43,6 +46,10 @@ fn raw_pages(v: &ArrayVolume, i: usize) -> usize {
 /// is one run, and fragment writes cut it into a few more (one list per
 /// sector would be 16).
 const RUNS_PER_PARITY_BLOCK: usize = 3;
+
+/// What a drained volume's bookkeeping and one returned day's block
+/// count distributions may each take.
+const KEPT_BYTES: usize = 64 << 10;
 
 /// Every member's slab is bounded by the parity blocks it holds that
 /// are an XOR of streams at all — nothing else ever is one.
@@ -108,6 +115,11 @@ fn redundant_array_holds_markers_and_keeps_the_parity_identity() {
     }
     assert_eq!(broken_groups(e.volume()), Vec::<u64>::new(), "after set-up");
     assert_slabs_are_per_run(e.volume(), "after set-up");
+    let kept = e.volume().bookkeeping_heap_bytes();
+    assert!(
+        kept <= KEPT_BYTES,
+        "bookkeeping keeps {kept} B after set-up"
+    );
 
     // The victim dies 30 minutes into the measured day; its hot spare
     // arrives 10 minutes later and is re-silvered under the budget.
@@ -116,6 +128,14 @@ fn redundant_array_holds_markers_and_keeps_the_parity_identity() {
     e.install_fault_plan(VICTIM, FaultPlan::disk_death(death, spare_after));
     let day = e.run_day();
     assert!(day.volume.all.n > 100, "volume served {}", day.volume.all.n);
+    let counts: usize = std::iter::once(&day.volume)
+        .chain(&day.per_disk)
+        .map(|d| d.block_counts.heap_bytes() + d.block_counts_reads.heap_bytes())
+        .sum();
+    assert!(
+        counts <= KEPT_BYTES,
+        "the day's distributions take {counts} B"
+    );
     let v = e.volume();
     assert!(!v.disk_down(VICTIM, e.clock()), "the spare is in");
     assert_eq!(v.rebuild_pending(), 0, "the spare is re-silvered");

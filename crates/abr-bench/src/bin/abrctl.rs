@@ -44,7 +44,7 @@ use abr_core::analyzer::HotBlock;
 use abr_core::arranger::BlockArranger;
 use abr_core::placement::PolicyKind;
 use abr_core::replay::{replay, ReplayConfig};
-use abr_core::{DayLoop, DayMetrics, DaySource, FsProducer, FsTraffic, TraceTraffic};
+use abr_core::{BlockCounts, DayLoop, DayMetrics, DaySource, FsProducer, FsTraffic, TraceTraffic};
 use abr_disk::{image, models, Disk, DiskLabel, DiskModel};
 use abr_driver::{AdaptiveDriver, DriverConfig, Ioctl, IoctlReply, RequestMonitor};
 use abr_fs::{FileSystem, FsConfig, MountMode};
@@ -408,7 +408,7 @@ fn workload(args: &[String]) -> Result<(), Error> {
     let counts_json = JsonValue::Array(counts.iter().map(HotBlock::to_json).collect());
     std::fs::write(counts_path(&path), sidecar_text(&counts_json))?;
 
-    metrics.block_counts = counts.iter().map(|h| h.count).collect();
+    metrics.block_counts = BlockCounts::from_hot(&counts);
     std::fs::write(stats_path(&path), sidecar_text(&metrics.to_json()))?;
     if let (Some(out), Some(trace)) = (trace_out, trace) {
         let f = std::fs::File::create(&out)?;

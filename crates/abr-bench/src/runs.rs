@@ -10,7 +10,7 @@
 //!   on one long-running instance, just as §5.4 describes.
 
 use crate::report::{triple, Report};
-use abr_core::{share_stream, DayMetrics, Experiment, ExperimentConfig, PolicyKind};
+use abr_core::{share_stream, BlockCounts, DayMetrics, Experiment, ExperimentConfig, PolicyKind};
 use abr_disk::{models, DiskModel};
 use abr_sim::jsn;
 use abr_workload::WorkloadProfile;
@@ -367,13 +367,12 @@ impl Campaign {
         for disk in DiskKind::both() {
             let days = self.onoff_days(disk, fs);
             let day = &days[0];
-            let share = |counts: &[u64], k: usize| {
-                let total: u64 = counts.iter().sum();
-                let top: u64 = counts.iter().take(k).sum();
+            let share = |counts: &BlockCounts, k: usize| {
+                let total = counts.total();
                 if total == 0 {
                     0.0
                 } else {
-                    top as f64 / total as f64 * 100.0
+                    counts.top_sum(k) as f64 / total as f64 * 100.0
                 }
             };
             r.line(format!(
@@ -404,12 +403,13 @@ impl Campaign {
                 .len()
                 .max(day.block_counts_reads.len())
                 .min(2000);
+            let (mut all, mut reads) = (day.block_counts.iter(), day.block_counts_reads.iter());
             for i in 0..n {
                 csv.push_str(&format!(
                     "{},{},{}\n",
                     i + 1,
-                    day.block_counts.get(i).copied().unwrap_or(0),
-                    day.block_counts_reads.get(i).copied().unwrap_or(0)
+                    all.next().unwrap_or(&0),
+                    reads.next().unwrap_or(&0)
                 ));
             }
             r.attach_csv(format!("{}_{}.csv", r.id, disk.name().to_lowercase()), csv);

@@ -39,7 +39,7 @@ use crate::analyzer::HotBlock;
 use crate::arranger::RearrangeReport;
 use crate::daemon::RearrangementDaemon;
 use crate::experiment::{run_meter_add, OnlineConfig};
-use crate::metrics::DayMetrics;
+use crate::metrics::{BlockCounts, DayMetrics};
 use abr_disk::fault::{FaultInjector, FaultPlan};
 use abr_disk::seek::SeekCurve;
 use abr_driver::{BlockDevice, Ioctl, PerfSnapshot};
@@ -77,8 +77,8 @@ pub trait Traffic<D: BlockDevice> {
 struct MemberDay {
     stats: Box<PerfSnapshot>,
     placed: u32,
-    all_counts: Vec<u64>,
-    read_counts: Vec<u64>,
+    all_counts: BlockCounts,
+    read_counts: BlockCounts,
 }
 
 /// What one measured day produced: every member's read-and-cleared
@@ -109,24 +109,24 @@ impl DayReport {
 
     /// The day's metrics over the whole device: statistics windows merge
     /// by summation (order-insensitive), block count distributions
-    /// concatenate and re-sort descending. Analyzer hot lists come out
-    /// in non-increasing count order, so for a single member both steps
-    /// are the identity and the roll-up *is* the member's metrics.
+    /// merge as the members' sequences concatenated and re-sorted
+    /// descending would. For a single member both steps are the
+    /// identity and the roll-up *is* the member's metrics.
     pub fn volume(self, curve: &SeekCurve) -> DayMetrics {
+        let all = BlockCounts::merge(self.members.iter().map(|m| &m.all_counts));
+        let reads = BlockCounts::merge(self.members.iter().map(|m| &m.read_counts));
         let mut members = self.members.into_iter();
         #[expect(
             clippy::expect_used,
             reason = "run_day reports every member and BlockDevice guarantees one"
         )]
-        let first = members.next().expect("a device has at least one member");
-        let (mut stats, mut all, mut reads) = (first.stats, first.all_counts, first.read_counts);
+        let mut stats = members
+            .next()
+            .expect("a device has at least one member")
+            .stats;
         for m in members {
             stats.merge(&m.stats);
-            all.extend(m.all_counts);
-            reads.extend(m.read_counts);
         }
-        all.sort_by(|a, b| b.cmp(a));
-        reads.sort_by(|a, b| b.cmp(a));
         DayMetrics::new(
             self.day,
             self.placed > 0,
@@ -363,8 +363,8 @@ impl<D: BlockDevice, T: Traffic<D>> DayLoop<D, T> {
                 MemberDay {
                     stats,
                     placed,
-                    all_counts: all.iter().map(|h| h.count).collect(),
-                    read_counts: reads.iter().map(|h| h.count).collect(),
+                    all_counts: BlockCounts::from_hot(&all),
+                    read_counts: BlockCounts::from_hot(&reads),
                 }
             })
             .collect();

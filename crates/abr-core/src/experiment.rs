@@ -314,7 +314,13 @@ impl<D: BlockDevice> FsLoop<D> {
 
 impl<D: BlockDevice, S: DaySource> DayLoop<D, TraceTraffic<S>> {
     /// Bring `device` up under `traffic`: push the population's `setup`
-    /// writes through it synchronously (unmeasured, at most 64 queued),
+    /// writes through it (unmeasured), retiring one member sub-request
+    /// per write once more than 64 are queued, then drain it. On a
+    /// single disk that keeps the queue at 64; on a redundant volume
+    /// each write queues two sub-requests (data and copy or parity), so
+    /// the queue grows by one per write and nearly all of them wait at
+    /// once (`array_redundant`: 25,013 writes, member queues peak at
+    /// 25,044). This order is part of the `array-redundant` canon. Then
     /// give every member its rearrangement daemon (the interleaved
     /// policy keeps the file system's `interleave`), run the warm-up
     /// days, and only then install `fault_plans`.

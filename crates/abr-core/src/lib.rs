@@ -60,7 +60,7 @@ pub use experiment::{
     experiment_member, run_meter, run_meter_add, run_meter_reset, share_stream, Experiment,
     ExperimentConfig, FsLoop, RunMeter, OVERNIGHT,
 };
-pub use metrics::{DayMetrics, DirMetrics};
+pub use metrics::{BlockCounts, DayMetrics, DirMetrics};
 pub use placement::{Interleaved, OrganPipe, PlacementPolicy, PolicyKind, Serial, SlotMap};
 pub use producer::{FsProducer, FsTraffic};
 pub use recovery::{IoBudget, MaintenanceConfig};

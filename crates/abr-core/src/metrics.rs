@@ -6,9 +6,11 @@
 //! times. These were computed using the measured seek distance
 //! distribution and the seek time functions shown in Table 1").
 
+use crate::analyzer::HotBlock;
 use abr_disk::SeekCurve;
 use abr_driver::monitor::{DirStats, FaultStats, PerfSnapshot};
 use abr_sim::{jsn, FromJson, JsonError, JsonValue};
+use std::iter::{FlatMap, RepeatN};
 
 /// Metrics for one request direction (or all requests combined) over one
 /// day — one column of Tables 3, 8 and 9.
@@ -127,6 +129,150 @@ impl FromJson for DirMetrics {
     }
 }
 
+/// A day's per-block request counts in descending order (Figures 5 and
+/// 7), held as runs of equal counts: the tens of thousands of blocks a
+/// day references take only tens of distinct counts. It reads back as
+/// the plain descending sequence: `len`, `get`, iteration, top-k sums
+/// and the JSON array are those of the `Vec<u64>` it stands for.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BlockCounts {
+    /// `(count, blocks)`: `blocks` blocks were referenced `count` times.
+    /// Counts strictly decrease and `blocks` is never 0, so equal
+    /// sequences have equal runs.
+    runs: Vec<(u64, usize)>,
+}
+
+impl BlockCounts {
+    /// The counts of a hot list (every analyzer lists blocks by
+    /// non-increasing count).
+    pub fn from_hot(hot: &[HotBlock]) -> Self {
+        hot.iter().map(|h| h.count).collect()
+    }
+
+    /// The distribution of several members' blocks taken together: what
+    /// concatenating their sequences and sorting descending gives.
+    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a BlockCounts>) -> Self {
+        let mut runs: Vec<(u64, usize)> = parts
+            .into_iter()
+            .flat_map(|p| p.runs.iter().copied())
+            .collect();
+        runs.sort_unstable_by_key(|r| std::cmp::Reverse(r.0));
+        runs.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        runs.shrink_to_fit();
+        BlockCounts { runs }
+    }
+
+    /// Append one block referenced `count` times; `false` (and nothing
+    /// appended) when `count` exceeds the last count.
+    fn push(&mut self, count: u64) -> bool {
+        match self.runs.last_mut() {
+            Some(last) if last.0 == count => last.1 += 1,
+            Some(last) if last.0 < count => return false,
+            _ => self.runs.push((count, 1)),
+        }
+        true
+    }
+
+    /// Number of blocks referenced.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|r| r.1).sum()
+    }
+
+    /// Whether no block was referenced.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The `i`-th largest count.
+    pub fn get(&self, mut i: usize) -> Option<u64> {
+        for &(count, blocks) in &self.runs {
+            if i < blocks {
+                return Some(count);
+            }
+            i -= blocks;
+        }
+        None
+    }
+
+    /// The counts, largest first.
+    pub fn iter(&self) -> <&Self as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+
+    /// Sum of the `k` largest counts.
+    pub fn top_sum(&self, k: usize) -> u64 {
+        let mut left = k;
+        let mut sum = 0;
+        for &(count, blocks) in &self.runs {
+            let take = blocks.min(left);
+            sum += count * take as u64;
+            left -= take;
+        }
+        sum
+    }
+
+    /// Sum of all counts: the day's requests over these blocks.
+    pub fn total(&self) -> u64 {
+        self.top_sum(usize::MAX)
+    }
+
+    /// Bytes of heap behind the runs.
+    pub fn heap_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<(u64, usize)>()
+    }
+
+    /// Persisted form: the array of counts, largest first.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(|&c| JsonValue::from(c)).collect())
+    }
+}
+
+impl<'a> IntoIterator for &'a BlockCounts {
+    type Item = &'a u64;
+    type IntoIter = FlatMap<
+        std::slice::Iter<'a, (u64, usize)>,
+        RepeatN<&'a u64>,
+        fn(&'a (u64, usize)) -> RepeatN<&'a u64>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.runs
+            .iter()
+            .flat_map(|(count, blocks)| std::iter::repeat_n(count, *blocks))
+    }
+}
+
+impl FromIterator<u64> for BlockCounts {
+    /// # Panics
+    /// If the counts increase anywhere.
+    fn from_iter<I: IntoIterator<Item = u64>>(counts: I) -> Self {
+        let mut out = BlockCounts::default();
+        for count in counts {
+            let pushed = out.push(count);
+            assert!(pushed, "block counts must not increase");
+        }
+        out
+    }
+}
+
+impl FromJson for BlockCounts {
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let mut out = BlockCounts::default();
+        for count in Vec::<u64>::from_json(v)? {
+            if !out.push(count) {
+                return Err(JsonError::new("block counts must not increase"));
+            }
+        }
+        Ok(out)
+    }
+}
+
 /// Everything measured in one experiment day.
 #[derive(Debug, Clone)]
 pub struct DayMetrics {
@@ -148,9 +294,9 @@ pub struct DayMetrics {
     pub service_cdf: Vec<(f64, f64)>,
     /// Per-block request counts, descending (Figures 5 and 7), all
     /// requests.
-    pub block_counts: Vec<u64>,
+    pub block_counts: BlockCounts,
     /// Per-block request counts, descending, reads only.
-    pub block_counts_reads: Vec<u64>,
+    pub block_counts_reads: BlockCounts,
     /// Error-path counters for the day (all zero on a healthy device;
     /// absent in records written before fault injection existed).
     pub faults: FaultStats,
@@ -165,8 +311,8 @@ impl DayMetrics {
         n_rearranged: u32,
         snapshot: &PerfSnapshot,
         curve: &SeekCurve,
-        block_counts: Vec<u64>,
-        block_counts_reads: Vec<u64>,
+        block_counts: BlockCounts,
+        block_counts_reads: BlockCounts,
     ) -> Self {
         let all_stats = snapshot.all();
         DayMetrics {
@@ -192,12 +338,11 @@ impl DayMetrics {
     /// Fraction of all requests absorbed by the `k` hottest blocks
     /// (the §5.4 skew measure).
     pub fn top_k_share(&self, k: usize) -> f64 {
-        let total: u64 = self.block_counts.iter().sum();
+        let total = self.block_counts.total();
         if total == 0 {
             return f64::NAN;
         }
-        let top: u64 = self.block_counts.iter().take(k).sum();
-        top as f64 / total as f64
+        self.block_counts.top_sum(k) as f64 / total as f64
     }
 
     /// Number of distinct blocks referenced this day.
@@ -209,8 +354,8 @@ impl DayMetrics {
     pub fn to_json(&self) -> JsonValue {
         jsn!({
             "all": self.all.to_json(),
-            "block_counts": &self.block_counts,
-            "block_counts_reads": &self.block_counts_reads,
+            "block_counts": self.block_counts.to_json(),
+            "block_counts_reads": self.block_counts_reads.to_json(),
             "day": self.day,
             "faults": self.faults.to_json(),
             "n_rearranged": self.n_rearranged,
@@ -249,6 +394,10 @@ mod tests {
     use abr_driver::monitor::PerfMonitor;
     use abr_driver::request::IoDir;
     use abr_sim::SimDuration;
+
+    fn counts(c: &[u64]) -> BlockCounts {
+        c.iter().copied().collect()
+    }
 
     fn snapshot() -> PerfSnapshot {
         let mut p = PerfMonitor::new();
@@ -305,7 +454,15 @@ mod tests {
     fn day_metrics_shares() {
         let curve = models::toshiba_mk156f().seek;
         let s = snapshot();
-        let d = DayMetrics::new(0, true, 100, &s, &curve, vec![90, 5, 3, 1, 1], vec![50, 2]);
+        let d = DayMetrics::new(
+            0,
+            true,
+            100,
+            &s,
+            &curve,
+            counts(&[90, 5, 3, 1, 1]),
+            counts(&[50, 2]),
+        );
         assert!((d.top_k_share(1) - 0.9).abs() < 1e-12);
         assert_eq!(d.active_blocks(), 5);
         assert!(!d.service_cdf.is_empty());
@@ -317,7 +474,7 @@ mod tests {
     fn serde_roundtrip() {
         let curve = models::toshiba_mk156f().seek;
         let s = snapshot();
-        let d = DayMetrics::new(3, false, 0, &s, &curve, vec![1], vec![1]);
+        let d = DayMetrics::new(3, false, 0, &s, &curve, counts(&[1]), counts(&[1]));
         let json = JsonValue::parse(&d.to_json().to_string()).unwrap();
         let back = DayMetrics::from_json(&json).unwrap();
         assert_eq!(back.day, 3);

@@ -15,7 +15,7 @@ use crate::analyzer::{FullAnalyzer, HotBlock, ReferenceAnalyzer};
 use crate::arranger::BlockArranger;
 use crate::dayloop::DayLoop;
 use crate::experiment::experiment_member;
-use crate::metrics::DayMetrics;
+use crate::metrics::{BlockCounts, DayMetrics};
 use crate::placement::PolicyKind;
 use crate::stream::{DayStream, Recorded, TraceTraffic};
 use abr_disk::DiskModel;
@@ -126,8 +126,8 @@ pub fn replay(trace: &TraceLog, config: &ReplayConfig) -> Result<DayMetrics, Dri
     let mut m = report.volume(&config.disk.seek);
     m.rearranged = config.n_blocks > 0;
     m.n_rearranged = config.n_blocks as u32;
-    m.block_counts = hot.iter().map(|h| h.count).collect();
-    m.block_counts_reads = reads.iter().map(|h| h.count).collect();
+    m.block_counts = BlockCounts::from_hot(&hot);
+    m.block_counts_reads = BlockCounts::from_hot(&reads);
     Ok(m)
 }
 
