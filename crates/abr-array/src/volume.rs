@@ -1274,7 +1274,7 @@ mod tests {
     use abr_driver::request::fill_seeded_payload;
     use abr_driver::{DriverConfig, SchedulerKind};
     use abr_sim::{SimDuration, SimRng};
-    use bytes::Bytes;
+    use std::sync::Arc;
 
     fn member(spb: u32) -> AdaptiveDriver {
         let model = models::toshiba_mk156f();
@@ -1302,8 +1302,8 @@ mod tests {
         )
     }
 
-    fn block_payload(tag: u8) -> Bytes {
-        Bytes::from(vec![tag; 16 * SECTOR_SIZE])
+    fn block_payload(tag: u8) -> Arc<[u8]> {
+        Arc::from(vec![tag; 16 * SECTOR_SIZE])
     }
 
     /// The materialized bytes of an image.

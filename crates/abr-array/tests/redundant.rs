@@ -15,7 +15,7 @@ use abr_driver::{AdaptiveDriver, DriverConfig, IoRequest, Ioctl, SchedulerKind};
 use abr_obs::with_registry;
 use abr_sim::{SimDuration, SimRng, SimTime};
 use abr_workload::WorkloadProfile;
-use bytes::Bytes;
+use std::sync::Arc;
 
 fn tiny_config(seed: u64) -> ExperimentConfig {
     let mut profile = WorkloadProfile::tiny_test();
@@ -217,7 +217,7 @@ fn torture(redundancy: Redundancy, n: usize) {
                 0,
                 vb * spb,
                 spb as u32,
-                Bytes::from(vec![tag; 16 * SECTOR_SIZE]),
+                Arc::from(vec![tag; 16 * SECTOR_SIZE]),
             );
             v.submit(req, now).expect("write accepted");
             tracked.retain(|&(b, _)| b != vb);
@@ -448,7 +448,7 @@ impl Rig {
         self.stage += 1;
         for (i, &(d, db)) in group[..group.len() - 1].iter().enumerate() {
             let vb = self.v.map().vblock_at(d, db).expect("data member");
-            let bytes = Bytes::from(tagged(0x10 + i as u8));
+            let bytes = Arc::<[u8]>::from(tagged(0x10 + i as u8));
             let w = IoRequest::write(0, vb * SPB, SPB as u32, bytes);
             self.v.submit(w, self.now).expect("write accepted");
         }

@@ -234,6 +234,7 @@ mod tests {
     use abr_disk::{models, DiskLabel};
     use abr_driver::request::IoRequest;
     use abr_driver::{DriverConfig, SchedulerKind};
+    use std::sync::Arc;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -314,7 +315,7 @@ mod tests {
     fn rearrange_preserves_data() {
         let mut d = driver();
         // Write known data to the blocks that will move.
-        let payload = bytes::Bytes::from(vec![0xAB; 4096]);
+        let payload = Arc::<[u8]>::from(vec![0xAB; 4096]);
         d.submit(IoRequest::write(0, 0, 8, payload.clone()), t(0))
             .unwrap();
         d.drain();
@@ -396,7 +397,7 @@ mod tests {
             HotBlock { block: 6, count: 8 },
         ];
         a.rearrange(&mut d, &day1, 2, t(0)).unwrap();
-        let v2 = bytes::Bytes::from(vec![0x77; 4096]);
+        let v2 = Arc::<[u8]>::from(vec![0x77; 4096]);
         d.submit(IoRequest::write(0, 3 * 8, 8, v2.clone()), t(60_000_000))
             .unwrap();
         d.drain();

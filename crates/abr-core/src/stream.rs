@@ -597,7 +597,7 @@ mod tests {
 
     #[test]
     fn requests_round_trip_every_payload() {
-        let bytes = bytes::Bytes::from(vec![7u8; 1024]);
+        let bytes = Arc::<[u8]>::from(vec![7u8; 1024]);
         let reqs = [
             IoRequest::read(0, 32, 16),
             IoRequest::write_seeded(0, 48, 16, 0xfeed),

@@ -31,9 +31,9 @@ use abr_disk::store::Run;
 use abr_disk::{Disk, DiskLabel, DiskModel, SECTOR_SIZE};
 use abr_obs::{record_with, with_registry, CounterId, MoveKind, ObsEvent, RequestSpan};
 use abr_sim::{SimDuration, SimTime};
-use bytes::Bytes;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Driver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -195,7 +195,7 @@ pub struct Completion {
     /// Direction.
     pub dir: IoDir,
     /// Data read from disk (empty for writes).
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
     /// When strategy received the request.
     pub arrived: SimTime,
     /// When it was dispatched to the disk.
@@ -836,11 +836,11 @@ impl AdaptiveDriver {
         partition: usize,
         sector_in_partition: u64,
         n_sectors: u32,
-    ) -> Result<Bytes, DriverError> {
+    ) -> Result<Arc<[u8]>, DriverError> {
         let runs = self.peek_runs(partition, sector_in_partition, n_sectors)?;
         let mut buf = vec![0u8; n_sectors as usize * SECTOR_SIZE];
         Run::fill_all(&runs, &mut buf);
-        Ok(Bytes::from(buf))
+        Ok(Arc::from(buf))
     }
 
     /// Whether the block containing `sector_in_partition` has lost its
@@ -1094,9 +1094,9 @@ impl AdaptiveDriver {
                 self.disk.store().read(sector, &mut buf[off..off + bytes]);
                 off += bytes;
             }
-            Bytes::from(buf)
+            Arc::from(buf)
         } else {
-            Bytes::new()
+            Arc::default()
         };
         if a.error.is_none() {
             // Failed requests are counted by the fault counters instead;
@@ -1708,7 +1708,7 @@ mod tests {
     #[test]
     fn write_then_read_roundtrip() {
         let mut d = tiny_plain_driver();
-        let payload = Bytes::from(vec![0x5A; 4096]);
+        let payload = Arc::<[u8]>::from(vec![0x5A; 4096]);
         d.submit(IoRequest::write(0, 64, 8, payload.clone()), t(0))
             .unwrap();
         d.drain();
@@ -1759,7 +1759,7 @@ mod tests {
     fn bcopy_redirects_requests() {
         let mut d = tiny_rearranged_driver();
         // Write recognizable data to virtual block 3 (sectors 24..32).
-        let payload = Bytes::from(vec![0x77; 4096]);
+        let payload = Arc::<[u8]>::from(vec![0x77; 4096]);
         d.submit(IoRequest::write(0, 24, 8, payload.clone()), t(0))
             .unwrap();
         d.drain();
@@ -1794,8 +1794,8 @@ mod tests {
     #[test]
     fn write_to_rearranged_block_sets_dirty_and_clean_copies_home() {
         let mut d = tiny_rearranged_driver();
-        let before = Bytes::from(vec![0x11; 4096]);
-        let after = Bytes::from(vec![0x22; 4096]);
+        let before = Arc::<[u8]>::from(vec![0x11; 4096]);
+        let after = Arc::<[u8]>::from(vec![0x22; 4096]);
         d.submit(IoRequest::write(0, 40, 8, before), t(0)).unwrap();
         d.drain();
         d.ioctl(Ioctl::BCopy { block: 5, slot: 2 }, t(1_000_000))
@@ -1921,7 +1921,7 @@ mod tests {
         // WITHOUT cleaning. On re-attach all entries are marked dirty, so
         // a clean must copy the updated data home.
         let mut d = tiny_rearranged_driver();
-        let v2 = Bytes::from(vec![0xEE; 4096]);
+        let v2 = Arc::<[u8]>::from(vec![0xEE; 4096]);
         d.submit(IoRequest::write_zeroes(0, 16, 8), t(0)).unwrap();
         d.drain();
         d.ioctl(Ioctl::BCopy { block: 2, slot: 1 }, t(1_000_000))
@@ -2079,7 +2079,7 @@ mod tests {
         // Distinct data in several cylinders (blocks 8 apart = 1 block
         // per cylinder region; 64 sectors/cyl = 8 blocks per cylinder).
         for c in 1..6u64 {
-            let payload = Bytes::from(vec![c as u8; 4096]);
+            let payload = Arc::<[u8]>::from(vec![c as u8; 4096]);
             d.submit(IoRequest::write(0, c * 64, 8, payload), t(c * 100_000))
                 .unwrap();
             d.drain();
@@ -2119,11 +2119,11 @@ mod tests {
         // tiny disk, so force a straddle via the raw interface instead:
         // a 8-sector read at sector 60 spans cylinders 0 and 1.
         let mut d = tiny_plain_driver();
-        let payload = Bytes::from(vec![0x3C; 4096]);
+        let payload = Arc::<[u8]>::from(vec![0x3C; 4096]);
         // Write sectors 56..64 and 64..72 with distinct halves first.
         d.submit(IoRequest::write(0, 56, 8, payload), t(0)).unwrap();
         d.drain();
-        let payload2 = Bytes::from(vec![0x4D; 4096]);
+        let payload2 = Arc::<[u8]>::from(vec![0x4D; 4096]);
         d.submit(IoRequest::write(0, 64, 8, payload2), t(100_000))
             .unwrap();
         d.drain();
@@ -2190,7 +2190,7 @@ mod tests {
         use crate::cylmap::CylinderMap;
         let mut d = tiny_plain_driver();
         let g = d.label().physical;
-        let payload = Bytes::from(vec![0x99; 4096]);
+        let payload = Arc::<[u8]>::from(vec![0x99; 4096]);
         d.submit(IoRequest::write(0, 3 * 64, 8, payload), t(0))
             .unwrap();
         d.drain();
@@ -2292,7 +2292,7 @@ mod tests {
         faulty
             .disk_mut()
             .set_injector(Some(injector(FaultPlan::none(), 42)));
-        let payload = Bytes::from(vec![0xAB; 4096]);
+        let payload = Arc::<[u8]>::from(vec![0xAB; 4096]);
         for d in [&mut plain, &mut faulty] {
             d.submit(IoRequest::write(0, 8, 8, payload.clone()), t(0))
                 .unwrap();
@@ -2402,7 +2402,7 @@ mod tests {
     fn degraded_attach_serves_pass_through() {
         let mut d = tiny_rearranged_driver();
         let layout = *d.layout().unwrap();
-        let payload = Bytes::from(vec![0x3C; 4096]);
+        let payload = Arc::<[u8]>::from(vec![0x3C; 4096]);
         d.submit(IoRequest::write(0, 24, 8, payload.clone()), t(0))
             .unwrap();
         d.drain();
@@ -2439,8 +2439,8 @@ mod tests {
     fn lost_block_reads_fail_until_rewritten() {
         let mut d = tiny_rearranged_driver();
         let layout = *d.layout().unwrap();
-        let old = Bytes::from(vec![0x11; 4096]);
-        let new = Bytes::from(vec![0x22; 4096]);
+        let old = Arc::<[u8]>::from(vec![0x11; 4096]);
+        let new = Arc::<[u8]>::from(vec![0x22; 4096]);
         d.submit(IoRequest::write(0, 8, 8, old), t(0)).unwrap();
         d.drain();
         d.ioctl(Ioctl::BCopy { block: 1, slot: 0 }, t(1_000_000))

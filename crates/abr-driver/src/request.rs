@@ -10,7 +10,6 @@ pub use abr_disk::disk::IoDir;
 use abr_disk::store::{Form, Run};
 use abr_disk::SECTOR_SIZE;
 use abr_sim::SimTime;
-use bytes::Bytes;
 use std::sync::Arc;
 
 /// Opaque identifier of a submitted request, unique within one driver.
@@ -27,7 +26,7 @@ pub enum Payload {
     /// the request carries 8 bytes instead of a materialized block.
     Seeded(u64),
     /// Literal bytes, `n_sectors * SECTOR_SIZE` of them.
-    Bytes(Bytes),
+    Bytes(Arc<[u8]>),
     /// [`Run`]s of sector forms, `n_sectors` in all — what the array
     /// layer's computed payloads (parity, reconstruction) are.
     Runs(Arc<[Run]>),
@@ -94,7 +93,12 @@ impl IoRequest {
     ///
     /// # Panics
     /// Panics if the payload length does not match `n_sectors`.
-    pub fn write(partition: usize, sector_in_partition: u64, n_sectors: u32, data: Bytes) -> Self {
+    pub fn write(
+        partition: usize,
+        sector_in_partition: u64,
+        n_sectors: u32,
+        data: Arc<[u8]>,
+    ) -> Self {
         assert_eq!(
             data.len(),
             n_sectors as usize * SECTOR_SIZE,
@@ -229,7 +233,7 @@ mod tests {
 
     #[test]
     fn write_payload_length_checked() {
-        let data = Bytes::from(vec![0xAB; 2 * abr_disk::SECTOR_SIZE]);
+        let data = Arc::<[u8]>::from(vec![0xAB; 2 * abr_disk::SECTOR_SIZE]);
         let w = IoRequest::write(1, 50, 2, data);
         assert_eq!(w.n_sectors, 2);
         assert!(matches!(w.payload, Payload::Bytes(d) if d.len() == 1024));
@@ -238,7 +242,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "payload does not match")]
     fn write_payload_mismatch_panics() {
-        let _ = IoRequest::write(0, 0, 3, Bytes::from(vec![0u8; 512]));
+        let _ = IoRequest::write(0, 0, 3, Arc::<[u8]>::from(vec![0u8; 512]));
     }
 
     #[test]
@@ -251,7 +255,7 @@ mod tests {
 
     #[test]
     fn request_is_no_larger_than_bytes_plus_seed() {
-        // `data: Bytes` + `payload_seed: Option<u64>` made it 56 bytes.
+        // `data: Arc<[u8]>` + `payload_seed: Option<u64>` made it 56 bytes.
         assert!(std::mem::size_of::<IoRequest>() <= 48);
     }
 }

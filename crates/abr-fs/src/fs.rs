@@ -21,6 +21,7 @@ use abr_driver::request::IoRequest;
 use abr_sim::{jsn, FromJson, JsonError, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Number of direct block pointers in an i-node (classic UFS: 12).
 pub const DIRECT_POINTERS: usize = 12;
@@ -830,7 +831,7 @@ impl FileSystem {
     }
 
     /// Expected payload of file block `idx`, for end-to-end verification.
-    pub fn expected_payload(&self, file: FileHandle, idx: usize) -> Result<bytes::Bytes, FsError> {
+    pub fn expected_payload(&self, file: FileHandle, idx: usize) -> Result<Arc<[u8]>, FsError> {
         let inode = self.inodes.get(file.0).ok_or(FsError::NoSuchFile)?;
         if idx >= inode.blocks.len() {
             return Err(FsError::BeyondEof);

@@ -7,7 +7,7 @@
 //! driver's remapping, rearrangement cycles, and crash recovery — by
 //! recomputing the expected payload.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// What a block holds, for payload synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,10 +67,10 @@ impl PayloadTag {
 
     /// Synthesize `len` bytes for this tag (`len` must be a multiple of 8
     /// for the generator's stride; block and fragment sizes always are).
-    pub fn bytes(&self, len: usize) -> Bytes {
+    pub fn bytes(&self, len: usize) -> Arc<[u8]> {
         let mut out = vec![0u8; len];
         abr_disk::store::fill_seeded(self.seed(), 0, &mut out);
-        Bytes::from(out)
+        Arc::from(out)
     }
 }
 

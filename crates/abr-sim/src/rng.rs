@@ -5,27 +5,38 @@
 //! draw from *named substreams* derived from that seed, so adding a new
 //! consumer of randomness never perturbs the draws seen by existing ones —
 //! a property the on/off day-pair comparisons rely on.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+//!
+//! The generator is xoshiro256++, seeded by rand_core 0.6's default
+//! `seed_from_u64` expansion (one PCG32 output per 32-bit word of state).
+//! Floats take the top 53 bits of a draw; `below` and `index` use
+//! widening-multiply rejection. These are the streams rand 0.8.5's
+//! `SmallRng` produced on 64-bit targets, which every committed result
+//! was made with; `sim_rng_draws_are_pinned` in
+//! `tests/sampler_goldens.rs` pins them.
 
 /// A seeded random number generator for simulation use.
 ///
-/// Wraps [`SmallRng`] (fast, non-cryptographic — appropriate for
-/// simulation) and adds substream derivation.
+/// xoshiro256++ (fast, non-cryptographic — appropriate for simulation)
+/// plus substream derivation.
 #[derive(Clone)]
 pub struct SimRng {
-    inner: SmallRng,
+    s: [u64; 4],
     seed: u64,
 }
 
 impl SimRng {
     /// Create a generator from a master seed.
     pub fn new(seed: u64) -> Self {
-        SimRng {
-            inner: SmallRng::seed_from_u64(seed),
-            seed,
-        }
+        let mut pcg = seed;
+        let mut word = || {
+            pcg = pcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(11_634_580_027_462_260_723);
+            let xorshifted = (((pcg >> 18) ^ pcg) >> 27) as u32;
+            u64::from(xorshifted.rotate_right((pcg >> 59) as u32))
+        };
+        let s = [(); 4].map(|()| word() | word() << 32);
+        SimRng { s, seed }
     }
 
     /// The master seed this generator was created from.
@@ -55,10 +66,25 @@ impl SimRng {
         SimRng::new(splitmix64(base.seed ^ splitmix64(idx)))
     }
 
-    /// Uniform `f64` in `[0, 1)`.
+    /// Next 64 random bits (one xoshiro256++ step).
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let result = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
+        let t = *s1 << 17;
+        *s2 ^= *s0;
+        *s3 ^= *s1;
+        *s1 ^= *s2;
+        *s0 ^= *s3;
+        *s2 ^= t;
+        *s3 = s3.rotate_left(45);
+        result
+    }
+
+    /// Uniform `f64` in `[0, 1)`, with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[0, bound)`.
@@ -68,14 +94,21 @@ impl SimRng {
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0)");
-        self.inner.gen_range(0..bound)
+        // Widening multiply; reject the low products that would bias it.
+        let zone = (bound << bound.leading_zeros()).wrapping_sub(1);
+        loop {
+            let m = u128::from(self.next_u64()) * u128::from(bound);
+            if m as u64 <= zone {
+                return (m >> 64) as u64;
+            }
+        }
     }
 
     /// Uniform usize in `[0, bound)`.
     #[inline]
     pub fn index(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "index(0)");
-        self.inner.gen_range(0..bound)
+        self.below(bound as u64) as usize
     }
 
     /// Bernoulli trial with probability `p` of `true`.
@@ -99,21 +132,6 @@ impl SimRng {
             let j = self.index(i + 1);
             xs.swap(i, j);
         }
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
     }
 }
 

@@ -8,8 +8,7 @@
 //! interleavings of schedules and pops, including heavy same-tick bursts
 //! that stress FIFO stability across migration batches.
 
-use abr_sim::{EventQueue, SimTime};
-use proptest::prelude::*;
+use abr_sim::{EventQueue, SimRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -55,14 +54,14 @@ fn offset_for(shape: u64, magnitude: u64) -> u64 {
     }
 }
 
-proptest! {
-    #[test]
-    fn calendar_queue_matches_binary_heap_model(
-        ops in proptest::collection::vec(
-            (proptest::any::<u64>(), proptest::any::<u64>(), 0u64..4),
-            1..400,
-        ),
-    ) {
+#[test]
+fn calendar_queue_matches_binary_heap_model() {
+    let mut rng = SimRng::new(1);
+    for _ in 0..256 {
+        let n_ops = 1 + rng.index(399);
+        let ops: Vec<(u64, u64, u64)> = (0..n_ops)
+            .map(|_| (rng.next_u64(), rng.next_u64(), rng.below(4)))
+            .collect();
         let mut q: EventQueue<u32> = EventQueue::new();
         let mut model = HeapModel::default();
         let mut next_id: u32 = 0;
@@ -76,32 +75,34 @@ proptest! {
                 model.schedule(at, next_id);
                 next_id += 1;
             } else {
-                prop_assert_eq!(q.peek_time().map(SimTime::as_micros), model.peek_time());
+                assert_eq!(q.peek_time().map(SimTime::as_micros), model.peek_time());
                 let got = q.pop().map(|(t, e)| (t.as_micros(), e));
-                prop_assert_eq!(got, model.pop());
+                assert_eq!(got, model.pop());
             }
-            prop_assert_eq!(q.len() as u64, model.heap.len() as u64);
+            assert_eq!(q.len() as u64, model.heap.len() as u64);
         }
 
         // Drain: every remaining event must come out in model order.
         loop {
-            prop_assert_eq!(q.peek_time().map(SimTime::as_micros), model.peek_time());
+            assert_eq!(q.peek_time().map(SimTime::as_micros), model.peek_time());
             let got = q.pop().map(|(t, e)| (t.as_micros(), e));
             let want = model.pop();
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want);
             if want.is_none() {
                 break;
             }
         }
-        prop_assert!(q.is_empty());
+        assert!(q.is_empty());
     }
+}
 
-    #[test]
-    fn same_tick_bursts_stay_fifo_through_migrations(
-        burst in 1usize..64,
-        spacing in 1u64..5_000_000,
-        rounds in 1usize..20,
-    ) {
+#[test]
+fn same_tick_bursts_stay_fifo_through_migrations() {
+    let mut rng = SimRng::new(2);
+    for _ in 0..256 {
+        let burst = 1 + rng.index(63);
+        let spacing = 1 + rng.below(4_999_999);
+        let rounds = 1 + rng.index(19);
         // All events scheduled up front at `rounds` distinct ticks,
         // `burst` ties per tick, spaced to straddle migration epochs.
         let mut q: EventQueue<usize> = EventQueue::new();
@@ -114,6 +115,9 @@ proptest! {
             }
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(order, expect);
+        assert_eq!(
+            order, expect,
+            "{rounds} rounds of {burst} every {spacing} us"
+        );
     }
 }

@@ -19,7 +19,7 @@ use abr::disk::{models, Disk, DiskLabel};
 use abr::driver::request::IoRequest;
 use abr::driver::{AdaptiveDriver, DriverConfig};
 use abr::sim::SimTime;
-use bytes::Bytes;
+use std::sync::Arc;
 
 fn t(s: u64) -> SimTime {
     SimTime::from_micros(s * 1_000_000)
@@ -35,7 +35,7 @@ fn main() {
 
     // Write version 1 of block 7, then rearrange it into the reserved
     // area.
-    let v1 = Bytes::from(vec![0x11u8; 8192]);
+    let v1 = Arc::<[u8]>::from(vec![0x11u8; 8192]);
     driver
         .submit(IoRequest::write(0, 7 * 16, 16, v1), t(0))
         .expect("write v1");
@@ -56,7 +56,7 @@ fn main() {
 
     // Update the block *through* the driver: the write is redirected to
     // the reserved copy and the table entry goes dirty.
-    let v2 = Bytes::from(vec![0x22u8; 8192]);
+    let v2 = Arc::<[u8]>::from(vec![0x22u8; 8192]);
     driver
         .submit(IoRequest::write(0, 7 * 16, 16, v2.clone()), t(20))
         .expect("write v2");

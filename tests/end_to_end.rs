@@ -10,6 +10,7 @@ use abr::driver::request::IoRequest;
 use abr::driver::{AdaptiveDriver, DriverConfig, SchedulerKind};
 use abr::fs::{FileSystem, FsConfig};
 use abr::sim::{SimRng, SimTime};
+use std::sync::Arc;
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_micros(ms * 1000)
@@ -44,7 +45,7 @@ fn run_batch(
     driver: &mut AdaptiveDriver,
     reqs: Vec<IoRequest>,
     clock_ms: &mut u64,
-) -> Vec<bytes::Bytes> {
+) -> Vec<Arc<[u8]>> {
     let mut ids = Vec::new();
     for r in reqs {
         let is_read = r.dir.is_read();
@@ -158,7 +159,7 @@ fn updates_to_rearranged_blocks_survive_crash() {
     // Skip block 0: it holds the disk label, which newfs never touches.
     let blocks: Vec<u64> = (0..20u64).map(|i| i * 731 + 3).collect();
     for &b in &blocks {
-        let payload = bytes::Bytes::from(vec![b as u8 ^ 0x5A; 8192]);
+        let payload = Arc::<[u8]>::from(vec![b as u8 ^ 0x5A; 8192]);
         driver
             .submit(IoRequest::write(0, b * spb, 16, payload), t(clock))
             .unwrap();
@@ -181,7 +182,7 @@ fn updates_to_rearranged_blocks_survive_crash() {
 
     // Update half of them through the driver (redirected writes).
     for &b in blocks.iter().step_by(2) {
-        let payload = bytes::Bytes::from(vec![b as u8 ^ 0xC3; 8192]);
+        let payload = Arc::<[u8]>::from(vec![b as u8 ^ 0xC3; 8192]);
         driver
             .submit(IoRequest::write(0, b * spb, 16, payload), t(clock))
             .unwrap();
@@ -222,7 +223,7 @@ fn raw_interface_sees_rearranged_data() {
     // Write two adjacent blocks, rearrange only the second.
     let base = 100u64;
     for off in 0..2u64 {
-        let payload = bytes::Bytes::from(vec![0xA0 + off as u8; 8192]);
+        let payload = Arc::<[u8]>::from(vec![0xA0 + off as u8; 8192]);
         driver
             .submit(
                 IoRequest::write(0, (base + off) * spb, 16, payload),

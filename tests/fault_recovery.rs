@@ -13,8 +13,8 @@ use abr::disk::{models, Disk, DiskLabel, SECTOR_SIZE};
 use abr::driver::request::IoRequest;
 use abr::driver::{AdaptiveDriver, DriverConfig, SchedulerKind};
 use abr::sim::{SimRng, SimTime};
-use bytes::Bytes;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const BLOCK: usize = 4096;
 const SPB: u64 = (BLOCK / SECTOR_SIZE) as u64;
@@ -48,12 +48,12 @@ fn arranger() -> BlockArranger {
 
 /// Per-block recognizable content, distinct per (block, version) at
 /// sector granularity so torn writes are detectable sector by sector.
-fn pattern(block: u64, version: u64) -> Bytes {
+fn pattern(block: u64, version: u64) -> Arc<[u8]> {
     let mut buf = vec![0u8; BLOCK];
     for (s, chunk) in buf.chunks_mut(SECTOR_SIZE).enumerate() {
         chunk.fill((block.wrapping_mul(31) ^ version.wrapping_mul(7) ^ s as u64) as u8);
     }
-    Bytes::from(buf)
+    Arc::from(buf)
 }
 
 /// Write `n` distinct blocks (fault-free) and return their hot list.
@@ -219,11 +219,11 @@ fn integrity_schedule(seed: u64, plan: FaultPlan) {
     let blocks: Vec<u64> = (0..24u64).map(|i| 8 + i * 5).collect();
 
     // Acked baseline for every block, then arm the injector.
-    let mut shadow: HashMap<u64, Bytes> = HashMap::new();
+    let mut shadow: HashMap<u64, Arc<[u8]>> = HashMap::new();
     let mut version: HashMap<u64, u64> = HashMap::new();
     // Content of writes that *failed* since the last acked write; a torn
     // prefix of any of these may legitimately be on the medium.
-    let mut tainted: HashMap<u64, Vec<Bytes>> = HashMap::new();
+    let mut tainted: HashMap<u64, Vec<Arc<[u8]>>> = HashMap::new();
     for (i, &b) in blocks.iter().enumerate() {
         driver
             .submit(

@@ -12,6 +12,7 @@ use abr::driver::request::IoRequest;
 use abr::driver::{AdaptiveDriver, DriverConfig, Ioctl, IoctlReply};
 use abr::fs::{FileSystem, FsConfig};
 use abr::sim::SimTime;
+use std::sync::Arc;
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_micros(ms * 1000)
@@ -169,8 +170,8 @@ fn partition_isolation() {
     let n0 = driver.label().partitions[0].n_sectors;
     assert!(driver.submit(IoRequest::read(0, n0, 16), t(0)).is_err());
 
-    let a = bytes::Bytes::from(vec![0xAA; 8192]);
-    let b = bytes::Bytes::from(vec![0xBB; 8192]);
+    let a = Arc::<[u8]>::from(vec![0xAA; 8192]);
+    let b = Arc::<[u8]>::from(vec![0xBB; 8192]);
     driver
         .submit(IoRequest::write(0, 800, 16, a.clone()), t(1))
         .unwrap();

@@ -17,7 +17,7 @@ use abr::driver::{AdaptiveDriver, DriverConfig, SchedulerKind};
 use abr::fs::{FileSystem, FsConfig};
 use abr::sim::{FromJson, JsonValue, SimDuration, SimRng, SimTime};
 use abr::workload::{WorkloadProfile, WorkloadState};
-use bytes::Bytes;
+use std::sync::Arc;
 
 fn t(s: u64) -> SimTime {
     SimTime::from_micros(s * 1_000_000)
@@ -50,7 +50,7 @@ fn rearranged_state_survives_image_roundtrip() {
     let mut driver = AdaptiveDriver::attach(disk, config()).unwrap();
 
     // Write recognizable data, rearrange, update through the remap.
-    let v1 = Bytes::from(vec![0x41u8; 8192]);
+    let v1 = Arc::<[u8]>::from(vec![0x41u8; 8192]);
     driver
         .submit(IoRequest::write(0, 512 * 16, 16, v1), t(0))
         .unwrap();
@@ -67,7 +67,7 @@ fn rearranged_state_survives_image_roundtrip() {
             t(10),
         )
         .unwrap();
-    let v2 = Bytes::from(vec![0x42u8; 8192]);
+    let v2 = Arc::<[u8]>::from(vec![0x42u8; 8192]);
     driver
         .submit(IoRequest::write(0, 512 * 16, 16, v2.clone()), t(200))
         .unwrap();
@@ -119,7 +119,7 @@ fn plain_disk_roundtrip_keeps_partition_data() {
     AdaptiveDriver::format(&mut disk, &label, &config());
     let mut driver = AdaptiveDriver::attach(disk, config()).unwrap();
     for i in 0..10u64 {
-        let data = Bytes::from(vec![i as u8; 8192]);
+        let data = Arc::<[u8]>::from(vec![i as u8; 8192]);
         driver
             .submit(IoRequest::write(0, (100 + i * 50) * 16, 16, data), t(i))
             .unwrap();

@@ -1,4 +1,5 @@
-//! Property-based tests on core invariants, with `proptest`.
+//! Property tests on core invariants: each runs a fixed number of cases
+//! drawn from its own seeded [`SimRng`], so a failure reproduces on rerun.
 
 #![allow(clippy::disallowed_types, reason = "test code, not a simulated result")]
 
@@ -7,29 +8,40 @@ use abr::core::placement::{PolicyKind, SlotMap};
 use abr::disk::{models, DiskLabel, Geometry};
 use abr::driver::blocktable::BlockTable;
 use abr::driver::{physio, ReservedLayout};
-use abr::sim::{DistTable, Histogram, SimDuration};
-use proptest::prelude::*;
+use abr::sim::{DistTable, Histogram, SimDuration, SimRng};
 use std::collections::HashSet;
 
-fn arb_geometry() -> impl Strategy<Value = Geometry> {
-    (64u32..2048, 1u32..20, 16u32..120).prop_map(|(cyl, trk, sect)| Geometry {
-        cylinders: cyl,
-        tracks_per_cylinder: trk,
-        sectors_per_track: sect,
-        rpm: 3600,
-    })
+/// Uniform in `lo..hi`.
+fn between(rng: &mut SimRng, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
 }
 
-proptest! {
-    #[test]
-    fn label_mapping_is_bijective_outside_reserved(
-        g in arb_geometry(),
-        frac in 0.02f64..0.3,
-        samples in proptest::collection::vec(0u64..u64::MAX, 20),
-    ) {
-        let n_res = ((g.cylinders as f64 * frac) as u32).max(1).min(g.cylinders - 2);
+/// A length uniform in `lo..hi`.
+fn len_between(rng: &mut SimRng, lo: usize, hi: usize) -> usize {
+    lo + rng.index(hi - lo)
+}
+
+fn arb_geometry(rng: &mut SimRng) -> Geometry {
+    Geometry {
+        cylinders: between(rng, 64, 2048) as u32,
+        tracks_per_cylinder: between(rng, 1, 20) as u32,
+        sectors_per_track: between(rng, 16, 120) as u32,
+        rpm: 3600,
+    }
+}
+
+#[test]
+fn label_mapping_is_bijective_outside_reserved() {
+    let mut rng = SimRng::new(1);
+    for _ in 0..256 {
+        let g = arb_geometry(&mut rng);
+        let frac = 0.02 + 0.28 * rng.f64();
+        let samples: Vec<u64> = (0..20).map(|_| rng.below(u64::MAX)).collect();
+        let n_res = ((g.cylinders as f64 * frac) as u32)
+            .max(1)
+            .min(g.cylinders - 2);
         let Some(reserved) = abr::disk::ReservedArea::centered_aligned(&g, n_res, 16) else {
-            return Ok(());
+            continue;
         };
         let label = DiskLabel {
             physical: g,
@@ -41,21 +53,23 @@ proptest! {
             let v = s % vtotal;
             let p = label.virtual_to_physical(v);
             // Round-trips exactly.
-            prop_assert_eq!(label.physical_to_virtual(p), Some(v));
+            assert_eq!(label.physical_to_virtual(p), Some(v), "{g:?}");
             // Never lands in the reserved region.
             let cyl = g.cylinder_of(p);
-            prop_assert!(!reserved.contains_cylinder(cyl));
+            assert!(!reserved.contains_cylinder(cyl), "{g:?}: {v} -> {p}");
         }
         // Reserved sectors have no virtual address.
         let res_start = reserved.start_sector(&g);
-        prop_assert_eq!(label.physical_to_virtual(res_start), None);
+        assert_eq!(label.physical_to_virtual(res_start), None, "{g:?}");
     }
+}
 
-    #[test]
-    fn label_encode_decode_roundtrip(
-        g in arb_geometry(),
-        n_parts in 0usize..5,
-    ) {
+#[test]
+fn label_encode_decode_roundtrip() {
+    let mut rng = SimRng::new(2);
+    for _ in 0..256 {
+        let g = arb_geometry(&mut rng);
+        let n_parts = rng.index(5);
         let mut label = DiskLabel::whole_disk(g);
         let total = g.total_sectors();
         label.partitions = (0..n_parts)
@@ -65,16 +79,21 @@ proptest! {
             })
             .collect();
         let bytes = label.encode();
-        prop_assert_eq!(DiskLabel::decode(&bytes).unwrap(), label);
+        assert_eq!(DiskLabel::decode(&bytes).unwrap(), label);
     }
+}
 
-    #[test]
-    fn block_table_roundtrip_arbitrary(
-        entries in proptest::collection::vec((0u64..1_000_000, any::<bool>()), 0..200),
-    ) {
-        let g = models::toshiba_mk156f().geometry;
-        let label = DiskLabel::rearranged(g, 48);
-        let layout = ReservedLayout::for_label(&label, 8192, 1020).unwrap();
+#[test]
+fn block_table_roundtrip_arbitrary() {
+    let g = models::toshiba_mk156f().geometry;
+    let label = DiskLabel::rearranged(g, 48);
+    let layout = ReservedLayout::for_label(&label, 8192, 1020).unwrap();
+    let mut rng = SimRng::new(3);
+    for _ in 0..16 {
+        let n = len_between(&mut rng, 0, 200);
+        let entries: Vec<(u64, bool)> = (0..n)
+            .map(|_| (rng.below(1_000_000), rng.chance(0.5)))
+            .collect();
         let mut t = BlockTable::new();
         let mut used = HashSet::new();
         let mut slot = 0u32;
@@ -91,40 +110,44 @@ proptest! {
         }
         let bytes = t.encode(&layout).unwrap();
         let back = BlockTable::decode(&bytes).unwrap();
-        prop_assert_eq!(back.len(), t.len());
+        assert_eq!(back.len(), t.len());
         for (orig, e) in t.iter() {
-            prop_assert_eq!(back.lookup(orig), Some(e));
+            assert_eq!(back.lookup(orig), Some(e));
         }
     }
+}
 
-    #[test]
-    fn physio_split_partitions_exactly(
-        sector in 0u64..100_000,
-        n in 1u32..500,
-        spb in 1u32..64,
-    ) {
+#[test]
+fn physio_split_partitions_exactly() {
+    let mut rng = SimRng::new(4);
+    for _ in 0..256 {
+        let sector = rng.below(100_000);
+        let n = between(&mut rng, 1, 500) as u32;
+        let spb = between(&mut rng, 1, 64) as u32;
         let pieces = physio::split(sector, n, spb);
         let mut cur = sector;
         for (s, len) in &pieces {
-            prop_assert_eq!(*s, cur);
-            prop_assert!(*len > 0);
-            prop_assert!(s % u64::from(spb) + u64::from(*len) <= u64::from(spb));
+            assert_eq!(*s, cur);
+            assert!(*len > 0);
+            assert!(s % u64::from(spb) + u64::from(*len) <= u64::from(spb));
             cur += u64::from(*len);
         }
-        prop_assert_eq!(cur, sector + u64::from(n));
+        assert_eq!(cur, sector + u64::from(n), "split({sector}, {n}, {spb})");
     }
+}
 
-    #[test]
-    fn placement_policies_never_double_book(
-        seed_blocks in proptest::collection::vec(0u64..50_000, 1..300),
-    ) {
-        let g = models::toshiba_mk156f().geometry;
-        let label = DiskLabel::rearranged(g, 48);
-        let layout = ReservedLayout::for_label(&label, 8192, 1020).unwrap();
-        let slots = SlotMap::new(&layout, &g);
+#[test]
+fn placement_policies_never_double_book() {
+    let g = models::toshiba_mk156f().geometry;
+    let label = DiskLabel::rearranged(g, 48);
+    let layout = ReservedLayout::for_label(&label, 8192, 1020).unwrap();
+    let slots = SlotMap::new(&layout, &g);
+    let mut rng = SimRng::new(5);
+    for _ in 0..64 {
+        let n = len_between(&mut rng, 1, 300);
         // Deduplicate blocks, then rank by descending synthetic counts.
-        let uniq: Vec<u64> = seed_blocks
-            .into_iter()
+        let uniq: Vec<u64> = (0..n)
+            .map(|_| rng.below(50_000))
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect();
@@ -139,21 +162,24 @@ proptest! {
         for kind in PolicyKind::all() {
             let placed = kind.make(1).place(&hot, &slots);
             // Every hot block placed (up to capacity), no slot reused.
-            prop_assert_eq!(placed.len(), hot.len().min(slots.n_slots() as usize));
+            assert_eq!(placed.len(), hot.len().min(slots.n_slots() as usize));
             let slots_used: HashSet<u32> = placed.iter().map(|&(_, s)| s).collect();
-            prop_assert_eq!(slots_used.len(), placed.len());
+            assert_eq!(slots_used.len(), placed.len());
             let blocks_used: HashSet<u64> = placed.iter().map(|&(b, _)| b).collect();
-            prop_assert_eq!(blocks_used.len(), placed.len());
+            assert_eq!(blocks_used.len(), placed.len());
             for &(_, s) in &placed {
-                prop_assert!(s < slots.n_slots());
+                assert!(s < slots.n_slots());
             }
         }
     }
+}
 
-    #[test]
-    fn bounded_analyzer_overestimates_but_bounds_error(
-        stream in proptest::collection::vec(0u64..50, 1..2000),
-    ) {
+#[test]
+fn bounded_analyzer_overestimates_but_bounds_error() {
+    let mut rng = SimRng::new(6);
+    for _ in 0..64 {
+        let n = len_between(&mut rng, 1, 2000);
+        let stream: Vec<u64> = (0..n).map(|_| rng.below(50)).collect();
         // Space-Saving invariants: estimated count >= true count, and
         // error <= total / capacity.
         let capacity = 10usize;
@@ -166,8 +192,8 @@ proptest! {
         let bound = stream.len() as u64 / capacity as u64;
         for h in bounded.hot_list(capacity) {
             let truth = exact.count_of(h.block);
-            prop_assert!(h.count >= truth, "estimate below truth");
-            prop_assert!(
+            assert!(h.count >= truth, "estimate below truth");
+            assert!(
                 h.count - truth <= bound,
                 "error {} exceeds bound {}",
                 h.count - truth,
@@ -175,108 +201,131 @@ proptest! {
             );
         }
     }
+}
 
-    #[test]
-    fn histogram_mean_matches_reference(
-        samples in proptest::collection::vec(0u64..500_000u64, 1..300),
-    ) {
+#[test]
+fn histogram_mean_matches_reference() {
+    let mut rng = SimRng::new(7);
+    for _ in 0..256 {
+        let n = len_between(&mut rng, 1, 300);
+        let samples: Vec<u64> = (0..n).map(|_| rng.below(500_000)).collect();
         let mut h = Histogram::millis(100);
         for &s in &samples {
             h.record(SimDuration::from_micros(s));
         }
         let expect = samples.iter().sum::<u64>() / samples.len() as u64;
-        prop_assert_eq!(h.mean().unwrap().as_micros(), expect);
-        prop_assert_eq!(h.count(), samples.len() as u64);
+        assert_eq!(h.mean().unwrap().as_micros(), expect);
+        assert_eq!(h.count(), samples.len() as u64);
         // CDF monotone, ends at 1.
         let cdf = h.cdf_points();
         for w in cdf.windows(2) {
-            prop_assert!(w[0].1 <= w[1].1);
+            assert!(w[0].1 <= w[1].1);
         }
-        prop_assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
+        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
     }
+}
 
-    #[test]
-    fn dist_table_mean_by_is_linear(
-        values in proptest::collection::vec(0u64..1000, 1..200),
-    ) {
+#[test]
+fn dist_table_mean_by_is_linear() {
+    let mut rng = SimRng::new(8);
+    for _ in 0..256 {
+        let n = len_between(&mut rng, 1, 200);
         let mut d = DistTable::new();
-        for &v in &values {
-            d.record(v);
+        for _ in 0..n {
+            d.record(rng.below(1000));
         }
         // mean_by(identity) == mean()
-        prop_assert!((d.mean_by(|v| v as f64) - d.mean()).abs() < 1e-9);
+        assert!((d.mean_by(|v| v as f64) - d.mean()).abs() < 1e-9);
         // mean_by(2x) == 2 * mean()
-        prop_assert!((d.mean_by(|v| 2.0 * v as f64) - 2.0 * d.mean()).abs() < 1e-9);
+        assert!((d.mean_by(|v| 2.0 * v as f64) - 2.0 * d.mean()).abs() < 1e-9);
     }
+}
 
-    #[test]
-    fn seek_curves_nonnegative_and_zero_at_zero(d in 0u64..4096) {
+#[test]
+fn seek_curves_nonnegative_and_zero_at_zero() {
+    let mut rng = SimRng::new(9);
+    // Distance 0 is one draw in 4,096: check it outright.
+    for d in std::iter::once(0).chain((0..256).map(|_| rng.below(4096))) {
         for m in [models::toshiba_mk156f(), models::fujitsu_m2266()] {
             let t = m.seek.time_ms(d);
-            prop_assert!(t >= 0.0);
+            assert!(t >= 0.0);
             if d == 0 {
-                prop_assert_eq!(t, 0.0);
+                assert_eq!(t, 0.0);
             } else {
-                prop_assert!(t > 0.0);
+                assert!(t > 0.0, "seek of {d} cylinders took {t} ms");
             }
         }
     }
+}
 
-    #[test]
-    fn reserved_layout_slots_disjoint(
-        n_cyl in 4u32..120,
-        block_kb in 1u32..5,
-    ) {
-        let g = models::fujitsu_m2266().geometry;
+#[test]
+fn reserved_layout_slots_disjoint() {
+    let g = models::fujitsu_m2266().geometry;
+    let mut rng = SimRng::new(10);
+    for _ in 0..256 {
+        let n_cyl = between(&mut rng, 4, 120) as u32;
+        let block_kb = between(&mut rng, 1, 5) as u32;
         let block = block_kb * 2048; // 2,4,6,8 KB
         let spb = block / 512;
         let Some(reserved) = abr::disk::ReservedArea::centered_aligned(&g, n_cyl, spb) else {
-            return Ok(());
+            continue;
         };
         let layout = ReservedLayout::new(&g, reserved, block, 1024);
         let end = layout.start_sector + layout.total_sectors;
         let mut prev = layout.start_sector + layout.table_sectors;
         for i in 0..layout.n_slots {
             let s = layout.slot_sector(i);
-            prop_assert_eq!(s, prev);
+            assert_eq!(s, prev);
             prev = s + u64::from(spb);
-            prop_assert!(prev <= end);
-            prop_assert_eq!(layout.slot_of_sector(s), Some(i));
+            assert!(prev <= end);
+            assert_eq!(layout.slot_of_sector(s), Some(i));
         }
     }
+}
+
+/// `n` random bit flips (byte index, bit in the byte).
+fn flips(rng: &mut SimRng, n: usize) -> Vec<(usize, u32)> {
+    (0..n)
+        .map(|_| (rng.next_u64() as usize, rng.below(8) as u32))
+        .collect()
 }
 
 // Corruption robustness: decoding an encoded table with arbitrary bit
 // damage must surface as `TableError` (or decode to the *original* table
 // when the damage lands in ignored padding or a redundant copy) — never
 // as a silently different table.
-proptest! {
-    #[test]
-    fn block_table_bit_flips_never_mis_decode(
-        blocks in proptest::collection::vec(0u64..100_000, 1..60),
-        flips in proptest::collection::vec((any::<usize>(), 0u32..8), 1..10),
-    ) {
-        let g = models::toshiba_mk156f().geometry;
-        let label = DiskLabel::rearranged(g, 48);
-        let layout = ReservedLayout::for_label(&label, 8192, 1020).unwrap();
+#[test]
+fn block_table_bit_flips_never_mis_decode() {
+    let g = models::toshiba_mk156f().geometry;
+    let label = DiskLabel::rearranged(g, 48);
+    let layout = ReservedLayout::for_label(&label, 8192, 1020).unwrap();
+    let mut rng = SimRng::new(11);
+    for _ in 0..64 {
+        let n = len_between(&mut rng, 1, 60);
+        let blocks: Vec<u64> = (0..n).map(|_| rng.below(100_000)).collect();
+        let n_flips = len_between(&mut rng, 1, 10);
         let t = table_of(&blocks, &layout);
         let mut bytes = t.encode(&layout).unwrap();
-        for (pos, bit) in flips {
+        for (pos, bit) in flips(&mut rng, n_flips) {
             let i = pos % bytes.len();
             bytes[i] ^= 1 << bit;
         }
         check_decode_is_error_or_original(BlockTable::decode(&bytes), &t);
     }
+}
 
-    #[test]
-    fn table_region_survives_corruption_of_one_half(
-        blocks in proptest::collection::vec(0u64..100_000, 1..60),
-        flips in proptest::collection::vec((any::<usize>(), 0u32..8), 1..32),
-        hit_second_half in any::<bool>(),
-    ) {
-        let g = models::toshiba_mk156f().geometry;
-        let label = DiskLabel::rearranged(g, 48);
-        let layout = ReservedLayout::for_label(&label, 8192, 1020).unwrap();
+#[test]
+fn table_region_survives_corruption_of_one_half() {
+    let g = models::toshiba_mk156f().geometry;
+    let label = DiskLabel::rearranged(g, 48);
+    let layout = ReservedLayout::for_label(&label, 8192, 1020).unwrap();
+    let mut rng = SimRng::new(12);
+    for _ in 0..64 {
+        let n = len_between(&mut rng, 1, 60);
+        let blocks: Vec<u64> = (0..n).map(|_| rng.below(100_000)).collect();
+        let n_flips = len_between(&mut rng, 1, 32);
+        let flips = flips(&mut rng, n_flips);
+        let hit_second_half = rng.chance(0.5);
         let t = table_of(&blocks, &layout);
         let mut bytes = t.encode_region(&layout).unwrap();
         let half = bytes.len() / 2;
@@ -286,7 +335,7 @@ proptest! {
         }
         // Damage confined to one redundant copy: the other must carry it.
         let back = BlockTable::decode_region(&bytes);
-        prop_assert!(back.is_ok(), "one-half corruption lost the table");
+        assert!(back.is_ok(), "one-half corruption lost the table");
         check_decode_is_error_or_original(back, &t);
     }
 }

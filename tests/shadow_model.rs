@@ -15,8 +15,8 @@ use abr::disk::{models, Disk, DiskLabel};
 use abr::driver::request::IoRequest;
 use abr::driver::{AdaptiveDriver, DriverConfig, Ioctl, SchedulerKind};
 use abr::sim::{SimRng, SimTime};
-use bytes::Bytes;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 // Virtual blocks exercised. Block 0 holds the disk label (newfs never
 // touches it), so the exercised range starts at 1.
@@ -65,7 +65,7 @@ impl Harness {
 
     fn write(&mut self, block: u64, fill: u8) {
         let t = self.now();
-        let payload = Bytes::from(vec![fill; (SPB * 512) as usize]);
+        let payload = Arc::<[u8]>::from(vec![fill; (SPB * 512) as usize]);
         self.driver
             .submit(IoRequest::write(0, block * SPB, SPB as u32, payload), t)
             .unwrap();
