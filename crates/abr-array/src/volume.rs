@@ -1464,7 +1464,7 @@ mod tests {
         assert_eq!(bytes_of(&v.logical_block(1).unwrap()), want);
         // The seeded block stayed markers: no page beyond formatting's.
         let formatted = member(16).disk().store().raw_pages();
-        assert_eq!(v.disk(2).disk().store().raw_pages(), formatted);
+        assert!(v.disk(2).disk().store().raw_pages() <= formatted);
     }
 
     #[test]

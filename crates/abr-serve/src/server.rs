@@ -340,6 +340,11 @@ impl ServeExperiment {
         &self.h.traffic.config
     }
 
+    /// The volume (inspection in tests and benches).
+    pub fn volume(&self) -> &ArrayVolume {
+        &self.h.device
+    }
+
     /// Snapshot array health (and publish the `array.*` gauges).
     pub fn health(&mut self) -> ArrayHealth {
         self.h.device.health()
