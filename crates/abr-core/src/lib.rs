@@ -24,8 +24,9 @@
 //!   synthetic workload, running multi-day on/off protocols with
 //!   per-day metrics matching the paper's tables.
 //! * [`metrics`] — per-day and per-run metric types.
-//! * [`producer`] — the file-system workload, made one day ahead of the
-//!   device on a thread of its own.
+//! * [`producer`] — open-loop sources run on a thread of their own: the
+//!   file-system workload, made one day ahead of the device, and (in
+//!   `abr_serve`) the serving clients' arrivals.
 //! * [`stream`] — recorded workload streams: what an open-loop source
 //!   submitted, produced once and replayed into every device that shares
 //!   its key.
@@ -62,7 +63,7 @@ pub use experiment::{
 };
 pub use metrics::{BlockCounts, DayMetrics, DirMetrics};
 pub use placement::{Interleaved, OrganPipe, PlacementPolicy, PolicyKind, Serial, SlotMap};
-pub use producer::{FsProducer, FsTraffic};
+pub use producer::{FsProducer, FsTraffic, OpenLoop, Piece, Producer};
 pub use recovery::{IoBudget, MaintenanceConfig};
 pub use replay::{replay, ReplayConfig};
 pub use stream::{DaySource, DayStream, Recorded, Stream, StreamKey, TraceTraffic};

@@ -1,30 +1,34 @@
-//! The file-system workload, made on a thread of its own.
+//! Open-loop sources, made on a thread of their own.
 //!
-//! The file-system source is open loop (see [`crate::stream`]): its whole
-//! stream is a function of the [`crate::StreamKey`]. So [`FsTraffic`]
-//! makes it with no device at all — [`FsTraffic::produce_day`] runs the
-//! source's event logic over its own clock and packs the day into
-//! [`DayStream`] pieces — and [`FsProducer`] runs it on a thread while
-//! the device, through a [`TraceTraffic`](crate::TraceTraffic), replays
-//! the pieces as they arrive. A live run is a replay of its stream as it
-//! is made, so its wall time is the slower of the two halves, not their
-//! sum.
+//! A source is open loop when what it offers never depends on what
+//! consumes it (see [`crate::stream`]). Two are: the file-system
+//! workload, whose whole stream is a function of the
+//! [`crate::StreamKey`], and the serving harness's clients
+//! (`abr_serve`), whose arrivals and token-bucket verdicts depend only
+//! on their seeds and their own clocks. Such a source needs no device
+//! to make its output, so a [`Producer`] runs it ([`OpenLoop`]) on a
+//! thread while the caller's device consumes the pieces as they arrive:
+//! a live run's wall time is the slower of the two halves, not their
+//! sum. [`FsTraffic`] makes the file-system days, and [`FsProducer`]
+//! hands them to a [`TraceTraffic`](crate::TraceTraffic) for replay.
 //!
-//! * **Threads.** The producer thread owns the [`FileSystem`] and the
-//!   [`WorkloadState`] and nothing else. The device, the daemons and
-//!   every metric, span and wall-clock scope stay on the caller's
-//!   thread, whose thread-local registries see what a single-threaded
-//!   run would.
-//! * **Lookahead.** The producer makes at most one day past the day in
+//! * **Threads.** The producer thread owns the source and nothing else.
+//!   The device, the daemons and every metric, span and wall-clock scope
+//!   stay on the caller's thread, whose thread-local registries see what
+//!   a single-threaded run would.
+//! * **Horizon.** The producer makes a day only once the caller has
+//!   ordered it ([`Producer::order`]), with whatever the source needs to
+//!   know about it. [`FsProducer`] orders at most one day past the day in
 //!   use, and none past the days the caller said it will take
 //!   ([`DaySource::plan`]), so a run that knows its length leaves the
 //!   file system and the generator in exactly the state of the days it
-//!   took. It hands a day out in pieces of [`PIECE_REQUESTS`] and runs
-//!   at most [`PIECES_AHEAD`] pieces ahead: the pipeline holds a few
-//!   pieces, not whole days.
-//! * **Lifecycle.** Dropping the [`FsProducer`] stops the thread between
-//!   two operations and joins it. A panic on the thread is raised again
-//!   on the caller, with its message, when the caller next waits for it.
+//!   took. A day is handed out in pieces of about [`PIECE_REQUESTS`], at
+//!   most [`PIECES_AHEAD`] pieces ahead: the pipeline holds a few pieces,
+//!   not whole days, and the caller's spent pieces come back to be
+//!   refilled.
+//! * **Lifecycle.** Dropping the [`Producer`] stops the thread between
+//!   two steps and joins it. A panic on the thread is raised again on
+//!   the caller, with its message, when the caller next waits for it.
 
 use crate::experiment::{ExperimentConfig, OVERNIGHT};
 use crate::stream::{DaySource, DayStream, Requests};
@@ -40,8 +44,39 @@ use std::thread::JoinHandle;
 /// Requests in a piece of a day, but for the day's last.
 pub const PIECE_REQUESTS: usize = 1024;
 
-/// Pieces the producer may have made that the device has not begun.
+/// Pieces the producer may have made that the caller has not begun.
 pub const PIECES_AHEAD: usize = 4;
+
+/// What an [`OpenLoop`] source hands out: a day, or a piece of one.
+pub trait Piece: Default + Send + 'static {
+    /// More of the day follows this piece.
+    fn more(&self) -> bool;
+
+    /// Hand out what was made so far as a piece with [`Self::more`] set,
+    /// and go on in `next`'s buffers.
+    fn cut(&mut self, next: Self) -> Self;
+}
+
+/// A source that makes its output a day at a time with no device at all,
+/// so that a [`Producer`] can run it on a thread of its own.
+pub trait OpenLoop: Send + 'static {
+    /// What the source hands out.
+    type Piece: Piece;
+    /// What the caller tells the source about a day before it is made.
+    type Order: Send + 'static;
+
+    /// Make the day `order` describes in `piece`'s buffers. Whenever it
+    /// holds about [`PIECE_REQUESTS`] at a step boundary, `cut` hands it
+    /// out (see [`Piece::cut`]); the last piece is returned. `None` if
+    /// `cancel` was set or `cut` failed before the day was complete.
+    fn produce(
+        &mut self,
+        order: Self::Order,
+        piece: Self::Piece,
+        cancel: &AtomicBool,
+        cut: &mut impl FnMut(&mut Self::Piece) -> Option<()>,
+    ) -> Option<Self::Piece>;
+}
 
 /// The file-system traffic source: a synthetic workload issuing
 /// file-level operations against an FFS-lite file system, whose block
@@ -150,7 +185,7 @@ impl FsTraffic {
     ///
     /// The day is packed into `day`'s buffers. Whenever they hold
     /// [`PIECE_REQUESTS`] at a step boundary, `cut` hands them out as a
-    /// piece (see [`DayStream::cut`]); the last piece, with the flush, is
+    /// piece (see [`Piece::cut`]); the last piece, with the flush, is
     /// returned. `None` if `cancel` was set or `cut` failed before the
     /// day was complete.
     pub fn produce_day(
@@ -223,88 +258,205 @@ impl FsTraffic {
     }
 }
 
+impl OpenLoop for FsTraffic {
+    type Piece = DayStream;
+    type Order = ();
+
+    fn produce(
+        &mut self,
+        (): (),
+        day: DayStream,
+        cancel: &AtomicBool,
+        cut: &mut impl FnMut(&mut DayStream) -> Option<()>,
+    ) -> Option<DayStream> {
+        self.produce_day(day, cancel, cut)
+    }
+}
+
 /// The name of every producer thread.
 pub const THREAD_NAME: &str = "abr-producer";
 
-/// An [`FsTraffic`] running on a thread of its own (see the module
-/// docs): a [`DaySource`] whose days are made ahead of use.
-pub struct FsProducer {
+/// An [`OpenLoop`] source running on a thread of its own (see the module
+/// docs), making the days it is ordered to, in order.
+pub struct Producer<S: OpenLoop> {
     /// `None` once the producer is being stopped.
-    link: Option<Link>,
+    link: Option<Link<S>>,
     cancel: Arc<AtomicBool>,
-    thread: Option<JoinHandle<FsTraffic>>,
+    thread: Option<JoinHandle<S>>,
+    /// Days ordered.
+    ordered: usize,
     /// Days begun.
     taken: usize,
     /// Whether the last piece taken left its day unfinished.
     mid_day: bool,
-    /// Days the producer may make in all: at most one past those begun,
-    /// and none past the plan.
-    allowed: usize,
-    /// Days, counted from the first, that a plan covers.
-    planned: usize,
 }
 
 /// The channels to the producer thread.
-struct Link {
+struct Link<S: OpenLoop> {
     /// Made pieces; holds at most [`PIECES_AHEAD`].
-    pieces: Receiver<DayStream>,
-    /// Raises of the number of days the producer may make.
-    horizon: Sender<usize>,
+    pieces: Receiver<S::Piece>,
+    /// One order per day the producer may make.
+    orders: Sender<S::Order>,
     /// Pieces the caller is done with, for the producer to refill: a few
     /// sets of buffers serve a whole run, and no piece's memory is freed
     /// and allocated again.
-    spent: Sender<DayStream>,
+    spent: Sender<S::Piece>,
 }
 
-impl FsProducer {
-    /// Run `traffic` on a producer thread. It may make its first day at
-    /// once. (Build `traffic` on the caller's thread: the file system
-    /// and population then live in the caller's allocator arena, and
-    /// only what the days add lives in the producer's. Built on the
-    /// producer, they cost `paper_system` 1 MB more peak RSS.)
-    pub fn spawn(mut traffic: FsTraffic) -> Self {
+impl<S: OpenLoop> Producer<S> {
+    /// Run `source` on a producer thread; it makes nothing until a day is
+    /// ordered. (Build `source` on the caller's thread: what it holds then
+    /// lives in the caller's allocator arena, and only what the days add
+    /// lives in the producer's. A file system and population built on the
+    /// producer cost `paper_system` 1 MB more peak RSS.)
+    pub fn spawn(mut source: S) -> Self {
         let (pieces_tx, pieces) = mpsc::sync_channel(PIECES_AHEAD);
-        let (horizon, horizon_rx) = mpsc::channel();
+        let (orders, orders_rx) = mpsc::channel();
         let (spent, spent_rx) = mpsc::channel();
         let cancel = Arc::new(AtomicBool::new(false));
         let stop = Arc::clone(&cancel);
         let thread = std::thread::Builder::new().name(THREAD_NAME.into());
         let thread = thread.spawn(move || {
             let spare = || spent_rx.try_recv().unwrap_or_default();
-            let mut cut = |day: &mut DayStream| pieces_tx.send(day.cut(spare())).ok();
-            let (mut made, mut allowed) = (0, 0);
-            loop {
-                while made == allowed {
-                    match horizon_rx.recv() {
-                        Ok(n) => allowed = n,
-                        Err(_) => return traffic,
-                    }
-                }
-                let Some(last) = traffic.produce_day(spare(), &stop, &mut cut) else {
-                    return traffic;
+            let mut cut = |piece: &mut S::Piece| pieces_tx.send(piece.cut(spare())).ok();
+            while let Ok(order) = orders_rx.recv() {
+                let Some(last) = source.produce(order, spare(), &stop, &mut cut) else {
+                    break;
                 };
-                made += 1;
                 if pieces_tx.send(last).is_err() {
-                    return traffic;
+                    break;
                 }
             }
+            source
         });
         #[expect(
             clippy::expect_used,
             reason = "a host that cannot start one thread cannot run the simulation"
         )]
-        let thread = thread.expect("a thread for the workload producer");
-        let mut producer = FsProducer {
+        let thread = thread.expect("a thread for the producer");
+        Producer {
             link: Some(Link {
                 pieces,
-                horizon,
+                orders,
                 spent,
             }),
             cancel,
             thread: Some(thread),
+            ordered: 0,
             taken: 0,
             mid_day: false,
-            allowed: 0,
+        }
+    }
+
+    /// Let the producer make one more day, as `order` describes it.
+    pub fn order(&mut self, order: S::Order) {
+        self.ordered += 1;
+        if let Some(link) = &self.link {
+            // A thread that has gone is reported by the next wait.
+            let _ = link.orders.send(order);
+        }
+    }
+
+    /// Days ordered so far.
+    pub fn ordered(&self) -> usize {
+        self.ordered
+    }
+
+    /// Days begun so far: the one in use counts.
+    pub fn taken(&self) -> usize {
+        self.taken
+    }
+
+    /// Whether the day in use has pieces still to come.
+    pub fn mid_day(&self) -> bool {
+        self.mid_day
+    }
+
+    /// Wait for the next piece.
+    ///
+    /// # Panics
+    /// Raises the producer's panic, if it had one, and panics if no day
+    /// it may make has a piece left.
+    pub fn next_piece(&mut self) -> S::Piece {
+        assert!(
+            self.mid_day || self.taken < self.ordered,
+            "a piece of a day nobody ordered"
+        );
+        match self.link.as_ref().map(|link| link.pieces.recv()) {
+            Some(Ok(piece)) => {
+                self.taken += usize::from(!self.mid_day);
+                self.mid_day = piece.more();
+                piece
+            }
+            _ => {
+                // The thread ended without a piece for the caller: raise
+                // its panic here.
+                self.join();
+                panic!("the producer stopped")
+            }
+        }
+    }
+
+    /// The caller is done with `piece`: the producer refills its buffers.
+    pub fn recycle(&mut self, piece: S::Piece) {
+        if let Some(link) = &self.link {
+            // A thread that has gone is reported by the next wait.
+            let _ = link.spent.send(piece);
+        }
+    }
+
+    /// Stop the producer and give back the source, in the state of the
+    /// days taken.
+    ///
+    /// # Panics
+    /// Panics if the producer was ordered a day that was not taken
+    /// whole, and raises the producer's panic, if it had one.
+    pub fn into_source(mut self) -> S {
+        assert!(
+            self.ordered == self.taken && !self.mid_day,
+            "the producer may have made days nobody took"
+        );
+        self.join()
+    }
+
+    /// Close the channels, wait for the thread to end and raise its
+    /// panic here, if it had one.
+    fn join(&mut self) -> S {
+        self.link = None;
+        match self.thread.take().map(JoinHandle::join) {
+            Some(Ok(source)) => source,
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            None => panic!("the producer stopped"),
+        }
+    }
+}
+
+impl<S: OpenLoop> Drop for Producer<S> {
+    fn drop(&mut self) {
+        self.cancel.store(true, Ordering::Relaxed);
+        self.link = None;
+        if let Some(thread) = self.thread.take() {
+            // Its panic, if any, belongs to a run that is being dropped.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// An [`FsTraffic`] running on a [`Producer`]: a [`DaySource`] whose days
+/// are made ahead of use.
+pub struct FsProducer {
+    producer: Producer<FsTraffic>,
+    /// Days, counted from the first, that a plan covers.
+    planned: usize,
+}
+
+impl FsProducer {
+    /// Run `traffic` on a producer thread. It may make its first day at
+    /// once. (Build `traffic` on the caller's thread; see
+    /// [`Producer::spawn`].)
+    pub fn spawn(traffic: FsTraffic) -> Self {
+        let mut producer = FsProducer {
+            producer: Producer::spawn(traffic),
             planned: 0,
         };
         producer.allow(1);
@@ -313,22 +465,8 @@ impl FsProducer {
 
     /// Let the producer make `days` days in all.
     fn allow(&mut self, days: usize) {
-        if days > self.allowed {
-            self.allowed = days;
-            if let Some(link) = &self.link {
-                // A thread that has gone is reported by the next wait.
-                let _ = link.horizon.send(days);
-            }
-        }
-    }
-
-    /// The producer thread ended without a piece for the caller: raise
-    /// its panic here.
-    fn raise(&mut self) -> ! {
-        self.link = None;
-        match self.thread.take().map(JoinHandle::join) {
-            Some(Err(panic)) => std::panic::resume_unwind(panic),
-            _ => panic!("the workload producer stopped"),
+        while self.producer.ordered() < days {
+            self.producer.order(());
         }
     }
 
@@ -338,17 +476,8 @@ impl FsProducer {
     /// # Panics
     /// Panics if the producer was allowed to make a day that was not
     /// taken whole: plan the days before taking them.
-    pub fn into_parts(mut self) -> (FileSystem, WorkloadState) {
-        assert!(
-            self.allowed == self.taken && !self.mid_day,
-            "the producer may have made days nobody took"
-        );
-        self.link = None;
-        match self.thread.take().map(JoinHandle::join) {
-            Some(Ok(traffic)) => traffic.into_parts(),
-            Some(Err(panic)) => std::panic::resume_unwind(panic),
-            None => panic!("the workload producer stopped"),
-        }
+    pub fn into_parts(self) -> (FileSystem, WorkloadState) {
+        self.producer.into_source().into_parts()
     }
 }
 
@@ -356,48 +485,30 @@ impl Iterator for FsProducer {
     type Item = Arc<DayStream>;
 
     fn next(&mut self) -> Option<Arc<DayStream>> {
-        if !self.mid_day {
+        if !self.producer.mid_day() {
             // A day begins: the producer may go on to the next one, but
             // not past the plan.
-            self.taken += 1;
-            let ahead = self.taken + 1;
-            if self.taken <= self.planned {
+            let begun = self.producer.taken() + 1;
+            let ahead = begun + 1;
+            if begun <= self.planned {
                 self.allow(ahead.min(self.planned));
             } else {
                 self.allow(ahead);
             }
         }
-        match self.link.as_ref().map(|link| link.pieces.recv()) {
-            Some(Ok(piece)) => {
-                self.mid_day = piece.more;
-                Some(Arc::new(piece))
-            }
-            _ => self.raise(),
-        }
+        Some(Arc::new(self.producer.next_piece()))
     }
 }
 
 impl DaySource for FsProducer {
     fn plan(&mut self, days: usize) {
-        self.planned = self.taken + days;
-        self.allow(self.planned.min(self.taken + 1));
+        self.planned = self.producer.taken() + days;
+        self.allow(self.planned.min(self.producer.taken() + 1));
     }
 
     fn recycle(&mut self, piece: Arc<DayStream>) {
-        if let (Some(link), Ok(piece)) = (&self.link, Arc::try_unwrap(piece)) {
-            // A thread that has gone is reported by the next wait.
-            let _ = link.spent.send(piece);
-        }
-    }
-}
-
-impl Drop for FsProducer {
-    fn drop(&mut self) {
-        self.cancel.store(true, Ordering::Relaxed);
-        self.link = None;
-        if let Some(thread) = self.thread.take() {
-            // Its panic, if any, belongs to a run that is being dropped.
-            let _ = thread.join();
+        if let Ok(piece) = Arc::try_unwrap(piece) {
+            self.producer.recycle(piece);
         }
     }
 }

@@ -19,6 +19,7 @@
 //! requests at the same instants in the same order as a live one.
 
 use crate::dayloop::Traffic;
+use crate::producer::Piece;
 use abr_driver::request::IoDir;
 use abr_driver::{BlockDevice, DriverError, IoRequest, Payload};
 use abr_sim::{SimDuration, SimTime};
@@ -311,21 +312,25 @@ impl DayStream {
         self.more = false;
     }
 
-    /// Hand out what was made so far as a piece with [`Self::more`] set,
-    /// and go on in `next`'s buffers.
-    pub fn cut(&mut self, mut next: DayStream) -> DayStream {
+    /// Give back the capacity the day's buffers grew past their length.
+    fn shrink_to_fit(&mut self) {
+        self.timed.shrink_to_fit();
+        self.flush.shrink_to_fit();
+    }
+}
+
+impl Piece for DayStream {
+    fn more(&self) -> bool {
+        self.more
+    }
+
+    fn cut(&mut self, mut next: DayStream) -> DayStream {
         next.clear();
         next.length = self.length;
         next.timed.resume(&self.timed);
         let mut piece = std::mem::replace(self, next);
         piece.more = true;
         piece
-    }
-
-    /// Give back the capacity the day's buffers grew past their length.
-    fn shrink_to_fit(&mut self) {
-        self.timed.shrink_to_fit();
-        self.flush.shrink_to_fit();
     }
 }
 

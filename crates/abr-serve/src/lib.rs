@@ -26,9 +26,12 @@
 //!    dispatch slots. Service shares stay proportional even when every
 //!    queue is permanently backlogged.
 //!
-//! Everything is deterministic: single-threaded, seeded substreams per
-//! client, no wall-clock reads — the same configuration produces the
-//! same `serve.*` metrics byte for byte at any `--jobs` value.
+//! Everything is deterministic: seeded substreams per client, no
+//! wall-clock reads, and one thread for everything that depends on the
+//! server — a producer thread draws only the clients' open-loop arrivals
+//! ([`abr_core::Producer`]) — so the same configuration produces the
+//! same `serve.*` metrics byte for byte at any `--jobs` value and on any
+//! number of cores.
 //!
 //! Observability: the front end publishes `serve.*` counters
 //! (`arrivals`, `accepted`, `shed_total`, `throttled_total`,
@@ -43,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod admission;
+mod arrivals;
 pub mod config;
 pub mod drr;
 pub mod server;

@@ -1,10 +1,12 @@
 //! The serving harness: open-loop clients over an [`ArrayVolume`].
 //!
-//! One instance is a single-threaded discrete-event simulation of a
-//! block server: per-client arrival generators feed the admission path
-//! (token bucket, then the bounded accept queue), a DRR scan dispatches
+//! One instance is a discrete-event simulation of a block server:
+//! per-client arrivals, each already past or refused by its client's
+//! token bucket, feed the bounded accept queue, a DRR scan dispatches
 //! accepted requests to the volume, and completions flow back to the
-//! clients. The event loop merges arrivals, volume completions, monitor
+//! clients. The arrivals are open loop, so a producer thread draws them
+//! ahead (the `arrivals` module); everything else runs on the caller's
+//! thread. The event loop merges arrivals, volume completions, monitor
 //! reads, and array maintenance into one time-ordered stream with fixed
 //! tie-breaking, so a configuration maps to exactly one execution.
 //!
@@ -15,26 +17,19 @@
 //! between epochs — per-member hot lists from the epoch's monitor
 //! reads, placed into each member's reserved cylinders.
 
-use crate::admission::TokenBucket;
-use crate::config::{ArrivalKind, ServeConfig};
+use crate::arrivals::{Arrival, Arrivals, ClientArrivals, Epoch, SECTORS_PER_BLOCK};
+use crate::config::ServeConfig;
 use crate::drr::Drr;
 use abr_array::{ArrayHealth, ArrayVolume, VolCompletion, VolRequestId};
 use abr_core::analyzer::FullAnalyzer;
 use abr_core::arranger::{BlockArranger, RearrangeReport};
 use abr_core::daemon::RearrangementDaemon;
-use abr_core::{experiment_member, DayLoop, PolicyKind, Traffic};
+use abr_core::{experiment_member, DayLoop, PolicyKind, Producer, Traffic};
 use abr_driver::IoRequest;
 use abr_obs::registry::{CounterId, GaugeId, HiresId};
 use abr_obs::with_registry;
-use abr_sim::arrival::{OnOff, OnOffParams, Poisson};
-use abr_sim::dist::Zipf;
-use abr_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use abr_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Sectors per file-system block (8 KB blocks of 512-byte sectors);
-/// every client request is exactly one block, so it never crosses a
-/// block boundary and maps onto one member disk.
-const SECTORS_PER_BLOCK: u32 = 16;
 
 /// `serve.*` registry handles, resolved once at construction.
 struct ServeObs {
@@ -71,12 +66,6 @@ impl ServeObs {
     }
 }
 
-/// One client's arrival process.
-enum ArrivalGen {
-    Poisson(Poisson),
-    Bursty(OnOff),
-}
-
 /// An accepted request waiting in its client's queue for dispatch.
 struct Queued {
     arrived: SimTime,
@@ -84,23 +73,12 @@ struct Queued {
     write: bool,
 }
 
-/// One simulated client: generators, bucket, and its accept queue.
+/// One simulated client's side of the server: its accept queue and
+/// what it got served.
+#[derive(Default)]
 struct Client {
-    gen: ArrivalGen,
-    arrival_rng: SimRng,
-    shape_rng: SimRng,
-    bucket: TokenBucket,
     queue: VecDeque<Queued>,
     completions: u64,
-}
-
-impl Client {
-    fn next_arrival(&mut self, now: SimTime) -> SimTime {
-        match &mut self.gen {
-            ArrivalGen::Poisson(p) => p.next_after(now, &mut self.arrival_rng),
-            ArrivalGen::Bursty(o) => o.next_after(now, &mut self.arrival_rng),
-        }
-    }
 }
 
 /// A request in flight at the volume.
@@ -180,14 +158,18 @@ impl ServeSummary {
     }
 }
 
-/// The client traffic source: arrival generators, admission (token
-/// bucket, then the bounded accept queue), the DRR dispatch pump and
-/// the completion bookkeeping.
+/// The client traffic source: the arrivals drawn on the producer, the
+/// bounded accept queue, the DRR dispatch pump and the completion
+/// bookkeeping.
 struct Clients {
     config: ServeConfig,
+    arrivals: Producer<ClientArrivals>,
+    /// The piece of the epoch's arrivals being served.
+    piece: Arrivals,
+    /// The next arrival in `piece`.
+    next: usize,
     clients: Vec<Client>,
     drr: Drr,
-    arrivals: EventQueue<usize>,
     /// Total accepted-but-undispatched requests across clients.
     backlog: usize,
     inflight: BTreeMap<VolRequestId, Pending>,
@@ -195,11 +177,6 @@ struct Clients {
     totals: ServeSummary,
     epoch_stats: EpochStats,
     queue_depth_max: usize,
-    /// Blocks in the volume's data address space.
-    total_blocks: u64,
-    /// Rank→block scatter stride, coprime with `total_blocks`.
-    stride: u64,
-    zipf: Zipf,
 }
 
 /// The assembled block server: the day loop over an [`ArrayVolume`],
@@ -243,21 +220,10 @@ impl ServeExperiment {
             config.maintenance,
         );
 
+        // The clients are built here, on the caller's thread, and only
+        // drawn from on the producer.
         let total_blocks = volume.vol_sectors() / u64::from(SECTORS_PER_BLOCK);
-        assert!(
-            (config.working_set_blocks as u64) <= total_blocks,
-            "working set exceeds the volume ({} > {total_blocks} blocks)",
-            config.working_set_blocks
-        );
-        // Scatter Zipf ranks across the whole volume so the hot set is
-        // spread out until rearrangement clusters it: block(r) =
-        // r * stride mod total, with the stride forced coprime so the
-        // map is injective.
-        let mut stride: u64 = 7919;
-        while gcd(stride, total_blocks) != 1 {
-            stride += 1;
-        }
-        let zipf = Zipf::new(config.working_set_blocks, config.zipf_exponent);
+        let arrivals = Producer::spawn(ClientArrivals::new(&config, total_blocks));
 
         // One rearrangement daemon per member when a reserved region
         // exists. Raw block traffic has no file-system interleave, so
@@ -276,60 +242,27 @@ impl ServeExperiment {
             Vec::new()
         };
 
-        // The client population: indexed arrival/shape substreams, so
-        // adding clients never perturbs existing ones.
-        let root = SimRng::new(config.seed);
-        let per_client = config.per_client_rate();
-        let clients: Vec<Client> = (0..config.n_clients)
-            .map(|i| {
-                let mut arrival_rng = root.substream_idx("client", i as u64);
-                let gen = match config.arrivals {
-                    ArrivalKind::Poisson => ArrivalGen::Poisson(Poisson::per_sec(per_client)),
-                    ArrivalKind::Bursty { burst, mean_on } => {
-                        assert!(burst > 1.0, "burst factor must exceed 1");
-                        let params = OnOffParams {
-                            mean_on,
-                            // off = on * (burst - 1) keeps the long-run
-                            // rate at `per_client`.
-                            mean_off: SimDuration::from_micros(
-                                (mean_on.as_micros() as f64 * (burst - 1.0)) as u64,
-                            ),
-                            on_rate_per_sec: per_client * burst,
-                        };
-                        ArrivalGen::Bursty(OnOff::new(params, &mut arrival_rng))
-                    }
-                };
-                Client {
-                    gen,
-                    arrival_rng,
-                    shape_rng: root.substream_idx("req", i as u64),
-                    bucket: TokenBucket::new(config.bucket_rate_per_sec, config.bucket_burst),
-                    queue: VecDeque::new(),
-                    completions: 0,
-                }
-            })
-            .collect();
-
         let obs = ServeObs::resolve();
         with_registry(|r| r.set_gauge(obs.clients, config.n_clients as i64));
 
         let (seed, fault_plans) = (config.seed, config.fault_plans.clone());
         let mut traffic = Clients {
+            arrivals,
+            piece: Arrivals::default(),
+            next: 0,
+            clients: (0..config.n_clients).map(|_| Client::default()).collect(),
             drr: Drr::new(config.n_clients, u64::from(config.drr_quantum)),
-            clients,
-            arrivals: EventQueue::new(),
             backlog: 0,
             inflight: BTreeMap::new(),
             obs,
             totals: ServeSummary::default(),
             epoch_stats: EpochStats::default(),
             queue_depth_max: 0,
-            total_blocks,
-            stride,
-            zipf,
             config,
         };
-        traffic.prime_arrivals(SimTime::ZERO);
+        // The first epoch starts at time zero: its arrivals are drawn
+        // while the rest is set up.
+        traffic.order(Some(SimTime::ZERO), SimTime::ZERO);
         let mut h = DayLoop::new(volume, traffic, daemons, None, SimTime::ZERO);
         h.install_fault_plans(seed, &fault_plans);
         ServeExperiment { h }
@@ -366,6 +299,10 @@ impl ServeExperiment {
     /// each member places its `place_blocks` hottest blocks, the clock
     /// jumps the movement gap, and clients re-prime. A no-op without a
     /// reserved region.
+    ///
+    /// # Panics
+    /// Panics before the first epoch and right after another night: the
+    /// next epoch's arrivals are drawn as soon as its start is known.
     pub fn rearrange(&mut self) -> RearrangeReport {
         if self.config().reserved_cylinders == 0 {
             return RearrangeReport::default();
@@ -400,30 +337,35 @@ impl ServeExperiment {
 }
 
 impl Clients {
-    /// Schedule every client's first arrival after `now`.
-    fn prime_arrivals(&mut self, now: SimTime) {
-        self.arrivals = EventQueue::new();
-        for (c, client) in self.clients.iter_mut().enumerate() {
-            self.arrivals.schedule(client.next_arrival(now), c);
+    /// Order the arrivals of the epoch that starts at `start`, re-priming
+    /// every client at `reprime` first if given.
+    fn order(&mut self, reprime: Option<SimTime>, start: SimTime) {
+        let end = start + self.config.epoch;
+        self.arrivals.order(Epoch { reprime, end });
+    }
+
+    /// Move on to the producer's next piece, handing the last one back.
+    fn take_piece(&mut self) {
+        let piece = self.arrivals.next_piece();
+        let spent = std::mem::replace(&mut self.piece, piece);
+        self.arrivals.recycle(spent);
+        self.next = 0;
+    }
+
+    /// Take pieces until one has arrivals left or the epoch has no more.
+    fn settle(&mut self) {
+        while self.piece.more && self.next == self.piece.list.len() {
+            self.take_piece();
         }
     }
 
-    /// Map a Zipf rank to the first sector of its scattered block.
-    fn rank_to_sector(&self, rank: usize) -> u64 {
-        let block = (rank as u64).wrapping_mul(self.stride) % self.total_blocks;
-        block * u64::from(SECTORS_PER_BLOCK)
-    }
-
-    /// One client arrival: generate the request shape, then run the
-    /// admission path (bucket → bounded queue → accept).
-    fn on_arrival(&mut self, volume: &mut ArrayVolume, c: usize, now: SimTime) {
+    /// One client arrival through the rest of the admission path: the
+    /// client's bucket has ruled on it already; then the bounded queue,
+    /// then accept.
+    fn on_arrival(&mut self, volume: &mut ArrayVolume, a: Arrival, now: SimTime) {
         self.epoch_stats.arrivals += 1;
         with_registry(|r| r.inc(self.obs.arrivals, 1));
-        let client = &mut self.clients[c];
-        let rank = self.zipf.sample(&mut client.shape_rng);
-        let write = !client.shape_rng.chance(self.config.read_fraction);
-        let sector = self.rank_to_sector(rank);
-        if !self.clients[c].bucket.try_take(now) {
+        if a.throttled {
             self.epoch_stats.throttled += 1;
             with_registry(|r| r.inc(self.obs.throttled, 1));
             return;
@@ -433,10 +375,11 @@ impl Clients {
             with_registry(|r| r.inc(self.obs.shed, 1));
             return;
         }
+        let c = a.client;
         self.clients[c].queue.push_back(Queued {
             arrived: now,
-            sector,
-            write,
+            sector: a.sector,
+            write: a.write,
         });
         self.backlog += 1;
         self.queue_depth_max = self.queue_depth_max.max(self.backlog);
@@ -507,19 +450,28 @@ impl Clients {
 impl Traffic<ArrayVolume> for Clients {
     fn begin_day(&mut self, start: SimTime) -> SimTime {
         self.epoch_stats = EpochStats::default();
+        if self.arrivals.ordered() == self.arrivals.taken() {
+            // No night: each client's pending arrival carries over.
+            self.order(None, start);
+        }
+        self.take_piece();
+        self.settle();
         start + self.config.epoch
     }
 
     fn next_event(&self) -> SimTime {
-        self.arrivals.peek_time().unwrap_or(SimTime::MAX)
+        self.piece
+            .list
+            .get(self.next)
+            .map_or(SimTime::MAX, |a| a.at)
     }
 
     fn on_event(&mut self, volume: &mut ArrayVolume, t: SimTime) {
-        if let Some((_, c)) = self.arrivals.pop() {
-            self.on_arrival(volume, c, t);
-            let at = self.clients[c].next_arrival(t);
-            self.arrivals.schedule(at, c);
+        if let Some(&a) = self.piece.list.get(self.next) {
+            self.next += 1;
+            self.on_arrival(volume, a, t);
         }
+        self.settle();
     }
 
     fn on_completion(
@@ -556,18 +508,17 @@ impl Traffic<ArrayVolume> for Clients {
     }
 
     /// Clients pause over the movement window and restart their arrival
-    /// processes from the new clock.
+    /// processes from the new clock, where the next epoch starts.
+    ///
+    /// # Panics
+    /// Panics if the epoch ordered last has not begun: its arrivals may
+    /// be drawn already, so a second night cannot re-prime them.
     fn next_day(&mut self, clock: SimTime) {
-        self.prime_arrivals(clock);
-    }
-}
-
-/// Greatest common divisor (Euclid).
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
+        assert!(
+            self.arrivals.ordered() == self.arrivals.taken(),
+            "a night must follow an epoch"
+        );
+        self.order(Some(clock), clock);
     }
 }
 

@@ -1,14 +1,20 @@
-//! The file-system workload is made on a producer thread one day ahead
-//! of the device. These tests hold its lifecycle: dropping an experiment
-//! stops the thread, a panic on it reaches the caller, and a live run is
-//! bit for bit the recording and the replay of its own stream.
+//! Both open-loop sources — the file-system workload, one day ahead of
+//! the device, and the serving harness's client arrivals — are made on a
+//! producer thread. These tests hold its lifecycle: dropping an
+//! experiment or a server stops the thread, a panic on it reaches the
+//! caller, and a live run is bit for bit the recording and the replay of
+//! its own stream.
 
 use abr::core::producer::THREAD_NAME;
-use abr::core::{DayMetrics, Experiment, ExperimentConfig, FsProducer, FsTraffic};
+use abr::core::{
+    DayMetrics, DayStream, Experiment, ExperimentConfig, FsProducer, FsTraffic, OpenLoop, Producer,
+};
 use abr::disk::models;
 use abr::fs::{FileSystem, FsConfig, MountMode};
 use abr::sim::{JsonValue, SimDuration, SimRng, SimTime};
 use abr::workload::{WorkloadProfile, WorkloadState};
+use abr_serve::{ServeConfig, ServeExperiment};
+use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 
 /// Held by every test here, so the producer threads one counts are its
@@ -90,6 +96,76 @@ fn a_producer_panic_reaches_the_caller_with_its_message() {
     let pacing = SimDuration::from_millis(150);
     let traffic = FsTraffic::new(fs, ws, SimDuration::from_secs(30), pacing, SimTime::ZERO);
     FsProducer::spawn(traffic).next();
+}
+
+/// A source that hands out one piece of its day and then panics.
+struct GivesUp;
+
+impl OpenLoop for GivesUp {
+    type Piece = DayStream;
+    type Order = ();
+
+    fn produce(
+        &mut self,
+        (): (),
+        mut day: DayStream,
+        _cancel: &AtomicBool,
+        cut: &mut impl FnMut(&mut DayStream) -> Option<()>,
+    ) -> Option<DayStream> {
+        cut(&mut day)?;
+        panic!("the source gave up mid-day");
+    }
+}
+
+#[test]
+#[should_panic(expected = "the source gave up mid-day")]
+fn a_panic_on_any_producer_reaches_the_caller_with_its_message() {
+    let _one = one_at_a_time();
+    let mut producer = Producer::spawn(GivesUp);
+    producer.order(());
+    assert!(producer.next_piece().more, "the day's first piece");
+    producer.next_piece();
+}
+
+/// A server whose first epoch would take its producer hours to draw.
+fn flooded_server() -> ServeConfig {
+    let mut c = ServeConfig::new(models::tiny_test_disk());
+    c.n_clients = 1024;
+    c.aggregate_rate_per_sec = 100_000.0;
+    c.working_set_blocks = 64;
+    c.epoch = SimDuration::from_mins(600);
+    c
+}
+
+#[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "wall time is the quantity under test"
+)]
+fn a_server_dropped_mid_epoch_stops_its_producer() {
+    let _one = one_at_a_time();
+    let e = ServeExperiment::new(flooded_server());
+    assert_eq!(producer_threads().unwrap_or(1), 1);
+    // The producer is drawing the first epoch, or waiting for the server
+    // to take a piece; the drop must stop it either way.
+    let start = std::time::Instant::now();
+    drop(e);
+    let took = start.elapsed();
+    assert!(took.as_secs() < 10, "the drop took {took:?}");
+    assert_eq!(producer_threads().unwrap_or(0), 0);
+
+    // An adaptive server between epochs: the night ordered the next one.
+    let mut c = ServeConfig::new(models::tiny_test_disk());
+    c.n_clients = 4;
+    c.working_set_blocks = 64;
+    c.reserved_cylinders = 10;
+    c.place_blocks = 32;
+    c.epoch = SimDuration::from_secs(30);
+    let mut e = ServeExperiment::new(c);
+    e.run_epoch();
+    e.rearrange();
+    drop(e);
+    assert_eq!(producer_threads().unwrap_or(0), 0);
 }
 
 #[test]
