@@ -14,14 +14,14 @@
 //! behaviour exactly.
 //!
 //! Instrumentation: every run records wall-clock time and, via
-//! [`abr_core::run_meter`], how much *simulated* time it advanced —
+//! [`Campaign::meter`], how much *simulated* time it advanced —
 //! the sim-time/real-time ratio is the throughput figure that
 //! `BENCH_experiments.json` reports per run and for the whole batch.
 
 use crate::report::Report;
 use crate::runs::{self, Campaign, DayCache, DiskKind, FsKind};
 use crate::{ablations, arrays, faults, serve};
-use abr_core::{run_meter, run_meter_reset, RunMeter};
+use abr_core::RunMeter;
 use abr_obs::{
     day_series_reset, day_series_take, registry_clear, registry_snapshot, slo_clear, slo_install,
     trace_start, trace_take, Slo, TraceBuffer, DEFAULT_TRACE_CAPACITY,
@@ -142,8 +142,8 @@ pub const RUNS: &[Run] = {
         run("array", Array, "Array scale-out: N-disk striped volumes, per-disk rearrangement (extension)", |_, r| arrays::scale_out(r)),
         run("array-n2", Array, "Array smoke cell: N=2 striped volume (CI determinism gate)", |_, r| arrays::n2_cell(r)),
         run("array-redundant", Array, "Redundant arrays: whole-disk death, hot-spare fail-over, online rebuild (extension)", |_, r| arrays::redundant(r)),
-        run("serve", Serve, "Serving front end: admission control, backpressure, DRR fairness (extension)", |_, r| serve::sweep(r)),
-        run("serve-smoke", Serve, "Serving smoke cell: tiny adaptive member under overload (CI gate)", |_, r| serve::smoke(r)),
+        run("serve", Serve, "Serving front end: admission control, backpressure, DRR fairness (extension)", serve::sweep),
+        run("serve-smoke", Serve, "Serving smoke cell: tiny adaptive member under overload (CI gate)", serve::smoke),
     ]
 };
 
@@ -206,7 +206,8 @@ pub struct RunOutcome {
     pub report: Result<Report, String>,
     /// Real time the run took on its worker.
     pub wall: Duration,
-    /// Simulated time and days the run advanced (thread-local meter).
+    /// Simulated time and days the run advanced (the registry's
+    /// `engine.*` counters; see [`Campaign::meter`]).
     pub meter: RunMeter,
     /// Snapshot of the run's metrics registry (counters, gauges,
     /// histograms), taken on its worker right after the run finished.
@@ -444,10 +445,10 @@ impl RunBatch {
 
     /// Run one spec on the current thread, metering it.
     fn execute_one(&self, spec: &RunSpec) -> RunOutcome {
-        run_meter_reset();
         // Full clear (not reset): worker threads are reused, and a
         // zero-valued definition left by a previous run would make
-        // this run's snapshot depend on scheduling.
+        // this run's snapshot depend on scheduling. It also zeroes the
+        // run meter, which reads the registry.
         registry_clear();
         day_series_reset();
         slo_install(default_slos());
@@ -476,7 +477,7 @@ impl RunBatch {
             spec: spec.clone(),
             report: result.map_err(panic_message),
             wall,
-            meter: run_meter(),
+            meter: campaign.meter(),
             metrics: registry_snapshot(),
             day_series,
             trace,

@@ -179,6 +179,9 @@ fn memoized<K: std::hash::Hash + Eq + Clone, V>(
 #[derive(Default)]
 pub struct Campaign {
     cache: Arc<DayCache>,
+    /// The run meter as it stood at each [`Campaign::clear_registry`],
+    /// summed: progress the registry no longer holds.
+    cleared: std::cell::Cell<abr_core::RunMeter>,
 }
 
 impl Campaign {
@@ -190,7 +193,25 @@ impl Campaign {
     /// A campaign backed by a shared cache (the parallel engine hands
     /// every worker the same one).
     pub fn with_cache(cache: Arc<DayCache>) -> Self {
-        Campaign { cache }
+        let cleared = Default::default();
+        Campaign { cache, cleared }
+    }
+
+    /// Start the next part of a run on a clean registry and day series
+    /// (the `serve` sweep gives each cell its own), keeping the part's
+    /// simulated progress for [`Campaign::meter`].
+    pub(crate) fn clear_registry(&self) {
+        self.cleared.set(self.meter());
+        abr_obs::registry_clear();
+        abr_obs::day_series_reset();
+    }
+
+    /// The simulated progress of everything this campaign ran on the
+    /// current thread: the run meter plus what cleared registries held.
+    pub fn meter(&self) -> abr_core::RunMeter {
+        let (now, cleared) = (abr_core::run_meter(), self.cleared.get());
+        let (sim, days) = (now.sim + cleared.sim, now.days + cleared.days);
+        abr_core::RunMeter { sim, days }
     }
 
     /// The standard alternating on/off run for a (disk, fs), memoized.

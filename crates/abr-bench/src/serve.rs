@@ -19,6 +19,7 @@
 //! small adaptive overload cell for the CI byte-identity job.
 
 use crate::report::Report;
+use crate::runs::Campaign;
 use abr_array::{Redundancy, StripePolicy};
 use abr_disk::fault::FaultPlan;
 use abr_disk::models;
@@ -170,14 +171,12 @@ pub(crate) const ROW_HIRES: [&str; 2] = ["serve.request_us", "serve.queue_us"];
 /// registry/day-series boundary so its quantiles and day points are its
 /// own; the run-level snapshot the engine harvests afterwards therefore
 /// reflects the *last* cell — the per-cell rows below carry the data.
-fn run_cell(cell: &Cell, r: &mut Report) -> JsonValue {
+fn run_cell(campaign: &Campaign, cell: &Cell, r: &mut Report) -> JsonValue {
     eprintln!("  running serve cell {}...", cell.name);
-    abr_obs::registry_clear();
-    abr_obs::day_series_reset();
+    campaign.clear_registry();
     let mut e = ServeExperiment::new(cell.config.clone());
     let s = e.run();
-    let health = e.health();
-    let lost = health.total_lost();
+    let lost = e.health().total_lost();
     let snap = abr_obs::registry_snapshot();
     let [request_us, queue_us] = ROW_HIRES.map(|metric| &snap["hires"][metric]["quantiles"]);
     let q = |quantiles: &JsonValue, p: &str| quantiles[p].as_u64().unwrap_or(0);
@@ -284,10 +283,10 @@ fn check_cell(cell: &Cell, s: &ServeSummary, lost: u64, request_p999_us: u64) {
 }
 
 /// The `serve` sweep: every volume shape, then the two gate cells.
-pub(crate) fn sweep(mut r: Report) -> Report {
+pub(crate) fn sweep(campaign: &Campaign, mut r: Report) -> Report {
     let rows: Vec<JsonValue> = sweep_cells()
         .iter()
-        .map(|cell| run_cell(cell, &mut r))
+        .map(|cell| run_cell(campaign, cell, &mut r))
         .collect();
     r.blank();
     r.line("expected shape: moderate-load cells accept everything; the overload cell sheds");
@@ -298,8 +297,8 @@ pub(crate) fn sweep(mut r: Report) -> Report {
 }
 
 /// The `serve-smoke` cell on its own.
-pub(crate) fn smoke(mut r: Report) -> Report {
-    let rows = vec![run_cell(&smoke_cell(), &mut r)];
+pub(crate) fn smoke(campaign: &Campaign, mut r: Report) -> Report {
+    let rows = vec![run_cell(campaign, &smoke_cell(), &mut r)];
     r.json = jsn!({ "rows": rows });
     r
 }
@@ -327,7 +326,7 @@ mod tests {
     #[test]
     fn smoke_cell_runs_its_gates() {
         let mut r = Report::new("serve-smoke", "test");
-        let row = run_cell(&smoke_cell(), &mut r);
+        let row = run_cell(&Campaign::new(), &smoke_cell(), &mut r);
         assert!(row["shed"].as_u64().unwrap_or(0) > 0);
         assert_eq!(row["lost_blocks"].as_u64(), Some(0));
         assert!(row["blocks_placed"].as_u64().unwrap_or(0) > 0);

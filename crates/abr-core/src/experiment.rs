@@ -31,14 +31,16 @@ use abr_sim::{SimDuration, SimTime};
 use abr_workload::{TraceLog, WorkloadProfile};
 use std::sync::Arc;
 
-/// Simulated progress accumulated on the current thread: how much
-/// simulated time [`DayLoop::run_day`] has advanced and how many days
-/// completed since the last [`run_meter_reset`].
+/// Simulated progress of the current thread's run: how much simulated
+/// time [`DayLoop::run_day`] has advanced and how many days completed
+/// since the last [`run_meter_reset`].
 ///
 /// The parallel benchmark engine executes each run entirely on one
-/// worker thread, resets the meter before the run and snapshots it
-/// after, attributing a simulated-time/real-time ratio to every run even
-/// when the experiments are constructed deep inside a regenerator.
+/// worker thread and reads the meter after it, attributing a
+/// simulated-time/real-time ratio to every run even when the
+/// experiments are constructed deep inside a regenerator. The meter is
+/// a reading of the registry's `engine.sim_us` and `engine.days`
+/// counters, so it restarts whenever the registry is cleared.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunMeter {
     /// Simulated time advanced by completed `run_day` calls.
@@ -47,48 +49,48 @@ pub struct RunMeter {
     pub days: u64,
 }
 
-thread_local! {
-    static RUN_METER: std::cell::Cell<RunMeter> = const {
-        std::cell::Cell::new(RunMeter {
-            sim: SimDuration::ZERO,
-            days: 0,
-        })
-    };
-}
+const SIM_US: &str = "engine.sim_us";
+const DAYS: &str = "engine.days";
 
 /// Zero the current thread's [`RunMeter`].
 pub fn run_meter_reset() {
-    RUN_METER.with(|m| m.set(RunMeter::default()));
+    abr_obs::with_registry(|r| {
+        r.zero_counter(SIM_US);
+        r.zero_counter(DAYS);
+    });
 }
 
-/// Snapshot the current thread's [`RunMeter`].
+/// Read the current thread's [`RunMeter`] off the registry.
 pub fn run_meter() -> RunMeter {
-    RUN_METER.with(|m| m.get())
+    abr_obs::with_registry(|r| {
+        let value = |name: &str| {
+            r.iter_counters()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, v)| v)
+        };
+        RunMeter {
+            sim: SimDuration::from_micros(value(SIM_US)),
+            days: value(DAYS),
+        }
+    })
 }
 
 /// Credit one completed day of `sim` simulated time to the current
-/// thread's [`RunMeter`] (and the registry's `engine.*` counters).
-/// Called by [`DayLoop::run_day`] at the end of every day or epoch;
-/// public so an outside replica of the loop meters identically.
+/// thread's [`RunMeter`] (the registry's `engine.*` counters) and close
+/// the day in the metric time series. Called by [`DayLoop::run_day`] at
+/// the end of every day or epoch; public so an outside replica of the
+/// loop meters identically.
 pub fn run_meter_add(sim: SimDuration) {
-    RUN_METER.with(|m| {
-        let mut v = m.get();
-        v.sim += sim;
-        v.days += 1;
-        m.set(v);
-    });
-    // Mirror into the unified registry so a run's metrics snapshot
-    // carries the same progress figures as the meter.
     abr_obs::with_registry(|r| {
-        let sim_us = r.counter("engine.sim_us");
-        let days = r.counter("engine.days");
+        let sim_us = r.counter(SIM_US);
+        let days = r.counter(DAYS);
         r.inc(sim_us, sim.as_micros());
         r.inc(days, 1);
     });
-    // Close out the day in the metric time series: this runs after the
-    // day-end stats ioctl flushed the driver's batched observations, so
-    // the recorded deltas are exactly this day's traffic. SLOs installed
-    // for the run are evaluated on the same deltas.
+    // This runs after the day-end stats ioctl flushed the driver's
+    // batched observations, so the recorded deltas are exactly this
+    // day's traffic. SLOs installed for the run are evaluated on the
+    // same deltas.
     abr_obs::day_series_record();
 }
 

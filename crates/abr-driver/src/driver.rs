@@ -29,7 +29,7 @@ use abr_disk::fault::{DiskError, DiskFault};
 use abr_disk::label::LabelError;
 use abr_disk::store::Run;
 use abr_disk::{Disk, DiskLabel, DiskModel, SECTOR_SIZE};
-use abr_obs::{record_with, with_registry, CounterId, MoveKind, ObsEvent, RequestSpan};
+use abr_obs::{record_with, MoveKind, ObsEvent, RequestSpan};
 use abr_sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -304,39 +304,6 @@ struct Active {
     retries: u32,
 }
 
-/// Static unified-registry handles for the driver's own counters
-/// (resolved once at attach; see `abr_obs::registry`).
-#[derive(Debug, Clone, Copy)]
-struct DriverObs {
-    submitted: CounterId,
-    completed: CounterId,
-    failed: CounterId,
-    move_ops: CounterId,
-    move_busy_us: CounterId,
-}
-
-impl DriverObs {
-    fn resolve() -> Self {
-        with_registry(|r| DriverObs {
-            submitted: r.counter("driver.submitted"),
-            completed: r.counter("driver.completed"),
-            failed: r.counter("driver.failed"),
-            move_ops: r.counter("driver.move.ops"),
-            move_busy_us: r.counter("driver.move.busy_us"),
-        })
-    }
-}
-
-/// Per-request registry increments buffered locally and mirrored in one
-/// pass at the day-boundary `ReadStats` ioctl, so submit/complete (the
-/// two hottest driver entry points) never take the registry borrow.
-#[derive(Debug, Clone, Copy, Default)]
-struct PendingDriverObs {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-}
-
 /// The adaptive disk device driver.
 ///
 /// ```
@@ -414,10 +381,6 @@ pub struct AdaptiveDriver {
     /// standalone disk). Stamped onto every emitted request span so
     /// array traces carry a per-disk label dimension.
     disk_index: u32,
-    /// Unified-registry counter handles.
-    obs: DriverObs,
-    /// Buffered registry mirroring (flushed at `ReadStats`).
-    obs_pending: PendingDriverObs,
 }
 
 impl fmt::Debug for AdaptiveDriver {
@@ -519,8 +482,6 @@ impl AdaptiveDriver {
             retry_scratch: 0,
             deliver_read_data: true,
             disk_index: 0,
-            obs: DriverObs::resolve(),
-            obs_pending: PendingDriverObs::default(),
             config,
         })
     }
@@ -727,7 +688,7 @@ impl AdaptiveDriver {
         }
         self.last_arrival_cyl = Some(pre_cyl);
 
-        self.obs_pending.submitted += 1;
+        self.perf.record_submit();
 
         // Request monitor sees the stable virtual block number.
         self.req_mon.record(RequestRecord {
@@ -1045,26 +1006,9 @@ impl AdaptiveDriver {
         self.deliver_read_data = on;
     }
 
-    /// Mirror the buffered per-request counters into the registry in a
-    /// single pass (see `PendingDriverObs`). Runs automatically at the
-    /// `ReadStats` ioctl; callers that snapshot the registry without
-    /// reading stats can invoke it directly.
-    pub fn flush_obs(&mut self) {
-        let p = std::mem::take(&mut self.obs_pending);
-        if p.submitted == 0 && p.completed == 0 && p.failed == 0 {
-            return;
-        }
-        with_registry(|r| {
-            r.inc(self.obs.submitted, p.submitted);
-            r.inc(self.obs.completed, p.completed);
-            r.inc(self.obs.failed, p.failed);
-        });
-    }
-
     /// Read and clear the performance statistics — the `ReadStats`
     /// ioctl, typed: it has no error path and needs no clock.
     pub fn read_stats(&mut self) -> Box<PerfSnapshot> {
-        self.flush_obs();
         Box::new(self.perf.read_and_clear())
     }
 
@@ -1108,11 +1052,8 @@ impl AdaptiveDriver {
                 a.breakdown.rotation,
                 a.breakdown.transfer + a.breakdown.overhead,
             );
-        }
-        if a.error.is_none() {
-            self.obs_pending.completed += 1;
         } else {
-            self.obs_pending.failed += 1;
+            self.perf.record_failed_completion();
         }
         record_with(|| {
             let spb = u64::from(self.sectors_per_block());
@@ -1221,7 +1162,7 @@ impl AdaptiveDriver {
     /// Publish one block-movement outcome to the trace and the registry.
     /// `block`/`slot` identify what moved (zero for whole-area calls).
     fn note_move(
-        &self,
+        &mut self,
         kind: MoveKind,
         now: SimTime,
         block: u64,
@@ -1232,10 +1173,7 @@ impl AdaptiveDriver {
             Ok(IoctlReply::Moved { ops, busy }) => (*ops, busy.as_micros(), true),
             _ => (0, 0, false),
         };
-        with_registry(|r| {
-            r.inc(self.obs.move_ops, u64::from(ops));
-            r.inc(self.obs.move_busy_us, busy_us);
-        });
+        self.perf.record_move(ops, busy_us);
         record_with(|| ObsEvent::Move {
             kind,
             at_us: now.as_micros(),

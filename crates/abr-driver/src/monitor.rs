@@ -294,10 +294,16 @@ impl PerfSnapshot {
     }
 }
 
-/// Static registry handles mirroring the performance monitor's tallies
-/// into the unified thread-local registry (resolved once per monitor).
+/// Static registry handles for every `driver.*` tally the driver mirrors
+/// into the unified thread-local registry (resolved once per monitor,
+/// that is once per driver).
 #[derive(Debug, Clone, Copy)]
-struct PerfHandles {
+struct DriverObs {
+    submitted: CounterId,
+    completed: CounterId,
+    failed: CounterId,
+    move_ops: CounterId,
+    move_busy_us: CounterId,
     retries: CounterId,
     read_failures: CounterId,
     write_failures: CounterId,
@@ -311,9 +317,14 @@ struct PerfHandles {
     queue_age_max_us: GaugeId,
 }
 
-impl PerfHandles {
+impl DriverObs {
     fn resolve() -> Self {
-        with_registry(|r| PerfHandles {
+        with_registry(|r| DriverObs {
+            submitted: r.counter("driver.submitted"),
+            completed: r.counter("driver.completed"),
+            failed: r.counter("driver.failed"),
+            move_ops: r.counter("driver.move.ops"),
+            move_busy_us: r.counter("driver.move.busy_us"),
             retries: r.counter("driver.faults.retries"),
             read_failures: r.counter("driver.faults.read_failures"),
             write_failures: r.counter("driver.faults.write_failures"),
@@ -335,21 +346,24 @@ pub struct PerfMonitor {
     reads: DirStats,
     writes: DirStats,
     faults: FaultStats,
-    handles: PerfHandles,
+    handles: DriverObs,
     /// Queue age (receipt → dispatch) at or above which a request
     /// counts as starved (µs). See `DriverConfig::starvation_age`.
     starvation_age_us: u64,
     /// Per-request registry observations accumulated locally and merged
     /// in one pass at the day-boundary read-and-clear — the hot path
-    /// (dispatch/completion, hundreds of thousands per day) never takes
-    /// the registry borrow. Rare events (faults, quarantines) still
-    /// mirror immediately.
+    /// (submit, dispatch, completion: hundreds of thousands per day)
+    /// never takes the registry borrow. Rare events (faults,
+    /// quarantines, block moves) still mirror immediately.
     pending: PendingObs,
 }
 
 /// Locally-buffered registry deltas (see [`PerfMonitor::pending`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PendingObs {
+    submitted: u64,
+    completed: u64,
+    failed: u64,
     service_us: LogHistogram,
     queueing_us: LogHistogram,
     reserved_dispatches: u64,
@@ -357,18 +371,6 @@ struct PendingObs {
     queue_age_max_us: u64,
     /// Dispatches whose queue age reached the starvation threshold.
     starved: u64,
-}
-
-impl PendingObs {
-    fn new() -> Self {
-        PendingObs {
-            service_us: LogHistogram::new(),
-            queueing_us: LogHistogram::new(),
-            reserved_dispatches: 0,
-            queue_age_max_us: 0,
-            starved: 0,
-        }
-    }
 }
 
 /// Default starvation-age threshold: a request waiting 2 simulated
@@ -398,10 +400,30 @@ impl PerfMonitor {
             reads: DirStats::new(RANGE_MS),
             writes: DirStats::new(RANGE_MS),
             faults: FaultStats::default(),
-            handles: PerfHandles::resolve(),
+            handles: DriverObs::resolve(),
             starvation_age_us: starvation_age.as_micros(),
-            pending: PendingObs::new(),
+            pending: PendingObs::default(),
         }
+    }
+
+    /// Count one request submitted to the driver.
+    pub fn record_submit(&mut self) {
+        self.pending.submitted += 1;
+    }
+
+    /// Count one request that completed with an error. Its service time
+    /// stays out of the statistics, which describe successful transfers.
+    pub fn record_failed_completion(&mut self) {
+        self.pending.failed += 1;
+    }
+
+    /// Count one block movement's disk operations and busy time.
+    pub fn record_move(&mut self, ops: u32, busy_us: u64) {
+        let h = &self.handles;
+        with_registry(|r| {
+            r.inc(h.move_ops, u64::from(ops));
+            r.inc(h.move_busy_us, busy_us);
+        });
     }
 
     /// Count one absorbed (retried) transient disk fault.
@@ -481,8 +503,8 @@ impl PerfMonitor {
         }
     }
 
-    /// Record a completion: total service time plus its rotational and
-    /// transfer(+overhead) components.
+    /// Record a successful completion: total service time plus its
+    /// rotational and transfer(+overhead) components.
     pub fn record_completion(
         &mut self,
         dir: IoDir,
@@ -494,6 +516,7 @@ impl PerfMonitor {
         d.service.record(service);
         d.rotation.record(rotation);
         d.transfer.record(transfer_and_overhead);
+        self.pending.completed += 1;
         self.pending.service_us.observe(service.as_micros());
     }
 
@@ -521,18 +544,19 @@ impl PerfMonitor {
     /// one pass. Called at the day-boundary read-and-clear; harmless (and
     /// cheap) when nothing is buffered.
     pub fn flush_obs(&mut self) {
-        let p = &mut self.pending;
-        if p.service_us.is_empty() && p.queueing_us.is_empty() && p.reserved_dispatches == 0 {
+        let p = std::mem::take(&mut self.pending);
+        if p.submitted == 0 && p.completed == 0 && p.failed == 0 && p.queueing_us.is_empty() {
             return;
         }
         let h = self.handles;
         with_registry(|r| {
+            r.inc(h.submitted, p.submitted);
+            r.inc(h.completed, p.completed);
+            r.inc(h.failed, p.failed);
             r.merge_hires(h.service_us, &p.service_us);
             r.merge_hires(h.queueing_us, &p.queueing_us);
             r.inc(h.reserved_dispatches, p.reserved_dispatches);
-            if p.starved > 0 {
-                r.inc(h.starved_total, p.starved);
-            }
+            r.inc(h.starved_total, p.starved);
             // The gauge is the run-wide maximum: only ever raised.
             let prev = r.gauge_value(h.queue_age_max_us);
             let cur = i64::try_from(p.queue_age_max_us).unwrap_or(i64::MAX);
@@ -540,11 +564,6 @@ impl PerfMonitor {
                 r.set_gauge(h.queue_age_max_us, cur);
             }
         });
-        p.service_us.reset();
-        p.queueing_us.reset();
-        p.reserved_dispatches = 0;
-        p.queue_age_max_us = 0;
-        p.starved = 0;
     }
 }
 

@@ -61,6 +61,8 @@ pub mod slo;
 pub mod span;
 pub mod timer;
 
+use std::cell::RefCell;
+
 pub use hires::LogHistogram;
 pub use recorder::{
     record, record_with, trace_active, trace_pause, trace_start, trace_take, FlightRecorder,
@@ -74,3 +76,33 @@ pub use series::{day_series_len, day_series_record, day_series_reset, day_series
 pub use slo::{slo_clear, slo_install, Slo, SloQuantile};
 pub use span::{MoveKind, ObsEvent, RearrangePhase, RequestSpan};
 pub use timer::{time_scope, ScopedWallTimer};
+
+/// Everything one thread observes about its run: the registry, the
+/// installed objectives, the flight recorder and the day series. One
+/// run executes on one thread, so a run's observability needs no locks
+/// and parallel runs cannot interleave; one value also lets the day
+/// boundary read the registry, judge the objectives and write the
+/// point under a single borrow.
+struct Obs {
+    registry: Registry,
+    slos: Vec<Slo>,
+    recorder: Option<FlightRecorder>,
+    series: series::DaySeries,
+}
+
+thread_local! {
+    static OBS: RefCell<Obs> = const {
+        RefCell::new(Obs {
+            registry: Registry::new(),
+            slos: Vec::new(),
+            recorder: None,
+            series: series::DaySeries::new(),
+        })
+    };
+}
+
+/// Run `f` with this thread's [`Obs`]. `f` must not call back into any
+/// of this crate's thread-level functions: the context is borrowed.
+fn with_obs<T>(f: impl FnOnce(&mut Obs) -> T) -> T {
+    OBS.with(|o| f(&mut o.borrow_mut()))
+}

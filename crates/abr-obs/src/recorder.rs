@@ -1,13 +1,13 @@
-//! Flight-recorder ring buffer and the thread-local trace context.
+//! Flight-recorder ring buffer and the thread's trace context.
 //!
-//! Tracing follows the same discipline as the bench engine's
-//! `RunMeter`: one benchmark run executes entirely on one worker
-//! thread, so the recorder is thread-local state switched on with
-//! [`trace_start`] and harvested with [`trace_take`]. Instrumentation
-//! sites deep in the driver call [`record`] (or [`record_with`], which
-//! defers event construction); both are near-free no-ops when tracing
-//! is off, so the instrumented hot path costs one thread-local read
-//! per event in normal operation.
+//! Tracing follows the same discipline as the registry: one benchmark
+//! run executes entirely on one worker thread, so the recorder lives in
+//! the thread's observability context, switched on with [`trace_start`]
+//! and harvested with [`trace_take`]. Instrumentation sites deep in the
+//! driver call [`record`] (or [`record_with`], which defers event
+//! construction); both are near-free no-ops when tracing is off, so the
+//! instrumented hot path costs one thread-local read per event in
+//! normal operation.
 //!
 //! The buffer is **bounded**: once `capacity` events are stored, new
 //! events are dropped and counted instead of evicting old ones.
@@ -16,9 +16,8 @@
 //! matter how far past capacity a run goes. CI fails a traced smoke
 //! run if the drop count is nonzero at the default capacity.
 
-use std::cell::RefCell;
-
 use crate::span::ObsEvent;
+use crate::with_obs;
 
 /// Default flight-recorder capacity (events). Sized so a full traced
 /// `table2` campaign (≈330k request completions plus arranger traffic)
@@ -101,10 +100,6 @@ impl TraceBuffer {
     }
 }
 
-thread_local! {
-    static RECORDER: RefCell<Option<FlightRecorder>> = const { RefCell::new(None) };
-}
-
 /// Begin tracing on this thread with the given buffer capacity,
 /// discarding any previous recorder.
 ///
@@ -112,49 +107,36 @@ thread_local! {
 /// runs, and a panicking run can leak a [`TracePause`] whose drop
 /// never ran.
 pub fn trace_start(capacity: usize) {
-    RECORDER.with(|r| {
-        *r.borrow_mut() = Some(FlightRecorder::new(capacity));
-    });
+    with_obs(|o| o.recorder = Some(FlightRecorder::new(capacity)));
 }
 
 /// Stop tracing on this thread and return the harvested buffer.
 /// Returns `None` if tracing was never started.
 pub fn trace_take() -> Option<TraceBuffer> {
-    RECORDER.with(|r| r.borrow_mut().take().map(FlightRecorder::into_buffer))
+    with_obs(|o| o.recorder.take().map(FlightRecorder::into_buffer))
 }
 
 /// `true` when this thread currently has an unpaused recorder — i.e.
 /// a [`record`] call right now would be stored (or counted as a drop).
 pub fn trace_active() -> bool {
-    RECORDER.with(|r| {
-        r.borrow()
-            .as_ref()
-            .map(|rec| rec.paused == 0)
-            .unwrap_or(false)
-    })
+    with_obs(|o| o.recorder.as_ref().is_some_and(|rec| rec.paused == 0))
 }
 
 /// Record an event into this thread's recorder; no-op when tracing is
 /// off or paused.
 pub fn record(ev: ObsEvent) {
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            if rec.paused == 0 {
-                rec.record(ev);
-            }
-        }
-    });
+    record_with(|| ev);
 }
 
 /// Like [`record`], but the event is only built when it would actually
 /// be stored — use at hot-path sites where constructing the event
-/// (e.g. formatting an error string) has a cost.
+/// (e.g. formatting an error string) has a cost. `make` runs while the
+/// thread's observability context is borrowed, so it must not touch
+/// the registry or the recorder.
 pub fn record_with(make: impl FnOnce() -> ObsEvent) {
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            if rec.paused == 0 {
-                rec.record(make());
-            }
+    with_obs(|o| {
+        if let Some(rec) = o.recorder.as_mut().filter(|rec| rec.paused == 0) {
+            rec.record(make());
         }
     });
 }
@@ -169,8 +151,8 @@ pub struct TracePause(());
 
 impl TracePause {
     fn adjust(delta: i32) {
-        RECORDER.with(|r| {
-            if let Some(rec) = r.borrow_mut().as_mut() {
+        with_obs(|o| {
+            if let Some(rec) = o.recorder.as_mut() {
                 rec.paused = rec.paused.saturating_add_signed(delta);
             }
         });

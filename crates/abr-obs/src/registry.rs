@@ -1,25 +1,25 @@
 //! Unified metrics registry: counters, gauges, latency histograms.
 //!
-//! Every subsystem that used to keep an ad-hoc `u64` tally (the request
-//! monitor, the perf monitor, the bench engine's `RunMeter`) registers
-//! a named metric here instead and holds a static handle
-//! ([`CounterId`] / [`GaugeId`] / [`HiresId`]) — an index, so the
-//! hot-path update is one bounds-checked array write with no hashing.
+//! The driver's request and performance monitors mirror their tallies
+//! into named metrics here, and the run meter (`abr_core::run_meter`)
+//! is nothing but the `engine.sim_us` and `engine.days` counters. Each
+//! holder keeps a static handle ([`CounterId`] / [`GaugeId`] /
+//! [`HiresId`]) — an index, so the hot-path update is one
+//! bounds-checked array write with no hashing.
 //!
-//! The registry is thread-local for the same reason the flight recorder
-//! is: each benchmark run owns one worker thread, so per-run metrics
-//! need no locks and parallel runs cannot interleave. [`Registry::reset`]
-//! zeroes values but **preserves definitions**, so handles resolved once
-//! (e.g. at driver construction) stay valid across day boundaries and
-//! engine resets.
+//! The registry lives in the thread's observability context beside the
+//! flight recorder: each benchmark run owns one worker thread, so
+//! per-run metrics need no locks and parallel runs cannot interleave.
+//! [`Registry::reset`] zeroes values but **preserves definitions**, so
+//! handles resolved once (e.g. at driver construction) stay valid
+//! across day boundaries and engine resets.
 //!
 //! Snapshots serialize through [`abr_sim::json`] with names sorted, so
 //! two runs that touched the same metrics in different orders still
 //! emit identical bytes.
 
-use std::cell::RefCell;
-
 use crate::hires::LogHistogram;
+use crate::with_obs;
 use abr_sim::jsn;
 use abr_sim::json::JsonValue;
 
@@ -45,13 +45,19 @@ pub struct Registry {
     /// counters are monotone between snapshots (a counter running
     /// backwards means someone wrote through a stale handle).
     #[cfg(feature = "sanitize")]
-    monotone_baseline: RefCell<Vec<(String, u64)>>,
+    monotone_baseline: Vec<(String, u64)>,
 }
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
+    pub const fn new() -> Registry {
+        Registry {
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            hires: Vec::new(),
+            #[cfg(feature = "sanitize")]
+            monotone_baseline: Vec::new(),
+        }
     }
 
     /// Get or create the counter named `name`.
@@ -86,6 +92,16 @@ impl Registry {
     /// Add `delta` to a counter.
     pub fn inc(&mut self, id: CounterId, delta: u64) {
         self.counters[id.0].1 += delta;
+    }
+
+    /// Zero the counter named `name`, if one is registered, keeping its
+    /// definition: a meter restarted without discarding the registry.
+    pub fn zero_counter(&mut self, name: &str) {
+        if let Some((_, v)) = self.counters.iter_mut().find(|(n, _)| n == name) {
+            *v = 0;
+        }
+        #[cfg(feature = "sanitize")]
+        self.monotone_baseline.retain(|(n, _)| n != name);
     }
 
     /// Current value of a counter.
@@ -141,7 +157,7 @@ impl Registry {
         // Counters legitimately return to zero here; drop the baseline
         // so the next snapshot starts a fresh monotone epoch.
         #[cfg(feature = "sanitize")]
-        self.monotone_baseline.borrow_mut().clear();
+        self.monotone_baseline.clear();
         self.counters.iter_mut().for_each(|(_, v)| *v = 0);
         self.gauges.iter_mut().for_each(|(_, v)| *v = 0);
         self.hires.iter_mut().for_each(|(_, h)| h.reset());
@@ -151,23 +167,26 @@ impl Registry {
     /// deterministic JSON object:
     /// `{"counters": {...}, "gauges": {...}, "hires": {...}}`.
     pub fn snapshot(&self) -> JsonValue {
-        #[cfg(feature = "sanitize")]
-        {
-            let mut base = self.monotone_baseline.borrow_mut();
-            for (name, v) in &self.counters {
-                if let Some((_, prev)) = base.iter().find(|(n, _)| n == name) {
-                    if let Err(e) = abr_sim::sanitize::check_monotone(name, *prev, *v) {
-                        panic!("registry sanitizer: {e}");
-                    }
-                }
-            }
-            *base = self.counters.clone();
-        }
         jsn!({
             "counters": section(&self.counters, |v| JsonValue::from(*v)),
             "gauges": section(&self.gauges, |v| JsonValue::from(*v)),
             "hires": section(&self.hires, LogHistogram::to_json),
         })
+    }
+
+    /// Panic if a counter ran backwards since the previous check (a
+    /// write through a stale handle), then take the counters as the new
+    /// baseline. [`registry_snapshot`] runs it in sanitize builds.
+    #[cfg(feature = "sanitize")]
+    fn check_monotone(&mut self) {
+        for (name, v) in &self.counters {
+            if let Some((_, prev)) = self.monotone_baseline.iter().find(|(n, _)| n == name) {
+                if let Err(e) = abr_sim::sanitize::check_monotone(name, *prev, *v) {
+                    panic!("registry sanitizer: {e}");
+                }
+            }
+        }
+        self.monotone_baseline = self.counters.clone();
     }
 }
 
@@ -182,15 +201,11 @@ fn section<T>(metrics: &[(String, T)], value: impl Fn(&T) -> JsonValue) -> JsonV
     object
 }
 
-thread_local! {
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::new());
-}
-
 /// Run `f` with this thread's registry. The registry always exists;
 /// metric updates outside any run simply accumulate until the next
 /// [`registry_reset`].
 pub fn with_registry<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
-    REGISTRY.with(|r| f(&mut r.borrow_mut()))
+    with_obs(|o| f(&mut o.registry))
 }
 
 /// Zero this thread's registry values (definitions survive).
@@ -210,7 +225,11 @@ pub fn registry_clear() {
 
 /// Snapshot this thread's registry as deterministic JSON.
 pub fn registry_snapshot() -> JsonValue {
-    with_registry(|r| r.snapshot())
+    with_registry(|r| {
+        #[cfg(feature = "sanitize")]
+        r.check_monotone();
+        r.snapshot()
+    })
 }
 
 #[cfg(test)]
@@ -276,5 +295,21 @@ mod tests {
         assert_eq!(snap["counters"]["tl.test"], 9);
         registry_reset();
         assert_eq!(with_registry(|r| r.counter_value(id)), 0);
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[test]
+    fn zeroing_between_snapshots_starts_a_fresh_monotone_epoch() {
+        registry_clear();
+        let (a, b) = with_registry(|r| (r.counter("a"), r.counter("b")));
+        with_registry(|r| {
+            r.inc(a, 5);
+            r.inc(b, 5);
+        });
+        registry_snapshot();
+        with_registry(|r| r.zero_counter("a"));
+        registry_snapshot();
+        registry_reset();
+        assert_eq!(registry_snapshot()["counters"]["b"], 0);
     }
 }

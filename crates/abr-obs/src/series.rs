@@ -25,17 +25,15 @@
 //! values at the boundary, histograms report their per-day delta's
 //! count/sum/max and quantile set. Two name families are excluded:
 //! `wall.*` (real time — nondeterministic by construction) and `slo.*`
-//! (bookkeeping incremented *by* the recorder). The series is
-//! thread-local like the registry itself, so `--jobs N` workers cannot
-//! interleave; the engine resets it per run and harvests it into
-//! `RunOutcome` / `BENCH_experiments.json`.
+//! (bookkeeping incremented *by* the recorder). The series lives in the
+//! thread's observability context with the registry itself, so
+//! `--jobs N` workers cannot interleave; the engine resets it per run
+//! and harvests it into `RunOutcome` / `BENCH_experiments.json`.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::hires::LogHistogram;
-use crate::registry::with_registry;
-use crate::slo;
+use crate::{slo, with_obs};
 use abr_sim::jsn;
 use abr_sim::json::JsonValue;
 
@@ -46,25 +44,41 @@ fn excluded(name: &str) -> bool {
 
 /// The accumulating series plus the previous boundary's baselines.
 #[derive(Default)]
-struct DaySeries {
+pub(crate) struct DaySeries {
     points: Vec<JsonValue>,
     base_counters: BTreeMap<String, u64>,
     base_hires: BTreeMap<String, LogHistogram>,
 }
 
-thread_local! {
-    static SERIES: RefCell<DaySeries> = RefCell::new(DaySeries::default());
+impl DaySeries {
+    pub(crate) const fn new() -> DaySeries {
+        DaySeries {
+            points: Vec::new(),
+            base_counters: BTreeMap::new(),
+            base_hires: BTreeMap::new(),
+        }
+    }
 }
 
 /// Discard all recorded points and baselines — run boundaries, paired
 /// with `registry_clear`.
 pub fn day_series_reset() {
-    SERIES.with(|s| *s.borrow_mut() = DaySeries::default());
+    with_obs(|o| o.series = DaySeries::new());
 }
 
 /// Number of day points recorded since the last reset/take.
 pub fn day_series_len() -> usize {
-    SERIES.with(|s| s.borrow().points.len())
+    with_obs(|o| o.series.points.len())
+}
+
+/// `pairs` as a JSON object, names sorted.
+fn sorted_object(mut pairs: Vec<(&str, JsonValue)>) -> JsonValue {
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
+    let mut object = JsonValue::object();
+    for (name, v) in pairs {
+        object.insert(name, v);
+    }
+    object
 }
 
 /// Record one day point: diff the live registry against the previous
@@ -73,133 +87,82 @@ pub fn day_series_len() -> usize {
 /// by the experiment harnesses (after the day-end stats flush, so the
 /// driver's batched observations are visible).
 pub fn day_series_record() {
-    // Phase 1: pull everything needed out of the registry (clones), so
-    // the registry borrow is released before SLO bookkeeping writes
-    // back into it.
-    struct DayData {
-        counter_deltas: Vec<(String, u64)>,
-        gauges: Vec<(String, i64)>,
-        hires_deltas: Vec<(String, LogHistogram)>,
-        counters_now: BTreeMap<String, u64>,
-        hires_now: BTreeMap<String, LogHistogram>,
-    }
-    let data = SERIES.with(|s| {
-        let series = s.borrow();
-        with_registry(|r| {
-            let mut counter_deltas = Vec::new();
-            let mut counters_now = BTreeMap::new();
-            for (name, v) in r.iter_counters() {
-                if excluded(name) {
-                    continue;
-                }
-                counters_now.insert(name.to_string(), v);
-                let base = series.base_counters.get(name).copied().unwrap_or(0);
-                let delta = v.saturating_sub(base);
-                if delta > 0 {
-                    counter_deltas.push((name.to_string(), delta));
-                }
+    with_obs(|o| {
+        let (registry, series) = (&mut o.registry, &mut o.series);
+        let mut counters = Vec::new();
+        let mut base_counters = BTreeMap::new();
+        for (name, v) in registry.iter_counters().filter(|(n, _)| !excluded(n)) {
+            let base = series.base_counters.get(name).copied().unwrap_or(0);
+            let delta = v.saturating_sub(base);
+            if delta > 0 {
+                counters.push((name, JsonValue::from(delta)));
             }
-            let gauges = r
-                .iter_gauges()
-                .filter(|(name, _)| !excluded(name))
-                .map(|(n, v)| (n.to_string(), v))
-                .collect();
-            let mut hires_deltas = Vec::new();
-            let mut hires_now = BTreeMap::new();
-            for (name, h) in r.iter_hires() {
-                if excluded(name) {
-                    continue;
-                }
-                let delta = match series.base_hires.get(name) {
-                    Some(base) => h.diff(base),
-                    None => h.clone(),
-                };
-                hires_now.insert(name.to_string(), h.clone());
-                if delta.count() > 0 {
-                    hires_deltas.push((name.to_string(), delta));
-                }
+            base_counters.insert(name.to_string(), v);
+        }
+        let gauges = registry
+            .iter_gauges()
+            .filter(|(n, _)| !excluded(n))
+            .map(|(n, v)| (n, JsonValue::from(v)))
+            .collect();
+        let mut hires = Vec::new();
+        let mut base_hires = BTreeMap::new();
+        for (name, h) in registry.iter_hires().filter(|(n, _)| !excluded(n)) {
+            let delta = match series.base_hires.get(name) {
+                Some(base) => h.diff(base),
+                None => h.clone(),
+            };
+            if delta.count() > 0 {
+                hires.push((name, delta));
             }
-            DayData {
-                counter_deltas,
-                gauges,
-                hires_deltas,
-                counters_now,
-                hires_now,
-            }
-        })
-    });
-
-    // Phase 2: evaluate SLOs against the day's deltas (may write the
-    // slo.violations counter — excluded from points, so no feedback).
-    let lookup = |metric: &str, q: f64| -> Option<u64> {
-        let delta = data.hires_deltas.iter().find(|(n, _)| n == metric);
-        delta.map(|(_, h)| h.quantile(q))
-    };
-    let verdicts = slo::evaluate_day(&lookup);
-
-    // Phase 3: assemble the point (names already sorted — they come
-    // from sorted baselines or are sorted here) and advance baselines.
-    SERIES.with(|s| {
-        let mut series = s.borrow_mut();
-        let sorted_obj = |mut pairs: Vec<(String, JsonValue)>| {
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut o = JsonValue::object();
-            for (name, v) in pairs {
-                o.insert(name, v);
-            }
-            o
-        };
-        let summarize_hires = |h: &LogHistogram| {
-            jsn!({
-                "count": h.count(),
-                "sum": h.sum(),
-                "max": h.max(),
-                "quantiles": h.quantiles_json(),
+            base_hires.insert(name.to_string(), h.clone());
+        }
+        // The objectives judge the same deltas the point reports;
+        // `slo.violations` is excluded from points, so no feedback.
+        let verdicts = slo::evaluate_day(&o.slos, |metric, q| {
+            let delta = hires.iter().find(|(n, _)| *n == metric);
+            delta.map(|(_, h)| h.quantile(q))
+        });
+        let hires = hires
+            .into_iter()
+            .map(|(n, h)| {
+                let summary = jsn!({
+                    "count": h.count(),
+                    "sum": h.sum(),
+                    "max": h.max(),
+                    "quantiles": h.quantiles_json(),
+                });
+                (n, summary)
             })
-        };
+            .collect();
         let mut point = jsn!({
             "day": series.points.len() as u64,
-            "counters": sorted_obj(
-                data.counter_deltas
-                    .iter()
-                    .map(|(n, v)| (n.clone(), JsonValue::from(*v)))
-                    .collect(),
-            ),
-            "gauges": sorted_obj(
-                data.gauges
-                    .iter()
-                    .map(|(n, v)| (n.clone(), JsonValue::from(*v)))
-                    .collect(),
-            ),
-            "hires": sorted_obj(
-                data.hires_deltas
-                    .iter()
-                    .map(|(n, h)| (n.clone(), summarize_hires(h)))
-                    .collect(),
-            ),
+            "counters": sorted_object(counters),
+            "gauges": sorted_object(gauges),
+            "hires": sorted_object(hires),
         });
-        if let Some(v) = verdicts {
+        if let Some((v, violations)) = verdicts {
             point.insert("slo", v);
+            if violations > 0 {
+                let c = registry.counter("slo.violations");
+                registry.inc(c, violations);
+            }
         }
         series.points.push(point);
-        series.base_counters = data.counters_now;
-        series.base_hires = data.hires_now;
+        series.base_counters = base_counters;
+        series.base_hires = base_hires;
     });
 }
 
 /// Take the recorded series as a JSON array, leaving the recorder
 /// empty (points *and* baselines) for the next run.
 pub fn day_series_take() -> JsonValue {
-    SERIES.with(|s| {
-        let series = std::mem::take(&mut *s.borrow_mut());
-        JsonValue::from(series.points)
-    })
+    JsonValue::from(with_obs(|o| std::mem::take(&mut o.series)).points)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::registry_clear;
+    use crate::registry::{registry_clear, with_registry};
 
     #[test]
     fn records_deltas_not_totals() {

@@ -14,16 +14,14 @@
 //! Whitespace around tokens is ignored. Metrics are always in
 //! microseconds, so thresholds normalize to µs at parse time.
 //!
-//! The tracker is thread-local like the registry: the bench engine
-//! installs the objective set per run ([`slo_install`]) and the day
-//! recorder calls [`evaluate_day`] at each boundary. Every evaluation
+//! The objective set lives in the thread's observability context beside
+//! the registry: the bench engine installs it per run ([`slo_install`])
+//! and the day recorder evaluates it at each boundary. Every evaluation
 //! appends per-objective verdicts to the day point; failures also bump
 //! the `slo.violations` registry counter so end-of-run snapshots carry
 //! a cumulative violation count.
 
-use std::cell::RefCell;
-
-use crate::registry::with_registry;
+use crate::with_obs;
 use abr_sim::jsn;
 use abr_sim::json::JsonValue;
 
@@ -124,14 +122,10 @@ impl Slo {
     }
 }
 
-thread_local! {
-    static TRACKER: RefCell<Vec<Slo>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Install the objective set for this thread's current run, replacing
 /// any previous set.
 pub fn slo_install(slos: Vec<Slo>) {
-    TRACKER.with(|t| *t.borrow_mut() = slos);
+    with_obs(|o| o.slos = slos);
 }
 
 /// Remove all installed objectives (run boundaries).
@@ -139,43 +133,34 @@ pub fn slo_clear() {
     slo_install(Vec::new());
 }
 
-/// Evaluate every installed objective against one day's metric deltas.
-/// `lookup(metric, q)` returns the day's quantile value for a metric,
-/// or `None` if the metric saw no observations that day (the objective
-/// then passes vacuously with a `null` value). Returns `None` when no
-/// objectives are installed; otherwise the per-objective verdict array
-/// for the day point. Failures increment the `slo.violations` counter.
-pub fn evaluate_day(lookup: &dyn Fn(&str, f64) -> Option<u64>) -> Option<JsonValue> {
-    TRACKER.with(|t| {
-        let slos = t.borrow();
-        if slos.is_empty() {
-            return None;
+/// Evaluate `slos` against one day's metric deltas. `lookup(metric, q)`
+/// returns the day's quantile value for a metric, or `None` if the
+/// metric saw no observations that day (the objective then passes
+/// vacuously with a `null` value). Returns `None` when `slos` is empty;
+/// otherwise the per-objective verdict array for the day point and the
+/// number of objectives that failed.
+pub(crate) fn evaluate_day(
+    slos: &[Slo],
+    lookup: impl Fn(&str, f64) -> Option<u64>,
+) -> Option<(JsonValue, u64)> {
+    if slos.is_empty() {
+        return None;
+    }
+    let mut verdicts = JsonValue::array();
+    let mut violations = 0u64;
+    for slo in slos {
+        let value = lookup(&slo.metric, slo.quantile.as_f64());
+        let ok = value.is_none_or(|v| v < slo.threshold_us);
+        if !ok {
+            violations += 1;
         }
-        let mut verdicts = JsonValue::array();
-        let mut violations = 0u64;
-        for slo in slos.iter() {
-            let value = lookup(&slo.metric, slo.quantile.as_f64());
-            let ok = match value {
-                Some(v) => v < slo.threshold_us,
-                None => true,
-            };
-            if !ok {
-                violations += 1;
-            }
-            verdicts.push(jsn!({
-                "slo": slo.text.clone(),
-                "value": value,
-                "ok": ok,
-            }));
-        }
-        if violations > 0 {
-            with_registry(|r| {
-                let c = r.counter("slo.violations");
-                r.inc(c, violations);
-            });
-        }
-        Some(verdicts)
-    })
+        verdicts.push(jsn!({
+            "slo": slo.text.clone(),
+            "value": value,
+            "ok": ok,
+        }));
+    }
+    Some((verdicts, violations))
 }
 
 #[cfg(test)]
@@ -216,12 +201,11 @@ mod tests {
 
     #[test]
     fn evaluates_pass_fail_and_vacuous() {
-        crate::registry::registry_clear();
-        slo_install(vec![
+        let slos = [
             Slo::parse("p99(fast_us) < 100ms").unwrap(),
             Slo::parse("p99(slow_us) < 1ms").unwrap(),
             Slo::parse("p99(absent_us) < 1ms").unwrap(),
-        ]);
+        ];
         let lookup = |metric: &str, _q: f64| -> Option<u64> {
             match metric {
                 "fast_us" => Some(5_000),
@@ -229,15 +213,13 @@ mod tests {
                 _ => None,
             }
         };
-        let verdicts = evaluate_day(&lookup).unwrap();
+        let (verdicts, violations) = evaluate_day(&slos, lookup).unwrap();
         assert_eq!(verdicts[0]["ok"], true);
         assert_eq!(verdicts[0]["value"], 5_000);
         assert_eq!(verdicts[1]["ok"], false);
         assert_eq!(verdicts[2]["ok"], true);
         assert!(verdicts[2]["value"].is_null());
-        let snap = crate::registry::registry_snapshot();
-        assert_eq!(snap["counters"]["slo.violations"], 1);
-        slo_clear();
-        assert!(evaluate_day(&lookup).is_none());
+        assert_eq!(violations, 1);
+        assert!(evaluate_day(&[], lookup).is_none());
     }
 }
