@@ -1428,20 +1428,21 @@ impl AdaptiveDriver {
         let mut busy = SimDuration::ZERO;
         let mut ops = 0u32;
         // Read every moving cylinder from its current home into host
-        // memory...
-        let mut buffers: Vec<(u32, Vec<u8>)> = Vec::with_capacity(moved.len());
+        // memory, as the runs of sector forms it holds (a seeded or zero
+        // sector stays a marker, not 512 raw bytes)...
+        let mut staged: Vec<(u32, Vec<Run>)> = Vec::with_capacity(moved.len());
         for &v in &moved {
             let src = g.cylinder_start(current.physical(v));
-            let mut buf = vec![0u8; spc as usize * SECTOR_SIZE];
-            self.disk.store().read(src, &mut buf);
+            let mut runs = Vec::new();
+            self.disk.store().read_runs(src, spc, &mut runs);
             busy += self.disk.service(IoDir::Read, src, spc, now + busy).total();
             ops += 1;
-            buffers.push((v, buf));
+            staged.push((v, runs));
         }
         // ...then write each to its new home.
-        for (v, buf) in buffers {
+        for (v, runs) in staged {
             let dst = g.cylinder_start(map.physical(v));
-            self.disk.store_mut().write(dst, &buf);
+            self.disk.store_mut().write_runs(dst, runs);
             busy += self
                 .disk
                 .service(IoDir::Write, dst, spc, now + busy)
@@ -2046,6 +2047,39 @@ mod tests {
             assert!(
                 done[0].data.iter().all(|&b| b == c as u8),
                 "cylinder {c} data lost"
+            );
+        }
+    }
+
+    #[test]
+    fn cylinder_shuffle_keeps_seeded_sectors_as_markers() {
+        use crate::cylmap::CylinderMap;
+        let mut d = tiny_plain_driver();
+        for c in 1..6u64 {
+            d.submit(IoRequest::write_seeded(0, c * 64, 8, c), t(c * 100_000))
+                .unwrap();
+            d.drain();
+        }
+        let g = d.label().physical;
+        let cylinder = |d: &AdaptiveDriver, c: u32| {
+            let mut buf = vec![0u8; g.sectors_per_cylinder() as usize * SECTOR_SIZE];
+            d.disk().store().read(g.cylinder_start(c), &mut buf);
+            buf
+        };
+        let before: Vec<_> = (0..g.cylinders).map(|c| cylinder(&d, c)).collect();
+        let raw_pages = d.disk().store().raw_pages();
+        let map = CylinderMap::new(std::iter::once(0).chain((1..g.cylinders).rev()).collect());
+        d.ioctl(Ioctl::ShuffleCylinders { map: map.clone() }, t(10_000_000))
+            .unwrap();
+        assert_eq!(
+            d.disk().store().raw_pages(),
+            raw_pages,
+            "moved sectors became raw"
+        );
+        for (v, bytes) in (0..).zip(&before) {
+            assert!(
+                cylinder(&d, map.physical(v)) == *bytes,
+                "cylinder {v} changed"
             );
         }
     }
