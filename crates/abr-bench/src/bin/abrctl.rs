@@ -44,7 +44,10 @@ use abr_core::analyzer::HotBlock;
 use abr_core::arranger::BlockArranger;
 use abr_core::placement::PolicyKind;
 use abr_core::replay::{replay, ReplayConfig};
-use abr_core::{BlockCounts, DayLoop, DayMetrics, DaySource, FsProducer, FsTraffic, TraceTraffic};
+use abr_core::{
+    paper_reserved_cylinders, BlockCounts, DayLoop, DayMetrics, DaySource, FsProducer, FsTraffic,
+    TraceTraffic,
+};
 use abr_disk::{image, models, Disk, DiskLabel, DiskModel};
 use abr_driver::{AdaptiveDriver, DriverConfig, Ioctl, IoctlReply, RequestMonitor};
 use abr_fs::{FileSystem, FsConfig, MountMode};
@@ -149,26 +152,6 @@ fn disk_model(args: &[String]) -> Result<DiskModel, Error> {
     }
 }
 
-fn counts_path(img: &Path) -> PathBuf {
-    img.with_extension("counts.json")
-}
-
-fn fs_state_path(img: &Path) -> PathBuf {
-    img.with_extension("fs.json")
-}
-
-fn wl_state_path(img: &Path) -> PathBuf {
-    img.with_extension("wl.json")
-}
-
-fn stats_path(img: &Path) -> PathBuf {
-    img.with_extension("stats.json")
-}
-
-fn reqtable_path(img: &Path) -> PathBuf {
-    img.with_extension("reqtable.json")
-}
-
 /// Dump the raw request-monitor table next to the image so
 /// `monitor-dump` can show exactly what the analyzer's clearing ioctl
 /// is about to consume.
@@ -186,7 +169,7 @@ fn write_reqtable_sidecar(img: &Path, mon: &RequestMonitor) -> Result<(), Error>
         "dropped": mon.dropped(),
         "suspension_episodes": mon.suspension_episodes(),
     });
-    std::fs::write(reqtable_path(img), dump.pretty())?;
+    std::fs::write(img.with_extension("reqtable.json"), dump.pretty())?;
     Ok(())
 }
 
@@ -197,15 +180,8 @@ fn create(args: &[String]) -> Result<(), Error> {
     let model = disk_model(args)?;
     let reserved: u32 = match opt(args, "--reserved") {
         Some(s) => s.parse()?,
-        None => {
-            if model.geometry.cylinders >= 1200 {
-                80
-            } else if model.geometry.cylinders >= 500 {
-                48
-            } else {
-                10
-            }
-        }
+        None if model.geometry.cylinders >= 500 => paper_reserved_cylinders(&model),
+        None => 10,
     };
     let label = if reserved > 0 {
         DiskLabel::rearranged_aligned(model.geometry, reserved, 16)
@@ -219,11 +195,11 @@ fn create(args: &[String]) -> Result<(), Error> {
     // A fresh image invalidates any sidecar state from a previous image
     // at the same path.
     for side in [
-        counts_path(&path),
-        stats_path(&path),
-        fs_state_path(&path),
-        wl_state_path(&path),
-        reqtable_path(&path),
+        path.with_extension("counts.json"),
+        path.with_extension("stats.json"),
+        path.with_extension("fs.json"),
+        path.with_extension("wl.json"),
+        path.with_extension("reqtable.json"),
     ] {
         let _ = std::fs::remove_file(side);
     }
@@ -310,11 +286,11 @@ fn workload(args: &[String]) -> Result<(), Error> {
     // --fresh); otherwise build it from scratch on the image's partition.
     let mut clock = SimTime::ZERO;
     let resumable = !has_flag(args, "--fresh")
-        && fs_state_path(&path).exists()
-        && wl_state_path(&path).exists();
+        && path.with_extension("fs.json").exists()
+        && path.with_extension("wl.json").exists();
     let (mut fs, mut state) = if resumable {
-        let fs_state = JsonValue::parse(&std::fs::read_to_string(fs_state_path(&path))?)?;
-        let wl_state = JsonValue::parse(&std::fs::read_to_string(wl_state_path(&path))?)?;
+        let fs_state = JsonValue::parse(&std::fs::read_to_string(path.with_extension("fs.json"))?)?;
+        let wl_state = JsonValue::parse(&std::fs::read_to_string(path.with_extension("wl.json"))?)?;
         let fs = FileSystem::load_state(&fs_state)?;
         let mut state = WorkloadState::load_state(&wl_state, seed)?;
         if state.profile().name != profile.name {
@@ -406,10 +382,16 @@ fn workload(args: &[String]) -> Result<(), Error> {
     use abr_core::ReferenceAnalyzer as _;
     let counts = analyzer.hot_list(analyzer.tracked());
     let counts_json = JsonValue::Array(counts.iter().map(HotBlock::to_json).collect());
-    std::fs::write(counts_path(&path), sidecar_text(&counts_json))?;
+    std::fs::write(
+        path.with_extension("counts.json"),
+        sidecar_text(&counts_json),
+    )?;
 
     metrics.block_counts = BlockCounts::from_hot(&counts);
-    std::fs::write(stats_path(&path), sidecar_text(&metrics.to_json()))?;
+    std::fs::write(
+        path.with_extension("stats.json"),
+        sidecar_text(&metrics.to_json()),
+    )?;
     if let (Some(out), Some(trace)) = (trace_out, trace) {
         let f = std::fs::File::create(&out)?;
         trace.write_jsonl(std::io::BufWriter::new(f))?;
@@ -429,8 +411,11 @@ fn workload(args: &[String]) -> Result<(), Error> {
     // Persist the file system (the day ended with a final flush) and the
     // generator.
     let (fs, state) = traffic.into_source().into_parts();
-    std::fs::write(fs_state_path(&path), fs.save_state().to_string())?;
-    std::fs::write(wl_state_path(&path), state.save_state().to_string())?;
+    std::fs::write(path.with_extension("fs.json"), fs.save_state().to_string())?;
+    std::fs::write(
+        path.with_extension("wl.json"),
+        state.save_state().to_string(),
+    )?;
     save_driver(driver, &path)?;
     Ok(())
 }
@@ -444,7 +429,7 @@ fn sidecar_text(v: &JsonValue) -> String {
 }
 
 fn read_counts(img: &Path) -> Result<Vec<HotBlock>, Error> {
-    let text = std::fs::read_to_string(counts_path(img)).map_err(|_| {
+    let text = std::fs::read_to_string(img.with_extension("counts.json")).map_err(|_| {
         format!(
             "no reference counts next to {} — run `abrctl workload` first",
             img.display()
@@ -524,7 +509,7 @@ fn clean(args: &[String]) -> Result<(), Error> {
 
 fn stats(args: &[String]) -> Result<(), Error> {
     let path = image_path(args)?;
-    let text = std::fs::read_to_string(stats_path(&path)).map_err(|_| {
+    let text = std::fs::read_to_string(path.with_extension("stats.json")).map_err(|_| {
         format!(
             "no stats next to {} — run `abrctl workload` first",
             path.display()
@@ -560,7 +545,7 @@ fn stats(args: &[String]) -> Result<(), Error> {
 
 fn monitor_dump(args: &[String]) -> Result<(), Error> {
     let path = image_path(args)?;
-    let side = reqtable_path(&path);
+    let side = path.with_extension("reqtable.json");
     let text = std::fs::read_to_string(&side).map_err(|_| {
         format!(
             "no request-table dump next to {} — run `abrctl workload` first",

@@ -94,6 +94,17 @@ pub fn run_meter_add(sim: SimDuration) {
     abr_obs::day_series_record();
 }
 
+/// The reserved region the paper gave a disk: 80 cylinders on the
+/// Fujitsu-sized disk (1,200 cylinders or more), 48 on the Toshiba-sized
+/// one.
+pub fn paper_reserved_cylinders(disk: &DiskModel) -> u32 {
+    if disk.geometry.cylinders >= 1200 {
+        80
+    } else {
+        48
+    }
+}
+
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -159,15 +170,10 @@ impl ExperimentConfig {
     /// (48 cylinders on the Toshiba-sized disk, 80 on the Fujitsu-sized
     /// one), 30 s sync, 2 min monitoring.
     pub fn new(disk: DiskModel, profile: WorkloadProfile) -> Self {
-        let reserved = if disk.geometry.cylinders >= 1200 {
-            80
-        } else {
-            48
-        };
         let cache_blocks = profile.cache_blocks;
         ExperimentConfig {
+            reserved_cylinders: paper_reserved_cylinders(&disk),
             disk,
-            reserved_cylinders: reserved,
             reserved_at_edge: false,
             profile,
             policy: PolicyKind::OrganPipe,

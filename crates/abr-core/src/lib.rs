@@ -58,8 +58,8 @@ pub use arranger::BlockArranger;
 pub use daemon::RearrangementDaemon;
 pub use dayloop::{DayLoop, DayReport, Traffic};
 pub use experiment::{
-    experiment_member, run_meter, run_meter_add, run_meter_reset, share_stream, Experiment,
-    ExperimentConfig, FsLoop, RunMeter, OVERNIGHT,
+    experiment_member, paper_reserved_cylinders, run_meter, run_meter_add, run_meter_reset,
+    share_stream, Experiment, ExperimentConfig, FsLoop, RunMeter, OVERNIGHT,
 };
 pub use metrics::{BlockCounts, DayMetrics, DirMetrics};
 pub use placement::{Interleaved, OrganPipe, PlacementPolicy, PolicyKind, Serial, SlotMap};

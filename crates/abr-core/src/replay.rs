@@ -14,7 +14,7 @@
 use crate::analyzer::{FullAnalyzer, HotBlock, ReferenceAnalyzer};
 use crate::arranger::BlockArranger;
 use crate::dayloop::DayLoop;
-use crate::experiment::experiment_member;
+use crate::experiment::{experiment_member, paper_reserved_cylinders};
 use crate::metrics::{BlockCounts, DayMetrics};
 use crate::placement::PolicyKind;
 use crate::stream::{DayStream, Recorded, TraceTraffic};
@@ -45,14 +45,9 @@ impl ReplayConfig {
     /// Paper defaults for a disk: SCAN, organ-pipe, paper-sized reserved
     /// region, no blocks placed (caller sets `n_blocks`).
     pub fn new(disk: DiskModel) -> Self {
-        let reserved = if disk.geometry.cylinders >= 1200 {
-            80
-        } else {
-            48
-        };
         ReplayConfig {
+            reserved_cylinders: paper_reserved_cylinders(&disk),
             disk,
-            reserved_cylinders: reserved,
             scheduler: SchedulerKind::Scan,
             policy: PolicyKind::OrganPipe,
             n_blocks: 0,

@@ -25,6 +25,9 @@ use abr_sim::dist::Zipf;
 use abr_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// Zipf exponent of the clients' block popularity.
+const ZIPF_EXPONENT: f64 = 1.1;
+
 /// Sectors per file-system block (8 KB blocks of 512-byte sectors);
 /// every client request is exactly one block, so it never crosses a
 /// block boundary and maps onto one member disk.
@@ -169,7 +172,7 @@ impl ClientArrivals {
         ClientArrivals {
             clients,
             pending: EventQueue::new(),
-            zipf: Zipf::new(config.working_set_blocks, config.zipf_exponent),
+            zipf: Zipf::new(config.working_set_blocks, ZIPF_EXPONENT),
             read_fraction: config.read_fraction,
             total_blocks,
             stride,

@@ -62,10 +62,8 @@ pub struct ServeConfig {
     /// Fraction of requests that are reads (the rest write).
     pub read_fraction: f64,
     /// Working-set size in file-system blocks; client block popularity
-    /// is Zipf over this set, scattered across the volume.
+    /// is Zipf (exponent 1.1) over this set, scattered across the volume.
     pub working_set_blocks: usize,
-    /// Zipf exponent of block popularity.
-    pub zipf_exponent: f64,
 
     /// Hard bound on the shared accept queue; arrivals beyond it shed.
     pub accept_queue_cap: usize,
@@ -73,8 +71,6 @@ pub struct ServeConfig {
     pub bucket_rate_per_sec: f64,
     /// Per-client token-bucket capacity, whole requests.
     pub bucket_burst: u32,
-    /// DRR credit per ring visit, in sectors.
-    pub drr_quantum: u32,
     /// Requests the front end keeps in flight at the volume at once.
     pub max_inflight: usize,
 
@@ -106,11 +102,9 @@ impl ServeConfig {
             arrivals: ArrivalKind::Poisson,
             read_fraction: 0.7,
             working_set_blocks: 2048,
-            zipf_exponent: 1.1,
             accept_queue_cap: 256,
             bucket_rate_per_sec: 4.0,
             bucket_burst: 16,
-            drr_quantum: 16,
             max_inflight: 16,
             epoch: SimDuration::from_mins(10),
             epochs: 1,

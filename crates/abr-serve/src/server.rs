@@ -31,6 +31,9 @@ use abr_obs::with_registry;
 use abr_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
+/// DRR credit per ring visit, in sectors.
+const DRR_QUANTUM: u64 = 16;
+
 /// `serve.*` registry handles, resolved once at construction.
 struct ServeObs {
     arrivals: CounterId,
@@ -251,7 +254,7 @@ impl ServeExperiment {
             piece: Arrivals::default(),
             next: 0,
             clients: (0..config.n_clients).map(|_| Client::default()).collect(),
-            drr: Drr::new(config.n_clients, u64::from(config.drr_quantum)),
+            drr: Drr::new(config.n_clients, DRR_QUANTUM),
             backlog: 0,
             inflight: BTreeMap::new(),
             obs,
