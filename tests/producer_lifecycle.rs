@@ -44,6 +44,18 @@ fn producer_threads() -> Option<usize> {
     Some(tasks.flatten().filter(named).count())
 }
 
+/// [`producer_threads`] once a thread spawned just now has started:
+/// until it runs, a new thread carries its parent's name, not its own.
+fn producer_threads_once_started() -> Option<usize> {
+    for _ in 0..500 {
+        match producer_threads() {
+            Some(0) => std::thread::sleep(std::time::Duration::from_millis(10)),
+            counted => return counted,
+        }
+    }
+    Some(0)
+}
+
 #[test]
 fn an_experiment_dropped_mid_run_stops_its_producer() {
     let _one = one_at_a_time();
@@ -145,7 +157,7 @@ fn flooded_server() -> ServeConfig {
 fn a_server_dropped_mid_epoch_stops_its_producer() {
     let _one = one_at_a_time();
     let e = ServeExperiment::new(flooded_server());
-    assert_eq!(producer_threads().unwrap_or(1), 1);
+    assert_eq!(producer_threads_once_started().unwrap_or(1), 1);
     // The producer is drawing the first epoch, or waiting for the server
     // to take a piece; the drop must stop it either way.
     let start = std::time::Instant::now();
