@@ -168,7 +168,8 @@ mod tests {
     fn records_deltas_not_totals() {
         registry_clear();
         day_series_reset();
-        crate::slo::slo_clear();
+        let slo = crate::Slo::parse("p99(t.lat_us) < 300us").unwrap();
+        crate::slo::slo_install(vec![slo]);
         with_registry(|r| {
             let c = r.counter("t.reqs");
             let h = r.hires("t.lat_us");
@@ -192,6 +193,12 @@ mod tests {
         assert_eq!(series[1]["counters"]["t.reqs"], 3);
         assert_eq!(series[1]["hires"]["t.lat_us"]["count"], 1);
         assert_eq!(series[1]["hires"]["t.lat_us"]["sum"], 400);
+        // The objective judges each day's delta, not the running total.
+        assert_eq!(series[0]["slo"][0]["ok"], true);
+        assert_eq!(series[1]["slo"][0]["ok"], false);
+        let snapshot = crate::registry_snapshot();
+        assert_eq!(snapshot["counters"]["slo.violations"], 1);
+        crate::slo::slo_clear();
         // Taking drained the series.
         assert_eq!(day_series_len(), 0);
     }
