@@ -563,11 +563,47 @@ mod tests {
                 .text
                 .starts_with(&format!("== {}: {} ==\n", run.id, run.title)));
         }
-        let table1 = result.outcomes[0].report.as_ref().unwrap();
-        assert!(table1.text.contains("Toshiba MK156F"));
-        assert_eq!(table1.json["models"][0]["cylinders"], 815);
-        let fig3 = result.outcomes[15].report.as_ref().unwrap();
-        assert!(fig3.text.contains("Organ-pipe") && fig3.text.contains("Serial"));
+
+        // The byte gate: every file `Report::save` would write is the
+        // committed one, and every committed report file (72: `.txt`,
+        // `.json` and the `.csv` companions; the run record is git-ignored
+        // wall-clock data) is written by some id. A change that is meant
+        // to move the canon regenerates and commits `results/` with it.
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut compared = std::collections::BTreeSet::new();
+        let mut drifted = Vec::new();
+        for outcome in &result.outcomes {
+            for (name, bytes) in outcome.report.as_ref().unwrap().files() {
+                let committed = std::fs::read_to_string(results.join(&name))
+                    .unwrap_or_else(|e| panic!("results/{name} unreadable: {e}"));
+                if bytes != committed {
+                    let line = bytes
+                        .lines()
+                        .zip(committed.lines())
+                        .take_while(|(a, b)| a == b);
+                    drifted.push(format!("results/{name} (line {})", line.count() + 1));
+                }
+                assert!(compared.insert(name), "two ids write one file");
+            }
+        }
+        assert!(drifted.is_empty(), "drifted from the canon: {drifted:?}");
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the names are collected into a sorted set"
+        )]
+        let listing = std::fs::read_dir(&results).unwrap();
+        let canon: std::collections::BTreeSet<String> = listing
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name != "BENCH_experiments.json")
+            .filter(|name| {
+                [".txt", ".json", ".csv"]
+                    .iter()
+                    .any(|ext| name.ends_with(ext))
+            })
+            .collect();
+        let unchecked: Vec<_> = canon.difference(&compared).collect();
+        assert!(unchecked.is_empty(), "written by no id: {unchecked:?}");
+        assert_eq!(compared.len(), 72);
     }
 
     /// The registry is stringly typed: producers register

@@ -51,12 +51,21 @@ impl Report {
         self.text.push('\n');
     }
 
-    /// Write `results/<id>.txt` and `results/<id>.json` under `dir`.
+    /// The files [`Report::save`] writes, as `(file name, contents)`:
+    /// `<id>.txt`, `<id>.json` and the CSV companions.
+    pub fn files(&self) -> Vec<(String, String)> {
+        let mut files = vec![
+            (format!("{}.txt", self.id), self.text.clone()),
+            (format!("{}.json", self.id), self.json.pretty()),
+        ];
+        files.extend(self.csv.iter().cloned());
+        files
+    }
+
+    /// Write [`Report::files`] under `dir`.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{}.txt", self.id)), &self.text)?;
-        std::fs::write(dir.join(format!("{}.json", self.id)), self.json.pretty())?;
-        for (name, contents) in &self.csv {
+        for (name, contents) in self.files() {
             std::fs::write(dir.join(name), contents)?;
         }
         Ok(())

@@ -2,9 +2,10 @@
 //! for any `--jobs` value, and the flight recorder's drop counting must
 //! be exact even when a real run overflows the buffer.
 //!
-//! The batch mixes a real multi-day experiment (fig8) with an ablation,
-//! mirroring `parallel_equivalence.rs`; two specs are enough to make a
-//! 4-job batch actually use two workers (`workers = jobs.min(specs)`).
+//! The batch mixes a real multi-day experiment (fig8) with an ablation;
+//! two specs are enough to make a 4-job batch actually use two workers
+//! (`workers = jobs.min(specs)`). Untraced batches are compared serial
+//! against parallel in `jobs_invariance.rs`.
 
 use abr_bench::engine::RunBatch;
 use abr_core::{Experiment, ExperimentConfig};

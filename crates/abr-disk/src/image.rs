@@ -91,52 +91,81 @@ pub fn load<R: Read>(mut r: R) -> Result<Disk, ImageError> {
         return Err(ImageError::BadFormat);
     }
     let (body, tail) = buf.split_at(buf.len() - 8);
-    #[expect(clippy::expect_used, reason = "split_at leaves exactly 8 bytes")]
-    let stored = u64::from_le_bytes(tail.try_into().expect("8"));
-    if fletcher64(body) != stored {
+    if LeReader::new(tail).u64() != Some(fletcher64(body)) {
         return Err(ImageError::BadChecksum);
     }
-    let mut pos = 0usize;
-    let take_u64 = |pos: &mut usize| -> Result<u64, ImageError> {
-        let end = *pos + 8;
-        if end > body.len() {
-            return Err(ImageError::BadFormat);
-        }
-        #[expect(clippy::expect_used, reason = "an 8-byte slice, bounds checked above")]
-        let v = u64::from_le_bytes(body[*pos..end].try_into().expect("8"));
-        *pos = end;
-        Ok(v)
-    };
-    if take_u64(&mut pos)? != IMAGE_MAGIC {
+    let mut r = LeReader::new(body);
+    if r.u64() != Some(IMAGE_MAGIC) {
         return Err(ImageError::BadFormat);
     }
-    let model_len = take_u64(&mut pos)?;
-    let Some(model_json) = usize::try_from(model_len)
+    let model_len = r.u64().ok_or(ImageError::BadFormat)?;
+    let model_json = usize::try_from(model_len)
         .ok()
-        .and_then(|len| body.get(pos..pos.checked_add(len)?))
-    else {
-        return Err(ImageError::BadFormat);
-    };
+        .and_then(|len| r.take(len))
+        .ok_or(ImageError::BadFormat)?;
     let model = std::str::from_utf8(model_json)
         .map_err(|_| JsonError::new("model is not UTF-8"))
         .and_then(JsonValue::parse)
         .and_then(|v| DiskModel::from_json(&v))
         .map_err(ImageError::BadModel)?;
-    pos += model_json.len();
-    let head = take_u64(&mut pos)? as u32;
-    let n_sectors = take_u64(&mut pos)? as usize;
+    let head = r.u64().ok_or(ImageError::BadFormat)? as u32;
+    let n_sectors = r.u64().ok_or(ImageError::BadFormat)? as usize;
 
     let mut disk = Disk::new(model);
     for _ in 0..n_sectors {
-        let idx = take_u64(&mut pos)?;
-        if pos + SECTOR_SIZE > body.len() {
-            return Err(ImageError::BadFormat);
-        }
-        disk.store_mut().write(idx, &body[pos..pos + SECTOR_SIZE]);
-        pos += SECTOR_SIZE;
+        let idx = r.u64().ok_or(ImageError::BadFormat)?;
+        let sector = r.take(SECTOR_SIZE).ok_or(ImageError::BadFormat)?;
+        disk.store_mut().write(idx, sector);
     }
     disk.set_head_cylinder(head.min(disk.geometry().cylinders - 1));
     Ok(disk)
+}
+
+/// A bounds-checked little-endian cursor over on-disk bytes, the one
+/// reader of the three decoders (disk image, disk label, the driver's
+/// block table). A read past the end returns `None` and leaves the
+/// cursor where it was; the caller maps that to its own error.
+#[derive(Debug)]
+pub struct LeReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> LeReader<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        LeReader { bytes, pos: 0 }
+    }
+
+    /// Bytes consumed so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let bytes = self.bytes.get(self.pos..end)?;
+        self.pos = end;
+        Some(bytes)
+    }
+
+    /// The next `N` bytes as an array.
+    pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let array = *self.bytes.get(self.pos..)?.first_chunk::<N>()?;
+        self.pos += N;
+        Some(array)
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
 }
 
 /// Fletcher-style 64-bit checksum over a byte slice (used for the disk
@@ -248,5 +277,19 @@ mod tests {
         let back = load(&img[..]).unwrap();
         assert_eq!(back.store().written_sectors(), 0);
         assert_eq!(back.model().name, "Fujitsu M2266");
+    }
+
+    #[test]
+    fn le_reader_refuses_reads_past_the_end_and_stays_put() {
+        let bytes = [1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0];
+        let mut r = LeReader::new(&bytes);
+        assert_eq!(r.u32(), Some(1));
+        assert_eq!(r.u64(), None);
+        assert_eq!(r.take(usize::MAX), None);
+        assert_eq!(r.pos(), 4);
+        assert_eq!(r.u32(), Some(2));
+        assert_eq!(r.array::<3>(), Some([0; 3]));
+        assert_eq!((r.u32(), r.take(1), r.pos()), (None, None, 11));
+        assert_eq!(r.take(0), Some(&[][..]));
     }
 }

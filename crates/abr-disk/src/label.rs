@@ -15,6 +15,7 @@
 //! attach routine reads it back at start-up.
 
 use crate::geometry::Geometry;
+use crate::image::LeReader;
 use crate::SECTOR_SIZE;
 use std::fmt;
 
@@ -332,19 +333,21 @@ impl DiskLabel {
 
     /// Decode and validate a label sector.
     pub fn decode(buf: &[u8; SECTOR_SIZE]) -> Result<DiskLabel, LabelError> {
-        let mut r = Reader::new(buf);
-        if r.u32() != LABEL_MAGIC {
+        const OVERRUN: LabelError = LabelError::Inconsistent("fields overrun the sector");
+        let mut r = LeReader::new(buf);
+        if r.u32() != Some(LABEL_MAGIC) {
             return Err(LabelError::BadMagic);
         }
+        let mut field = || r.u32().ok_or(OVERRUN);
         let physical = Geometry {
-            cylinders: r.u32(),
-            tracks_per_cylinder: r.u32(),
-            sectors_per_track: r.u32(),
-            rpm: r.u32(),
+            cylinders: field()?,
+            tracks_per_cylinder: field()?,
+            sectors_per_track: field()?,
+            rpm: field()?,
         };
-        let marker = r.u32();
-        let start_cylinder = r.u32();
-        let n_cylinders = r.u32();
+        let marker = field()?;
+        let start_cylinder = field()?;
+        let n_cylinders = field()?;
         let reserved = if marker == REARRANGED_MAGIC {
             Some(ReservedArea {
                 start_cylinder,
@@ -355,20 +358,20 @@ impl DiskLabel {
         } else {
             return Err(LabelError::Inconsistent("unknown rearrangement marker"));
         };
-        let n_parts = r.u32() as usize;
+        let n_parts = field()? as usize;
         if n_parts > 16 {
             return Err(LabelError::Inconsistent("too many partitions"));
         }
         let partitions = (0..n_parts)
-            .map(|_| Partition {
-                start_sector: r.u64(),
-                n_sectors: r.u64(),
+            .map(|_| {
+                Ok(Partition {
+                    start_sector: r.u64().ok_or(OVERRUN)?,
+                    n_sectors: r.u64().ok_or(OVERRUN)?,
+                })
             })
-            .collect();
-        let end = r.pos;
-        #[expect(clippy::expect_used, reason = "the last 4 bytes of the sector")]
-        let stored = u32::from_le_bytes(buf[SECTOR_SIZE - 4..].try_into().expect("4 bytes"));
-        if checksum(&buf[..end]) != stored {
+            .collect::<Result<Vec<_>, LabelError>>()?;
+        let stored = LeReader::new(&buf[SECTOR_SIZE - 4..]).u32();
+        if stored != Some(checksum(&buf[..r.pos()])) {
             return Err(LabelError::BadChecksum);
         }
         let label = DiskLabel {
@@ -427,29 +430,6 @@ impl<'a> Writer<'a> {
     fn u64(&mut self, v: u64) {
         self.buf[self.pos..self.pos + 8].copy_from_slice(&v.to_le_bytes());
         self.pos += 8;
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    fn u32(&mut self) -> u32 {
-        #[expect(clippy::expect_used, reason = "a 4-byte slice")]
-        let v = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().expect("4"));
-        self.pos += 4;
-        v
-    }
-    fn u64(&mut self) -> u64 {
-        #[expect(clippy::expect_used, reason = "an 8-byte slice")]
-        let v = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().expect("8"));
-        self.pos += 8;
-        v
     }
 }
 

@@ -466,37 +466,39 @@ impl BlockTable {
 
     /// Decode the on-disk form. Validates magic and checksum. Trailing
     /// bytes beyond the checksum are ignored (the region is zero-padded).
-    #[expect(clippy::expect_used, reason = "fixed-width slices of a checked buffer")]
     pub fn decode(bytes: &[u8]) -> Result<BlockTable, TableError> {
         if bytes.len() < 24 {
             return Err(TableError::BadMagic);
         }
-        let magic = u64::from_le_bytes(bytes[0..8].try_into().expect("8"));
-        if magic != TABLE_MAGIC {
+        let mut r = LeReader::new(bytes);
+        if r.u64() != Some(TABLE_MAGIC) {
             return Err(TableError::BadMagic);
         }
         // The entry count is untrusted on-disk data: reject regions whose
         // claimed body would overflow or overrun the buffer *before* any
-        // slicing, so corruption surfaces as `TableError`, never a panic.
-        let n = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
+        // entry is read, so corruption surfaces as `TableError`, never a
+        // panic.
+        let n = r.u64().ok_or(TableError::BadMagic)?;
         let n = usize::try_from(n).map_err(|_| TableError::TooLarge)?;
         let body_end = n
             .checked_mul(17)
             .and_then(|b| b.checked_add(16))
             .ok_or(TableError::TooLarge)?;
-        if body_end.checked_add(8).ok_or(TableError::TooLarge)? > bytes.len() {
-            return Err(TableError::TooLarge);
-        }
-        let stored = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().expect("8"));
-        if fletcher64(&bytes[..body_end]) != stored {
+        let (body, tail) = bytes
+            .split_at_checked(body_end)
+            .ok_or(TableError::TooLarge)?;
+        let stored = LeReader::new(tail).u64().ok_or(TableError::TooLarge)?;
+        if fletcher64(body) != stored {
             return Err(TableError::BadChecksum);
         }
         let mut t = BlockTable::new();
-        for i in 0..n {
-            let off = 16 + i * 17;
-            let orig = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8"));
-            let slot = u32::from_le_bytes(bytes[off + 8..off + 12].try_into().expect("4"));
-            let dirty = bytes[off + 16] != 0;
+        for _ in 0..n {
+            // An entry is the original sector, the slot, four bytes of
+            // padding and the dirty flag.
+            let (Some(orig), Some(slot), Some([.., dirty])) = (r.u64(), r.u32(), r.array::<5>())
+            else {
+                return Err(TableError::TooLarge);
+            };
             // A checksum-valid table should never be inconsistent, but a
             // buggy writer must surface as an error, not a panic. An
             // original sector of u64::MAX is no real disk address and
@@ -505,7 +507,7 @@ impl BlockTable {
                 return Err(TableError::Inconsistent);
             }
             t.insert(orig, slot);
-            if dirty {
+            if dirty != 0 {
                 t.mark_dirty(orig);
             }
         }
@@ -513,7 +515,7 @@ impl BlockTable {
     }
 }
 
-use abr_disk::image::fletcher64;
+use abr_disk::image::{fletcher64, LeReader};
 
 #[cfg(test)]
 mod tests {
