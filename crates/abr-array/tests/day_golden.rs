@@ -3,13 +3,15 @@
 //! The roll-up merges the members' statistics windows and block count
 //! distributions, so this pins the multi-member merge as well as each
 //! member's own day. A member dies half an hour in, so the day also
-//! takes the degraded-read, redirected-write and rebuild paths.
+//! takes the degraded-read, redirected-write and rebuild paths. A second
+//! test pins what the volume has counted by the end of set-up.
 
-use abr_array::{ArrayConfig, ArrayExperiment, Redundancy, StripePolicy};
+use abr_array::{ArrayConfig, ArrayExperiment, Redundancy, StripePolicy, VolRequestId};
 use abr_core::{DayMetrics, ExperimentConfig};
 use abr_disk::fault::FaultPlan;
 use abr_disk::image::fletcher64;
 use abr_disk::models;
+use abr_driver::IoRequest;
 use abr_sim::SimDuration;
 use abr_workload::WorkloadProfile;
 
@@ -53,4 +55,59 @@ fn rotating_parity_day_bytes_are_pinned() {
         (16_716, 3_121_077_237_406_389_336),
     ];
     assert_eq!(members, want, "members");
+}
+
+/// What the volume's bookkeeping has counted once set-up and warm-up are
+/// over: request outcomes, each member's sub-request tallies, the
+/// `array.*` request counters, and the id the next request gets. A
+/// rewrite of the in-flight tables must not shift any of them.
+#[test]
+fn rotating_parity_setup_counts_are_pinned() {
+    abr_obs::registry_clear();
+    let mut base = ExperimentConfig::new(models::toshiba_mk156f(), WorkloadProfile::tiny_test());
+    base.seed = 0xA77A_5AFE;
+    let stripe = StripePolicy::Striped { chunk_blocks: 8 };
+    let mut e = ArrayExperiment::new(ArrayConfig::redundant(
+        base,
+        4,
+        stripe,
+        Redundancy::RotParity,
+    ));
+    let v = e.volume();
+    let members: Vec<_> = (0..v.n_disks())
+        .map(|i| {
+            let c = v.io_counts(i);
+            (c.submitted, c.completed, c.failed)
+        })
+        .collect();
+    let counter = |name: &str| {
+        abr_obs::with_registry(|r| {
+            let id = r.counter(name);
+            r.counter_value(id)
+        })
+    };
+    let registry: Vec<u64> = ["array.requests", "array.subrequests"]
+        .into_iter()
+        .map(String::from)
+        .chain((0..v.n_disks()).flat_map(|i| {
+            ["submitted", "completed", "failed"].map(|what| format!("array.disk.{i}.{what}"))
+        }))
+        .map(|name| counter(&name))
+        .collect();
+    assert_eq!(v.request_outcomes(), (2_352, 0), "request outcomes");
+    // Maintenance sub-requests (the warm-up's scrub) complete without
+    // being counted as submitted.
+    let want = [
+        (1_286, 1_758, 0),
+        (1_071, 1_543, 0),
+        (1_160, 1_632, 0),
+        (1_049, 1_521, 0),
+    ];
+    assert_eq!(members, want, "member io counts");
+    let mut want = vec![2_352, 4_566];
+    want.extend(members.iter().flat_map(|&(s, c, f)| [s, c, f]));
+    assert_eq!(registry, want, "array.* counters");
+    let now = e.clock();
+    let next = e.volume_mut().submit(IoRequest::read(0, 0, 16), now);
+    assert_eq!(next, Ok(VolRequestId(2_352)), "next admitted request");
 }
