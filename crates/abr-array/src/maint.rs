@@ -8,7 +8,7 @@
 //!
 //! [`StripeMap::group_at`]: crate::stripe::StripeMap::group_at
 
-use super::{ArrayHealth, ArrayVolume, DiskHealth, Image, MaintRole, Sub};
+use super::{ArrayHealth, ArrayVolume, DiskHealth, IdWindow, Image, MaintRole, Sub};
 use abr_driver::{AdaptiveDriver, IoRequest};
 use abr_obs::with_registry;
 use abr_sim::SimTime;
@@ -43,6 +43,8 @@ impl ArrayVolume {
         );
         fresh.set_disk_index(i as u32);
         self.disks[i] = fresh;
+        // The fresh member issues its ids from zero again.
+        self.subs[i] = IdWindow::new();
         // Queued write images aimed at the dead drive are void.
         self.pending.retain(|&(d, _), _| d != i);
         // Every block of this member that a group protects is now stale.
@@ -155,8 +157,7 @@ impl ArrayVolume {
                     for (rd, rdb) in reads {
                         let r = IoRequest::read(0, rdb * spb, self.block_span(rd, rdb));
                         if let Ok(id) = self.disks[rd].submit(r, now) {
-                            self.subs
-                                .insert((rd, id), Sub::Maint(MaintRole::RebuildRead));
+                            self.subs[rd].insert(id.0, Sub::Maint(MaintRole::RebuildRead));
                             issued += 1;
                         }
                     }
@@ -164,8 +165,7 @@ impl ArrayVolume {
                     match self.disks[i].submit(w, now) {
                         Ok(id) => {
                             self.pending.insert((i, db), (id, image));
-                            self.subs
-                                .insert((i, id), Sub::Maint(MaintRole::RebuildWrite(db)));
+                            self.subs[i].insert(id.0, Sub::Maint(MaintRole::RebuildWrite(db)));
                             issued += 1;
                         }
                         Err(_) => {
@@ -247,8 +247,7 @@ impl ArrayVolume {
         let w = IoRequest::write_runs(0, db * spb, image.runs());
         if let Ok(id) = self.disks[loc].submit(w, now) {
             self.pending.insert((loc, db), (id, image));
-            self.subs
-                .insert((loc, id), Sub::Maint(MaintRole::ScrubWrite(db)));
+            self.subs[loc].insert(id.0, Sub::Maint(MaintRole::ScrubWrite(db)));
             if let Some(m) = &self.maint {
                 with_registry(|r| r.inc(m.obs.scrub_repairs, 1));
             }
@@ -260,8 +259,7 @@ impl ArrayVolume {
         let spb = self.map.sectors_per_block();
         let span = self.block_span(loc, db);
         if let Ok(id) = self.disks[loc].submit(IoRequest::read(0, db * spb, span), now) {
-            self.subs
-                .insert((loc, id), Sub::Maint(MaintRole::ScrubRead));
+            self.subs[loc].insert(id.0, Sub::Maint(MaintRole::ScrubRead));
         }
     }
 
@@ -285,9 +283,9 @@ impl ArrayVolume {
         }
         // Through the pending-aware images; the verdict is exact (see
         // `Image::is_zero`).
-        let suspect = match self.xor_of(group) {
-            Ok(sum) if sum.is_zero() => None,
-            Ok(_) => {
+        let suspect = match self.group_cancels(group) {
+            Ok(true) => None,
+            Ok(false) => {
                 if let Some(m) = &self.maint {
                     with_registry(|r| r.inc(m.obs.scrub_mismatches, 1));
                 }

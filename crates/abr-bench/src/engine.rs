@@ -209,6 +209,10 @@ pub struct RunOutcome {
     /// Simulated time and days the run advanced (the registry's
     /// `engine.*` counters; see [`Campaign::meter`]).
     pub meter: RunMeter,
+    /// How many cells the run cleared the registry and day series for
+    /// (the `serve` sweep; see [`Campaign::cells`]): past one,
+    /// `metrics` and `day_series` are the last cell's.
+    pub cells: u64,
     /// Snapshot of the run's metrics registry (counters, gauges,
     /// histograms), taken on its worker right after the run finished.
     pub metrics: JsonValue,
@@ -260,7 +264,7 @@ impl BatchResult {
             // Wall-clock profiling counters (`wall.*`) live here and
             // only here — never in result files or traces, which are
             // byte-compared across machines and worker counts.
-            runs.push(jsn!({
+            let mut run = jsn!({
                 "id": o.spec.id.as_str(),
                 "kind": o.spec.run.family.name(),
                 "ok": o.report.is_ok(),
@@ -270,7 +274,11 @@ impl BatchResult {
                 "sim_per_real": o.sim_per_real(),
                 "metrics": o.metrics.clone(),
                 "day_series": o.day_series.clone(),
-            }));
+            });
+            if o.cells > 1 {
+                run.insert("cells", JsonValue::from(o.cells));
+            }
+            runs.push(run);
         }
         let suite: Vec<&str> = self.outcomes.iter().map(|o| o.spec.id.as_str()).collect();
         jsn!({
@@ -478,6 +486,7 @@ impl RunBatch {
             report: result.map_err(panic_message),
             wall,
             meter: campaign.meter(),
+            cells: campaign.cells(),
             metrics: registry_snapshot(),
             day_series,
             trace,
@@ -698,6 +707,9 @@ mod tests {
         let run = &j["runs"][0];
         assert_eq!(run["id"], "serve-smoke");
         assert_eq!(run["ok"], true);
+        // One cell: its metrics are the whole run's.
+        assert_eq!(result.outcomes[0].cells, 1);
+        assert!(run.get("cells").is_none());
         assert!(run["wall_s"].as_f64().unwrap() >= 0.0);
         let counters = &run["metrics"]["counters"];
         let submitted = counters["driver.submitted"].as_u64().unwrap();

@@ -195,9 +195,17 @@ pub fn render_markdown(bench: &JsonValue) -> Result<String, String> {
         let _ = writeln!(out);
         let _ = writeln!(out, "## {id}");
         let _ = writeln!(out);
+        // A run that cleared between cells keeps the last cell's data.
+        let (cells, scope) = match run["cells"].as_u64() {
+            Some(n) => (
+                format!(" over {n} cells"),
+                "; metrics and day series are the last cell's",
+            ),
+            None => (String::new(), ""),
+        };
         let _ = writeln!(
             out,
-            "status: {} — {} simulated day(s), {} day point(s).",
+            "status: {} — {} simulated day(s){cells}, {} day point(s){scope}.",
             if ok { "ok" } else { "FAILED" },
             run["sim_days"].as_u64().unwrap_or(0),
             days.len()
@@ -340,6 +348,9 @@ pub fn render_json(bench: &JsonValue) -> Result<JsonValue, String> {
             "day_series": run["day_series"].clone(),
             "slo_summary": slo,
         });
+        if let Some(cells) = run["cells"].as_u64() {
+            r.insert("cells", JsonValue::from(cells));
+        }
         if let Some(v) = run["metrics"]["counters"][STARVED_TOTAL].as_u64() {
             r.insert("starved_total", JsonValue::from(v));
         }
@@ -577,6 +588,23 @@ mod tests {
         // The fixture's uncurated counters never get a section at all.
         let base = render_markdown(&fixture()).unwrap();
         assert!(!base.contains("### Run counters"));
+    }
+
+    #[test]
+    fn a_run_of_several_cells_says_whose_data_it_shows() {
+        let mut record = fixture();
+        let mut runs = record["runs"].as_array().cloned().unwrap();
+        runs[0].insert("cells", 3u64);
+        record.insert("runs", JsonValue::Array(runs));
+        let md = render_markdown(&record).unwrap();
+        assert!(md.contains(
+            "status: ok — 2 simulated day(s) over 3 cells, 2 day point(s); \
+             metrics and day series are the last cell's."
+        ));
+        assert!(md.contains("status: ok — 35 simulated day(s), 0 day point(s).\n"));
+        let j = render_json(&record).unwrap();
+        assert_eq!(j["runs"][0]["cells"], 3);
+        assert!(j["runs"][1].get("cells").is_none());
     }
 
     #[test]

@@ -182,6 +182,8 @@ pub struct Campaign {
     /// The run meter as it stood at each [`Campaign::clear_registry`],
     /// summed: progress the registry no longer holds.
     cleared: std::cell::Cell<abr_core::RunMeter>,
+    /// How many times [`Campaign::clear_registry`] ran.
+    cells: std::cell::Cell<u64>,
 }
 
 impl Campaign {
@@ -193,17 +195,29 @@ impl Campaign {
     /// A campaign backed by a shared cache (the parallel engine hands
     /// every worker the same one).
     pub fn with_cache(cache: Arc<DayCache>) -> Self {
-        let cleared = Default::default();
-        Campaign { cache, cleared }
+        let (cleared, cells) = Default::default();
+        Campaign {
+            cache,
+            cleared,
+            cells,
+        }
     }
 
     /// Start the next part of a run on a clean registry and day series
     /// (the `serve` sweep gives each cell its own), keeping the part's
     /// simulated progress for [`Campaign::meter`].
     pub(crate) fn clear_registry(&self) {
+        self.cells.set(self.cells.get() + 1);
         self.cleared.set(self.meter());
         abr_obs::registry_clear();
         abr_obs::day_series_reset();
+    }
+
+    /// How many parts of the run started on a clean registry and day
+    /// series (`clear_registry`): past one, they hold the
+    /// last part only.
+    pub fn cells(&self) -> u64 {
+        self.cells.get()
     }
 
     /// The simulated progress of everything this campaign ran on the
@@ -727,5 +741,14 @@ mod tests {
         let c = Campaign::with_cache(cache);
         let got = c.onoff_days(DiskKind::Toshiba, FsKind::System);
         assert!(Arc::ptr_eq(&got, &days), "must be served from the cache");
+    }
+
+    #[test]
+    fn a_campaign_counts_the_cells_it_cleared_for() {
+        let c = Campaign::new();
+        assert_eq!(c.cells(), 0);
+        c.clear_registry();
+        c.clear_registry();
+        assert_eq!(c.cells(), 2);
     }
 }

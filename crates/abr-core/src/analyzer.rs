@@ -150,9 +150,15 @@ fn count_cell<'a, C: Copy + Default>(
 }
 
 /// Sort (block, count) pairs into canonical hot-list order and truncate.
+/// The blocks are distinct, so the order is total and an unstable sort
+/// of the top `n`, selected first, is exact.
 fn ranked(mut v: Vec<HotBlock>, n: usize) -> Vec<HotBlock> {
-    v.sort_by(|a, b| b.count.cmp(&a.count).then(a.block.cmp(&b.block)));
-    v.truncate(n);
+    let order = |a: &HotBlock, b: &HotBlock| b.count.cmp(&a.count).then(a.block.cmp(&b.block));
+    if n < v.len() {
+        v.select_nth_unstable_by(n, order);
+        v.truncate(n);
+    }
+    v.sort_unstable_by(order);
     v
 }
 
@@ -437,6 +443,31 @@ mod tests {
     use super::*;
     use abr_sim::dist::Zipf;
     use abr_sim::SimRng;
+
+    #[test]
+    fn ranked_equals_a_stable_sort_of_tied_counts() {
+        let mut rng = SimRng::new(0x4A4E);
+        for _ in 0..200 {
+            let len = rng.below(300) as usize;
+            // Distinct blocks in random order; few counts, so most tie.
+            let mut blocks: Vec<u64> = (0..len as u64).map(|b| b * 7 + rng.below(7)).collect();
+            for i in (1..blocks.len()).rev() {
+                blocks.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let v: Vec<HotBlock> = (blocks.into_iter())
+                .map(|block| HotBlock {
+                    block,
+                    count: 1 + rng.below(5),
+                })
+                .collect();
+            for n in [0, 1, len / 3, len.saturating_sub(1), len, len + 5] {
+                let mut want = v.clone();
+                want.sort_by(|a, b| b.count.cmp(&a.count).then(a.block.cmp(&b.block)));
+                want.truncate(n);
+                assert_eq!(ranked(v.clone(), n), want, "len {len}, n {n}");
+            }
+        }
+    }
 
     #[test]
     fn full_analyzer_exact_counts() {

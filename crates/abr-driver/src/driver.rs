@@ -778,17 +778,33 @@ impl AdaptiveDriver {
         sector_in_partition: u64,
         n_sectors: u32,
     ) -> Result<Vec<Run>, DriverError> {
+        let mut runs = Vec::with_capacity(1);
+        self.peek_runs_into(partition, sector_in_partition, n_sectors, &mut runs)?;
+        Ok(runs)
+    }
+
+    /// [`Self::peek_runs`], appended to `runs` — reusable space, so a
+    /// caller that reads many blocks allocates nothing per read. The
+    /// first run read merges into the last one already there when it
+    /// continues it (see [`abr_disk::store::Run::push_onto`]); on an
+    /// error nothing is appended.
+    pub fn peek_runs_into(
+        &self,
+        partition: usize,
+        sector_in_partition: u64,
+        n_sectors: u32,
+        runs: &mut Vec<Run>,
+    ) -> Result<(), DriverError> {
         let vsector = self.to_virtual(partition, sector_in_partition, n_sectors)?;
         let spb = u64::from(self.sectors_per_block());
         let home_phys = self.label.virtual_to_physical(vsector - (vsector % spb));
         if self.lost.contains(&home_phys) {
             return Err(DriverError::DataLoss);
         }
-        let mut runs = Vec::with_capacity(1);
         for &(sector, n) in self.resolve_at(vsector, n_sectors).iter() {
-            self.disk.store().read_runs(sector, n, &mut runs);
+            self.disk.store().read_runs(sector, n, runs);
         }
-        Ok(runs)
+        Ok(())
     }
 
     /// [`Self::peek_runs`], materialized.
