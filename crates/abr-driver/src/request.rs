@@ -135,14 +135,14 @@ impl IoRequest {
     }
 
     /// The payload as runs (raw bytes stay bytes, a run per sector;
-    /// nothing is synthesized).
+    /// nothing is synthesized). A run payload is shared, not copied.
     #[expect(clippy::expect_used, reason = "length checked by IoRequest::write")]
-    pub fn payload_runs(&self) -> Vec<Run> {
+    pub fn payload_runs(&self) -> Arc<[Run]> {
         let whole = |base| {
-            vec![Run {
+            Arc::from([Run {
                 base,
                 len: self.n_sectors,
-            }]
+            }])
         };
         match &self.payload {
             Payload::Zeroes => whole(Form::Zero),
@@ -152,7 +152,7 @@ impl IoRequest {
                 .map(|c| Form::Raw(Box::new(c.try_into().expect("whole sectors"))))
                 .map(|base| Run { base, len: 1 })
                 .collect(),
-            Payload::Runs(runs) => runs.to_vec(),
+            Payload::Runs(runs) => Arc::clone(runs),
         }
     }
 }
