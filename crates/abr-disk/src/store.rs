@@ -172,7 +172,7 @@ impl Form {
 
     /// Whether `next` is this form advanced by `k` sectors, compared
     /// without building the translation (raw bytes continue nothing).
-    fn continues_as(&self, k: u32, next: &Form) -> bool {
+    pub fn continues_as(&self, k: u32, next: &Form) -> bool {
         let (a, b) = (self.terms(), next.terms());
         let plain = !matches!((self, next), (Form::Raw(_), _) | (_, Form::Raw(_)));
         let advanced = |(&(s, w), &t): (&Term, &Term)| (s, w + k * WORDS_PER_SECTOR) == t;
