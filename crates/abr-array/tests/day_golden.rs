@@ -45,14 +45,14 @@ fn rotating_parity_day_bytes_are_pinned() {
     let members: Vec<_> = day.per_disk.iter().map(pin).collect();
     assert_eq!(
         pin(&day.volume),
-        (55_188, 15_373_537_091_044_108_740),
+        (55_181, 11_957_693_587_664_081_919),
         "volume roll-up"
     );
     let want = [
-        (16_864, 7_494_432_307_930_523_265),
+        (16_867, 8_379_772_697_738_006_105),
         (12_758, 14_883_291_518_644_521_089),
-        (16_707, 12_548_126_431_218_274_179),
-        (16_716, 3_121_077_237_406_389_336),
+        (16_709, 6_436_763_353_737_138_953),
+        (16_711, 7_504_551_900_693_490_169),
     ];
     assert_eq!(members, want, "members");
 }
@@ -98,10 +98,10 @@ fn rotating_parity_setup_counts_are_pinned() {
     // Maintenance sub-requests (the warm-up's scrub) complete without
     // being counted as submitted.
     let want = [
-        (1_286, 1_758, 0),
-        (1_071, 1_543, 0),
-        (1_160, 1_632, 0),
-        (1_049, 1_521, 0),
+        (1_286, 1_766, 0),
+        (1_071, 1_551, 0),
+        (1_160, 1_640, 0),
+        (1_049, 1_529, 0),
     ];
     assert_eq!(members, want, "member io counts");
     let mut want = vec![2_352, 4_566];

@@ -5,9 +5,9 @@
 //! *run* of a parity block, a few per block rather than one per sector
 //! — while the bytes those markers stand for still satisfy the parity
 //! identity, through a disk death, a hot spare and its rebuild. What the
-//! run keeps besides is small: set-up queues every population write at
-//! once, and the volume's bookkeeping gives that back once it drains; a
-//! returned day holds its block count distributions as runs.
+//! run keeps besides is small: the volume's bookkeeping gives back what
+//! set-up's writes grew once it drains, and a returned day holds its
+//! block count distributions as runs.
 //!
 //! The configuration is the benchmark's `array_redundant`: the paper
 //! profile under `--release` (CI's `bench-smoke` job), `tiny_test`

@@ -108,9 +108,9 @@ fn registry_series_and_meter_are_pinned() {
     assert_eq!(
         got,
         (
-            862_616_831_107_432_374,
-            12_679_816_039_119_971_769,
-            (9_007_331_785, 5)
+            1_115_639_667_799_159_294,
+            7_171_491_181_101_552_169,
+            (9_007_336_687, 5)
         )
     );
 }

@@ -322,16 +322,13 @@ impl<D: BlockDevice> FsLoop<D> {
 
 impl<D: BlockDevice, S: DaySource> DayLoop<D, TraceTraffic<S>> {
     /// Bring `device` up under `traffic`: push the population's `setup`
-    /// writes through it (unmeasured), retiring one member sub-request
-    /// per write once more than 64 are queued, then drain it. On a
-    /// single disk that keeps the queue at 64; on a redundant volume
-    /// each write queues two sub-requests (data and copy or parity), so
-    /// the queue grows by one per write and nearly all of them wait at
-    /// once (`array_redundant`: 25,013 writes, member queues peak at
-    /// 25,044). This order is part of the `array-redundant` canon. Then
-    /// give every member its rearrangement daemon (the interleaved
-    /// policy keeps the file system's `interleave`), run the warm-up
-    /// days, and only then install `fault_plans`.
+    /// writes through it (unmeasured), after each one retiring member
+    /// sub-requests until at most 64 are queued, then drain it. A
+    /// redundant volume queues two sub-requests per write (data and copy
+    /// or parity), so it may retire two. Then give every member its
+    /// rearrangement daemon (the interleaved policy keeps the file
+    /// system's `interleave`), run the warm-up days, and only then
+    /// install `fault_plans`.
     fn start(
         mut device: D,
         traffic: TraceTraffic<S>,
@@ -344,11 +341,12 @@ impl<D: BlockDevice, S: DaySource> DayLoop<D, TraceTraffic<S>> {
         for (_, _, req) in setup.iter() {
             #[expect(clippy::expect_used, reason = "set-up requests lie inside the volume")]
             device.submit(req, clock).expect("setup requests are valid");
-            if device.queue_len() > 64 {
-                if let Some(t) = device.next_completion() {
-                    clock = t;
-                    device.complete_next(t);
-                }
+            while device.queue_len() > 64 {
+                let Some(t) = device.next_completion() else {
+                    break;
+                };
+                clock = t;
+                device.complete_next(t);
             }
         }
         while let Some(t) = device.next_completion() {
