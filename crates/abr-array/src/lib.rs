@@ -9,9 +9,6 @@
 //!   configurable chunk size, concatenation, and hash-sharding; and,
 //!   under a redundancy scheme, the *redundancy groups* — which
 //!   locations protect which ([`StripeMap::group_at`]).
-//! * [`image`] — what a block holds, as the redundancy arithmetic sees
-//!   it: a short list of runs of sector forms with `slice`, `overlay`
-//!   and `xor`.
 //! * [`volume`] — the dispatcher: splits requests into per-disk
 //!   sub-requests, merges completions in simulated-time order, and
 //!   publishes the `array.*` registry metrics. Its maintenance half
@@ -47,11 +44,9 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
-pub mod image;
 pub mod stripe;
 pub mod volume;
 
 pub use experiment::{ArrayConfig, ArrayDayMetrics, ArrayExperiment};
-pub use image::Image;
 pub use stripe::{Redundancy, StripeMap, StripePolicy};
 pub use volume::{ArrayHealth, ArrayVolume, DiskHealth, DiskIoCounts, VolCompletion, VolRequestId};

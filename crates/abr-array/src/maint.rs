@@ -8,10 +8,12 @@
 //!
 //! [`StripeMap::group_at`]: crate::stripe::StripeMap::group_at
 
-use super::{ArrayHealth, ArrayVolume, DiskHealth, IdWindow, Image, MaintRole, Sub};
+use super::{ArrayHealth, ArrayVolume, DiskHealth, IdWindow, MaintRole, Runs, Sub};
+use crate::stripe::Group;
 use abr_driver::{AdaptiveDriver, IoRequest};
 use abr_obs::with_registry;
 use abr_sim::SimTime;
+use std::sync::Arc;
 
 impl ArrayVolume {
     /// Swap a failed member for a freshly formatted replacement drive
@@ -110,20 +112,14 @@ impl ArrayVolume {
     /// Re-silver plan for one stale block: the rest of its group to
     /// read and their XOR to write. `Ok(None)` = nothing stored there
     /// (drop the stale entry); `Err(())` = sources unavailable right now.
-    #[allow(clippy::type_complexity, reason = "a one-off return type")]
-    fn resilver_plan(
-        &self,
-        i: usize,
-        db: u64,
-        now: SimTime,
-    ) -> Result<Option<(Vec<(usize, u64)>, Image)>, ()> {
+    fn resilver_plan(&self, i: usize, db: u64, now: SimTime) -> Result<Option<(Group, Runs)>, ()> {
         let Some(rest) = self.rest_of_group(i, db) else {
             return Ok(None);
         };
         if rest.iter().any(|&(d, _)| self.disk_down(d, now)) {
             return Err(());
         }
-        let image = self.xor_of(&rest).map_err(|_| ())?;
+        let image = self.xor_of(&rest).ok_or(())?;
         Ok(Some((rest, image)))
     }
 
@@ -154,14 +150,14 @@ impl ArrayVolume {
                 }
                 Ok(Some((reads, image))) => {
                     let mut issued = 0u32;
-                    for (rd, rdb) in reads {
+                    for &(rd, rdb) in &reads {
                         let r = IoRequest::read(0, rdb * spb, self.block_span(rd, rdb));
                         if let Ok(id) = self.disks[rd].submit(r, now) {
                             self.subs[rd].insert(id.0, Sub::Maint(MaintRole::RebuildRead));
                             issued += 1;
                         }
                     }
-                    let w = IoRequest::write_runs(0, db * spb, image.runs());
+                    let w = IoRequest::write_runs(0, db * spb, Arc::clone(&image));
                     match self.disks[i].submit(w, now) {
                         Ok(id) => {
                             self.pending.insert((i, db), (id, image));
@@ -172,13 +168,10 @@ impl ArrayVolume {
                             skipped.push(db);
                         }
                     }
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "rebuild_tick only runs on redundant volumes"
-                    )]
-                    let m = self.maint.as_mut().expect("redundant volume");
-                    m.budget.consume(now, issued.max(1).min(ops_per_item));
-                    with_registry(|r| r.inc(m.obs.rebuild_ops, u64::from(issued)));
+                    if let Some(m) = &mut self.maint {
+                        m.budget.consume(now, issued.max(1).min(ops_per_item));
+                        with_registry(|r| r.inc(m.obs.rebuild_ops, u64::from(issued)));
+                    }
                 }
             }
         }
@@ -194,24 +187,15 @@ impl ArrayVolume {
         if !self.is_idle() || self.stale.iter().any(|s| !s.is_empty()) {
             return;
         }
-        let Some(m) = &self.maint else { return };
-        let groups = m.cfg.scrub_groups_per_window;
         let total = self.map.n_groups();
-        if total == 0 {
+        let Some(m) = self.maint.as_mut().filter(|_| total > 0) else {
             return;
-        }
-        for _ in 0..groups {
-            let cursor = {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "scrub_tick only runs on redundant volumes"
-                )]
-                let m = self.maint.as_mut().expect("redundant volume");
-                let c = m.scrub_cursor % total;
-                m.scrub_cursor = (m.scrub_cursor + 1) % total;
-                c
-            };
-            self.scrub_group(&self.map.group(cursor), now);
+        };
+        let (first, groups) = (m.scrub_cursor, u64::from(m.cfg.scrub_groups_per_window));
+        m.scrub_cursor = (first + groups) % total;
+        for k in 0..groups {
+            let group = self.map.group((first + k) % total);
+            self.scrub_group(&group, now);
         }
     }
 
@@ -242,9 +226,9 @@ impl ArrayVolume {
     }
 
     /// Issue a scrub repair write of `image` to block `db` of `loc`.
-    fn scrub_repair(&mut self, loc: usize, db: u64, image: Image, now: SimTime) {
+    fn scrub_repair(&mut self, loc: usize, db: u64, image: Runs, now: SimTime) {
         let spb = self.map.sectors_per_block();
-        let w = IoRequest::write_runs(0, db * spb, image.runs());
+        let w = IoRequest::write_runs(0, db * spb, Arc::clone(&image));
         if let Ok(id) = self.disks[loc].submit(w, now) {
             self.pending.insert((loc, db), (id, image));
             self.subs[loc].insert(id.0, Sub::Maint(MaintRole::ScrubWrite(db)));
@@ -268,7 +252,7 @@ impl ArrayVolume {
     /// member from the rest, and repair a mismatch toward the data by
     /// rewriting the check (last) member. Two unreadable members are
     /// beyond single redundancy: the group is left for `health`.
-    fn scrub_group(&mut self, group: &[(usize, u64)], now: SimTime) {
+    fn scrub_group(&mut self, group: &Group, now: SimTime) {
         if group.iter().any(|&(d, _)| self.disk_down(d, now)) {
             return;
         }
@@ -282,7 +266,7 @@ impl ArrayVolume {
             }
         }
         // Through the pending-aware images; the verdict is exact (see
-        // `Image::is_zero`).
+        // `Run::is_zero`).
         let suspect = match self.group_cancels(group) {
             Ok(true) => None,
             Ok(false) => {
@@ -291,22 +275,13 @@ impl ArrayVolume {
                 }
                 group.last().copied()
             }
-            Err(_) => {
-                let mut unreadable = group
-                    .iter()
-                    .filter(|&&(loc, db)| self.block_image(loc, db).is_err());
-                match (unreadable.next(), unreadable.next()) {
-                    (Some(&lost), None) => Some(lost),
-                    _ => return,
-                }
-            }
+            Err(Some(lost)) => Some(lost),
+            Err(None) => return,
         };
         needs.extend(suspect.filter(|m| !needs.contains(m)));
-        for (loc, db) in needs {
-            let rest: Vec<(usize, u64)> =
-                group.iter().copied().filter(|&m| m != (loc, db)).collect();
-            if let Ok(image) = self.xor_of(&rest) {
-                self.scrub_repair(loc, db, image, now);
+        for member in needs {
+            if let Some(image) = self.xor_of(&group.without(member)) {
+                self.scrub_repair(member.0, member.1, image, now);
             }
         }
         for &(loc, db) in group {

@@ -132,7 +132,7 @@ const SPB: u64 = 16;
 /// XOR is zero, the check member (copy / parity) last.
 fn group_of(v: &ArrayVolume, vb: u64) -> Vec<(usize, u64)> {
     let (d, db) = v.map().map_block(vb);
-    v.map().group_at(d, db).expect("redundant volume")
+    v.map().group_at(d, db).expect("redundant volume").to_vec()
 }
 
 fn peek(v: &ArrayVolume, (d, db): (usize, u64)) -> Option<Vec<u8>> {
@@ -444,7 +444,11 @@ impl Rig {
     /// The next stage's group (first data member first, check member
     /// last), written so data member `i` holds `0x10 + i` in every byte.
     fn next_group(&mut self) -> Vec<(usize, u64)> {
-        let group = self.v.map().group(u64::from(self.stage * STAGE_GROUPS));
+        let group = self
+            .v
+            .map()
+            .group(u64::from(self.stage * STAGE_GROUPS))
+            .to_vec();
         self.stage += 1;
         for (i, &(d, db)) in group[..group.len() - 1].iter().enumerate() {
             let vb = self.v.map().vblock_at(d, db).expect("data member");
