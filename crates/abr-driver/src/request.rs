@@ -129,7 +129,7 @@ impl IoRequest {
 
     /// A write of `runs`, back to back.
     pub fn write_runs(partition: usize, sector_in_partition: u64, runs: Arc<[Run]>) -> Self {
-        let n_sectors = runs.iter().map(|run| run.len).sum();
+        let n_sectors = Run::sectors(&runs);
         let payload = Payload::Runs(runs);
         Self::write_of(partition, sector_in_partition, n_sectors, payload)
     }
