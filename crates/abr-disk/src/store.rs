@@ -416,12 +416,12 @@ impl Slab {
         slot
     }
 
-    /// One sector of the run in `slot` was overwritten; the last one
-    /// frees the slot.
-    fn release(&mut self, slot: u32) {
+    /// `n` sectors of the run in `slot` were overwritten; the last ones
+    /// free the slot.
+    fn release(&mut self, slot: u32, n: u32) {
         let entry = &mut self.slots[slot as usize - 1];
         match entry {
-            Some((_, live)) if *live > 1 => *live -= 1,
+            Some((_, live)) if *live > n => *live -= n,
             _ => self.free.extend(entry.take().map(|_| slot)),
         }
     }
@@ -454,11 +454,38 @@ impl Held {
     }
 }
 
+/// Sectors `start..start + len` of a page, sector `start + i` holding
+/// `first` advanced by `i`: a lazily-held run, or the page's piece of
+/// one. A spare entry has `len` 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Span {
+    first: Marker,
+    start: u8,
+    len: u8,
+}
+
+impl Span {
+    fn range(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// The part of the span inside `from..to`, or a spare.
+    fn part(&self, from: usize, to: usize) -> Span {
+        let (start, end) = (from.max(self.start as usize), to.min(self.range().end));
+        if start >= end {
+            return Span::default();
+        }
+        let first = self.first.advanced((start - self.start as usize) as u32);
+        let (start, len) = (start as u8, (end - start) as u8);
+        Span { first, start, len }
+    }
+}
+
 /// A page's raw sector bytes and which sectors hold them.
 #[derive(Debug, Clone)]
 struct RawArea {
     /// Bit `i` set ⇔ sector `i` holds `bytes[i * SECTOR_SIZE..]`: a
-    /// non-empty subset of the page's `bitmap & !lazy`.
+    /// non-empty subset of the page's written sectors outside its spans.
     raw: u64,
     bytes: [u8; PAGE_BYTES],
 }
@@ -467,16 +494,14 @@ struct RawArea {
 struct Page {
     /// Bit `i` set ⇔ sector `i` of this page has been written.
     bitmap: u64,
-    /// Subset of `bitmap`: the sector's content is `seeds[i]`, not
-    /// `data`.
-    lazy: u64,
     /// Raw sector bytes; allocated on the first raw write to this page
     /// and freed when its last raw sector is overwritten or cleared. A
-    /// written sector that is neither lazy nor raw is zero.
+    /// written sector that is neither in a span nor raw is zero.
     data: Option<Box<RawArea>>,
-    /// Per-sector markers of lazily-held writes; allocated on the first
-    /// such write to this page.
-    seeds: Option<Box<[Marker; PAGE_SECTORS as usize]>>,
+    /// The lazily-held sectors (all written): sorted, disjoint spans,
+    /// then spares to grow into. Empty, allocating nothing, while the
+    /// page holds no such sector.
+    spans: Box<[Span]>,
 }
 
 impl Page {
@@ -503,46 +528,70 @@ impl Page {
         }
     }
 
-    /// Sectors `run` stop being lazily held; XOR sectors among them
-    /// leave their runs.
-    fn unlazy(&mut self, run: Range<usize>, slab: &mut Slab) {
-        if let (Some(seeds), true) = (&mut self.seeds, self.lazy & mask(&run) != 0) {
-            self.lazy &= !mask(&run);
-            for m in seeds[run].iter_mut().filter(|m| m.slot != 0) {
-                slab.release(std::mem::take(&mut m.slot));
-            }
+    /// Sectors `run` stop being lazily held or, given the marker of its
+    /// first sector, become one span. The spans over `run` are cut back
+    /// or dropped, each XOR run giving back the sectors it loses. (A
+    /// span may continue the one before; `held_runs` joins them.)
+    fn lay(&mut self, run: Range<usize>, first: Option<Marker>, slab: &mut Slab) {
+        let live = self.spans.partition_point(|sp| sp.len > 0);
+        // The spans `run` overlaps, and what is left of them.
+        let lo = self.spans[..live].partition_point(|sp| sp.range().end <= run.start);
+        let hi = self.spans[..live].partition_point(|sp| sp.range().start < run.end);
+        let around = &self.spans[lo..hi];
+        let gone = around.iter().map(|sp| sp.part(run.start, run.end));
+        for gone in gone.filter(|sp| sp.first.slot != 0) {
+            slab.release(gone.first.slot, gone.len.into());
         }
-    }
-
-    /// Sector `s` becomes lazily held as `marker`.
-    #[inline]
-    fn set_marker(&mut self, s: usize, marker: Marker, slab: &mut Slab) {
-        self.lazy |= 1 << s;
-        let blank = || Box::new([Marker::default(); PAGE_SECTORS as usize]);
-        let seeds = self.seeds.get_or_insert_with(blank);
-        if seeds[s].slot != 0 {
-            slab.release(seeds[s].slot);
+        let before = around.iter().map(|sp| sp.part(0, run.start));
+        let after = around.iter().map(|sp| sp.part(run.end, usize::MAX));
+        let (start, len) = (run.start as u8, run.len() as u8);
+        let span = first.map(|first| Span { first, start, len });
+        let (mut kept, mut n) = ([Span::default(); 3], 0);
+        for sp in before.chain(span).chain(after).filter(|sp| sp.len > 0) {
+            (kept[n], n) = (sp, n + 1);
         }
-        seeds[s] = marker;
+        let count = live - (hi - lo) + n;
+        if count > self.spans.len() {
+            let mut grown =
+                vec![Span::default(); count.next_power_of_two().max(8)].into_boxed_slice();
+            grown[..live].copy_from_slice(&self.spans[..live]);
+            self.spans = grown;
+        }
+        self.spans.copy_within(hi..live, lo + n);
+        self.spans[lo..lo + n].copy_from_slice(&kept[..n]);
+        self.spans[count..].fill(Span::default());
+        #[cfg(feature = "sanitize")]
+        for (i, sp) in self.spans[..count].iter().enumerate() {
+            let next = self.spans[..count].get(i + 1);
+            let free_to = next.map_or(PAGE_SECTORS as usize, |next| next.start as usize);
+            let written = self.bitmap & mask(&sp.range()) == mask(&sp.range());
+            assert!(
+                written && sp.range().end <= free_to,
+                "{sp:?} is unwritten or overlaps {next:?}"
+            );
+        }
+        if count == 0 {
+            self.spans = Box::default();
+        }
     }
 
     /// What sector `s` (at store address `sector`) holds, and how many
-    /// sectors from it on, short of `end`, hold one run: the bitmaps say
-    /// how far its kind reaches, the markers how far each continues the
-    /// one before.
+    /// sectors from it on, short of `end`, hold one run: a span says how
+    /// far it reaches, the bitmaps how far any other kind does.
     fn run_at(&self, s: usize, end: usize, sector: u64) -> (Held, usize) {
         let reach = |kind: u64| ((kind & mask(&(s..end))) >> s).trailing_ones() as usize;
         let raw = self.data.as_ref().map_or(0, |area| area.raw);
-        match &self.seeds {
-            Some(seeds) if self.lazy & (1 << s) != 0 => {
-                let first = seeds[s];
-                let markers = seeds[s..s + reach(self.lazy)].iter().zip(0..);
-                let run = markers.take_while(|&(m, i)| *m == first.advanced(i));
-                (Held::Lazy(first), run.count())
+        let live = &self.spans[..self.spans.partition_point(|sp| sp.len > 0)];
+        let next = live.get(live.partition_point(|sp| sp.range().end <= s));
+        let from = next.map_or(PAGE_SECTORS as usize, |sp| sp.start as usize);
+        match next {
+            Some(sp) if from <= s => {
+                let first = sp.first.advanced((s - from) as u32);
+                (Held::Lazy(first), sp.range().end.min(end) - s)
             }
             _ if self.bitmap & (1 << s) == 0 => (Held::Absent, reach(!self.bitmap)),
             _ if raw & (1 << s) != 0 => (Held::Raw(sector), 1),
-            _ => (Held::Zero, reach(self.bitmap & !self.lazy & !raw)),
+            _ => (Held::Zero, reach(self.bitmap & !raw).min(from - s)),
         }
     }
 }
@@ -682,7 +731,7 @@ impl SectorStore {
         assert_eq!(buf.len() % SECTOR_SIZE, 0, "unaligned write length");
         for (p, run, at) in pieces(sector, buf.len() / SECTOR_SIZE) {
             let (pg, slab) = self.touch(p, &run);
-            pg.unlazy(run.clone(), slab);
+            pg.lay(run.clone(), None, slab);
             let bytes = &buf[at * SECTOR_SIZE..][..run.len() * SECTOR_SIZE];
             pg.raw_mut(&run).copy_from_slice(bytes);
         }
@@ -694,9 +743,7 @@ impl SectorStore {
         for (p, piece, at) in pieces(sector, n as usize) {
             let (pg, slab) = self.touch(p, &piece);
             pg.unraw(&piece);
-            for (s, i) in piece.zip(at as u32..) {
-                pg.set_marker(s, first.advanced(i), slab);
-            }
+            pg.lay(piece, Some(first.advanced(at as u32)), slab);
         }
     }
 
@@ -717,7 +764,7 @@ impl SectorStore {
     pub fn write_zeroes(&mut self, sector: u64, n_sectors: u32) {
         for (p, run, _) in pieces(sector, n_sectors as usize) {
             let (pg, slab) = self.touch(p, &run);
-            pg.unlazy(run.clone(), slab);
+            pg.lay(run.clone(), None, slab);
             pg.unraw(&run);
         }
     }
@@ -773,7 +820,7 @@ impl SectorStore {
             if absent {
                 for (p, piece, _) in pieces(at, run.len as usize) {
                     if let Some(Some(pg)) = self.pages.get_mut(p) {
-                        pg.unlazy(piece.clone(), &mut self.slab);
+                        pg.lay(piece.clone(), None, &mut self.slab);
                         pg.unraw(&piece);
                         self.written -= (pg.bitmap & mask(&piece)).count_ones() as usize;
                         pg.bitmap &= !mask(&piece);
@@ -832,6 +879,7 @@ mod tests {
         // Every 8 bytes of marker is +8 % RSS on the single-disk runs.
         assert_eq!(std::mem::size_of::<Marker>(), 16);
         assert!(std::mem::size_of::<Page>() <= 32);
+        assert!(std::mem::size_of::<Span>() <= 24);
     }
 
     #[test]
