@@ -3,7 +3,7 @@
 //! every byte (`Vec<[u8; 512]>` plus the written set), through the same
 //! random sequence of raw, seeded, zero and multi-term writes — single
 //! sectors and whole runs — partial overwrites and copies across page
-//! boundaries. The representation (markers, slab, zero bits, runs) must
+//! boundaries. The representation (spans, slab, zero bits, runs) must
 //! never show: after every step both read the same, sector by sector
 //! and run by run, the slab holds exactly the XOR runs that still have
 //! a live sector, and exactly the pages with a sector that last took
@@ -307,4 +307,74 @@ fn translation_commutes_with_xor_and_a_run_is_its_sectors() {
         cancelled > 10 && raw > 100,
         "{cancelled} cancelled, {raw} raw"
     );
+}
+
+/// What `[at, at + n)` reads as, run by run.
+fn runs(store: &SectorStore, at: u64, n: u32) -> Vec<Run> {
+    let mut runs = Vec::new();
+    store.read_runs(at, n, &mut runs);
+    runs
+}
+
+/// The cases a page's span list must get right, one by one: a run
+/// across a page edge reads as one run, an overwrite inside a run
+/// splits it in three, a copy of a never-written stretch clears what it
+/// lands on, and an XOR run overwritten piece by piece, in an order
+/// that splits it, gives its slab slot back with its last sector.
+#[test]
+fn spans_split_straddle_clear_and_give_back_their_slot() {
+    let seeded = |seed, word, len| Run {
+        base: Form::Seeded((seed, word)),
+        len,
+    };
+    let zero = |len| Run {
+        base: Form::Zero,
+        len,
+    };
+    let mut store = SectorStore::new();
+    store.write_seeded(48, 32, 7, 0);
+    assert_eq!(runs(&store, 48, 32), [seeded(7, 0, 32)]);
+    store.write_seeded(50, 4, 9, 0);
+    let split = [seeded(7, 0, 2), seeded(9, 0, 4), seeded(7, 6 * 64, 26)];
+    assert_eq!(runs(&store, 48, 32), split);
+    store.copy(1_000, 52, 8);
+    let cleared = [
+        seeded(7, 0, 2),
+        seeded(9, 0, 2),
+        zero(8),
+        seeded(7, 12 * 64, 20),
+    ];
+    assert_eq!(runs(&store, 48, 32), cleared);
+    assert_eq!(store.written_sectors(), 24);
+    let mut bytes = vec![0u8; 32 * SECTOR_SIZE];
+    let mut want = vec![0u8; 32 * SECTOR_SIZE];
+    store.read(48, &mut bytes);
+    Run::fill_all(&cleared, &mut want);
+    assert_eq!(bytes, want);
+
+    let terms = [(&Form::Seeded((1, 0)), 0), (&Form::Seeded((2, 64)), 0)];
+    let xor = Form::xor_all(terms, &mut Vec::new());
+    let free = store.slab_len();
+    store.write_run(
+        56,
+        &Run {
+            base: xor.clone(),
+            len: 16,
+        },
+    );
+    assert_eq!(store.slab_len(), free + 1);
+    // Four sectors across the page edge first, then one at a time.
+    store.write_seeded(62, 4, 3, 0);
+    let order: Vec<u32> = (0..16)
+        .map(|i| i * 5 % 16)
+        .filter(|k| !(6..10).contains(k))
+        .collect();
+    for (done, &k) in order.iter().enumerate() {
+        assert_eq!(store.slab_len(), free + 1, "{done} sectors overwritten");
+        for &live in &order[done..] {
+            assert_eq!(store.read_form(56 + u64::from(live)), xor.translate(live));
+        }
+        store.write_seeded(56 + u64::from(k), 1, 3, 0);
+    }
+    assert_eq!(store.slab_len(), free);
 }
