@@ -13,7 +13,7 @@ use abr_sim::{SimDuration, SimRng, SimTime};
 static ALLOC: Counting = Counting;
 
 /// Live-heap peak in bytes, set-up and bursts together.
-const PEAK: usize = 1_006_388;
+const PEAK: usize = 941_084;
 
 /// Sectors per 8 KB block.
 const SPB: u32 = 16;

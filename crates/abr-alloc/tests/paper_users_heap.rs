@@ -15,8 +15,8 @@ use abr_workload::WorkloadProfile;
 static ALLOC: Counting = Counting;
 
 /// (calling thread's allocations, live-heap peak in bytes) per phase.
-const SETUP: (u64, usize) = (9_770, 8_631_263);
-const DAYS: (u64, usize) = (1_904, 8_573_415);
+const SETUP: (u64, usize) = (9_943, 8_328_143);
+const DAYS: (u64, usize) = (1_446, 8_266_047);
 
 fn check(phase: &str, got: (u64, usize), limit: (u64, usize)) {
     eprintln!("{phase}: {} allocations, peak {} B", got.0, got.1);

@@ -22,7 +22,7 @@
 //! * **zero** — written, all zeroes: a bitmap bit and nothing else, in
 //!   any page;
 //! * **seeded** — one stream of the synthetic payload generator (see
-//!   [`fill_seeded`]), held as a 16-byte `(seed, word offset)` marker.
+//!   [`fill_seeded`]), named by a 16-byte `(seed, word offset)` marker.
 //!   Nearly all of the simulation's write traffic is of this kind;
 //! * **XOR of seeded streams** — what parity over seeded data is: a
 //!   sorted list of `(seed, word)` terms. A term XORed in twice cancels,
@@ -54,12 +54,18 @@
 //! **one** [`Form::xor_all`] on their bases instead of n. The store
 //! reads a range as its maximal runs ([`SectorStore::read_runs`]) and
 //! writes a run in one call ([`SectorStore::write_run`]); a single
-//! sector is the run of length one. An XOR run keeps **one** term list,
-//! out of line in a store-level slab with a count of the sectors still
-//! holding it; each sector's marker names the slot and its index within
-//! the run. The slot is freed when the last of its sectors is
-//! overwritten, and a store never handed such a form allocates nothing.
-//! Raw bytes do not translate: a raw sector is always a run of one.
+//! sector is the run of length one. The store keeps a written seeded or
+//! XOR run the same way: as one *span* per page it touches, `(start,
+//! len, first marker)`, sector `start + i` holding the first marker
+//! advanced by `i`. A page holds a sorted, disjoint list of them, 24
+//! bytes each, allocated for five on the page's first such write; an
+//! overwrite cuts back, splits or drops the spans under it. An XOR run
+//! keeps **one** term list, out of line in a store-level slab with a
+//! count of the sectors still holding it; a span's marker names the
+//! slot and the index in the run of the span's first sector. The slot
+//! is freed when the last of its sectors is overwritten, and a store
+//! never handed such a form allocates nothing. Raw bytes do not
+//! translate: a raw sector is always a run of one.
 //!
 //! What a block holds is then a short list of runs, shared as an
 //! `Arc<[Run]>`, and the array's redundancy arithmetic is done on such
@@ -552,8 +558,10 @@ impl Page {
         }
         let count = live - (hi - lo) + n;
         if count > self.spans.len() {
+            // Five spans (120 B) at first: the largest list glibc keeps
+            // in a fast bin, so a freed store leaves no heap to trim.
             let mut grown =
-                vec![Span::default(); count.next_power_of_two().max(8)].into_boxed_slice();
+                vec![Span::default(); count.next_power_of_two().max(5)].into_boxed_slice();
             grown[..live].copy_from_slice(&self.spans[..live]);
             self.spans = grown;
         }
@@ -811,12 +819,15 @@ impl SectorStore {
     /// lazily-held sector costs no bytes, and a never-written stretch
     /// clears its destination.
     pub fn copy(&mut self, src: u64, dst: u64, n_sectors: u32) {
-        let mut source = Vec::with_capacity(1);
+        // The last run stays out of the list: a one-run copy allocates
+        // nothing.
+        let (mut source, mut last) = (Vec::new(), None);
         self.held_runs(src, n_sectors, |held, len| {
-            source.push((held == Held::Absent, self.run_of(held, len)));
+            let run = (held == Held::Absent, self.run_of(held, len));
+            source.extend(last.replace(run));
         });
         let mut at = dst;
-        for (absent, run) in source {
+        for (absent, run) in source.into_iter().chain(last) {
             if absent {
                 for (p, piece, _) in pieces(at, run.len as usize) {
                     if let Some(Some(pg)) = self.pages.get_mut(p) {
@@ -876,7 +887,8 @@ mod tests {
 
     #[test]
     fn per_sector_and_per_page_sizes_are_pinned() {
-        // Every 8 bytes of marker is +8 % RSS on the single-disk runs.
+        // A page's directory entry is paid for every touched page, a span
+        // for every written run piece: 1.25 MB of directory on the Fujitsu.
         assert_eq!(std::mem::size_of::<Marker>(), 16);
         assert!(std::mem::size_of::<Page>() <= 32);
         assert!(std::mem::size_of::<Span>() <= 24);
